@@ -117,8 +117,8 @@ impl Manager {
                             limit: self.nodes.len(),
                         });
                     }
+                    #[expect(clippy::panic, reason = "deterministic fault injection (chaos suite)")]
                     Fault::Panic => {
-                        // lint:allow(panic) — deterministic fault injection for the chaos suite
                         panic!("injected fault: worker panic at effort tick {at_tick}");
                     }
                 }

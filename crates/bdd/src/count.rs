@@ -47,7 +47,7 @@ impl Manager {
             stack.push(n.high.node());
             stack.push(n.low.node());
         }
-        // lint:allow(iter-order) — collected and sort_unstable'd just below
+        // Hash order cannot leak: the levels are sorted just below.
         let mut lv: Vec<u32> = levels.into_iter().collect();
         lv.sort_unstable();
         lv.into_iter().map(|l| self.var_at(l)).collect()
@@ -59,7 +59,7 @@ impl Manager {
         for &r in roots {
             set.extend(self.support(r));
         }
-        // lint:allow(iter-order) — collected, then sorted by level (unique per var)
+        // Hash order cannot leak: sorted by level (unique per var) below.
         let mut v: Vec<Var> = set.into_iter().collect();
         v.sort_by_key(|&var| self.level_of(var));
         v
@@ -79,14 +79,16 @@ impl Manager {
             if let Some(&r) = memo.get(&e) {
                 return r;
             }
-            // lint:allow(panic) — guarded: e is non-constant here
+            #[expect(clippy::expect_used, reason = "guarded: e is non-constant here")]
             let (_, t, el) = m.node(e).expect("non-const");
             let r = 0.5 * rec(m, t, memo) + 0.5 * rec(m, el, memo);
             memo.insert(e, r);
             r
         }
         let mut memo = std::collections::HashMap::new();
-        rec(self, e, &mut memo) * (nvars as f64).exp2()
+        #[expect(clippy::cast_precision_loss, reason = "nvars is far below 2^52")]
+        let scale = (nvars as f64).exp2();
+        rec(self, e, &mut memo) * scale
     }
 
     /// Returns `(one_paths, zero_paths)`: the number of paths from `e` to
@@ -114,7 +116,7 @@ impl Manager {
         if let Some(&r) = memo.get(&e) {
             return r;
         }
-        // lint:allow(panic) — guarded: e is non-constant here
+        #[expect(clippy::expect_used, reason = "guarded: e is non-constant here")]
         let (_, t, el) = self.node(e).expect("non-const");
         let (t1, t0) = self.count_paths_rec(t, memo);
         let (e1, e0) = self.count_paths_rec(el, memo);

@@ -31,7 +31,7 @@ impl Manager {
             if e.is_const() || !seen.insert(e.node()) {
                 continue;
             }
-            // lint:allow(panic) — guarded: constants are skipped above
+            #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
             let (var, high, low) = self.node_raw(e).expect("non-const");
             let _ = writeln!(out, "  n{} [label=\"{}\"];", e.node(), self.var_name(var));
             let _ = writeln!(

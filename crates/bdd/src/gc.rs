@@ -97,8 +97,10 @@ impl Manager {
         let mut live = vec![false; n];
         live[0] = true; // terminal
         let mut stack: Vec<u32> = Vec::with_capacity(self.roots.len() + handles.len());
-        // Mark order is irrelevant (set union); hash iteration here
-        // cannot leak into any output.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mark order is irrelevant (set union); it cannot leak into any output"
+        )]
         stack.extend(self.roots.keys().copied());
         stack.extend(handles.iter().filter(|e| !e.is_const()).map(|e| e.node()));
         while let Some(idx) = stack.pop() {
@@ -156,12 +158,14 @@ impl Manager {
         self.unique = unique;
 
         // --- remap the computed table, dropping dead entries -------------
-        // Entry order never matters for a hash map's contents, and the
-        // retained set is a pure function of the live set — hash
-        // iteration here cannot leak into any output either.
         let old_cache = std::mem::take(&mut self.ite_cache);
         let mut dropped = 0usize;
         self.ite_cache.reserve(old_cache.len());
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the rebuilt table's contents and the `dropped` count are pure \
+                      functions of the live set, whatever the visit order"
+        )]
         for (key, result) in old_cache {
             let (f, g, h) = key.unpack();
             if [f, g, h, result].iter().all(|e| live[e.node() as usize]) {
@@ -177,6 +181,11 @@ impl Manager {
         // --- remap the root registry and caller handles ------------------
         let old_roots = std::mem::take(&mut self.roots);
         self.roots.reserve(old_roots.len());
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each entry is remapped independently into another hash map, \
+                      so the visit order cannot reach its contents"
+        )]
         for (idx, count) in old_roots {
             self.roots.insert(remap[idx as usize], count);
         }

@@ -193,8 +193,11 @@ impl Manager {
     /// limit is exhausted; use [`Manager::literal_checked`] in
     /// limit-sensitive code.
     pub fn literal(&mut self, var: Var, phase: bool) -> Edge {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking convenience; use literal_checked in limit-sensitive code"
+        )]
         self.literal_checked(var, phase)
-            // lint:allow(panic) — documented panicking convenience; use literal_checked in limit-sensitive code
             .expect("node limit exhausted while creating a literal")
     }
 

@@ -124,10 +124,10 @@ pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manage
 
         for var in candidates {
             let cur_order = best_mgr.order();
+            #[expect(clippy::expect_used, reason = "var was taken from this very order")]
             let cur_pos = cur_order
                 .iter()
                 .position(|&v| v == var)
-                // lint:allow(panic) — var was taken from this very order
                 .expect("var in order");
             let mut best_pos = cur_pos;
             for pos in 0..cur_order.len() {
@@ -192,7 +192,7 @@ fn level_population(m: &Manager, roots: &[Edge], var: Var) -> usize {
         if e.is_const() || !seen.insert(e.node()) {
             continue;
         }
-        // lint:allow(panic) — guarded: constants are skipped above
+        #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
         let (v, h, l) = m.node_raw(e).expect("non-const");
         if m.level_of(v) == lvl {
             count += 1;

@@ -20,7 +20,7 @@ impl Manager {
         let mut lits: Vec<(Var, bool)> = Vec::new();
         let mut cur = e;
         while !cur.is_const() {
-            // lint:allow(panic) — guarded: loop runs only while cur is non-constant
+            #[expect(clippy::expect_used, reason = "loop runs while cur is non-constant")]
             let (var, t, el) = self.node(cur).expect("non-const");
             // Prefer the branch that leads to 1; try else first.
             if !el.is_zero() {
@@ -59,7 +59,7 @@ impl Manager {
             if let Some(r) = memo.get(&e) {
                 return r.clone();
             }
-            // lint:allow(panic) — guarded: e is non-constant here
+            #[expect(clippy::expect_used, reason = "guarded: e is non-constant here")]
             let (var, t, el) = m.node(e).expect("non-const");
             let a = rec(m, t, memo).map(|mut v| {
                 v.push((var, true));
@@ -92,14 +92,14 @@ impl Manager {
 
     fn one_paths_rec(&self, e: Edge, prefix: &mut Vec<(Var, bool)>, out: &mut Vec<Cube>) {
         if e.is_one() {
-            // lint:allow(panic) — a BDD path never repeats a variable
+            #[expect(clippy::expect_used, reason = "a BDD path never repeats a variable")]
             out.push(Cube::from_lits(prefix.clone()).expect("path literals are consistent"));
             return;
         }
         if e.is_zero() {
             return;
         }
-        // lint:allow(panic) — guarded: constants are handled above
+        #[expect(clippy::expect_used, reason = "guarded: constants are handled above")]
         let (var, t, el) = self.node(e).expect("non-const");
         prefix.push((var, true));
         self.one_paths_rec(t, prefix, out);

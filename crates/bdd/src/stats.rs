@@ -148,8 +148,10 @@ impl OpStats {
         if total == 0 {
             0.0
         } else {
-            // Counter magnitudes sit far below f64's exact-integer range.
-            #[allow(clippy::cast_precision_loss)]
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "counter magnitudes sit far below f64's exact-integer range"
+            )]
             {
                 hits as f64 / total as f64
             }
@@ -199,8 +201,7 @@ impl TableStats {
         if self.unique_capacity == 0 {
             0.0
         } else {
-            // Table sizes sit far below f64's exact-integer range.
-            #[allow(clippy::cast_precision_loss)]
+            #[expect(clippy::cast_precision_loss, reason = "table sizes are far below 2^52")]
             {
                 self.unique_entries as f64 / self.unique_capacity as f64
             }
@@ -290,6 +291,11 @@ impl Manager {
             return Vec::new();
         }
         let mut occupancy = vec![0u64; buckets];
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "per-bucket tallies are order-independent and sorted below"
+        )]
         for key in self.unique.keys() {
             let h = crate::hash::hash_packed(key.raw());
             occupancy[(h % buckets as u64) as usize] += 1;

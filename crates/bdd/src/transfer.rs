@@ -147,6 +147,11 @@ pub(crate) fn transplant_cache(
         "cache transplant requires an unchanged order"
     );
     let mut kept = 0usize;
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "each entry is transplanted independently and `kept` is a count, \
+                  so the visit order cannot reach the cache contents or any output"
+    )]
     for (key, &r) in &src.ite_cache {
         let (f, g, h) = key.unpack();
         let (Some(fi), Some(gi), Some(hi), Some(ri)) = (
@@ -183,9 +188,9 @@ fn transfer_rec(
         m
     } else {
         dst.ops.transfer_misses += 1;
+        #[expect(clippy::expect_used, reason = "constants take the other branch")]
         let (var, high, low) = src
             .node_raw(e.regular())
-            // lint:allow(panic) — guarded: constants are handled in the other branch
             .expect("non-constant edge has a node");
         let h = transfer_rec(src, dst, high, var_map, memo)?;
         let l = transfer_rec(src, dst, low, var_map, memo)?;

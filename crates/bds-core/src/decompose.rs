@@ -230,7 +230,7 @@ impl Decomposer {
             Some(r) => r,
             None => {
                 // Fallback: Shannon cofactor on the top variable.
-                // lint:allow(panic) — decompose() rejects constant functions on entry
+                #[expect(clippy::expect_used, reason = "decompose() rejects constants on entry")]
                 let d = shannon(mgr, f)?.expect("non-constant function");
                 self.stats.shannon += 1;
                 note_choice(mgr, "shannon", 1, Some(d.control), size, (d.hi, d.lo));
@@ -255,7 +255,10 @@ impl Decomposer {
         Ok(r)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one decomposition attempt needs the manager, the function and its whole search context"
+    )]
     fn try_method(
         &mut self,
         mgr: &mut Manager,
@@ -371,8 +374,10 @@ fn note_choice(
         return;
     }
     let parts_size = mgr.size(parts.0) + mgr.size(parts.1);
-    // Sizes are tiny (bounded by max_search_size); the casts are exact.
-    #[allow(clippy::cast_possible_wrap)]
+    #[expect(
+        clippy::cast_possible_wrap,
+        reason = "sizes are tiny (bounded by max_search_size); the casts are exact"
+    )]
     let node_delta = parts_size as i64 - size as i64;
     bds_trace::event!(
         "decompose.choice",

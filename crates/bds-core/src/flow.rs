@@ -232,6 +232,7 @@ fn default_jobs() -> usize {
 
 /// Resolves a `jobs` setting to a concrete worker count (`0` = one
 /// worker per available core).
+#[expect(clippy::disallowed_methods, reason = "the scheduler reads core counts")]
 fn effective_jobs(jobs: usize) -> usize {
     if jobs == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -380,6 +381,10 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
 /// thread-local trace registry and journal on exit; the coordinator
 /// absorbs them in the same fixed order, so the merged trace does not
 /// depend on which candidate finished first.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "flow.rs is the scheduler: scoped workers, re-raising a worker's panic on join"
+)]
 fn run_candidate_pair<T: Send>(
     a: impl FnOnce() -> T + Send,
     b: impl FnOnce() -> T + Send,
@@ -779,6 +784,10 @@ fn run_quarantined<T>(
     let before_journal = bds_trace::take_journal();
     let before_timeline = bds_trace::timeline::take_timeline();
     let before_profile = bds_trace::profile::take_profile();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the per-supernode panic quarantine is the flow's one unwind boundary"
+    )]
     let outcome = catch_unwind(AssertUnwindSafe(attempt));
     let after_spans = bds_trace::take_snapshot_in_flight();
     let after_journal = bds_trace::take_journal();
@@ -905,6 +914,10 @@ fn decompose_supernode(
 /// On failure the error with the **smallest item index** is returned
 /// (matching what a sequential run would hit first), and remaining
 /// workers stop claiming items at the next cursor check.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "flow.rs is the scheduler: scoped workers, re-raising a worker's panic on join"
+)]
 fn decompose_sharded(
     work: &Network,
     items: &[(SignalId, Vec<SignalId>)],

@@ -1,5 +1,11 @@
 //! Core BDS decomposition engine (modules assembled incrementally).
-#![forbid(unsafe_code)]
+// Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), deny(clippy::cast_precision_loss))]
 pub mod decompose;
 pub mod dominators;
 pub mod factor_tree;

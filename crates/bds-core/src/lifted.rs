@@ -52,7 +52,7 @@ impl PathInfo {
             }
             seen.insert(e, true);
             stack.push((e, true));
-            // lint:allow(panic) — guarded: constants are skipped above
+            #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
             let (_, t, el) = mgr.node(e).expect("non-const");
             stack.push((t, false));
             stack.push((el, false));
@@ -67,7 +67,7 @@ impl PathInfo {
             if d == 0 {
                 continue;
             }
-            // lint:allow(panic) — guarded: down-counts exist only for internal nodes
+            #[expect(clippy::expect_used, reason = "only internal nodes have down-counts")]
             let (_, t, el) = mgr.node(e).expect("non-const");
             for child in [t, el] {
                 if !child.is_const() {
@@ -82,7 +82,7 @@ impl PathInfo {
         up.insert(Edge::ONE, (1, 0));
         up.insert(Edge::ZERO, (0, 1));
         for &e in order.iter().rev() {
-            // lint:allow(panic) — order contains internal nodes only
+            #[expect(clippy::expect_used, reason = "order contains internal nodes only")]
             let (_, t, el) = mgr.node(e).expect("non-const");
             let a = up[&t];
             let b = up[&el];
@@ -154,7 +154,7 @@ fn substitute_rec(
     if let Some(&r) = memo.get(&e) {
         return Ok(r);
     }
-    // lint:allow(panic) — guarded: constants are handled above
+    #[expect(clippy::expect_used, reason = "guarded: constants are handled above")]
     let (var, t, el) = mgr.node(e).expect("non-const");
     let rt = substitute_rec(mgr, t, subst, memo)?;
     let re = substitute_rec(mgr, el, subst, memo)?;
@@ -198,7 +198,7 @@ fn rebuild_rec(
     if let Some(&r) = memo.get(&e) {
         return Ok(r);
     }
-    // lint:allow(panic) — guarded: constants are handled above
+    #[expect(clippy::expect_used, reason = "guarded: constants are handled above")]
     let (var, t, el) = mgr.node(e).expect("non-const");
     let rt = rebuild_rec(mgr, t, cut_level, free_replacement, memo)?;
     let re = rebuild_rec(mgr, el, cut_level, free_replacement, memo)?;

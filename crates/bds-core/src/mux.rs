@@ -49,7 +49,7 @@ pub fn mux_candidates(mgr: &Manager, f: Edge) -> Vec<(u32, Edge, Edge)> {
                 continue;
             }
             vertices.push(e);
-            // lint:allow(panic) — guarded: constants are skipped above
+            #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
             let (_, t, el) = mgr.node(e).expect("non-const");
             for child in [t, el] {
                 if child.is_const() {

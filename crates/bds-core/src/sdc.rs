@@ -132,7 +132,7 @@ fn minimize_node(
         if value.contains_key(&s) || net.node(s).is_none() {
             continue;
         }
-        // lint:allow(panic) — guarded: node(s).is_none() continues above
+        #[expect(clippy::expect_used, reason = "node(s).is_none() continues above")]
         let (fs, c) = net.node(s).expect("node");
         if !fs.iter().all(|f| value.contains_key(f)) {
             continue; // outside the cone
@@ -171,17 +171,20 @@ fn minimize_node(
         .enumerate()
         .map(|(i, v)| (v.index(), i as u32))
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "pos_of indexes every y variable by construction, \
+                  and ISOP cubes never contain both phases"
+    )]
     let new_cover: Cover = cubes
         .iter()
         .map(|c| {
             Cube::new(
                 c.literals()
                     .iter()
-                    // lint:allow(panic) — pos_of indexes every y variable by construction
                     .map(|&(v, p)| (*pos_of.get(&v.index()).expect("y var"), p))
                     .collect(),
             )
-            // lint:allow(panic) — ISOP cubes never contain both phases
             .expect("isop cubes consistent")
         })
         .collect();

@@ -265,6 +265,7 @@ impl Emitter<'_> {
                         });
                     }
                 }
+                #[expect(clippy::expect_used, reason = "ISOP cubes never contain both phases")]
                 let cover: Cover = cubes
                     .iter()
                     .map(|c| {
@@ -274,7 +275,6 @@ impl Emitter<'_> {
                                 .map(|&(v, p)| (pos_of[&v.index()], p))
                                 .collect(),
                         )
-                        // lint:allow(panic) — ISOP cubes never contain both phases
                         .expect("bdd cubes are consistent")
                     })
                     .collect();

@@ -42,7 +42,7 @@ pub fn generalized_x_dominators(mgr: &Manager, f: Edge) -> Vec<Edge> {
         if e.is_const() || !seen.insert(e) {
             continue;
         }
-        // lint:allow(panic) — guarded: constants are skipped above
+        #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
         let (_, high, low) = mgr.node_raw(e).expect("non-const");
         mark(high);
         mark(low);

@@ -5,8 +5,12 @@
 //!
 //! Usage: `cargo run --release --bin fpga [-- --json <path>]`
 
-// lint:allow-file(panic): benchmark setup aborts loudly on broken fixtures by design
-// lint:allow-file(print): experiment binaries report to the console by design
+#![expect(clippy::expect_used, reason = "setup aborts loudly on broken fixtures")]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "experiment binaries report to the console by design"
+)]
 
 use std::process::ExitCode;
 

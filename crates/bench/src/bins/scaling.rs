@@ -11,7 +11,11 @@
 //! same tooling. Env: `BDS_SCALING_MAX_NODES` (default 2000) bounds the
 //! sweep.
 
-// lint:allow-file(print): experiment binaries report to the console by design
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "experiment binaries report to the console by design"
+)]
 
 use std::process::ExitCode;
 

@@ -14,7 +14,11 @@
 //! current run against an earlier `--json` report (any bench), matching
 //! circuits by name through the hand-rolled [`bds_trace::json`] parser.
 
-// lint:allow-file(print): experiment binaries report to the console by design
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "experiment binaries report to the console by design"
+)]
 
 use std::path::Path;
 use std::process::ExitCode;

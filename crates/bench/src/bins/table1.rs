@@ -6,7 +6,11 @@
 //! (set `BDS_TABLE1_FAST=1` to shrink the circuit sizes for smoke runs;
 //! debug builds default to the fast set — override with `BDS_TABLE1_FULL=1`).
 
-// lint:allow-file(print): experiment binaries report to the console by design
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "experiment binaries report to the console by design"
+)]
 
 use std::process::ExitCode;
 

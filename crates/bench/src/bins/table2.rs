@@ -12,7 +12,11 @@
 //!   The paper's full sizes (512 / 64×64) work but take correspondingly
 //!   longer, dominated by the baseline — exactly the paper's point.
 
-// lint:allow-file(print): experiment binaries report to the console by design
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "experiment binaries report to the console by design"
+)]
 
 use std::process::ExitCode;
 

@@ -2,8 +2,8 @@
 //! circuit, map both with the same library, verify both against the
 //! original, and render paper-style table rows.
 
-// lint:allow-file(panic): benchmark setup aborts loudly on broken fixtures by design
-// lint:allow-file(print): rendering result tables to stdout is this module's purpose
+#![expect(clippy::expect_used, reason = "setup aborts loudly on broken fixtures")]
+#![expect(clippy::print_stdout, reason = "this module renders tables to stdout")]
 
 use bds::flow::{optimize, FlowParams, FlowReport};
 use bds::sis_flow::{script_rugged, SisParams};

@@ -7,7 +7,11 @@
 //! runs both flows and assembles comparison rows, [`report`] serializes
 //! them, and [`timing`] is the micro-benchmark runner used by
 //! `benches/*`.
-#![forbid(unsafe_code)]
+// Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 pub mod bins;
 pub mod harness;
 pub mod report;

@@ -26,7 +26,11 @@
 //! `cargo xtask perfgate` diffs against `results/TELEMETRY.json`.
 //! `--live` streams a one-line summary per circuit to stderr.
 
-// lint:allow-file(print): CLI usage errors and trace trees go to the console by design
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "CLI usage errors and trace trees go to the console by design"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -5,7 +5,7 @@
 //! `benches/*` actually need: warm-up, a fixed measurement budget,
 //! per-iteration statistics, and stable one-line output.
 
-// lint:allow-file(print): the measurement harness reports to stdout by design
+#![expect(clippy::print_stdout, reason = "measurement output goes to stdout")]
 
 use std::time::{Duration, Instant};
 
@@ -43,6 +43,7 @@ pub fn bench_with_budget<T>(name: &str, budget: Duration, mut f: impl FnMut() ->
     let mut min = Duration::MAX;
     let mut max = Duration::ZERO;
     while total < budget && iterations < 1_000_000 {
+        #[expect(clippy::disallowed_methods, reason = "a harness reads the wall clock")]
         let t0 = Instant::now();
         std::hint::black_box(f());
         let dt = t0.elapsed();

@@ -58,7 +58,7 @@ mod tests {
                         2 => av | bv,
                         _ => av ^ bv,
                     };
-                    #[allow(clippy::needless_range_loop)] // `i` is the bit position under test
+                    #[expect(clippy::needless_range_loop, reason = "`i` is the bit under test")]
                     for i in 0..bits {
                         assert_eq!(out[i], want >> i & 1 == 1, "op {op} bit {i} of {av},{bv}");
                     }

@@ -1,6 +1,9 @@
 //! A small gate-level network builder shared by all generators.
 
-// lint:allow-file(panic): generator builders drive an unlimited manager; node creation cannot fail
+#![expect(
+    clippy::expect_used,
+    reason = "generator builders drive an unlimited manager; node creation cannot fail"
+)]
 
 use bds_network::{Network, SignalId};
 use bds_sop::{Cover, Cube};

@@ -18,7 +18,7 @@ pub fn hamming_encoder(data_bits: usize) -> Network {
     let total = data_bits + r;
     let mut data_iter = data.iter().copied();
     let mut at_position: Vec<Option<bds_network::SignalId>> = vec![None; total + 1];
-    #[allow(clippy::needless_range_loop)] // `pos` is the 1-based codeword position
+    #[expect(clippy::needless_range_loop, reason = "`pos` is the 1-based position")]
     for pos in 1..=total {
         if !pos.is_power_of_two() {
             at_position[pos] = data_iter.next();

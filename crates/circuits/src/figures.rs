@@ -3,7 +3,10 @@
 //! manager, the function(s) of interest and a short description — used
 //! by the `paper_figures` example and the figure-reproduction tests.
 
-// lint:allow-file(panic): fixed-size paper-figure circuits on an unlimited manager; node creation cannot fail
+#![expect(
+    clippy::expect_used,
+    reason = "fixed-size paper-figure circuits on an unlimited manager; node creation cannot fail"
+)]
 
 use bds_bdd::{Edge, Manager};
 

@@ -27,8 +27,12 @@
 //! BLIF files can be swapped in via [`bds_network::blif::parse`]
 //! unchanged.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod adder;
 pub mod alu;

@@ -2,7 +2,10 @@
 //! priority encoder, population count and Gray-code converters — used to
 //! widen the evaluation suites beyond the paper's core workloads.
 
-// lint:allow-file(panic): fixed-size generator circuits on an unlimited manager; node creation cannot fail
+#![expect(
+    clippy::expect_used,
+    reason = "fixed-size generator circuits on an unlimited manager; node creation cannot fail"
+)]
 
 use bds_network::Network;
 
@@ -113,7 +116,7 @@ pub fn popcount(n: usize) -> Network {
             }
         }
     }
-    #[allow(clippy::needless_range_loop)] // `w` is the output weight
+    #[expect(clippy::needless_range_loop, reason = "`w` is the output weight")]
     for w in 0..=out_bits {
         match columns[w].first().copied() {
             Some(sig) => bld.output(format!("c{w}"), sig),
@@ -210,7 +213,7 @@ mod tests {
             assert_eq!(out[width], expect_valid, "valid for {bits:06b}");
             if expect_valid {
                 let top = (31 - bits.leading_zeros()) as usize;
-                #[allow(clippy::needless_range_loop)] // `b` is the bit under test
+                #[expect(clippy::needless_range_loop, reason = "`b` is the bit under test")]
                 for b in 0..width {
                     assert_eq!(out[b], top >> b & 1 == 1, "bit {b} of prio({bits:06b})");
                 }

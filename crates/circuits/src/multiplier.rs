@@ -1,7 +1,10 @@
 //! Array multipliers — the paper's `m2x2 … m64x64` workloads (Table II);
 //! `m16x16` is also the structural class of ISCAS'85 C6288.
 
-// lint:allow-file(panic): fixed-size generator circuits on an unlimited manager; node creation cannot fail
+#![expect(
+    clippy::expect_used,
+    reason = "fixed-size generator circuits on an unlimited manager; node creation cannot fail"
+)]
 
 use bds_network::Network;
 

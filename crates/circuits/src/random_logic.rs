@@ -1,7 +1,10 @@
 //! Seeded random control logic — the paper's AND/OR-intensive "random
 //! logic" class.
 
-// lint:allow-file(panic): generator circuits on an unlimited manager; node creation cannot fail
+#![expect(
+    clippy::expect_used,
+    reason = "generator circuits on an unlimited manager; node creation cannot fail"
+)]
 
 use bds_network::{Network, SignalId};
 use bds_prop::Rng;

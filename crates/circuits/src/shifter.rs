@@ -90,7 +90,7 @@ mod tests {
                     inputs.push(sh >> k & 1 == 1);
                 }
                 let out = net.eval(&inputs).unwrap();
-                #[allow(clippy::needless_range_loop)] // `i` is the bit position under test
+                #[expect(clippy::needless_range_loop, reason = "`i` is the bit under test")]
                 for i in 0..width {
                     let src = (i + width - sh) % width;
                     assert_eq!(
@@ -118,7 +118,7 @@ mod tests {
                 }
                 let out = net.eval(&inputs).unwrap();
                 let want = (value << sh) & 0xF;
-                #[allow(clippy::needless_range_loop)] // `i` is the bit position under test
+                #[expect(clippy::needless_range_loop, reason = "`i` is the bit under test")]
                 for i in 0..width {
                     assert_eq!(out[i], want >> i & 1 == 1, "shift {sh} of {value:04b}");
                 }

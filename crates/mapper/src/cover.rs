@@ -192,6 +192,7 @@ pub fn map_subject_with(
     let mut delay = 0.0f64;
     // Repeated relaxation in index order works because leaves precede
     // roots in the subject ordering.
+    #[expect(clippy::disallowed_methods, reason = "collected, then sorted below")]
     let mut order: Vec<u32> = chosen.keys().copied().collect();
     order.sort_unstable();
     for &node in &order {

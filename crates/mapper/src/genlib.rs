@@ -287,7 +287,7 @@ impl<'a> ExprParser<'a> {
                     .peek()
                     .is_some_and(|c| c.is_alphanumeric() || *c == '_' || *c == '[' || *c == ']')
                 {
-                    // lint:allow(panic) — guarded: peek() returned Some
+                    #[expect(clippy::expect_used, reason = "guarded: peek() returned Some")]
                     name.push(self.chars.next().expect("peeked"));
                 }
                 let idx = match self.vars.iter().position(|v| v == &name) {

@@ -95,7 +95,7 @@ impl Library {
     /// Panics if no inverter cell is present; use [`Library::try_new`]
     /// for libraries loaded from external input.
     pub fn new(gates: Vec<Gate>) -> Self {
-        // lint:allow(panic) — convenience for statically known libraries.
+        #[expect(clippy::expect_used, reason = "only for statically known libraries")]
         Self::try_new(gates).expect("library must contain an inverter cell")
     }
 

@@ -143,7 +143,7 @@ pub fn map_subject_luts(subject: &Subject, k: usize) -> LutNetlist {
                 if leaf_like(l) {
                     continue;
                 }
-                // lint:allow(panic) — DP invariant: children precede parents in the subject order
+                #[expect(clippy::expect_used, reason = "DP order: children precede parents")]
                 let li = info.get(&l).expect("children precede parents");
                 flow += li.flow / fanout[l as usize].max(1) as f64;
                 level = level.max(li.level);
@@ -157,7 +157,7 @@ pub fn map_subject_luts(subject: &Subject, k: usize) -> LutNetlist {
                 best = Some((level, flow, cut.clone()));
             }
         }
-        // lint:allow(panic) — the trivial cut always fits (k >= 2 is validated on entry)
+        #[expect(clippy::expect_used, reason = "the trivial cut fits (k >= 2 checked)")]
         let (level, flow, best_cut) = best.expect("the trivial cut always fits (k ≥ 2)");
         info.insert(
             i,
@@ -184,7 +184,7 @@ pub fn map_subject_luts(subject: &Subject, k: usize) -> LutNetlist {
             continue;
         }
         selected.push(node);
-        // lint:allow(panic) — selected nodes all received DP info above
+        #[expect(clippy::expect_used, reason = "all selected nodes got DP info above")]
         let ni = info.get(&node).expect("selected nodes are NANDs");
         depth = depth.max(ni.level);
         for &l in &ni.best_cut {

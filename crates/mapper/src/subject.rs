@@ -52,7 +52,7 @@ impl Subject {
             if net.is_input(sig) {
                 continue;
             }
-            // lint:allow(panic) — guarded: inputs are skipped above
+            #[expect(clippy::expect_used, reason = "guarded: inputs are skipped above")]
             let (fanins, cover) = net.node(sig).expect("non-input");
             let fanin_nodes: Vec<u32> = fanins.iter().map(|f| of_signal[f]).collect();
             let id = s.emit_cover(cover, &fanin_nodes);

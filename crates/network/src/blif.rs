@@ -94,7 +94,7 @@ pub fn parse(text: &str) -> Result<Network> {
     while idx < lines.len() {
         let (lineno, line) = &lines[idx];
         let mut tokens = line.split_whitespace();
-        // lint:allow(panic) — blank lines were filtered during line collection
+        #[expect(clippy::expect_used, reason = "blank lines were filtered out above")]
         let head = tokens.next().expect("blank lines were filtered");
         match head {
             ".model" => {
@@ -126,12 +126,18 @@ pub fn parse(text: &str) -> Result<Network> {
                     let parts: Vec<&str> = cube_line.split_whitespace().collect();
                     match parts.as_slice() {
                         [out] if signals.len() == 1 => {
-                            // lint:allow(panic) — split_whitespace never yields empty tokens
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "split_whitespace never yields empty tokens"
+                            )]
                             let ch = out.chars().next().expect("non-empty token");
                             cubes.push((String::new(), ch));
                         }
                         [ins, out] => {
-                            // lint:allow(panic) — split_whitespace never yields empty tokens
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "split_whitespace never yields empty tokens"
+                            )]
                             let ch = out.chars().next().expect("non-empty token");
                             cubes.push(((*ins).to_string(), ch));
                         }
@@ -183,7 +189,7 @@ pub fn parse(text: &str) -> Result<Network> {
         ids.insert(name.clone(), id);
     }
     for rn in &raw_nodes {
-        // lint:allow(panic) — raw nodes were validated non-empty during parsing
+        #[expect(clippy::expect_used, reason = "raw nodes were validated non-empty")]
         let out_name = rn.signals.last().expect("validated non-empty");
         if ids.contains_key(out_name) {
             return Err(NetworkError::Blif {
@@ -195,7 +201,7 @@ pub fn parse(text: &str) -> Result<Network> {
         ids.insert(out_name.clone(), id);
     }
     for rn in &raw_nodes {
-        // lint:allow(panic) — raw nodes were validated non-empty during parsing
+        #[expect(clippy::expect_used, reason = "raw nodes were validated non-empty")]
         let out_name = rn.signals.last().expect("non-empty");
         let fanin_names = &rn.signals[..rn.signals.len() - 1];
         let mut fanins = Vec::with_capacity(fanin_names.len());
@@ -261,7 +267,7 @@ fn cubes_to_cover(line: usize, cubes: &[(String, char)], fanin_count: usize) -> 
                 }
             }
         }
-        // lint:allow(panic) — distinct fanin positions cannot conflict in a cube
+        #[expect(clippy::expect_used, reason = "distinct positions cannot conflict")]
         cover.push(Cube::new(lits).expect("distinct positions cannot conflict"));
     }
     cover.dedup();

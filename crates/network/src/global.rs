@@ -106,7 +106,7 @@ impl Network {
         // Sort by variable before touching the manager: literal nodes must
         // be allocated in a deterministic order or node indices become
         // run-dependent.
-        // lint:allow(iter-order) — collected into `pairs`, sorted by Var below
+        #[expect(clippy::disallowed_methods, reason = "`pairs` is sorted by Var below")]
         let mut pairs: Vec<(SignalId, Var)> = var_of.iter().map(|(&s, &v)| (s, v)).collect();
         pairs.sort_unstable_by_key(|&(_, v)| v);
         for (sig, var) in pairs {
@@ -122,7 +122,7 @@ impl Network {
                 }
                 continue;
             }
-            // lint:allow(panic) — guarded: inputs are handled above
+            #[expect(clippy::expect_used, reason = "guarded: inputs are handled above")]
             let (fanins, cover) = self.node(sig).expect("non-input");
             let fanin_edges: Vec<Edge> = fanins.iter().map(|f| value[f]).collect();
             let e = cover_to_bdd_edges(mgr, cover, &fanin_edges)?;

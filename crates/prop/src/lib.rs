@@ -24,8 +24,12 @@
 //! });
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 /// Seeded fault-injection plans for the chaos differential suite.
 pub mod chaos;
@@ -108,12 +112,16 @@ pub fn check<F: FnMut(&mut Rng)>(name: &str, property: F) {
 ///
 /// # Panics
 /// Re-raises the first failing case, prefixed with its index and seed.
+#[expect(clippy::panic, reason = "the property harness must fail the test")]
 pub fn check_cases<F: FnMut(&mut Rng)>(name: &str, cases: u32, mut property: F) {
     for case in 0..cases {
         // Decorrelate neighbouring cases: the seed is itself mixed.
         let seed = Rng::new(u64::from(case)).next_u64();
         let mut rng = Rng::new(seed);
-        // lint:allow(unwind) — the harness contains a failing case to re-report its seed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the harness contains a failing case to re-report its seed"
+        )]
         let outcome = catch_unwind(AssertUnwindSafe(|| property(&mut rng)));
         if let Err(payload) = outcome {
             let detail = payload
@@ -121,7 +129,6 @@ pub fn check_cases<F: FnMut(&mut Rng)>(name: &str, cases: u32, mut property: F) 
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("<non-string panic payload>");
-            // lint:allow(panic) — the property harness must fail the test.
             panic!("property `{name}` failed at case {case} (seed {seed:#x}): {detail}");
         }
     }

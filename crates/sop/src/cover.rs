@@ -173,12 +173,12 @@ impl Cover {
                     if !same_vars {
                         continue;
                     }
+                    #[expect(clippy::expect_used, reason = "distance-1 cubes differ in one var")]
                     let confl_var = cubes[i]
                         .literals()
                         .iter()
                         .find(|&&(v, p)| cubes[j].phase_of(v) == Some(!p))
                         .map(|&(v, _)| v)
-                        // lint:allow(panic) — distance-1 cubes conflict in exactly one variable
                         .expect("conflict exists");
                     merged_into = Some(cubes[i].without_var(confl_var));
                     used[j] = true;

@@ -49,7 +49,7 @@ impl Cube {
     /// # Panics
     /// Panics if both phases of some variable are present.
     pub fn parse(lits: &[Lit]) -> Self {
-        // lint:allow(panic) — documented panicking parse helper for literal test data
+        #[expect(clippy::expect_used, reason = "documented panicking test-data helper")]
         Cube::new(lits.to_vec()).expect("contradictory cube literal list")
     }
 

@@ -95,7 +95,7 @@ impl Expr {
                 }
                 match flat.len() {
                     0 => Expr::Const(true),
-                    // lint:allow(panic) — guarded: len() == 1
+                    #[expect(clippy::expect_used, reason = "guarded: len() == 1")]
                     1 => flat.pop().expect("len checked"),
                     _ => Expr::And(flat),
                 }
@@ -112,7 +112,7 @@ impl Expr {
                 }
                 match flat.len() {
                     0 => Expr::Const(false),
-                    // lint:allow(panic) — guarded: len() == 1
+                    #[expect(clippy::expect_used, reason = "guarded: len() == 1")]
                     1 => flat.pop().expect("len checked"),
                     _ => Expr::Or(flat),
                 }

@@ -33,7 +33,7 @@ pub fn common_cube(f: &Cover) -> Cube {
             .copied()
             .filter(|&(v, p)| c.has_lit(v, p))
             .collect();
-        // lint:allow(panic) — intersection of consistent cubes stays consistent
+        #[expect(clippy::expect_used, reason = "intersecting consistent cubes is safe")]
         Cube::new(lits).expect("intersection of consistent cubes is consistent")
     })
 }
@@ -96,10 +96,10 @@ fn kernels_rec(
             if cc.literals().iter().any(|&(u, _)| u < v) {
                 continue;
             }
+            #[expect(clippy::expect_used, reason = "cube division keeps cubes consistent")]
             let co = co_kernel_path
                 .product(&lit_cube)
                 .and_then(|c| c.product(&cc))
-                // lint:allow(panic) — co-kernel cube division keeps cubes consistent
                 .expect("co-kernel cubes are consistent by construction");
             if seen.insert(k.cubes().to_vec()) {
                 out.push(Kernel {

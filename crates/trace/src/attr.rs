@@ -242,7 +242,7 @@ pub fn diff_reports(baseline: &Json, current: &Json) -> Result<AttrReport, Strin
     Ok(report)
 }
 
-#[allow(clippy::cast_precision_loss)] // summary stats; f64 loss fine
+#[expect(clippy::cast_precision_loss, reason = "summary stats; f64 loss fine")]
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1.0e6
 }

@@ -20,7 +20,7 @@ use crate::registry::{Snapshot, SpanSnap};
 
 // Json::Int is unsigned; negative deltas go through Num. Journal deltas
 // are tiny, so the f64 round-trip is exact.
-#[allow(clippy::cast_precision_loss)]
+#[expect(clippy::cast_precision_loss, reason = "tiny journal deltas stay exact")]
 fn field_to_json(v: &FieldValue) -> Json {
     match v {
         FieldValue::U64(v) => Json::Int(*v),
@@ -33,7 +33,10 @@ fn field_to_json(v: &FieldValue) -> Json {
 
 // Trace-event timestamps are microseconds; keep sub-µs precision as a
 // fractional part.
-#[allow(clippy::cast_precision_loss)]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "nanosecond timestamps sit far below f64's exact-integer range"
+)]
 fn ts_us(ts_ns: u64) -> Json {
     Json::Num(ts_ns as f64 / 1000.0)
 }

@@ -178,6 +178,10 @@ struct Ring {
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Ring {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the journal timestamps events against a per-thread epoch"
+    )]
     fn new() -> Self {
         Ring {
             events: VecDeque::new(),

@@ -71,7 +71,11 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Json::Int(v) => Some(v),
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "guarded: a non-negative whole number up to 2^53 converts exactly"
+            )]
             Json::Num(v) if v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53) => Some(v as u64),
             _ => None,
         }
@@ -81,9 +85,9 @@ impl Json {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
-            Json::Int(v) => {
-                // Report values comfortably fit in f64's exact range.
-                #[allow(clippy::cast_precision_loss)]
+            Json::Int(v) =>
+            {
+                #[expect(clippy::cast_precision_loss, reason = "report values are below 2^52")]
                 Some(v as f64)
             }
             Json::Num(v) => Some(v),

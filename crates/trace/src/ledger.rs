@@ -250,7 +250,6 @@ fn percent_change(from: f64, to: f64) -> f64 {
 /// wall seconds and speedup, plus percentage deltas against the
 /// previous row (`Δprev`) and against the seed (first) row (`Δseed`).
 #[must_use]
-#[allow(clippy::cast_precision_loss)] // trend percentages; f64 loss fine
 pub fn render_history(entries: &[LedgerEntry]) -> String {
     let mut out = format!(
         "{:<10} {:>4} {:>8} {:>9} {:>10} {:>9} {:>8} {:>9} {:>9}\n",

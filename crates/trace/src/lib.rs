@@ -79,7 +79,12 @@
 //! assert_eq!(bds_trace::Snapshot::from_json(&back), Some(snap));
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+// Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 /// Perf attribution: span-level blame for report regressions.
 pub mod attr;
@@ -105,6 +110,7 @@ pub use journal::{
     absorb_journal, clear_journal, journal_len, record_event, set_journal_capacity, take_journal,
     Event, EventKind, FieldValue, Journal, DEFAULT_JOURNAL_CAPACITY,
 };
+pub use macros::is_metric_name;
 pub use registry::{
     absorb_snapshot, add_counter, counter_value, drain_into, record_histogram, restore_snapshot,
     set_gauge, span_depth, take_snapshot, take_snapshot_in_flight, Histogram, Snapshot, SpanSnap,

@@ -5,6 +5,44 @@
 //! call sites never grow unused-variable warnings, but evaluate nothing
 //! beyond the argument expressions themselves (which are cheap field
 //! reads or literals at every call site in this workspace).
+//!
+//! Both variants of the metric and event macros check the name at
+//! compile time with [`is_metric_name`], so a badly named metric fails
+//! every build, traced or not.
+
+/// True when `name` is a dotted lowercase metric name or event kind
+/// (`area.thing.metric`): at least two non-empty `.`-separated segments,
+/// each `[a-z0-9_]+`. Names are grep-able constants because they end up
+/// in report files, `summary --compare` diffs and gate output.
+///
+/// The instrumentation macros assert this in a constant, so a name
+/// assembled at runtime does not compile either:
+///
+/// ```compile_fail
+/// bds_trace::counter!(format!("flow.{}.nodes", 1).as_str());
+/// ```
+///
+/// ```compile_fail
+/// bds_trace::counter!("Flow.Demo.Calls");
+/// ```
+#[must_use]
+pub const fn is_metric_name(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    let (mut i, mut dots, mut segment) = (0, 0, 0);
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b == b'.' && segment > 0 {
+            dots += 1;
+            segment = 0;
+        } else if b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' {
+            segment += 1;
+        } else {
+            return false;
+        }
+        i += 1;
+    }
+    dots > 0 && segment > 0
+}
 
 /// Increments a monotonic counter by one.
 ///
@@ -14,9 +52,13 @@
 #[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {
+    ($name:expr) => {{
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
         $crate::add_counter($name, 1)
-    };
+    }};
 }
 
 /// Increments a monotonic counter by one. (No-op: `enabled` is off.)
@@ -24,7 +66,10 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
-        let _ = $name;
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
     }};
 }
 
@@ -36,9 +81,13 @@ macro_rules! counter {
 #[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! counter_add {
-    ($name:expr, $by:expr) => {
+    ($name:expr, $by:expr) => {{
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
         $crate::add_counter($name, $by)
-    };
+    }};
 }
 
 /// Adds an amount to a monotonic counter. (No-op: `enabled` is off.)
@@ -46,7 +95,10 @@ macro_rules! counter_add {
 #[macro_export]
 macro_rules! counter_add {
     ($name:expr, $by:expr) => {{
-        let _ = $name;
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
         let _ = &$by;
     }};
 }
@@ -59,9 +111,13 @@ macro_rules! counter_add {
 #[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr, $value:expr) => {
+    ($name:expr, $value:expr) => {{
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
         $crate::set_gauge($name, $value)
-    };
+    }};
 }
 
 /// Raises a peak gauge (the higher value wins). (No-op: `enabled` is off.)
@@ -69,7 +125,10 @@ macro_rules! gauge {
 #[macro_export]
 macro_rules! gauge {
     ($name:expr, $value:expr) => {{
-        let _ = $name;
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
         let _ = &$value;
     }};
 }
@@ -82,9 +141,13 @@ macro_rules! gauge {
 #[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr, $value:expr) => {
+    ($name:expr, $value:expr) => {{
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
         $crate::record_histogram($name, $value)
-    };
+    }};
 }
 
 /// Records one observation into a histogram. (No-op: `enabled` is off.)
@@ -92,7 +155,10 @@ macro_rules! histogram {
 #[macro_export]
 macro_rules! histogram {
     ($name:expr, $value:expr) => {{
-        let _ = $name;
+        const _: () = assert!(
+            $crate::is_metric_name($name),
+            "metric names are dotted lowercase"
+        );
         let _ = &$value;
     }};
 }
@@ -107,12 +173,13 @@ macro_rules! histogram {
 #[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! event {
-    ($kind:expr $(, $key:ident = $value:expr)* $(,)?) => {
+    ($kind:expr $(, $key:ident = $value:expr)* $(,)?) => {{
+        const _: () = assert!($crate::is_metric_name($kind), "event kinds are dotted lowercase");
         $crate::record_event(
             $kind,
             vec![$((stringify!($key), $crate::FieldValue::from($value))),*],
         )
-    };
+    }};
 }
 
 /// Records one journal event. (No-op: `enabled` is off.)
@@ -120,7 +187,7 @@ macro_rules! event {
 #[macro_export]
 macro_rules! event {
     ($kind:expr $(, $key:ident = $value:expr)* $(,)?) => {{
-        let _ = $kind;
+        const _: () = assert!($crate::is_metric_name($kind), "event kinds are dotted lowercase");
         $( let _ = &$value; )*
     }};
 }
@@ -151,4 +218,21 @@ macro_rules! span {
         $( let _ = &$value; )*
         $crate::NoopSpan
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_metric_name;
+
+    #[test]
+    fn metric_names_are_dotted_lowercase() {
+        for good in "bdd.reorder.passes net.sweep.rewrites flow.jobs a1.b_2".split(' ') {
+            assert!(is_metric_name(good), "{good}");
+        }
+        // The first four are the old metric-name rule's seeded violations.
+        for bad in "Flow.Demo.Calls,peakbytes,bdd.demo..load,DemoChoice,,.bdd,bdd.,a.b c".split(',')
+        {
+            assert!(!is_metric_name(bad), "{bad:?}");
+        }
+    }
 }

@@ -68,8 +68,7 @@ impl Histogram {
         if self.count == 0 {
             0.0
         } else {
-            // Precision loss is acceptable for a summary statistic.
-            #[allow(clippy::cast_precision_loss)]
+            #[expect(clippy::cast_precision_loss, reason = "a summary stat; loss is fine")]
             {
                 self.sum as f64 / self.count as f64
             }
@@ -109,7 +108,7 @@ impl Histogram {
     /// estimate is exact only up to bucket resolution — good enough for
     /// the p50/p95 summary lines in [`Snapshot::render_tree`].
     #[must_use]
-    #[allow(clippy::cast_precision_loss)] // tallies; f64 loss fine for a summary stat
+    #[expect(clippy::cast_precision_loss, reason = "summary stat; f64 loss is fine")]
     pub fn percentile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

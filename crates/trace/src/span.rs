@@ -1,7 +1,7 @@
 //! Wall-clock timing: span guards and the always-on [`Stopwatch`].
 //!
-//! This is the only module in the instrumented workspace allowed to call
-//! `Instant::now()` directly (enforced by `cargo xtask lint`); everything
+//! Library code outside the trace layer may not call `Instant::now()`
+//! directly (clippy's `disallowed_methods`, DESIGN.md §10); everything
 //! else times itself through spans or a [`Stopwatch`].
 
 use std::time::Instant;
@@ -21,6 +21,7 @@ pub struct SpanGuard {
 /// this thread. Hold the returned guard for the duration of the work.
 /// Besides the aggregated tree entry, the enter and the eventual exit
 /// each land in the flight-recorder journal as timestamped events.
+#[expect(clippy::disallowed_methods, reason = "spans measure wall time")]
 pub fn span_enter(name: &'static str) -> SpanGuard {
     registry::enter_named(name);
     journal::record_span_enter(name);
@@ -56,6 +57,7 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts timing now.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "a stopwatch measures wall time")]
     pub fn start() -> Self {
         Stopwatch {
             start: Instant::now(),
@@ -80,7 +82,10 @@ impl Stopwatch {
 #[must_use]
 pub fn fmt_duration_ns(ns: u64) -> String {
     // Unit thresholds keep three significant digits readable.
-    #[allow(clippy::cast_precision_loss)]
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "a display value: three significant digits survive any rounding"
+    )]
     let nsf = ns as f64;
     if ns < 1_000 {
         format!("{ns} ns")

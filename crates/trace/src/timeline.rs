@@ -123,6 +123,10 @@ struct TimelineCell {
 }
 
 thread_local! {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "timeline samples are stamped against a per-thread epoch"
+    )]
     static TIMELINE: RefCell<TimelineCell> = RefCell::new(TimelineCell {
         samples: Vec::new(),
         scope: GLOBAL_SCOPE,
@@ -330,8 +334,7 @@ impl Timeline {
             .iter()
             .filter(|s| s.values.unique_capacity > 0)
             .map(|s| {
-                // Table sizes sit far below f64's exact-integer range.
-                #[allow(clippy::cast_precision_loss)]
+                #[expect(clippy::cast_precision_loss, reason = "table sizes are far below 2^52")]
                 {
                     s.values.unique_entries as f64 / s.values.unique_capacity as f64
                 }

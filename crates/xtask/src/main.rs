@@ -1,25 +1,13 @@
 //! Workspace automation (`cargo xtask`).
 //!
-//! Four subcommands:
-//!
-//! * `cargo xtask lint [--json <path>]` — the custom workspace lints,
-//!   implemented by the in-tree static analyzer (`crates/analyze`,
-//!   DESIGN.md §10): a real lexer + item parser feeding a rule
-//!   registry (panic/print/docs/instant, the determinism suite
-//!   iter-order/thread-id/float-cast, the concurrency suite
-//!   static-mut/lock/thread-spawn, forbid-unsafe), audited
-//!   `lint:allow` suppressions (a stale or reason-less allow is itself
-//!   a violation), and a Cargo feature-graph checker (zero external
-//!   dependencies, `trace` chain intact and default-off). Violations
-//!   render as `path:line:col: [rule] message` and the process exits
-//!   nonzero; `--json` additionally writes the schema-stable
-//!   `bds-analyze-report/v1` report for CI artifacts.
+//! Three subcommands:
 //!
 //! * `cargo xtask ci` — the full local gate: `cargo fmt --check`, then
-//!   `cargo clippy --workspace --all-targets -- -D warnings`, then the
-//!   custom lints above, then `cargo test --workspace`, then a build and
-//!   test pass with the `trace` feature on (`--features bds-bench/trace`)
-//!   so the instrumented configuration cannot rot.
+//!   `cargo clippy --workspace --all-targets -- -D warnings` (which also
+//!   enforces the workspace lint policy, DESIGN.md §10), then
+//!   `cargo test --workspace`, then a build and test pass with the
+//!   `trace` feature on (`--features bds-bench/trace`) so the
+//!   instrumented configuration cannot rot.
 //!
 //! * `cargo xtask perfgate` — the perf-regression gate: runs the
 //!   trace-enabled `table1` bench (or takes a pre-generated report via
@@ -59,22 +47,18 @@
 //!   previous entry and vs the seed row). `--check` only validates the
 //!   ledger, so CI fails fast on a malformed line.
 
-#![forbid(unsafe_code)]
-
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&args[1..]),
         Some("ci") => run_ci(),
         Some("perfgate") => run_perfgate(&args[1..]),
         Some("perfhist") => run_perfhist(&args[1..]),
         _ => {
-            eprintln!("usage: cargo xtask <lint|ci|perfgate|perfhist>");
-            eprintln!("  lint      run the static analyzer [--json <path>]");
-            eprintln!("  ci        fmt --check, clippy -D warnings, custom lints, tests");
+            eprintln!("usage: cargo xtask <ci|perfgate|perfhist>");
+            eprintln!("  ci        fmt --check, clippy -D warnings, tests, trace build and tests");
             eprintln!("  perfgate  gate a fresh table1 run against the checked-in baseline");
             eprintln!("            [--baseline <report.json>] [--fresh <report.json>]");
             eprintln!(
@@ -92,58 +76,6 @@ fn workspace_root() -> PathBuf {
         .ancestors()
         .nth(2)
         .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
-}
-
-// ---------------------------------------------------------------------------
-// `cargo xtask lint`
-// ---------------------------------------------------------------------------
-
-fn run_lint(args: &[String]) -> ExitCode {
-    let mut json_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("lint: --json needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("lint: unknown flag {other}");
-                eprintln!("usage: cargo xtask lint [--json <path>]");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let root = workspace_root();
-    let report = bds_analyze::analyze_workspace(&root);
-    print!("{}", report.render_text());
-    if let Some(path) = json_path {
-        let path = if path.is_absolute() {
-            path
-        } else {
-            root.join(path)
-        };
-        if let Some(parent) = path.parent() {
-            if let Err(err) = std::fs::create_dir_all(parent) {
-                eprintln!("lint: cannot create {}: {err}", parent.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Err(err) = std::fs::write(&path, report.render_json()) {
-            eprintln!("lint: cannot write {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("lint: JSON report written to {}", path.display());
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -165,7 +97,6 @@ fn run_ci() -> ExitCode {
                 "warnings",
             ],
         ),
-        // The remaining steps run after the custom lints below.
         ("cargo test", &["test", "--workspace", "--quiet"]),
         (
             "cargo build (trace)",
@@ -183,17 +114,7 @@ fn run_ci() -> ExitCode {
         ),
     ];
     let mut failed = Vec::new();
-    for (label, cmd_args) in &steps[..2] {
-        println!("==> {label}");
-        if !run_cargo(&root, cmd_args) {
-            failed.push(*label);
-        }
-    }
-    println!("==> cargo xtask lint");
-    if run_lint(&[]) != ExitCode::SUCCESS {
-        failed.push("cargo xtask lint");
-    }
-    for (label, cmd_args) in &steps[2..] {
+    for (label, cmd_args) in &steps {
         println!("==> {label}");
         if !run_cargo(&root, cmd_args) {
             failed.push(*label);

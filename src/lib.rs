@@ -14,7 +14,11 @@
 //!
 //! See `README.md` for a tour and `examples/` for runnable entry points.
 
-#![forbid(unsafe_code)]
+// Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub use bds as core;
 pub use bds_bdd as bdd;

@@ -20,9 +20,11 @@ const BLIF: &str = "\
 .end
 ";
 
-fn write_input() -> std::path::PathBuf {
+/// Writes the input circuit to a file named after the calling test, so
+/// tests running in parallel never share (or delete) each other's input.
+fn write_input(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir();
-    let path = dir.join(format!("bds_cli_test_{}.blif", std::process::id()));
+    let path = dir.join(format!("bds_cli_{test}_{}.blif", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(BLIF.as_bytes()).expect("write");
     path
@@ -34,7 +36,7 @@ fn bds_opt() -> Command {
 
 #[test]
 fn optimizes_verifies_and_emits_blif() {
-    let input = write_input();
+    let input = write_input("optimizes_verifies_and_emits_blif");
     let out = bds_opt()
         .arg("--verify")
         .arg("--map")
@@ -64,7 +66,7 @@ fn optimizes_verifies_and_emits_blif() {
 
 #[test]
 fn sis_mode_and_luts() {
-    let input = write_input();
+    let input = write_input("sis_mode_and_luts");
     let out = bds_opt()
         .arg("--sis")
         .arg("--stats")
@@ -104,7 +106,7 @@ fn missing_file_reports_error() {
 
 #[test]
 fn output_file_flag_writes_file() {
-    let input = write_input();
+    let input = write_input("output_file_flag_writes_file");
     let outpath = std::env::temp_dir().join(format!("bds_cli_out_{}.blif", std::process::id()));
     let out = bds_opt()
         .arg("-o")

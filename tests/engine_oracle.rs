@@ -2,14 +2,15 @@
 //!
 //! The fast engine (canonical ITE triples, packed keys, fast hashing,
 //! GC) is gated by the deliberately naive truth-table engine in
-//! `bds_bdd::oracle`: random operation sequences are applied to both,
+//! `tests/oracle`: random operation sequences are applied to both,
 //! truth-table equality is asserted after **every** operation, and the
 //! full structural audit (`check_invariants`) runs after every step —
 //! including across a forced garbage collection and a forced reorder.
 //! Every case is seeded by `bds-prop`, so any failure replays exactly.
 
+mod oracle;
+
 use bds_prop::{check_cases, Rng};
-use bds_repro::bdd::oracle::Oracle;
 use bds_repro::bdd::reorder::{sift, SiftLimits};
 use bds_repro::bdd::{Edge, IteNorm, Manager, Var};
 use bds_repro::circuits::adder::carry_select_adder;
@@ -18,6 +19,7 @@ use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_repro::core::flow::{optimize, FlowParams};
 use bds_repro::network::blif;
 use bds_repro::network::verify::{verify, Verdict};
+use oracle::Oracle;
 
 /// Variable universe for the randomized differential cases. Small
 /// enough that a truth-table comparison is 32 entries, large enough for

@@ -8,18 +8,16 @@
 //! engine and this oracle can only agree by computing the same Boolean
 //! function.
 //!
-//! This module exists **only for tests** (the randomized differential
-//! suite in `tests/engine_oracle.rs` and unit tests inside the crate).
-//! Library code must never reach it: the `oracle-scope` lint in
-//! `bds-analyze` enforces that every use outside this module sits under
-//! `#[cfg(test)]` or in a test tree.
+//! This module lives in the test tree and is compiled only into the
+//! integration tests that declare `mod oracle;` (the randomized
+//! differential suite in `tests/engine_oracle.rs`), so library code
+//! cannot reach it.
 //!
 //! Variables are indexed `0..vars`; assignment `a` encodes variable `i`
 //! as bit `i` (`a >> i & 1`), matching the truth-table convention used
 //! by `Manager::eval` test harnesses throughout the workspace.
 
-use crate::edge::Edge;
-use crate::manager::Manager;
+use bds_repro::bdd::{Edge, Manager};
 
 /// Hard cap on the variable universe: 2^16 table entries.
 pub const MAX_VARS: usize = 16;
@@ -58,12 +56,6 @@ impl Oracle {
             *slot = (a >> var & 1 == 1) == phase;
         }
         o
-    }
-
-    /// Number of variables in this oracle's universe.
-    #[must_use]
-    pub fn vars(&self) -> usize {
-        self.vars
     }
 
     /// The function's value under assignment `a` (variable `i` = bit `i`).
