@@ -64,6 +64,10 @@ impl Default for EliminateParams {
     }
 }
 
+/// Per-signal `collapse_cost` results for one `eliminate` call; `None`
+/// means not yet computed. An entry is dropped when its node is rewritten.
+type CostMemo = Vec<Option<Option<usize>>>;
+
 impl Network {
     /// Iteratively eliminates internal nodes into their fanouts while the
     /// BDD-node cost does not grow beyond `params.growth_allowance`.
@@ -80,6 +84,11 @@ impl Network {
     pub fn eliminate(&mut self, params: &EliminateParams) -> Result<usize> {
         let _span = bds_trace::span!("net.eliminate");
         let mut eliminated = 0;
+        let mut is_output = vec![false; self.signals.len()];
+        for &o in self.outputs() {
+            is_output[o.index()] = true;
+        }
+        let mut costs: CostMemo = vec![None; self.signals.len()];
         for _ in 0..params.max_passes {
             let mut changed = 0;
             // Reverse topological order: collapsing sinks first exposes
@@ -87,10 +96,10 @@ impl Network {
             let mut order = self.topo_order();
             order.reverse();
             for sig in order {
-                if self.node(sig).is_none() || self.outputs().contains(&sig) {
+                if self.node(sig).is_none() || is_output[sig.index()] {
                     continue;
                 }
-                if self.try_eliminate(sig, params)? {
+                if self.try_eliminate(sig, params, &mut costs)? {
                     changed += 1;
                 }
             }
@@ -107,9 +116,13 @@ impl Network {
     /// Attempts to collapse the node driving `sig` into every fanout.
     /// `Ok(false)` means the collapse was not profitable or not feasible;
     /// errors are reserved for structural corruption.
-    fn try_eliminate(&mut self, sig: SignalId, params: &EliminateParams) -> Result<bool> {
-        let fanouts_map = self.fanouts();
-        let fanouts = fanouts_map[sig.index()].clone();
+    fn try_eliminate(
+        &mut self,
+        sig: SignalId,
+        params: &EliminateParams,
+        costs: &mut CostMemo,
+    ) -> Result<bool> {
+        let fanouts = self.fanouts(sig).to_vec();
         if fanouts.is_empty() || fanouts.len() > params.max_fanout {
             return Ok(false);
         }
@@ -119,14 +132,14 @@ impl Network {
         let own_fanins = own_fanins.to_vec();
 
         // Cost before: sizes of sig and each fanout under the cost model.
-        let Some(own_size) = self.collapse_cost(sig, params) else {
+        let Some(own_size) = self.memo_cost(sig, params, costs) else {
             return Ok(false);
         };
         let mut old_cost = own_size as isize;
         let mut new_nodes: Vec<(SignalId, Vec<SignalId>, Cover)> = Vec::new();
         let mut new_cost = 0isize;
         for &fo in &fanouts {
-            let Some(fo_size) = self.collapse_cost(fo, params) else {
+            let Some(fo_size) = self.memo_cost(fo, params, costs) else {
                 return Ok(false);
             };
             old_cost += fo_size as isize;
@@ -176,8 +189,19 @@ impl Network {
             // close a cycle; a failure here is structural corruption and
             // must surface, not unwind.
             self.replace_node(fo, fanins, cover)?;
+            costs[fo.index()] = None;
         }
         Ok(true)
+    }
+
+    /// [`Network::collapse_cost`] through the per-call memo.
+    fn memo_cost(
+        &self,
+        sig: SignalId,
+        params: &EliminateParams,
+        costs: &mut CostMemo,
+    ) -> Option<usize> {
+        *costs[sig.index()].get_or_insert_with(|| self.collapse_cost(sig, params))
     }
 
     /// Cost of the node driving `sig` under the configured model, still

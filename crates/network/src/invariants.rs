@@ -14,7 +14,9 @@
 //!    input-driven, and the input list covers exactly the input-driven
 //!    signals,
 //! 5. [`Network::topo_order`] covers every signal exactly once, fanins
-//!    first.
+//!    first,
+//! 6. the incrementally kept fanout index and back-edge count equal a
+//!    recompute from the fanin lists.
 //!
 //! [`Network::check_invariants`] always runs the full audit;
 //! [`Network::audit`] gates it behind [`STRICT_CHECKS`]
@@ -215,6 +217,38 @@ impl Network {
                 }
             }
         }
+
+        // The fanout index and back-edge count match a full recompute.
+        let mut fanouts = vec![Vec::new(); n];
+        let mut back_edges = 0;
+        for (idx, entry) in self.signals.iter().enumerate() {
+            if let Driver::Node(nd) = &entry.driver {
+                for &f in &nd.fanins {
+                    fanouts[f.index()].push(SignalId(idx as u32));
+                    back_edges += usize::from(f.index() >= idx);
+                }
+            }
+        }
+        if self.fanout_index.len() != n {
+            return inconsistent(format!(
+                "fanout index holds {} lists for {n} signals",
+                self.fanout_index.len()
+            ));
+        }
+        for (idx, want) in fanouts.iter().enumerate() {
+            if self.fanout_index[idx] != *want {
+                return inconsistent(format!(
+                    "fanout index lists {:?} as readers of `{}`, the fanin lists say {want:?}",
+                    self.fanout_index[idx], self.signals[idx].name
+                ));
+            }
+        }
+        if self.back_edges != back_edges {
+            return inconsistent(format!(
+                "back-edge count is {} but the fanin lists hold {back_edges}",
+                self.back_edges
+            ));
+        }
         Ok(())
     }
 
@@ -350,6 +384,23 @@ mod tests {
         n.inputs.pop();
         let err = n.check_invariants().unwrap_err();
         assert!(err.to_string().contains("input"), "{err}");
+    }
+
+    #[test]
+    fn stale_fanout_index_detected() {
+        let mut n = sample();
+        let a = n.signal_id("a").unwrap();
+        n.fanout_index[a.index()].pop();
+        let err = n.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("fanout index"), "{err}");
+    }
+
+    #[test]
+    fn stale_back_edge_count_detected() {
+        let mut n = sample();
+        n.back_edges = 1;
+        let err = n.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("back-edge"), "{err}");
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub(crate) struct SignalEntry {
 /// Nodes carry local functions as SOP covers over their fanins. The
 /// network is a DAG by construction: `add_node` only accepts existing
 /// signals as fanins, and `replace_node` re-checks acyclicity.
+///
+/// The network keeps a fanout index (each signal's readers) and a count
+/// of back edges up to date on every edit, so fanout queries and most
+/// cycle checks never scan the whole network (DESIGN.md §5).
 #[derive(Clone, Debug)]
 pub struct Network {
     name: String,
@@ -51,6 +55,14 @@ pub struct Network {
     pub(crate) by_name: HashMap<String, SignalId>,
     pub(crate) inputs: Vec<SignalId>,
     pub(crate) outputs: Vec<SignalId>,
+    /// `fanout_index[s]`: the nodes reading `s`, in ascending id order,
+    /// once per fanin position. Written only by `add_signal` and
+    /// `replace_node`.
+    pub(crate) fanout_index: Vec<Vec<SignalId>>,
+    /// Number of fanin positions whose signal id is `>=` the id of the
+    /// node reading it. While it is zero every edge points to a higher
+    /// id, so the network is acyclic without a search.
+    pub(crate) back_edges: usize,
     fresh_counter: u32,
 }
 
@@ -63,6 +75,8 @@ impl Network {
             by_name: HashMap::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            fanout_index: Vec::new(),
+            back_edges: 0,
             fresh_counter: 0,
         }
     }
@@ -118,8 +132,16 @@ impl Network {
             return Err(NetworkError::DuplicateName { name });
         }
         let id = SignalId(self.signals.len() as u32);
+        if let Driver::Node(nd) = &driver {
+            // Every fanin already exists, so it has a lower id: appending
+            // keeps each list sorted and adds no back edge.
+            for &f in &nd.fanins {
+                self.fanout_index[f.index()].push(id);
+            }
+        }
         self.by_name.insert(name.clone(), id);
         self.signals.push(SignalEntry { name, driver });
+        self.fanout_index.push(Vec::new());
         Ok(id)
     }
 
@@ -140,6 +162,11 @@ impl Network {
 
     /// Replaces the local function of the node driving `sig`.
     ///
+    /// Costs O(old + new fanin count) to update the fanout index (plus
+    /// shifting each reader list that gains or loses `sig`), and a forward
+    /// search from `sig` for the cycle check only when the edit leaves
+    /// back edges (fanins with an id `>=` their reader's) in the network.
+    ///
     /// # Errors
     /// [`NetworkError::UnknownSignal`] / [`NetworkError::Inconsistent`] as
     /// for `add_node`; [`NetworkError::Cycle`] if some new fanin depends
@@ -155,22 +182,68 @@ impl Network {
             self.check_signal(f)?;
         }
         Self::check_cover(&fanins, &cover)?;
-        if !matches!(self.signals[sig.index()].driver, Driver::Node(_)) {
+        let Driver::Node(old) = &self.signals[sig.index()].driver else {
             return Err(NetworkError::Inconsistent {
                 detail: format!("`{}` is a primary input", self.signal_name(sig)),
             });
-        }
+        };
         // Cycle check: no new fanin may (transitively) depend on sig.
-        let downstream = self.transitive_fanout(sig);
-        for &f in &fanins {
-            if f == sig || downstream.contains(&f) {
-                return Err(NetworkError::Cycle {
-                    name: self.signal_name(sig).to_string(),
-                });
-            }
+        let back = |list: &[SignalId]| list.iter().filter(|&&f| f >= sig).count();
+        let back_edges = self.back_edges - back(&old.fanins) + back(&fanins);
+        if fanins.contains(&sig) || (back_edges > 0 && self.reaches_any(sig, &fanins)) {
+            return Err(NetworkError::Cycle {
+                name: self.signal_name(sig).to_string(),
+            });
         }
+        let mut old_sorted = old.fanins.clone();
+        old_sorted.sort_unstable();
+        let mut new_sorted = fanins.clone();
+        new_sorted.sort_unstable();
+        self.relink(sig, &old_sorted, &new_sorted);
+        self.back_edges = back_edges;
         self.signals[sig.index()].driver = Driver::Node(NodeData { fanins, cover });
         Ok(())
+    }
+
+    /// Moves `sig` in the fanout index from the lists of `old` to those of
+    /// `new` (both sorted). Fanins present in both stay untouched.
+    fn relink(&mut self, sig: SignalId, old: &[SignalId], new: &[SignalId]) {
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < new.len() {
+            if j == new.len() || (i < old.len() && old[i] < new[j]) {
+                let list = &mut self.fanout_index[old[i].index()];
+                if let Ok(pos) = list.binary_search(&sig) {
+                    list.remove(pos);
+                }
+                i += 1;
+            } else if i == old.len() || new[j] < old[i] {
+                let list = &mut self.fanout_index[new[j].index()];
+                let pos = list.partition_point(|&r| r <= sig);
+                list.insert(pos, sig);
+                j += 1;
+            } else {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+
+    /// True if some signal in `targets` is reachable from `sig` along
+    /// fanout edges. Stops at the first hit.
+    fn reaches_any(&self, sig: SignalId, targets: &[SignalId]) -> bool {
+        let mut seen = HashSet::new();
+        let mut stack = vec![sig];
+        while let Some(s) = stack.pop() {
+            for &t in &self.fanout_index[s.index()] {
+                if targets.contains(&t) {
+                    return true;
+                }
+                if seen.insert(t) {
+                    stack.push(t);
+                }
+            }
+        }
+        false
     }
 
     /// Marks `sig` as a primary output (idempotent).
@@ -290,32 +363,13 @@ impl Network {
         order
     }
 
-    /// Map from signal to the list of nodes that use it as a fanin.
-    pub fn fanouts(&self) -> Vec<Vec<SignalId>> {
-        let mut out = vec![Vec::new(); self.signals.len()];
-        for sig in self.signals() {
-            if let Some(nd) = self.node_data(sig) {
-                for &f in &nd.fanins {
-                    out[f.index()].push(sig);
-                }
-            }
-        }
-        out
-    }
-
-    /// All signals that transitively depend on `sig` (excluding `sig`).
-    pub fn transitive_fanout(&self, sig: SignalId) -> HashSet<SignalId> {
-        let fanouts = self.fanouts();
-        let mut seen = HashSet::new();
-        let mut stack = vec![sig];
-        while let Some(s) = stack.pop() {
-            for &t in &fanouts[s.index()] {
-                if seen.insert(t) {
-                    stack.push(t);
-                }
-            }
-        }
-        seen
+    /// The nodes that read `sig`, in ascending id order, listed once per
+    /// fanin position. O(1): the index is kept up to date by every edit.
+    ///
+    /// # Panics
+    /// Panics on a foreign id.
+    pub fn fanouts(&self, sig: SignalId) -> &[SignalId] {
+        &self.fanout_index[sig.index()]
     }
 
     /// Simulates the network under a primary-input assignment (values in
@@ -352,43 +406,6 @@ impl Network {
                 return candidate;
             }
         }
-    }
-
-    /// Removes internal nodes not reachable from any primary output.
-    /// Returns the number of nodes removed. Ids of surviving signals are
-    /// preserved (removed slots become zero-fanin false nodes that no
-    /// longer count as nodes — they are fully unlinked).
-    pub fn remove_dangling(&mut self) -> usize {
-        // Mark reachable signals from outputs.
-        let mut live: HashSet<SignalId> = HashSet::new();
-        let mut stack: Vec<SignalId> = self.outputs.clone();
-        while let Some(s) = stack.pop() {
-            if !live.insert(s) {
-                continue;
-            }
-            if let Some(nd) = self.node_data(s) {
-                stack.extend(nd.fanins.iter().copied());
-            }
-        }
-        let mut removed = 0;
-        for idx in 0..self.signals.len() {
-            let sig = SignalId(idx as u32);
-            if live.contains(&sig) || self.is_input(sig) {
-                continue;
-            }
-            if matches!(self.signals[idx].driver, Driver::Node(_)) {
-                // Unlink: keep the name reserved but drop the logic.
-                self.signals[idx].driver = Driver::Node(NodeData {
-                    fanins: Vec::new(),
-                    cover: Cover::zero(),
-                });
-                removed += 1;
-            }
-        }
-        // A second pass compacts nothing (ids are stable by design); the
-        // node count for statistics ignores unlinked zero nodes only if
-        // they are again unreachable, which they are.
-        removed
     }
 
     /// Rebuilds the network keeping only signals reachable from the
@@ -515,6 +532,22 @@ mod tests {
         // Self-loop too.
         let r = n.replace_node(f, vec![f], Cover::from_cubes(vec![Cube::lit(0, true)]));
         assert!(matches!(r, Err(NetworkError::Cycle { .. })));
+    }
+
+    #[test]
+    fn fanouts_track_edits() {
+        let mut n = Network::new("t");
+        let a = n.add_input("a").unwrap();
+        let b = n.add_input("b").unwrap();
+        let f = n.add_node("f", vec![a, b], and_cover()).unwrap();
+        let g = n.add_node("g", vec![f, a], and_cover()).unwrap();
+        assert_eq!(n.fanouts(a), &[f, g]);
+        assert_eq!(n.fanouts(f), &[g]);
+        n.replace_node(g, vec![b, b], and_cover()).unwrap();
+        assert_eq!(n.fanouts(a), &[f]);
+        assert_eq!(n.fanouts(b), &[f, g, g]);
+        assert!(n.fanouts(f).is_empty());
+        n.check_invariants().unwrap();
     }
 
     #[test]

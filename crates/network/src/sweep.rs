@@ -142,8 +142,7 @@ impl Network {
             }
             let value = !cover.is_empty();
             // Substitute into every fanout.
-            let fanouts = self.fanouts();
-            for &fo in &fanouts[sig.index()] {
+            for fo in self.fanouts(sig).to_vec() {
                 let (fo_fanins, fo_cover) = self.node_checked(fo)?;
                 let pos = fo_fanins.iter().position(|&f| f == sig).ok_or_else(|| {
                     NetworkError::Inconsistent {
@@ -206,8 +205,7 @@ impl Network {
     /// driver. Returns the number of nodes rewritten.
     fn replace_uses(&mut self, old: SignalId, new: SignalId) -> Result<usize> {
         let mut changed = 0;
-        let fanouts = self.fanouts();
-        for &fo in &fanouts[old.index()] {
+        for fo in self.fanouts(old).to_vec() {
             if fo == new {
                 continue;
             }

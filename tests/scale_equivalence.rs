@@ -1,0 +1,70 @@
+//! Equivalence at scale: the partitioned flow on the scaling circuits
+//! (mult16, bshift128, adder128) must produce networks equivalent to
+//! their inputs, and the same BLIF at `jobs = 1` and `jobs = 4`.
+//!
+//! Equivalence follows the rule of `bds_bench::harness` and flowbench:
+//! global-BDD `verify` at 2,000,000 nodes, and when that cannot decide
+//! (mult16's global BDDs do not fit), 512 rounds of random simulation
+//! with seed `0xB5D5`.
+//!
+//! CI also runs it in release with the auditors compiled in:
+//! `cargo test --release --features strict-checks --test scale_equivalence`.
+
+use bds_repro::circuits::adder::ripple_adder;
+use bds_repro::circuits::multiplier::multiplier;
+use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::core::flow::{optimize, FlowParams};
+use bds_repro::network::verify::{verify, verify_by_simulation, Verdict};
+use bds_repro::network::{blif, Network};
+
+fn params(jobs: usize) -> FlowParams {
+    FlowParams {
+        jobs,
+        ..FlowParams::default()
+    }
+}
+
+/// `bds_bench::harness`'s rule: which check proved the result, or a
+/// panic naming the output that differs.
+fn proven_by(name: &str, original: &Network, result: &Network) -> &'static str {
+    match verify(original, result, 2_000_000) {
+        Ok(Verdict::Equivalent) => "bdd",
+        Ok(Verdict::Inequivalent { output }) => panic!("{name}: output `{output}` differs"),
+        Err(_) => match verify_by_simulation(original, result, 512, 0xB5D5) {
+            Ok(Verdict::Equivalent) => "sim",
+            Ok(Verdict::Inequivalent { output }) => {
+                panic!("{name}: simulation refutes output `{output}`")
+            }
+            Err(e) => panic!("{name}: simulation failed: {e}"),
+        },
+    }
+}
+
+fn check_circuit(name: &str, net: &Network) {
+    let (one, _) = optimize(net, &params(1)).expect("jobs=1 flow succeeds");
+    let (four, _) = optimize(net, &params(4)).expect("jobs=4 flow succeeds");
+    assert_eq!(
+        blif::write(&one),
+        blif::write(&four),
+        "{name}: jobs=1 and jobs=4 BLIF differ"
+    );
+    one.check_invariants()
+        .expect("optimized network is well formed");
+    let how = proven_by(name, net, &one);
+    eprintln!("{name}: equivalent ({how}), jobs=1 == jobs=4");
+}
+
+#[test]
+fn mult16_equivalent_and_jobs_invariant() {
+    check_circuit("mult16", &multiplier(16, 16));
+}
+
+#[test]
+fn bshift128_equivalent_and_jobs_invariant() {
+    check_circuit("bshift128", &barrel_shifter(128));
+}
+
+#[test]
+fn adder128_equivalent_and_jobs_invariant() {
+    check_circuit("adder128", &ripple_adder(128));
+}
