@@ -20,8 +20,10 @@
 //! * **cross-manager transfer** — the paper's "BDD mapping" / `bddPool`
 //!   mechanism (§IV-B) that re-homes BDDs into a fresh manager with a
 //!   compacted variable range,
-//! * **variable reordering** by rebuild-based sifting (§IV-C subjects every
-//!   BDD to reordering before decomposition),
+//! * **variable reordering** by sifting (§IV-C subjects every BDD to
+//!   reordering before decomposition): candidate orders are sized by
+//!   Rudell's adjacent level swaps on a private table, and the chosen
+//!   order is rebuilt into a fresh manager,
 //! * DOT export for debugging.
 //!
 //! # Example
@@ -65,7 +67,7 @@
 //!
 //! * **rebuild into a fresh manager** — the paper's own answer to manager
 //!   pollution ("BDD mapping", §IV-B), which [`transfer::transfer`]
-//!   implements directly and sifting uses wholesale; and
+//!   implements directly and sifting uses for every order it adopts; and
 //! * **root-refcounted garbage collection** — [`Manager::add_root`] /
 //!   [`Manager::collect_garbage`] mark-compact the arena in stable
 //!   (deterministic) order so long flows stop dragging dead nodes
@@ -100,11 +102,12 @@ mod isop;
 pub mod lint_canary;
 mod manager;
 mod nid;
-/// Variable reordering: sifting and window permutation.
+/// Variable reordering: sifting, explicit reorder and exact search.
 pub mod reorder;
 mod restrict;
 mod satisfy;
 mod stats;
+mod swap;
 /// Cross-manager BDD transfer (rebuild under a new variable order).
 pub mod transfer;
 

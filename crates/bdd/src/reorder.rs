@@ -1,23 +1,25 @@
-//! Variable reordering by rebuild-based sifting.
+//! Variable reordering: Rudell-style sifting whose managers come from
+//! rebuilds.
 //!
 //! The BDS flow subjects every local BDD to variable reordering before
 //! decomposition (paper §IV-C: "a BDD is first subjected to a variable
 //! reordering \[30\] … a means to achieve an initial logic simplification").
 //!
-//! The original system used Rudell's in-place sifting. Because BDS-style
-//! synthesis bounds the size of every *local* BDD (the `eliminate`
-//! threshold), this reproduction uses the simpler and more robust
-//! **rebuild-based sifting**: to evaluate a candidate position for a
-//! variable, the BDD is rebuilt into a scratch manager with the permuted
-//! order via [`transfer`](crate::transfer::transfer) (which routes through
-//! ITE and therefore handles any order). The complexity is higher by a
-//! constant factor, but on threshold-bounded BDDs it is immaterial and it
-//! cannot corrupt the unique table. This substitution is recorded in
-//! `DESIGN.md`.
+//! [`sift`](crate::reorder::sift) sizes candidate positions the way the
+//! paper's Rudell sifting does — by moving each variable through the
+//! order with adjacent level swaps — but on a private swap table
+//! (`swap.rs`), never on a manager. An order is adopted only through
+//! [`reorder`](crate::reorder::reorder), which rebuilds the BDD into a
+//! fresh manager with the permuted order via
+//! [`transfer`](crate::transfer::transfer) (ITE handles any order). A
+//! reduced BDD's size is canonical for its order, so the table's size is
+//! the rebuild's size, and a rebuild runs only where it could be accepted.
+//! This split is recorded in `DESIGN.md` (substitution 3).
 
 use crate::edge::{Edge, Var};
 use crate::manager::Manager;
-use crate::Result;
+use crate::swap::SwapTable;
+use crate::{Result, STRICT_CHECKS};
 
 /// Limits that keep sifting affordable.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -93,14 +95,23 @@ pub fn reorder(src: &Manager, roots: &[Edge], order: &[Var]) -> Result<(Manager,
 
 /// Greedy sifting: for each support variable (largest level population
 /// first), tries every position in the order and keeps the best, measured
-/// by the shared node count of `roots`.
+/// by the shared node count of `roots`; a move is kept only on strict
+/// improvement, and the lowest position wins ties.
+///
+/// Candidate positions are sized on a private swap table by adjacent
+/// level swaps (see the module docs); a rebuild runs only where the table
+/// promises a strict improvement, or where the table could not go without
+/// passing the node limit.
 ///
 /// Returns `(manager, roots)` — a fresh manager when an improvement was
 /// found, or a rebuild under the original order otherwise.
 ///
 /// # Errors
 /// Propagates node-limit errors from rebuilds (a candidate order whose
-/// rebuild overflows is simply skipped; only the final rebuild can fail).
+/// rebuild overflows is simply skipped; only the first rebuild, under the
+/// original order, can fail). With strict checks on,
+/// [`crate::BddError::InvariantViolation`] if the swap table disagrees
+/// with a rebuild.
 pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manager, Vec<Edge>)> {
     let _span = bds_trace::span!("bdd.sift");
     let base_order = src.order();
@@ -112,26 +123,37 @@ pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manage
     // Current best.
     let (mut best_mgr, mut best_roots) = reorder(src, roots, &base_order)?;
     let mut best_size = best_mgr.count_nodes(&best_roots);
+    let mut table = SwapTable::new(&best_mgr, &best_roots);
 
     for _pass in 0..limits.passes {
         bds_trace::counter!("bdd.reorder.passes");
         let improved_before_pass = best_size;
         // Sift the support variables, most populous level first.
-        let support = best_mgr.support_of(&best_roots);
-        let mut candidates: Vec<Var> = support;
-        candidates.sort_by_key(|&v| std::cmp::Reverse(level_population(&best_mgr, &best_roots, v)));
+        let mut candidates = table.populations();
+        candidates.sort_by_key(|&(_, population)| std::cmp::Reverse(population));
         candidates.truncate(limits.max_vars);
 
-        for var in candidates {
+        for (var, _) in candidates {
             let cur_order = best_mgr.order();
-            #[expect(clippy::expect_used, reason = "var was taken from this very order")]
-            let cur_pos = cur_order
-                .iter()
-                .position(|&v| v == var)
-                .expect("var in order");
+            let cur_pos = table.level_of(var);
+            let swaps_before = table.swaps();
+            let sizes = table.sweep(var, src.node_limit());
             let mut best_pos = cur_pos;
-            for pos in 0..cur_order.len() {
+            for (pos, &table_size) in sizes.iter().enumerate() {
                 if pos == cur_pos {
+                    continue;
+                }
+                if let Some(size) = table_size.filter(|&size| size >= best_size) {
+                    // A rebuild here could not be accepted: skip it.
+                    bds_trace::event!(
+                        "reorder.sift_move",
+                        var = var.index(),
+                        from = cur_pos,
+                        to = pos,
+                        size = size,
+                        best = best_size,
+                        accepted = false,
+                    );
                     continue;
                 }
                 let mut order = cur_order.clone();
@@ -141,6 +163,14 @@ pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manage
                 match reorder(&best_mgr, &best_roots, &order) {
                     Ok((m, r)) => {
                         let size = m.count_nodes(&r);
+                        if STRICT_CHECKS && table_size.is_some_and(|t| t != size) {
+                            return Err(crate::BddError::InvariantViolation {
+                                detail: format!(
+                                    "swap table sized {var} at level {pos} as {table_size:?}, \
+                                     its rebuild has {size} nodes"
+                                ),
+                            });
+                        }
                         let accepted = size < best_size;
                         bds_trace::event!(
                             "reorder.sift_move",
@@ -169,38 +199,20 @@ pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manage
                             blowup = true,
                             accepted = false,
                         );
-                        continue;
                     }
                 }
             }
-            let _ = best_pos;
+            table.move_to(var, best_pos);
+            bds_trace::counter_add!("bdd.reorder.swaps", table.swaps() - swaps_before);
+            if STRICT_CHECKS {
+                table.check_against(&best_mgr, &best_roots)?;
+            }
         }
         if best_size == improved_before_pass {
             break; // converged
         }
     }
     Ok((best_mgr, best_roots))
-}
-
-/// Number of nodes labelled with `var` in the shared graph of `roots`.
-fn level_population(m: &Manager, roots: &[Edge], var: Var) -> usize {
-    let lvl = m.level_of(var);
-    let mut seen = std::collections::HashSet::new();
-    let mut count = 0usize;
-    let mut stack: Vec<Edge> = roots.iter().map(|e| e.regular()).collect();
-    while let Some(e) = stack.pop() {
-        if e.is_const() || !seen.insert(e.node()) {
-            continue;
-        }
-        #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
-        let (v, h, l) = m.node_raw(e).expect("non-const");
-        if m.level_of(v) == lvl {
-            count += 1;
-        }
-        stack.push(h.regular());
-        stack.push(l.regular());
-    }
-    count
 }
 
 #[cfg(test)]
@@ -267,139 +279,6 @@ mod tests {
         assert!(reorder(&m, &[Edge::ONE], &bad).is_err());
         let short = vec![vars[0]];
         assert!(reorder(&m, &[Edge::ONE], &short).is_err());
-    }
-}
-
-/// Sliding window-3 permutation: for each window of three adjacent
-/// levels, tries all 6 permutations (by rebuild) and keeps the best.
-/// Cheaper than full sifting and often a good finisher after it —
-/// the classic companion pass in Rudell-style reordering packages.
-///
-/// Returns `(manager, roots)`; like [`sift`], variable identities are
-/// preserved.
-///
-/// # Errors
-/// Node-limit errors from the final rebuild (candidate orders that blow
-/// up are skipped).
-pub fn window3(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manager, Vec<Edge>)> {
-    let _span = bds_trace::span!("bdd.window3");
-    let base_order = src.order();
-    if src.count_nodes(roots) > limits.max_nodes || src.var_count() < 3 {
-        return reorder(src, roots, &base_order);
-    }
-    let (mut best_mgr, mut best_roots) = reorder(src, roots, &base_order)?;
-    let mut best_size = best_mgr.count_nodes(&best_roots);
-    for _pass in 0..limits.passes.max(1) {
-        bds_trace::counter!("bdd.reorder.passes");
-        let before = best_size;
-        let n = best_mgr.var_count();
-        for start in 0..n.saturating_sub(2) {
-            let cur = best_mgr.order();
-            // All permutations of the 3 window slots.
-            const PERMS: [[usize; 3]; 6] = [
-                [0, 1, 2],
-                [0, 2, 1],
-                [1, 0, 2],
-                [1, 2, 0],
-                [2, 0, 1],
-                [2, 1, 0],
-            ];
-            for perm in PERMS.iter().skip(1) {
-                let mut order = cur.clone();
-                let window = [cur[start], cur[start + 1], cur[start + 2]];
-                for (slot, &take) in perm.iter().enumerate() {
-                    order[start + slot] = window[take];
-                }
-                bds_trace::counter!("bdd.reorder.rebuilds");
-                if let Ok((m, r)) = reorder(&best_mgr, &best_roots, &order) {
-                    let size = m.count_nodes(&r);
-                    if size < best_size {
-                        bds_trace::counter!("bdd.reorder.accepted_moves");
-                        bds_trace::event!(
-                            "reorder.window3_accept",
-                            start = start,
-                            size = size,
-                            was = best_size,
-                        );
-                        best_size = size;
-                        best_mgr = m;
-                        best_roots = r;
-                    }
-                }
-            }
-        }
-        if best_size == before {
-            break;
-        }
-    }
-    Ok((best_mgr, best_roots))
-}
-
-#[cfg(test)]
-mod window_tests {
-    use super::*;
-
-    #[test]
-    fn window3_preserves_function_and_helps_local_disorder() {
-        // A function where swapping two adjacent variables helps:
-        // f = (a·c) + (b·c) + (a·b·d) with order a, d, b, c — moving d
-        // below b/c shrinks the graph.
-        let mut m = Manager::new();
-        let a = m.new_var("a");
-        let d = m.new_var("d");
-        let b = m.new_var("b");
-        let c = m.new_var("c");
-        let (la, lb, lc, ld) = (
-            m.literal(a, true),
-            m.literal(b, true),
-            m.literal(c, true),
-            m.literal(d, true),
-        );
-        let ac = m.and(la, lc).unwrap();
-        let bc = m.and(lb, lc).unwrap();
-        let ab = m.and(la, lb).unwrap();
-        let abd = m.and(ab, ld).unwrap();
-        let t = m.or(ac, bc).unwrap();
-        let f = m.or(t, abd).unwrap();
-        let before = m.size(f);
-        let (m2, roots) = window3(&m, &[f], SiftLimits::default()).unwrap();
-        assert!(m2.size(roots[0]) <= before);
-        for bits in 0..16u32 {
-            let assign: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
-            assert_eq!(m.eval(f, &assign), m2.eval(roots[0], &assign));
-        }
-    }
-
-    #[test]
-    fn window3_matches_sift_on_interleaving_victim() {
-        let mut m = Manager::new();
-        let a: Vec<Var> = (0..3).map(|i| m.new_var(format!("a{i}"))).collect();
-        let b: Vec<Var> = (0..3).map(|i| m.new_var(format!("b{i}"))).collect();
-        let mut f = Edge::ZERO;
-        for i in 0..3 {
-            let la = m.literal(a[i], true);
-            let lb = m.literal(b[i], true);
-            let t = m.and(la, lb).unwrap();
-            f = m.or(f, t).unwrap();
-        }
-        let limits = SiftLimits {
-            passes: 4,
-            ..SiftLimits::default()
-        };
-        let (mw, rw) = window3(&m, &[f], limits).unwrap();
-        let (ms, rs) = sift(&m, &[f], limits).unwrap();
-        // Both must reach the linear-size interleaved form.
-        assert!(mw.size(rw[0]) <= 8, "window3 got {}", mw.size(rw[0]));
-        assert!(ms.size(rs[0]) <= 8);
-    }
-
-    #[test]
-    fn window3_tiny_inputs_pass_through() {
-        let mut m = Manager::new();
-        let a = m.new_var("a");
-        let la = m.literal(a, true);
-        let (m2, r) = window3(&m, &[la], SiftLimits::default()).unwrap();
-        assert_eq!(m2.size(r[0]), 2);
     }
 }
 

@@ -195,7 +195,7 @@ fn transfer_rec(
         let h = transfer_rec(src, dst, high, var_map, memo)?;
         let l = transfer_rec(src, dst, low, var_map, memo)?;
         let dvar = var_map[var.index()];
-        let lit = dst.literal(dvar, true);
+        let lit = dst.literal_checked(dvar, true)?;
         let m = dst.ite(lit, h, l)?;
         memo.insert(node, m);
         m

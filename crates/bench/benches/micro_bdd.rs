@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the BDD substrate: ITE throughput, restrict,
-//! ISOP extraction and rebuild-based sifting on parametric functions.
+//! ISOP extraction and sifting, on parametric functions and on the
+//! global BDD of a benchmark circuit.
 
+use bds::flow::FlowParams;
 use bds_bdd::reorder::{sift, SiftLimits};
 use bds_bdd::{Edge, Manager};
 use bds_bench::timing::bench;
+use bds_circuits::comparator::comparator;
 
 /// Builds the order-sensitive function Σ aᵢ·bᵢ with the bad monolithic
 /// order (all a's above all b's).
@@ -48,6 +51,18 @@ fn main() {
         bench("sift_interleaving_victim", || {
             let (m2, r) = sift(&m, &[f], SiftLimits::default()).expect("unlimited");
             m2.size(r[0])
+        });
+    }
+    {
+        // What `optimize_global` sifts on cmp32: 64 inputs, 2 outputs,
+        // built under the flow's global node limit.
+        let params = FlowParams::default();
+        let (m, roots, _) = comparator(32)
+            .global_bdds(params.global_limit)
+            .expect("cmp32 fits the global limit");
+        bench("sift_cmp32_global", || {
+            let (m2, r) = sift(&m, &roots, params.sift).expect("fits the limit");
+            m2.count_nodes(&r)
         });
     }
 }
