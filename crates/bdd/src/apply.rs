@@ -28,14 +28,6 @@ impl Manager {
     fn ite_rec(&mut self, f: Edge, g: Edge, h: Edge, depth: u32) -> Result<Edge> {
         self.charge(crate::OpClass::Ite)?;
         self.ops.ite_calls += 1;
-        if bds_trace::is_enabled()
-            && self
-                .ops
-                .ite_calls
-                .is_multiple_of(bds_trace::timeline::SAMPLE_INTERVAL)
-        {
-            self.sample_timeline();
-        }
         // Canonical standard triple (terminal rules, argument
         // substitution, symmetry and complement normalization — see
         // `canon.rs`): structurally equal queries reach the computed
@@ -69,26 +61,6 @@ impl Manager {
         let r = self.mk(level, t, e)?;
         self.ite_cache.insert(key, r);
         Ok(r.complement_if(negate))
-    }
-
-    /// Pushes one timeline sample of this manager's live gauges. Cold:
-    /// only reached every [`bds_trace::timeline::SAMPLE_INTERVAL`] ite
-    /// calls, and only with tracing compiled in.
-    #[cold]
-    fn sample_timeline(&self) {
-        let stats = self.table_stats();
-        bds_trace::timeline::observe(
-            self.ops.ite_calls,
-            &bds_trace::timeline::SampleValues {
-                arena_nodes: self.nodes.len() as u64,
-                arena_bytes: stats.estimated_bytes() as u64,
-                unique_entries: stats.unique_entries as u64,
-                unique_capacity: stats.unique_capacity as u64,
-                computed_entries: stats.computed_entries as u64,
-                cache_hits: self.ops.cache_hits,
-                cache_misses: self.ops.cache_misses,
-            },
-        );
     }
 
     /// Shallow cofactors of `e` with respect to the variable at `level`.

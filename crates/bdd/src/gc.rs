@@ -6,7 +6,7 @@
 //! long build phases — cube-by-cube SOP construction, global collapses
 //! — strand large volumes of dead intermediate nodes in the arena, and
 //! everything that walks the arena afterwards (invariant audits, level
-//! profiles, the memory model, the unique table's load factor) drags
+//! profiles, the memory model, the unique-table chain census) drags
 //! them along.
 //!
 //! The protocol:

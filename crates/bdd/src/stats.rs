@@ -194,20 +194,6 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Unique-table load factor `entries / capacity` in `[0, 1]`, or 0.0
-    /// while the table is unallocated.
-    #[must_use]
-    pub fn unique_load_factor(&self) -> f64 {
-        if self.unique_capacity == 0 {
-            0.0
-        } else {
-            #[expect(clippy::cast_precision_loss, reason = "table sizes are far below 2^52")]
-            {
-                self.unique_entries as f64 / self.unique_capacity as f64
-            }
-        }
-    }
-
     /// Computed-table hit rate in `[0, 1]` (see [`OpStats::cache_hit_rate`]).
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
@@ -369,7 +355,6 @@ mod tests {
         let after = m.table_stats();
         assert!(after.ops.cache_hits > before.ops.cache_hits);
         assert!(after.cache_hit_rate() > 0.0);
-        assert!(after.unique_load_factor() > 0.0 && after.unique_load_factor() <= 1.0);
     }
 
     #[test]
@@ -586,6 +571,5 @@ mod tests {
     #[test]
     fn hit_rate_is_zero_without_lookups() {
         assert_eq!(OpStats::default().cache_hit_rate(), 0.0);
-        assert_eq!(TableStats::default().unique_load_factor(), 0.0);
     }
 }

@@ -263,9 +263,6 @@ pub struct FlowReport {
     /// managers, sampled at phase boundaries. Deterministic — gated
     /// exactly by perfgate at any thread count.
     pub peak_arena_bytes: usize,
-    /// Peak unique-table load factor observed at phase boundaries
-    /// across the flow's managers, in `[0, 1]`. Deterministic.
-    pub peak_unique_load: f64,
     /// Supernodes that retreated down the degradation ladder (any rung
     /// below the full pipeline). `0` unless a budget, node limit, or
     /// injected fault forced a retreat. Deterministic.
@@ -280,11 +277,6 @@ pub struct FlowReport {
 /// partitioned fallback instead of failing.
 pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowReport), NetworkError> {
     let _span = bds_trace::span!("flow");
-    // Any BDD work on this thread outside a supernode (eliminate's cost
-    // probes, the global build) samples under the global scope; the
-    // flow always runs those on the calling thread, so the timeline is
-    // identical at any `jobs` setting.
-    bds_trace::timeline::set_scope(bds_trace::timeline::GLOBAL_SCOPE);
     let start = Stopwatch::start();
     let mut work = net.compacted()?;
     // Phase boundary: sweep audits the network on exit (strict builds).
@@ -389,7 +381,7 @@ fn run_candidate_pair<T: Send>(
     a: impl FnOnce() -> T + Send,
     b: impl FnOnce() -> T + Send,
 ) -> (T, T) {
-    let ((ra, snap_a, journal_a, tl_a, prof_a), (rb, snap_b, journal_b, tl_b, prof_b)) =
+    let ((ra, snap_a, journal_a, prof_a), (rb, snap_b, journal_b, prof_b)) =
         std::thread::scope(|s| {
             let ha = s.spawn(move || {
                 let out = a();
@@ -397,7 +389,6 @@ fn run_candidate_pair<T: Send>(
                     out,
                     bds_trace::take_snapshot(),
                     bds_trace::take_journal(),
-                    bds_trace::timeline::take_timeline(),
                     bds_trace::profile::take_profile(),
                 )
             });
@@ -407,7 +398,6 @@ fn run_candidate_pair<T: Send>(
                     out,
                     bds_trace::take_snapshot(),
                     bds_trace::take_journal(),
-                    bds_trace::timeline::take_timeline(),
                     bds_trace::profile::take_profile(),
                 )
             });
@@ -419,11 +409,9 @@ fn run_candidate_pair<T: Send>(
         });
     bds_trace::absorb_snapshot(&snap_a);
     bds_trace::absorb_journal(journal_a);
-    bds_trace::timeline::absorb_timeline(tl_a);
     bds_trace::profile::absorb_profile(&prof_a);
     bds_trace::absorb_snapshot(&snap_b);
     bds_trace::absorb_journal(journal_b);
-    bds_trace::timeline::absorb_timeline(tl_b);
     bds_trace::profile::absorb_profile(&prof_b);
     (ra, rb)
 }
@@ -437,7 +425,6 @@ pub fn optimize_global(
     net: &Network,
     params: &FlowParams,
 ) -> Result<(Network, FlowReport), NetworkError> {
-    bds_trace::timeline::set_scope(bds_trace::timeline::GLOBAL_SCOPE);
     let (mgr, edges, var_of) = {
         let _span = bds_trace::span!("flow.build");
         let built = net.global_bdds(params.global_limit)?;
@@ -457,9 +444,7 @@ pub fn optimize_global(
     }
     let peak0 = mgr.arena_size();
     let mut ops = mgr.op_stats();
-    let build_table = mgr.table_stats();
-    let build_bytes = build_table.estimated_bytes();
-    let mut peak_load = build_table.unique_load_factor();
+    let build_bytes = mgr.table_stats().estimated_bytes();
     // Build→reorder boundary: collect the global build's dead
     // intermediates (after the build statistics were captured).
     let mut mgr = mgr;
@@ -470,7 +455,6 @@ pub fn optimize_global(
         let _span = bds_trace::span!("flow.reorder");
         sift(&mgr, &edges, params.sift).map_err(NetworkError::Bdd)?
     };
-    peak_load = peak_load.max(mgr.table_stats().unique_load_factor());
     let mut forest = FactorForest::new();
     let mut dec = Decomposer::new();
     let mut roots = Vec::with_capacity(edges.len());
@@ -511,13 +495,8 @@ pub fn optimize_global(
     let out = out.compacted()?;
     let table = mgr.table_stats();
     let decompose_bytes = table.estimated_bytes();
-    peak_load = peak_load.max(table.unique_load_factor());
     bds_trace::gauge!("bdd.global.unique_entries", table.unique_entries as u64);
     bds_trace::gauge!("bdd.global.computed_entries", table.computed_entries as u64);
-    bds_trace::gauge!(
-        "bdd.global.unique_load_pct",
-        (table.unique_load_factor() * 100.0) as u64
-    );
     bds_trace::gauge!(
         "bdd.global.peak_arena_nodes",
         peak0.max(mgr.arena_size()) as u64
@@ -541,7 +520,6 @@ pub fn optimize_global(
         "bdd.phase.decompose.peak_arena_bytes",
         decompose_bytes as u64
     );
-    bds_trace::gauge!("bdd.peak_unique_load_pct", (peak_load * 100.0) as u64);
     publish_trace(&dec.stats, &ops);
     Ok((
         out,
@@ -553,7 +531,6 @@ pub fn optimize_global(
             eliminated: 0,
             bdd_ops: ops,
             peak_arena_bytes: build_bytes.max(decompose_bytes),
-            peak_unique_load: peak_load,
             degraded: 0,
         },
     ))
@@ -601,9 +578,6 @@ struct NodeArtifact {
     build_bytes: usize,
     /// Modeled manager bytes after decomposition finished.
     decompose_bytes: usize,
-    /// Peak unique-table load factor across this node's phase
-    /// boundaries, in `[0, 1]`.
-    peak_load: f64,
 }
 
 impl NodeArtifact {
@@ -620,7 +594,6 @@ impl NodeArtifact {
             peak_computed: 0,
             build_bytes: 0,
             decompose_bytes: 0,
-            peak_load: 0.0,
         }
     }
 }
@@ -644,10 +617,6 @@ fn decompose_supernode_bdd(
     sift_limits: SiftLimits,
     fault: Option<(Fault, u64)>,
 ) -> Result<NodeArtifact, NetworkError> {
-    // Timeline samples from this supernode's managers (including sift
-    // scratch managers) are keyed by its signal index; the budget
-    // resets here, so sample bounds are per supernode, not per thread.
-    bds_trace::timeline::set_scope(sig.index() as u64);
     let budget = params.govern.supernode_budget;
     let mut ops = OpStats::default();
     let mut mgr = Manager::new();
@@ -666,9 +635,7 @@ fn decompose_supernode_bdd(
         work.local_bdd(sig, &mut mgr, &vars)?
     };
     ops.merge(&mgr.op_stats());
-    let build_table = mgr.table_stats();
-    let build_bytes = build_table.estimated_bytes();
-    let mut peak_load = build_table.unique_load_factor();
+    let build_bytes = mgr.table_stats().estimated_bytes();
     let spent = mgr.effort_spent();
     // Build→reorder boundary: shed the build's dead intermediates so
     // sifting's transfer source is only the live graph. Runs after the
@@ -695,7 +662,6 @@ fn decompose_supernode_bdd(
     }
     let edge = edges[0];
     let peak = mgr.arena_size();
-    peak_load = peak_load.max(mgr.table_stats().unique_load_factor());
 
     let mut forest = FactorForest::new();
     let mut dec = Decomposer::new();
@@ -707,7 +673,6 @@ fn decompose_supernode_bdd(
     ops.merge(&mgr.op_stats());
     let table = mgr.table_stats();
     let decompose_bytes = table.estimated_bytes();
-    peak_load = peak_load.max(table.unique_load_factor());
     let (mut peak_unique, mut peak_computed) = (0, 0);
     if bds_trace::is_enabled() {
         peak_unique = table.unique_entries;
@@ -735,7 +700,6 @@ fn decompose_supernode_bdd(
         peak_computed,
         build_bytes,
         decompose_bytes,
-        peak_load,
     })
 }
 
@@ -766,7 +730,7 @@ fn record_degrade(sig: SignalId, rung: u8, reason: &'static str) {
 }
 
 /// Runs one rung attempt under panic quarantine. The calling thread's
-/// trace state (span registry, journal, timeline, profile) is put aside first
+/// trace state (span registry, journal, profile) is put aside first
 /// and reinstated afterwards; on a panic the attempt's own partial
 /// recordings are discarded wholesale, so a panicked supernode leaves
 /// the merged trace exactly as if it had never run — deterministically,
@@ -782,7 +746,6 @@ fn run_quarantined<T>(
 ) -> Result<T, NetworkError> {
     let before_spans = bds_trace::take_snapshot_in_flight();
     let before_journal = bds_trace::take_journal();
-    let before_timeline = bds_trace::timeline::take_timeline();
     let before_profile = bds_trace::profile::take_profile();
     #[expect(
         clippy::disallowed_methods,
@@ -791,24 +754,21 @@ fn run_quarantined<T>(
     let outcome = catch_unwind(AssertUnwindSafe(attempt));
     let after_spans = bds_trace::take_snapshot_in_flight();
     let after_journal = bds_trace::take_journal();
-    let after_timeline = bds_trace::timeline::take_timeline();
     let after_profile = bds_trace::profile::take_profile();
     bds_trace::restore_snapshot(&before_spans);
     bds_trace::absorb_journal(before_journal);
-    bds_trace::timeline::absorb_timeline(before_timeline);
     bds_trace::profile::restore_profile(&before_profile);
     match outcome {
         Ok(v) => {
             bds_trace::restore_snapshot(&after_spans);
             bds_trace::absorb_journal(after_journal);
-            bds_trace::timeline::absorb_timeline(after_timeline);
             bds_trace::profile::restore_profile(&after_profile);
             Ok(v)
         }
         Err(payload) => {
             // Poison-proofing: the panicked attempt's partial trace
             // (`after_*`) is dropped, never merged.
-            drop((after_spans, after_journal, after_timeline, after_profile));
+            drop((after_spans, after_journal, after_profile));
             let detail = if let Some(s) = payload.downcast_ref::<String>() {
                 s.clone()
             } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -928,7 +888,6 @@ fn decompose_sharded(
         Vec<(usize, Result<NodeArtifact, NetworkError>)>,
         bds_trace::Snapshot,
         bds_trace::Journal,
-        bds_trace::timeline::Timeline,
         bds_trace::profile::Profile,
     );
     let cursor = AtomicUsize::new(0);
@@ -960,7 +919,6 @@ fn decompose_sharded(
                         done,
                         bds_trace::take_snapshot(),
                         bds_trace::take_journal(),
-                        bds_trace::timeline::take_timeline(),
                         bds_trace::profile::take_profile(),
                     )
                 })
@@ -978,10 +936,9 @@ fn decompose_sharded(
     let mut slots: Vec<Option<NodeArtifact>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let mut first_err: Option<(usize, NetworkError)> = None;
-    for (done, snapshot, journal, timeline, profile) in worker_outs {
+    for (done, snapshot, journal, profile) in worker_outs {
         bds_trace::absorb_snapshot(&snapshot);
         bds_trace::absorb_journal(journal);
-        bds_trace::timeline::absorb_timeline(timeline);
         bds_trace::profile::absorb_profile(&profile);
         for (i, r) in done {
             match r {
@@ -1031,12 +988,11 @@ pub fn optimize_partitioned(
     // the phase gauges below (only tracked when tracing is compiled in).
     let mut peak_unique = 0usize;
     let mut peak_computed = 0usize;
-    // Always-on memory accounting: modeled bytes per phase and the
-    // worst unique-table load, maxed across per-node managers (order-
-    // independent, so identical at any thread count).
+    // Always-on memory accounting: modeled bytes per phase, maxed
+    // across per-node managers (order-independent, so identical at any
+    // thread count).
     let mut build_bytes = 0usize;
     let mut decompose_bytes = 0usize;
-    let mut peak_load = 0f64;
     // work signal → out signal.
     let mut map: Vec<Option<SignalId>> = vec![None; work.signals().count()];
     for &i in work.inputs() {
@@ -1064,10 +1020,6 @@ pub fn optimize_partitioned(
             })
             .collect::<Result<_, _>>()?
     };
-    // Leave the supernode scope behind: any later BDD work on this
-    // thread samples under the global scope again, exactly as it would
-    // when the supernodes ran on worker threads.
-    bds_trace::timeline::set_scope(bds_trace::timeline::GLOBAL_SCOPE);
     let mut degraded = 0usize;
     for ((sig, fanins), artifact) in items.iter().zip(artifacts) {
         let sig = *sig;
@@ -1078,7 +1030,6 @@ pub fn optimize_partitioned(
         peak_computed = peak_computed.max(artifact.peak_computed);
         build_bytes = build_bytes.max(artifact.build_bytes);
         decompose_bytes = decompose_bytes.max(artifact.decompose_bytes);
-        peak_load = peak_load.max(artifact.peak_load);
         degraded += usize::from(artifact.rung > 0);
 
         let _sharing_span = bds_trace::span!("flow.sharing");
@@ -1129,7 +1080,6 @@ pub fn optimize_partitioned(
         "bdd.phase.decompose.peak_arena_bytes",
         decompose_bytes as u64
     );
-    bds_trace::gauge!("bdd.peak_unique_load_pct", (peak_load * 100.0) as u64);
     publish_trace(&stats, &ops);
     Ok((
         out,
@@ -1141,7 +1091,6 @@ pub fn optimize_partitioned(
             eliminated: 0,
             bdd_ops: ops,
             peak_arena_bytes: build_bytes.max(decompose_bytes),
-            peak_unique_load: peak_load,
             degraded,
         },
     ))

@@ -6,8 +6,8 @@
 //!
 //! Usage: `cargo run --release --bin scaling [> scaling.csv]` — with
 //! `-- --json <path>` the same series is also written as a report. The
-//! trace exports (`--telemetry`, `--perfetto`, `--folded`, `--profile`)
-//! share the `table1` code paths, so the scaling sweep can feed the
+//! trace exports (`--perfetto`, `--folded`, `--profile`) share the
+//! `table1` code paths, so the scaling sweep can feed the
 //! same tooling. Env: `BDS_SCALING_MAX_NODES` (default 2000) bounds the
 //! sweep.
 
@@ -19,7 +19,7 @@
 
 use std::process::ExitCode;
 
-use bds::flow::{optimize, FlowParams, FlowReport};
+use bds::flow::{optimize, FlowParams};
 use bds::sis_flow::{script_rugged, SisParams};
 use bds_circuits::adder::ripple_adder;
 use bds_circuits::multiplier::multiplier;
@@ -37,10 +37,8 @@ struct Point {
     name: String,
     sis: f64,
     bds: f64,
-    report: FlowReport,
     trace: bds_trace::Snapshot,
     journal: bds_trace::Journal,
-    timeline: bds_trace::timeline::Timeline,
     profile: bds_trace::profile::Profile,
 }
 
@@ -52,16 +50,14 @@ fn time_flows(name: String, net: &Network, flow: &FlowParams) -> Result<Point, S
     // harness: the baseline above never pollutes the capture.
     bds_trace::reset();
     let t1 = Stopwatch::start();
-    let (_, report) = optimize(net, flow).map_err(|e| format!("bds flow failed: {e}"))?;
+    optimize(net, flow).map_err(|e| format!("bds flow failed: {e}"))?;
     let bds = t1.seconds();
     Ok(Point {
         name,
         sis,
         bds,
-        report,
         trace: bds_trace::take_snapshot(),
         journal: bds_trace::take_journal(),
-        timeline: bds_trace::timeline::take_timeline(),
         profile: bds_trace::profile::take_profile(),
     })
 }
@@ -136,10 +132,8 @@ pub fn main() -> ExitCode {
         .iter()
         .map(|p| ObservedCircuit {
             name: &p.name,
-            report: &p.report,
             trace: &p.trace,
             journal: &p.journal,
-            timeline: &p.timeline,
             profile: &p.profile,
         })
         .collect();

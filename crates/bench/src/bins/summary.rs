@@ -34,7 +34,7 @@ use bds_circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_network::Network;
 use bds_trace::json::{parse, Json};
 
-use bds_trace::gate::{compare_reports, Thresholds};
+use bds_trace::gate::compare_reports;
 
 use crate::harness::{geomean, live_line, print_rows, run_both, Row};
 use crate::report::{envelope, finish_rows, parse_args, row_json};
@@ -214,8 +214,8 @@ pub fn main() -> ExitCode {
     if let Err(code) = finish_rows(&args, "summary", &rows) {
         return code;
     }
-    // Regression gate: the same thresholds as `cargo xtask perfgate`. A
-    // tracked metric moving past its allowance fails the run, so CI and
+    // Structural gate: the same exact comparison as `cargo xtask
+    // perfgate`. Any gated field that moved fails the run, so CI and
     // scripts can rely on the exit code, not just the printed diff.
     if let Some(doc) = &baseline_doc {
         let fresh = envelope(
@@ -223,23 +223,10 @@ pub fn main() -> ExitCode {
             args.effective_jobs(),
             rows.iter().map(row_json).collect(),
         );
-        let thresholds = match Thresholds::from_env() {
-            Ok(thresholds) => thresholds,
-            Err(err) => {
-                eprintln!("summary: invalid tolerance: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match compare_reports(doc, &fresh, &thresholds) {
+        match compare_reports(doc, &fresh) {
             Ok(outcome) => {
                 print!("{}", outcome.render());
                 if !outcome.passed() {
-                    // Attribution: walk both span trees and counter sets
-                    // to name the culprit paths behind the regression.
-                    match bds_trace::attr::diff_reports(doc, &fresh) {
-                        Ok(attr) => print!("{}", attr.render_blame(bds_trace::attr::DEFAULT_TOP_K)),
-                        Err(err) => eprintln!("summary: cannot attribute regression: {err}"),
-                    }
                     return ExitCode::FAILURE;
                 }
             }

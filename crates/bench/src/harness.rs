@@ -58,9 +58,6 @@ pub struct Row {
     /// time-ordered span boundaries and decision events behind the
     /// `--perfetto` / `--folded` exports. Empty without `trace`.
     pub journal: Journal,
-    /// Sampled telemetry timeline drained across the same window (one
-    /// sample per `SAMPLE_INTERVAL` ite calls). Empty without `trace`.
-    pub timeline: bds_trace::timeline::Timeline,
     /// Deterministic profile drained across the same window (one sample
     /// per `PROFILE_INTERVAL` effort ticks, keyed by open-span path and
     /// op class). Empty without `trace`.
@@ -105,11 +102,9 @@ pub fn run_both(
     // Drained after the snapshot: journal timestamps share one epoch
     // across circuits, so stitched exports stay globally ordered.
     let journal = bds_trace::take_journal();
-    // Taken before verification: the verifier's BDD traffic must not
-    // pollute the flow's timeline.
-    let timeline = bds_trace::timeline::take_timeline();
-    // Same window as the timeline: effort-tick samples from the flow
-    // only, so profiles are byte-identical at any `jobs` count.
+    // Taken before verification, so the verifier's BDD traffic stays
+    // out: effort-tick samples from the flow only, byte-identical at
+    // any `jobs` count.
     let profile = bds_trace::profile::take_profile();
     let bds_mapped = mapped(&bds_net, &lib);
     let bds_stats = bds_net.stats();
@@ -153,7 +148,6 @@ pub fn run_both(
         report: bds_report,
         trace,
         journal,
-        timeline,
         profile,
     }
 }
@@ -163,14 +157,13 @@ pub fn run_both(
 #[must_use]
 pub fn live_line(row: &Row) -> String {
     format!(
-        "{:<14} gates {:>5} area {:>9.1} cpu {:>7.3}s hit-rate {:>5.1}% peak {:>9}B load {:>4.2} [{}]",
+        "{:<14} gates {:>5} area {:>9.1} cpu {:>7.3}s hit-rate {:>5.1}% peak {:>9}B [{}]",
         row.name,
         row.bds.gates,
         row.bds.area,
         row.bds.seconds,
         row.report.bdd_ops.cache_hit_rate() * 100.0,
         row.report.peak_arena_bytes,
-        row.report.peak_unique_load,
         row.verified
     )
 }

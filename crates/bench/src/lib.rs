@@ -4,9 +4,9 @@
 //! the workspace root package call into them, so every experiment is
 //! `cargo run --release --bin <name>` (optionally `--features trace` for
 //! live instrumentation and populated `--json` reports). [`harness`]
-//! runs both flows and assembles comparison rows, [`report`] serializes
-//! them, and [`timing`] is the micro-benchmark runner used by
-//! `benches/*`.
+//! runs both flows and assembles comparison rows, and [`report`]
+//! serializes them. Wall-time measurement lives in the stand-alone
+//! `flowbench/` benchmark.
 // Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -15,4 +15,3 @@
 pub mod bins;
 pub mod harness;
 pub mod report;
-pub mod timing;

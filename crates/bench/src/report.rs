@@ -20,10 +20,6 @@
 //! is on. The `summary --compare` mode reads these files back through
 //! [`bds_trace::json::parse`]; no serde anywhere.
 //!
-//! `--telemetry <path>` additionally writes a `bds-telemetry/v1`
-//! document: per-circuit gated metrics (cache hit rate, peak arena
-//! bytes, peak unique-table load) plus the sampled timeline, the file
-//! `cargo xtask perfgate` diffs against `results/TELEMETRY.json`.
 //! `--live` streams a one-line summary per circuit to stderr.
 
 #![expect(
@@ -63,10 +59,6 @@ pub struct BenchArgs {
     /// core). `None` keeps [`bds::flow::FlowParams`]'s default, which
     /// honors the `BDS_FLOW_JOBS` environment variable.
     pub jobs: Option<usize>,
-    /// Write a `bds-telemetry/v1` JSON document here: per-circuit gated
-    /// metrics (cache hit rate, peak arena bytes, peak unique-table
-    /// load) plus the sampled timeline.
-    pub telemetry: Option<PathBuf>,
     /// Print a one-line progress summary per circuit to stderr as rows
     /// finish, so long runs show a heartbeat.
     pub live: bool,
@@ -129,10 +121,6 @@ pub fn parse_args(bench: &str, accept_compare: bool) -> Result<BenchArgs, ExitCo
                 Some(jobs) => out.jobs = Some(jobs),
                 None => return Err(usage(bench, accept_compare, "--jobs needs a count")),
             },
-            "--telemetry" => match args.next() {
-                Some(path) => out.telemetry = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, accept_compare, "--telemetry needs a path")),
-            },
             "--live" => out.live = true,
             other => {
                 return Err(usage(
@@ -155,7 +143,7 @@ fn usage(bench: &str, accept_compare: bool, problem: &str) -> ExitCode {
     };
     eprintln!(
         "usage: {bench} [--json <path>] [--jobs <n>] [--trace-tree] [--perfetto <path>] \
-         [--folded <path>] [--profile <path>] [--telemetry <path>] [--live]{compare}"
+         [--folded <path>] [--profile <path>] [--live]{compare}"
     );
     ExitCode::from(2)
 }
@@ -174,8 +162,8 @@ pub fn envelope(bench: &str, jobs: usize, circuits: Vec<Json>) -> Json {
     ])
 }
 
-fn flow_result_json(r: &crate::harness::FlowResult) -> Json {
-    Json::Obj(vec![
+fn flow_result_fields(r: &crate::harness::FlowResult) -> Vec<(String, Json)> {
+    vec![
         ("gates".into(), Json::Int(r.gates as u64)),
         ("area".into(), Json::Num(r.area)),
         ("delay".into(), Json::Num(r.delay)),
@@ -183,51 +171,21 @@ fn flow_result_json(r: &crate::harness::FlowResult) -> Json {
         ("literals".into(), Json::Int(r.literals as u64)),
         ("xor_cells".into(), Json::Int(r.xor_cells as u64)),
         ("mem_proxy".into(), Json::Int(r.mem_proxy as u64)),
-    ])
-}
-
-/// The gated telemetry metrics from one flow report, in the shape
-/// [`bds_trace::gate::compare_telemetry`] reads: cache hit rate (may
-/// not drop), peak arena bytes and peak unique-table load (may not
-/// grow). All three are deterministic across `--jobs` settings.
-#[must_use]
-pub fn telemetry_metrics(report: &bds::flow::FlowReport) -> Json {
-    let ops = &report.bdd_ops;
-    Json::Obj(vec![
-        ("cache_hit_rate".into(), Json::Num(ops.cache_hit_rate())),
-        (
-            "peak_arena_bytes".into(),
-            Json::Int(report.peak_arena_bytes as u64),
-        ),
-        (
-            "peak_unique_load".into(),
-            Json::Num(report.peak_unique_load),
-        ),
-    ])
-}
-
-/// The gated telemetry metrics for one row (see [`telemetry_metrics`]).
-#[must_use]
-pub fn telemetry_json(row: &Row) -> Json {
-    telemetry_metrics(&row.report)
+    ]
 }
 
 /// Everything one circuit contributes to the observability exports,
 /// borrowed from whatever the binary keeps per circuit. [`Row`]-based
 /// binaries get one via [`ObservedCircuit::from_row`]; `scaling` builds
 /// them from its own captures so every bench shares the same
-/// `--telemetry` / `--perfetto` / `--folded` / `--profile` code paths.
+/// `--perfetto` / `--folded` / `--profile` code paths.
 pub struct ObservedCircuit<'a> {
-    /// Circuit label used in export prefixes and telemetry entries.
+    /// Circuit label used in export prefixes.
     pub name: &'a str,
-    /// The BDS flow report carrying the gated telemetry metrics.
-    pub report: &'a bds::flow::FlowReport,
     /// Span tree + counters captured across the BDS flow.
     pub trace: &'a Snapshot,
     /// Flight-recorder journal drained across the same window.
     pub journal: &'a bds_trace::Journal,
-    /// Sampled telemetry timeline drained across the same window.
-    pub timeline: &'a bds_trace::timeline::Timeline,
     /// Deterministic effort-tick profile drained across the same window.
     pub profile: &'a bds_trace::profile::Profile,
 }
@@ -238,45 +196,17 @@ impl<'a> ObservedCircuit<'a> {
     pub fn from_row(row: &'a Row) -> Self {
         ObservedCircuit {
             name: &row.name,
-            report: &row.report,
             trace: &row.trace,
             journal: &row.journal,
-            timeline: &row.timeline,
             profile: &row.profile,
         }
     }
 }
 
-/// Wraps per-circuit telemetry entries in the `bds-telemetry/v1`
-/// envelope: each circuit carries its gated metrics plus the sampled
-/// timeline. Structural timeline fields are identical at any `--jobs`
-/// setting; only `wall_ns` values move.
-#[must_use]
-pub fn telemetry_envelope(bench: &str, jobs: usize, circuits: &[ObservedCircuit<'_>]) -> Json {
-    let circuits = circuits
-        .iter()
-        .map(|c| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(c.name.into())),
-                ("telemetry".into(), telemetry_metrics(c.report)),
-                ("timeline".into(), c.timeline.to_json()),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "schema".into(),
-            Json::Str(bds_trace::gate::TELEMETRY_SCHEMA.into()),
-        ),
-        ("bench".into(), Json::Str(bench.into())),
-        ("trace_enabled".into(), Json::Bool(bds_trace::is_enabled())),
-        ("jobs".into(), Json::Int(jobs as u64)),
-        ("circuits".into(), Json::Arr(circuits)),
-    ])
-}
-
 /// Serializes one comparison row, including the BDS flow's decomposition
-/// step counts, BDD operation counters, and trace snapshot.
+/// step counts, BDD operation counters, and trace snapshot. The `bds`,
+/// `decompose` and `bdd_ops` objects are what the structural gate
+/// ([`bds_trace::gate`]) compares.
 #[must_use]
 pub fn row_json(row: &Row) -> Json {
     let d = &row.report.decompose;
@@ -301,19 +231,21 @@ pub fn row_json(row: &Row) -> Json {
         ("unique_hits".into(), Json::Int(ops.unique_hits)),
         ("nodes_created".into(), Json::Int(ops.nodes_created)),
     ]);
+    let mut bds = flow_result_fields(&row.bds);
+    bds.push((
+        "peak_arena_bytes".into(),
+        Json::Int(row.report.peak_arena_bytes as u64),
+    ));
     Json::Obj(vec![
         ("name".into(), Json::Str(row.name.clone())),
         ("stands_for".into(), Json::Str(row.stands_for.into())),
         ("verified".into(), Json::Str(row.verified.into())),
         ("speedup".into(), Json::Num(row.speedup)),
         ("mode".into(), Json::Str(format!("{:?}", row.report.mode))),
-        ("sis".into(), flow_result_json(&row.sis)),
-        ("bds".into(), flow_result_json(&row.bds)),
+        ("sis".into(), Json::Obj(flow_result_fields(&row.sis))),
+        ("bds".into(), Json::Obj(bds)),
         ("decompose".into(), decompose),
         ("bdd_ops".into(), bdd_ops),
-        // Embedded copy of the gated telemetry metrics so plain report
-        // comparisons (`summary --compare`, perfgate) gate them too.
-        ("telemetry".into(), telemetry_json(row)),
         ("trace".into(), row.trace.to_json()),
     ])
 }
@@ -358,8 +290,8 @@ pub fn finish_rows(args: &BenchArgs, bench: &str, rows: &[Row]) -> Result<(), Ex
     finish_observability(args, bench, &observed)
 }
 
-/// Writes the trace-derived exports — `--telemetry`, `--perfetto`,
-/// `--folded`, `--profile` — for any bench that captured per-circuit
+/// Writes the trace-derived exports — `--perfetto`, `--folded`,
+/// `--profile` — for any bench that captured per-circuit
 /// observability, whether or not it uses comparison rows.
 ///
 /// # Errors
@@ -369,19 +301,6 @@ pub fn finish_observability(
     bench: &str,
     circuits: &[ObservedCircuit<'_>],
 ) -> Result<(), ExitCode> {
-    if let Some(path) = &args.telemetry {
-        if !bds_trace::is_enabled() {
-            eprintln!(
-                "{bench}: note: --telemetry without --features trace records an empty timeline"
-            );
-        }
-        let doc = telemetry_envelope(bench, args.effective_jobs(), circuits);
-        if let Err(err) = write_json(path, &doc) {
-            eprintln!("{bench}: cannot write {}: {err}", path.display());
-            return Err(ExitCode::FAILURE);
-        }
-        eprintln!("{bench}: wrote {}", path.display());
-    }
     if let Some(path) = &args.perfetto {
         if !bds_trace::is_enabled() {
             eprintln!("{bench}: note: --perfetto without --features trace records no events");
@@ -476,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_envelope_round_trips_and_gates_against_itself() {
+    fn row_json_gates_against_itself() {
         let net = bds_circuits::adder::ripple_adder(4);
         let row = crate::harness::run_both(
             "add4",
@@ -485,25 +404,19 @@ mod tests {
             &bds::flow::FlowParams::default(),
             &bds::sis_flow::SisParams::default(),
         );
-        let doc = telemetry_envelope("t", 1, &[ObservedCircuit::from_row(&row)]);
+        let doc = envelope("t", 1, vec![row_json(&row)]);
         let back = parse(&doc.render()).expect("parses");
+        let circuit = &back.get("circuits").and_then(Json::as_arr).expect("array")[0];
         assert_eq!(
-            back.get("schema").and_then(Json::as_str),
-            Some(bds_trace::gate::TELEMETRY_SCHEMA)
+            circuit
+                .get("bds")
+                .and_then(|b| b.get("peak_arena_bytes"))
+                .and_then(Json::as_u64),
+            Some(row.report.peak_arena_bytes as u64)
         );
-        let telemetry = back.get("circuits").and_then(Json::as_arr).expect("array")[0]
-            .get("telemetry")
-            .expect("telemetry object");
-        for metric in ["cache_hit_rate", "peak_arena_bytes", "peak_unique_load"] {
-            assert!(telemetry.get(metric).and_then(Json::as_f64).is_some());
-        }
-        let outcome = bds_trace::gate::compare_telemetry(&back, &back).expect("gates");
+        let outcome = bds_trace::gate::compare_reports(&back, &back).expect("gates");
         assert!(outcome.passed());
         assert_eq!(outcome.matched, 1);
-        // The same metrics are embedded in the plain report row, so the
-        // report gate sees them too.
-        let row_doc = row_json(&row);
-        assert!(row_doc.get("telemetry").is_some());
     }
 
     #[test]

@@ -1,119 +1,50 @@
-//! Perf-regression gate: noise-tolerant comparison of two
-//! `bds-trace-report/v1` files.
+//! Structural gate: exact comparison of two `bds-trace-report/v1` files.
 //!
 //! One implementation serves both front ends — `bds-bench summary
-//! --compare` and `cargo xtask perfgate` — so the thresholds cannot
-//! drift apart. Circuits are matched by name; for each match the gate
-//! checks the BDS-side metrics:
+//! --compare` and `cargo xtask perfgate` — so the rules cannot drift
+//! apart. Circuits are matched by name; for each match the gate compares
+//! every numeric field the baseline row carries in its `bds`,
+//! `decompose` and `bdd_ops` objects (mapped gates, literals, area,
+//! delay, memory proxies, decomposition step counts, BDD operation
+//! counts). The flow is deterministic at any thread count, so any
+//! difference — better or worse — is a mismatch: an intended change
+//! regenerates the baseline. Two rules keep the comparison honest:
 //!
-//! * **structural counts** (`gates`, `literals`, `mem_proxy`) are exact:
-//!   the flow is deterministic, so any increase over the baseline is a
-//!   real regression;
-//! * **wall time** (`seconds`) is noisy: it only regresses when the
-//!   fresh value exceeds the baseline by more than a relative percentage
-//!   *plus* an absolute floor (see [`Thresholds`]), so scheduler jitter
-//!   on sub-100ms circuits cannot fail a build.
+//! * `bds.seconds` is the one field skipped: wall time is measured by the
+//!   stand-alone `flowbench/` benchmark, not here;
+//! * a field present in the baseline but missing from the fresh row is a
+//!   mismatch, so a renamed or dropped field cannot silently pass.
 //!
-//! The gate never fails on *missing* circuits — a baseline from a
-//! different bench simply matches nothing — but front ends that require
-//! overlap (perfgate) treat `matched == 0` as an error themselves.
+//! Integers compare exactly; floats get [`FLOAT_EPSILON`] of slack for
+//! report-file round-tripping. The gate never fails on *missing*
+//! circuits — a baseline from a different bench simply matches nothing
+//! — but front ends that require overlap (perfgate) treat `matched == 0`
+//! as an error themselves.
 
 use crate::json::Json;
 
 /// Report schema accepted by [`compare_reports`].
 pub const REPORT_SCHEMA: &str = "bds-trace-report/v1";
 
-/// Telemetry schema accepted by [`compare_telemetry`].
-pub const TELEMETRY_SCHEMA: &str = "bds-telemetry/v1";
+/// The per-circuit objects whose numeric fields are gated.
+const GATED_SECTIONS: [&str; 3] = ["bds", "decompose", "bdd_ops"];
 
-/// Environment variable overriding the wall-time allowance, read by
-/// [`Thresholds::from_env`]. Format `PCT` or `PCT+FLOOR` (e.g. `150` or
-/// `150+0.5` for 150% relative plus 0.5 s absolute slack).
-pub const TOLERANCE_ENV: &str = "BDS_PERFGATE_TOLERANCE";
-
-/// Absolute slack applied when gating floating-point telemetry metrics
-/// (hit rates, load factors): the values are deterministic, but they
-/// pass through `f64` formatting/parsing on the way into a report file.
+/// Absolute slack for floating-point fields (area, delay, hit rates):
+/// the values are deterministic, but they pass through `f64`
+/// formatting and parsing on the way into a report file.
 const FLOAT_EPSILON: f64 = 1e-6;
 
-/// Per-metric regression tolerances.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Thresholds {
-    /// Allowed relative wall-time increase, in percent (100.0 = may
-    /// double before failing).
-    pub seconds_pct: f64,
-    /// Absolute wall-time slack in seconds added on top of the relative
-    /// allowance, so microsecond-scale baselines are not gated on
-    /// scheduler noise.
-    pub seconds_floor: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            seconds_pct: 100.0,
-            seconds_floor: 0.25,
-        }
-    }
-}
-
-impl Thresholds {
-    /// Parses a `PCT` or `PCT+FLOOR` tolerance spec (`"150"`,
-    /// `"150+0.5"`). `None` for malformed or negative values.
-    #[must_use]
-    pub fn parse(spec: &str) -> Option<Thresholds> {
-        let spec = spec.trim();
-        let (pct_str, floor_str) = match spec.split_once('+') {
-            Some((p, f)) => (p, Some(f)),
-            None => (spec, None),
-        };
-        let seconds_pct: f64 = pct_str.trim().parse().ok()?;
-        let seconds_floor: f64 = match floor_str {
-            Some(f) => f.trim().parse().ok()?,
-            None => Thresholds::default().seconds_floor,
-        };
-        if !seconds_pct.is_finite()
-            || !seconds_floor.is_finite()
-            || seconds_pct < 0.0
-            || seconds_floor < 0.0
-        {
-            return None;
-        }
-        Some(Thresholds {
-            seconds_pct,
-            seconds_floor,
-        })
-    }
-
-    /// The defaults, overridden by [`TOLERANCE_ENV`] when it is set and
-    /// well-formed. A malformed value is an `Err` (with the offending
-    /// spec) rather than a silent fallback: a CI job that *believes* it
-    /// widened the gate must not run with the tight default.
-    ///
-    /// # Errors
-    /// The unparsable spec string.
-    pub fn from_env() -> Result<Thresholds, String> {
-        match std::env::var(TOLERANCE_ENV) {
-            Ok(spec) => Thresholds::parse(&spec)
-                .ok_or_else(|| format!("{TOLERANCE_ENV}={spec:?} (want PCT or PCT+FLOOR)")),
-            Err(_) => Ok(Thresholds::default()),
-        }
-    }
-}
-
-/// One metric that moved past its threshold.
+/// One gated field whose fresh value differs from the baseline.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// Circuit name the metric belongs to.
+pub struct Mismatch {
+    /// Circuit name the field belongs to.
     pub circuit: String,
-    /// Metric name (`gates`, `literals`, `mem_proxy`, `seconds`).
-    pub metric: &'static str,
+    /// Field path, `section.field` (e.g. `decompose.shared`).
+    pub field: String,
     /// Baseline value.
     pub baseline: f64,
-    /// Freshly measured value.
-    pub current: f64,
-    /// Highest value that would still have passed.
-    pub limit: f64,
+    /// Freshly measured value; `None` when the fresh row lacks the field.
+    pub current: Option<f64>,
 }
 
 /// Result of gating one fresh report against a baseline.
@@ -121,32 +52,36 @@ pub struct Regression {
 pub struct GateOutcome {
     /// Circuits present in both reports.
     pub matched: usize,
-    /// Metrics that regressed past their threshold.
-    pub regressions: Vec<Regression>,
-    /// Metrics strictly better than the baseline (for reporting).
-    pub improved: usize,
+    /// Gated fields compared across the matched circuits.
+    pub compared: usize,
+    /// Fields whose fresh value differs from (or is missing against)
+    /// the baseline.
+    pub mismatches: Vec<Mismatch>,
 }
 
 impl GateOutcome {
-    /// `true` when no tracked metric regressed.
+    /// `true` when every gated field matched.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
+        self.mismatches.is_empty()
     }
 
-    /// Human-readable verdict, one line per regression.
+    /// Human-readable verdict, one line per mismatch.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = format!(
-            "perfgate: {} circuit(s) matched, {} metric(s) improved, {} regression(s)\n",
+            "perfgate: {} circuit(s) matched, {} field(s) compared, {} mismatch(es)\n",
             self.matched,
-            self.improved,
-            self.regressions.len()
+            self.compared,
+            self.mismatches.len()
         );
-        for r in &self.regressions {
+        for m in &self.mismatches {
+            let current = m
+                .current
+                .map_or_else(|| "missing".to_string(), |c| c.to_string());
             out.push_str(&format!(
-                "  REGRESSION {:<12} {:<9} baseline {:.4} -> current {:.4} (limit {:.4})\n",
-                r.circuit, r.metric, r.baseline, r.current, r.limit
+                "  MISMATCH {:<12} {:<24} baseline {} -> current {current}\n",
+                m.circuit, m.field, m.baseline
             ));
         }
         out
@@ -160,10 +95,6 @@ fn validate(doc: &Json, which: &str) -> Result<(), String> {
     }
 }
 
-fn bds_metric(circuit: &Json, metric: &str) -> Option<f64> {
-    circuit.get("bds")?.get(metric)?.as_f64()
-}
-
 fn find_circuit<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
     doc.get("circuits")?
         .as_arr()?
@@ -171,16 +102,53 @@ fn find_circuit<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
         .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
 }
 
-/// Gates `current` against `baseline` under `thresholds`.
+/// `true` when two report values agree: integers exactly, anything
+/// else within [`FLOAT_EPSILON`].
+fn same_value(baseline: &Json, current: &Json) -> bool {
+    match (baseline, current) {
+        (Json::Int(b), Json::Int(c)) => b == c,
+        _ => match (baseline.as_f64(), current.as_f64()) {
+            (Some(b), Some(c)) => (b - c).abs() <= FLOAT_EPSILON,
+            _ => false,
+        },
+    }
+}
+
+/// Compares every gated field of one matched circuit.
+fn gate_circuit(name: &str, base: &Json, fresh: &Json, outcome: &mut GateOutcome) {
+    for section in GATED_SECTIONS {
+        let Some(fields) = base.get(section).and_then(Json::entries) else {
+            continue;
+        };
+        let fresh_section = fresh.get(section);
+        for (field, b) in fields {
+            let Some(baseline) = b.as_f64() else {
+                continue;
+            };
+            if section == "bds" && field == "seconds" {
+                continue;
+            }
+            outcome.compared += 1;
+            let c = fresh_section.and_then(|s| s.get(field));
+            if c.is_some_and(|c| same_value(b, c)) {
+                continue;
+            }
+            outcome.mismatches.push(Mismatch {
+                circuit: name.to_string(),
+                field: format!("{section}.{field}"),
+                baseline,
+                current: c.and_then(Json::as_f64),
+            });
+        }
+    }
+}
+
+/// Gates `current` against `baseline`.
 ///
 /// # Errors
 /// Returns a description when either document is not a
 /// `bds-trace-report/v1` report with a `circuits` array.
-pub fn compare_reports(
-    baseline: &Json,
-    current: &Json,
-    thresholds: &Thresholds,
-) -> Result<GateOutcome, String> {
+pub fn compare_reports(baseline: &Json, current: &Json) -> Result<GateOutcome, String> {
     validate(baseline, "baseline")?;
     validate(current, "current")?;
     let current_circuits = current
@@ -201,125 +169,7 @@ pub fn compare_reports(
             continue;
         };
         outcome.matched += 1;
-
-        for metric in ["gates", "literals", "mem_proxy"] {
-            let (Some(b), Some(c)) = (bds_metric(base, metric), bds_metric(fresh, metric)) else {
-                continue;
-            };
-            if c > b {
-                outcome.regressions.push(Regression {
-                    circuit: name.to_string(),
-                    metric,
-                    baseline: b,
-                    current: c,
-                    limit: b,
-                });
-            } else if c < b {
-                outcome.improved += 1;
-            }
-        }
-
-        if let (Some(b), Some(c)) = (bds_metric(base, "seconds"), bds_metric(fresh, "seconds")) {
-            let limit = b * (1.0 + thresholds.seconds_pct / 100.0) + thresholds.seconds_floor;
-            if c > limit {
-                outcome.regressions.push(Regression {
-                    circuit: name.to_string(),
-                    metric: "seconds",
-                    baseline: b,
-                    current: c,
-                    limit,
-                });
-            } else if c < b {
-                outcome.improved += 1;
-            }
-        }
-
-        // Telemetry metrics ride along when both sides carry the
-        // object; older baselines without it simply skip the check.
-        if let (Some(bt), Some(ct)) = (base.get("telemetry"), fresh.get("telemetry")) {
-            gate_telemetry(name, bt, ct, &mut outcome);
-        }
-    }
-    Ok(outcome)
-}
-
-/// Gates one circuit's telemetry object: cache hit rate may not drop,
-/// peak arena bytes and peak unique-table load may not grow. All three
-/// are deterministic, so the only slack is [`FLOAT_EPSILON`] on the
-/// two `f64` metrics (report-file round-tripping).
-fn gate_telemetry(name: &str, base: &Json, fresh: &Json, outcome: &mut GateOutcome) {
-    // (metric, lower_is_worse, epsilon)
-    let checks: [(&'static str, bool, f64); 3] = [
-        ("cache_hit_rate", true, FLOAT_EPSILON),
-        ("peak_arena_bytes", false, 0.0),
-        ("peak_unique_load", false, FLOAT_EPSILON),
-    ];
-    for (metric, lower_is_worse, eps) in checks {
-        let (Some(b), Some(c)) = (
-            base.get(metric).and_then(Json::as_f64),
-            fresh.get(metric).and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        let (regressed, limit) = if lower_is_worse {
-            (c < b - eps, b - eps)
-        } else {
-            (c > b + eps, b + eps)
-        };
-        if regressed {
-            outcome.regressions.push(Regression {
-                circuit: name.to_string(),
-                metric,
-                baseline: b,
-                current: c,
-                limit,
-            });
-        } else if (lower_is_worse && c > b) || (!lower_is_worse && c < b) {
-            outcome.improved += 1;
-        }
-    }
-}
-
-/// Gates a fresh `bds-telemetry/v1` document against a baseline one:
-/// circuits are matched by name and their `telemetry` objects compared
-/// with the same rules `compare_reports` applies to embedded telemetry
-/// (hit rate may not drop; peaks may not grow).
-///
-/// # Errors
-/// Returns a description when either document is not a
-/// `bds-telemetry/v1` report with a `circuits` array.
-pub fn compare_telemetry(baseline: &Json, current: &Json) -> Result<GateOutcome, String> {
-    for (doc, which) in [(baseline, "baseline"), (current, "current")] {
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(TELEMETRY_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "{which} telemetry has unsupported schema {other:?}"
-                ))
-            }
-        }
-    }
-    let current_circuits = current
-        .get("circuits")
-        .and_then(Json::as_arr)
-        .ok_or("current telemetry has no circuits array")?;
-    baseline
-        .get("circuits")
-        .and_then(Json::as_arr)
-        .ok_or("baseline telemetry has no circuits array")?;
-
-    let mut outcome = GateOutcome::default();
-    for fresh in current_circuits {
-        let Some(name) = fresh.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(base) = find_circuit(baseline, name) else {
-            continue;
-        };
-        outcome.matched += 1;
-        if let (Some(bt), Some(ct)) = (base.get("telemetry"), fresh.get("telemetry")) {
-            gate_telemetry(name, bt, ct, &mut outcome);
-        }
+        gate_circuit(name, base, fresh, &mut outcome);
     }
     Ok(outcome)
 }
@@ -328,214 +178,186 @@ pub fn compare_telemetry(baseline: &Json, current: &Json) -> Result<GateOutcome,
 mod tests {
     use super::*;
 
-    fn report(rows: &[(&str, u64, u64, u64, f64)]) -> Json {
-        let circuits = rows
-            .iter()
-            .map(|&(name, gates, literals, mem_proxy, seconds)| {
+    /// One report row: `bds` counts plus small `decompose` and
+    /// `bdd_ops` objects, with a float in each float-carrying section.
+    fn row(name: &str, gates: u64, literals: u64, seconds: f64) -> Json {
+        Json::Obj(vec![
+            ("name".into(), Json::Str(name.into())),
+            (
+                "bds".into(),
                 Json::Obj(vec![
-                    ("name".into(), Json::Str(name.into())),
-                    (
-                        "bds".into(),
-                        Json::Obj(vec![
-                            ("gates".into(), Json::Int(gates)),
-                            ("literals".into(), Json::Int(literals)),
-                            ("mem_proxy".into(), Json::Int(mem_proxy)),
-                            ("seconds".into(), Json::Num(seconds)),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
+                    ("gates".into(), Json::Int(gates)),
+                    ("area".into(), Json::Num(12.5)),
+                    ("seconds".into(), Json::Num(seconds)),
+                    ("literals".into(), Json::Int(literals)),
+                    ("peak_arena_bytes".into(), Json::Int(4096)),
+                ]),
+            ),
+            (
+                "decompose".into(),
+                Json::Obj(vec![
+                    ("and_dom".into(), Json::Int(3)),
+                    ("shared".into(), Json::Int(2)),
+                ]),
+            ),
+            (
+                "bdd_ops".into(),
+                Json::Obj(vec![
+                    ("ite_calls".into(), Json::Int(100)),
+                    ("cache_hit_rate".into(), Json::Num(0.4)),
+                ]),
+            ),
+        ])
+    }
+
+    fn report(rows: Vec<Json>) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::Str(REPORT_SCHEMA.into())),
             ("bench".into(), Json::Str("test".into())),
-            ("circuits".into(), Json::Arr(circuits)),
+            ("circuits".into(), Json::Arr(rows)),
         ])
+    }
+
+    fn field_mut<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(fields) = obj else {
+            unreachable!()
+        };
+        fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap()
+    }
+
+    /// Applies `f` to field `section.field` of every row.
+    fn edit(doc: &mut Json, section: &str, field: &str, f: impl Fn(&mut Json)) {
+        let Json::Arr(rows) = field_mut(doc, "circuits") else {
+            unreachable!()
+        };
+        for row in rows {
+            f(field_mut(field_mut(row, section), field));
+        }
+    }
+
+    fn bump(v: &mut Json) {
+        if let Json::Int(n) = v {
+            *n += 1;
+        }
     }
 
     #[test]
     fn identical_reports_pass() {
-        let doc = report(&[("a", 10, 20, 30, 0.05), ("b", 5, 9, 7, 0.01)]);
-        let outcome = compare_reports(&doc, &doc, &Thresholds::default()).unwrap();
+        let doc = report(vec![row("a", 10, 20, 0.05), row("b", 5, 9, 0.01)]);
+        let outcome = compare_reports(&doc, &doc).unwrap();
         assert!(outcome.passed());
         assert_eq!(outcome.matched, 2);
-        assert_eq!(outcome.improved, 0);
+        // Eight gated fields per row: everything numeric but `seconds`.
+        assert_eq!(outcome.compared, 16);
     }
 
     #[test]
     fn count_increase_is_an_exact_regression() {
-        let base = report(&[("a", 10, 20, 30, 0.05)]);
-        let fresh = report(&[("a", 11, 20, 30, 0.05)]);
-        let outcome = compare_reports(&base, &fresh, &Thresholds::default()).unwrap();
-        assert!(!outcome.passed());
-        assert_eq!(outcome.regressions.len(), 1);
-        let r = &outcome.regressions[0];
-        assert_eq!((r.circuit.as_str(), r.metric), ("a", "gates"));
-        assert_eq!((r.baseline, r.current, r.limit), (10.0, 11.0, 10.0));
-        assert!(outcome.render().contains("REGRESSION a"));
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let fresh = report(vec![row("a", 11, 20, 0.05)]);
+        let outcome = compare_reports(&base, &fresh).unwrap();
+        assert_eq!(
+            outcome.mismatches,
+            vec![Mismatch {
+                circuit: "a".into(),
+                field: "bds.gates".into(),
+                baseline: 10.0,
+                current: Some(11.0),
+            }]
+        );
+        assert!(outcome.render().contains("MISMATCH a"));
     }
 
     #[test]
-    fn wall_time_tolerates_noise_but_not_blowups() {
-        let base = report(&[("a", 10, 20, 30, 0.05)]);
-        // 4x on a 50ms circuit is still inside 2x + 250ms slack.
-        let noisy = report(&[("a", 10, 20, 30, 0.20)]);
-        let t = Thresholds::default();
-        assert!(compare_reports(&base, &noisy, &t).unwrap().passed());
-        // Past the relative + absolute allowance it fails.
-        let blown = report(&[("a", 10, 20, 30, 0.40)]);
-        let tight = Thresholds {
-            seconds_pct: 100.0,
-            seconds_floor: 0.01,
-        };
-        let outcome = compare_reports(&base, &blown, &tight).unwrap();
-        assert_eq!(outcome.regressions.len(), 1);
-        assert_eq!(outcome.regressions[0].metric, "seconds");
-        assert!((outcome.regressions[0].limit - 0.11).abs() < 1e-9);
+    fn improvements_fail_the_exact_gate() {
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let fresh = report(vec![row("a", 10, 19, 0.05)]);
+        let outcome = compare_reports(&base, &fresh).unwrap();
+        assert_eq!(outcome.mismatches.len(), 1);
+        assert_eq!(outcome.mismatches[0].field, "bds.literals");
     }
 
     #[test]
-    fn improvements_are_counted_not_failed() {
-        let base = report(&[("a", 10, 20, 30, 0.05)]);
-        let fresh = report(&[("a", 8, 18, 30, 0.01)]);
-        let outcome = compare_reports(&base, &fresh, &Thresholds::default()).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.improved, 3);
+    fn one_more_shared_decomposition_fails() {
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let mut fresh = base.clone();
+        edit(&mut fresh, "decompose", "shared", bump);
+        let outcome = compare_reports(&base, &fresh).unwrap();
+        assert_eq!(outcome.mismatches.len(), 1);
+        assert_eq!(outcome.mismatches[0].field, "decompose.shared");
+        assert_eq!(outcome.mismatches[0].current, Some(3.0));
+    }
+
+    #[test]
+    fn one_more_ite_call_fails() {
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let mut fresh = base.clone();
+        edit(&mut fresh, "bdd_ops", "ite_calls", bump);
+        let outcome = compare_reports(&base, &fresh).unwrap();
+        assert_eq!(outcome.mismatches.len(), 1);
+        assert_eq!(outcome.mismatches[0].field, "bdd_ops.ite_calls");
+    }
+
+    #[test]
+    fn wall_time_is_not_gated() {
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let fresh = report(vec![row("a", 10, 20, 9.0)]);
+        assert!(compare_reports(&base, &fresh).unwrap().passed());
+    }
+
+    #[test]
+    fn float_epsilon_absorbs_round_tripping() {
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let mut jitter = base.clone();
+        edit(&mut jitter, "bdd_ops", "cache_hit_rate", |v| {
+            *v = Json::Num(0.4 + 1e-9);
+        });
+        assert!(compare_reports(&base, &jitter).unwrap().passed());
+        let mut moved = base.clone();
+        edit(&mut moved, "bds", "area", |v| *v = Json::Num(12.6));
+        assert!(!compare_reports(&base, &moved).unwrap().passed());
+        // Bytes are integers: one extra byte fails.
+        let mut bloat = base.clone();
+        edit(&mut bloat, "bds", "peak_arena_bytes", bump);
+        assert!(!compare_reports(&base, &bloat).unwrap().passed());
+    }
+
+    #[test]
+    fn missing_fresh_field_is_a_mismatch() {
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let mut fresh = base.clone();
+        edit(&mut fresh, "bds", "literals", |v| *v = Json::Null);
+        let outcome = compare_reports(&base, &fresh).unwrap();
+        assert_eq!(outcome.mismatches.len(), 1);
+        assert_eq!(outcome.mismatches[0].field, "bds.literals");
+        assert_eq!(outcome.mismatches[0].current, None);
+        assert!(outcome.render().contains("-> current missing"));
+        // A whole missing section fails every field it should carry.
+        let bare = report(vec![Json::Obj(vec![(
+            "name".into(),
+            Json::Str("a".into()),
+        )])]);
+        assert_eq!(compare_reports(&base, &bare).unwrap().mismatches.len(), 8);
     }
 
     #[test]
     fn disjoint_reports_match_nothing() {
-        let base = report(&[("a", 10, 20, 30, 0.05)]);
-        let fresh = report(&[("z", 10, 20, 30, 0.05)]);
-        let outcome = compare_reports(&base, &fresh, &Thresholds::default()).unwrap();
+        let base = report(vec![row("a", 10, 20, 0.05)]);
+        let fresh = report(vec![row("z", 10, 20, 0.05)]);
+        let outcome = compare_reports(&base, &fresh).unwrap();
         assert_eq!(outcome.matched, 0);
         assert!(outcome.passed());
     }
 
     #[test]
     fn wrong_schema_is_rejected() {
-        let good = report(&[]);
+        let good = report(Vec::new());
         let bad = Json::Obj(vec![("schema".into(), Json::Str("nope/v9".into()))]);
-        assert!(compare_reports(&bad, &good, &Thresholds::default()).is_err());
-        assert!(compare_reports(&good, &bad, &Thresholds::default()).is_err());
-    }
-
-    #[test]
-    fn tolerance_spec_parsing() {
-        assert_eq!(
-            Thresholds::parse("150"),
-            Some(Thresholds {
-                seconds_pct: 150.0,
-                seconds_floor: 0.25
-            })
-        );
-        assert_eq!(
-            Thresholds::parse(" 150 + 0.5 "),
-            Some(Thresholds {
-                seconds_pct: 150.0,
-                seconds_floor: 0.5
-            })
-        );
-        assert_eq!(Thresholds::parse(""), None);
-        assert_eq!(Thresholds::parse("abc"), None);
-        assert_eq!(Thresholds::parse("-10"), None);
-        assert_eq!(Thresholds::parse("100+-1"), None);
-        assert_eq!(Thresholds::parse("inf"), None);
-    }
-
-    fn telemetry_obj(hit_rate: f64, bytes: u64, load: f64) -> Json {
-        Json::Obj(vec![
-            ("cache_hit_rate".into(), Json::Num(hit_rate)),
-            ("peak_arena_bytes".into(), Json::Int(bytes)),
-            ("peak_unique_load".into(), Json::Num(load)),
-        ])
-    }
-
-    fn telemetry_doc(rows: &[(&str, f64, u64, f64)]) -> Json {
-        let circuits = rows
-            .iter()
-            .map(|&(name, hit, bytes, load)| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(name.into())),
-                    ("telemetry".into(), telemetry_obj(hit, bytes, load)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(TELEMETRY_SCHEMA.into())),
-            ("circuits".into(), Json::Arr(circuits)),
-        ])
-    }
-
-    #[test]
-    fn telemetry_gate_directions() {
-        let base = telemetry_doc(&[("a", 0.40, 1000, 0.50)]);
-        // Identical passes.
-        let outcome = compare_telemetry(&base, &base).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.matched, 1);
-        // Hit rate dropping fails; peaks growing fail.
-        let worse = telemetry_doc(&[("a", 0.35, 1200, 0.60)]);
-        let outcome = compare_telemetry(&base, &worse).unwrap();
-        assert_eq!(outcome.regressions.len(), 3);
-        let metrics: Vec<&str> = outcome.regressions.iter().map(|r| r.metric).collect();
-        assert_eq!(
-            metrics,
-            vec!["cache_hit_rate", "peak_arena_bytes", "peak_unique_load"]
-        );
-        // Hit rate up, peaks down: improvements, not failures.
-        let better = telemetry_doc(&[("a", 0.45, 900, 0.40)]);
-        let outcome = compare_telemetry(&base, &better).unwrap();
-        assert!(outcome.passed());
-        assert_eq!(outcome.improved, 3);
-    }
-
-    #[test]
-    fn telemetry_float_epsilon_absorbs_round_tripping() {
-        let base = telemetry_doc(&[("a", 0.40, 1000, 0.50)]);
-        let jitter = telemetry_doc(&[("a", 0.40 - 1e-9, 1000, 0.50 + 1e-9)]);
-        assert!(compare_telemetry(&base, &jitter).unwrap().passed());
-        // But bytes are exact: one extra byte fails.
-        let bloat = telemetry_doc(&[("a", 0.40, 1001, 0.50)]);
-        assert!(!compare_telemetry(&base, &bloat).unwrap().passed());
-    }
-
-    #[test]
-    fn embedded_telemetry_rides_the_report_gate() {
-        let attach = |doc: Json, hit: f64| {
-            let Json::Obj(mut fields) = doc else {
-                unreachable!()
-            };
-            for (k, v) in &mut fields {
-                if k == "circuits" {
-                    let Json::Arr(circuits) = v else {
-                        unreachable!()
-                    };
-                    for c in circuits {
-                        let Json::Obj(cf) = c else { unreachable!() };
-                        cf.push(("telemetry".into(), telemetry_obj(hit, 1000, 0.5)));
-                    }
-                }
-            }
-            Json::Obj(fields)
-        };
-        let base = attach(report(&[("a", 10, 20, 30, 0.05)]), 0.40);
-        let fresh = attach(report(&[("a", 10, 20, 30, 0.05)]), 0.30);
-        let outcome = compare_reports(&base, &fresh, &Thresholds::default()).unwrap();
-        assert_eq!(outcome.regressions.len(), 1);
-        assert_eq!(outcome.regressions[0].metric, "cache_hit_rate");
-        // A baseline without the object skips the telemetry checks.
-        let old_base = report(&[("a", 10, 20, 30, 0.05)]);
-        assert!(compare_reports(&old_base, &fresh, &Thresholds::default())
-            .unwrap()
-            .passed());
-    }
-
-    #[test]
-    fn telemetry_wrong_schema_is_rejected() {
-        let good = telemetry_doc(&[]);
-        let bad = report(&[]);
-        assert!(compare_telemetry(&bad, &good).is_err());
-        assert!(compare_telemetry(&good, &bad).is_err());
+        assert!(compare_reports(&bad, &good).is_err());
+        assert!(compare_reports(&good, &bad).is_err());
     }
 }

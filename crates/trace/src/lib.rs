@@ -21,14 +21,12 @@
 //!   [`Snapshot::to_json`] for `BENCH_*.json` reports, with a serde-free
 //!   parser ([`json::parse`]) so reports can be diffed and compared by the
 //!   bench `summary` tool;
-//! * a **regression gate** ([`gate`]) — threshold comparison of two
-//!   report files, shared by `bds-bench summary --compare` and
-//!   `cargo xtask perfgate`;
-//! * an **attribution engine** ([`attr`]) — span-level blame for gate
-//!   regressions — with a **perf history ledger** ([`ledger`], one JSON
-//!   line per gated run) and a **deterministic sampling profiler**
-//!   ([`profile`], effort-tick samples of the open span path + op
-//!   class, byte-identical at any job count).
+//! * a **structural gate** ([`gate`]) — exact comparison of two report
+//!   files' structural fields, shared by `bds-bench summary --compare`
+//!   and `cargo xtask perfgate` (wall time is `flowbench/`'s job);
+//! * a **deterministic sampling profiler** ([`profile`]) — effort-tick
+//!   samples of the open span path + op class, byte-identical at any
+//!   job count.
 //!
 //! # Feature gating
 //!
@@ -86,25 +84,19 @@
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-/// Perf attribution: span-level blame for report regressions.
-pub mod attr;
 /// Trace exporters: Perfetto trace-event JSON and folded flamegraph text.
 pub mod export;
-/// Perf-regression gate: threshold comparison of two report files.
+/// Structural gate: exact comparison of two report files.
 pub mod gate;
 /// Flight-recorder journal: bounded ring buffer of structured events.
 pub mod journal;
 /// Serde-free JSON value, renderer and parser for report files.
 pub mod json;
-/// Perf history ledger: one JSON line per gated run.
-pub mod ledger;
 mod macros;
 /// Deterministic sampling profiler: effort-tick samples of span + op.
 pub mod profile;
 mod registry;
 mod span;
-/// Sampled telemetry timeline: deterministic periodic gauge samples.
-pub mod timeline;
 
 pub use journal::{
     absorb_journal, clear_journal, journal_len, record_event, set_journal_capacity, take_journal,
@@ -118,14 +110,13 @@ pub use registry::{
 pub use span::{fmt_duration_ns, span_enter, NoopSpan, SpanGuard, Stopwatch};
 
 /// Clears every metric on this thread — registry (counters, gauges,
-/// histograms, spans), journal events, timeline samples and profiler
-/// samples alike. The journal's timestamp epoch and ring capacity
-/// survive, so events recorded after a reset still share one ordered
-/// timeline with earlier drains.
+/// histograms, spans), journal events and profiler samples alike. The
+/// journal's timestamp epoch and ring capacity survive, so events
+/// recorded after a reset still share one ordered timeline with earlier
+/// drains.
 pub fn reset() {
     registry::reset();
     journal::clear_journal();
-    timeline::clear_timeline();
     profile::clear_profile();
 }
 

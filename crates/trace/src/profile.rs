@@ -47,9 +47,9 @@ use crate::json::Json;
 /// One profiler sample is recorded every this-many effort ticks.
 ///
 /// Effort ticks arrive roughly as fast as ITE recursion steps, so this
-/// sits above the timeline's 64-call interval: dense enough that every
-/// bench circuit produces samples, sparse enough that the sample map
-/// stays small and the hot-path check is a single multiple test.
+/// is dense enough that every bench circuit produces samples, sparse
+/// enough that the sample map stays small and the hot-path check is a
+/// single multiple test.
 pub const PROFILE_INTERVAL: u64 = 256;
 
 /// A tick-sampled profile: `(open-span path, op class) -> sample count`.
