@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use bds_bdd::{Edge, Manager, Var};
-use bds_network::{Network, NetworkError, SignalId};
+use bds_network::{cover_to_bdd, cover_to_bdd_edges, Network, NetworkError, SignalId};
 use bds_sop::{Cover, Cube};
 
 /// Tuning knobs for [`sdc_simplify`].
@@ -138,7 +138,7 @@ fn minimize_node(
             continue; // outside the cone
         }
         let fanin_edges: Vec<Edge> = fs.iter().map(|f| value[f]).collect();
-        let e = cover_edges(&mut mgr, c, &fanin_edges).ok()?;
+        let e = cover_to_bdd_edges(&mut mgr, c, &fanin_edges).ok()?;
         value.insert(s, e);
     }
 
@@ -161,7 +161,7 @@ fn minimize_node(
     for &y in &y_vars {
         prod_vars.push(y);
     }
-    let f_edge = cover_vars(&mut mgr, cover, &prod_vars).ok()?;
+    let f_edge = cover_to_bdd(&mut mgr, cover, &prod_vars).ok()?;
     let minimized = mgr.restrict(f_edge, care).ok()?;
     let lower = mgr.and(f_edge, care).ok()?;
     debug_assert_eq!(mgr.and(minimized, care).ok()?, lower, "restrict contract");
@@ -189,31 +189,6 @@ fn minimize_node(
         })
         .collect();
     Some(new_cover)
-}
-
-fn cover_edges(mgr: &mut Manager, cover: &Cover, fanin_edges: &[Edge]) -> bds_bdd::Result<Edge> {
-    let mut acc = Edge::ZERO;
-    for cube in cover.cubes() {
-        let mut prod = Edge::ONE;
-        for &(pos, phase) in cube.literals() {
-            prod = mgr.and(prod, fanin_edges[pos as usize].complement_if(!phase))?;
-        }
-        acc = mgr.or(acc, prod)?;
-    }
-    Ok(acc)
-}
-
-fn cover_vars(mgr: &mut Manager, cover: &Cover, vars: &[Var]) -> bds_bdd::Result<Edge> {
-    let mut acc = Edge::ZERO;
-    for cube in cover.cubes() {
-        let mut prod = Edge::ONE;
-        for &(pos, phase) in cube.literals() {
-            let lit = mgr.literal_checked(vars[pos as usize], phase)?;
-            prod = mgr.and(prod, lit)?;
-        }
-        acc = mgr.or(acc, prod)?;
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]

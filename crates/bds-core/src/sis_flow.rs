@@ -9,11 +9,11 @@
 //! is preserved, with the *same* network substrate and the *same*
 //! technology mapper downstream.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bds_bdd::Manager;
-use bds_network::{EliminateCost, EliminateParams, Network, NetworkError, SignalId};
-use bds_sop::division::divide;
+use bds_network::{cover_to_bdd, EliminateCost, EliminateParams, Network, NetworkError, SignalId};
+use bds_sop::division::{divide, Division};
 use bds_sop::kernel::kernels;
 use bds_sop::{Cover, Cube};
 use bds_trace::Stopwatch;
@@ -73,11 +73,15 @@ pub fn script_rugged(
 ) -> Result<(Network, SisReport), NetworkError> {
     let _span = bds_trace::span!("sis_flow");
     let start = Stopwatch::start();
-    let mut work = net.compacted()?;
+    let mut work = {
+        let _span = bds_trace::span!("sis_flow.prologue");
+        let mut work = net.compacted()?;
+        work.sweep()?;
+        work.eliminate(&params.eliminate)?;
+        work.sweep()?;
+        work
+    };
     let mut report = SisReport::default();
-    work.sweep()?;
-    work.eliminate(&params.eliminate)?;
-    work.sweep()?;
     isop_simplify(&mut work, params.isop_simplify_limit)?;
     report.extracted += extract_divisors(&mut work, params)?;
     work.sweep()?;
@@ -97,6 +101,7 @@ pub fn script_rugged(
 /// that is smaller — SIS's `simplify` in spirit (two-level minimization
 /// per node, no external don't-cares). Returns the rewrite count.
 fn isop_simplify(net: &mut Network, limit: usize) -> Result<usize, NetworkError> {
+    let _span = bds_trace::span!("sis_flow.simplify");
     if limit == 0 {
         return Ok(0);
     }
@@ -112,7 +117,7 @@ fn isop_simplify(net: &mut Network, limit: usize) -> Result<usize, NetworkError>
         }
         let mut mgr = Manager::with_node_limit(limit);
         let vars = mgr.new_vars(fanins.len());
-        let Ok(edge) = bds_network_cover_to_bdd(&mut mgr, &cover, &vars) else {
+        let Ok(edge) = cover_to_bdd(&mut mgr, &cover, &vars) else {
             continue;
         };
         let Ok((cubes, _)) = mgr.isop(edge, edge) else {
@@ -141,26 +146,6 @@ fn isop_simplify(net: &mut Network, limit: usize) -> Result<usize, NetworkError>
     Ok(rewritten)
 }
 
-/// Local helper mirroring `bds_network::global::cover_to_bdd` (that
-/// function is public; re-declared here to keep the flow self-contained
-/// in its error handling).
-fn bds_network_cover_to_bdd(
-    mgr: &mut Manager,
-    cover: &Cover,
-    vars: &[bds_bdd::Var],
-) -> bds_bdd::Result<bds_bdd::Edge> {
-    let mut acc = bds_bdd::Edge::ZERO;
-    for cube in cover.cubes() {
-        let mut prod = bds_bdd::Edge::ONE;
-        for &(pos, phase) in cube.literals() {
-            let lit = mgr.literal_checked(vars[pos as usize], phase)?;
-            prod = mgr.and(prod, lit)?;
-        }
-        acc = mgr.or(acc, prod)?;
-    }
-    Ok(acc)
-}
-
 /// A cover lifted from node-local positions to global signal indices.
 fn signal_cover(net: &Network, sig: SignalId) -> Option<Cover> {
     let (fanins, cover) = net.node(sig)?;
@@ -175,150 +160,202 @@ fn translate(cover: &Cover, map: &dyn Fn(u32) -> u32) -> Cover {
         .collect()
 }
 
-/// Installs a signal-space cover back onto a node.
-fn install(net: &mut Network, sig: SignalId, cover: &Cover) -> Result<(), NetworkError> {
+/// Lowers a signal-space cover to a node: its support, in ascending
+/// signal order, becomes the fanin list. `ids[s]` is signal `s`.
+fn localize(ids: &[SignalId], cover: &Cover) -> Result<(Vec<SignalId>, Cover), NetworkError> {
     let support = cover.support();
-    let mut fanins: Vec<SignalId> = Vec::with_capacity(support.len());
-    for &s in &support {
-        let id = net
-            .signals()
-            .nth(s as usize)
-            .ok_or_else(|| NetworkError::UnknownSignal {
-                name: format!("#{s}"),
-            })?;
-        fanins.push(id);
-    }
-    let pos_of: HashMap<u32, u32> = support
+    let fanins = support
         .iter()
-        .enumerate()
-        .map(|(i, &s)| (s, i as u32))
-        .collect();
-    let local = translate(cover, &|s| pos_of[&s]);
+        .map(|&s| {
+            ids.get(s as usize)
+                .copied()
+                .ok_or_else(|| NetworkError::UnknownSignal {
+                    name: format!("#{s}"),
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let local = translate(cover, &|s| support.partition_point(|&x| x < s) as u32);
+    Ok((fanins, local))
+}
+
+/// Installs a signal-space cover back onto a node.
+fn install(
+    net: &mut Network,
+    ids: &[SignalId],
+    sig: SignalId,
+    cover: &Cover,
+) -> Result<(), NetworkError> {
+    let (fanins, local) = localize(ids, cover)?;
     net.replace_node(sig, fanins, local)
 }
 
-/// A scored extraction candidate: divisor, total literal savings, and
-/// the beneficiary rewrites.
-type ExtractionPick = (Cover, isize, Vec<(SignalId, Cover)>);
+/// True if the sorted `support` contains every variable of `vars`.
+fn contains_all(support: &[u32], vars: &[u32]) -> bool {
+    vars.iter().all(|v| support.binary_search(v).is_ok())
+}
+
+/// Literals of `f = q·d + r` once the divisor is a single literal `d`.
+fn rewritten_literals(div: &Division) -> usize {
+    div.quotient.literal_count() + div.quotient.len() + div.remainder.literal_count()
+}
+
+/// The signal-space cover `q·d + r`, where `d` is the divisor's node.
+fn substitute(div: &Division, d: SignalId) -> Cover {
+    let dlit = Cover::from_cubes(vec![Cube::lit(d.index() as u32, true)]);
+    div.quotient.and(&dlit).or(&div.remainder)
+}
+
+/// What extraction keeps per node between iterations; refreshed only
+/// when the node is rewritten.
+struct NodeInfo {
+    /// The cover in signal space.
+    cover: Cover,
+    /// `cover.support()`.
+    support: Vec<u32>,
+    /// `cover.literal_count()`.
+    literals: usize,
+    /// The divisor candidates the cover's kernels yield: kernels and
+    /// co-kernel cubes of at least two literals.
+    candidates: Vec<Cover>,
+}
+
+impl NodeInfo {
+    /// The entry for `sig`, or `None` for a primary input.
+    fn of(net: &Network, sig: SignalId, kernel_cube_limit: usize) -> Option<NodeInfo> {
+        let cover = signal_cover(net, sig)?;
+        let mut candidates = Vec::new();
+        if (2..=kernel_cube_limit).contains(&cover.len()) {
+            for k in kernels(&cover) {
+                if (2..=kernel_cube_limit).contains(&k.kernel.len()) {
+                    candidates.push(k.kernel);
+                }
+                if k.co_kernel.len() >= 2 {
+                    candidates.push(Cover::from_cubes(vec![k.co_kernel]));
+                }
+            }
+        }
+        Some(NodeInfo {
+            support: cover.support(),
+            literals: cover.literal_count(),
+            cover,
+            candidates,
+        })
+    }
+}
 
 /// One round of kernel/cube extraction: repeatedly finds the divisor with
 /// the best literal savings across all nodes, creates a node for it, and
 /// rewrites the beneficiaries. Returns the number of divisors extracted.
 fn extract_divisors(net: &mut Network, params: &SisParams) -> Result<usize, NetworkError> {
+    let _span = bds_trace::span!("sis_flow.extract");
+    let limit = params.kernel_cube_limit;
+    let mut ids: Vec<SignalId> = net.signals().collect();
+    // Indexed by signal; only rewritten nodes and new divisors change.
+    let mut info: Vec<Option<NodeInfo>> =
+        ids.iter().map(|&s| NodeInfo::of(net, s, limit)).collect();
     let mut extracted = 0;
     for _ in 0..params.max_extractions {
-        // Gather candidate divisors in signal space.
-        // BTreeMap: the best-candidate scan below breaks score ties by
-        // taking the first hit, so iteration order must be canonical.
-        let mut candidates: BTreeMap<Vec<Cube>, Cover> = BTreeMap::new();
-        let node_ids = net.node_ids();
-        for &sig in &node_ids {
-            let Some(cover) = signal_cover(net, sig) else {
-                continue;
-            };
-            if cover.len() < 2 || cover.len() > params.kernel_cube_limit {
-                continue;
-            }
-            for k in kernels(&cover) {
-                if k.kernel.len() >= 2 && k.kernel.len() <= params.kernel_cube_limit {
-                    candidates
-                        .entry(k.kernel.cubes().to_vec())
-                        .or_insert_with(|| k.kernel.clone());
-                }
-                // Co-kernel cubes with ≥2 literals are single-cube
-                // divisor candidates.
-                if k.co_kernel.len() >= 2 {
-                    let c = Cover::from_cubes(vec![k.co_kernel.clone()]);
-                    candidates.entry(c.cubes().to_vec()).or_insert(c);
-                }
-            }
-        }
-        // Score each candidate by total literal savings.
-        let covers: Vec<(SignalId, Cover)> = node_ids
-            .iter()
-            .filter_map(|&sig| signal_cover(net, sig).map(|c| (sig, c)))
-            .filter(|(_, c)| c.len() <= params.kernel_cube_limit * 4)
-            .collect();
-        let mut best: Option<ExtractionPick> = None;
-        for divisor in candidates.into_values() {
-            let dsupport = divisor.support();
-            let dlits = divisor.literal_count() as isize;
-            let mut total = -dlits;
-            let mut rewrites: Vec<(SignalId, Cover)> = Vec::new();
-            for (sig, cover) in &covers {
-                let (sig, cover) = (*sig, cover.clone());
-                // Quick reject: the divisor's support must be contained.
-                let sup = cover.support();
-                if !dsupport.iter().all(|v| sup.binary_search(v).is_ok()) {
-                    continue;
-                }
-                let div = divide(&cover, &divisor);
-                if div.quotient.is_empty() {
-                    continue;
-                }
-                let new_lits = div.quotient.literal_count()
-                    + div.quotient.len()
-                    + div.remainder.literal_count();
-                let saving = cover.literal_count() as isize - new_lits as isize;
-                if saving > 0 {
-                    total += saving;
-                    rewrites.push((sig, cover));
-                }
-            }
-            if rewrites.len() >= 2 && total > 0 && best.as_ref().is_none_or(|&(_, t, _)| total > t)
-            {
-                best = Some((divisor, total, rewrites));
-            }
-        }
-        let Some((divisor, _, rewrites)) = best else {
+        let Some((divisor, beneficiaries)) = best_divisor(&info, limit) else {
             break;
         };
-        // Materialize the divisor node.
+        let (fanins, local) = localize(&ids, &divisor)?;
         let name = net.fresh_name("sis");
-        let support = divisor.support();
-        let mut fanins: Vec<SignalId> = Vec::with_capacity(support.len());
-        for &s in &support {
-            let id = net
-                .signals()
-                .nth(s as usize)
-                .ok_or_else(|| NetworkError::UnknownSignal {
-                    name: format!("#{s}"),
-                })?;
-            fanins.push(id);
-        }
-        let pos_of: HashMap<u32, u32> = support
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        let local = translate(&divisor, &|s| pos_of[&s]);
         let dsig = net.add_node(name, fanins, local)?;
+        ids.push(dsig);
         // Rewrite the beneficiaries: f = q·d + r in signal space, where
         // the divisor is now the literal of `dsig`.
-        for (sig, cover) in rewrites {
-            let div = divide(&cover, &divisor);
-            let dlit = Cover::from_cubes(vec![Cube::lit(dsig.index() as u32, true)]);
-            let new_cover = div.quotient.and(&dlit).or(&div.remainder);
-            install(net, sig, &new_cover)?;
+        for &i in &beneficiaries {
+            if let Some(n) = &info[i] {
+                install(
+                    net,
+                    &ids,
+                    ids[i],
+                    &substitute(&divide(&n.cover, &divisor), dsig),
+                )?;
+            }
         }
+        for i in beneficiaries {
+            info[i] = NodeInfo::of(net, ids[i], limit);
+        }
+        info.push(NodeInfo::of(net, dsig, limit));
         extracted += 1;
     }
     Ok(extracted)
 }
 
+/// The candidate divisor with the best total literal saving over at
+/// least two nodes, and those nodes (signal indices, ascending). Ties
+/// go to the first candidate in cube order.
+fn best_divisor(info: &[Option<NodeInfo>], limit: usize) -> Option<(Cover, Vec<usize>)> {
+    // BTreeMap: the scan below breaks score ties by taking the first
+    // hit, so iteration order must be canonical.
+    let mut candidates: BTreeMap<&[Cube], &Cover> = BTreeMap::new();
+    for c in info.iter().flatten().flat_map(|n| &n.candidates) {
+        candidates.entry(c.cubes()).or_insert(c);
+    }
+    // Scoring nodes by support variable, each list in ascending order.
+    let mut by_var: Vec<Vec<usize>> = vec![Vec::new(); info.len()];
+    for (i, n) in info.iter().enumerate() {
+        if let Some(n) = n.as_ref().filter(|n| n.cover.len() <= limit * 4) {
+            for &v in &n.support {
+                by_var[v as usize].push(i);
+            }
+        }
+    }
+    let mut best: Option<(&Cover, isize, Vec<usize>)> = None;
+    for divisor in candidates.into_values() {
+        let dsupport = divisor.support();
+        // A node can only be divided if it has every divisor variable,
+        // so the rarest variable's list holds every beneficiary.
+        // Candidates always have a literal: kernels have two distinct
+        // cubes, co-kernel candidates two literals.
+        let Some(nodes) = dsupport
+            .iter()
+            .map(|&v| &by_var[v as usize])
+            .min_by_key(|nodes| nodes.len())
+        else {
+            continue;
+        };
+        let mut total = -(divisor.literal_count() as isize);
+        let mut rewrites = Vec::new();
+        for &i in nodes {
+            let Some(n) = &info[i] else { continue };
+            if !contains_all(&n.support, &dsupport) {
+                continue;
+            }
+            let div = divide(&n.cover, divisor);
+            if div.quotient.is_empty() {
+                continue;
+            }
+            let saving = n.literals as isize - rewritten_literals(&div) as isize;
+            if saving > 0 {
+                total += saving;
+                rewrites.push(i);
+            }
+        }
+        if rewrites.len() >= 2 && total > 0 && best.as_ref().is_none_or(|&(_, t, _)| total > t) {
+            best = Some((divisor, total, rewrites));
+        }
+    }
+    best.map(|(divisor, _, rewrites)| (divisor.clone(), rewrites))
+}
+
 /// Algebraic resubstitution: tries to divide each node by each existing
 /// node function; rewrites when literals are saved.
 fn resubstitute(net: &mut Network, params: &SisParams) -> Result<usize, NetworkError> {
+    let _span = bds_trace::span!("sis_flow.resub");
+    let ids: Vec<SignalId> = net.signals().collect();
     let mut rewritten = 0;
     for _ in 0..params.resub_passes {
         let mut changed = 0;
         let node_ids = net.node_ids();
-        // Divisor candidates: node functions in signal space.
-        let mut divisors: Vec<(SignalId, Cover)> = Vec::new();
+        // Divisor candidates: node functions in signal space, with their
+        // supports.
+        let mut divisors: Vec<(SignalId, Vec<u32>, Cover)> = Vec::new();
         for &d in &node_ids {
             if let Some(cover) = signal_cover(net, d) {
                 if cover.literal_count() >= 2 && cover.len() <= params.kernel_cube_limit {
-                    divisors.push((d, cover));
+                    divisors.push((d, cover.support(), cover));
                 }
             }
         }
@@ -326,30 +363,32 @@ fn resubstitute(net: &mut Network, params: &SisParams) -> Result<usize, NetworkE
             let Some(cover) = signal_cover(net, sig) else {
                 continue;
             };
+            let support = cover.support();
             let mut best: Option<(SignalId, Cover, isize)> = None;
-            for (d, dcover) in &divisors {
-                if *d == sig {
+            for (d, dsupport, dcover) in &divisors {
+                // Weak division intersects f / dᵢ over the divisor cubes
+                // dᵢ, so a divisor variable outside f's support leaves the
+                // quotient empty. (A divisor with the unit cube yields
+                // q = f, which never saves literals.)
+                if *d == sig || !contains_all(&support, dsupport) {
                     continue;
                 }
                 let div = divide(&cover, dcover);
                 if div.quotient.is_empty() {
                     continue;
                 }
-                let new_lits = div.quotient.literal_count()
-                    + div.quotient.len()
-                    + div.remainder.literal_count();
-                let saving = cover.literal_count() as isize - new_lits as isize;
+                let saving = cover.literal_count() as isize - rewritten_literals(&div) as isize;
                 if saving > 0 && best.as_ref().is_none_or(|&(_, _, s)| saving > s) {
-                    let dlit = Cover::from_cubes(vec![Cube::lit(d.index() as u32, true)]);
-                    let new_cover = div.quotient.and(&dlit).or(&div.remainder);
-                    best = Some((*d, new_cover, saving));
+                    best = Some((*d, substitute(&div, *d), saving));
                 }
             }
             if let Some((_, new_cover, _)) = best {
-                // `install` may fail with a cycle when the divisor
-                // transitively depends on `sig` — skip those.
-                if install(net, sig, &new_cover).is_ok() {
-                    changed += 1;
+                match install(net, &ids, sig, &new_cover) {
+                    Ok(()) => changed += 1,
+                    // The divisor may transitively depend on `sig` (it was
+                    // itself rewritten earlier in this pass): skip it.
+                    Err(NetworkError::Cycle { .. }) => {}
+                    Err(e) => return Err(e),
                 }
             }
         }
@@ -411,6 +450,52 @@ mod tests {
         let after = opt.stats().literals;
         assert!(after < before, "literals must drop: {before} → {after}");
         assert_eq!(verify(&net, &opt, 1_000_000).unwrap(), Verdict::Equivalent);
+    }
+
+    #[test]
+    fn resubstitution_skips_a_rewrite_that_closes_a_cycle() {
+        // p = q = a·b + c·d. The pass divides p by q (p := q), then q by
+        // p's cover from the start of the pass (q := p): a cycle, which
+        // must be skipped rather than returned.
+        let mut n = Network::new("twins");
+        let ins: Vec<SignalId> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|s| n.add_input(*s).unwrap())
+            .collect();
+        let cover = Cover::from_cubes(vec![
+            Cube::parse(&[(0, true), (1, true)]),
+            Cube::parse(&[(2, true), (3, true)]),
+        ]);
+        let p = n.add_node("p", ins.clone(), cover.clone()).unwrap();
+        let q = n.add_node("q", ins, cover).unwrap();
+        n.mark_output(p).unwrap();
+        n.mark_output(q).unwrap();
+        let before = n.clone();
+        assert_eq!(resubstitute(&mut n, &SisParams::default()), Ok(1));
+        assert_eq!(n.node(p).unwrap().0, &[q]);
+        assert_eq!(n.node(q).unwrap().0.len(), 4, "q keeps its own cover");
+        n.check_invariants().unwrap();
+        assert_eq!(verify(&before, &n, 1_000_000).unwrap(), Verdict::Equivalent);
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn phases_are_spans_under_sis_flow() {
+        bds_trace::reset();
+        script_rugged(&two_shared_products(), &SisParams::default()).unwrap();
+        let snap = bds_trace::take_snapshot();
+        let root = snap.spans.iter().find(|s| s.name == "sis_flow").unwrap();
+        for phase in [
+            "sis_flow.prologue",
+            "sis_flow.simplify",
+            "sis_flow.extract",
+            "sis_flow.resub",
+        ] {
+            assert!(
+                root.children.iter().any(|c| c.name == phase),
+                "`{phase}` missing under `sis_flow`"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Equivalence at scale: the partitioned flow on the scaling circuits
 //! (mult16, bshift128, adder128) must produce networks equivalent to
-//! their inputs, and the same BLIF at `jobs = 1` and `jobs = 4`.
+//! their inputs, and the same BLIF at `jobs = 1` and `jobs = 4`. The
+//! SIS-style `script_rugged` baseline must also produce networks
+//! equivalent to its inputs on the same circuits.
 //!
 //! Equivalence follows the rule of `bds_bench::harness` and flowbench:
 //! global-BDD `verify` at 2,000,000 nodes, and when that cannot decide
@@ -14,6 +16,7 @@ use bds_repro::circuits::adder::ripple_adder;
 use bds_repro::circuits::multiplier::multiplier;
 use bds_repro::circuits::shifter::barrel_shifter;
 use bds_repro::core::flow::{optimize, FlowParams};
+use bds_repro::core::sis_flow::{script_rugged, SisParams};
 use bds_repro::network::verify::{verify, verify_by_simulation, Verdict};
 use bds_repro::network::{blif, Network};
 
@@ -67,4 +70,27 @@ fn bshift128_equivalent_and_jobs_invariant() {
 #[test]
 fn adder128_equivalent_and_jobs_invariant() {
     check_circuit("adder128", &ripple_adder(128));
+}
+
+fn check_baseline(name: &str, net: &Network) {
+    let (out, _) = script_rugged(net, &SisParams::default()).expect("script_rugged succeeds");
+    out.check_invariants()
+        .expect("baseline network is well formed");
+    let how = proven_by(name, net, &out);
+    eprintln!("{name}: script_rugged equivalent ({how})");
+}
+
+#[test]
+fn mult16_baseline_equivalent() {
+    check_baseline("mult16", &multiplier(16, 16));
+}
+
+#[test]
+fn bshift128_baseline_equivalent() {
+    check_baseline("bshift128", &barrel_shifter(128));
+}
+
+#[test]
+fn adder128_baseline_equivalent() {
+    check_baseline("adder128", &ripple_adder(128));
 }

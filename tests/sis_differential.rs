@@ -1,0 +1,132 @@
+//! Differential test: `script_rugged` (per-node kernel caches, scoring
+//! through a support index, resubstitution filtered by support) against
+//! the loop it replaced (`tests/reference_sis`).
+//!
+//! Both must produce byte-identical BLIF and equal `SisReport` counts
+//! (`seconds` aside) on the `sis_rugged` benchmark circuits, bshift64,
+//! and seeded random logic networks under random `SisParams` limits.
+//!
+//! CI also runs it in release, where the random set is larger:
+//! `cargo test --release --features strict-checks --test sis_differential -- --nocapture`.
+
+mod reference_sis;
+
+use bds_prop::{check_cases, Rng};
+use bds_repro::circuits::adder::carry_select_adder;
+use bds_repro::circuits::alu::alu;
+use bds_repro::circuits::comparator::comparator;
+use bds_repro::circuits::ecc::hamming_encoder;
+use bds_repro::circuits::multiplier::multiplier;
+use bds_repro::circuits::parity::parity_tree;
+use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
+use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::core::sis_flow::{script_rugged, SisParams, SisReport};
+use bds_repro::network::{blif, Network};
+
+/// Random networks; debug builds (the tier-1 run) take fewer.
+const CASES: u32 = if cfg!(debug_assertions) { 20 } else { 300 };
+
+/// Runs both pipelines, asserts they agree, and returns the report.
+fn check(name: &str, net: &Network, params: &SisParams) -> SisReport {
+    let (new, report) = script_rugged(net, params).expect("script_rugged succeeds");
+    let (old, old_report) = reference_sis::script_rugged(net, params).expect("reference succeeds");
+    assert_eq!(
+        blif::write(&new),
+        blif::write(&old),
+        "{name}: BLIF differs from the reference"
+    );
+    assert_eq!(
+        (report.extracted, report.resubstituted),
+        (old_report.extracted, old_report.resubstituted),
+        "{name}: report differs from the reference (extracted, resubstituted)"
+    );
+    report
+}
+
+fn rl(inputs: usize, outputs: usize, nodes: usize, seed: u64) -> Network {
+    let params = RandomLogicParams {
+        inputs,
+        outputs,
+        nodes,
+        ..RandomLogicParams::default()
+    };
+    random_logic(&params, seed)
+}
+
+#[test]
+fn sis_rugged_circuits_match_the_reference() {
+    // flowbench's `sis_rugged` set (table1's circuits and seeds).
+    let suite = [
+        ("ctrl36", rl(36, 7, 120, 42)),
+        ("ecc32", hamming_encoder(32)),
+        ("ecc26", hamming_encoder(26)),
+        ("alu8", alu(8)),
+        ("alu16", alu(16)),
+        ("csel16", carry_select_adder(16, 4)),
+        ("cmp16", comparator(16)),
+        ("mult8", multiplier(8, 8)),
+        ("ctrl20", rl(20, 12, 100, 7)),
+        ("ctrl24", rl(24, 16, 120, 13)),
+        ("shift32", barrel_shifter(32)),
+        ("parity16", parity_tree(16)),
+    ];
+    for (name, net) in &suite {
+        let r = check(name, net, &SisParams::default());
+        eprintln!(
+            "{name}: identical ({} extracted, {} resubstituted)",
+            r.extracted, r.resubstituted
+        );
+    }
+}
+
+#[test]
+fn bshift64_matches_the_reference() {
+    let r = check("bshift64", &barrel_shifter(64), &SisParams::default());
+    eprintln!(
+        "bshift64: identical ({} extracted, {} resubstituted)",
+        r.extracted, r.resubstituted
+    );
+}
+
+/// Random `SisParams`: small and large kernel limits, few or many
+/// extractions, zero to three resubstitution passes.
+fn random_params(rng: &mut Rng) -> SisParams {
+    SisParams {
+        max_extractions: *rng.choose(&[1, 3, 20, 400]),
+        kernel_cube_limit: rng.range_usize(2..33),
+        resub_passes: rng.range_usize(0..4),
+        ..SisParams::default()
+    }
+}
+
+#[test]
+fn random_logic_matches_the_reference() {
+    let (mut extracting, mut resubstituting) = (0u32, 0u32);
+    check_cases("script_rugged matches the reference", CASES, |rng| {
+        let params = RandomLogicParams {
+            inputs: rng.range_usize(3..41),
+            outputs: rng.range_usize(1..17),
+            nodes: rng.range_usize(2..161),
+            max_fanin: rng.range_usize(2..7),
+            max_cubes: rng.range_usize(1..7),
+        };
+        let seed = rng.next_u64();
+        let net = random_logic(&params, seed);
+        let sis = if rng.ratio(0.5) {
+            SisParams::default()
+        } else {
+            random_params(rng)
+        };
+        let r = check(&format!("random {params:?} seed {seed:#x}"), &net, &sis);
+        extracting += u32::from(r.extracted > 0);
+        resubstituting += u32::from(r.resubstituted > 0);
+    });
+    eprintln!(
+        "{CASES} random networks identical: {extracting} with extractions, \
+         {resubstituting} with resubstitutions"
+    );
+    assert!(
+        extracting > CASES / 4,
+        "too few cases exercise extraction: {extracting}"
+    );
+}
