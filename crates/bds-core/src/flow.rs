@@ -370,9 +370,9 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
 
 /// Runs two independent flow candidates on scoped worker threads and
 /// returns their results in argument order. Each worker drains its
-/// thread-local trace registry and journal on exit; the coordinator
-/// absorbs them in the same fixed order, so the merged trace does not
-/// depend on which candidate finished first.
+/// thread-local trace on exit; the coordinator absorbs the two traces
+/// in the same fixed order, so the merged trace does not depend on
+/// which candidate finished first.
 #[expect(
     clippy::disallowed_methods,
     reason = "flow.rs is the scheduler: scoped workers, re-raising a worker's panic on join"
@@ -381,38 +381,17 @@ fn run_candidate_pair<T: Send>(
     a: impl FnOnce() -> T + Send,
     b: impl FnOnce() -> T + Send,
 ) -> (T, T) {
-    let ((ra, snap_a, journal_a, prof_a), (rb, snap_b, journal_b, prof_b)) =
-        std::thread::scope(|s| {
-            let ha = s.spawn(move || {
-                let out = a();
-                (
-                    out,
-                    bds_trace::take_snapshot(),
-                    bds_trace::take_journal(),
-                    bds_trace::profile::take_profile(),
-                )
-            });
-            let hb = s.spawn(move || {
-                let out = b();
-                (
-                    out,
-                    bds_trace::take_snapshot(),
-                    bds_trace::take_journal(),
-                    bds_trace::profile::take_profile(),
-                )
-            });
-            let join = |h: std::thread::ScopedJoinHandle<'_, _>| match h.join() {
-                Ok(out) => out,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (join(ha), join(hb))
-        });
-    bds_trace::absorb_snapshot(&snap_a);
-    bds_trace::absorb_journal(journal_a);
-    bds_trace::profile::absorb_profile(&prof_a);
-    bds_trace::absorb_snapshot(&snap_b);
-    bds_trace::absorb_journal(journal_b);
-    bds_trace::profile::absorb_profile(&prof_b);
+    let ((ra, trace_a), (rb, trace_b)) = std::thread::scope(|s| {
+        let ha = s.spawn(move || (a(), bds_trace::take()));
+        let hb = s.spawn(move || (b(), bds_trace::take()));
+        let join = |h: std::thread::ScopedJoinHandle<'_, _>| match h.join() {
+            Ok(out) => out,
+            Err(payload) => std::panic::resume_unwind(payload),
+        };
+        (join(ha), join(hb))
+    });
+    bds_trace::absorb(trace_a);
+    bds_trace::absorb(trace_b);
     (ra, rb)
 }
 
@@ -730,58 +709,40 @@ fn record_degrade(sig: SignalId, rung: u8, reason: &'static str) {
 }
 
 /// Runs one rung attempt under panic quarantine. The calling thread's
-/// trace state (span registry, journal, profile) is put aside first
-/// and reinstated afterwards; on a panic the attempt's own partial
-/// recordings are discarded wholesale, so a panicked supernode leaves
-/// the merged trace exactly as if it had never run — deterministically,
-/// because the discarded delta is precisely the attempt's recordings
-/// and nothing else runs on this thread meanwhile. The panic payload is
-/// converted into [`NetworkError::WorkerPanic`]; the ladder never
-/// degrades past a panic (a panic is a bug or an injected fault, not
-/// back-pressure).
+/// trace store is set aside first and rejoined afterwards, keeping the
+/// attempt's own recordings only if it did not panic; a panicked
+/// supernode therefore leaves the merged trace exactly as if it had
+/// never run — deterministically, because the discarded delta is
+/// precisely the attempt's recordings and nothing else runs on this
+/// thread meanwhile. Both steps cost what the attempt recorded, not
+/// the size of the accumulated trace. The panic payload is converted
+/// into [`NetworkError::WorkerPanic`]; the ladder never degrades past a
+/// panic (a panic is a bug or an injected fault, not back-pressure).
 fn run_quarantined<T>(
     work: &Network,
     sig: SignalId,
     attempt: impl FnOnce() -> T,
 ) -> Result<T, NetworkError> {
-    let before_spans = bds_trace::take_snapshot_in_flight();
-    let before_journal = bds_trace::take_journal();
-    let before_profile = bds_trace::profile::take_profile();
+    let saved = bds_trace::set_aside();
     #[expect(
         clippy::disallowed_methods,
         reason = "the per-supernode panic quarantine is the flow's one unwind boundary"
     )]
     let outcome = catch_unwind(AssertUnwindSafe(attempt));
-    let after_spans = bds_trace::take_snapshot_in_flight();
-    let after_journal = bds_trace::take_journal();
-    let after_profile = bds_trace::profile::take_profile();
-    bds_trace::restore_snapshot(&before_spans);
-    bds_trace::absorb_journal(before_journal);
-    bds_trace::profile::restore_profile(&before_profile);
-    match outcome {
-        Ok(v) => {
-            bds_trace::restore_snapshot(&after_spans);
-            bds_trace::absorb_journal(after_journal);
-            bds_trace::profile::restore_profile(&after_profile);
-            Ok(v)
+    bds_trace::rejoin(saved, outcome.is_ok());
+    outcome.map_err(|payload| {
+        let detail = if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        NetworkError::WorkerPanic {
+            node: work.signal_name(sig).to_string(),
+            detail,
         }
-        Err(payload) => {
-            // Poison-proofing: the panicked attempt's partial trace
-            // (`after_*`) is dropped, never merged.
-            drop((after_spans, after_journal, after_profile));
-            let detail = if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(NetworkError::WorkerPanic {
-                node: work.signal_name(sig).to_string(),
-                detail,
-            })
-        }
-    }
+    })
 }
 
 /// The fault to arm for item `index` of `total` supernodes, if the
@@ -866,9 +827,9 @@ fn decompose_supernode(
 /// Distributes `items` (topo-indexed supernodes) across `jobs` scoped
 /// worker threads and returns the artifacts **in item order**. Workers
 /// claim items from a shared atomic cursor, record trace data into
-/// their own thread-local registries, and drain those registries before
-/// exiting; the coordinator re-absorbs every worker's snapshot and
-/// journal in fixed worker-index order, so the merged trace is the same
+/// their own thread-local trace stores, and drain them before exiting;
+/// the coordinator absorbs every worker's trace in fixed worker-index
+/// order, so the merged trace is the same
 /// regardless of which thread processed which item or finished first.
 ///
 /// On failure the error with the **smallest item index** is returned
@@ -886,9 +847,7 @@ fn decompose_sharded(
 ) -> Result<Vec<NodeArtifact>, NetworkError> {
     type WorkerOut = (
         Vec<(usize, Result<NodeArtifact, NetworkError>)>,
-        bds_trace::Snapshot,
-        bds_trace::Journal,
-        bds_trace::profile::Profile,
+        bds_trace::Trace,
     );
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
@@ -915,12 +874,7 @@ fn decompose_sharded(
                     // Hand the thread-local trace state to the
                     // coordinator; a worker that exits without draining
                     // would silently lose its metrics.
-                    (
-                        done,
-                        bds_trace::take_snapshot(),
-                        bds_trace::take_journal(),
-                        bds_trace::profile::take_profile(),
-                    )
+                    (done, bds_trace::take())
                 })
             })
             .collect();
@@ -936,10 +890,8 @@ fn decompose_sharded(
     let mut slots: Vec<Option<NodeArtifact>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let mut first_err: Option<(usize, NetworkError)> = None;
-    for (done, snapshot, journal, profile) in worker_outs {
-        bds_trace::absorb_snapshot(&snapshot);
-        bds_trace::absorb_journal(journal);
-        bds_trace::profile::absorb_profile(&profile);
+    for (done, trace) in worker_outs {
+        bds_trace::absorb(trace);
         for (i, r) in done {
             match r {
                 Ok(artifact) => slots[i] = Some(artifact),

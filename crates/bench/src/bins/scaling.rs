@@ -52,13 +52,14 @@ fn time_flows(name: String, net: &Network, flow: &FlowParams) -> Result<Point, S
     let t1 = Stopwatch::start();
     optimize(net, flow).map_err(|e| format!("bds flow failed: {e}"))?;
     let bds = t1.seconds();
+    let drained = bds_trace::take();
     Ok(Point {
         name,
         sis,
         bds,
-        trace: bds_trace::take_snapshot(),
-        journal: bds_trace::take_journal(),
-        profile: bds_trace::profile::take_profile(),
+        trace: drained.snapshot,
+        journal: drained.journal,
+        profile: drained.profile,
     })
 }
 

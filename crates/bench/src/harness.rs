@@ -98,14 +98,15 @@ pub fn run_both(
     // above and verification below stays outside the window).
     bds_trace::reset();
     let (bds_net, bds_report) = optimize(net, flow_params).expect("bds flow");
-    let trace = bds_trace::take_snapshot();
-    // Drained after the snapshot: journal timestamps share one epoch
-    // across circuits, so stitched exports stay globally ordered.
-    let journal = bds_trace::take_journal();
-    // Taken before verification, so the verifier's BDD traffic stays
-    // out: effort-tick samples from the flow only, byte-identical at
-    // any `jobs` count.
-    let profile = bds_trace::profile::take_profile();
+    // Drained before verification, so the verifier's BDD traffic stays
+    // out of the profile: effort-tick samples from the flow only,
+    // byte-identical at any `jobs` count. Journal timestamps share one
+    // epoch across circuits, so stitched exports stay globally ordered.
+    let bds_trace::Trace {
+        snapshot: trace,
+        journal,
+        profile,
+    } = bds_trace::take();
     let bds_mapped = mapped(&bds_net, &lib);
     let bds_stats = bds_net.stats();
 

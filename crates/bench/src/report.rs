@@ -313,8 +313,10 @@ pub fn finish_observability(
         }
         if stitched.dropped > 0 {
             eprintln!(
-                "{bench}: note: journal ring evicted {} event(s); raise the capacity for a full trace",
-                stitched.dropped
+                "{bench}: note: journal ring evicted {} event(s); each circuit's trace keeps \
+                 only its newest {} events",
+                stitched.dropped,
+                bds_trace::DEFAULT_JOURNAL_CAPACITY
             );
         }
         let doc = bds_trace::export::perfetto_trace(&stitched);

@@ -178,7 +178,6 @@ mod tests {
                 ev(4_000, EventKind::SpanExit, "flow"),
             ],
             dropped: 0,
-            capacity: 16,
         };
         let trace = perfetto_trace(&journal);
         assert_eq!(
@@ -205,7 +204,6 @@ mod tests {
                 ev(3_000, EventKind::Instant, "mark"),
             ],
             dropped: 1,
-            capacity: 2,
         };
         let trace = perfetto_trace(&journal);
         let ph = phases(&trace);
@@ -238,7 +236,6 @@ mod tests {
                 ],
             }],
             dropped: 0,
-            capacity: 16,
         };
         let trace = perfetto_trace(&journal);
         let rec = &trace.as_arr().unwrap()[0];

@@ -6,12 +6,13 @@
 //! every `event!` call — and, transparently, every span enter/exit —
 //! appends an [`Event`] carrying a monotonic timestamp, the recording
 //! thread, a kind string and free-form `key = value` fields. The buffer
-//! is a fixed-capacity ring (default [`DEFAULT_JOURNAL_CAPACITY`]):
-//! when full, the **oldest** events are evicted and counted in
-//! [`Journal::dropped`], so a runaway workload can never exhaust memory.
+//! is a ring of [`DEFAULT_JOURNAL_CAPACITY`] events: when full, the
+//! **oldest** events are evicted and counted in [`Journal::dropped`], so
+//! a runaway workload can never exhaust memory.
 //!
-//! Like the registry, the journal is thread-local (events recorded on
-//! sibling threads land in *their* journals) and always compiled; the
+//! Like the registry, the journal is part of the thread-local store
+//! (events recorded on sibling threads land in *their* journals until
+//! absorbed) and always compiled; the
 //! `event!` macro expands to a no-op unless the `enabled` feature is on,
 //! so default builds pay nothing at the instrumented call sites.
 //!
@@ -21,12 +22,10 @@
 //! globally ordered timeline, which is what the Perfetto exporter
 //! ([`crate::export::perfetto_trace`]) needs.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// Default ring capacity: 64k events (~4 MiB at typical field counts).
+/// Journal ring capacity: each thread keeps its newest 64k events
+/// (~4 MiB at typical field counts) between drains.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 64 * 1024;
 
 /// One typed field value attached to an [`Event`].
@@ -110,7 +109,7 @@ pub enum EventKind {
 /// One journal entry: a timestamped, typed observation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
-    /// Nanoseconds since the thread's journal epoch (first use).
+    /// Nanoseconds since the thread's journal epoch (first trace use).
     pub ts_ns: u64,
     /// Small sequential id of the recording thread (process-unique).
     pub thread: u64,
@@ -123,15 +122,14 @@ pub struct Event {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
-/// A drained copy of the thread's journal, returned by [`take_journal`].
+/// A drained copy of a thread's journal (the `journal` of a
+/// [`crate::Trace`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Journal {
     /// Events in recording order (oldest first).
     pub events: Vec<Event>,
     /// Events evicted by the ring since the journal was last drained.
     pub dropped: u64,
-    /// Ring capacity that was in force while recording.
-    pub capacity: usize,
 }
 
 impl Journal {
@@ -146,58 +144,30 @@ impl Journal {
     pub fn extend(&mut self, other: Journal) {
         self.events.extend(other.events);
         self.dropped += other.dropped;
-        self.capacity = self.capacity.max(other.capacity);
-    }
-
-    /// Interleaves another journal's events into this one by timestamp.
-    ///
-    /// Each thread's journal clock starts at its own epoch (first use on
-    /// that thread), so cross-thread timestamps are only approximately
-    /// comparable; what this merge guarantees is that the result is
-    /// globally sorted by `ts_ns` **and** that each thread's events keep
-    /// their relative order (per-thread timestamps are monotonic, and
-    /// the sort is stable). That is exactly what the Perfetto exporter
-    /// needs: `B`/`E` records stay balanced per thread-track no matter
-    /// how worker timelines interleave.
-    pub fn merge_by_time(&mut self, other: Journal) {
-        self.events.extend(other.events);
-        self.dropped += other.dropped;
-        self.capacity = self.capacity.max(other.capacity);
-        self.events.sort_by_key(|e| e.ts_ns);
     }
 }
 
-struct Ring {
+/// The live ring: the newest [`DEFAULT_JOURNAL_CAPACITY`] events.
+pub(crate) struct Ring {
     events: VecDeque<Event>,
     dropped: u64,
+    /// Always [`DEFAULT_JOURNAL_CAPACITY`] outside the eviction tests.
     capacity: usize,
-    epoch: Instant,
-    thread: u64,
 }
 
-static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
-
-impl Ring {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the journal timestamps events against a per-thread epoch"
-    )]
-    fn new() -> Self {
+impl Default for Ring {
+    fn default() -> Self {
         Ring {
             events: VecDeque::new(),
             dropped: 0,
             capacity: DEFAULT_JOURNAL_CAPACITY,
-            epoch: Instant::now(),
-            thread: NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
+}
 
-    fn push(
-        &mut self,
-        kind: EventKind,
-        name: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) {
+impl Ring {
+    /// Appends `event`, evicting (and counting) the oldest when full.
+    pub(crate) fn push(&mut self, event: Event) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -206,124 +176,52 @@ impl Ring {
             self.events.pop_front();
             self.dropped += 1;
         }
-        // u64 nanoseconds cover ~584 years; saturate rather than wrap.
-        let ts_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.events.push_back(Event {
-            ts_ns,
-            thread: self.thread,
-            kind,
-            name,
-            fields,
-        });
+        self.events.push_back(event);
     }
-}
 
-thread_local! {
-    static RING: RefCell<Ring> = RefCell::new(Ring::new());
-}
+    /// Appends a drained journal's events, keeping their own thread ids
+    /// and timestamps; its eviction count carries over.
+    pub(crate) fn absorb(&mut self, journal: Journal) {
+        self.dropped += journal.dropped;
+        for event in journal.events {
+            self.push(event);
+        }
+    }
 
-fn with<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
-    RING.with(|r| f(&mut r.borrow_mut()))
+    pub(crate) fn into_journal(self) -> Journal {
+        Journal {
+            events: self.events.into(),
+            dropped: self.dropped,
+        }
+    }
 }
 
 /// Records one instant event into this thread's journal. Prefer the
 /// `event!` macro, which compiles to a no-op without the `enabled`
 /// feature.
 pub fn record_event(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-    with(|r| r.push(EventKind::Instant, name, fields));
-}
-
-/// Sets the ring capacity for this thread's journal (default
-/// [`DEFAULT_JOURNAL_CAPACITY`]). Shrinking evicts the oldest events
-/// immediately; `0` discards everything recorded from now on.
-pub fn set_journal_capacity(capacity: usize) {
-    with(|r| {
-        r.capacity = capacity;
-        while r.events.len() > capacity {
-            r.events.pop_front();
-            r.dropped += 1;
-        }
-    });
-}
-
-/// Number of events currently buffered on this thread.
-#[must_use]
-pub fn journal_len() -> usize {
-    with(|r| r.events.len())
-}
-
-/// Drains this thread's journal: returns all buffered events (oldest
-/// first) plus the eviction count, and leaves an empty ring with the
-/// same capacity and epoch.
-#[must_use]
-pub fn take_journal() -> Journal {
-    with(|r| {
-        let journal = Journal {
-            events: r.events.drain(..).collect(),
-            dropped: r.dropped,
-            capacity: r.capacity,
-        };
-        r.dropped = 0;
-        journal
-    })
-}
-
-/// Re-injects a drained worker [`Journal`] into **this thread's** ring,
-/// preserving each event's original thread id and timestamp (the ring's
-/// own clock and thread id are not re-stamped). The ring's capacity
-/// still applies: absorbed events evict the oldest entries when the ring
-/// is full, and `other.dropped` carries over. The sharded flow uses this
-/// so a single [`take_journal`] on the coordinating thread yields the
-/// complete multi-thread flight recording.
-pub fn absorb_journal(other: Journal) {
-    with(|r| {
-        r.dropped += other.dropped;
-        for event in other.events {
-            if r.capacity == 0 {
-                r.dropped += 1;
-                continue;
-            }
-            while r.events.len() >= r.capacity {
-                r.events.pop_front();
-                r.dropped += 1;
-            }
-            r.events.push_back(event);
-        }
-    });
-}
-
-/// Clears this thread's journal without returning it. The epoch and
-/// capacity are preserved so timestamps stay globally ordered.
-pub fn clear_journal() {
-    with(|r| {
-        r.events.clear();
-        r.dropped = 0;
-    });
-}
-
-/// Internal hook for [`crate::span_enter`].
-pub(crate) fn record_span_enter(name: &'static str) {
-    with(|r| r.push(EventKind::SpanEnter, name, Vec::new()));
-}
-
-/// Internal hook for `SpanGuard::drop`.
-pub(crate) fn record_span_exit(name: &'static str) {
-    with(|r| r.push(EventKind::SpanExit, name, Vec::new()));
+    crate::store::with(|st| st.record(EventKind::Instant, name, fields));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{absorb, reset, take, Trace};
+
+    /// Sets this thread's live ring capacity (reset restores the default).
+    fn set_capacity(capacity: usize) {
+        crate::store::with(|st| st.store.ring.capacity = capacity);
+    }
 
     #[test]
     fn events_record_in_order_with_fields() {
-        clear_journal();
+        reset();
         record_event("a", vec![("n", FieldValue::U64(1))]);
         record_event(
             "b",
             vec![("d", FieldValue::I64(-2)), ("ok", FieldValue::Bool(true))],
         );
-        let j = take_journal();
+        let j = take().journal;
         assert_eq!(j.events.len(), 2);
         assert_eq!(j.events[0].name, "a");
         assert_eq!(j.events[0].fields, vec![("n", FieldValue::U64(1))]);
@@ -331,17 +229,17 @@ mod tests {
         assert!(j.events[0].ts_ns <= j.events[1].ts_ns);
         assert_eq!(j.events[0].thread, j.events[1].thread);
         assert_eq!(j.dropped, 0);
-        assert!(take_journal().is_empty());
+        assert!(take().journal.is_empty());
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        clear_journal();
-        set_journal_capacity(4);
+        reset();
+        set_capacity(4);
         for i in 0..10u64 {
             record_event("tick", vec![("i", FieldValue::U64(i))]);
         }
-        let j = take_journal();
+        let j = take().journal;
         assert_eq!(j.events.len(), 4);
         assert_eq!(j.dropped, 6);
         let kept: Vec<u64> = j
@@ -353,18 +251,18 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
-        set_journal_capacity(DEFAULT_JOURNAL_CAPACITY);
+        reset();
     }
 
     #[test]
     fn zero_capacity_discards_everything() {
-        clear_journal();
-        set_journal_capacity(0);
+        reset();
+        set_capacity(0);
         record_event("x", Vec::new());
-        let j = take_journal();
+        let j = take().journal;
         assert!(j.events.is_empty());
         assert_eq!(j.dropped, 1);
-        set_journal_capacity(DEFAULT_JOURNAL_CAPACITY);
+        reset();
     }
 
     #[test]
@@ -383,54 +281,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_by_time_orders_across_thread_epochs() {
-        clear_journal();
-        record_event("main.first", Vec::new());
-        record_event("main.second", Vec::new());
-        let mut main = take_journal();
-        let worker = std::thread::spawn(|| {
-            record_event("worker.first", Vec::new());
-            record_event("worker.second", Vec::new());
-            take_journal()
-        })
-        .join()
-        .expect("worker panicked");
-        let worker_thread = worker.events[0].thread;
-        assert_ne!(worker_thread, main.events[0].thread);
-        main.merge_by_time(worker);
-        assert_eq!(main.events.len(), 4);
-        // Globally sorted by timestamp…
-        assert!(main.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-        // …and each thread's events keep their relative order.
-        let worker_names: Vec<&str> = main
-            .events
-            .iter()
-            .filter(|e| e.thread == worker_thread)
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(worker_names, vec!["worker.first", "worker.second"]);
-        let main_names: Vec<&str> = main
-            .events
-            .iter()
-            .filter(|e| e.thread != worker_thread)
-            .map(|e| e.name)
-            .collect();
-        assert_eq!(main_names, vec!["main.first", "main.second"]);
-    }
-
-    #[test]
     fn absorb_preserves_thread_ids_and_counts_drops() {
-        clear_journal();
+        reset();
         let worker = std::thread::spawn(|| {
             record_event("remote", vec![("i", FieldValue::U64(7))]);
-            take_journal()
+            take()
         })
         .join()
         .expect("worker panicked");
-        let remote_thread = worker.events[0].thread;
+        let remote_thread = worker.journal.events[0].thread;
         record_event("local", Vec::new());
-        absorb_journal(worker);
-        let j = take_journal();
+        absorb(worker);
+        let j = take().journal;
         assert_eq!(j.events.len(), 2);
         assert_eq!(j.events[0].name, "local");
         assert_eq!(j.events[1].name, "remote");
@@ -438,33 +300,35 @@ mod tests {
         assert_ne!(j.events[0].thread, remote_thread);
 
         // Absorbing into a full ring evicts the oldest and counts drops.
-        set_journal_capacity(1);
+        set_capacity(1);
         record_event("old", Vec::new());
-        absorb_journal(Journal {
-            events: vec![Event {
-                ts_ns: 0,
-                thread: remote_thread,
-                kind: EventKind::Instant,
-                name: "new",
-                fields: Vec::new(),
-            }],
-            dropped: 2,
-            capacity: 1,
+        absorb(Trace {
+            journal: Journal {
+                events: vec![Event {
+                    ts_ns: 0,
+                    thread: remote_thread,
+                    kind: EventKind::Instant,
+                    name: "new",
+                    fields: Vec::new(),
+                }],
+                dropped: 2,
+            },
+            ..Trace::default()
         });
-        let j = take_journal();
+        let j = take().journal;
         assert_eq!(j.events.len(), 1);
         assert_eq!(j.events[0].name, "new");
         assert_eq!(j.dropped, 3);
-        set_journal_capacity(DEFAULT_JOURNAL_CAPACITY);
+        reset();
     }
 
     #[test]
     fn journal_extend_stitches_timelines() {
-        clear_journal();
+        reset();
         record_event("first", Vec::new());
-        let mut a = take_journal();
+        let mut a = take().journal;
         record_event("second", Vec::new());
-        let b = take_journal();
+        let b = take().journal;
         a.extend(b);
         assert_eq!(a.events.len(), 2);
         assert_eq!(a.events[0].name, "first");

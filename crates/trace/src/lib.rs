@@ -6,57 +6,61 @@
 //! against the same signals. `bds-trace` collects them without dragging in
 //! external dependencies:
 //!
-//! * a **process-local registry** (one per thread) holding monotonic `u64`
-//!   counters, peak gauges (the higher value wins), and latency histograms with fixed
-//!   log2 buckets;
+//! * a **registry** (one per thread) holding monotonic `u64` counters,
+//!   peak gauges (the higher value wins), and latency histograms with
+//!   fixed log2 buckets;
 //! * **hierarchical spans** — `span!("flow.eliminate")` returns a guard
 //!   that records wall-clock time into a call tree aggregated by
 //!   `(parent, name)`;
 //! * a **flight recorder** ([`journal`]) — a bounded ring buffer of
 //!   time-ordered structured events (`event!` marks plus every span
-//!   enter/exit), drained by [`take_journal`] and exported by
-//!   [`export::perfetto_trace`] (Chrome/Perfetto trace-event JSON) and
-//!   [`export::folded_stacks`] (flamegraph folded-stack text);
+//!   enter/exit), exported by [`export::perfetto_trace`]
+//!   (Chrome/Perfetto trace-event JSON) and [`export::folded_stacks`]
+//!   (flamegraph folded-stack text);
+//! * a **deterministic sampling profiler** ([`profile`]) — effort-tick
+//!   samples of the open span path + op class, byte-identical at any
+//!   job count;
 //! * **sinks** — [`Snapshot::render_tree`] for humans and
 //!   [`Snapshot::to_json`] for `BENCH_*.json` reports, with a serde-free
 //!   parser ([`json::parse`]) so reports can be diffed and compared by the
 //!   bench `summary` tool;
 //! * a **structural gate** ([`gate`]) — exact comparison of two report
 //!   files' structural fields, shared by `bds-bench summary --compare`
-//!   and `cargo xtask perfgate` (wall time is `flowbench/`'s job);
-//! * a **deterministic sampling profiler** ([`profile`]) — effort-tick
-//!   samples of the open span path + op class, byte-identical at any
-//!   job count.
+//!   and `cargo xtask perfgate` (wall time is `flowbench/`'s job).
 //!
 //! # Feature gating
 //!
-//! The registry, snapshot, journal, and JSON machinery are always
-//! compiled (tests and the bench harness drive them directly), but the
+//! The store, snapshot, journal, and JSON machinery are always compiled
+//! (tests and the bench harness drive them directly), but the
 //! instrumentation macros — [`counter!`], [`counter_add!`], [`gauge!`],
 //! [`histogram!`], [`span!`], [`event!`] — expand to no-ops unless the
 //! `enabled` feature is on. Instrumented crates forward a `trace` feature
 //! to `bds-trace/enabled`, so a default build pays nothing on its hot
 //! paths.
 //!
-//! # Thread locality and the parallel drain protocol
+//! # One thread-local store
 //!
-//! The registry and the journal are **thread-local**: each thread
-//! accumulates into its own instance, so the hot path takes no locks and
-//! parallel tests cannot contaminate each other. The flip side is that
-//! [`take_snapshot`] and [`take_journal`] only see the calling thread's
-//! data — metrics recorded on sibling threads are **silently absent**
-//! from the result, not merged. Parallel phases (the sharded BDS flow's
-//! worker threads) bridge the gap with the explicit drain/merge API:
+//! Registry, journal and profile live together in one **thread-local**
+//! store: each thread accumulates into its own, so the hot path takes no
+//! locks and parallel tests cannot contaminate each other. What another
+//! thread records is absent here until it is moved over. Four calls move
+//! a store's contents, each in one piece:
 //!
-//! 1. each worker drains its own thread with [`take_snapshot`] /
-//!    [`drain_into`] and [`take_journal`] before it exits,
-//! 2. the coordinating thread folds the results back — in a **fixed
-//!    worker order**, so the merged output is deterministic regardless
-//!    of completion order — with [`Snapshot::merge`] /
-//!    [`Journal::merge_by_time`], or re-injects them into its own live
-//!    registry and ring with [`absorb_snapshot`] / [`absorb_journal`]
-//!    (worker spans graft under the coordinator's open span; journal
-//!    events keep their original thread ids and timestamps).
+//! * [`take`] drains the calling thread into a [`Trace`] (snapshot,
+//!   journal, profile). Workers call it before exiting; the bench
+//!   harness calls it once per circuit.
+//! * [`absorb`] merges a [`Trace`] into the live store under the
+//!   innermost open span: worker span roots and profile stacks graft
+//!   there, journal events keep their thread ids and timestamps. The
+//!   coordinator absorbs worker traces in a **fixed worker order**, so
+//!   the merged trace does not depend on thread scheduling.
+//! * [`set_aside`] moves the live store out and reopens the chain of
+//!   open spans in a fresh one, in O(open depth).
+//! * [`rejoin`] swaps the saved store back and, only when told to keep
+//!   it, merges what was recorded in between at root level — in
+//!   O(recorded). The flow's panic quarantine brackets each supernode
+//!   attempt with this pair and keeps the attempt only if it did not
+//!   panic.
 //!
 //! Counters sum, gauges keep the maximum (every gauge here is a peak),
 //! histograms add bucket-wise, and span trees merge by `(parent, name)`.
@@ -65,16 +69,21 @@
 //!
 //! ```
 //! bds_trace::reset();
+//! let worker = std::thread::spawn(|| {
+//!     let phase = bds_trace::span_enter("flow.decompose");
+//!     bds_trace::add_counter("decompose.and_dom", 3);
+//!     drop(phase);
+//!     bds_trace::take()
+//! })
+//! .join()
+//! .unwrap();
 //! {
 //!     let _flow = bds_trace::span_enter("flow");
-//!     let _phase = bds_trace::span_enter("flow.decompose");
-//!     bds_trace::add_counter("decompose.and_dom", 3);
+//!     bds_trace::absorb(worker);
 //! }
-//! let snap = bds_trace::take_snapshot();
-//! assert_eq!(snap.counter("decompose.and_dom"), Some(3));
-//! let text = snap.to_json().render();
-//! let back = bds_trace::json::parse(&text).unwrap();
-//! assert_eq!(bds_trace::Snapshot::from_json(&back), Some(snap));
+//! let trace = bds_trace::take();
+//! assert_eq!(trace.snapshot.counter("decompose.and_dom"), Some(3));
+//! assert_eq!(trace.snapshot.spans[0].children[0].name, "flow.decompose");
 //! ```
 
 #![warn(missing_docs)]
@@ -97,28 +106,16 @@ mod macros;
 pub mod profile;
 mod registry;
 mod span;
+mod store;
 
-pub use journal::{
-    absorb_journal, clear_journal, journal_len, record_event, set_journal_capacity, take_journal,
-    Event, EventKind, FieldValue, Journal, DEFAULT_JOURNAL_CAPACITY,
-};
+pub use journal::{record_event, Event, EventKind, FieldValue, Journal, DEFAULT_JOURNAL_CAPACITY};
 pub use macros::is_metric_name;
 pub use registry::{
-    absorb_snapshot, add_counter, counter_value, drain_into, record_histogram, restore_snapshot,
-    set_gauge, span_depth, take_snapshot, take_snapshot_in_flight, Histogram, Snapshot, SpanSnap,
+    add_counter, record_histogram, set_gauge, span_depth, take_snapshot, Histogram, Snapshot,
+    SpanSnap,
 };
 pub use span::{fmt_duration_ns, span_enter, NoopSpan, SpanGuard, Stopwatch};
-
-/// Clears every metric on this thread — registry (counters, gauges,
-/// histograms, spans), journal events and profiler samples alike. The
-/// journal's timestamp epoch and ring capacity survive, so events
-/// recorded after a reset still share one ordered timeline with earlier
-/// drains.
-pub fn reset() {
-    registry::reset();
-    journal::clear_journal();
-    profile::clear_profile();
-}
+pub use store::{absorb, rejoin, reset, set_aside, take, Aside, Trace};
 
 /// `true` when the crate was built with the `enabled` feature, i.e. the
 /// instrumentation macros are live rather than no-ops.

@@ -1,18 +1,10 @@
-//! Thread-local metric registry: counters, gauges, histograms, span tree.
-//!
-//! Each thread owns an independent registry, so parallel tests cannot
-//! contaminate each other's numbers and no locking sits on the hot path.
-//! Parallel phases (the sharded flow, worker pools) bridge the gap
-//! explicitly: each worker drains its own registry with [`take_snapshot`]
-//! (or [`drain_into`]) before exiting, and the coordinating thread folds
-//! the results back with [`Snapshot::merge`] or re-injects them into its
-//! live registry with [`absorb_snapshot`] — counters sum, gauges keep the
-//! maximum (every gauge in this workspace is a peak), histograms add
-//! bucket-wise, and span trees merge recursively by `(parent, name)`.
-//! Merging in a fixed worker order keeps the result deterministic
-//! regardless of thread scheduling.
+//! The aggregate half of a thread's trace: counters, gauges, log2
+//! histograms and the span call tree, plus the detached [`Snapshot`]
+//! they drain into. The live registry is one part of the thread-local
+//! store (`store.rs`); counters sum, gauges keep the maximum (every
+//! gauge in this workspace is a peak), histograms add bucket-wise, and
+//! span trees merge by `(parent, name)` when a trace is absorbed.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use crate::json::Json;
@@ -189,37 +181,6 @@ impl Snapshot {
             && self.spans.is_empty()
     }
 
-    /// Folds `other` into `self`, the cross-thread aggregation used by
-    /// the sharded flow: counters **sum** by name, gauges keep the
-    /// **maximum** (all registry gauges are peaks), histograms merge
-    /// bucket-wise, and span trees merge recursively by `(parent, name)`
-    /// — calls and nanoseconds add, children in `self`'s order with
-    /// `other`'s new names appended in their own order. Merging worker
-    /// snapshots in a fixed (worker-index) order therefore produces one
-    /// deterministic snapshot regardless of thread completion order.
-    pub fn merge(&mut self, other: &Snapshot) {
-        let mut counters: BTreeMap<String, u64> = self.counters.drain(..).collect();
-        for (name, v) in &other.counters {
-            *counters.entry(name.clone()).or_insert(0) += v;
-        }
-        self.counters = counters.into_iter().collect();
-
-        let mut gauges: BTreeMap<String, u64> = self.gauges.drain(..).collect();
-        for (name, v) in &other.gauges {
-            let slot = gauges.entry(name.clone()).or_insert(0);
-            *slot = (*slot).max(*v);
-        }
-        self.gauges = gauges.into_iter().collect();
-
-        let mut histograms: BTreeMap<String, Histogram> = self.histograms.drain(..).collect();
-        for (name, h) in &other.histograms {
-            histograms.entry(name.clone()).or_default().merge(h);
-        }
-        self.histograms = histograms.into_iter().collect();
-
-        merge_span_lists(&mut self.spans, &other.spans);
-    }
-
     /// Renders the snapshot as an indented human-readable tree.
     #[must_use]
     pub fn render_tree(&self) -> String {
@@ -258,8 +219,8 @@ impl Snapshot {
         out
     }
 
-    /// Serializes the snapshot into the report JSON shape understood by
-    /// [`Snapshot::from_json`].
+    /// Serializes the snapshot into the report JSON shape (the `trace`
+    /// section of a `bds-trace-report/v1` file).
     #[must_use]
     pub fn to_json(&self) -> Json {
         let counters = self
@@ -303,54 +264,6 @@ impl Snapshot {
             ),
         ])
     }
-
-    /// Reconstructs a snapshot from the JSON produced by
-    /// [`Snapshot::to_json`]. Returns `None` on any shape mismatch.
-    #[must_use]
-    pub fn from_json(j: &Json) -> Option<Snapshot> {
-        let mut snap = Snapshot::default();
-        for (name, v) in j.get("counters")?.entries()? {
-            snap.counters.push((name.clone(), v.as_u64()?));
-        }
-        for (name, v) in j.get("gauges")?.entries()? {
-            snap.gauges.push((name.clone(), v.as_u64()?));
-        }
-        for (name, v) in j.get("histograms")?.entries()? {
-            let mut h = Histogram {
-                count: v.get("count")?.as_u64()?,
-                sum: v.get("sum")?.as_u64()?,
-                ..Histogram::default()
-            };
-            for pair in v.get("buckets")?.as_arr()? {
-                let pair = pair.as_arr()?;
-                let idx = usize::try_from(pair.first()?.as_u64()?).ok()?;
-                if idx >= HISTOGRAM_BUCKETS {
-                    return None;
-                }
-                h.buckets[idx] = pair.get(1)?.as_u64()?;
-            }
-            snap.histograms.push((name.clone(), h));
-        }
-        for s in j.get("spans")?.as_arr()? {
-            snap.spans.push(span_from_json(s)?);
-        }
-        Some(snap)
-    }
-}
-
-/// Merges `src` span trees into `dst`: same-named siblings combine
-/// (calls and nanoseconds add, children merge recursively), new names
-/// append in `src` order.
-fn merge_span_lists(dst: &mut Vec<SpanSnap>, src: &[SpanSnap]) {
-    for s in src {
-        if let Some(d) = dst.iter_mut().find(|d| d.name == s.name) {
-            d.calls += s.calls;
-            d.total_ns = d.total_ns.saturating_add(s.total_ns);
-            merge_span_lists(&mut d.children, &s.children);
-        } else {
-            dst.push(s.clone());
-        }
-    }
 }
 
 fn render_span(s: &SpanSnap, depth: usize, out: &mut String) {
@@ -386,21 +299,6 @@ fn span_to_json(s: &SpanSnap) -> Json {
     Json::Obj(fields)
 }
 
-fn span_from_json(j: &Json) -> Option<SpanSnap> {
-    let mut s = SpanSnap {
-        name: j.get("name")?.as_str()?.to_string(),
-        calls: j.get("calls")?.as_u64()?,
-        total_ns: j.get("ns")?.as_u64()?,
-        children: Vec::new(),
-    };
-    if let Some(children) = j.get("children") {
-        for c in children.as_arr()? {
-            s.children.push(span_from_json(c)?);
-        }
-    }
-    Some(s)
-}
-
 /// Live span node: index-linked tree in a flat arena. Names are owned
 /// strings so absorbed worker snapshots (whose names arrive as `String`)
 /// and macro call sites (`&'static str`) share one arena.
@@ -412,7 +310,7 @@ struct SpanNode {
 }
 
 #[derive(Default)]
-struct Registry {
+pub(crate) struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
@@ -423,8 +321,7 @@ struct Registry {
 
 impl Registry {
     /// Finds or creates the span node `name` under `parent` (or the root
-    /// set) without touching the stack. Shared by `enter` and the
-    /// snapshot absorber.
+    /// set) without touching the stack. Shared by `enter` and `absorb`.
     fn node_under(&mut self, parent: Option<usize>, name: &str) -> usize {
         let siblings: &[usize] = match parent {
             Some(p) => &self.arena[p].children,
@@ -455,15 +352,14 @@ impl Registry {
 
     /// Finds or creates the child span `name` under the current stack
     /// top (or the root set), and makes it the new top.
-    fn enter(&mut self, name: &str) -> usize {
+    pub(crate) fn enter(&mut self, name: &str) -> usize {
         let idx = self.node_under(self.stack.last().copied(), name);
         self.stack.push(idx);
         idx
     }
 
-    /// Merges a snapshot span tree under `parent` (the innermost open
-    /// span during [`absorb_snapshot`]): calls and nanoseconds add,
-    /// children recurse.
+    /// Merges a snapshot span tree under `parent`: calls and nanoseconds
+    /// add, children recurse.
     fn absorb_span(&mut self, parent: Option<usize>, snap: &SpanSnap) {
         let idx = self.node_under(parent, &snap.name);
         self.arena[idx].calls += snap.calls;
@@ -473,11 +369,30 @@ impl Registry {
         }
     }
 
+    /// Folds a detached snapshot into this registry: counters add,
+    /// gauges keep the maximum, histograms merge, and the snapshot's
+    /// span roots merge under `parent` (or at root level).
+    pub(crate) fn absorb(&mut self, snap: &Snapshot, parent: Option<usize>) {
+        for (name, v) in &snap.counters {
+            *self.counters.entry(name.clone()).or_insert(0) += v;
+        }
+        for (name, v) in &snap.gauges {
+            let slot = self.gauges.entry(name.clone()).or_insert(0);
+            *slot = (*slot).max(*v);
+        }
+        for (name, h) in &snap.histograms {
+            self.histograms.entry(name.clone()).or_default().merge(h);
+        }
+        for s in &snap.spans {
+            self.absorb_span(parent, s);
+        }
+    }
+
     /// Records a completed span. Normally the guard being dropped sits on
-    /// top of the stack; if snapshots or resets disturbed the stack we
-    /// recover by matching the nearest enclosing span of the same name,
-    /// or re-entering it, so drops never panic and nesting stays balanced.
-    fn exit(&mut self, name: &str, ns: u64) {
+    /// top of the stack; if a reset disturbed the stack we recover by
+    /// matching the nearest enclosing span of the same name, or
+    /// re-entering it, so drops never panic and nesting stays balanced.
+    pub(crate) fn exit(&mut self, name: &str, ns: u64) {
         let idx = match self.stack.iter().rposition(|&i| self.arena[i].name == name) {
             Some(pos) => {
                 let idx = self.stack[pos];
@@ -494,6 +409,25 @@ impl Registry {
         self.arena[idx].total_ns = self.arena[idx].total_ns.saturating_add(ns);
     }
 
+    /// The innermost open span, if any.
+    pub(crate) fn open_span(&self) -> Option<usize> {
+        self.stack.last().copied()
+    }
+
+    /// Names of the open spans, outermost first.
+    pub(crate) fn open_names(&self) -> Vec<String> {
+        self.stack
+            .iter()
+            .map(|&i| self.arena[i].name.clone())
+            .collect()
+    }
+
+    /// The open span path joined with `;` (empty when none is open): the
+    /// profiler's sample key and its graft prefix.
+    pub(crate) fn open_path(&self) -> String {
+        self.open_names().join(";")
+    }
+
     fn snapshot_span(&self, idx: usize) -> SpanSnap {
         let node = &self.arena[idx];
         SpanSnap {
@@ -508,7 +442,7 @@ impl Registry {
         }
     }
 
-    fn snapshot(&self) -> Snapshot {
+    pub(crate) fn snapshot(&self) -> Snapshot {
         Snapshot {
             counters: self.counters.iter().map(|(n, &v)| (n.clone(), v)).collect(),
             gauges: self.gauges.iter().map(|(n, &v)| (n.clone(), v)).collect(),
@@ -522,12 +456,8 @@ impl Registry {
     }
 }
 
-thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
-}
-
 fn with<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    REGISTRY.with(|r| f(&mut r.borrow_mut()))
+    crate::store::with(|st| f(&mut st.store.registry))
 }
 
 /// Adds `by` to the named monotonic counter, creating it at zero first.
@@ -543,11 +473,11 @@ pub fn add_counter(name: &'static str, by: u64) {
 }
 
 /// Raises the named gauge to `value` (the higher value wins). Every
-/// gauge in this workspace is a peak, and [`Snapshot::merge`] already
-/// maxes gauges across workers — keeping the same rule *within* a
-/// thread makes a sequential run and a worker-merged run agree: two
-/// flow candidates running back-to-back on one thread record the same
-/// peak as the same candidates running on two absorbed workers.
+/// gauge in this workspace is a peak, and absorbing a worker trace
+/// already maxes gauges — keeping the same rule *within* a thread makes
+/// a sequential run and a worker-merged run agree: two flow candidates
+/// running back-to-back on one thread record the same peak as the same
+/// candidates running on two absorbed workers.
 pub fn set_gauge(name: &'static str, value: u64) {
     with(|r| {
         if let Some(v) = r.gauges.get_mut(name) {
@@ -571,12 +501,6 @@ pub fn record_histogram(name: &'static str, value: u64) {
     });
 }
 
-/// Current value of a counter (0 if never incremented). Mainly for tests.
-#[must_use]
-pub fn counter_value(name: &str) -> u64 {
-    with(|r| r.counters.get(name).copied().unwrap_or(0))
-}
-
 /// Number of currently open spans on this thread. Mainly for tests: a
 /// balanced workload must come back to the depth it started at.
 #[must_use]
@@ -584,21 +508,14 @@ pub fn span_depth() -> usize {
     with(|r| r.stack.len())
 }
 
-/// Clears every metric on this thread, including open spans. Guards that
-/// outlive a reset re-register themselves on drop (see `Registry::exit`).
-pub fn reset() {
-    with(|r| *r = Registry::default());
-}
-
-/// Copies all metrics out and clears the registry.
+/// Drains this thread's trace and returns its [`Snapshot`], discarding
+/// the journal and profile: shorthand for `take().snapshot` (see
+/// [`crate::take`]).
 ///
-/// The registry is **thread-local**: this returns only the calling
-/// thread's metrics, and anything recorded on sibling threads is
-/// silently absent (see the crate docs). A snapshot is normally taken at
-/// a quiescent point — all span guards dropped — and debug builds assert
-/// `span_depth() == 0` to catch snapshots inside an open span, where the
-/// open span would show zero completed calls. Use
-/// [`take_snapshot_in_flight`] when a mid-span capture is intentional.
+/// The store is **thread-local**: this returns only the calling
+/// thread's metrics, and anything recorded on sibling threads is absent
+/// until absorbed (see the crate docs). Debug builds assert that no span
+/// is open.
 ///
 /// ```
 /// bds_trace::reset();
@@ -617,146 +534,13 @@ pub fn reset() {
 /// ```
 #[must_use]
 pub fn take_snapshot() -> Snapshot {
-    debug_assert_eq!(
-        span_depth(),
-        0,
-        "take_snapshot inside an open span; drop the guards first or use \
-         take_snapshot_in_flight"
-    );
-    take_snapshot_in_flight()
-}
-
-/// Like [`take_snapshot`], but explicitly allowed while spans are open:
-/// the chain of open spans is preserved in the cleared registry (with
-/// zeroed timings) so in-flight guards keep recording into a consistent
-/// tree. The open spans appear in the snapshot with zero completed calls.
-#[must_use]
-pub fn take_snapshot_in_flight() -> Snapshot {
-    with(|r| {
-        let snap = r.snapshot();
-        let chain: Vec<String> = r.stack.iter().map(|&i| r.arena[i].name.clone()).collect();
-        *r = Registry::default();
-        for name in chain {
-            r.enter(&name);
-        }
-        snap
-    })
-}
-
-/// Drains this thread's registry and folds it into `target` via
-/// [`Snapshot::merge`]. This is the worker-side half of the parallel
-/// drain protocol: a worker thread calls `drain_into` (or
-/// [`take_snapshot`]) before exiting, and the coordinator merges or
-/// [`absorb_snapshot`]s the result in a deterministic worker order.
-/// Debug builds assert all span guards are dropped, as in
-/// [`take_snapshot`].
-pub fn drain_into(target: &mut Snapshot) {
-    target.merge(&take_snapshot());
-}
-
-/// Folds a detached [`Snapshot`] into **this thread's live registry**:
-/// counters add, gauges keep the maximum, histograms merge, and the
-/// snapshot's span roots graft under the innermost span currently open
-/// on this thread (or become roots when none is open). This is how the
-/// sharded flow stitches worker metrics back so a later
-/// [`take_snapshot`] on the coordinating thread sees one combined tree,
-/// with worker phase spans nested under the coordinator's flow span
-/// exactly as in a sequential run.
-pub fn absorb_snapshot(snap: &Snapshot) {
-    with(|r| {
-        for (name, v) in &snap.counters {
-            if let Some(slot) = r.counters.get_mut(name) {
-                *slot += v;
-            } else {
-                r.counters.insert(name.clone(), *v);
-            }
-        }
-        for (name, v) in &snap.gauges {
-            if let Some(slot) = r.gauges.get_mut(name) {
-                *slot = (*slot).max(*v);
-            } else {
-                r.gauges.insert(name.clone(), *v);
-            }
-        }
-        for (name, h) in &snap.histograms {
-            if let Some(slot) = r.histograms.get_mut(name) {
-                slot.merge(h);
-            } else {
-                r.histograms.insert(name.clone(), *h);
-            }
-        }
-        let parent = r.stack.last().copied();
-        for s in &snap.spans {
-            r.absorb_span(parent, s);
-        }
-    });
-}
-
-/// Restores a snapshot previously taken with [`take_snapshot_in_flight`]
-/// back into this thread's live registry: counters add, gauges keep the
-/// maximum, histograms merge, and the snapshot's span roots merge **at
-/// root level** (by name, as [`Snapshot::merge`] would).
-///
-/// This is the inverse of [`take_snapshot_in_flight`] and differs from
-/// [`absorb_snapshot`] exactly there: `absorb_snapshot` grafts the
-/// snapshot under the innermost *open* span, which would nest the
-/// snapshot's own open-chain placeholder (e.g. a zero-call `flow` root)
-/// under the live `flow` span, doubling the chain. The flow layer's panic
-/// quarantine uses `restore_snapshot` to put aside and deterministically
-/// reinstate the coordinator's metrics around a `catch_unwind`, so a
-/// panicked supernode's partial trace can be discarded without poisoning
-/// the surrounding tree.
-pub fn restore_snapshot(snap: &Snapshot) {
-    with(|r| {
-        for (name, v) in &snap.counters {
-            if let Some(slot) = r.counters.get_mut(name) {
-                *slot += v;
-            } else {
-                r.counters.insert(name.clone(), *v);
-            }
-        }
-        for (name, v) in &snap.gauges {
-            if let Some(slot) = r.gauges.get_mut(name) {
-                *slot = (*slot).max(*v);
-            } else {
-                r.gauges.insert(name.clone(), *v);
-            }
-        }
-        for (name, h) in &snap.histograms {
-            if let Some(slot) = r.histograms.get_mut(name) {
-                slot.merge(h);
-            } else {
-                r.histograms.insert(name.clone(), *h);
-            }
-        }
-        for s in &snap.spans {
-            r.absorb_span(None, s);
-        }
-    });
-}
-
-/// Names of the currently open spans on this thread, outermost first.
-/// The profiler uses this to attribute an effort-tick sample to the
-/// live span path.
-pub(crate) fn open_span_path() -> Vec<String> {
-    with(|r| r.stack.iter().map(|&i| r.arena[i].name.clone()).collect())
-}
-
-/// Internal hook for `SpanGuard`.
-pub(crate) fn enter_named(name: &'static str) {
-    with(|r| {
-        r.enter(name);
-    });
-}
-
-/// Internal hook for `SpanGuard::drop`.
-pub(crate) fn exit_named(name: &'static str, ns: u64) {
-    with(|r| r.exit(name, ns));
+    crate::take().snapshot
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reset;
 
     #[test]
     fn histogram_buckets_are_log2() {
@@ -825,52 +609,20 @@ mod tests {
     fn snapshot_preserves_open_span_chain() {
         reset();
         let outer = crate::span_enter("outer");
-        let first = take_snapshot_in_flight();
-        // `outer` had not finished, so it appears with zero completed calls.
-        assert_eq!(first.spans[0].calls, 0);
+        // Setting the state aside keeps the open chain live…
+        let first = crate::set_aside();
+        assert_eq!(span_depth(), 1);
         {
             let _inner = crate::span_enter("inner");
         }
+        crate::rejoin(first, true);
+        // …so the work in between nests under the guard opened before it.
         drop(outer);
         let second = take_snapshot();
+        assert_eq!(second.spans.len(), 1);
         assert_eq!(second.spans[0].name, "outer");
         assert_eq!(second.spans[0].calls, 1);
         assert_eq!(second.spans[0].children[0].name, "inner");
-        assert_eq!(span_depth(), 0);
-    }
-
-    #[test]
-    fn restore_inverts_take_snapshot_in_flight() {
-        reset();
-        let outer = crate::span_enter("outer");
-        add_counter("before", 1);
-        // Put the registry aside mid-span, as the flow quarantine does…
-        let saved = take_snapshot_in_flight();
-        // …do some work that will be discarded…
-        add_counter("discarded", 99);
-        {
-            let _junk = crate::span_enter("junk");
-        }
-        let _ = take_snapshot_in_flight();
-        // …and reinstate. The open `outer` chain must merge with the saved
-        // root-level `outer` placeholder instead of nesting under it.
-        restore_snapshot(&saved);
-        {
-            let _inner = crate::span_enter("inner");
-        }
-        drop(outer);
-        let snap = take_snapshot();
-        assert_eq!(snap.counter("before"), Some(1));
-        assert_eq!(snap.counter("discarded"), None);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].name, "outer");
-        assert_eq!(snap.spans[0].calls, 1);
-        let children: Vec<&str> = snap.spans[0]
-            .children
-            .iter()
-            .map(|c| c.name.as_str())
-            .collect();
-        assert_eq!(children, vec!["inner"], "no doubled `outer` chain");
         assert_eq!(span_depth(), 0);
     }
 
@@ -882,7 +634,6 @@ mod tests {
         set_gauge("g", 7);
         set_gauge("g", 9);
         record_histogram("h", 100);
-        assert_eq!(counter_value("a"), 5);
         let snap = take_snapshot();
         assert_eq!(snap.counter("a"), Some(5));
         assert_eq!(snap.gauge("g"), Some(9));
@@ -890,9 +641,21 @@ mod tests {
         assert!(take_snapshot().is_empty());
     }
 
+    /// Absorbs `parts` in order into an empty store and drains it.
+    fn absorbed(parts: &[Snapshot]) -> Snapshot {
+        reset();
+        for p in parts {
+            crate::absorb(crate::Trace {
+                snapshot: p.clone(),
+                ..crate::Trace::default()
+            });
+        }
+        take_snapshot()
+    }
+
     #[test]
     fn snapshot_merge_sums_counters_and_maxes_gauges() {
-        let mut a = Snapshot {
+        let a = Snapshot {
             counters: vec![("x".into(), 2), ("y".into(), 1)],
             gauges: vec![("peak".into(), 10)],
             ..Snapshot::default()
@@ -902,14 +665,14 @@ mod tests {
             gauges: vec![("peak".into(), 4), ("other".into(), 9)],
             ..Snapshot::default()
         };
-        a.merge(&b);
-        assert_eq!(a.counter("x"), Some(5));
-        assert_eq!(a.counter("y"), Some(1));
-        assert_eq!(a.counter("z"), Some(7));
-        assert_eq!(a.gauge("peak"), Some(10));
-        assert_eq!(a.gauge("other"), Some(9));
+        let merged = absorbed(&[a, b]);
+        assert_eq!(merged.counter("x"), Some(5));
+        assert_eq!(merged.counter("y"), Some(1));
+        assert_eq!(merged.counter("z"), Some(7));
+        assert_eq!(merged.gauge("peak"), Some(10));
+        assert_eq!(merged.gauge("other"), Some(9));
         // Names stay sorted so merged reports render deterministically.
-        let names: Vec<&str> = a.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["x", "y", "z"]);
     }
 
@@ -942,7 +705,7 @@ mod tests {
                 children: Vec::new(),
             }],
         };
-        let mut a = Snapshot {
+        let a = Snapshot {
             spans: vec![tree(2)],
             ..Snapshot::default()
         };
@@ -958,55 +721,34 @@ mod tests {
             ],
             ..Snapshot::default()
         };
-        a.merge(&b);
-        assert_eq!(a.spans.len(), 2);
-        assert_eq!(a.spans[0].calls, 5);
-        assert_eq!(a.spans[0].total_ns, 20);
-        assert_eq!(a.spans[0].children[0].calls, 5);
-        assert_eq!(a.spans[1].name, "flow.reorder");
-    }
-
-    #[test]
-    fn drain_into_collects_worker_threads() {
-        reset();
-        let mut merged = Snapshot::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    scope.spawn(|| {
-                        add_counter("work.items", 2);
-                        let mut out = Snapshot::default();
-                        drain_into(&mut out);
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                merged.merge(&h.join().expect("worker panicked"));
-            }
-        });
-        assert_eq!(merged.counter("work.items"), Some(6));
-        // The coordinating thread's own registry was never touched.
-        assert_eq!(counter_value("work.items"), 0);
+        let merged = absorbed(&[a, b]);
+        assert_eq!(merged.spans.len(), 2);
+        assert_eq!(merged.spans[0].calls, 5);
+        assert_eq!(merged.spans[0].total_ns, 20);
+        assert_eq!(merged.spans[0].children[0].calls, 5);
+        assert_eq!(merged.spans[1].name, "flow.reorder");
     }
 
     #[test]
     fn absorb_snapshot_grafts_under_open_span() {
         reset();
-        let worker = Snapshot {
-            counters: vec![("w.steps".into(), 4)],
-            spans: vec![SpanSnap {
-                name: "flow.build".into(),
-                calls: 4,
-                total_ns: 40,
-                children: Vec::new(),
-            }],
-            ..Snapshot::default()
+        let worker = crate::Trace {
+            snapshot: Snapshot {
+                counters: vec![("w.steps".into(), 4)],
+                spans: vec![SpanSnap {
+                    name: "flow.build".into(),
+                    calls: 4,
+                    total_ns: 40,
+                    children: Vec::new(),
+                }],
+                ..Snapshot::default()
+            },
+            ..crate::Trace::default()
         };
         {
             let _flow = crate::span_enter("flow");
-            absorb_snapshot(&worker);
-            absorb_snapshot(&worker);
+            crate::absorb(worker.clone());
+            crate::absorb(worker);
         }
         let snap = take_snapshot();
         assert_eq!(snap.counter("w.steps"), Some(8));

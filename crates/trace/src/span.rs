@@ -6,7 +6,8 @@
 
 use std::time::Instant;
 
-use crate::{journal, registry};
+use crate::journal::EventKind;
+use crate::store;
 
 /// RAII guard for an open span: records elapsed wall-clock time into the
 /// registry's span tree when dropped. Created by [`span_enter`] or the
@@ -23,8 +24,10 @@ pub struct SpanGuard {
 /// each land in the flight-recorder journal as timestamped events.
 #[expect(clippy::disallowed_methods, reason = "spans measure wall time")]
 pub fn span_enter(name: &'static str) -> SpanGuard {
-    registry::enter_named(name);
-    journal::record_span_enter(name);
+    store::with(|st| {
+        st.store.registry.enter(name);
+        st.record(EventKind::SpanEnter, name, Vec::new());
+    });
     SpanGuard {
         name,
         start: Instant::now(),
@@ -35,8 +38,10 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         // u64 nanoseconds cover ~584 years; saturate rather than wrap.
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        registry::exit_named(self.name, ns);
-        journal::record_span_exit(self.name);
+        store::with(|st| {
+            st.store.registry.exit(self.name, ns);
+            st.record(EventKind::SpanExit, self.name, Vec::new());
+        });
     }
 }
 

@@ -1,8 +1,8 @@
 //! Integration tests for the flight-recorder journal and its exporters.
 //!
-//! * Ring wraparound — a seeded property test drives random
-//!   capacity/load combinations and checks the ring always keeps exactly
-//!   the newest events, in order, with an exact eviction count.
+//! * Ring wraparound — a seeded property test pushes a random number of
+//!   events around the ring's fixed capacity and checks it always keeps
+//!   exactly the newest events, in order, with an exact eviction count.
 //! * Perfetto golden — a hand-built journal (including field values that
 //!   need JSON string escaping) renders to trace-event JSON that the
 //!   hand-rolled parser accepts back, with balanced `B`/`E` records.
@@ -15,25 +15,21 @@
 use bds_prop::{check_cases, Rng};
 use bds_trace::export::{folded_stacks, perfetto_trace};
 use bds_trace::json::{parse, Json};
-use bds_trace::{
-    clear_journal, record_event, set_journal_capacity, take_journal, Event, EventKind, FieldValue,
-    Journal, DEFAULT_JOURNAL_CAPACITY,
-};
+use bds_trace::{record_event, Event, EventKind, FieldValue, Journal, DEFAULT_JOURNAL_CAPACITY};
 
-/// Random capacity, random load: the ring keeps exactly the newest
-/// `min(pushed, capacity)` events in recording order, counts every
-/// eviction, and timestamps never run backwards.
+/// Random load around the fixed capacity: the ring keeps exactly the
+/// newest `min(pushed, capacity)` events in recording order, counts
+/// every eviction, and timestamps never run backwards.
 #[test]
 fn ring_wraparound_keeps_newest_events() {
-    check_cases("journal-wraparound", 48, |rng: &mut Rng| {
-        clear_journal();
-        let capacity = rng.range_usize(1..32);
-        set_journal_capacity(capacity);
-        let pushed = rng.range_usize(0..96);
+    let capacity = DEFAULT_JOURNAL_CAPACITY;
+    check_cases("journal-wraparound", 8, |rng: &mut Rng| {
+        bds_trace::reset();
+        let pushed = capacity - 64 + rng.range_usize(0..192);
         for i in 0..pushed {
             record_event("tick", vec![("i", FieldValue::from(i))]);
         }
-        let journal = take_journal();
+        let journal = bds_trace::take().journal;
         assert_eq!(journal.events.len(), pushed.min(capacity));
         assert_eq!(journal.dropped, pushed.saturating_sub(capacity) as u64);
         let first_kept = pushed - journal.events.len();
@@ -43,7 +39,6 @@ fn ring_wraparound_keeps_newest_events() {
                 assert!(journal.events[k - 1].ts_ns <= e.ts_ns, "timestamps ordered");
             }
         }
-        set_journal_capacity(DEFAULT_JOURNAL_CAPACITY);
     });
 }
 
@@ -97,7 +92,6 @@ fn perfetto_export_escapes_strings_and_balances_spans() {
             },
         ],
         dropped: 0,
-        capacity: 16,
     };
     let text = perfetto_trace(&journal).render();
     let back = parse(&text).expect("exporter output is valid JSON");
@@ -163,16 +157,16 @@ fn folded_stacks_emit_one_line_per_live_leaf() {
     }
 }
 
-/// Real span guards drained through `take_journal` export balanced
-/// streams too (not just hand-built journals).
+/// Real span guards drained through `take` export balanced streams
+/// too (not just hand-built journals).
 #[test]
 fn span_guards_produce_balanced_perfetto_stream() {
-    clear_journal();
+    bds_trace::reset();
     {
         let _outer = bds_trace::span_enter("outer");
         let _inner = bds_trace::span_enter("inner");
     }
-    let journal = take_journal();
+    let journal = bds_trace::take().journal;
     // Guards always feed the journal (the machinery is not gated), so
     // two enters and two exits must have been recorded.
     assert_eq!(journal.events.len(), 4);

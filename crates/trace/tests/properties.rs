@@ -4,16 +4,26 @@
 //!   always-on [`bds_bdd::OpStats`] only ever grow while random BDD op
 //!   sequences run.
 //! * Span nesting balance — arbitrarily nested span guards always return
-//!   the registry to depth zero, and snapshots taken mid-flight keep the
-//!   open chain intact.
-//! * JSON round-trip — every snapshot survives `to_json` → `render` →
-//!   `parse` → `from_json` (the same hand-rolled parser the bench
-//!   `summary --compare` mode uses), including a fixed golden report.
+//!   the registry to depth zero, and setting the store aside mid-flight
+//!   keeps the open chain intact.
+//! * JSON round-trip — every snapshot's JSON survives `render` → `parse`
+//!   (the same hand-rolled parser the bench `summary --compare` mode
+//!   uses), including a fixed golden report.
+//! * Absorb algebra — absorbing snapshots is commutative and associative.
 
 use bds_bdd::{Edge, Manager};
 use bds_prop::{check_cases, Rng};
 use bds_trace::json::{parse, Json};
-use bds_trace::{add_counter, counter_value, record_histogram, set_gauge, Snapshot};
+use bds_trace::{add_counter, record_histogram, set_gauge, Snapshot, Trace};
+
+/// Reads a counter without disturbing the store: with no span open,
+/// `take` followed by `absorb` of the same trace leaves it as it was.
+fn peek_counter(name: &str) -> u64 {
+    let trace = bds_trace::take();
+    let value = trace.snapshot.counter(name).unwrap_or(0);
+    bds_trace::absorb(trace);
+    value
+}
 
 /// Drives a random sequence of BDD operations, asserting after every
 /// step that both the trace counters and the manager's op counters are
@@ -50,7 +60,7 @@ fn counters_are_monotone_across_random_bdd_ops() {
             assert!(ops.unique_hits >= last_ops.unique_hits);
             last_ops = ops;
 
-            let registry = counter_value("prop.ite_calls");
+            let registry = peek_counter("prop.ite_calls");
             assert!(registry >= last_registry, "registry counter regressed");
             last_registry = registry;
         }
@@ -79,22 +89,22 @@ fn span_nesting_always_balances() {
             }
             assert_eq!(bds_trace::span_depth(), guards.len());
         }
-        // A snapshot taken with spans still open must report the open
-        // chain without disturbing it. (The plain `take_snapshot` debug-
-        // asserts depth 0; the `_in_flight` variant is the sanctioned
-        // mid-span capture.)
+        // Setting the store aside with spans still open must keep the
+        // open chain live, and rejoining must not disturb it.
         let depth_before = bds_trace::span_depth();
-        let snap = bds_trace::take_snapshot_in_flight();
+        let saved = bds_trace::set_aside();
         assert_eq!(bds_trace::span_depth(), depth_before);
-        if depth_before > 0 {
-            assert!(!snap.spans.is_empty());
-        }
+        bds_trace::rejoin(saved, true);
+        assert_eq!(bds_trace::span_depth(), depth_before);
         guards.clear();
         assert_eq!(bds_trace::span_depth(), 0);
+        if depth_before > 0 {
+            assert!(!bds_trace::take_snapshot().spans.is_empty());
+        }
     });
 }
 
-/// Random snapshots survive the full JSON round trip bit-for-bit.
+/// Random snapshots' JSON survives render → parse bit-for-bit.
 #[test]
 fn snapshot_json_round_trips_randomly() {
     const NAMES: [&str; 6] = ["flow", "flow.build", "bdd.sift", "net.sweep", "x", "y"];
@@ -127,10 +137,11 @@ fn snapshot_json_round_trips_randomly() {
             }
         }
         guards.clear();
-        let snap = bds_trace::take_snapshot();
-        let text = snap.to_json().render();
+        let json = bds_trace::take_snapshot().to_json();
+        let text = json.render();
         let parsed = parse(&text).expect("rendered snapshot JSON parses");
-        assert_eq!(Snapshot::from_json(&parsed), Some(snap));
+        assert_eq!(parsed.render(), text);
+        assert_eq!(parsed, json);
     });
 }
 
@@ -163,9 +174,10 @@ fn random_snapshot(rng: &mut Rng) -> Snapshot {
 }
 
 /// Sorts sibling spans by name, recursively. Span *values* merge keyed
-/// by `(parent, name)`, but sibling *order* is first-entered (self's
-/// order, then other's new names), so comparing merges from different
-/// operand orders needs an order-insensitive view.
+/// by `(parent, name)`, but sibling *order* is first-entered (the first
+/// absorbed trace's order, then later traces' new names), so comparing
+/// merges from different operand orders needs an order-insensitive
+/// view.
 fn canonicalize_spans(spans: &mut [bds_trace::SpanSnap]) {
     for s in spans.iter_mut() {
         canonicalize_spans(&mut s.children);
@@ -178,13 +190,19 @@ fn canonical(mut snap: Snapshot) -> Snapshot {
     snap
 }
 
+/// Absorbs `a` then `b` into an empty store and drains it.
 fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {
-    let mut out = a.clone();
-    out.merge(b);
-    out
+    bds_trace::reset();
+    for s in [a, b] {
+        bds_trace::absorb(Trace {
+            snapshot: s.clone(),
+            ..Trace::default()
+        });
+    }
+    bds_trace::take_snapshot()
 }
 
-/// `Snapshot::merge` is commutative and associative up to sibling-span
+/// Absorbing snapshots is commutative and associative up to sibling-span
 /// order: counters sum, gauges keep the max, histograms add bucket-wise
 /// and span trees merge keyed by `(parent, name)`. This is what makes
 /// the sharded flow's fixed-worker-order fold deterministic — any
@@ -274,15 +292,28 @@ fn golden_report_parses_to_expected_values() {
             .and_then(Json::as_u64),
         Some(14)
     );
-    // The trace section is a full Snapshot: decode it and walk the tree.
-    let snap =
-        Snapshot::from_json(c.get("trace").expect("trace section")).expect("trace section decodes");
-    assert_eq!(snap.counter("decompose.xnor_dom"), Some(14));
-    assert_eq!(snap.spans.len(), 1);
-    assert_eq!(snap.spans[0].name, "flow");
-    assert_eq!(snap.spans[0].total_ns, 12_500_000);
-    assert_eq!(snap.spans[0].children[0].name, "flow.decompose");
+    // The trace section is a snapshot's JSON: walk the span tree.
+    let trace = c.get("trace").expect("trace section");
+    assert_eq!(
+        trace
+            .get("counters")
+            .and_then(|t| t.get("decompose.xnor_dom"))
+            .and_then(Json::as_u64),
+        Some(14)
+    );
+    let spans = trace.get("spans").and_then(Json::as_arr).expect("spans");
+    assert_eq!(spans.len(), 1);
+    assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("flow"));
+    assert_eq!(spans[0].get("ns").and_then(Json::as_u64), Some(12_500_000));
+    let children = spans[0]
+        .get("children")
+        .and_then(Json::as_arr)
+        .expect("children");
+    assert_eq!(
+        children[0].get("name").and_then(Json::as_str),
+        Some("flow.decompose")
+    );
     // Re-render → re-parse: the round trip is stable.
-    let again = parse(&snap.to_json().render()).expect("re-parses");
-    assert_eq!(Snapshot::from_json(&again), Some(snap));
+    let again = parse(&doc.render()).expect("re-parses");
+    assert_eq!(again, doc);
 }

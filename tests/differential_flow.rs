@@ -207,6 +207,7 @@ fn three_jobs4_runs_are_byte_identical() {
         ("csel8".into(), carry_select_adder(8, 2)),
         ("ecc16".into(), hamming_encoder(16)),
         ("m4x4".into(), multiplier(4, 4)),
+        ("bshift64".into(), barrel_shifter(64)),
     ];
     for (name, net) in suite {
         let mut blifs: Vec<String> = Vec::new();
@@ -249,14 +250,15 @@ fn jobs1_and_jobs4_profiles_are_byte_identical() {
         ("csel8".into(), carry_select_adder(8, 2)),
         ("ecc16".into(), hamming_encoder(16)),
         ("m4x4".into(), multiplier(4, 4)),
+        ("bshift64".into(), barrel_shifter(64)),
     ];
     for (name, net) in suite {
         bds_trace::reset();
         let _ = optimize(&net, &params(1)).unwrap();
-        let seq = bds_trace::profile::take_profile();
+        let seq = bds_trace::take().profile;
         bds_trace::reset();
         let _ = optimize(&net, &params(4)).unwrap();
-        let par = bds_trace::profile::take_profile();
+        let par = bds_trace::take().profile;
         assert_eq!(
             seq.to_json().render(),
             par.to_json().render(),

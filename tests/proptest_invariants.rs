@@ -16,6 +16,8 @@ use bds_repro::core::factor_tree::FactorForest;
 use bds_repro::network::verify::{verify, Verdict};
 use bds_repro::network::{blif, EliminateParams, Network};
 use bds_repro::sop::{factor::factor, Cover, Cube};
+use bds_trace::profile::Profile;
+use bds_trace::{EventKind, SpanGuard, SpanSnap, Trace};
 
 const NVARS: usize = 5;
 const CASES: u32 = 64;
@@ -323,19 +325,20 @@ fn random_net(prog: &[(u8, u8, bool)], seed: u64) -> Network {
 }
 
 // ---------------------------------------------------------------------------
-// Trace registry: the mid-flight capture protocol
+// Trace store: the quarantine protocol
 // ---------------------------------------------------------------------------
 
-/// One step of a random registry workload: open a span, close the
-/// innermost one, or record a counter/gauge/histogram value.
-type RegistryOp = (u8, u32, u64);
+/// One step of a random trace workload: open a span, close the
+/// innermost one, record a counter/gauge/histogram value, a journal
+/// event or a profiler sample.
+type TraceOp = (u8, u32, u64);
 
-fn random_registry_program(rng: &mut Rng) -> Vec<RegistryOp> {
+fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
     let len = rng.range_usize(1..24);
     (0..len)
         .map(|_| {
             (
-                rng.range_u32(0..5) as u8,
+                rng.range_u32(0..7) as u8,
                 rng.next_u64() as u32,
                 rng.range_u64(0..100),
             )
@@ -343,20 +346,27 @@ fn random_registry_program(rng: &mut Rng) -> Vec<RegistryOp> {
         .collect()
 }
 
-/// Wall-clock-free projection of a snapshot: counters, gauges, histogram
-/// totals, and span call counts by path, sorted. Two runs of the same
-/// program agree on this even though their span timings differ. The
-/// sort matters for the spans: the tree merges by `(parent, name)`, so
-/// sibling *order* is insertion-dependent (a re-opened chain root lands
-/// first) and deliberately outside the round-trip contract.
-fn registry_view(snap: &bds_trace::Snapshot) -> Vec<(String, u64)> {
-    fn spans(prefix: &str, nodes: &[bds_trace::SpanSnap], out: &mut Vec<(String, u64)>) {
+/// Wall-clock-free projection of a drained trace: counters, gauges,
+/// histogram totals and span call counts by path (in tree order), the
+/// journal's event names and kinds plus its eviction count, and the
+/// profile. Two runs of the same program agree on this even though
+/// their span timings and event timestamps differ.
+type TraceView = (
+    Vec<(String, u64)>,
+    Vec<(&'static str, EventKind)>,
+    u64,
+    Profile,
+);
+
+fn trace_view(trace: Trace) -> TraceView {
+    fn spans(prefix: &str, nodes: &[SpanSnap], out: &mut Vec<(String, u64)>) {
         for s in nodes {
             let path = format!("{prefix};{}", s.name);
             out.push((path.clone(), s.calls));
             spans(&path, &s.children, out);
         }
     }
+    let snap = &trace.snapshot;
     let mut view: Vec<(String, u64)> = Vec::new();
     for (name, v) in &snap.counters {
         view.push((format!("counter:{name}"), *v));
@@ -368,64 +378,109 @@ fn registry_view(snap: &bds_trace::Snapshot) -> Vec<(String, u64)> {
         view.push((format!("histogram:{name}"), h.count));
     }
     spans("span", &snap.spans, &mut view);
-    view.sort();
-    view
+    let events = trace
+        .journal
+        .events
+        .iter()
+        .map(|e| (e.name, e.kind))
+        .collect();
+    (view, events, trace.journal.dropped, trace.profile)
 }
 
-/// Runs `prog` against a fresh registry, optionally inserting a
-/// `take_snapshot_in_flight` → `restore_snapshot` pair before step
-/// `round_trip_at`, and returns the final quiescent projection.
-fn run_registry_program(prog: &[RegistryOp], round_trip_at: Option<usize>) -> Vec<(String, u64)> {
+/// How a run treats the window `[lo, hi)` of a trace program.
+#[derive(Clone, Copy, PartialEq)]
+enum Window {
+    /// Run the window's ops with no quarantine around them.
+    Inline,
+    /// Bracket them with `set_aside` and `rejoin(_, true)`.
+    Keep,
+    /// Bracket them with `set_aside` and `rejoin(_, false)`.
+    Discard,
+    /// Leave them out.
+    Skip,
+}
+
+/// Runs `prog` against a fresh store and returns the drained view.
+/// The window is balanced like a quarantined attempt: its ops close
+/// only spans they opened, and what is still open at its end closes
+/// there, innermost first.
+fn run_trace_program(prog: &[TraceOp], (lo, hi): (usize, usize), window: Window) -> TraceView {
     const SPANS: [&str; 4] = ["flow", "flow.build", "flow.decompose", "flow.sharing"];
     const COUNTERS: [&str; 2] = ["prop.steps", "prop.nodes"];
     const GAUGES: [&str; 2] = ["prop.peak", "prop.load"];
+    const EVENTS: [&str; 2] = ["prop.choice", "prop.degrade"];
+    const SAMPLES: [&str; 2] = ["ite", "unique-insert"];
+    fn close(guards: &mut Vec<SpanGuard>) {
+        while guards.pop().is_some() {}
+    }
     bds_trace::reset();
-    let mut guards = Vec::new();
+    let mut outer = Vec::new();
+    let mut inner = Vec::new();
+    let mut saved = None;
     for (i, &(op, sel, val)) in prog.iter().enumerate() {
-        if round_trip_at == Some(i) {
+        let in_window = (lo..hi).contains(&i);
+        if i == lo && matches!(window, Window::Keep | Window::Discard) {
             let depth = bds_trace::span_depth();
-            let snap = bds_trace::take_snapshot_in_flight();
+            saved = Some((bds_trace::set_aside(), depth));
             assert_eq!(
                 bds_trace::span_depth(),
                 depth,
-                "in-flight capture must re-open the span chain"
-            );
-            bds_trace::restore_snapshot(&snap);
-            assert_eq!(
-                bds_trace::span_depth(),
-                depth,
-                "restore must not disturb the open chain"
+                "set_aside must re-open the span chain"
             );
         }
-        let sel = sel as usize;
-        match op {
-            0 => guards.push(bds_trace::span_enter(SPANS[sel % SPANS.len()])),
-            1 => drop(guards.pop()),
-            2 => bds_trace::add_counter(COUNTERS[sel % COUNTERS.len()], val),
-            3 => bds_trace::set_gauge(GAUGES[sel % GAUGES.len()], val),
-            _ => bds_trace::record_histogram("prop.latency", val),
+        if !(in_window && window == Window::Skip) {
+            let guards = if in_window { &mut inner } else { &mut outer };
+            let sel = sel as usize;
+            match op {
+                0 => guards.push(bds_trace::span_enter(SPANS[sel % SPANS.len()])),
+                1 => drop(guards.pop()),
+                2 => bds_trace::add_counter(COUNTERS[sel % COUNTERS.len()], val),
+                3 => bds_trace::set_gauge(GAUGES[sel % GAUGES.len()], val),
+                4 => bds_trace::record_histogram("prop.latency", val),
+                5 => bds_trace::record_event(EVENTS[sel % EVENTS.len()], vec![("v", val.into())]),
+                _ => bds_trace::profile::observe(SAMPLES[sel % SAMPLES.len()]),
+            }
+        }
+        if i + 1 == hi {
+            close(&mut inner);
+            if let Some((aside, depth)) = saved.take() {
+                bds_trace::rejoin(aside, window == Window::Keep);
+                assert_eq!(
+                    bds_trace::span_depth(),
+                    depth,
+                    "rejoin must restore the open span depth"
+                );
+            }
         }
     }
-    drop(guards);
-    registry_view(&bds_trace::take_snapshot())
+    close(&mut outer);
+    trace_view(bds_trace::take())
 }
 
-/// The mid-flight capture protocol round-trips the registry:
-/// `take_snapshot_in_flight` immediately followed by `restore_snapshot`
-/// is a no-op — same counters, gauges, histogram counts, span call tree
-/// and open-span depth — wherever the pair lands inside a random
-/// span-nesting workload. This is the invariant the quarantined flow
-/// leans on when it rolls a poisoned capture window back.
+/// The quarantine protocol over the whole trace — snapshot, journal
+/// and profile. For a random window inside a random span-nesting
+/// workload, `set_aside` … `rejoin(_, true)` around the window gives
+/// exactly the trace of running it unguarded, and `rejoin(_, false)`
+/// gives exactly the trace of a program without the window's ops, with
+/// the open-span depth restored either way. This is what the flow's
+/// per-supernode panic quarantine relies on: a kept attempt is
+/// invisible, a panicked one leaves no trace.
 #[test]
 fn in_flight_capture_then_restore_is_identity() {
-    check_cases("in-flight capture round-trip", CASES, |rng| {
-        let prog = random_registry_program(rng);
-        let at = rng.range_usize(0..prog.len().max(1));
-        let expected = run_registry_program(&prog, None);
-        let actual = run_registry_program(&prog, Some(at));
+    check_cases("quarantine keep/discard", CASES, |rng| {
+        let prog = random_trace_program(rng);
+        let lo = rng.range_usize(0..prog.len());
+        let hi = rng.range_usize(lo + 1..prog.len() + 1);
+        let window = (lo, hi);
         assert_eq!(
-            actual, expected,
-            "round-trip at step {at} changed the registry"
+            run_trace_program(&prog, window, Window::Keep),
+            run_trace_program(&prog, window, Window::Inline),
+            "keeping the window {window:?} changed the trace"
+        );
+        assert_eq!(
+            run_trace_program(&prog, window, Window::Discard),
+            run_trace_program(&prog, window, Window::Skip),
+            "discarding the window {window:?} left a trace"
         );
     });
 }
