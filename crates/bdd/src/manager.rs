@@ -336,6 +336,25 @@ impl Manager {
     pub fn clear_cache(&mut self) {
         self.ite_cache.clear();
     }
+
+    /// Drops every decision node, the unique table, the ITE cache, the
+    /// GC roots and the effort count, keeping the variables, their order,
+    /// the limits, the lifetime operation counters and the tables'
+    /// capacity. Every outstanding [`Edge`] other than the constants is
+    /// invalidated.
+    ///
+    /// Afterwards the manager builds exactly what a fresh manager with the
+    /// same variables would: the same edges, the same arena growth, and a
+    /// node limit that trips at the same point. Loops that build many
+    /// small throwaway BDDs reuse one manager this way instead of
+    /// allocating a new one per function.
+    pub fn clear_nodes(&mut self) {
+        self.nodes.truncate(1);
+        self.unique.clear();
+        self.ite_cache.clear();
+        self.roots.clear();
+        self.effort_spent = 0;
+    }
 }
 
 impl Default for Manager {
@@ -401,6 +420,68 @@ mod tests {
         assert_eq!(m.arena_size(), 3);
         let r = m.and(la, lb);
         assert_eq!(r, Err(BddError::NodeLimit { limit: 3 }));
+    }
+
+    /// Builds `(a ∧ b) ∨ (c ⊕ d)` over the first four variables.
+    fn sample(m: &mut Manager) -> Result<Edge> {
+        let l: Vec<Edge> = (0..4)
+            .map(|i| m.literal_checked(Var::from_index(i), true))
+            .collect::<Result<_>>()?;
+        let ab = m.and(l[0], l[1])?;
+        let cd = m.xor(l[2], l[3])?;
+        m.or(ab, cd)
+    }
+
+    #[test]
+    fn clear_nodes_rebuilds_like_a_fresh_manager() {
+        let mut fresh = Manager::new();
+        fresh.new_vars(4);
+        let want = sample(&mut fresh).unwrap();
+
+        let mut reused = Manager::new();
+        reused.new_vars(4);
+        let first = sample(&mut reused).unwrap();
+        reused.add_root(first);
+        // Unrelated work leaves nodes, cache entries and effort behind.
+        let x = reused.literal(Var::from_index(3), false);
+        reused.and(first, x).unwrap();
+        reused.clear_nodes();
+        assert_eq!(reused.arena_size(), 1);
+        assert_eq!(reused.root_count(), 0);
+        assert_eq!(reused.effort_spent(), 0);
+        assert_eq!(reused.var_count(), 4);
+        reused.check_invariants().unwrap();
+
+        let got = sample(&mut reused).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(reused.arena_size(), fresh.arena_size());
+        assert_eq!(reused.size(got), fresh.size(want));
+        reused.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn clear_nodes_trips_the_node_limit_at_the_same_count() {
+        // The limit at which a fresh manager first fails to build `sample`.
+        let mut fresh = Manager::new();
+        fresh.new_vars(4);
+        sample(&mut fresh).unwrap();
+        let full = fresh.arena_size();
+        for limit in 1..=full {
+            let mut fresh = Manager::with_node_limit(limit);
+            fresh.new_vars(4);
+            let want = sample(&mut fresh);
+
+            let mut reused = Manager::new();
+            reused.new_vars(4);
+            sample(&mut reused).unwrap();
+            reused.clear_nodes();
+            reused.set_node_limit(limit);
+            let got = sample(&mut reused);
+            assert_eq!(got, want, "limit {limit}");
+            assert_eq!(reused.arena_size(), fresh.arena_size(), "limit {limit}");
+            assert_eq!(got.is_err(), limit < full, "limit {limit}");
+            reused.check_invariants().unwrap();
+        }
     }
 
     #[test]

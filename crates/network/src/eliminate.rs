@@ -6,14 +6,16 @@
 //! nodes** rather than literals: "BDS adopts a similar approach
 //! \[iterative elimination\], except that it uses the number of BDD nodes
 //! as the cost function to guide the elimination".
-
-use std::collections::HashMap;
+//!
+//! Only a size is needed to decide, so under [`EliminateCost::BddNodes`]
+//! a candidate's fanouts are composed and measured, and ISOP covers are
+//! built only for the fanouts of an accepted collapse. Every BDD of one
+//! call is built in one scratch manager, cleared before each use.
 
 use bds_bdd::{Edge, Manager, Var};
 use bds_sop::{Cover, Cube};
 
-use crate::error::NetworkError;
-use crate::global::cover_to_bdd;
+use crate::global::{cover_to_bdd, cover_to_bdd_edges};
 use crate::network::{Network, SignalId};
 use crate::Result;
 
@@ -37,9 +39,10 @@ pub struct EliminateParams {
     /// is what keeps huge arithmetic circuits (the paper's `m64x64`)
     /// synthesizable without a global BDD.
     pub max_local_bdd: usize,
-    /// Collapse a node when the total BDD-node cost grows by at most this
-    /// much (0 = only collapses that do not grow the representation;
-    /// positive values collapse more aggressively).
+    /// Collapse a node when the total cost under `cost` (BDD nodes or
+    /// literals) grows by at most this much (0 = only collapses that do
+    /// not grow the representation; positive values collapse more
+    /// aggressively).
     pub growth_allowance: isize,
     /// Do not collapse into fanouts whose merged support would exceed this
     /// many signals.
@@ -64,23 +67,121 @@ impl Default for EliminateParams {
     }
 }
 
-/// Per-signal `collapse_cost` results for one `eliminate` call; `None`
-/// means not yet computed. An entry is dropped when its node is rewritten.
-type CostMemo = Vec<Option<Option<usize>>>;
+/// Marks a signal that is not in [`Scratch::merged`].
+const ABSENT: u32 = u32::MAX;
+
+/// What one [`Network::eliminate`] call carries from candidate to
+/// candidate.
+struct Scratch {
+    /// Per-signal `collapse_cost` results; `None` means not yet computed.
+    /// An entry is dropped when its node is rewritten.
+    costs: Vec<Option<Option<usize>>>,
+    /// Signals whose last collapse attempt was rejected and whose
+    /// neighbourhood has not changed since.
+    settled: Vec<bool>,
+    /// The manager every BDD of the call is built in, cleared before each
+    /// use. Variable `i` stands for position `i` of the fanin list the
+    /// function is built over.
+    mgr: Manager,
+    /// `vars[i]` is variable `i` of `mgr`.
+    vars: Vec<Var>,
+    /// The merged fanin list of the last composition.
+    merged: Vec<SignalId>,
+    /// `pos[s]` is the position of `s` in `merged`, or [`ABSENT`].
+    pos: Vec<u32>,
+    /// Variables of the collapsed node's fanins, in its fanin order.
+    own_vars: Vec<Var>,
+    /// Functions standing for the fanout's fanins, in its fanin order.
+    fanin_edges: Vec<Edge>,
+}
+
+impl Scratch {
+    fn new(signals: usize) -> Self {
+        Scratch {
+            costs: vec![None; signals],
+            settled: vec![false; signals],
+            mgr: Manager::new(),
+            vars: Vec::new(),
+            merged: Vec::new(),
+            pos: vec![ABSENT; signals],
+            own_vars: Vec::new(),
+            fanin_edges: Vec::new(),
+        }
+    }
+
+    /// Empties the manager for a function over `vars` positional
+    /// variables whose arena may not exceed `limit` nodes. It then builds
+    /// exactly what a fresh manager would.
+    fn reset_manager(&mut self, vars: usize, limit: usize) {
+        self.mgr.clear_nodes();
+        self.mgr.set_node_limit(limit);
+        while self.vars.len() < vars {
+            let i = self.vars.len();
+            self.vars.push(self.mgr.new_var(format!("x{i}")));
+        }
+    }
+
+    /// Sets `merged` to `fanins` without repeats, in first-seen order.
+    fn merge<'a>(&mut self, fanins: impl Iterator<Item = &'a SignalId>) {
+        for f in self.merged.drain(..) {
+            self.pos[f.index()] = ABSENT;
+        }
+        for &f in fanins {
+            if self.pos[f.index()] == ABSENT {
+                self.pos[f.index()] = self.merged.len() as u32;
+                self.merged.push(f);
+            }
+        }
+    }
+
+    /// The variable standing for `f`, which must be in `merged`.
+    fn var_of(&self, f: SignalId) -> Var {
+        self.vars[self.pos[f.index()] as usize]
+    }
+
+    /// ISOP cover of `f`, a function in `mgr`; cover position `i` is
+    /// variable `i`. `None` if the extraction hits the node limit.
+    fn cover_of(&mut self, f: Edge) -> Option<Cover> {
+        let (cubes, _) = self.mgr.isop(f, f).ok()?;
+        let cubes = cubes
+            .iter()
+            // ISOP cubes are consistent by construction; treat a
+            // contradictory one as blow-up rather than unwinding.
+            .map(|c| Cube::new(c.literals().iter().map(|&(v, p)| (v.index() as u32, p)).collect()))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Cover::from_cubes(cubes))
+    }
+
+    /// Forgets the rejections that a rewrite of `fo` from fanins `old` to
+    /// `new` may have changed: those of `fo` and of every signal whose
+    /// fanout list it touches.
+    fn unsettle(&mut self, fo: SignalId, old: &[SignalId], new: &[SignalId]) {
+        self.settled[fo.index()] = false;
+        for &f in old.iter().chain(new) {
+            self.settled[f.index()] = false;
+        }
+    }
+}
 
 impl Network {
     /// Iteratively eliminates internal nodes into their fanouts while the
-    /// BDD-node cost does not grow beyond `params.growth_allowance`.
+    /// cost under `params.cost` (BDD nodes, or literals for the SIS
+    /// baseline) grows by at most `params.growth_allowance`.
     /// Returns the number of nodes eliminated.
     ///
     /// Primary outputs' driving nodes are never eliminated (their names
     /// must survive), and primary inputs are untouchable by construction.
     ///
+    /// A rejected candidate is not tried again until a rewrite touches
+    /// its neighbourhood: it would be rejected again, so this skips work
+    /// without changing the result.
+    ///
     /// # Errors
-    /// Propagates [`NetworkError`]s from the collapse rewrites (a healthy
-    /// network produces none); the exit audit reports
-    /// [`NetworkError::Inconsistent`] / [`NetworkError::Cycle`] if a
-    /// collapse corrupted the network (strict builds only).
+    /// Propagates [`NetworkError`](crate::NetworkError)s from the collapse
+    /// rewrites (a healthy network produces none); the exit audit reports
+    /// [`NetworkError::Inconsistent`](crate::NetworkError::Inconsistent) /
+    /// [`NetworkError::Cycle`](crate::NetworkError::Cycle) if a collapse
+    /// corrupted the network (strict builds only).
     pub fn eliminate(&mut self, params: &EliminateParams) -> Result<usize> {
         let _span = bds_trace::span!("net.eliminate");
         let mut eliminated = 0;
@@ -88,7 +189,7 @@ impl Network {
         for &o in self.outputs() {
             is_output[o.index()] = true;
         }
-        let mut costs: CostMemo = vec![None; self.signals.len()];
+        let mut scratch = Scratch::new(self.signals.len());
         for _ in 0..params.max_passes {
             let mut changed = 0;
             // Reverse topological order: collapsing sinks first exposes
@@ -96,11 +197,16 @@ impl Network {
             let mut order = self.topo_order();
             order.reverse();
             for sig in order {
-                if self.node(sig).is_none() || is_output[sig.index()] {
+                if self.node(sig).is_none()
+                    || is_output[sig.index()]
+                    || scratch.settled[sig.index()]
+                {
                     continue;
                 }
-                if self.try_eliminate(sig, params, &mut costs)? {
+                if self.try_eliminate(sig, params, &mut scratch)? {
                     changed += 1;
+                } else {
+                    scratch.settled[sig.index()] = true;
                 }
             }
             if changed == 0 {
@@ -116,66 +222,73 @@ impl Network {
     /// Attempts to collapse the node driving `sig` into every fanout.
     /// `Ok(false)` means the collapse was not profitable or not feasible;
     /// errors are reserved for structural corruption.
+    ///
+    /// The decision reads only the nodes of `sig` and its fanouts and the
+    /// fanout list of `sig`; [`Scratch::unsettle`] relies on that.
     fn try_eliminate(
         &mut self,
         sig: SignalId,
         params: &EliminateParams,
-        costs: &mut CostMemo,
+        s: &mut Scratch,
     ) -> Result<bool> {
         let fanouts = self.fanouts(sig).to_vec();
         if fanouts.is_empty() || fanouts.len() > params.max_fanout {
             return Ok(false);
         }
-        let Some((own_fanins, _)) = self.node(sig) else {
-            return Ok(false);
-        };
-        let own_fanins = own_fanins.to_vec();
-
         // Cost before: sizes of sig and each fanout under the cost model.
-        let Some(own_size) = self.memo_cost(sig, params, costs) else {
-            return Ok(false);
-        };
-        let mut old_cost = own_size as isize;
+        let mut old_cost = 0isize;
+        for &n in std::iter::once(&sig).chain(&fanouts) {
+            let Some(size) = self.memo_cost(n, params, s) else {
+                return Ok(false);
+            };
+            old_cost += size as isize;
+        }
+        // Costs are non-negative, so once the running total passes the
+        // bound the collapse is rejected whatever the other fanouts cost.
+        let bound = old_cost.saturating_add(params.growth_allowance);
         let mut new_nodes: Vec<(SignalId, Vec<SignalId>, Cover)> = Vec::new();
         let mut new_cost = 0isize;
+        let mut last = Edge::ZERO;
         for &fo in &fanouts {
-            let Some(fo_size) = self.memo_cost(fo, params, costs) else {
-                return Ok(false);
-            };
-            old_cost += fo_size as isize;
-            // Merged fanin list: fanout fanins minus sig, plus sig's fanins.
-            let Some((fo_fanins, _)) = self.node(fo) else {
-                return Err(NetworkError::Inconsistent {
-                    detail: format!("fanout map lists non-node `{}`", self.signal_name(fo)),
-                });
-            };
-            let mut merged: Vec<SignalId> = Vec::new();
-            for &f in fo_fanins {
-                if f != sig && !merged.contains(&f) {
-                    merged.push(f);
-                }
-            }
-            for &f in &own_fanins {
-                if !merged.contains(&f) {
-                    merged.push(f);
-                }
-            }
-            if merged.len() > params.max_support {
-                return Ok(false);
-            }
-            let Some((cover, bdd_size)) =
-                self.composed_cover(fo, sig, &merged, params.max_local_bdd)
-            else {
+            let Some((composed, bdd_size)) = self.compose(fo, sig, params, s) else {
                 return Ok(false);
             };
             new_cost += match params.cost {
                 EliminateCost::BddNodes => bdd_size as isize,
-                EliminateCost::Literals => cover.literal_count() as isize,
+                EliminateCost::Literals => {
+                    let Some(cover) = s.cover_of(composed) else {
+                        return Ok(false);
+                    };
+                    let literals = cover.literal_count() as isize;
+                    new_nodes.push((fo, s.merged.clone(), cover));
+                    literals
+                }
             };
-            new_nodes.push((fo, merged, cover));
+            if new_cost > bound {
+                return Ok(false);
+            }
+            last = composed;
         }
-        if new_cost - old_cost > params.growth_allowance {
-            return Ok(false);
+        if params.cost == EliminateCost::BddNodes {
+            // Accepted on size: build the covers. The manager still holds
+            // the last fanout's composition; the others are recomposed.
+            let Some((&last_fo, rest)) = fanouts.split_last() else {
+                return Ok(false);
+            };
+            let Some(cover) = s.cover_of(last) else {
+                return Ok(false);
+            };
+            let last_node = (last_fo, s.merged.clone(), cover);
+            for &fo in rest {
+                let Some((composed, _)) = self.compose(fo, sig, params, s) else {
+                    return Ok(false);
+                };
+                let Some(cover) = s.cover_of(composed) else {
+                    return Ok(false);
+                };
+                new_nodes.push((fo, s.merged.clone(), cover));
+            }
+            new_nodes.push(last_node);
         }
         bds_trace::event!(
             "net.eliminate.collapse",
@@ -185,110 +298,95 @@ impl Network {
             new_cost = new_cost,
         );
         for (fo, fanins, cover) in new_nodes {
+            if let Some((old, _)) = self.node(fo) {
+                s.unsettle(fo, old, &fanins);
+            }
             // Collapse only rewires to upstream signals, so this cannot
             // close a cycle; a failure here is structural corruption and
             // must surface, not unwind.
             self.replace_node(fo, fanins, cover)?;
-            costs[fo.index()] = None;
+            s.costs[fo.index()] = None;
         }
         Ok(true)
     }
 
     /// [`Network::collapse_cost`] through the per-call memo.
-    fn memo_cost(
-        &self,
-        sig: SignalId,
-        params: &EliminateParams,
-        costs: &mut CostMemo,
-    ) -> Option<usize> {
-        *costs[sig.index()].get_or_insert_with(|| self.collapse_cost(sig, params))
+    fn memo_cost(&self, sig: SignalId, params: &EliminateParams, s: &mut Scratch) -> Option<usize> {
+        if let Some(cost) = s.costs[sig.index()] {
+            return cost;
+        }
+        let cost = self.collapse_cost(sig, params, s);
+        s.costs[sig.index()] = Some(cost);
+        cost
     }
 
     /// Cost of the node driving `sig` under the configured model, still
     /// requiring the local BDD to fit within the structural cap.
-    fn collapse_cost(&self, sig: SignalId, params: &EliminateParams) -> Option<usize> {
+    fn collapse_cost(
+        &self,
+        sig: SignalId,
+        params: &EliminateParams,
+        s: &mut Scratch,
+    ) -> Option<usize> {
         bds_trace::counter!("net.eliminate.cost_evals");
+        let size = self.local_bdd_size(sig, params.max_local_bdd, s)?;
         match params.cost {
-            EliminateCost::BddNodes => self.local_bdd_size(sig, params.max_local_bdd),
-            EliminateCost::Literals => {
-                // Still guard against structurally huge nodes.
-                self.local_bdd_size(sig, params.max_local_bdd)?;
-                let (_, cover) = self.node(sig)?;
-                Some(cover.literal_count())
-            }
+            EliminateCost::BddNodes => Some(size),
+            EliminateCost::Literals => Some(self.node(sig)?.1.literal_count()),
         }
     }
 
     /// Size (in BDD nodes) of the local function of `sig`, or `None` when
     /// it exceeds `limit`.
-    pub(crate) fn local_bdd_size(&self, sig: SignalId, limit: usize) -> Option<usize> {
+    fn local_bdd_size(&self, sig: SignalId, limit: usize, s: &mut Scratch) -> Option<usize> {
         let (fanins, cover) = self.node(sig)?;
-        let mut mgr = Manager::with_node_limit(limit.saturating_mul(4).max(64));
-        let vars = mgr.new_vars(fanins.len());
-        let edge = cover_to_bdd(&mut mgr, cover, &vars).ok()?;
-        let size = mgr.size(edge);
+        s.reset_manager(fanins.len(), limit.saturating_mul(4).max(64));
+        let edge = cover_to_bdd(&mut s.mgr, cover, &s.vars).ok()?;
+        let size = s.mgr.size(edge);
         (size <= limit).then_some(size)
     }
 
-    /// Builds the cover of `fanout` with `sig` substituted by its local
-    /// function, over the `merged` fanin list. Returns the cover and the
-    /// BDD size, or `None` on blow-up.
-    fn composed_cover(
+    /// Composes the node driving `sig` into `fanout` in the scratch
+    /// manager, over the merged fanin list it leaves in `s.merged`:
+    /// `fanout`'s fanins minus `sig`, then `sig`'s fanins, without
+    /// repeats. Returns the composed function and its BDD size, or `None`
+    /// when the merged support exceeds `params.max_support` or the BDD
+    /// blows up.
+    fn compose(
         &self,
         fanout: SignalId,
         sig: SignalId,
-        merged: &[SignalId],
-        limit: usize,
-    ) -> Option<(Cover, usize)> {
+        params: &EliminateParams,
+        s: &mut Scratch,
+    ) -> Option<(Edge, usize)> {
         let (fo_fanins, fo_cover) = self.node(fanout)?;
         let (own_fanins, own_cover) = self.node(sig)?;
-        let mut mgr = Manager::with_node_limit(limit.saturating_mul(8).max(256));
-        let mut var_of: HashMap<SignalId, Var> = HashMap::new();
-        for &f in merged {
-            var_of.insert(f, mgr.new_var(self.signal_name(f)));
-        }
-        // Build sig's function over merged vars.
-        let own_vars: Vec<Var> = own_fanins.iter().map(|f| var_of[f]).collect();
-        let own_edge = cover_to_bdd(&mut mgr, own_cover, &own_vars).ok()?;
-        // Build the fanout function with sig's position replaced by the
-        // composed edge.
-        let fanin_edges: Vec<Edge> = fo_fanins
-            .iter()
-            .map(|&f| {
-                if f == sig {
-                    Ok(own_edge)
-                } else {
-                    mgr.literal_checked(var_of[&f], true)
-                }
-            })
-            .collect::<std::result::Result<_, bds_bdd::BddError>>()
-            .ok()?;
-        let composed = crate::global::cover_to_bdd_edges(&mut mgr, fo_cover, &fanin_edges).ok()?;
-        let size = mgr.size(composed);
-        if size > limit {
+        s.merge(fo_fanins.iter().filter(|&&f| f != sig).chain(own_fanins));
+        if s.merged.len() > params.max_support {
             return None;
         }
-        // Extract an ISOP cover over the merged positions.
-        let (cubes, _) = mgr.isop(composed, composed).ok()?;
-        let pos_of: HashMap<usize, u32> = merged
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (var_of[&f].index(), i as u32))
-            .collect();
-        let mut mapped_cubes = Vec::with_capacity(cubes.len());
-        for c in &cubes {
-            // ISOP cubes are consistent by construction; treat a
-            // contradictory one as blow-up rather than unwinding.
-            let cube = Cube::new(
-                c.literals()
-                    .iter()
-                    .map(|&(v, p)| (pos_of[&v.index()], p))
-                    .collect(),
-            )?;
-            mapped_cubes.push(cube);
+        bds_trace::counter!("net.eliminate.composed");
+        let limit = params.max_local_bdd;
+        s.reset_manager(s.merged.len(), limit.saturating_mul(8).max(256));
+        // Build sig's function, then the fanout's with sig's position
+        // replaced by it.
+        s.own_vars.clear();
+        for &f in own_fanins {
+            s.own_vars.push(s.var_of(f));
         }
-        let cover = Cover::from_cubes(mapped_cubes);
-        Some((cover, size))
+        let own_edge = cover_to_bdd(&mut s.mgr, own_cover, &s.own_vars).ok()?;
+        s.fanin_edges.clear();
+        for &f in fo_fanins {
+            let edge = if f == sig {
+                own_edge
+            } else {
+                s.mgr.literal_checked(s.var_of(f), true).ok()?
+            };
+            s.fanin_edges.push(edge);
+        }
+        let composed = cover_to_bdd_edges(&mut s.mgr, fo_cover, &s.fanin_edges).ok()?;
+        let size = s.mgr.size(composed);
+        (size <= limit).then_some((composed, size))
     }
 }
 
@@ -351,8 +449,9 @@ mod tests {
         n.eliminate(&params).unwrap();
         // Every surviving node's local BDD must respect the cap.
         let c = n.compacted().unwrap();
+        let mut scratch = Scratch::new(c.signals().count());
         for sig in c.node_ids() {
-            let size = c.local_bdd_size(sig, usize::MAX).unwrap_or(0);
+            let size = c.local_bdd_size(sig, usize::MAX, &mut scratch).unwrap_or(0);
             assert!(size <= 12, "supernode exceeded the local-BDD cap: {size}");
         }
         // Function preserved.
