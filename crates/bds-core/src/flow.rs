@@ -283,7 +283,6 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     work.sweep()?;
     let base_literals = work.stats().literals;
     let lib = Library::mcnc();
-    let base_area = map_network(&work, &lib).map_or(f64::INFINITY, |m| m.area);
 
     // The decomposition is "a search process for the most efficient
     // decomposition" (paper §IV-C); at the flow level we likewise keep a
@@ -293,6 +292,8 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     if params.global_limit > 0 && work.inputs().len() <= params.global_max_inputs {
         match optimize_global(&work, params) {
             Ok((out, mut report)) => {
+                // Only this fast-path test reads the input's mapped area.
+                let base_area = map_network(&work, &lib).map_or(f64::INFINITY, |m| m.area);
                 let area = map_network(&out, &lib).map_or(f64::INFINITY, |m| m.area);
                 if out.stats().literals <= base_literals && area <= base_area {
                     // Fast path: the global decomposition improved (or

@@ -333,13 +333,15 @@ impl Network {
     /// All signals topologically sorted (fanins before fanouts).
     pub fn topo_order(&self) -> Vec<SignalId> {
         let mut order = Vec::with_capacity(self.signals.len());
-        let mut state = vec![0u8; self.signals.len()]; // 0 new, 1 open, 2 done
-                                                       // Iterative DFS over every signal.
+        // Iterative DFS over every signal. `state`: 0 new, 1 open, 2 done.
+        // The stack is empty again at the end of every start's search.
+        let mut state = vec![0u8; self.signals.len()];
+        let mut stack = Vec::new();
         for start in self.signals() {
             if state[start.index()] != 0 {
                 continue;
             }
-            let mut stack = vec![(start, false)];
+            stack.push((start, false));
             while let Some((sig, expanded)) = stack.pop() {
                 if expanded {
                     state[sig.index()] = 2;
@@ -419,10 +421,10 @@ impl Network {
     /// well-formed network (see [`Network::check_invariants`]) never
     /// fails.
     pub fn compacted(&self) -> Result<Network> {
-        let mut live: HashSet<SignalId> = HashSet::new();
+        let mut live = vec![false; self.signals.len()];
         let mut stack: Vec<SignalId> = self.outputs.clone();
         while let Some(s) = stack.pop() {
-            if !live.insert(s) {
+            if std::mem::replace(&mut live[s.index()], true) {
                 continue;
             }
             if let Some(nd) = self.node_data(s) {
@@ -430,13 +432,14 @@ impl Network {
             }
         }
         let mut out = Network::new(self.name.clone());
-        let mut map: HashMap<SignalId, SignalId> = HashMap::new();
+        // `map[s]`: the id of `s` in `out`, once it has been rebuilt.
+        let mut map: Vec<Option<SignalId>> = vec![None; self.signals.len()];
         for &i in &self.inputs {
             let ni = out.add_input(self.signal_name(i))?;
-            map.insert(i, ni);
+            map[i.index()] = Some(ni);
         }
         for sig in self.topo_order() {
-            if self.is_input(sig) || !live.contains(&sig) {
+            if self.is_input(sig) || !live[sig.index()] {
                 continue;
             }
             let nd = self
@@ -446,28 +449,22 @@ impl Network {
                 })?;
             let mut fanins = Vec::with_capacity(nd.fanins.len());
             for f in &nd.fanins {
-                let mapped = map
-                    .get(f)
-                    .copied()
-                    .ok_or_else(|| NetworkError::Inconsistent {
-                        detail: format!(
-                            "fanin `{}` of `{}` not placed by topological order",
-                            self.signal_name(*f),
-                            self.signal_name(sig)
-                        ),
-                    })?;
+                let mapped = map[f.index()].ok_or_else(|| NetworkError::Inconsistent {
+                    detail: format!(
+                        "fanin `{}` of `{}` not placed by topological order",
+                        self.signal_name(*f),
+                        self.signal_name(sig)
+                    ),
+                })?;
                 fanins.push(mapped);
             }
             let ns = out.add_node(self.signal_name(sig), fanins, nd.cover.clone())?;
-            map.insert(sig, ns);
+            map[sig.index()] = Some(ns);
         }
         for &o in &self.outputs {
-            let mapped = map
-                .get(&o)
-                .copied()
-                .ok_or_else(|| NetworkError::Inconsistent {
-                    detail: format!("output `{}` was not rebuilt", self.signal_name(o)),
-                })?;
+            let mapped = map[o.index()].ok_or_else(|| NetworkError::Inconsistent {
+                detail: format!("output `{}` was not rebuilt", self.signal_name(o)),
+            })?;
             out.mark_output(mapped)?;
         }
         Ok(out)

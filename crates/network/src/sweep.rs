@@ -4,13 +4,19 @@
 //! network using procedure sweep. … In addition to removing constant and
 //! single-variable nodes, all functionally equivalent nodes are also
 //! identified and removed."
+//!
+//! Most nodes are already clean, so the common outcome of each sub-pass
+//! is "nothing changed": [`Cover::is_simplified`] and `prune_is_noop`
+//! decide that without allocating, and all dedup passes of one call share
+//! one scratch manager (DESIGN.md, "`sweep` no-change paths").
 
 use std::collections::HashMap;
 
-use bds_bdd::Manager;
+use bds_bdd::{Manager, Var};
 use bds_sop::{Cover, Cube};
 
 use crate::error::NetworkError;
+use crate::invariants::STRICT_CHECKS;
 use crate::network::{Network, SignalId};
 use crate::Result;
 
@@ -30,13 +36,17 @@ impl Network {
     /// produces either.
     pub fn sweep(&mut self) -> Result<usize> {
         let _span = bds_trace::span!("net.sweep");
+        // Dedup scratch shared by every pass of this call. Sweep never
+        // adds signals, so the variable map's length is fixed.
+        let mut scratch = Manager::new();
+        let mut var_of: Vec<Option<Var>> = vec![None; self.signals.len()];
         let mut total = 0;
         loop {
             let mut changed = 0;
             changed += self.simplify_covers()?;
             changed += self.propagate_constants()?;
             changed += self.collapse_buffers()?;
-            changed += self.dedup_equivalent_nodes()?;
+            changed += self.dedup_equivalent_nodes(&mut scratch, &mut var_of)?;
             if changed == 0 {
                 break;
             }
@@ -57,11 +67,19 @@ impl Network {
         let mut changed = 0;
         for sig in self.node_ids() {
             let (fanins, cover) = self.node_checked(sig)?;
-            let simplified = cover.simplify();
-            if simplified != *cover {
+            if !cover.is_simplified() {
+                // The predicate is exact, so `simplify` changes the cover.
+                let simplified = cover.simplify();
                 let fanins = fanins.to_vec();
                 self.replace_node(sig, fanins, simplified)?;
                 changed += 1;
+            } else if STRICT_CHECKS && cover.simplify() != *cover {
+                return Err(NetworkError::Inconsistent {
+                    detail: format!(
+                        "`is_simplified` passed the cover of `{}` but `simplify` changes it",
+                        self.signal_name(sig)
+                    ),
+                });
             }
             // Drop fanins the cover no longer mentions.
             changed += self.prune_unused_fanins(sig)?;
@@ -75,6 +93,9 @@ impl Network {
         let Some((fanins, cover)) = self.node(sig) else {
             return Ok(0);
         };
+        if Self::prune_is_noop(fanins, cover) {
+            return Ok(0);
+        }
         let fanins = fanins.to_vec();
         let cover = cover.clone();
         // Merge duplicate fanin signals: all positions of a signal map to
@@ -127,6 +148,30 @@ impl Network {
         let new_fanins: Vec<SignalId> = keep.iter().map(|&i| fanins[i]).collect();
         self.replace_node(sig, new_fanins, new_cover)?;
         Ok(1)
+    }
+
+    /// True when [`Network::prune_unused_fanins`] would leave the node
+    /// as it is: at most 64 fanins, pairwise distinct, every position
+    /// below the fanin count and used by the cover, and the cubes
+    /// strictly sorted. Then its position map is the identity, the merged
+    /// cover equals the cover and every position is kept. Allocates
+    /// nothing; a `false` only means the full check runs.
+    fn prune_is_noop(fanins: &[SignalId], cover: &Cover) -> bool {
+        let n = fanins.len();
+        if n > 64 || (0..n).any(|i| fanins[i + 1..].contains(&fanins[i])) {
+            return false;
+        }
+        let mut used = 0u64;
+        for cube in cover.cubes() {
+            for &(v, _) in cube.literals() {
+                if v as usize >= n {
+                    return false;
+                }
+                used |= 1 << v;
+            }
+        }
+        let all = if n == 64 { u64::MAX } else { (1 << n) - 1 };
+        used == all && cover.cubes().windows(2).all(|w| w[0] < w[1])
     }
 
     /// Folds constant nodes into their fanouts.
@@ -215,9 +260,14 @@ impl Network {
                 .map(|&f| if f == old { new } else { f })
                 .collect();
             let cover = cover.clone();
-            if self.replace_node(fo, new_fanins, cover).is_ok() {
-                self.prune_unused_fanins(fo)?;
-                changed += 1;
+            match self.replace_node(fo, new_fanins, cover) {
+                Ok(()) => {
+                    self.prune_unused_fanins(fo)?;
+                    changed += 1;
+                }
+                // `new` depends on `fo`: leave this use in place.
+                Err(NetworkError::Cycle { .. }) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(changed)
@@ -226,10 +276,18 @@ impl Network {
     /// Identifies nodes computing the same function of the same signals
     /// (via canonical local BDDs in a scratch manager) and re-points all
     /// uses to one representative.
-    fn dedup_equivalent_nodes(&mut self) -> Result<usize> {
-        let mut scratch = Manager::new();
-        let mut var_of: HashMap<SignalId, bds_bdd::Var> = HashMap::new();
+    ///
+    /// `scratch` and `var_of` (one variable per signal, created on first
+    /// use) live for the whole `sweep` call: two nodes merge exactly when
+    /// their canonical BDDs are equal, which depends neither on the
+    /// variable order nor on what the manager built before.
+    fn dedup_equivalent_nodes(
+        &mut self,
+        scratch: &mut Manager,
+        var_of: &mut [Option<Var>],
+    ) -> Result<usize> {
         let mut repr: HashMap<u32, SignalId> = HashMap::new();
+        let mut vars: Vec<Var> = Vec::new();
         let mut changed = 0;
         for sig in self.topo_order() {
             let Some((fanins, cover)) = self.node(sig) else {
@@ -238,17 +296,12 @@ impl Network {
             if fanins.is_empty() {
                 continue; // constants handled elsewhere
             }
-            let fanins = fanins.to_vec();
-            let cover = cover.clone();
-            let vars: Vec<bds_bdd::Var> = fanins
-                .iter()
-                .map(|&f| {
-                    *var_of
-                        .entry(f)
-                        .or_insert_with(|| scratch.new_var(format!("s{}", f.index())))
-                })
-                .collect();
-            let Ok(edge) = crate::global::cover_to_bdd(&mut scratch, &cover, &vars) else {
+            vars.clear();
+            for &f in fanins {
+                vars.push(*var_of[f.index()].get_or_insert_with(|| scratch.new_var(String::new())));
+            }
+            let fanin_count = fanins.len();
+            let Ok(edge) = crate::global::cover_to_bdd(scratch, cover, &vars) else {
                 continue;
             };
             match repr.get(&edge.raw()) {
@@ -257,7 +310,7 @@ impl Network {
                         "net.sweep.merge",
                         node = sig.index(),
                         into = r.index(),
-                        fanins = fanins.len(),
+                        fanins = fanin_count,
                     );
                     changed += self.replace_uses(sig, r)?;
                 }

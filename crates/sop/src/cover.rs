@@ -134,6 +134,38 @@ impl Cover {
         Cover::from_cubes(cubes)
     }
 
+    /// True exactly when [`Cover::simplify`] would return this cover
+    /// unchanged: the cubes are strictly sorted, no cube subsumes
+    /// another, and no two cubes over the same variables differ in the
+    /// phase of exactly one. Allocates nothing.
+    ///
+    /// Each failing condition makes `simplify` re-sort, drop a cube or
+    /// merge two, so its result differs; when none fails, its first
+    /// iteration is an identity.
+    pub fn is_simplified(&self) -> bool {
+        let cubes = &self.cubes;
+        if cubes.windows(2).any(|w| w[0] >= w[1]) {
+            return false;
+        }
+        for (i, c) in cubes.iter().enumerate() {
+            for d in &cubes[i + 1..] {
+                if c.subsumes(d) || d.subsumes(c) {
+                    return false;
+                }
+                let distance_one = c.len() == d.len()
+                    && c.conflict_count(d) == 1
+                    && c.literals()
+                        .iter()
+                        .zip(d.literals())
+                        .all(|(a, b)| a.0 == b.0);
+                if distance_one {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     /// Single-cube containment minimization followed by iterated
     /// distance-1 merging (`a·x + a·x̄ = a`) and subsumption removal.
     /// A lightweight stand-in for espresso's `simplify`.

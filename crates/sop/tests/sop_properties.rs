@@ -124,3 +124,57 @@ fn shannon_on_covers() {
         assert_eq!(eval_everywhere(&f), eval_everywhere(&rebuilt));
     });
 }
+
+/// A cover built to trip `simplify`: random cubes plus contained cubes,
+/// duplicates and distance-1 partners of them, pushed unsorted or sorted.
+fn tangled_cover(rng: &mut Rng) -> Cover {
+    let mut cubes: Vec<Cube> = (0..rng.range_usize(1..5))
+        .filter_map(|_| random_cube(rng))
+        .collect();
+    if cubes.is_empty() {
+        cubes.push(Cube::one());
+    }
+    for _ in 0..rng.range_usize(0..3) {
+        let base = rng.choose(&cubes).clone();
+        let mut lits = base.literals().to_vec();
+        match rng.range_u32(0..3) {
+            0 => lits.push((rng.range_u32(0..NVARS), rng.bool())),
+            1 if !lits.is_empty() => {
+                let i = rng.range_usize(0..lits.len());
+                lits[i].1 = !lits[i].1;
+            }
+            _ => {}
+        }
+        cubes.extend(Cube::new(lits));
+    }
+    if rng.bool() {
+        return Cover::from_cubes(cubes);
+    }
+    let mut cover = Cover::zero();
+    for c in cubes {
+        cover.push(c);
+    }
+    cover
+}
+
+/// `is_simplified` is exactly "`simplify` returns the cover unchanged",
+/// on tangled covers and on already-simplified ones.
+#[test]
+fn is_simplified_matches_simplify() {
+    let (mut minimal, mut not_minimal) = (0, 0);
+    check_cases("is_simplified_matches_simplify", 4 * CASES, |rng| {
+        let f = tangled_cover(rng);
+        let f = if rng.ratio(0.3) { f.simplify() } else { f };
+        let unchanged = f.simplify() == f;
+        assert_eq!(f.is_simplified(), unchanged, "{f:?}");
+        if unchanged {
+            minimal += 1;
+        } else {
+            not_minimal += 1;
+        }
+    });
+    assert!(
+        minimal > CASES / 4 && not_minimal > CASES / 4,
+        "{minimal} / {not_minimal}"
+    );
+}

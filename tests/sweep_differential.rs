@@ -1,0 +1,221 @@
+//! Differential test: `Network::sweep` (no allocation on its no-change
+//! paths, one dedup manager per call) and `Network::compacted` (vector
+//! liveness and renumbering) against the versions they replaced
+//! (`tests/reference_sweep`).
+//!
+//! Both must return the same rewrite count and leave byte-identical BLIF
+//! after `sweep`, and again after `compacted`, on the scaling circuits'
+//! inputs and collapsed networks and on seeded random networks built to
+//! hold what every sub-pass acts on: constants, buffer and inverter
+//! chains, repeated and unused fanins, functionally equal nodes with
+//! permuted fanins, and covers with contained cubes, distance-1 pairs,
+//! duplicates and unsorted cubes.
+//!
+//! CI also runs it in release, where the random set is larger:
+//! `cargo test --release --features strict-checks --test sweep_differential -- --nocapture`.
+
+mod reference_sweep;
+
+use bds_prop::{check_cases, Rng};
+use bds_repro::circuits::adder::ripple_adder;
+use bds_repro::circuits::multiplier::multiplier;
+use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::network::{blif, EliminateParams, Network, SignalId};
+use bds_repro::sop::{Cover, Cube};
+
+/// Random networks; debug builds (the tier-1 run) take fewer.
+const CASES: u32 = if cfg!(debug_assertions) { 20 } else { 300 };
+
+/// Asserts that `compacted` matches the reference on `net`.
+fn check_compacted(name: &str, net: &Network) {
+    let new = net.compacted().expect("compacts");
+    let old = reference_sweep::compacted(net).expect("reference compacts");
+    assert_eq!(
+        blif::write(&new),
+        blif::write(&old),
+        "{name}: compacted BLIF differs from the reference"
+    );
+}
+
+/// Runs both versions of `sweep` on copies of `net`, asserts they agree
+/// before and after `compacted`, and returns the rewrite count.
+fn check(name: &str, net: &Network) -> usize {
+    check_compacted(name, net);
+    let mut new = net.clone();
+    let mut old = net.clone();
+    let rewrites = new.sweep().expect("sweep succeeds");
+    let old_rewrites = reference_sweep::sweep(&mut old).expect("reference succeeds");
+    assert_eq!(
+        rewrites, old_rewrites,
+        "{name}: rewrite count differs from the reference"
+    );
+    assert_eq!(
+        blif::write(&new),
+        blif::write(&old),
+        "{name}: swept BLIF differs from the reference"
+    );
+    check_compacted(&format!("{name} (swept)"), &new);
+    rewrites
+}
+
+#[test]
+fn scaling_circuits_match_the_reference() {
+    let suite = [
+        ("mult16", multiplier(16, 16)),
+        ("bshift128", barrel_shifter(128)),
+        ("adder128", ripple_adder(128)),
+    ];
+    for (name, net) in &suite {
+        let input = check(name, net);
+        // The network the flow sweeps after the partial collapse.
+        let mut collapsed = net.compacted().expect("compacts");
+        collapsed.sweep().expect("sweeps");
+        collapsed
+            .eliminate(&EliminateParams::default())
+            .expect("eliminates");
+        let after_collapse = check(&format!("{name} (collapsed)"), &collapsed);
+        eprintln!("{name}: identical ({input} rewrites on the input, {after_collapse} collapsed)");
+    }
+}
+
+/// A buffer (`phase`) or inverter (`!phase`) of `src`.
+fn add_gate(net: &mut Network, name: String, src: SignalId, phase: bool) -> SignalId {
+    net.add_node(
+        name,
+        vec![src],
+        Cover::from_cubes(vec![Cube::lit(0, phase)]),
+    )
+    .expect("unique name")
+}
+
+/// A random cube over positions `0..arity`; it may be the unit cube.
+fn random_cube(rng: &mut Rng, arity: usize) -> Cube {
+    let mut lits = Vec::new();
+    for v in 0..arity as u32 {
+        if rng.ratio(0.4) {
+            lits.push((v, rng.bool()));
+        }
+    }
+    Cube::new(lits).expect("distinct positions")
+}
+
+/// A cover over `0..arity` that often has a cube contained in another,
+/// a distance-1 pair, a duplicate or unsorted cubes.
+fn random_cover(rng: &mut Rng, arity: usize) -> Cover {
+    let mut cubes: Vec<Cube> = (0..rng.range_usize(1..5))
+        .map(|_| random_cube(rng, arity))
+        .collect();
+    for _ in 0..rng.range_usize(0..3) {
+        let base = rng.choose(&cubes).clone();
+        let mut lits = base.literals().to_vec();
+        match rng.range_u32(0..3) {
+            // Contained: one more literal on a free position.
+            0 => {
+                let v = rng.range_u32(0..arity as u32);
+                if base.phase_of(v).is_none() {
+                    lits.push((v, rng.bool()));
+                }
+            }
+            // Distance 1: flip one literal's phase.
+            1 if !lits.is_empty() => {
+                let i = rng.range_usize(0..lits.len());
+                lits[i].1 = !lits[i].1;
+            }
+            // Duplicate.
+            _ => {}
+        }
+        cubes.push(Cube::new(lits).expect("distinct positions"));
+    }
+    if rng.bool() {
+        return Cover::from_cubes(cubes);
+    }
+    // Pushed as generated: unsorted, duplicates kept.
+    let mut cover = Cover::zero();
+    for c in cubes {
+        cover.push(c);
+    }
+    cover
+}
+
+/// A seeded random network holding what every sub-pass of `sweep` acts
+/// on, including an alias buffer or inverter after some nodes, as the
+/// stitch emits for supernode roots.
+fn random_sweepable(rng: &mut Rng) -> Network {
+    let mut net = Network::new("sweepable");
+    let mut pool: Vec<SignalId> = (0..rng.range_usize(2..11))
+        .map(|i| net.add_input(format!("i{i}")).expect("unique name"))
+        .collect();
+    let mut nodes: Vec<SignalId> = Vec::new();
+    for k in 0..rng.range_usize(1..61) {
+        let name = format!("n{k}");
+        let sig = match rng.range_u32(0..10) {
+            0 => net.add_constant(name, rng.bool()).expect("unique name"),
+            1 | 2 => {
+                let src = *rng.choose(&pool);
+                add_gate(&mut net, name, src, rng.bool())
+            }
+            3 if !nodes.is_empty() => {
+                // The function of an earlier node with its fanins permuted.
+                let orig = *rng.choose(&nodes);
+                let (fanins, cover) = net.node(orig).expect("internal node");
+                let arity = fanins.len();
+                let mut perm: Vec<u32> = (0..arity as u32).collect();
+                for i in (1..arity).rev() {
+                    perm.swap(i, rng.range_usize(0..i + 1));
+                }
+                let mut new_fanins = fanins.to_vec();
+                for (i, &f) in fanins.iter().enumerate() {
+                    new_fanins[perm[i] as usize] = f;
+                }
+                let new_cover: Cover = cover
+                    .cubes()
+                    .iter()
+                    .map(|c| {
+                        let lits = c.literals().iter().map(|&(v, p)| (perm[v as usize], p));
+                        Cube::new(lits.collect()).expect("distinct positions")
+                    })
+                    .collect();
+                net.add_node(name, new_fanins, new_cover)
+                    .expect("unique name")
+            }
+            _ => {
+                // Fanins drawn with replacement, so some repeat; the
+                // cover may leave some unused.
+                let arity = rng.range_usize(1..6);
+                let fanins: Vec<SignalId> = (0..arity).map(|_| *rng.choose(&pool)).collect();
+                let cover = random_cover(rng, arity);
+                net.add_node(name, fanins, cover).expect("unique name")
+            }
+        };
+        pool.push(sig);
+        nodes.push(sig);
+        if rng.ratio(0.3) {
+            let alias = add_gate(&mut net, format!("n{k}_alias"), sig, rng.bool());
+            pool.push(alias);
+            nodes.push(alias);
+        }
+    }
+    for &s in &nodes {
+        if rng.ratio(0.2) {
+            net.mark_output(s).expect("known signal");
+        }
+    }
+    let last = *nodes.last().expect("at least one node");
+    net.mark_output(last).expect("known signal");
+    net
+}
+
+#[test]
+fn random_networks_match_the_reference() {
+    let mut rewriting = 0u32;
+    check_cases("sweep matches the reference", CASES, |rng| {
+        let net = random_sweepable(rng);
+        let n = check("random", &net);
+        rewriting += u32::from(n > 0);
+    });
+    eprintln!("{CASES} random networks identical: {rewriting} with rewrites");
+    assert!(
+        rewriting > CASES / 2,
+        "too few cases rewrite anything: {rewriting}"
+    );
+}
