@@ -17,12 +17,13 @@
 //! [`optimize`] picks automatically: it attempts the global build under a
 //! node budget and falls back to partitioned mode.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use bds_bdd::reorder::{sift, SiftLimits};
 use bds_bdd::{BddError, Fault, Manager, OpStats};
-use bds_network::{EliminateParams, Network, NetworkError, SignalId};
+use bds_network::{cover_to_bdd, EliminateParams, Network, NetworkError, SignalId};
 use bds_sop::{Cover, Expr};
 use bds_trace::Stopwatch;
 
@@ -286,15 +287,17 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
 
     // The decomposition is "a search process for the most efficient
     // decomposition" (paper §IV-C); at the flow level we likewise keep a
-    // small portfolio and select by literal count.
-    let mut candidates: Vec<(Network, FlowReport)> = Vec::new();
+    // small portfolio and select by mapped area. Each candidate is mapped
+    // once, and carries its area.
+    let area_of = |n: &Network| map_network(n, &lib).map_or(f64::INFINITY, |m| m.area);
+    let mut candidates: Vec<(f64, Network, FlowReport)> = Vec::new();
 
     if params.global_limit > 0 && work.inputs().len() <= params.global_max_inputs {
         match optimize_global(&work, params) {
             Ok((out, mut report)) => {
                 // Only this fast-path test reads the input's mapped area.
-                let base_area = map_network(&work, &lib).map_or(f64::INFINITY, |m| m.area);
-                let area = map_network(&out, &lib).map_or(f64::INFINITY, |m| m.area);
+                let base_area = area_of(&work);
+                let area = area_of(&out);
                 if out.stats().literals <= base_literals && area <= base_area {
                     // Fast path: the global decomposition improved (or
                     // matched) both the network and its mapping — accept
@@ -310,7 +313,7 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
                     report.seconds = start.seconds();
                     return Ok((out, report));
                 }
-                candidates.push((out, report));
+                candidates.push((area, out, report));
             }
             Err(NetworkError::Bdd(_)) => { /* global form infeasible */ }
             Err(other) => return Err(other),
@@ -330,31 +333,30 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     // Phase boundary: eliminate audits the partial collapse on exit.
     let eliminated = collapsed.eliminate(&params.eliminate)?;
     collapsed.sweep()?;
-    if effective_jobs(params.jobs) > 1 {
+    let (first, second) = if effective_jobs(params.jobs) > 1 {
         let (first, second) = run_candidate_pair(
             || optimize_partitioned(&collapsed, params),
             || optimize_partitioned(&work, params),
         );
-        let (out, mut report) = first?;
-        report.eliminated = eliminated;
-        candidates.push((out, report));
-        candidates.push(second?);
+        (first?, second?)
     } else {
-        let (out, mut report) = optimize_partitioned(&collapsed, params)?;
-        report.eliminated = eliminated;
-        candidates.push((out, report));
-        candidates.push(optimize_partitioned(&work, params)?);
-    }
+        (
+            optimize_partitioned(&collapsed, params)?,
+            optimize_partitioned(&work, params)?,
+        )
+    };
+    let (out, mut report) = first;
+    report.eliminated = eliminated;
+    candidates.push((area_of(&out), out, report));
+    let (out, report) = second;
+    candidates.push((area_of(&out), out, report));
 
     // Select by the real objective: mapped cell area under the shared
     // mcnc-style library (literal counts undervalue XOR/MUX cells).
-    let (mut out, mut report) = candidates
+    // `min_by` keeps the first of equal minima.
+    let (_, mut out, mut report) = candidates
         .into_iter()
-        .min_by(|(a, _), (b, _)| {
-            let ca = map_network(a, &lib).map_or(f64::INFINITY, |m| m.area);
-            let cb = map_network(b, &lib).map_or(f64::INFINITY, |m| m.area);
-            ca.total_cmp(&cb)
-        })
+        .min_by(|(a, _, _), (b, _, _)| a.total_cmp(b))
         .ok_or_else(|| NetworkError::Inconsistent {
             detail: "flow portfolio is empty".to_string(),
         })?;
@@ -537,13 +539,17 @@ enum ArtifactBody {
 /// Everything a supernode's decomposition produces, independent of the
 /// output network: the pure, parallelizable part of the partitioned
 /// flow. Plain data (logic body + counters), so shards cross thread
-/// boundaries freely.
+/// boundaries freely. It is a function of the supernode's fanin count,
+/// its positional cover, the flow parameters and its fault plan alone,
+/// so every supernode with the same (fanin count, cover) and no fault
+/// shares one artifact.
 struct NodeArtifact {
     /// The produced logic, shaped by the ladder rung that succeeded.
     body: ArtifactBody,
-    /// Degradation-ladder rung that produced `body` (`0` = full
-    /// pipeline, `1` = no-reorder retry, `2` = SOP, `3` = verbatim).
-    rung: u8,
+    /// Degradation-ladder rung that produced `body` (`1` = no-reorder
+    /// retry, `2` = SOP, `3` = verbatim) and why rung 0 retreated;
+    /// `None` for the full pipeline.
+    degrade: Option<(u8, &'static str)>,
     /// Decomposition step counts for this node.
     stats: DecomposeStats,
     /// BDD operation counters from this node's managers.
@@ -563,10 +569,10 @@ struct NodeArtifact {
 impl NodeArtifact {
     /// An artifact for a degraded rung that never touched a BDD manager
     /// (SOP or verbatim): all counters zero.
-    fn degraded(body: ArtifactBody, rung: u8) -> NodeArtifact {
+    fn degraded(body: ArtifactBody, rung: u8, reason: &'static str) -> NodeArtifact {
         NodeArtifact {
             body,
-            rung,
+            degrade: Some((rung, reason)),
             stats: DecomposeStats::default(),
             ops: OpStats::default(),
             peak: 0,
@@ -590,9 +596,9 @@ impl NodeArtifact {
 /// plan's target), and [`GovernParams::supernode_budget`] bounds the
 /// build and decompose phases cumulatively.
 fn decompose_supernode_bdd(
-    work: &Network,
     sig: SignalId,
-    fanins: &[SignalId],
+    fanins: usize,
+    cover: &Cover,
     params: &FlowParams,
     sift_limits: SiftLimits,
     fault: Option<(Fault, u64)>,
@@ -606,13 +612,12 @@ fn decompose_supernode_bdd(
     if let Some((f, tick)) = fault {
         mgr.arm_fault(f, tick);
     }
-    let vars: Vec<bds_bdd::Var> = fanins
-        .iter()
-        .map(|&f| mgr.new_var(work.signal_name(f)))
-        .collect();
+    // Unnamed variables: nothing downstream reads a name, and leaving
+    // them out keeps the artifact independent of the fanins' identity.
+    let vars: Vec<bds_bdd::Var> = (0..fanins).map(|_| mgr.new_var(String::new())).collect();
     let edge = {
         let _span = bds_trace::span!("flow.build", node = sig.index());
-        work.local_bdd(sig, &mut mgr, &vars)?
+        cover_to_bdd(&mut mgr, cover, &vars)?
     };
     ops.merge(&mgr.op_stats());
     let build_bytes = mgr.table_stats().estimated_bytes();
@@ -672,7 +677,7 @@ fn decompose_supernode_bdd(
     }
     Ok(NodeArtifact {
         body: ArtifactBody::Forest { forest, root },
-        rung: 0,
+        degrade: None,
         stats: dec.stats,
         ops,
         peak,
@@ -753,6 +758,10 @@ fn fault_for(govern: &GovernParams, index: usize, total: usize) -> Option<(Fault
     (total > 0 && plan.supernode % total == index).then_some((plan.fault, plan.at_tick))
 }
 
+/// One supernode of the partitioned flow: its signal, fanins and cover,
+/// borrowed from the network being decomposed.
+type Supernode<'a> = (SignalId, &'a [SignalId], &'a Cover);
+
 /// Decomposes one supernode, walking the degradation ladder on BDD
 /// back-pressure (paper §IV's graceful-retreat strategy, carried below
 /// the global/partitioned split):
@@ -769,14 +778,14 @@ fn fault_for(govern: &GovernParams, index: usize, total: usize) -> Option<(Fault
 /// and every other error propagates unchanged.
 fn decompose_supernode(
     work: &Network,
-    sig: SignalId,
-    fanins: &[SignalId],
+    (sig, fanins, cover): Supernode<'_>,
     params: &FlowParams,
     fault: Option<(Fault, u64)>,
 ) -> Result<NodeArtifact, NetworkError> {
+    let fanins = fanins.len();
     // Rung 0: the full pipeline.
     let first = run_quarantined(work, sig, || {
-        decompose_supernode_bdd(work, sig, fanins, params, params.sift, fault)
+        decompose_supernode_bdd(sig, fanins, cover, params, params.sift, fault)
     })?;
     let reason = match first {
         Ok(artifact) => return Ok(artifact),
@@ -792,12 +801,11 @@ fn decompose_supernode(
         passes: 0,
     };
     let second = run_quarantined(work, sig, || {
-        decompose_supernode_bdd(work, sig, fanins, params, no_reorder, fault)
+        decompose_supernode_bdd(sig, fanins, cover, params, no_reorder, fault)
     })?;
     match second {
         Ok(mut artifact) => {
-            artifact.rung = 1;
-            record_degrade(sig, 1, reason);
+            artifact.degrade = Some((1, reason));
             return Ok(artifact);
         }
         Err(NetworkError::Bdd(_)) => {}
@@ -806,45 +814,42 @@ fn decompose_supernode(
 
     // Rungs 2 and 3 rebuild from the original cover without BDDs, so
     // they cannot trip a budget and always succeed.
-    let Some((_, cover)) = work.node(sig) else {
-        return Err(NetworkError::Inconsistent {
-            detail: format!("supernode `{}` has no cover", work.signal_name(sig)),
-        });
-    };
     if cover.len() <= params.govern.sop_cube_limit {
         // Rung 2: the sis-style algebraic path.
         let expr = bds_sop::factor::factor(cover);
-        record_degrade(sig, 2, reason);
-        return Ok(NodeArtifact::degraded(ArtifactBody::Factored(expr), 2));
+        return Ok(NodeArtifact::degraded(
+            ArtifactBody::Factored(expr),
+            2,
+            reason,
+        ));
     }
     // Rung 3: keep the original factored form verbatim.
-    record_degrade(sig, 3, reason);
     Ok(NodeArtifact::degraded(
         ArtifactBody::Verbatim(cover.clone()),
         3,
+        reason,
     ))
 }
 
-/// Distributes `items` (topo-indexed supernodes) across `jobs` scoped
-/// worker threads and returns the artifacts **in item order**. Workers
-/// claim items from a shared atomic cursor, record trace data into
-/// their own thread-local trace stores, and drain them before exiting;
-/// the coordinator absorbs every worker's trace in fixed worker-index
-/// order, so the merged trace is the same
-/// regardless of which thread processed which item or finished first.
+/// Decomposes `count` jobs across `jobs` scoped worker threads and
+/// returns the artifacts **in job order**: `run(k)` decomposes job `k`.
+/// Workers claim jobs from a shared atomic cursor, record trace data
+/// into their own thread-local trace stores, and drain them before
+/// exiting; the coordinator absorbs every worker's trace in fixed
+/// worker-index order, so the merged trace is the same regardless of
+/// which thread processed which job or finished first.
 ///
-/// On failure the error with the **smallest item index** is returned
+/// On failure the error with the **smallest job index** is returned
 /// (matching what a sequential run would hit first), and remaining
-/// workers stop claiming items at the next cursor check.
+/// workers stop claiming jobs at the next cursor check.
 #[expect(
     clippy::disallowed_methods,
     reason = "flow.rs is the scheduler: scoped workers, re-raising a worker's panic on join"
 )]
 fn decompose_sharded(
-    work: &Network,
-    items: &[(SignalId, Vec<SignalId>)],
-    params: &FlowParams,
+    count: usize,
     jobs: usize,
+    run: impl Fn(usize) -> Result<NodeArtifact, NetworkError> + Sync,
 ) -> Result<Vec<NodeArtifact>, NetworkError> {
     type WorkerOut = (
         Vec<(usize, Result<NodeArtifact, NetworkError>)>,
@@ -861,16 +866,15 @@ fn decompose_sharded(
                         if abort.load(Ordering::Relaxed) {
                             break;
                         }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((sig, fanins)) = items.get(i) else {
+                        let k = cursor.fetch_add(1, Ordering::Relaxed);
+                        if k >= count {
                             break;
-                        };
-                        let fault = fault_for(&params.govern, i, items.len());
-                        let r = decompose_supernode(work, *sig, fanins, params, fault);
+                        }
+                        let r = run(k);
                         if r.is_err() {
                             abort.store(true, Ordering::Relaxed);
                         }
-                        done.push((i, r));
+                        done.push((k, r));
                     }
                     // Hand the thread-local trace state to the
                     // coordinator; a worker that exits without draining
@@ -888,17 +892,17 @@ fn decompose_sharded(
             .collect()
     });
 
-    let mut slots: Vec<Option<NodeArtifact>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
+    let mut slots: Vec<Option<NodeArtifact>> = Vec::with_capacity(count);
+    slots.resize_with(count, || None);
     let mut first_err: Option<(usize, NetworkError)> = None;
     for (done, trace) in worker_outs {
         bds_trace::absorb(trace);
-        for (i, r) in done {
+        for (k, r) in done {
             match r {
-                Ok(artifact) => slots[i] = Some(artifact),
+                Ok(artifact) => slots[k] = Some(artifact),
                 Err(e) => {
-                    if first_err.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                        first_err = Some((i, e));
+                    if first_err.as_ref().is_none_or(|(fk, _)| k < *fk) {
+                        first_err = Some((k, e));
                     }
                 }
             }
@@ -910,9 +914,9 @@ fn decompose_sharded(
     slots
         .into_iter()
         .enumerate()
-        .map(|(i, slot)| {
+        .map(|(k, slot)| {
             slot.ok_or_else(|| NetworkError::Inconsistent {
-                detail: format!("sharded flow lost supernode #{i}"),
+                detail: format!("sharded flow lost job #{k}"),
             })
         })
         .collect()
@@ -920,7 +924,10 @@ fn decompose_sharded(
 
 /// Partitioned-mode flow: each supernode is decomposed on its own local
 /// BDD (fresh manager per node, as in the paper's partitioned Boolean
-/// network environment). With [`FlowParams::jobs`] > 1 the per-node
+/// network environment). Supernodes with the same fanin count and cover
+/// have the same local BDD, so each such function is decomposed once per
+/// call and its artifact reused (the paper's §IV-D canonicity argument,
+/// one level up). With [`FlowParams::jobs`] > 1 the per-node
 /// pipelines run on worker threads; sharing extraction then stitches
 /// the artifacts into the output network **in topological-index order**
 /// on the calling thread, so the emitted network, the report, and the
@@ -951,31 +958,51 @@ pub fn optimize_partitioned(
     for &i in work.inputs() {
         map[i.index()] = Some(out.add_input(work.signal_name(i))?);
     }
-    // The shard unit: every non-input node with a cover, in topological
-    // order. Fanin lists are materialized up front so worker threads
-    // can borrow the items without touching `work`'s internals.
-    let items: Vec<(SignalId, Vec<SignalId>)> = work
+    // Every non-input node with a cover, in topological order.
+    let items: Vec<Supernode<'_>> = work
         .topo_order()
         .into_iter()
         .filter(|&sig| !work.is_input(sig))
-        .filter_map(|sig| work.node(sig).map(|(fanins, _)| (sig, fanins.to_vec())))
+        .filter_map(|sig| work.node(sig).map(|(fanins, cover)| (sig, fanins, cover)))
         .collect();
-    let jobs = effective_jobs(params.jobs).min(items.len().max(1));
+    // The shard unit is a distinct supernode function: items with equal
+    // (fanin count, cover) get equal artifacts, so only the first item of
+    // each group (its leader) is decomposed. The fault plan's target
+    // always leads a group of its own, so it is never shared.
+    let mut leader_slot: HashMap<(usize, &Cover), usize> = HashMap::new();
+    let mut leaders: Vec<usize> = Vec::new();
+    let mut slot_of: Vec<usize> = Vec::with_capacity(items.len());
+    for (i, &(_, fanins, cover)) in items.iter().enumerate() {
+        let slot = if fault_for(&params.govern, i, items.len()).is_some() {
+            leaders.len()
+        } else {
+            *leader_slot
+                .entry((fanins.len(), cover))
+                .or_insert(leaders.len())
+        };
+        if slot == leaders.len() {
+            leaders.push(i);
+        }
+        slot_of.push(slot);
+    }
+    let decompose_leader = |k: usize| {
+        let i = leaders[k];
+        let fault = fault_for(&params.govern, i, items.len());
+        decompose_supernode(&work, items[i], params, fault)
+    };
+    let jobs = effective_jobs(params.jobs).min(leaders.len().max(1));
     let artifacts: Vec<NodeArtifact> = if jobs > 1 {
-        decompose_sharded(&work, &items, params, jobs)?
+        decompose_sharded(leaders.len(), jobs, decompose_leader)?
     } else {
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, (sig, fanins))| {
-                let fault = fault_for(&params.govern, i, items.len());
-                decompose_supernode(&work, *sig, fanins, params, fault)
-            })
+        (0..leaders.len())
+            .map(decompose_leader)
             .collect::<Result<_, _>>()?
     };
+    // Stitch every item from its leader's artifact. The counters are
+    // merged once per item, so the report describes every supernode.
     let mut degraded = 0usize;
-    for ((sig, fanins), artifact) in items.iter().zip(artifacts) {
-        let sig = *sig;
+    for (&(sig, fanins, _), &slot) in items.iter().zip(&slot_of) {
+        let artifact = &artifacts[slot];
         stats.merge(artifact.stats);
         ops.merge(&artifact.ops);
         peak = peak.max(artifact.peak);
@@ -983,7 +1010,10 @@ pub fn optimize_partitioned(
         peak_computed = peak_computed.max(artifact.peak_computed);
         build_bytes = build_bytes.max(artifact.build_bytes);
         decompose_bytes = decompose_bytes.max(artifact.decompose_bytes);
-        degraded += usize::from(artifact.rung > 0);
+        if let Some((rung, reason)) = artifact.degrade {
+            degraded += 1;
+            record_degrade(sig, rung, reason);
+        }
 
         let _sharing_span = bds_trace::span!("flow.sharing");
         let mut var_signals: Vec<SignalId> = Vec::with_capacity(fanins.len());
@@ -1009,7 +1039,7 @@ pub fn optimize_partitioned(
             // The verbatim rung re-adds the original cover unchanged
             // (cover literals index fanin positions, exactly as stored).
             ArtifactBody::Verbatim(cover) => {
-                out.add_node(work.signal_name(sig), var_signals.clone(), cover.clone())?
+                out.add_node(work.signal_name(sig), var_signals, cover.clone())?
             }
         };
         map[sig.index()] = Some(named);

@@ -130,27 +130,6 @@ impl Network {
         }
         Ok(self.outputs().iter().map(|o| value[o]).collect())
     }
-
-    /// Builds the local BDD of the node driving `sig` over fresh (or
-    /// caller-chosen) fanin variables.
-    ///
-    /// # Errors
-    /// BDD errors as usual; `Inconsistent` when `sig` is a primary input.
-    ///
-    /// # Panics
-    /// Panics if `fanin_vars` is shorter than the fanin list.
-    pub fn local_bdd(&self, sig: SignalId, mgr: &mut Manager, fanin_vars: &[Var]) -> Result<Edge> {
-        let (fanins, cover) = self
-            .node(sig)
-            .ok_or_else(|| crate::NetworkError::Inconsistent {
-                detail: format!("`{}` is a primary input", self.signal_name(sig)),
-            })?;
-        assert!(
-            fanin_vars.len() >= fanins.len(),
-            "fanin variable list too short"
-        );
-        cover_to_bdd(mgr, cover, fanin_vars)
-    }
 }
 
 /// Builds the BDD of `cover` where position `i` stands for the

@@ -10,7 +10,7 @@ use crate::cube::Cube;
 /// Invariants kept loose: duplicates may exist transiently but every
 /// mutating helper finishes with [`Cover::dedup`]-ed content; call
 /// [`Cover::simplify`] for containment-minimal form.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Cover {
     cubes: Vec<Cube>,
 }

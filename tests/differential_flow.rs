@@ -282,23 +282,28 @@ fn jobs1_and_jobs4_profiles_are_byte_identical() {
 
 #[test]
 fn jobs4_trace_counters_match_sequential() {
-    // Counters and span call counts — not just the final network — must
-    // be independent of the thread count: workers drain their
-    // thread-local registries and the coordinator merges them in fixed
-    // order. (Without `--features trace` both snapshots are empty and
-    // this checks the no-op path stays a no-op across threads.)
-    let net = carry_select_adder(8, 2);
-    bds_trace::reset();
-    let _ = optimize(&net, &params(1)).unwrap();
-    let seq = structural_view(&bds_trace::take_snapshot());
-    bds_trace::reset();
-    let _ = optimize(&net, &params(4)).unwrap();
-    let par = structural_view(&bds_trace::take_snapshot());
-    assert_eq!(seq, par, "trace structural view diverged with jobs=4");
-    if bds_trace::is_enabled() {
-        assert!(
-            seq.iter().any(|(k, _)| k == "counter:bdd.ite_calls"),
-            "trace-enabled run should have recorded BDD counters"
+    // Counters, gauges, histogram counts and span call counts — not just
+    // the final network — must be independent of the thread count:
+    // workers drain their thread-local registries and the coordinator
+    // merges them in fixed order. (Without `--features trace` both
+    // snapshots are empty and this checks the no-op path stays a no-op
+    // across threads.)
+    for (name, net) in benchmark_suite() {
+        bds_trace::reset();
+        let _ = optimize(&net, &params(1)).unwrap();
+        let seq = structural_view(&bds_trace::take_snapshot());
+        bds_trace::reset();
+        let _ = optimize(&net, &params(4)).unwrap();
+        let par = structural_view(&bds_trace::take_snapshot());
+        assert_eq!(
+            seq, par,
+            "{name}: trace structural view diverged with jobs=4"
         );
+        if bds_trace::is_enabled() {
+            assert!(
+                seq.iter().any(|(k, _)| k == "counter:bdd.ite_calls"),
+                "{name}: trace-enabled run should have recorded BDD counters"
+            );
+        }
     }
 }
