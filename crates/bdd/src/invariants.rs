@@ -13,8 +13,7 @@
 //! 4. no edge indexes past the arena,
 //! 5. computed-table (ITE cache) entries reference live nodes only,
 //! 6. the variable/level permutation tables are mutual inverses,
-//! 7. no node has identical then/else children,
-//! 8. the GC root registry references arena nodes with positive counts.
+//! 7. no node has identical then/else children.
 //!
 //! [`Manager::check_invariants`] always performs the full audit;
 //! [`Manager::audit`] is the cheap gate the flow calls at phase
@@ -162,19 +161,6 @@ impl Manager {
             }
         }
 
-        // GC root registry: in-arena node indices, positive refcounts.
-        for (&idx, &count) in &self.roots {
-            if idx as usize >= n {
-                return violation(format!(
-                    "root registry pins node {idx} past the arena of {n}"
-                ));
-            }
-            if count == 0 {
-                return violation(format!(
-                    "root registry holds node {idx} with a zero reference count"
-                ));
-            }
-        }
         Ok(())
     }
 

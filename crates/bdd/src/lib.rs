@@ -63,16 +63,12 @@
 //! *standard triples* before the computed table is consulted (see the
 //! `canon` module docs).
 //!
-//! Two complementary mechanisms keep long-lived managers clean:
-//!
-//! * **rebuild into a fresh manager** — the paper's own answer to manager
-//!   pollution ("BDD mapping", §IV-B), which [`transfer::transfer`]
-//!   implements directly and sifting uses for every order it adopts; and
-//! * **root-refcounted garbage collection** — [`Manager::add_root`] /
-//!   [`Manager::collect_garbage`] mark-compact the arena in stable
-//!   (deterministic) order so long flows stop dragging dead nodes
-//!   through reorder and transfer. See the `gc` module docs for the
-//!   protocol and its handle-invalidation rules.
+//! Long-lived managers are kept clean the paper's way: by rebuilding
+//! into a fresh manager ("BDD mapping", §IV-B), which
+//! [`transfer::transfer`] implements directly and sifting uses for every
+//! order it adopts. The rebuild holds only what is reachable from the
+//! transferred roots, so the flow drops each build manager as soon as
+//! sifting hands back its rebuild instead of collecting garbage in it.
 
 #![warn(missing_docs)]
 // Library lint policy outside unit tests (DESIGN.md §10); lists in `clippy.toml`.
@@ -93,7 +89,6 @@ mod cube;
 mod dot;
 mod edge;
 mod error;
-mod gc;
 mod hash;
 mod invariants;
 mod isop;
@@ -116,7 +111,6 @@ pub use canon::IteNorm;
 pub use cube::Cube;
 pub use edge::{Edge, Var};
 pub use error::{BddError, OpClass};
-pub use gc::GcStats;
 pub use invariants::STRICT_CHECKS;
 pub use manager::Manager;
 pub use stats::{OpStats, TableStats};

@@ -46,8 +46,6 @@ pub struct Manager {
     pub(crate) unique: FastMap<UniqueKey, u32>,
     /// ITE computed table: packed canonical `(f, g, h)` key → result.
     pub(crate) ite_cache: FastMap<IteKey, Edge>,
-    /// GC root registry: node index → reference count (see `gc.rs`).
-    pub(crate) roots: FastMap<u32, u32>,
     pub(crate) var_names: Vec<String>,
     /// var index -> level.
     pub(crate) level_of_var: Vec<u32>,
@@ -85,7 +83,6 @@ impl Manager {
             }],
             unique: FastMap::default(),
             ite_cache: FastMap::default(),
-            roots: FastMap::default(),
             var_names: Vec::new(),
             level_of_var: Vec::new(),
             var_at_level: Vec::new(),
@@ -337,11 +334,10 @@ impl Manager {
         self.ite_cache.clear();
     }
 
-    /// Drops every decision node, the unique table, the ITE cache, the
-    /// GC roots and the effort count, keeping the variables, their order,
-    /// the limits, the lifetime operation counters and the tables'
-    /// capacity. Every outstanding [`Edge`] other than the constants is
-    /// invalidated.
+    /// Drops every decision node, the unique table, the ITE cache and
+    /// the effort count, keeping the variables, their order, the limits,
+    /// the lifetime operation counters and the tables' capacity. Every
+    /// outstanding [`Edge`] other than the constants is invalidated.
     ///
     /// Afterwards the manager builds exactly what a fresh manager with the
     /// same variables would: the same edges, the same arena growth, and a
@@ -352,7 +348,6 @@ impl Manager {
         self.nodes.truncate(1);
         self.unique.clear();
         self.ite_cache.clear();
-        self.roots.clear();
         self.effort_spent = 0;
     }
 }
@@ -441,13 +436,11 @@ mod tests {
         let mut reused = Manager::new();
         reused.new_vars(4);
         let first = sample(&mut reused).unwrap();
-        reused.add_root(first);
         // Unrelated work leaves nodes, cache entries and effort behind.
         let x = reused.literal(Var::from_index(3), false);
         reused.and(first, x).unwrap();
         reused.clear_nodes();
         assert_eq!(reused.arena_size(), 1);
-        assert_eq!(reused.root_count(), 0);
         assert_eq!(reused.effort_spent(), 0);
         assert_eq!(reused.var_count(), 4);
         reused.check_invariants().unwrap();

@@ -78,40 +78,6 @@ impl OpStats {
         self.nodes_created += other.nodes_created;
     }
 
-    /// Counts accumulated since `baseline` was snapshotted off the same
-    /// manager: per-field saturating subtraction. Used by flow phases
-    /// that keep one warm manager across a phase boundary and must
-    /// attribute each phase's operations exactly once.
-    #[must_use]
-    pub fn delta_since(&self, baseline: &OpStats) -> OpStats {
-        let mut d = OpStats {
-            ite_calls: self.ite_calls.saturating_sub(baseline.ite_calls),
-            terminal_hits: self.terminal_hits.saturating_sub(baseline.terminal_hits),
-            cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(baseline.cache_misses),
-            miss_depth: [0; MISS_DEPTH_BUCKETS],
-            restrict_calls: self.restrict_calls.saturating_sub(baseline.restrict_calls),
-            restrict_hits: self.restrict_hits.saturating_sub(baseline.restrict_hits),
-            restrict_misses: self
-                .restrict_misses
-                .saturating_sub(baseline.restrict_misses),
-            transfer_hits: self.transfer_hits.saturating_sub(baseline.transfer_hits),
-            transfer_misses: self
-                .transfer_misses
-                .saturating_sub(baseline.transfer_misses),
-            unique_hits: self.unique_hits.saturating_sub(baseline.unique_hits),
-            nodes_created: self.nodes_created.saturating_sub(baseline.nodes_created),
-        };
-        for (slot, (cur, base)) in d
-            .miss_depth
-            .iter_mut()
-            .zip(self.miss_depth.iter().zip(baseline.miss_depth.iter()))
-        {
-            *slot = cur.saturating_sub(*base);
-        }
-        d
-    }
-
     /// Merges an iterator of per-manager (or per-worker) counter sets
     /// into one total. Addition is commutative, so the result does not
     /// depend on the order worker threads finished in — the property the
@@ -128,23 +94,7 @@ impl OpStats {
     /// Computed-table hit rate in `[0, 1]`, or 0.0 before any lookup.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
-        Self::rate(self.cache_hits, self.cache_misses)
-    }
-
-    /// Restrict memo hit rate in `[0, 1]`, or 0.0 before any lookup.
-    #[must_use]
-    pub fn restrict_hit_rate(&self) -> f64 {
-        Self::rate(self.restrict_hits, self.restrict_misses)
-    }
-
-    /// Transfer memo hit rate in `[0, 1]`, or 0.0 before any lookup.
-    #[must_use]
-    pub fn transfer_hit_rate(&self) -> f64 {
-        Self::rate(self.transfer_hits, self.transfer_misses)
-    }
-
-    fn rate(hits: u64, misses: u64) -> f64 {
-        let total = hits + misses;
+        let total = self.cache_hits + self.cache_misses;
         if total == 0 {
             0.0
         } else {
@@ -153,7 +103,7 @@ impl OpStats {
                 reason = "counter magnitudes sit far below f64's exact-integer range"
             )]
             {
-                hits as f64 / total as f64
+                self.cache_hits as f64 / total as f64
             }
         }
     }
@@ -405,44 +355,6 @@ mod tests {
                 nodes_created: 66,
             }
         );
-    }
-
-    #[test]
-    fn delta_since_inverts_merge_on_every_field() {
-        let baseline = OpStats {
-            ite_calls: 1,
-            terminal_hits: 7,
-            cache_hits: 2,
-            cache_misses: 3,
-            miss_depth: [1, 0, 2, 0, 0, 0, 0, 0],
-            restrict_calls: 4,
-            restrict_hits: 8,
-            restrict_misses: 9,
-            transfer_hits: 11,
-            transfer_misses: 12,
-            unique_hits: 5,
-            nodes_created: 6,
-        };
-        let growth = OpStats {
-            ite_calls: 10,
-            terminal_hits: 70,
-            cache_hits: 20,
-            cache_misses: 30,
-            miss_depth: [10, 20, 0, 0, 0, 0, 0, 0],
-            restrict_calls: 40,
-            restrict_hits: 80,
-            restrict_misses: 90,
-            transfer_hits: 110,
-            transfer_misses: 120,
-            unique_hits: 50,
-            nodes_created: 60,
-        };
-        let mut total = baseline;
-        total.merge(&growth);
-        // Counters are monotonic, so the delta off a later snapshot of
-        // the same manager recovers exactly the growth.
-        assert_eq!(total.delta_since(&baseline), growth);
-        assert_eq!(total.delta_since(&total), OpStats::default());
     }
 
     #[test]

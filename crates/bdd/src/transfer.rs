@@ -135,7 +135,7 @@ fn image(e: Edge, memo: &FastMap<u32, Edge>) -> Option<Edge> {
 /// its level. Entries naming any node outside the transferred graph
 /// (dead operands or a dead result) are dropped — which also makes the
 /// surviving set a pure function of the live graph, independent of
-/// whatever garbage-collection history the source manager had.
+/// whatever dead nodes the source manager's arena still holds.
 pub(crate) fn transplant_cache(
     src: &Manager,
     dst: &mut Manager,

@@ -107,7 +107,7 @@ pub fn decompose_at_one_dominator(
     let mut subst = HashMap::new();
     subst.insert(d, Edge::ONE);
     let g = substitute_vertices(mgr, f, &subst)?;
-    debug_assert_eq!(mgr.and(g, d), Ok(f), "1-dominator identity F = G·H");
+    debug_assert_identity!(mgr.and(g, d), f, "1-dominator identity F = G·H");
     Ok(SimpleDecomp::And(g, d))
 }
 
@@ -124,7 +124,7 @@ pub fn decompose_at_zero_dominator(
     let mut subst = HashMap::new();
     subst.insert(d, Edge::ZERO);
     let g = substitute_vertices(mgr, f, &subst)?;
-    debug_assert_eq!(mgr.or(g, d), Ok(f), "0-dominator identity F = G+H");
+    debug_assert_identity!(mgr.or(g, d), f, "0-dominator identity F = G+H");
     Ok(SimpleDecomp::Or(g, d))
 }
 
@@ -147,7 +147,7 @@ pub fn decompose_at_x_dominator(
     subst.insert(d, Edge::ONE);
     subst.insert(d.complement(), Edge::ZERO);
     let h = substitute_vertices(mgr, f, &subst)?;
-    debug_assert_eq!(mgr.xnor(d, h), Ok(f), "x-dominator identity F = G ⊙ H");
+    debug_assert_identity!(mgr.xnor(d, h), f, "x-dominator identity F = G ⊙ H");
     Ok(SimpleDecomp::Xnor(d, h))
 }
 

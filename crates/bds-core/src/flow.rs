@@ -78,8 +78,6 @@ pub struct FlowParams {
     /// Resource governance: per-supernode effort budget, degradation
     /// ladder, and fault injection (see [`GovernParams`]).
     pub govern: GovernParams,
-    /// Garbage collection of build-phase managers (see [`GcPolicy`]).
-    pub gc: GcPolicy,
 }
 
 impl Default for FlowParams {
@@ -94,74 +92,8 @@ impl Default for FlowParams {
             global_blowup_factor: 1,
             jobs: default_jobs(),
             govern: GovernParams::default(),
-            gc: GcPolicy::default(),
         }
     }
-}
-
-/// Garbage-collection policy for the flow's build-phase BDD managers.
-///
-/// After a build phase finishes, its manager is full of dead
-/// intermediate nodes (cube conjunctions, collapsed divisors). The flow
-/// collects them at the build→reorder boundary — rooting exactly the
-/// live output functions, compacting the arena, and releasing the roots
-/// — so reordering's transfer source (and the arena held across it)
-/// stays proportional to the *live* graph.
-///
-/// Collection is **invisible downstream**: it runs after the build
-/// phase's statistics are captured, sifting rebuilds into fresh
-/// managers anyway, and [`bds_bdd::Manager::collect_garbage`] is
-/// deterministic and charges no effort ticks — so networks, reports,
-/// counters and budgets are byte-identical with the policy on or off,
-/// at any [`FlowParams::jobs`] setting. (The `bdd.gc.*` trace counters
-/// and the `gc.collect` journal event are the one deliberate trace of
-/// its work.)
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct GcPolicy {
-    /// Master switch; `false` makes the flow never collect.
-    pub enabled: bool,
-    /// Collect only when the manager's arena holds at least this many
-    /// nodes — below it, the mark-compact pass costs more than the
-    /// memory it returns. `1` forces a collection at every boundary
-    /// (the differential tests use this to maximize coverage).
-    pub min_nodes: usize,
-}
-
-impl Default for GcPolicy {
-    fn default() -> Self {
-        GcPolicy {
-            enabled: true,
-            min_nodes: 512,
-        }
-    }
-}
-
-/// Applies `policy` to `mgr` at a phase boundary: roots `handles`,
-/// mark-compacts, releases, and re-audits. The edges in `handles` are
-/// remapped in place. See [`GcPolicy`] for the invisibility contract.
-fn maybe_collect(
-    mgr: &mut Manager,
-    handles: &mut [bds_bdd::Edge],
-    policy: GcPolicy,
-) -> Result<(), NetworkError> {
-    if !policy.enabled || mgr.arena_size() < policy.min_nodes {
-        return Ok(());
-    }
-    for &e in handles.iter() {
-        mgr.add_root(e);
-    }
-    let stats = mgr.collect_garbage(handles);
-    for &e in handles.iter() {
-        mgr.release_root(e);
-    }
-    bds_trace::event!(
-        "gc.collect",
-        live = stats.live as u64,
-        collected = stats.collected as u64,
-        cache_dropped = stats.cache_dropped as u64,
-    );
-    // Phase boundary: the compacted manager must still be canonical.
-    mgr.audit().map_err(NetworkError::Bdd)
 }
 
 /// Deterministic resource governance for the partitioned flow.
@@ -427,15 +359,13 @@ pub fn optimize_global(
     let peak0 = mgr.arena_size();
     let mut ops = mgr.op_stats();
     let build_bytes = mgr.table_stats().estimated_bytes();
-    // Build→reorder boundary: collect the global build's dead
-    // intermediates (after the build statistics were captured).
-    let mut mgr = mgr;
-    let mut edges = edges;
-    maybe_collect(&mut mgr, &mut edges, params.gc)?;
-    // Reorder (paper §IV-C: reordering precedes decomposition).
+    // Reorder (paper §IV-C: reordering precedes decomposition). Sifting
+    // rebuilds into a fresh manager, so the build manager and its dead
+    // intermediates are dropped as soon as it returns.
     let (mut mgr, edges) = {
         let _span = bds_trace::span!("flow.reorder");
-        sift(&mgr, &edges, params.sift).map_err(NetworkError::Bdd)?
+        let built = mgr;
+        sift(&built, &edges, params.sift).map_err(NetworkError::Bdd)?
     };
     let mut forest = FactorForest::new();
     let mut dec = Decomposer::new();
@@ -484,18 +414,7 @@ pub fn optimize_global(
         peak0.max(mgr.arena_size()) as u64
     );
     if bds_trace::is_enabled() {
-        // Table analytics and the dead-node census are O(arena); only
-        // pay for them when the trace registry is live to record them.
-        bds_trace::counter_add!(
-            "bdd.decompose.dead_nodes",
-            mgr.dead_node_count(&edges) as u64
-        );
-        for len in mgr.unique_chain_lengths() {
-            bds_trace::histogram!("bdd.unique.chain_len", len);
-        }
-        for width in mgr.level_node_counts() {
-            bds_trace::histogram!("bdd.level.width", width);
-        }
+        record_table_analytics(&mgr, &edges);
     }
     bds_trace::gauge!("bdd.phase.build.peak_arena_bytes", build_bytes as u64);
     bds_trace::gauge!(
@@ -516,6 +435,20 @@ pub fn optimize_global(
             degraded: 0,
         },
     ))
+}
+
+/// Records a decompose manager's O(arena) table analytics: the census
+/// of nodes unreachable from `live`, the unique-table chain lengths and
+/// the node count of each level. Callers pay for it only when a trace is
+/// live to receive it.
+fn record_table_analytics(mgr: &Manager, live: &[bds_bdd::Edge]) {
+    bds_trace::counter_add!("bdd.decompose.dead_nodes", mgr.dead_node_count(live) as u64);
+    for len in mgr.unique_chain_lengths() {
+        bds_trace::histogram!("bdd.unique.chain_len", len);
+    }
+    for width in mgr.level_node_counts() {
+        bds_trace::histogram!("bdd.level.width", width);
+    }
 }
 
 /// The logic a supernode's (possibly degraded) decomposition produced,
@@ -622,15 +555,14 @@ fn decompose_supernode_bdd(
     ops.merge(&mgr.op_stats());
     let build_bytes = mgr.table_stats().estimated_bytes();
     let spent = mgr.effort_spent();
-    // Build→reorder boundary: shed the build's dead intermediates so
-    // sifting's transfer source is only the live graph. Runs after the
-    // build statistics were captured — invisible in every report.
-    let mut gc_handles = [edge];
-    maybe_collect(&mut mgr, &mut gc_handles, params.gc)?;
-    let edge = gc_handles[0];
+    // Phase boundary: the freshly built local manager must be canonical.
+    mgr.audit().map_err(NetworkError::Bdd)?;
+    // Sifting rebuilds into a fresh manager, so the build manager and
+    // its dead intermediates are dropped as soon as it returns.
     let (mut mgr, edges) = {
         let _span = bds_trace::span!("flow.reorder");
-        sift(&mgr, &[edge], sift_limits).map_err(NetworkError::Bdd)?
+        let built = mgr;
+        sift(&built, &[edge], sift_limits).map_err(NetworkError::Bdd)?
     };
     // Sift scratch managers (and the rebuild that produced `mgr`) run
     // unbudgeted; the rung's budget resumes cumulatively here, so an
@@ -662,18 +594,7 @@ fn decompose_supernode_bdd(
     if bds_trace::is_enabled() {
         peak_unique = table.unique_entries;
         peak_computed = table.computed_entries;
-        // O(arena)/O(entries) analytics, paid only when a registry is
-        // live to receive them.
-        bds_trace::counter_add!(
-            "bdd.decompose.dead_nodes",
-            mgr.dead_node_count(&[edge]) as u64
-        );
-        for len in mgr.unique_chain_lengths() {
-            bds_trace::histogram!("bdd.unique.chain_len", len);
-        }
-        for width in mgr.level_node_counts() {
-            bds_trace::histogram!("bdd.level.width", width);
-        }
+        record_table_analytics(&mgr, &[edge]);
     }
     Ok(NodeArtifact {
         body: ArtifactBody::Forest { forest, root },

@@ -109,9 +109,9 @@ pub fn decompose_mux(mgr: &mut Manager, f: Edge, u: Edge, v: Edge) -> bds_bdd::R
     subst.insert(u, Edge::ONE);
     subst.insert(v, Edge::ZERO);
     let control = substitute_vertices(mgr, f, &subst)?;
-    debug_assert_eq!(
+    debug_assert_identity!(
         mgr.ite(control, u, v),
-        Ok(f),
+        f,
         "Theorem 7 identity F = h·f + h̄·g"
     );
     Ok(MuxDecomp {

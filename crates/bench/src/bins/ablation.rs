@@ -89,7 +89,7 @@ fn suite() -> Vec<(&'static str, Network)> {
 /// Entry point (called by the root `ablation` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("ablation", false) {
+    let args = match parse_args("ablation") {
         Ok(args) => args,
         Err(code) => return code,
     };

@@ -34,7 +34,7 @@ use crate::report::{envelope, parse_args, write_json};
 /// Entry point (called by the root `fpga` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("fpga", false) {
+    let args = match parse_args("fpga") {
         Ok(args) => args,
         Err(code) => return code,
     };

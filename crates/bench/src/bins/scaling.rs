@@ -68,7 +68,7 @@ type Family = (&'static str, Box<dyn Fn(usize) -> Network>, Vec<usize>);
 /// Entry point (called by the root `scaling` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("scaling", false) {
+    let args = match parse_args("scaling") {
         Ok(args) => args,
         Err(code) => return code,
     };

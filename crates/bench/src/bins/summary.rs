@@ -10,9 +10,9 @@
 //! the tree mapper ("only 33% of XORs were preserved").
 //!
 //! Usage: `cargo run --release --bin summary [-- --json <path>]
-//! [--compare <report.json>] [--trace-tree]` — `--compare` diffs the
-//! current run against an earlier `--json` report (any bench), matching
-//! circuits by name through the hand-rolled [`bds_trace::json`] parser.
+//! [--trace-tree]`. To gate a run against an earlier report, write it
+//! with `--json` and run `cargo xtask perfgate --baseline <old> --fresh
+//! <new>`.
 
 #![expect(
     clippy::print_stdout,
@@ -20,7 +20,6 @@
     reason = "experiment binaries report to the console by design"
 )]
 
-use std::path::Path;
 use std::process::ExitCode;
 
 use bds::sis_flow::SisParams;
@@ -32,12 +31,9 @@ use bds_circuits::multiplier::multiplier;
 use bds_circuits::parity::{parity_chain, parity_tree};
 use bds_circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_network::Network;
-use bds_trace::json::{parse, Json};
-
-use bds_trace::gate::compare_reports;
 
 use crate::harness::{geomean, live_line, print_rows, run_both, Row};
-use crate::report::{envelope, finish_rows, parse_args, row_json};
+use crate::report::{finish_rows, parse_args};
 
 fn class_summary(title: &str, rows: &[Row], paper_claim: &str) {
     print_rows(title, rows);
@@ -57,95 +53,12 @@ fn class_summary(title: &str, rows: &[Row], paper_claim: &str) {
     println!();
 }
 
-/// One prior-run circuit entry pulled from a `--json` report.
-struct Baseline {
-    name: String,
-    gates: u64,
-    area: f64,
-}
-
-fn load_report(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = parse(&text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("bds-trace-report/v1") => {}
-        other => return Err(format!("unsupported report schema {other:?}")),
-    }
-    Ok(doc)
-}
-
-fn load_baselines(doc: &Json) -> Result<Vec<Baseline>, String> {
-    let circuits = doc
-        .get("circuits")
-        .and_then(Json::as_arr)
-        .ok_or("report has no circuits array")?;
-    let mut out = Vec::new();
-    for c in circuits {
-        let (Some(name), Some(bds)) = (c.get("name").and_then(Json::as_str), c.get("bds")) else {
-            continue;
-        };
-        let (Some(gates), Some(area)) = (
-            bds.get("gates").and_then(Json::as_u64),
-            bds.get("area").and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        out.push(Baseline {
-            name: name.to_string(),
-            gates,
-            area,
-        });
-    }
-    Ok(out)
-}
-
-fn print_comparison(path: &Path, baselines: &[Baseline], rows: &[Row]) {
-    println!("comparison against {}:", path.display());
-    let mut matched = 0usize;
-    for row in rows {
-        let Some(base) = baselines.iter().find(|b| b.name == row.name) else {
-            continue;
-        };
-        matched += 1;
-        let dg = row.bds.gates as i64 - base.gates as i64;
-        let da = row.bds.area - base.area;
-        println!(
-            "  {:<12} gates {:>4} ({:+}) area {:>8.1} ({:+.1})",
-            row.name, row.bds.gates, dg, row.bds.area, da
-        );
-    }
-    if matched == 0 {
-        println!("  (no circuit names in common with the baseline report)");
-    }
-    println!();
-}
-
 /// Entry point (called by the root `summary` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("summary", true) {
+    let args = match parse_args("summary") {
         Ok(args) => args,
         Err(code) => return code,
-    };
-    let baseline_doc = match &args.compare {
-        Some(path) => match load_report(path) {
-            Ok(doc) => Some(doc),
-            Err(err) => {
-                eprintln!("summary: cannot load {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let baselines = match &baseline_doc {
-        Some(doc) => match load_baselines(doc) {
-            Ok(baselines) => Some(baselines),
-            Err(err) => {
-                eprintln!("summary: bad baseline report: {err}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
     };
     let flow = args.flow_params();
     let sis = SisParams::default();
@@ -208,33 +121,8 @@ pub fn main() -> ExitCode {
     println!();
 
     let rows: Vec<Row> = ctrl_rows.into_iter().chain(arith_rows).collect();
-    if let (Some(path), Some(baselines)) = (&args.compare, &baselines) {
-        print_comparison(path, baselines, &rows);
-    }
     if let Err(code) = finish_rows(&args, "summary", &rows) {
         return code;
-    }
-    // Structural gate: the same exact comparison as `cargo xtask
-    // perfgate`. Any gated field that moved fails the run, so CI and
-    // scripts can rely on the exit code, not just the printed diff.
-    if let Some(doc) = &baseline_doc {
-        let fresh = envelope(
-            "summary",
-            args.effective_jobs(),
-            rows.iter().map(row_json).collect(),
-        );
-        match compare_reports(doc, &fresh) {
-            Ok(outcome) => {
-                print!("{}", outcome.render());
-                if !outcome.passed() {
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(err) => {
-                eprintln!("summary: cannot gate against baseline: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     ExitCode::SUCCESS
 }

@@ -64,7 +64,7 @@ fn workloads(fast: bool) -> Vec<(String, &'static str, Network)> {
 /// Entry point (called by the root `table1` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("table1", false) {
+    let args = match parse_args("table1") {
         Ok(args) => args,
         Err(code) => return code,
     };

@@ -37,7 +37,7 @@ fn env_usize(key: &str, default: usize) -> usize {
 /// Entry point (called by the root `table2` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("table2", false) {
+    let args = match parse_args("table2") {
         Ok(args) => args,
         Err(code) => return code,
     };

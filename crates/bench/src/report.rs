@@ -17,7 +17,7 @@
 //! step counts, BDD operation counters with the computed-table hit rate —
 //! plus the [`bds_trace::Snapshot`] captured across the BDS flow, whose
 //! span section carries the per-phase wall times when the `trace` feature
-//! is on. The `summary --compare` mode reads these files back through
+//! is on. `cargo xtask perfgate` reads these files back through
 //! [`bds_trace::json::parse`]; no serde anywhere.
 //!
 //! `--live` streams a one-line summary per circuit to stderr.
@@ -43,8 +43,6 @@ pub struct BenchArgs {
     pub json: Option<PathBuf>,
     /// Print the aggregated span tree after the tables.
     pub trace_tree: bool,
-    /// Baseline report to diff against (`summary` only).
-    pub compare: Option<PathBuf>,
     /// Write a Chrome/Perfetto trace-event JSON of the stitched flight
     /// recorder journals here (load in `ui.perfetto.dev`).
     pub perfetto: Option<PathBuf>,
@@ -91,59 +89,44 @@ impl BenchArgs {
 /// # Errors
 /// Returns a nonzero [`ExitCode`] (after printing usage to stderr) on an
 /// unknown flag or a missing flag argument.
-pub fn parse_args(bench: &str, accept_compare: bool) -> Result<BenchArgs, ExitCode> {
+pub fn parse_args(bench: &str) -> Result<BenchArgs, ExitCode> {
     let mut out = BenchArgs::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => match args.next() {
                 Some(path) => out.json = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, accept_compare, "--json needs a path")),
+                None => return Err(usage(bench, "--json needs a path")),
             },
             "--trace-tree" => out.trace_tree = true,
-            "--compare" if accept_compare => match args.next() {
-                Some(path) => out.compare = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, accept_compare, "--compare needs a path")),
-            },
             "--perfetto" => match args.next() {
                 Some(path) => out.perfetto = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, accept_compare, "--perfetto needs a path")),
+                None => return Err(usage(bench, "--perfetto needs a path")),
             },
             "--folded" => match args.next() {
                 Some(path) => out.folded = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, accept_compare, "--folded needs a path")),
+                None => return Err(usage(bench, "--folded needs a path")),
             },
             "--profile" => match args.next() {
                 Some(path) => out.profile = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, accept_compare, "--profile needs a path")),
+                None => return Err(usage(bench, "--profile needs a path")),
             },
             "--jobs" => match args.next().and_then(|v| v.trim().parse().ok()) {
                 Some(jobs) => out.jobs = Some(jobs),
-                None => return Err(usage(bench, accept_compare, "--jobs needs a count")),
+                None => return Err(usage(bench, "--jobs needs a count")),
             },
             "--live" => out.live = true,
-            other => {
-                return Err(usage(
-                    bench,
-                    accept_compare,
-                    &format!("unknown flag {other}"),
-                ))
-            }
+            other => return Err(usage(bench, &format!("unknown flag {other}"))),
         }
     }
     Ok(out)
 }
 
-fn usage(bench: &str, accept_compare: bool, problem: &str) -> ExitCode {
+fn usage(bench: &str, problem: &str) -> ExitCode {
     eprintln!("{bench}: {problem}");
-    let compare = if accept_compare {
-        " [--compare <report.json>]"
-    } else {
-        ""
-    };
     eprintln!(
         "usage: {bench} [--json <path>] [--jobs <n>] [--trace-tree] [--perfetto <path>] \
-         [--folded <path>] [--profile <path>] [--live]{compare}"
+         [--folded <path>] [--profile <path>] [--live]"
     );
     ExitCode::from(2)
 }

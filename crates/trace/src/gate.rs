@@ -1,11 +1,10 @@
 //! Structural gate: exact comparison of two `bds-trace-report/v1` files.
 //!
-//! One implementation serves both front ends — `bds-bench summary
-//! --compare` and `cargo xtask perfgate` — so the rules cannot drift
-//! apart. Circuits are matched by name; for each match the gate compares
-//! every numeric field the baseline row carries in its `bds`,
-//! `decompose` and `bdd_ops` objects (mapped gates, literals, area,
-//! delay, memory proxies, decomposition step counts, BDD operation
+//! Its front end is `cargo xtask perfgate` (`--baseline <a> --fresh <b>`
+//! diffs any two reports). Circuits are matched by name; for each match
+//! the gate compares every numeric field the baseline row carries in its
+//! `bds`, `decompose` and `bdd_ops` objects (mapped gates, literals,
+//! area, delay, memory proxies, decomposition step counts, BDD operation
 //! counts). The flow is deterministic at any thread count, so any
 //! difference — better or worse — is a mismatch: an intended change
 //! regenerates the baseline. Two rules keep the comparison honest:

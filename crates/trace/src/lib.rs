@@ -22,11 +22,10 @@
 //!   job count;
 //! * **sinks** — [`Snapshot::render_tree`] for humans and
 //!   [`Snapshot::to_json`] for `BENCH_*.json` reports, with a serde-free
-//!   parser ([`json::parse`]) so reports can be diffed and compared by the
-//!   bench `summary` tool;
+//!   parser ([`json::parse`]) so reports can be read back and compared;
 //! * a **structural gate** ([`gate`]) — exact comparison of two report
-//!   files' structural fields, shared by `bds-bench summary --compare`
-//!   and `cargo xtask perfgate` (wall time is `flowbench/`'s job).
+//!   files' structural fields, behind `cargo xtask perfgate` (wall time
+//!   is `flowbench/`'s job).
 //!
 //! # Feature gating
 //!

@@ -13,7 +13,7 @@
 /// True when `name` is a dotted lowercase metric name or event kind
 /// (`area.thing.metric`): at least two non-empty `.`-separated segments,
 /// each `[a-z0-9_]+`. Names are grep-able constants because they end up
-/// in report files, `summary --compare` diffs and gate output.
+/// in report files and gate output.
 ///
 /// The instrumentation macros assert this in a constant, so a name
 /// assembled at runtime does not compile either:

@@ -7,8 +7,8 @@
 //!   the registry to depth zero, and setting the store aside mid-flight
 //!   keeps the open chain intact.
 //! * JSON round-trip — every snapshot's JSON survives `render` → `parse`
-//!   (the same hand-rolled parser the bench `summary --compare` mode
-//!   uses), including a fixed golden report.
+//!   (the same hand-rolled parser `cargo xtask perfgate` reads reports
+//!   with), including a fixed golden report.
 //! * Absorb algebra — absorbing snapshots is commutative and associative.
 
 use bds_bdd::{Edge, Manager};

@@ -126,42 +126,6 @@ fn jobs1_and_jobs4_agree_on_every_benchmark() {
     }
 }
 
-/// The scheduling-invariance contract must survive garbage collection:
-/// with GC forced at every build→reorder boundary (`min_nodes: 1`),
-/// jobs=1 and jobs=4 still emit byte-identical BLIF and identical
-/// structural reports — collections trigger per-supernode, never
-/// per-thread.
-#[test]
-fn jobs1_and_jobs4_agree_with_forced_gc() {
-    let suite: Vec<(String, Network)> = vec![
-        ("add8".into(), ripple_adder(8)),
-        ("csel8".into(), carry_select_adder(8, 2)),
-        ("ecc16".into(), hamming_encoder(16)),
-        ("alu4".into(), alu(4)),
-    ];
-    for (name, net) in suite {
-        let mut p1 = params(1);
-        p1.gc.min_nodes = 1;
-        let mut p4 = params(4);
-        p4.gc.min_nodes = 1;
-        let (seq_out, seq_report) = optimize(&net, &p1)
-            .unwrap_or_else(|e| panic!("{name}: GC-forced sequential flow failed: {e}"));
-        let (par_out, par_report) = optimize(&net, &p4)
-            .unwrap_or_else(|e| panic!("{name}: GC-forced sharded flow failed: {e}"));
-        assert_eq!(
-            verify(&net, &seq_out, 4_000_000).unwrap(),
-            Verdict::Equivalent,
-            "{name}: GC-forced result must be equivalent"
-        );
-        assert_eq!(
-            blif::write(&seq_out),
-            blif::write(&par_out),
-            "{name}: BLIF diverged between jobs=1 and jobs=4 with GC forced"
-        );
-        assert_reports_structurally_equal(&name, &seq_report, &par_report);
-    }
-}
-
 #[test]
 fn jobs_zero_auto_detect_matches_sequential() {
     let net = ripple_adder(8);

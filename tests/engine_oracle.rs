@@ -1,11 +1,12 @@
 //! Reference-oracle differential suite for the engine core.
 //!
 //! The fast engine (canonical ITE triples, packed keys, fast hashing,
-//! GC) is gated by the deliberately naive truth-table engine in
-//! `tests/oracle`: random operation sequences are applied to both,
-//! truth-table equality is asserted after **every** operation, and the
-//! full structural audit (`check_invariants`) runs after every step —
-//! including across a forced garbage collection and a forced reorder.
+//! rebuild-based reordering) is gated by the deliberately naive
+//! truth-table engine in `tests/oracle`: random operation sequences are
+//! applied to both, truth-table equality is asserted after **every**
+//! operation, and the full structural audit (`check_invariants`) runs
+//! after every step — including across forced reorders that move the
+//! whole pool into a fresh manager mid-sequence.
 //! Every case is seeded by `bds-prop`, so any failure replays exactly.
 
 mod oracle;
@@ -13,22 +14,16 @@ mod oracle;
 use bds_prop::{check_cases, Rng};
 use bds_repro::bdd::reorder::{sift, SiftLimits};
 use bds_repro::bdd::{Edge, IteNorm, Manager, Var};
-use bds_repro::circuits::adder::carry_select_adder;
-use bds_repro::circuits::alu::alu;
-use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
-use bds_repro::core::flow::{optimize, FlowParams};
-use bds_repro::network::blif;
-use bds_repro::network::verify::{verify, Verdict};
 use oracle::Oracle;
 
 /// Variable universe for the randomized differential cases. Small
 /// enough that a truth-table comparison is 32 entries, large enough for
-/// non-trivial sharing, reordering and collection behaviour.
+/// non-trivial sharing and reordering behaviour.
 const NVARS: usize = 5;
 
 /// Cap on the live function pool per case; a new result replaces a
 /// random slot once the pool is full, so dead nodes accumulate — the
-/// garbage a forced collection must then reclaim.
+/// garbage a forced reorder must then leave behind.
 const POOL_CAP: usize = 16;
 
 /// Randomized cases per property (the acceptance floor is 200).
@@ -72,35 +67,6 @@ fn push(pool: &mut Vec<Tracked>, rng: &mut Rng, entry: Tracked) {
         let slot = rng.range_usize(0..pool.len());
         pool[slot] = entry;
     }
-}
-
-/// Forces a full collection with every pool function rooted, checks the
-/// census drops to zero and that nothing rooted changed function.
-fn force_gc(m: &mut Manager, pool: &mut [Tracked]) {
-    let mut handles: Vec<Edge> = pool.iter().map(|p| p.0).collect();
-    let dead_before = m.dead_node_count(&handles);
-    for &e in &handles {
-        m.add_root(e);
-    }
-    let stats = m.collect_garbage(&mut handles);
-    assert_eq!(
-        stats.collected, dead_before,
-        "collection must reclaim exactly the dead census"
-    );
-    for (slot, &e) in pool.iter_mut().zip(&handles) {
-        slot.0 = e;
-    }
-    for &e in &handles {
-        m.release_root(e);
-    }
-    assert_eq!(m.root_count(), 0, "balanced add/release must drain roots");
-    let dead_after = m.dead_node_count(&handles);
-    assert!(
-        dead_after <= dead_before,
-        "census must decrease monotonically"
-    );
-    assert_eq!(dead_after, 0, "a full collection leaves no garbage");
-    audit_pool(m, pool, "after forced GC");
 }
 
 /// Forces a reorder (rebuild-based sifting) and re-verifies the pool in
@@ -161,18 +127,16 @@ fn randomized_ops_agree_with_the_oracle() {
             audit_pool(&m, &pool, "mid-sequence");
             push(&mut pool, rng, entry);
 
-            // Interleave collections into the op sequence itself, not
-            // just at the end — GC must be safe at any boundary.
+            // Interleave reorders into the op sequence itself, not
+            // just at the end — the ops that follow must work on the
+            // rebuilt manager.
             if rng.ratio(0.15) {
-                force_gc(&mut m, &mut pool);
+                m = force_reorder(m, &mut pool);
             }
         }
 
-        // Every case ends with the full gauntlet: collect, reorder,
-        // then collect again in the reordered manager.
-        force_gc(&mut m, &mut pool);
-        let mut m = force_reorder(m, &mut pool);
-        force_gc(&mut m, &mut pool);
+        // Every case ends with one more reorder.
+        let m = force_reorder(m, &mut pool);
 
         // The op-accounting identity survives everything above.
         let ops = m.op_stats();
@@ -293,64 +257,4 @@ fn structurally_equal_queries_share_cache_entries() {
         misses,
         "every variant must reuse the canonical cache entry"
     );
-}
-
-/// Roots survive a flow-embedded collection byte-identically: the whole
-/// synthesis flow with GC forced at every boundary (`min_nodes: 1`)
-/// must emit the same BLIF, and the same structural report, as with GC
-/// disabled.
-#[test]
-fn flow_output_is_byte_identical_with_gc_on_and_off() {
-    let suite = [
-        ("csel8".to_string(), carry_select_adder(8, 2)),
-        ("alu4".to_string(), alu(4)),
-        (
-            "rand7".to_string(),
-            random_logic(
-                &RandomLogicParams {
-                    inputs: 12,
-                    outputs: 6,
-                    nodes: 40,
-                    ..Default::default()
-                },
-                7,
-            ),
-        ),
-    ];
-    for (name, net) in suite {
-        let mut gc_forced = FlowParams {
-            jobs: 1,
-            ..FlowParams::default()
-        };
-        gc_forced.gc.min_nodes = 1;
-        let mut gc_off = FlowParams {
-            jobs: 1,
-            ..FlowParams::default()
-        };
-        gc_off.gc.enabled = false;
-
-        let (on_out, on_report) = optimize(&net, &gc_forced)
-            .unwrap_or_else(|e| panic!("{name}: flow with forced GC failed: {e}"));
-        let (off_out, off_report) = optimize(&net, &gc_off)
-            .unwrap_or_else(|e| panic!("{name}: flow with GC off failed: {e}"));
-
-        assert_eq!(
-            verify(&net, &on_out, 4_000_000).unwrap(),
-            Verdict::Equivalent,
-            "{name}: GC-forced result must stay equivalent to the input"
-        );
-        assert_eq!(
-            blif::write(&on_out),
-            blif::write(&off_out),
-            "{name}: BLIF diverged between GC on and off"
-        );
-        assert_eq!(
-            on_report.bdd_ops, off_report.bdd_ops,
-            "{name}: op counters diverged between GC on and off"
-        );
-        assert_eq!(
-            on_report.peak_arena_bytes, off_report.peak_arena_bytes,
-            "{name}: peak arena bytes diverged between GC on and off"
-        );
-    }
 }

@@ -3,10 +3,11 @@
 //! test in `tests/partitioned_differential.rs`.
 //!
 //! The code is the old sequential (`jobs = 1`) path verbatim — the
-//! per-supernode pipeline, the degradation ladder, garbage collection at
-//! the build→reorder boundary, budgets and fault arming — rewritten as
-//! free functions over the public API, except that trace spans, counters
-//! and events are gone. Every supernode gets its own named variables, a
+//! per-supernode pipeline, the degradation ladder, budgets and fault
+//! arming — rewritten as free functions over the public API, except that
+//! trace spans, counters and events are gone, and so is the garbage
+//! collection the old path ran at the build→reorder boundary, which
+//! never changed its output. Every supernode gets its own named variables, a
 //! fresh manager, a build, a sift and a decomposition, whether or not an
 //! earlier supernode had the same function.
 //!
@@ -16,10 +17,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bds_repro::bdd::reorder::{sift, SiftLimits};
-use bds_repro::bdd::{Edge, Fault, Manager, OpStats};
+use bds_repro::bdd::{Fault, Manager, OpStats};
 use bds_repro::core::decompose::{DecomposeStats, Decomposer};
 use bds_repro::core::factor_tree::{FactorForest, FactorRef};
-use bds_repro::core::flow::{FlowMode, FlowParams, FlowReport, GcPolicy, GovernParams};
+use bds_repro::core::flow::{FlowMode, FlowParams, FlowReport, GovernParams};
 use bds_repro::core::sharing::{alias, emit_expr, emit_forest};
 use bds_repro::network::{cover_to_bdd, Network, NetworkError, SignalId};
 use bds_repro::sop::{Cover, Expr};
@@ -36,25 +37,6 @@ pub fn supernodes(work: &Network) -> Vec<(SignalId, usize, Cover)> {
                 .map(|(fanins, cover)| (sig, fanins.len(), cover.clone()))
         })
         .collect()
-}
-
-/// The old `maybe_collect`.
-fn maybe_collect(
-    mgr: &mut Manager,
-    handles: &mut [Edge],
-    policy: GcPolicy,
-) -> Result<(), NetworkError> {
-    if !policy.enabled || mgr.arena_size() < policy.min_nodes {
-        return Ok(());
-    }
-    for &e in handles.iter() {
-        mgr.add_root(e);
-    }
-    let _ = mgr.collect_garbage(handles);
-    for &e in handles.iter() {
-        mgr.release_root(e);
-    }
-    mgr.audit().map_err(NetworkError::Bdd)
 }
 
 /// The old `ArtifactBody`.
@@ -125,9 +107,6 @@ fn decompose_supernode_bdd(
     ops.merge(&mgr.op_stats());
     let build_bytes = mgr.table_stats().estimated_bytes();
     let spent = mgr.effort_spent();
-    let mut gc_handles = [edge];
-    maybe_collect(&mut mgr, &mut gc_handles, params.gc)?;
-    let edge = gc_handles[0];
     let (mut mgr, edges) = sift(&mgr, &[edge], sift_limits).map_err(NetworkError::Bdd)?;
     if budget > 0 {
         mgr.set_effort_limit(budget);
