@@ -214,8 +214,8 @@ struct NodeInfo {
     support: Vec<u32>,
     /// `cover.literal_count()`.
     literals: usize,
-    /// The divisor candidates the cover's kernels yield: kernels and
-    /// co-kernel cubes of at least two literals.
+    /// The divisor candidates the cover's kernels yield, each once:
+    /// kernels and co-kernel cubes of at least two literals.
     candidates: Vec<Cover>,
 }
 
@@ -234,12 +234,296 @@ impl NodeInfo {
                 }
             }
         }
+        candidates.sort_unstable_by(|a, b| a.cubes().cmp(b.cubes()));
+        candidates.dedup();
         Some(NodeInfo {
             support: cover.support(),
             literals: cover.literal_count(),
             cover,
             candidates,
         })
+    }
+
+    /// True if extraction scores the node: at most four times the kernel
+    /// cube limit.
+    fn scored(&self, limit: usize) -> bool {
+        self.cover.len() <= limit * 4
+    }
+
+    /// The literals saved by rewriting the node as `q·d + r` with the
+    /// divisor `d`, if positive.
+    fn gain(&self, divisor: &Cover, dsupport: &[u32]) -> Option<isize> {
+        // Weak division intersects f / dᵢ over the divisor cubes dᵢ, so a
+        // divisor variable outside f's support leaves the quotient empty.
+        if !contains_all(&self.support, dsupport) {
+            return None;
+        }
+        let div = divide(&self.cover, divisor);
+        if div.quotient.is_empty() {
+            return None;
+        }
+        let saving = self.literals as isize - rewritten_literals(&div) as isize;
+        (saving > 0).then_some(saving)
+    }
+}
+
+/// A divisor candidate on the extraction [`Board`].
+struct Candidate {
+    cover: Cover,
+    /// `cover.support()`.
+    support: Vec<u32>,
+    /// How many nodes yield it; it leaves the board at zero.
+    yielders: usize,
+    /// Positive literal savings by scored node (signal index).
+    gains: BTreeMap<usize, isize>,
+    /// The sum of `gains` less the candidate's own literals.
+    total: isize,
+    /// The support variable it is filed under in `Board::filed`.
+    filed_under: u32,
+}
+
+/// Extraction's score board for one round: every candidate some node
+/// yields, with its gains over every scored node. An extraction changes
+/// only the rewritten nodes and adds the divisor node, so only those are
+/// re-scored (after SIS's `fx`, which updates only the gains a rewrite
+/// changed).
+#[derive(Default)]
+struct Board {
+    /// Slots by the candidate's cubes: the canonical order in which score
+    /// ties are broken.
+    keys: BTreeMap<Vec<Cube>, usize>,
+    /// Candidates by slot; a retired candidate leaves `None`.
+    slots: Vec<Option<Candidate>>,
+    /// Scored nodes by support variable, each list ascending.
+    by_var: Vec<Vec<usize>>,
+    /// Slots by the support variable their candidate is filed under.
+    filed: Vec<Vec<usize>>,
+    /// `gained[i]`: the slots in which node `i` has a gain.
+    gained: Vec<Vec<usize>>,
+}
+
+impl Board {
+    /// The board of `info`, built with every node new to it.
+    fn new(info: &[Option<NodeInfo>], limit: usize) -> Board {
+        let mut board = Board::default();
+        board.update(info, (0..info.len()).map(|i| (i, None)).collect(), limit);
+        board
+    }
+
+    /// The candidate with the best total over at least two gains, and its
+    /// gaining nodes (ascending). Ties go to the first in cube order.
+    fn best(&self) -> Option<(Cover, Vec<usize>)> {
+        let mut best: Option<&Candidate> = None;
+        for c in self
+            .keys
+            .values()
+            .filter_map(|&slot| self.slots[slot].as_ref())
+        {
+            if c.gains.len() >= 2 && c.total > 0 && best.is_none_or(|b| c.total > b.total) {
+                best = Some(c);
+            }
+        }
+        best.map(|c| (c.cover.clone(), c.gains.keys().copied().collect()))
+    }
+
+    /// Brings the board up to date after the nodes in `changed` were
+    /// given new entries in `info`; each comes with its old entry.
+    fn update(
+        &mut self,
+        info: &[Option<NodeInfo>],
+        changed: Vec<(usize, Option<NodeInfo>)>,
+        limit: usize,
+    ) {
+        for list in [&mut self.by_var, &mut self.filed, &mut self.gained] {
+            list.resize_with(info.len(), Vec::new);
+        }
+        // Retire the old entries: their gains, index entries and yields.
+        let mut orphans = Vec::new();
+        for (i, old) in &changed {
+            for slot in std::mem::take(&mut self.gained[*i]) {
+                if let Some(c) = self.slots[slot].as_mut() {
+                    c.total -= c.gains.remove(i).unwrap_or(0);
+                }
+            }
+            let Some(old) = old else { continue };
+            if old.scored(limit) {
+                for &v in &old.support {
+                    let list = &mut self.by_var[v as usize];
+                    if let Ok(pos) = list.binary_search(i) {
+                        list.remove(pos);
+                    }
+                }
+            }
+            for cand in &old.candidates {
+                let slot = self.keys.get(cand.cubes()).copied();
+                if let Some(c) = slot.and_then(|s| self.slots[s].as_mut()) {
+                    c.yielders -= 1;
+                    if c.yielders == 0 {
+                        orphans.extend(slot);
+                    }
+                }
+            }
+        }
+        // Admit the new entries' yields; candidates new to the board wait
+        // until the index is complete.
+        let mut fresh: BTreeMap<Vec<Cube>, (Cover, usize)> = BTreeMap::new();
+        for &(i, _) in &changed {
+            let Some(n) = &info[i] else { continue };
+            if n.scored(limit) {
+                for &v in &n.support {
+                    let list = &mut self.by_var[v as usize];
+                    let pos = list.partition_point(|&j| j < i);
+                    list.insert(pos, i);
+                }
+            }
+            for cand in &n.candidates {
+                let slot = self.keys.get(cand.cubes()).copied();
+                match slot.and_then(|s| self.slots[s].as_mut()) {
+                    Some(c) => c.yielders += 1,
+                    None => {
+                        fresh
+                            .entry(cand.cubes().to_vec())
+                            .or_insert_with(|| (cand.clone(), 0))
+                            .1 += 1;
+                    }
+                }
+            }
+        }
+        for slot in orphans {
+            if self.slots[slot].as_ref().is_some_and(|c| c.yielders == 0) {
+                self.remove(slot);
+            }
+        }
+        // Score the changed nodes against the candidates that stay. A
+        // node gains only from a candidate whose support it holds, so it
+        // meets each such candidate once, under its filing variable.
+        for &(i, _) in &changed {
+            let Some(n) = info[i].as_ref().filter(|n| n.scored(limit)) else {
+                continue;
+            };
+            for &v in &n.support {
+                for &slot in &self.filed[v as usize] {
+                    let Some(c) = self.slots[slot].as_mut() else {
+                        continue;
+                    };
+                    if let Some(g) = n.gain(&c.cover, &c.support) {
+                        c.gains.insert(i, g);
+                        c.total += g;
+                        self.gained[i].push(slot);
+                    }
+                }
+            }
+        }
+        for (key, (cover, yielders)) in fresh {
+            self.insert(info, key, cover, yielders);
+        }
+    }
+
+    /// Adds a candidate, scored against every scored node.
+    fn insert(&mut self, info: &[Option<NodeInfo>], key: Vec<Cube>, cover: Cover, yielders: usize) {
+        let support = cover.support();
+        // A node can only be divided if it has every divisor variable, so
+        // the rarest variable's list holds every gaining node. Candidates
+        // always have a literal: kernels have two distinct cubes,
+        // co-kernel candidates two literals.
+        let Some(&var) = support
+            .iter()
+            .min_by_key(|&&v| self.by_var[v as usize].len())
+        else {
+            return;
+        };
+        let slot = self.slots.len();
+        let mut gains = BTreeMap::new();
+        for &i in &self.by_var[var as usize] {
+            if let Some(g) = info[i].as_ref().and_then(|n| n.gain(&cover, &support)) {
+                gains.insert(i, g);
+                self.gained[i].push(slot);
+            }
+        }
+        let total = gains.values().sum::<isize>() - cover.literal_count() as isize;
+        self.filed[var as usize].push(slot);
+        self.keys.insert(key, slot);
+        self.slots.push(Some(Candidate {
+            cover,
+            support,
+            yielders,
+            gains,
+            total,
+            filed_under: var,
+        }));
+    }
+
+    /// Takes a candidate off the board.
+    fn remove(&mut self, slot: usize) {
+        let Some(c) = self.slots[slot].take() else {
+            return;
+        };
+        self.keys.remove(c.cover.cubes());
+        let unlist = |list: &mut Vec<usize>| {
+            if let Some(pos) = list.iter().position(|&s| s == slot) {
+                list.swap_remove(pos);
+            }
+        };
+        unlist(&mut self.filed[c.filed_under as usize]);
+        for &i in c.gains.keys() {
+            unlist(&mut self.gained[i]);
+        }
+    }
+}
+
+/// The state of one extraction round.
+struct Extraction {
+    limit: usize,
+    /// `ids[s]` is signal `s`.
+    ids: Vec<SignalId>,
+    /// Indexed by signal; only rewritten nodes and new divisors change.
+    info: Vec<Option<NodeInfo>>,
+    board: Board,
+}
+
+impl Extraction {
+    fn new(net: &Network, limit: usize) -> Extraction {
+        let ids: Vec<SignalId> = net.signals().collect();
+        let info: Vec<Option<NodeInfo>> =
+            ids.iter().map(|&s| NodeInfo::of(net, s, limit)).collect();
+        let board = Board::new(&info, limit);
+        Extraction {
+            limit,
+            ids,
+            info,
+            board,
+        }
+    }
+
+    /// Extracts the best divisor: creates a node for it and rewrites the
+    /// nodes that gain from it. Returns `false` when no divisor gains.
+    fn step(&mut self, net: &mut Network) -> Result<bool, NetworkError> {
+        let Some((divisor, beneficiaries)) = self.board.best() else {
+            return Ok(false);
+        };
+        let (fanins, local) = localize(&self.ids, &divisor)?;
+        let name = net.fresh_name("sis");
+        let dsig = net.add_node(name, fanins, local)?;
+        self.ids.push(dsig);
+        // Rewrite the beneficiaries: f = q·d + r in signal space, where
+        // the divisor is now the literal of `dsig`.
+        for &i in &beneficiaries {
+            if let Some(n) = &self.info[i] {
+                let cover = substitute(&divide(&n.cover, &divisor), dsig);
+                install(net, &self.ids, self.ids[i], &cover)?;
+            }
+        }
+        let mut changed: Vec<(usize, Option<NodeInfo>)> = beneficiaries
+            .into_iter()
+            .map(|i| {
+                let fresh = NodeInfo::of(net, self.ids[i], self.limit);
+                (i, std::mem::replace(&mut self.info[i], fresh))
+            })
+            .collect();
+        changed.push((self.info.len(), None));
+        self.info.push(NodeInfo::of(net, dsig, self.limit));
+        self.board.update(&self.info, changed, self.limit);
+        Ok(true)
     }
 }
 
@@ -248,104 +532,22 @@ impl NodeInfo {
 /// rewrites the beneficiaries. Returns the number of divisors extracted.
 fn extract_divisors(net: &mut Network, params: &SisParams) -> Result<usize, NetworkError> {
     let _span = bds_trace::span!("sis_flow.extract");
-    let limit = params.kernel_cube_limit;
-    let mut ids: Vec<SignalId> = net.signals().collect();
-    // Indexed by signal; only rewritten nodes and new divisors change.
-    let mut info: Vec<Option<NodeInfo>> =
-        ids.iter().map(|&s| NodeInfo::of(net, s, limit)).collect();
+    let mut round = Extraction::new(net, params.kernel_cube_limit);
     let mut extracted = 0;
-    for _ in 0..params.max_extractions {
-        let Some((divisor, beneficiaries)) = best_divisor(&info, limit) else {
-            break;
-        };
-        let (fanins, local) = localize(&ids, &divisor)?;
-        let name = net.fresh_name("sis");
-        let dsig = net.add_node(name, fanins, local)?;
-        ids.push(dsig);
-        // Rewrite the beneficiaries: f = q·d + r in signal space, where
-        // the divisor is now the literal of `dsig`.
-        for &i in &beneficiaries {
-            if let Some(n) = &info[i] {
-                install(
-                    net,
-                    &ids,
-                    ids[i],
-                    &substitute(&divide(&n.cover, &divisor), dsig),
-                )?;
-            }
-        }
-        for i in beneficiaries {
-            info[i] = NodeInfo::of(net, ids[i], limit);
-        }
-        info.push(NodeInfo::of(net, dsig, limit));
+    while extracted < params.max_extractions && round.step(net)? {
         extracted += 1;
     }
     Ok(extracted)
 }
 
-/// The candidate divisor with the best total literal saving over at
-/// least two nodes, and those nodes (signal indices, ascending). Ties
-/// go to the first candidate in cube order.
-fn best_divisor(info: &[Option<NodeInfo>], limit: usize) -> Option<(Cover, Vec<usize>)> {
-    // BTreeMap: the scan below breaks score ties by taking the first
-    // hit, so iteration order must be canonical.
-    let mut candidates: BTreeMap<&[Cube], &Cover> = BTreeMap::new();
-    for c in info.iter().flatten().flat_map(|n| &n.candidates) {
-        candidates.entry(c.cubes()).or_insert(c);
-    }
-    // Scoring nodes by support variable, each list in ascending order.
-    let mut by_var: Vec<Vec<usize>> = vec![Vec::new(); info.len()];
-    for (i, n) in info.iter().enumerate() {
-        if let Some(n) = n.as_ref().filter(|n| n.cover.len() <= limit * 4) {
-            for &v in &n.support {
-                by_var[v as usize].push(i);
-            }
-        }
-    }
-    let mut best: Option<(&Cover, isize, Vec<usize>)> = None;
-    for divisor in candidates.into_values() {
-        let dsupport = divisor.support();
-        // A node can only be divided if it has every divisor variable,
-        // so the rarest variable's list holds every beneficiary.
-        // Candidates always have a literal: kernels have two distinct
-        // cubes, co-kernel candidates two literals.
-        let Some(nodes) = dsupport
-            .iter()
-            .map(|&v| &by_var[v as usize])
-            .min_by_key(|nodes| nodes.len())
-        else {
-            continue;
-        };
-        let mut total = -(divisor.literal_count() as isize);
-        let mut rewrites = Vec::new();
-        for &i in nodes {
-            let Some(n) = &info[i] else { continue };
-            if !contains_all(&n.support, &dsupport) {
-                continue;
-            }
-            let div = divide(&n.cover, divisor);
-            if div.quotient.is_empty() {
-                continue;
-            }
-            let saving = n.literals as isize - rewritten_literals(&div) as isize;
-            if saving > 0 {
-                total += saving;
-                rewrites.push(i);
-            }
-        }
-        if rewrites.len() >= 2 && total > 0 && best.as_ref().is_none_or(|&(_, t, _)| total > t) {
-            best = Some((divisor, total, rewrites));
-        }
-    }
-    best.map(|(divisor, _, rewrites)| (divisor.clone(), rewrites))
-}
-
 /// Algebraic resubstitution: tries to divide each node by each existing
-/// node function; rewrites when literals are saved.
+/// node function whose support it holds; rewrites when literals are
+/// saved.
 fn resubstitute(net: &mut Network, params: &SisParams) -> Result<usize, NetworkError> {
     let _span = bds_trace::span!("sis_flow.resub");
     let ids: Vec<SignalId> = net.signals().collect();
     let mut rewritten = 0;
+    let mut nearby = Vec::new();
     for _ in 0..params.resub_passes {
         let mut changed = 0;
         let node_ids = net.node_ids();
@@ -359,17 +561,38 @@ fn resubstitute(net: &mut Network, params: &SisParams) -> Result<usize, NetworkE
                 }
             }
         }
+        // Weak division intersects f / dᵢ over the divisor cubes dᵢ, so a
+        // divisor variable outside f's support leaves the quotient empty.
+        // Each divisor is filed under its support variable read by the
+        // fewest nodes; a node meets only the divisors filed under its own
+        // support.
+        let mut readers = vec![0usize; ids.len()];
+        for &sig in &node_ids {
+            for f in net.node(sig).map_or(&[][..], |(fanins, _)| fanins) {
+                readers[f.index()] += 1;
+            }
+        }
+        let mut filed: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
+        for (k, (_, dsupport, _)) in divisors.iter().enumerate() {
+            if let Some(&v) = dsupport.iter().min_by_key(|&&v| readers[v as usize]) {
+                filed[v as usize].push(k);
+            }
+        }
         for &sig in &node_ids {
             let Some(cover) = signal_cover(net, sig) else {
                 continue;
             };
             let support = cover.support();
+            nearby.clear();
+            for &v in &support {
+                nearby.extend_from_slice(&filed[v as usize]);
+            }
+            // The original order, so that ties go to the same divisor.
+            nearby.sort_unstable();
             let mut best: Option<(SignalId, Cover, isize)> = None;
-            for (d, dsupport, dcover) in &divisors {
-                // Weak division intersects f / dᵢ over the divisor cubes
-                // dᵢ, so a divisor variable outside f's support leaves the
-                // quotient empty. (A divisor with the unit cube yields
-                // q = f, which never saves literals.)
+            for (d, dsupport, dcover) in nearby.iter().map(|&k| &divisors[k]) {
+                // A divisor with the unit cube yields q = f, which never
+                // saves literals.
                 if *d == sig || !contains_all(&support, dsupport) {
                     continue;
                 }
@@ -404,6 +627,7 @@ fn resubstitute(net: &mut Network, params: &SisParams) -> Result<usize, NetworkE
 mod tests {
     use super::*;
     use bds_network::verify::{verify, Verdict};
+    use bds_prop::{check_cases, Rng};
 
     fn two_shared_products() -> Network {
         // f = a·c + a·d + b·c + b·d + e ; g = a·c + a·d + b·c + b·d + k
@@ -476,6 +700,74 @@ mod tests {
         assert_eq!(n.node(q).unwrap().0.len(), 4, "q keeps its own cover");
         n.check_invariants().unwrap();
         assert_eq!(verify(&before, &n, 1_000_000).unwrap(), Verdict::Equivalent);
+    }
+
+    /// The board's content by candidate: yield count, total and gains.
+    type Summary = BTreeMap<Vec<Cube>, (usize, isize, Vec<(usize, isize)>)>;
+
+    fn summary(board: &Board) -> Summary {
+        board
+            .keys
+            .iter()
+            .map(|(key, &slot)| {
+                let c = board.slots[slot].as_ref().unwrap();
+                let gains = c.gains.iter().map(|(&i, &g)| (i, g)).collect();
+                (key.clone(), (c.yielders, c.total, gains))
+            })
+            .collect()
+    }
+
+    /// A random network whose nodes read distinct earlier signals through
+    /// covers of two to six cubes, mostly positive literals, so that many
+    /// nodes share kernels.
+    fn random_network(rng: &mut Rng) -> Network {
+        let mut net = Network::new("rand");
+        let mut sigs: Vec<SignalId> = (0..rng.range_usize(4..10))
+            .map(|i| net.add_input(format!("i{i}")).unwrap())
+            .collect();
+        for k in 0..rng.range_usize(4..24) {
+            let arity = rng.range_usize(2..6).min(sigs.len());
+            let mut pool = sigs.clone();
+            for j in 0..arity {
+                let pick = rng.range_usize(j..pool.len());
+                pool.swap(j, pick);
+            }
+            pool.truncate(arity);
+            let cubes = (0..rng.range_usize(2..7))
+                .filter_map(|_| {
+                    let lits = (0..arity as u32)
+                        .filter_map(|v| match rng.range_u32(0..4) {
+                            0 => None,
+                            p => Some((v, p > 1)),
+                        })
+                        .collect();
+                    Cube::new(lits)
+                })
+                .collect();
+            let sig = net
+                .add_node(format!("n{k}"), pool, Cover::from_cubes(cubes))
+                .unwrap();
+            net.mark_output(sig).unwrap();
+            sigs.push(sig);
+        }
+        net
+    }
+
+    #[test]
+    fn incremental_board_matches_a_rebuild_after_every_extraction() {
+        let mut steps = 0;
+        check_cases("extraction board", 60, |rng| {
+            let mut net = random_network(rng);
+            let limit = rng.range_usize(2..9);
+            let mut round = Extraction::new(&net, limit);
+            while round.step(&mut net).unwrap() {
+                let rebuilt = Board::new(&round.info, limit);
+                assert_eq!(summary(&round.board), summary(&rebuilt));
+                assert_eq!(round.board.by_var, rebuilt.by_var);
+                steps += 1;
+            }
+        });
+        assert!(steps >= 60, "too few extraction steps: {steps}");
     }
 
     #[cfg(feature = "trace")]

@@ -9,7 +9,7 @@
 //! trace exports (`--perfetto`, `--folded`, `--profile`) share the
 //! `table1` code paths, so the scaling sweep can feed the
 //! same tooling. Env: `BDS_SCALING_MAX_NODES` (default 2000) bounds the
-//! sweep.
+//! sweep; 30000 admits the paper's sizes (bshift256/512, mult32/64).
 
 #![expect(
     clippy::print_stdout,
@@ -81,11 +81,15 @@ pub fn main() -> ExitCode {
     let mut entries: Vec<Json> = Vec::new();
     let mut points: Vec<Point> = Vec::new();
     let mut families: Vec<Family> = vec![
-        ("bshift", Box::new(barrel_shifter), vec![8, 16, 32, 64, 128]),
+        (
+            "bshift",
+            Box::new(barrel_shifter),
+            vec![8, 16, 32, 64, 128, 256, 512],
+        ),
         (
             "mult",
             Box::new(|n| multiplier(n, n)),
-            vec![2, 4, 8, 12, 16],
+            vec![2, 4, 8, 12, 16, 32, 64],
         ),
         ("adder", Box::new(ripple_adder), vec![8, 16, 32, 64, 128]),
     ];

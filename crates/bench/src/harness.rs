@@ -62,6 +62,9 @@ pub struct Row {
     /// per `PROFILE_INTERVAL` effort ticks, keyed by open-span path and
     /// op class). Empty without `trace`.
     pub profile: bds_trace::profile::Profile,
+    /// Trace snapshot captured across the baseline flow alone: its
+    /// `sis_flow.*` phase spans. Empty without `trace`.
+    pub sis_trace: Snapshot,
 }
 
 fn mapped(net: &Network, lib: &Library) -> MappedNetlist {
@@ -89,7 +92,10 @@ pub fn run_both(
 ) -> Row {
     let lib = Library::mcnc();
 
+    // The baseline's spans get a window of their own.
+    bds_trace::reset();
     let (sis_net, sis_report) = script_rugged(net, sis_params).expect("baseline flow");
+    let sis_trace = bds_trace::take().snapshot;
     let sis_mapped = mapped(&sis_net, &lib);
     let sis_stats = sis_net.stats();
 
@@ -150,6 +156,7 @@ pub fn run_both(
         trace,
         journal,
         profile,
+        sis_trace,
     }
 }
 

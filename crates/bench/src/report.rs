@@ -15,9 +15,10 @@
 //!
 //! Comparison rows ([`Row`]) serialize their flow report — decomposition
 //! step counts, BDD operation counters with the computed-table hit rate —
-//! plus the [`bds_trace::Snapshot`] captured across the BDS flow, whose
-//! span section carries the per-phase wall times when the `trace` feature
-//! is on. `cargo xtask perfgate` reads these files back through
+//! plus the [`bds_trace::Snapshot`] captured across the BDS flow
+//! (`trace`) and the one captured across the baseline (`sis_trace`),
+//! whose span sections carry the per-phase wall times when the `trace`
+//! feature is on. `cargo xtask perfgate` reads these files back through
 //! [`bds_trace::json::parse`]; no serde anywhere.
 //!
 //! `--live` streams a one-line summary per circuit to stderr.
@@ -230,6 +231,7 @@ pub fn row_json(row: &Row) -> Json {
         ("decompose".into(), decompose),
         ("bdd_ops".into(), bdd_ops),
         ("trace".into(), row.trace.to_json()),
+        ("sis_trace".into(), row.sis_trace.to_json()),
     ])
 }
 

@@ -1,6 +1,6 @@
 //! The Boolean-network data structure.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use bds_sop::Cover;
 
@@ -163,9 +163,10 @@ impl Network {
     /// Replaces the local function of the node driving `sig`.
     ///
     /// Costs O(old + new fanin count) to update the fanout index (plus
-    /// shifting each reader list that gains or loses `sig`), and a forward
-    /// search from `sig` for the cycle check only when the edit leaves
-    /// back edges (fanins with an id `>=` their reader's) in the network.
+    /// shifting each reader list that gains or loses `sig`). The cycle
+    /// check searches only when the edit leaves back edges (fanins with an
+    /// id `>=` their reader's) in the network: a forward search from `sig`
+    /// for the fanins it did not already read.
     ///
     /// # Errors
     /// [`NetworkError::UnknownSignal`] / [`NetworkError::Inconsistent`] as
@@ -187,18 +188,28 @@ impl Network {
                 detail: format!("`{}` is a primary input", self.signal_name(sig)),
             });
         };
-        // Cycle check: no new fanin may (transitively) depend on sig.
-        let back = |list: &[SignalId]| list.iter().filter(|&&f| f >= sig).count();
-        let back_edges = self.back_edges - back(&old.fanins) + back(&fanins);
-        if fanins.contains(&sig) || (back_edges > 0 && self.reaches_any(sig, &fanins)) {
-            return Err(NetworkError::Cycle {
-                name: self.signal_name(sig).to_string(),
-            });
-        }
         let mut old_sorted = old.fanins.clone();
         old_sorted.sort_unstable();
         let mut new_sorted = fanins.clone();
         new_sorted.sort_unstable();
+        // Cycle check: no fanin may (transitively) depend on sig. The
+        // network is acyclic, so a fanin that sig already reads cannot.
+        let back = |list: &[SignalId]| list.iter().filter(|&&f| f >= sig).count();
+        let back_edges = self.back_edges - back(&old.fanins) + back(&fanins);
+        let cyclic = fanins.contains(&sig)
+            || (back_edges > 0 && {
+                let added: Vec<SignalId> = new_sorted
+                    .iter()
+                    .copied()
+                    .filter(|f| old_sorted.binary_search(f).is_err())
+                    .collect();
+                self.reaches_any(sig, &added)
+            });
+        if cyclic {
+            return Err(NetworkError::Cycle {
+                name: self.signal_name(sig).to_string(),
+            });
+        }
         self.relink(sig, &old_sorted, &new_sorted);
         self.back_edges = back_edges;
         self.signals[sig.index()].driver = Driver::Node(NodeData { fanins, cover });
@@ -231,14 +242,17 @@ impl Network {
     /// True if some signal in `targets` is reachable from `sig` along
     /// fanout edges. Stops at the first hit.
     fn reaches_any(&self, sig: SignalId, targets: &[SignalId]) -> bool {
-        let mut seen = HashSet::new();
+        if targets.is_empty() {
+            return false;
+        }
+        let mut seen = vec![false; self.signals.len()];
         let mut stack = vec![sig];
         while let Some(s) = stack.pop() {
             for &t in &self.fanout_index[s.index()] {
                 if targets.contains(&t) {
                     return true;
                 }
-                if seen.insert(t) {
+                if !std::mem::replace(&mut seen[t.index()], true) {
                     stack.push(t);
                 }
             }

@@ -177,6 +177,82 @@ fn fanout_index_matches_recompute_under_random_edits() {
     check_cases("fanout index under random edits", 96, run_edits);
 }
 
+/// True if some signal of `fanins` is `sig` or is reachable from `sig`
+/// along `fanouts()`: the full search, over every fanin, old or new.
+fn reaches_a_fanin(net: &Network, sig: SignalId, fanins: &[SignalId]) -> bool {
+    let mut seen = vec![false; net.signals().count()];
+    let mut stack = vec![sig];
+    while let Some(s) = stack.pop() {
+        if fanins.contains(&s) {
+            return true;
+        }
+        for &t in net.fanouts(s) {
+            if !std::mem::replace(&mut seen[t.index()], true) {
+                stack.push(t);
+            }
+        }
+    }
+    false
+}
+
+fn has_back_edges(net: &Network) -> bool {
+    net.signals().any(|s| {
+        net.node(s)
+            .is_some_and(|(fanins, _)| fanins.iter().any(|&f| f >= s))
+    })
+}
+
+#[test]
+fn cycle_check_matches_full_reachability_with_back_edges() {
+    let (mut with_back_edges, mut cyclic, mut accepted) = (0u32, 0u32, 0u32);
+    check_cases("cycle check with back edges", 96, |rng| {
+        let mut net = Network::new("cyc");
+        for i in 0..rng.range_usize(2..6) {
+            net.add_input(format!("i{i}")).unwrap();
+        }
+        for k in 0..rng.range_usize(4..16) {
+            let fanins = random_fanins(rng, &net);
+            let cover = random_cover(rng, fanins.len());
+            let sig = net.add_node(format!("n{k}"), fanins, cover).unwrap();
+            net.mark_output(sig).unwrap();
+        }
+        // Shuffled `.names` blocks make fanins refer forward: back edges.
+        let mut net = blif::parse(&shuffled_blif(rng, &net)).unwrap();
+        with_back_edges += u32::from(has_back_edges(&net));
+        for step in 0..30 {
+            let sig = *rng.choose(&net.node_ids());
+            // Keep a random part of the old fanins, add new ones.
+            let old = net.node(sig).unwrap().0.to_vec();
+            let mut fanins: Vec<SignalId> = old.into_iter().filter(|_| rng.bool()).collect();
+            fanins.extend(random_fanins(rng, &net));
+            let cover = random_cover(rng, fanins.len());
+            let want = reaches_a_fanin(&net, sig, &fanins);
+            let before = blif::write(&net);
+            match net.replace_node(sig, fanins, cover) {
+                Ok(()) => {
+                    assert!(!want, "step {step}: cyclic replace accepted");
+                    accepted += 1;
+                }
+                Err(NetworkError::Cycle { .. }) => {
+                    assert!(want, "step {step}: acyclic replace rejected");
+                    assert_eq!(blif::write(&net), before, "rejected edit changed the net");
+                    cyclic += 1;
+                }
+                Err(e) => panic!("step {step}: unexpected error {e}"),
+            }
+            assert_index_exact(&net, &format!("step {step}"));
+        }
+    });
+    assert!(
+        with_back_edges > 48,
+        "too few networks with back edges: {with_back_edges}"
+    );
+    assert!(
+        cyclic > 100 && accepted > 100,
+        "{cyclic} cyclic, {accepted} accepted"
+    );
+}
+
 #[test]
 fn forward_references_take_the_search_path() {
     // `.names` blocks in reverse order: every fanin is a back edge.
