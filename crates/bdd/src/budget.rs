@@ -83,21 +83,8 @@ impl Manager {
 
     /// Charges one effort tick of class `op`, firing any armed fault whose
     /// trigger tick has been reached and enforcing the budget.
-    ///
-    /// The tick counter doubles as the sampling clock of the
-    /// deterministic profiler: every `PROFILE_INTERVAL` ticks one sample
-    /// attributes the current open span path to `op`. Effort is a pure
-    /// function of the work performed, so the samples land at identical
-    /// ticks on every run at any `jobs` count.
     pub(crate) fn charge(&mut self, op: OpClass) -> Result<()> {
         self.effort_spent += 1;
-        if bds_trace::is_enabled()
-            && self
-                .effort_spent
-                .is_multiple_of(bds_trace::profile::PROFILE_INTERVAL)
-        {
-            sample_profile(op);
-        }
         if self.effort_limit == u64::MAX && self.armed_fault.is_none() {
             return Ok(()); // fast path: unbudgeted, nothing armed
         }
@@ -133,16 +120,6 @@ impl Manager {
         }
         Ok(())
     }
-}
-
-/// Records one profiler sample for `op`. Out-of-line and cold: the
-/// interval check above is the only cost `charge` pays per tick.
-#[cold]
-fn sample_profile(op: OpClass) {
-    bds_trace::profile::observe(match op {
-        OpClass::Ite => "ite",
-        OpClass::UniqueInsert => "unique-insert",
-    });
 }
 
 #[cfg(test)]
@@ -243,25 +220,6 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains("injected fault"), "unexpected payload: {msg}");
         assert!(msg.contains("tick 3"));
-    }
-
-    #[test]
-    fn profiler_samples_ride_the_effort_clock() {
-        bds_trace::reset();
-        let mut m = Manager::new();
-        while m.effort_spent() < 3 * bds_trace::profile::PROFILE_INTERVAL {
-            xor_chain(&mut m, 8).unwrap();
-        }
-        let p = bds_trace::take().profile;
-        if bds_trace::is_enabled() {
-            assert!(p.sample_total() >= 3, "got {p:?}");
-            assert!(p
-                .samples
-                .keys()
-                .all(|(_, op)| op == "ite" || op == "unique-insert"));
-        } else {
-            assert!(p.is_empty(), "sampling is a no-op without `trace`");
-        }
     }
 
     #[test]

@@ -143,62 +143,31 @@ pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manage
                 if pos == cur_pos {
                     continue;
                 }
-                if let Some(size) = table_size.filter(|&size| size >= best_size) {
+                if table_size.is_some_and(|size| size >= best_size) {
                     // A rebuild here could not be accepted: skip it.
-                    bds_trace::event!(
-                        "reorder.sift_move",
-                        var = var.index(),
-                        from = cur_pos,
-                        to = pos,
-                        size = size,
-                        best = best_size,
-                        accepted = false,
-                    );
                     continue;
                 }
                 let mut order = cur_order.clone();
                 let v = order.remove(cur_pos);
                 order.insert(pos, v);
                 bds_trace::counter!("bdd.reorder.rebuilds");
-                match reorder(&best_mgr, &best_roots, &order) {
-                    Ok((m, r)) => {
-                        let size = m.count_nodes(&r);
-                        if STRICT_CHECKS && table_size.is_some_and(|t| t != size) {
-                            return Err(crate::BddError::InvariantViolation {
-                                detail: format!(
-                                    "swap table sized {var} at level {pos} as {table_size:?}, \
-                                     its rebuild has {size} nodes"
-                                ),
-                            });
-                        }
-                        let accepted = size < best_size;
-                        bds_trace::event!(
-                            "reorder.sift_move",
-                            var = var.index(),
-                            from = cur_pos,
-                            to = pos,
-                            size = size,
-                            best = best_size,
-                            accepted = accepted,
-                        );
-                        if accepted {
-                            bds_trace::counter!("bdd.reorder.accepted_moves");
-                            best_size = size;
-                            best_pos = pos;
-                            best_mgr = m;
-                            best_roots = r;
-                        }
+                // A blow-up under this candidate order skips it.
+                if let Ok((m, r)) = reorder(&best_mgr, &best_roots, &order) {
+                    let size = m.count_nodes(&r);
+                    if STRICT_CHECKS && table_size.is_some_and(|t| t != size) {
+                        return Err(crate::BddError::InvariantViolation {
+                            detail: format!(
+                                "swap table sized {var} at level {pos} as {table_size:?}, \
+                                 its rebuild has {size} nodes"
+                            ),
+                        });
                     }
-                    Err(_) => {
-                        // Blow-up under this candidate order: skip it.
-                        bds_trace::event!(
-                            "reorder.sift_move",
-                            var = var.index(),
-                            from = cur_pos,
-                            to = pos,
-                            blowup = true,
-                            accepted = false,
-                        );
+                    if size < best_size {
+                        bds_trace::counter!("bdd.reorder.accepted_moves");
+                        best_size = size;
+                        best_pos = pos;
+                        best_mgr = m;
+                        best_roots = r;
                     }
                 }
             }

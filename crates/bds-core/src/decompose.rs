@@ -233,7 +233,6 @@ impl Decomposer {
                 #[expect(clippy::expect_used, reason = "decompose() rejects constants on entry")]
                 let d = shannon(mgr, f)?.expect("non-constant function");
                 self.stats.shannon += 1;
-                note_choice(mgr, "shannon", 1, Some(d.control), size, (d.hi, d.lo));
                 let hi = self.decompose(mgr, d.hi, forest, params)?;
                 let lo = self.decompose(mgr, d.lo, forest, params)?;
                 let sel = self.decompose(mgr, d.control, forest, params)?;
@@ -285,7 +284,6 @@ impl Decomposer {
                     let dec = decompose_at_one_dominator(mgr, f, d)?;
                     if self.parts_shrink(mgr, &dec, size) {
                         self.stats.and_dom += 1;
-                        note_choice(mgr, "and_dom", doms.len(), Some(d), size, dec.parts());
                         return self.emit_simple(mgr, forest, params, dec).map(Some);
                     }
                 }
@@ -294,7 +292,6 @@ impl Decomposer {
                     let dec = decompose_at_zero_dominator(mgr, f, d)?;
                     if self.parts_shrink(mgr, &dec, size) {
                         self.stats.or_dom += 1;
-                        note_choice(mgr, "or_dom", doms.len(), Some(d), size, dec.parts());
                         return self.emit_simple(mgr, forest, params, dec).map(Some);
                     }
                 }
@@ -303,7 +300,6 @@ impl Decomposer {
                     let dec = decompose_at_x_dominator(mgr, f, d)?;
                     if self.parts_shrink(mgr, &dec, size) {
                         self.stats.xnor_dom += 1;
-                        note_choice(mgr, "xnor_dom", doms.len(), Some(d), size, dec.parts());
                         return self.emit_simple(mgr, forest, params, dec).map(Some);
                     }
                 }
@@ -312,7 +308,6 @@ impl Decomposer {
             Method::FunctionalMux => match best_mux_decomposition(mgr, f, info, size)? {
                 Some(d) => {
                     self.stats.func_mux += 1;
-                    note_choice(mgr, "func_mux", 1, Some(d.control), size, (d.hi, d.lo));
                     let sel = self.decompose(mgr, d.control, forest, params)?;
                     let hi = self.decompose(mgr, d.hi, forest, params)?;
                     let lo = self.decompose(mgr, d.lo, forest, params)?;
@@ -323,14 +318,12 @@ impl Decomposer {
             Method::GeneralizedDominator => match best_boolean_decomposition(mgr, f, size)? {
                 Some(BooleanDecomp::Conjunctive { divisor, quotient }) => {
                     self.stats.gen_dom += 1;
-                    note_choice(mgr, "gen_dom", 1, None, size, (divisor, quotient));
                     let a = self.decompose(mgr, divisor, forest, params)?;
                     let b = self.decompose(mgr, quotient, forest, params)?;
                     Ok(Some(forest.push(FactorNode::And(a, b))))
                 }
                 Some(BooleanDecomp::Disjunctive { term, rest }) => {
                     self.stats.gen_dom += 1;
-                    note_choice(mgr, "gen_dom", 1, None, size, (term, rest));
                     let a = self.decompose(mgr, term, forest, params)?;
                     let b = self.decompose(mgr, rest, forest, params)?;
                     Ok(Some(forest.push(FactorNode::Or(a, b))))
@@ -340,7 +333,6 @@ impl Decomposer {
             Method::GeneralizedXDominator => match best_xnor_decomposition(mgr, f, size)? {
                 Some(d) => {
                     self.stats.gen_xdom += 1;
-                    note_choice(mgr, "gen_xdom", 1, None, size, (d.g, d.h));
                     let a = self.decompose(mgr, d.g, forest, params)?;
                     let b = self.decompose(mgr, d.h, forest, params)?;
                     Ok(Some(forest.push(FactorNode::Xnor(a, b))))
@@ -354,39 +346,6 @@ impl Decomposer {
         let (g, h) = dec.parts();
         !g.is_const() && !h.is_const() && mgr.size(g) < size && mgr.size(h) < size
     }
-}
-
-/// Flight-recorder hook: journals one accepted decomposition choice —
-/// which method won, how many candidate dominators were on the chain,
-/// the chosen dominator/control cut, and the BDD-node delta between the
-/// function and its parts. The `is_enabled` guard is a compile-time
-/// constant, so default builds drop the whole body (the part-size
-/// traversals included) as dead code.
-fn note_choice(
-    mgr: &Manager,
-    method: &'static str,
-    candidates: usize,
-    cut: Option<Edge>,
-    size: usize,
-    parts: (Edge, Edge),
-) {
-    if !bds_trace::is_enabled() {
-        return;
-    }
-    let parts_size = mgr.size(parts.0) + mgr.size(parts.1);
-    #[expect(
-        clippy::cast_possible_wrap,
-        reason = "sizes are tiny (bounded by max_search_size); the casts are exact"
-    )]
-    let node_delta = parts_size as i64 - size as i64;
-    bds_trace::event!(
-        "decompose.choice",
-        method = method,
-        candidates = candidates,
-        cut = cut.map_or(0, Edge::raw),
-        size = size,
-        node_delta = node_delta,
-    );
 }
 
 impl Decomposer {

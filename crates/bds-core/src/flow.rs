@@ -221,7 +221,10 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     // decomposition" (paper §IV-C); at the flow level we likewise keep a
     // small portfolio and select by mapped area. Each candidate is mapped
     // once, and carries its area.
-    let area_of = |n: &Network| map_network(n, &lib).map_or(f64::INFINITY, |m| m.area);
+    let area_of = |n: &Network| {
+        let _span = bds_trace::span!("flow.map");
+        map_network(n, &lib).map_or(f64::INFINITY, |m| m.area)
+    };
     let mut candidates: Vec<(f64, Network, FlowReport)> = Vec::new();
 
     if params.global_limit > 0 && work.inputs().len() <= params.global_max_inputs {
@@ -352,7 +355,7 @@ pub fn optimize_global(
     let literals = net.stats().literals.max(1);
     let global_size = mgr.count_nodes(&edges);
     if params.global_blowup_factor > 0 && global_size > params.global_blowup_factor * literals {
-        return Err(NetworkError::Bdd(bds_bdd::BddError::NodeLimit {
+        return Err(NetworkError::Bdd(BddError::NodeLimit {
             limit: params.global_blowup_factor * literals,
         }));
     }
@@ -480,9 +483,8 @@ struct NodeArtifact {
     /// The produced logic, shaped by the ladder rung that succeeded.
     body: ArtifactBody,
     /// Degradation-ladder rung that produced `body` (`1` = no-reorder
-    /// retry, `2` = SOP, `3` = verbatim) and why rung 0 retreated;
-    /// `None` for the full pipeline.
-    degrade: Option<(u8, &'static str)>,
+    /// retry, `2` = SOP, `3` = verbatim); `None` for the full pipeline.
+    degrade: Option<u8>,
     /// Decomposition step counts for this node.
     stats: DecomposeStats,
     /// BDD operation counters from this node's managers.
@@ -502,10 +504,10 @@ struct NodeArtifact {
 impl NodeArtifact {
     /// An artifact for a degraded rung that never touched a BDD manager
     /// (SOP or verbatim): all counters zero.
-    fn degraded(body: ArtifactBody, rung: u8, reason: &'static str) -> NodeArtifact {
+    fn degraded(body: ArtifactBody, rung: u8) -> NodeArtifact {
         NodeArtifact {
             body,
-            degrade: Some((rung, reason)),
+            degrade: Some(rung),
             stats: DecomposeStats::default(),
             ops: OpStats::default(),
             peak: 0,
@@ -529,7 +531,6 @@ impl NodeArtifact {
 /// plan's target), and [`GovernParams::supernode_budget`] bounds the
 /// build and decompose phases cumulatively.
 fn decompose_supernode_bdd(
-    sig: SignalId,
     fanins: usize,
     cover: &Cover,
     params: &FlowParams,
@@ -549,7 +550,7 @@ fn decompose_supernode_bdd(
     // them out keeps the artifact independent of the fanins' identity.
     let vars: Vec<bds_bdd::Var> = (0..fanins).map(|_| mgr.new_var(String::new())).collect();
     let edge = {
-        let _span = bds_trace::span!("flow.build", node = sig.index());
+        let _span = bds_trace::span!("flow.build");
         cover_to_bdd(&mut mgr, cover, &vars)?
     };
     ops.merge(&mgr.op_stats());
@@ -583,7 +584,7 @@ fn decompose_supernode_bdd(
     let mut forest = FactorForest::new();
     let mut dec = Decomposer::new();
     let root = {
-        let _span = bds_trace::span!("flow.decompose", node = sig.index());
+        let _span = bds_trace::span!("flow.decompose");
         dec.decompose(&mut mgr, edge, &mut forest, &params.decompose)
             .map_err(NetworkError::Bdd)?
     };
@@ -609,30 +610,13 @@ fn decompose_supernode_bdd(
     })
 }
 
-/// Why a rung retreated, as a static label for the degrade journal
-/// event (static so the event costs nothing to construct).
-fn degrade_reason(e: &BddError) -> &'static str {
-    match e {
-        BddError::BudgetExceeded { .. } => "budget",
-        BddError::NodeLimit { .. } => "node-limit",
-        _ => "bdd-error",
-    }
-}
-
-/// Records one degradation: a per-rung counter plus a journal event
-/// naming the supernode, rung, and reason.
-fn record_degrade(sig: SignalId, rung: u8, reason: &'static str) {
+/// Counts one degradation under its rung's counter.
+fn record_degrade(rung: u8) {
     match rung {
         1 => bds_trace::counter_add!("flow.degrade.noreorder", 1),
         2 => bds_trace::counter_add!("flow.degrade.sop", 1),
         _ => bds_trace::counter_add!("flow.degrade.verbatim", 1),
     }
-    bds_trace::event!(
-        "decompose.degrade",
-        node = sig.index() as u64,
-        rung = u64::from(rung),
-        reason = reason,
-    );
 }
 
 /// Runs one rung attempt under panic quarantine. The calling thread's
@@ -706,13 +690,13 @@ fn decompose_supernode(
     let fanins = fanins.len();
     // Rung 0: the full pipeline.
     let first = run_quarantined(work, sig, || {
-        decompose_supernode_bdd(sig, fanins, cover, params, params.sift, fault)
+        decompose_supernode_bdd(fanins, cover, params, params.sift, fault)
     })?;
-    let reason = match first {
+    match first {
         Ok(artifact) => return Ok(artifact),
-        Err(NetworkError::Bdd(ref e)) if params.govern.degrade => degrade_reason(e),
+        Err(NetworkError::Bdd(_)) if params.govern.degrade => {}
         Err(other) => return Err(other),
-    };
+    }
 
     // Rung 1: no reordering, fresh budget. `max_nodes: 0` makes `sift`
     // fall back to a plain same-order rebuild.
@@ -722,11 +706,11 @@ fn decompose_supernode(
         passes: 0,
     };
     let second = run_quarantined(work, sig, || {
-        decompose_supernode_bdd(sig, fanins, cover, params, no_reorder, fault)
+        decompose_supernode_bdd(fanins, cover, params, no_reorder, fault)
     })?;
     match second {
         Ok(mut artifact) => {
-            artifact.degrade = Some((1, reason));
+            artifact.degrade = Some(1);
             return Ok(artifact);
         }
         Err(NetworkError::Bdd(_)) => {}
@@ -738,17 +722,12 @@ fn decompose_supernode(
     if cover.len() <= params.govern.sop_cube_limit {
         // Rung 2: the sis-style algebraic path.
         let expr = bds_sop::factor::factor(cover);
-        return Ok(NodeArtifact::degraded(
-            ArtifactBody::Factored(expr),
-            2,
-            reason,
-        ));
+        return Ok(NodeArtifact::degraded(ArtifactBody::Factored(expr), 2));
     }
     // Rung 3: keep the original factored form verbatim.
     Ok(NodeArtifact::degraded(
         ArtifactBody::Verbatim(cover.clone()),
         3,
-        reason,
     ))
 }
 
@@ -774,7 +753,7 @@ fn decompose_sharded(
 ) -> Result<Vec<NodeArtifact>, NetworkError> {
     type WorkerOut = (
         Vec<(usize, Result<NodeArtifact, NetworkError>)>,
-        bds_trace::Trace,
+        bds_trace::Snapshot,
     );
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
@@ -921,6 +900,7 @@ pub fn optimize_partitioned(
     };
     // Stitch every item from its leader's artifact. The counters are
     // merged once per item, so the report describes every supernode.
+    let _sharing_span = bds_trace::span!("flow.sharing");
     let mut degraded = 0usize;
     for (&(sig, fanins, _), &slot) in items.iter().zip(&slot_of) {
         let artifact = &artifacts[slot];
@@ -931,12 +911,10 @@ pub fn optimize_partitioned(
         peak_computed = peak_computed.max(artifact.peak_computed);
         build_bytes = build_bytes.max(artifact.build_bytes);
         decompose_bytes = decompose_bytes.max(artifact.decompose_bytes);
-        if let Some((rung, reason)) = artifact.degrade {
+        if let Some(rung) = artifact.degrade {
             degraded += 1;
-            record_degrade(sig, rung, reason);
+            record_degrade(rung);
         }
-
-        let _sharing_span = bds_trace::span!("flow.sharing");
         let mut var_signals: Vec<SignalId> = Vec::with_capacity(fanins.len());
         for f in fanins {
             let mapped = map[f.index()].ok_or_else(|| NetworkError::Inconsistent {

@@ -775,7 +775,7 @@ mod tests {
     fn phases_are_spans_under_sis_flow() {
         bds_trace::reset();
         script_rugged(&two_shared_products(), &SisParams::default()).unwrap();
-        let snap = bds_trace::take_snapshot();
+        let snap = bds_trace::take();
         let root = snap.spans.iter().find(|s| s.name == "sis_flow").unwrap();
         for phase in [
             "sis_flow.prologue",

@@ -6,10 +6,10 @@
 //!
 //! Usage: `cargo run --release --bin scaling [> scaling.csv]` — with
 //! `-- --json <path>` the same series is also written as a report. The
-//! trace exports (`--perfetto`, `--folded`, `--profile`) share the
-//! `table1` code paths, so the scaling sweep can feed the
-//! same tooling. Env: `BDS_SCALING_MAX_NODES` (default 2000) bounds the
-//! sweep; 30000 admits the paper's sizes (bshift256/512, mult32/64).
+//! trace views (`--folded`, `--trace-tree`) share the `table1` code
+//! paths, so the scaling sweep can feed the same tooling. Env:
+//! `BDS_SCALING_MAX_NODES` (default 2000) bounds the sweep; 30000 admits
+//! the paper's sizes (bshift256/512, mult32/64).
 
 #![expect(
     clippy::print_stdout,
@@ -38,8 +38,6 @@ struct Point {
     sis: f64,
     bds: f64,
     trace: bds_trace::Snapshot,
-    journal: bds_trace::Journal,
-    profile: bds_trace::profile::Profile,
 }
 
 fn time_flows(name: String, net: &Network, flow: &FlowParams) -> Result<Point, String> {
@@ -52,14 +50,11 @@ fn time_flows(name: String, net: &Network, flow: &FlowParams) -> Result<Point, S
     let t1 = Stopwatch::start();
     optimize(net, flow).map_err(|e| format!("bds flow failed: {e}"))?;
     let bds = t1.seconds();
-    let drained = bds_trace::take();
     Ok(Point {
         name,
         sis,
         bds,
-        trace: drained.snapshot,
-        journal: drained.journal,
-        profile: drained.profile,
+        trace: bds_trace::take(),
     })
 }
 
@@ -138,8 +133,6 @@ pub fn main() -> ExitCode {
         .map(|p| ObservedCircuit {
             name: &p.name,
             trace: &p.trace,
-            journal: &p.journal,
-            profile: &p.profile,
         })
         .collect();
     if finish_observability(&args, "scaling", &observed).is_err() {

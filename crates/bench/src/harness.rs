@@ -10,7 +10,7 @@ use bds::sis_flow::{script_rugged, SisParams};
 use bds_map::{map_network, Library, MappedNetlist};
 use bds_network::verify::{verify, verify_by_simulation, Verdict};
 use bds_network::Network;
-use bds_trace::{Journal, Snapshot};
+use bds_trace::Snapshot;
 
 /// Result of one flow on one circuit.
 #[derive(Clone, Debug)]
@@ -54,14 +54,6 @@ pub struct Row {
     /// wall-clock spans and registry counters. Empty unless the crate is
     /// built with the `trace` feature.
     pub trace: Snapshot,
-    /// Flight-recorder journal drained across the same window: the
-    /// time-ordered span boundaries and decision events behind the
-    /// `--perfetto` / `--folded` exports. Empty without `trace`.
-    pub journal: Journal,
-    /// Deterministic profile drained across the same window (one sample
-    /// per `PROFILE_INTERVAL` effort ticks, keyed by open-span path and
-    /// op class). Empty without `trace`.
-    pub profile: bds_trace::profile::Profile,
     /// Trace snapshot captured across the baseline flow alone: its
     /// `sis_flow.*` phase spans. Empty without `trace`.
     pub sis_trace: Snapshot,
@@ -95,7 +87,7 @@ pub fn run_both(
     // The baseline's spans get a window of their own.
     bds_trace::reset();
     let (sis_net, sis_report) = script_rugged(net, sis_params).expect("baseline flow");
-    let sis_trace = bds_trace::take().snapshot;
+    let sis_trace = bds_trace::take();
     let sis_mapped = mapped(&sis_net, &lib);
     let sis_stats = sis_net.stats();
 
@@ -104,15 +96,7 @@ pub fn run_both(
     // above and verification below stays outside the window).
     bds_trace::reset();
     let (bds_net, bds_report) = optimize(net, flow_params).expect("bds flow");
-    // Drained before verification, so the verifier's BDD traffic stays
-    // out of the profile: effort-tick samples from the flow only,
-    // byte-identical at any `jobs` count. Journal timestamps share one
-    // epoch across circuits, so stitched exports stay globally ordered.
-    let bds_trace::Trace {
-        snapshot: trace,
-        journal,
-        profile,
-    } = bds_trace::take();
+    let trace = bds_trace::take();
     let bds_mapped = mapped(&bds_net, &lib);
     let bds_stats = bds_net.stats();
 
@@ -154,8 +138,6 @@ pub fn run_both(
         verified,
         report: bds_report,
         trace,
-        journal,
-        profile,
         sis_trace,
     }
 }

@@ -1,8 +1,9 @@
 //! Machine-readable benchmark reports and shared CLI flags.
 //!
-//! Every bench binary accepts `--json <path>` (write a report) and
-//! `--trace-tree` (print the aggregated span tree per circuit). Reports
-//! share one envelope, schema `bds-trace-report/v1`:
+//! Every bench binary accepts `--json <path>` (write a report) and the
+//! two attribution views of the span tree: `--trace-tree` (print it per
+//! circuit) and `--folded <path>` (write it as flamegraph stacks).
+//! Reports share one envelope, schema `bds-trace-report/v1`:
 //!
 //! ```json
 //! {
@@ -44,16 +45,9 @@ pub struct BenchArgs {
     pub json: Option<PathBuf>,
     /// Print the aggregated span tree after the tables.
     pub trace_tree: bool,
-    /// Write a Chrome/Perfetto trace-event JSON of the stitched flight
-    /// recorder journals here (load in `ui.perfetto.dev`).
-    pub perfetto: Option<PathBuf>,
     /// Write folded flamegraph stacks of the per-circuit span trees here
     /// (feed to `flamegraph.pl` or speedscope).
     pub folded: Option<PathBuf>,
-    /// Write the deterministic effort-tick profile here, in folded-stack
-    /// format weighted by sample counts (not wall time) — byte-identical
-    /// at any `--jobs` setting.
-    pub profile: Option<PathBuf>,
     /// Worker threads for the BDS flow (`--jobs N`; `0` = one per
     /// core). `None` keeps [`bds::flow::FlowParams`]'s default, which
     /// honors the `BDS_FLOW_JOBS` environment variable.
@@ -100,17 +94,9 @@ pub fn parse_args(bench: &str) -> Result<BenchArgs, ExitCode> {
                 None => return Err(usage(bench, "--json needs a path")),
             },
             "--trace-tree" => out.trace_tree = true,
-            "--perfetto" => match args.next() {
-                Some(path) => out.perfetto = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, "--perfetto needs a path")),
-            },
             "--folded" => match args.next() {
                 Some(path) => out.folded = Some(PathBuf::from(path)),
                 None => return Err(usage(bench, "--folded needs a path")),
-            },
-            "--profile" => match args.next() {
-                Some(path) => out.profile = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, "--profile needs a path")),
             },
             "--jobs" => match args.next().and_then(|v| v.trim().parse().ok()) {
                 Some(jobs) => out.jobs = Some(jobs),
@@ -126,8 +112,7 @@ pub fn parse_args(bench: &str) -> Result<BenchArgs, ExitCode> {
 fn usage(bench: &str, problem: &str) -> ExitCode {
     eprintln!("{bench}: {problem}");
     eprintln!(
-        "usage: {bench} [--json <path>] [--jobs <n>] [--trace-tree] [--perfetto <path>] \
-         [--folded <path>] [--profile <path>] [--live]"
+        "usage: {bench} [--json <path>] [--jobs <n>] [--trace-tree] [--folded <path>] [--live]"
     );
     ExitCode::from(2)
 }
@@ -158,20 +143,16 @@ fn flow_result_fields(r: &crate::harness::FlowResult) -> Vec<(String, Json)> {
     ]
 }
 
-/// Everything one circuit contributes to the observability exports,
-/// borrowed from whatever the binary keeps per circuit. [`Row`]-based
-/// binaries get one via [`ObservedCircuit::from_row`]; `scaling` builds
-/// them from its own captures so every bench shares the same
-/// `--perfetto` / `--folded` / `--profile` code paths.
+/// What one circuit contributes to the attribution views, borrowed
+/// from whatever the binary keeps per circuit. [`Row`]-based binaries
+/// get one via [`ObservedCircuit::from_row`]; `scaling` builds them from
+/// its own captures so every bench shares the same `--trace-tree` /
+/// `--folded` code paths.
 pub struct ObservedCircuit<'a> {
-    /// Circuit label used in export prefixes.
+    /// Circuit label used in tree headers and folded-stack prefixes.
     pub name: &'a str,
     /// Span tree + counters captured across the BDS flow.
     pub trace: &'a Snapshot,
-    /// Flight-recorder journal drained across the same window.
-    pub journal: &'a bds_trace::Journal,
-    /// Deterministic effort-tick profile drained across the same window.
-    pub profile: &'a bds_trace::profile::Profile,
 }
 
 impl<'a> ObservedCircuit<'a> {
@@ -181,8 +162,6 @@ impl<'a> ObservedCircuit<'a> {
         ObservedCircuit {
             name: &row.name,
             trace: &row.trace,
-            journal: &row.journal,
-            profile: &row.profile,
         }
     }
 }
@@ -248,17 +227,14 @@ pub fn write_json(path: &Path, doc: &Json) -> std::io::Result<()> {
     std::fs::write(path, doc.render())
 }
 
-/// Standard tail for the row-based binaries: prints span trees when
-/// `--trace-tree` was given and writes the `--json` report when asked.
+/// Standard tail for the row-based binaries: the attribution views
+/// ([`finish_observability`]), then the `--json` report when asked.
 ///
 /// # Errors
-/// Returns a nonzero [`ExitCode`] when the report file cannot be written.
+/// Returns a nonzero [`ExitCode`] when an output file cannot be written.
 pub fn finish_rows(args: &BenchArgs, bench: &str, rows: &[Row]) -> Result<(), ExitCode> {
-    if args.trace_tree {
-        for row in rows {
-            print_trace_tree(&row.name, &row.trace);
-        }
-    }
+    let observed: Vec<ObservedCircuit<'_>> = rows.iter().map(ObservedCircuit::from_row).collect();
+    finish_observability(args, bench, &observed)?;
     if let Some(path) = &args.json {
         let doc = envelope(
             bench,
@@ -271,68 +247,30 @@ pub fn finish_rows(args: &BenchArgs, bench: &str, rows: &[Row]) -> Result<(), Ex
         }
         eprintln!("{bench}: wrote {}", path.display());
     }
-    let observed: Vec<ObservedCircuit<'_>> = rows.iter().map(ObservedCircuit::from_row).collect();
-    finish_observability(args, bench, &observed)
+    Ok(())
 }
 
-/// Writes the trace-derived exports — `--perfetto`, `--folded`,
-/// `--profile` — for any bench that captured per-circuit
-/// observability, whether or not it uses comparison rows.
+/// The attribution views of the per-circuit span trees: prints each
+/// tree under `--trace-tree` and writes them as folded stacks under
+/// `--folded`.
 ///
 /// # Errors
-/// Returns a nonzero [`ExitCode`] when an export file cannot be written.
+/// Returns a nonzero [`ExitCode`] when the folded file cannot be written.
 pub fn finish_observability(
     args: &BenchArgs,
     bench: &str,
     circuits: &[ObservedCircuit<'_>],
 ) -> Result<(), ExitCode> {
-    if let Some(path) = &args.perfetto {
-        if !bds_trace::is_enabled() {
-            eprintln!("{bench}: note: --perfetto without --features trace records no events");
-        }
-        // Stitch the per-circuit journals into one timeline; drains share
-        // a per-thread epoch, so timestamps are already globally ordered.
-        let mut stitched = bds_trace::Journal::default();
+    if args.trace_tree {
         for c in circuits {
-            stitched.extend(c.journal.clone());
+            print_trace_tree(c.name, c.trace);
         }
-        if stitched.dropped > 0 {
-            eprintln!(
-                "{bench}: note: journal ring evicted {} event(s); each circuit's trace keeps \
-                 only its newest {} events",
-                stitched.dropped,
-                bds_trace::DEFAULT_JOURNAL_CAPACITY
-            );
-        }
-        let doc = bds_trace::export::perfetto_trace(&stitched);
-        if let Err(err) = write_json(path, &doc) {
-            eprintln!("{bench}: cannot write {}: {err}", path.display());
-            return Err(ExitCode::FAILURE);
-        }
-        eprintln!("{bench}: wrote {}", path.display());
     }
     if let Some(path) = &args.folded {
         if !bds_trace::is_enabled() {
             eprintln!("{bench}: note: --folded without --features trace records no spans");
         }
-        let mut folded = String::new();
-        for c in circuits {
-            folded.push_str(&bds_trace::export::folded_stacks(c.trace, c.name));
-        }
-        if let Err(err) = std::fs::write(path, &folded) {
-            eprintln!("{bench}: cannot write {}: {err}", path.display());
-            return Err(ExitCode::FAILURE);
-        }
-        eprintln!("{bench}: wrote {}", path.display());
-    }
-    if let Some(path) = &args.profile {
-        if !bds_trace::is_enabled() {
-            eprintln!("{bench}: note: --profile without --features trace records no samples");
-        }
-        let mut folded = String::new();
-        for c in circuits {
-            folded.push_str(&c.profile.folded(c.name));
-        }
+        let folded: String = circuits.iter().map(|c| c.trace.folded(c.name)).collect();
         if let Err(err) = std::fs::write(path, &folded) {
             eprintln!("{bench}: cannot write {}: {err}", path.display());
             return Err(ExitCode::FAILURE);

@@ -290,13 +290,6 @@ impl Network {
             }
             new_nodes.push(last_node);
         }
-        bds_trace::event!(
-            "net.eliminate.collapse",
-            node = sig.index(),
-            fanouts = fanouts.len(),
-            old_cost = old_cost,
-            new_cost = new_cost,
-        );
         for (fo, fanins, cover) in new_nodes {
             if let Some((old, _)) = self.node(fo) {
                 s.unsettle(fo, old, &fanins);

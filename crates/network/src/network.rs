@@ -435,6 +435,7 @@ impl Network {
     /// well-formed network (see [`Network::check_invariants`]) never
     /// fails.
     pub fn compacted(&self) -> Result<Network> {
+        let _span = bds_trace::span!("net.compacted");
         let mut live = vec![false; self.signals.len()];
         let mut stack: Vec<SignalId> = self.outputs.clone();
         while let Some(s) = stack.pop() {

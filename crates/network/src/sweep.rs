@@ -300,18 +300,11 @@ impl Network {
             for &f in fanins {
                 vars.push(*var_of[f.index()].get_or_insert_with(|| scratch.new_var(String::new())));
             }
-            let fanin_count = fanins.len();
             let Ok(edge) = crate::global::cover_to_bdd(scratch, cover, &vars) else {
                 continue;
             };
             match repr.get(&edge.raw()) {
                 Some(&r) if r != sig => {
-                    bds_trace::event!(
-                        "net.sweep.merge",
-                        node = sig.index(),
-                        into = r.index(),
-                        fanins = fanin_count,
-                    );
                     changed += self.replace_uses(sig, r)?;
                 }
                 _ => {

@@ -6,11 +6,11 @@
 //! beyond the argument expressions themselves (which are cheap field
 //! reads or literals at every call site in this workspace).
 //!
-//! Both variants of the metric and event macros check the name at
+//! Both variants of the metric macros check the name at
 //! compile time with [`is_metric_name`], so a badly named metric fails
 //! every build, traced or not.
 
-/// True when `name` is a dotted lowercase metric name or event kind
+/// True when `name` is a dotted lowercase metric name
 /// (`area.thing.metric`): at least two non-empty `.`-separated segments,
 /// each `[a-z0-9_]+`. Names are grep-able constants because they end up
 /// in report files and gate output.
@@ -163,59 +163,26 @@ macro_rules! histogram {
     }};
 }
 
-/// Records one structured instant event into the flight-recorder
-/// journal: a kind string plus `key = value` fields (any type with a
-/// [`crate::FieldValue`] `From` impl).
-///
-/// ```
-/// bds_trace::event!("decompose.choice", method = "and_dom", delta = -3i64);
-/// ```
-#[cfg(feature = "enabled")]
-#[macro_export]
-macro_rules! event {
-    ($kind:expr $(, $key:ident = $value:expr)* $(,)?) => {{
-        const _: () = assert!($crate::is_metric_name($kind), "event kinds are dotted lowercase");
-        $crate::record_event(
-            $kind,
-            vec![$((stringify!($key), $crate::FieldValue::from($value))),*],
-        )
-    }};
-}
-
-/// Records one journal event. (No-op: `enabled` is off.)
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! event {
-    ($kind:expr $(, $key:ident = $value:expr)* $(,)?) => {{
-        const _: () = assert!($crate::is_metric_name($kind), "event kinds are dotted lowercase");
-        $( let _ = &$value; )*
-    }};
-}
-
 /// Opens a hierarchical wall-clock span; bind the result so the guard
-/// lives for the region being timed. Extra `key = value` attributes are
-/// accepted for readability at the call site (they are evaluated but not
-/// yet recorded — the aggregated tree keys on span name alone).
+/// lives for the region being timed.
 ///
 /// ```
-/// let _span = bds_trace::span!("decompose", node = 42u32);
+/// let _span = bds_trace::span!("flow.decompose");
 /// ```
 #[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! span {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {{
-        $( let _ = &$value; )*
+    ($name:expr) => {
         $crate::span_enter($name)
-    }};
+    };
 }
 
 /// Opens a span. (No-op: `enabled` is off — yields a [`crate::NoopSpan`].)
 #[cfg(not(feature = "enabled"))]
 #[macro_export]
 macro_rules! span {
-    ($name:expr $(, $key:ident = $value:expr)* $(,)?) => {{
+    ($name:expr) => {{
         let _ = $name;
-        $( let _ = &$value; )*
         $crate::NoopSpan
     }};
 }

@@ -1,14 +1,15 @@
-//! The aggregate half of a thread's trace: counters, gauges, log2
-//! histograms and the span call tree, plus the detached [`Snapshot`]
-//! they drain into. The live registry is one part of the thread-local
-//! store (`store.rs`); counters sum, gauges keep the maximum (every
-//! gauge in this workspace is a peak), histograms add bucket-wise, and
-//! span trees merge by `(parent, name)` when a trace is absorbed.
+//! A thread's trace: counters, gauges, log2 histograms and the span
+//! call tree, plus the detached [`Snapshot`] they drain into. The live
+//! registry is thread-local (`store.rs`); counters sum, gauges keep the
+//! maximum (every gauge in this workspace is a peak), histograms add
+//! bucket-wise, and span trees merge by `(parent, name)` when a
+//! snapshot is absorbed.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::span::fmt_duration_ns;
+use crate::store::with;
 
 /// Number of log2 buckets in a [`Histogram`]: one per possible leading
 /// bit of a `u64` value.
@@ -422,12 +423,6 @@ impl Registry {
             .collect()
     }
 
-    /// The open span path joined with `;` (empty when none is open): the
-    /// profiler's sample key and its graft prefix.
-    pub(crate) fn open_path(&self) -> String {
-        self.open_names().join(";")
-    }
-
     fn snapshot_span(&self, idx: usize) -> SpanSnap {
         let node = &self.arena[idx];
         SpanSnap {
@@ -454,10 +449,6 @@ impl Registry {
             spans: self.roots.iter().map(|&i| self.snapshot_span(i)).collect(),
         }
     }
-}
-
-fn with<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    crate::store::with(|st| f(&mut st.store.registry))
 }
 
 /// Adds `by` to the named monotonic counter, creating it at zero first.
@@ -506,35 +497,6 @@ pub fn record_histogram(name: &'static str, value: u64) {
 #[must_use]
 pub fn span_depth() -> usize {
     with(|r| r.stack.len())
-}
-
-/// Drains this thread's trace and returns its [`Snapshot`], discarding
-/// the journal and profile: shorthand for `take().snapshot` (see
-/// [`crate::take`]).
-///
-/// The store is **thread-local**: this returns only the calling
-/// thread's metrics, and anything recorded on sibling threads is absent
-/// until absorbed (see the crate docs). Debug builds assert that no span
-/// is open.
-///
-/// ```
-/// bds_trace::reset();
-/// {
-///     let _s = bds_trace::span_enter("work");
-///     bds_trace::add_counter("steps", 2);
-/// } // guard dropped: depth back to 0, safe to snapshot
-/// let snap = bds_trace::take_snapshot();
-/// assert_eq!(snap.counter("steps"), Some(2));
-///
-/// // Metrics recorded on another thread do NOT appear here:
-/// std::thread::spawn(|| bds_trace::add_counter("elsewhere", 1))
-///     .join()
-///     .unwrap();
-/// assert_eq!(bds_trace::take_snapshot().counter("elsewhere"), None);
-/// ```
-#[must_use]
-pub fn take_snapshot() -> Snapshot {
-    crate::take().snapshot
 }
 
 #[cfg(test)]
@@ -594,7 +556,7 @@ mod tests {
         {
             let _other = crate::span_enter("other");
         }
-        let snap = take_snapshot();
+        let snap = crate::take();
         assert_eq!(snap.spans.len(), 2);
         assert_eq!(snap.spans[0].name, "outer");
         assert_eq!(snap.spans[0].calls, 3);
@@ -618,7 +580,7 @@ mod tests {
         crate::rejoin(first, true);
         // …so the work in between nests under the guard opened before it.
         drop(outer);
-        let second = take_snapshot();
+        let second = crate::take();
         assert_eq!(second.spans.len(), 1);
         assert_eq!(second.spans[0].name, "outer");
         assert_eq!(second.spans[0].calls, 1);
@@ -634,23 +596,20 @@ mod tests {
         set_gauge("g", 7);
         set_gauge("g", 9);
         record_histogram("h", 100);
-        let snap = take_snapshot();
+        let snap = crate::take();
         assert_eq!(snap.counter("a"), Some(5));
         assert_eq!(snap.gauge("g"), Some(9));
         assert_eq!(snap.histograms[0].1.count, 1);
-        assert!(take_snapshot().is_empty());
+        assert!(crate::take().is_empty());
     }
 
     /// Absorbs `parts` in order into an empty store and drains it.
     fn absorbed(parts: &[Snapshot]) -> Snapshot {
         reset();
         for p in parts {
-            crate::absorb(crate::Trace {
-                snapshot: p.clone(),
-                ..crate::Trace::default()
-            });
+            crate::absorb(p.clone());
         }
-        take_snapshot()
+        crate::take()
     }
 
     #[test]
@@ -732,25 +691,22 @@ mod tests {
     #[test]
     fn absorb_snapshot_grafts_under_open_span() {
         reset();
-        let worker = crate::Trace {
-            snapshot: Snapshot {
-                counters: vec![("w.steps".into(), 4)],
-                spans: vec![SpanSnap {
-                    name: "flow.build".into(),
-                    calls: 4,
-                    total_ns: 40,
-                    children: Vec::new(),
-                }],
-                ..Snapshot::default()
-            },
-            ..crate::Trace::default()
+        let worker = Snapshot {
+            counters: vec![("w.steps".into(), 4)],
+            spans: vec![SpanSnap {
+                name: "flow.build".into(),
+                calls: 4,
+                total_ns: 40,
+                children: Vec::new(),
+            }],
+            ..Snapshot::default()
         };
         {
             let _flow = crate::span_enter("flow");
             crate::absorb(worker.clone());
             crate::absorb(worker);
         }
-        let snap = take_snapshot();
+        let snap = crate::take();
         assert_eq!(snap.counter("w.steps"), Some(8));
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].name, "flow");
@@ -767,7 +723,7 @@ mod tests {
         {
             let _s = crate::span_enter("root");
         }
-        let text = take_snapshot().render_tree();
+        let text = crate::take().render_tree();
         for needle in [
             "spans:",
             "counters:",

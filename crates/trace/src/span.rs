@@ -6,7 +6,6 @@
 
 use std::time::Instant;
 
-use crate::journal::EventKind;
 use crate::store;
 
 /// RAII guard for an open span: records elapsed wall-clock time into the
@@ -20,14 +19,9 @@ pub struct SpanGuard {
 
 /// Opens a span named `name` nested under the innermost open span on
 /// this thread. Hold the returned guard for the duration of the work.
-/// Besides the aggregated tree entry, the enter and the eventual exit
-/// each land in the flight-recorder journal as timestamped events.
 #[expect(clippy::disallowed_methods, reason = "spans measure wall time")]
 pub fn span_enter(name: &'static str) -> SpanGuard {
-    store::with(|st| {
-        st.store.registry.enter(name);
-        st.record(EventKind::SpanEnter, name, Vec::new());
-    });
+    store::with(|r| r.enter(name));
     SpanGuard {
         name,
         start: Instant::now(),
@@ -38,10 +32,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         // u64 nanoseconds cover ~584 years; saturate rather than wrap.
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        store::with(|st| {
-            st.store.registry.exit(self.name, ns);
-            st.record(EventKind::SpanExit, self.name, Vec::new());
-        });
+        store::with(|r| r.exit(self.name, ns));
     }
 }
 

@@ -14,13 +14,13 @@
 use bds_bdd::{Edge, Manager};
 use bds_prop::{check_cases, Rng};
 use bds_trace::json::{parse, Json};
-use bds_trace::{add_counter, record_histogram, set_gauge, Snapshot, Trace};
+use bds_trace::{add_counter, record_histogram, set_gauge, Snapshot};
 
 /// Reads a counter without disturbing the store: with no span open,
 /// `take` followed by `absorb` of the same trace leaves it as it was.
 fn peek_counter(name: &str) -> u64 {
     let trace = bds_trace::take();
-    let value = trace.snapshot.counter(name).unwrap_or(0);
+    let value = trace.counter(name).unwrap_or(0);
     bds_trace::absorb(trace);
     value
 }
@@ -99,7 +99,7 @@ fn span_nesting_always_balances() {
         guards.clear();
         assert_eq!(bds_trace::span_depth(), 0);
         if depth_before > 0 {
-            assert!(!bds_trace::take_snapshot().spans.is_empty());
+            assert!(!bds_trace::take().spans.is_empty());
         }
     });
 }
@@ -137,7 +137,7 @@ fn snapshot_json_round_trips_randomly() {
             }
         }
         guards.clear();
-        let json = bds_trace::take_snapshot().to_json();
+        let json = bds_trace::take().to_json();
         let text = json.render();
         let parsed = parse(&text).expect("rendered snapshot JSON parses");
         assert_eq!(parsed.render(), text);
@@ -170,7 +170,7 @@ fn random_snapshot(rng: &mut Rng) -> Snapshot {
         }
     }
     guards.clear();
-    bds_trace::take_snapshot()
+    bds_trace::take()
 }
 
 /// Sorts sibling spans by name, recursively. Span *values* merge keyed
@@ -194,12 +194,9 @@ fn canonical(mut snap: Snapshot) -> Snapshot {
 fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {
     bds_trace::reset();
     for s in [a, b] {
-        bds_trace::absorb(Trace {
-            snapshot: s.clone(),
-            ..Trace::default()
-        });
+        bds_trace::absorb(s.clone());
     }
-    bds_trace::take_snapshot()
+    bds_trace::take()
 }
 
 /// Absorbing snapshots is commutative and associative up to sibling-span

@@ -21,9 +21,8 @@
 //!   comparison against the sequential baseline stays exact because
 //!   sharding is a pure scheduling change. Zero matched circuits is also
 //!   a failure: a gate that compares nothing protects nothing. Self-run
-//!   gates leave the fresh report, the Perfetto trace, the folded span
-//!   stacks and the deterministic profile under `target/perfgate/` so
-//!   CI can upload them as artifacts.
+//!   gates leave the fresh report and the folded span stacks under
+//!   `target/perfgate/` so CI can upload them as artifacts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -125,14 +124,8 @@ const FRESH_REPORT: &str = "target/perfgate/fresh.json";
 /// Default baseline: the checked-in trace-enabled `table1` report.
 const BASELINE_REPORT: &str = "results/BENCH_flow.json";
 
-/// Where self-run gates leave the Perfetto trace-event export.
-const FRESH_PERFETTO: &str = "target/perfgate/perfetto.json";
-
 /// Where self-run gates leave the folded flamegraph stacks.
 const FRESH_FOLDED: &str = "target/perfgate/folded.txt";
-
-/// Where self-run gates leave the deterministic effort-tick profile.
-const FRESH_PROFILE: &str = "target/perfgate/profile.txt";
 
 fn run_perfgate(args: &[String]) -> ExitCode {
     let root = workspace_root();
@@ -182,15 +175,10 @@ fn run_perfgate(args: &[String]) -> ExitCode {
                 "--",
                 "--json",
                 FRESH_REPORT,
-                // Exporters ride along on every self-run gate so CI can
-                // upload the Perfetto trace, the folded span stacks and
-                // the deterministic profile next to the report.
-                "--perfetto",
-                FRESH_PERFETTO,
+                // The folded span stacks ride along on every self-run
+                // gate so CI can upload them next to the report.
                 "--folded",
                 FRESH_FOLDED,
-                "--profile",
-                FRESH_PROFILE,
             ];
             if let Some(n) = &jobs {
                 cargo_args.push("--jobs");

@@ -180,7 +180,7 @@ fn three_jobs4_runs_are_byte_identical() {
             bds_trace::reset();
             let (out, _) = optimize(&net, &params(4))
                 .unwrap_or_else(|e| panic!("{name}: sharded flow failed: {e}"));
-            traces.push(structural_view(&bds_trace::take_snapshot()));
+            traces.push(structural_view(&bds_trace::take()));
             blifs.push(blif::write(&out));
         }
         assert_eq!(
@@ -203,62 +203,24 @@ fn three_jobs4_runs_are_byte_identical() {
 }
 
 #[test]
-fn jobs1_and_jobs4_profiles_are_byte_identical() {
-    // The effort-tick profiler samples on a clock that is a pure
-    // function of the work performed, and worker samples are grafted
-    // under the coordinator's open span exactly like snapshot spans —
-    // so the rendered profile must be byte-for-byte identical at any
-    // job count, sample counts included (not just structurally).
-    // Without `--features trace` sampling is compiled out entirely.
-    let suite: Vec<(String, Network)> = vec![
-        ("csel8".into(), carry_select_adder(8, 2)),
-        ("ecc16".into(), hamming_encoder(16)),
-        ("m4x4".into(), multiplier(4, 4)),
-        ("bshift64".into(), barrel_shifter(64)),
-    ];
-    for (name, net) in suite {
-        bds_trace::reset();
-        let _ = optimize(&net, &params(1)).unwrap();
-        let seq = bds_trace::take().profile;
-        bds_trace::reset();
-        let _ = optimize(&net, &params(4)).unwrap();
-        let par = bds_trace::take().profile;
-        assert_eq!(
-            seq.to_json().render(),
-            par.to_json().render(),
-            "{name}: profile diverged between jobs=1 and jobs=4"
-        );
-        assert_eq!(
-            seq.folded(&name),
-            par.folded(&name),
-            "{name}: folded profile diverged between jobs=1 and jobs=4"
-        );
-        if bds_trace::is_enabled() {
-            assert!(
-                !seq.is_empty(),
-                "{name}: trace-enabled run should have sampled the profile"
-            );
-        } else {
-            assert!(seq.is_empty() && par.is_empty());
-        }
-    }
-}
-
-#[test]
 fn jobs4_trace_counters_match_sequential() {
     // Counters, gauges, histogram counts and span call counts — not just
     // the final network — must be independent of the thread count:
     // workers drain their thread-local registries and the coordinator
     // merges them in fixed order. (Without `--features trace` both
     // snapshots are empty and this checks the no-op path stays a no-op
-    // across threads.)
-    for (name, net) in benchmark_suite() {
+    // across threads.) bshift64 adds a circuit whose many supernodes
+    // share a few decomposed leaders, so its per-item and per-leader
+    // signals (DESIGN.md §9) differ widely.
+    let mut suite = benchmark_suite();
+    suite.push(("bshift64".into(), barrel_shifter(64)));
+    for (name, net) in suite {
         bds_trace::reset();
         let _ = optimize(&net, &params(1)).unwrap();
-        let seq = structural_view(&bds_trace::take_snapshot());
+        let seq = structural_view(&bds_trace::take());
         bds_trace::reset();
         let _ = optimize(&net, &params(4)).unwrap();
-        let par = structural_view(&bds_trace::take_snapshot());
+        let par = structural_view(&bds_trace::take());
         assert_eq!(
             seq, par,
             "{name}: trace structural view diverged with jobs=4"

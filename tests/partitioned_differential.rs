@@ -344,7 +344,7 @@ fn degrade_counters_count_every_supernode() {
             },
         )
         .expect("degrades instead of failing");
-        let snap = bds_trace::take_snapshot();
+        let snap = bds_trace::take();
         assert!(
             report.degraded > 0,
             "a 60-tick budget must force the ladder"

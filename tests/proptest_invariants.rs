@@ -16,8 +16,7 @@ use bds_repro::core::factor_tree::FactorForest;
 use bds_repro::network::verify::{verify, Verdict};
 use bds_repro::network::{blif, EliminateParams, Network};
 use bds_repro::sop::{factor::factor, Cover, Cube};
-use bds_trace::profile::Profile;
-use bds_trace::{EventKind, SpanGuard, SpanSnap, Trace};
+use bds_trace::{Snapshot, SpanGuard, SpanSnap};
 
 const NVARS: usize = 5;
 const CASES: u32 = 64;
@@ -329,8 +328,7 @@ fn random_net(prog: &[(u8, u8, bool)], seed: u64) -> Network {
 // ---------------------------------------------------------------------------
 
 /// One step of a random trace workload: open a span, close the
-/// innermost one, record a counter/gauge/histogram value, a journal
-/// event or a profiler sample.
+/// innermost one, or record a counter/gauge/histogram value.
 type TraceOp = (u8, u32, u64);
 
 fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
@@ -338,7 +336,7 @@ fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
     (0..len)
         .map(|_| {
             (
-                rng.range_u32(0..7) as u8,
+                rng.range_u32(0..5) as u8,
                 rng.next_u64() as u32,
                 rng.range_u64(0..100),
             )
@@ -347,18 +345,12 @@ fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
 }
 
 /// Wall-clock-free projection of a drained trace: counters, gauges,
-/// histogram totals and span call counts by path (in tree order), the
-/// journal's event names and kinds plus its eviction count, and the
-/// profile. Two runs of the same program agree on this even though
-/// their span timings and event timestamps differ.
-type TraceView = (
-    Vec<(String, u64)>,
-    Vec<(&'static str, EventKind)>,
-    u64,
-    Profile,
-);
+/// histogram totals and span call counts by path (in tree order). Two
+/// runs of the same program agree on this even though their span
+/// timings differ.
+type TraceView = Vec<(String, u64)>;
 
-fn trace_view(trace: Trace) -> TraceView {
+fn trace_view(snap: &Snapshot) -> TraceView {
     fn spans(prefix: &str, nodes: &[SpanSnap], out: &mut Vec<(String, u64)>) {
         for s in nodes {
             let path = format!("{prefix};{}", s.name);
@@ -366,7 +358,6 @@ fn trace_view(trace: Trace) -> TraceView {
             spans(&path, &s.children, out);
         }
     }
-    let snap = &trace.snapshot;
     let mut view: Vec<(String, u64)> = Vec::new();
     for (name, v) in &snap.counters {
         view.push((format!("counter:{name}"), *v));
@@ -378,13 +369,7 @@ fn trace_view(trace: Trace) -> TraceView {
         view.push((format!("histogram:{name}"), h.count));
     }
     spans("span", &snap.spans, &mut view);
-    let events = trace
-        .journal
-        .events
-        .iter()
-        .map(|e| (e.name, e.kind))
-        .collect();
-    (view, events, trace.journal.dropped, trace.profile)
+    view
 }
 
 /// How a run treats the window `[lo, hi)` of a trace program.
@@ -408,8 +393,6 @@ fn run_trace_program(prog: &[TraceOp], (lo, hi): (usize, usize), window: Window)
     const SPANS: [&str; 4] = ["flow", "flow.build", "flow.decompose", "flow.sharing"];
     const COUNTERS: [&str; 2] = ["prop.steps", "prop.nodes"];
     const GAUGES: [&str; 2] = ["prop.peak", "prop.load"];
-    const EVENTS: [&str; 2] = ["prop.choice", "prop.degrade"];
-    const SAMPLES: [&str; 2] = ["ite", "unique-insert"];
     fn close(guards: &mut Vec<SpanGuard>) {
         while guards.pop().is_some() {}
     }
@@ -436,9 +419,7 @@ fn run_trace_program(prog: &[TraceOp], (lo, hi): (usize, usize), window: Window)
                 1 => drop(guards.pop()),
                 2 => bds_trace::add_counter(COUNTERS[sel % COUNTERS.len()], val),
                 3 => bds_trace::set_gauge(GAUGES[sel % GAUGES.len()], val),
-                4 => bds_trace::record_histogram("prop.latency", val),
-                5 => bds_trace::record_event(EVENTS[sel % EVENTS.len()], vec![("v", val.into())]),
-                _ => bds_trace::profile::observe(SAMPLES[sel % SAMPLES.len()]),
+                _ => bds_trace::record_histogram("prop.latency", val),
             }
         }
         if i + 1 == hi {
@@ -454,11 +435,10 @@ fn run_trace_program(prog: &[TraceOp], (lo, hi): (usize, usize), window: Window)
         }
     }
     close(&mut outer);
-    trace_view(bds_trace::take())
+    trace_view(&bds_trace::take())
 }
 
-/// The quarantine protocol over the whole trace — snapshot, journal
-/// and profile. For a random window inside a random span-nesting
+/// The quarantine protocol over the whole trace. For a random window inside a random span-nesting
 /// workload, `set_aside` … `rejoin(_, true)` around the window gives
 /// exactly the trace of running it unguarded, and `rejoin(_, false)`
 /// gives exactly the trace of a program without the window's ops, with
