@@ -29,7 +29,7 @@ use bds_map::{map_network, Library};
 use bds_network::Network;
 use bds_trace::json::Json;
 
-use crate::report::{envelope, parse_args, write_json};
+use crate::report::{envelope, parse_args_without_views, write_json};
 
 fn variants() -> Vec<(&'static str, DecomposeParams)> {
     let base = DecomposeParams::default();
@@ -89,7 +89,7 @@ fn suite() -> Vec<(&'static str, Network)> {
 /// Entry point (called by the root `ablation` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("ablation") {
+    let args = match parse_args_without_views("ablation") {
         Ok(args) => args,
         Err(code) => return code,
     };

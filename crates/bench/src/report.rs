@@ -1,8 +1,9 @@
 //! Machine-readable benchmark reports and shared CLI flags.
 //!
-//! Every bench binary accepts `--json <path>` (write a report) and the
-//! two attribution views of the span tree: `--trace-tree` (print it per
-//! circuit) and `--folded <path>` (write it as flamegraph stacks).
+//! Every bench binary accepts `--json <path>` (write a report); those
+//! that print the two attribution views of the span tree also accept
+//! `--trace-tree` (print it per circuit) and `--folded <path>` (write it
+//! as flamegraph stacks).
 //! Reports share one envelope, schema `bds-trace-report/v1`:
 //!
 //! ```json
@@ -85,35 +86,51 @@ impl BenchArgs {
 /// Returns a nonzero [`ExitCode`] (after printing usage to stderr) on an
 /// unknown flag or a missing flag argument.
 pub fn parse_args(bench: &str) -> Result<BenchArgs, ExitCode> {
+    parse(bench, true)
+}
+
+/// Like [`parse_args`], for a bench binary that prints no span-tree
+/// views: `--trace-tree` and `--folded` are unknown flags there.
+///
+/// # Errors
+/// As [`parse_args`].
+pub fn parse_args_without_views(bench: &str) -> Result<BenchArgs, ExitCode> {
+    parse(bench, false)
+}
+
+fn parse(bench: &str, views: bool) -> Result<BenchArgs, ExitCode> {
     let mut out = BenchArgs::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => match args.next() {
                 Some(path) => out.json = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, "--json needs a path")),
+                None => return Err(usage(bench, views, "--json needs a path")),
             },
-            "--trace-tree" => out.trace_tree = true,
-            "--folded" => match args.next() {
+            "--trace-tree" if views => out.trace_tree = true,
+            "--folded" if views => match args.next() {
                 Some(path) => out.folded = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, "--folded needs a path")),
+                None => return Err(usage(bench, views, "--folded needs a path")),
             },
             "--jobs" => match args.next().and_then(|v| v.trim().parse().ok()) {
                 Some(jobs) => out.jobs = Some(jobs),
-                None => return Err(usage(bench, "--jobs needs a count")),
+                None => return Err(usage(bench, views, "--jobs needs a count")),
             },
             "--live" => out.live = true,
-            other => return Err(usage(bench, &format!("unknown flag {other}"))),
+            other => return Err(usage(bench, views, &format!("unknown flag {other}"))),
         }
     }
     Ok(out)
 }
 
-fn usage(bench: &str, problem: &str) -> ExitCode {
+fn usage(bench: &str, views: bool, problem: &str) -> ExitCode {
     eprintln!("{bench}: {problem}");
-    eprintln!(
-        "usage: {bench} [--json <path>] [--jobs <n>] [--trace-tree] [--folded <path>] [--live]"
-    );
+    let view_flags = if views {
+        " [--trace-tree] [--folded <path>]"
+    } else {
+        ""
+    };
+    eprintln!("usage: {bench} [--json <path>] [--jobs <n>]{view_flags} [--live]");
     ExitCode::from(2)
 }
 

@@ -6,11 +6,11 @@
 //! nodes may only cover single-fanout subject nodes). The reported delay
 //! is the critical-path arrival time under a per-gate delay model.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use bds_network::{Network, NetworkError};
 
-use crate::library::{Gate, Library, Pattern};
+use crate::library::{Library, Pattern};
 use crate::subject::{SNode, Subject};
 
 /// The result of technology mapping.
@@ -82,8 +82,9 @@ pub fn map_subject_with(
     goal: MapGoal,
 ) -> Result<MappedNetlist, NetworkError> {
     let nodes = subject.nodes();
+    let gates = lib.gates();
     // Fanout counts (outputs add one reference each).
-    let mut fanout = vec![0usize; nodes.len()];
+    let mut fanout = vec![0u32; nodes.len()];
     for n in nodes {
         match n {
             SNode::Inv(a) => fanout[*a as usize] += 1,
@@ -98,64 +99,90 @@ pub fn map_subject_with(
         fanout[o as usize] += 1;
     }
 
-    // DP bottom-up (nodes are created in topological order by
-    // construction: children precede parents).
-    #[derive(Clone)]
-    struct Choice {
-        cost: f64,
-        arrival: f64,
-        gate: usize,
-        leaves: Vec<u32>,
-    }
-    let mut best: Vec<Option<Choice>> = vec![None; nodes.len()];
-    let is_leaf_kind = |i: u32| matches!(nodes[i as usize], SNode::Pi(_) | SNode::Const(_));
-    for (i, n) in nodes.iter().enumerate() {
-        if matches!(n, SNode::Pi(_) | SNode::Const(_)) {
-            continue;
+    // A pattern can only match a subject node of its root's kind, so
+    // each node tries one of two gate lists (in library order, which
+    // keeps the first-gate tie-break). An input-rooted pattern would
+    // bind the node to itself, whose cover is still being decided, so it
+    // never wins and is left out.
+    let mut inv_rooted = Vec::new();
+    let mut nand_rooted = Vec::new();
+    let mut slots = 0;
+    for (gi, gate) in gates.iter().enumerate() {
+        match gate.pattern {
+            Pattern::Inv(_) => inv_rooted.push(gi),
+            Pattern::Nand(..) => nand_rooted.push(gi),
+            Pattern::Input(_) => {}
         }
-        let mut here: Option<Choice> = None;
-        for (gi, gate) in lib.gates().iter().enumerate() {
-            if let Some(leaves) = match_at(nodes, &fanout, &gate.pattern, i as u32, true) {
-                let mut cost = gate.area;
-                let mut arrival = 0.0f64;
-                let mut ok = true;
-                for &l in &leaves {
-                    if is_leaf_kind(l) {
-                        continue;
-                    }
-                    match &best[l as usize] {
-                        Some(c) => {
-                            cost += c.cost;
-                            arrival = arrival.max(c.arrival);
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
+        slots = slots.max(input_slots(&gate.pattern));
+    }
+    let mut matcher = Matcher {
+        nodes,
+        fanout: &fanout,
+        binding: vec![UNBOUND; slots],
+        trail: Vec::new(),
+        leaves: Vec::new(),
+    };
+
+    // DP bottom-up (nodes are created in topological order by
+    // construction: children precede parents). Node `i`'s best choice is
+    // `gate_of[i]` (or `NO_GATE`) over the leaves `arena[leaf_at[i]..
+    // leaf_at[i + 1]]`.
+    let is_leaf_kind = |i: u32| matches!(nodes[i as usize], SNode::Pi(_) | SNode::Const(_));
+    let mut cost = vec![0.0f64; nodes.len()];
+    let mut arrival = vec![0.0f64; nodes.len()];
+    let mut gate_of = vec![NO_GATE; nodes.len()];
+    let mut leaf_at = Vec::with_capacity(nodes.len() + 1);
+    let mut arena: Vec<u32> = Vec::new();
+    for (i, n) in nodes.iter().enumerate() {
+        let start = arena.len();
+        leaf_at.push(start);
+        let candidates = match n {
+            SNode::Pi(_) | SNode::Const(_) => continue,
+            SNode::Inv(_) => &inv_rooted,
+            SNode::Nand(..) => &nand_rooted,
+        };
+        for &gi in candidates {
+            let gate = &gates[gi];
+            if !matcher.matches(&gate.pattern, i as u32) {
+                continue;
+            }
+            let mut here_cost = gate.area;
+            let mut here_arrival = 0.0f64;
+            let mut ok = true;
+            for &l in &matcher.leaves {
+                if is_leaf_kind(l) {
+                    continue;
                 }
-                let arrival = arrival + gate.delay;
-                let better = here.as_ref().is_none_or(|h| match goal {
-                    MapGoal::Area => cost < h.cost,
+                if gate_of[l as usize] == NO_GATE {
+                    ok = false;
+                    break;
+                }
+                here_cost += cost[l as usize];
+                here_arrival = here_arrival.max(arrival[l as usize]);
+            }
+            let here_arrival = here_arrival + gate.delay;
+            let better = gate_of[i] == NO_GATE
+                || match goal {
+                    MapGoal::Area => here_cost < cost[i],
                     MapGoal::Delay => {
-                        arrival < h.arrival || (arrival == h.arrival && cost < h.cost)
+                        here_arrival < arrival[i]
+                            || (here_arrival == arrival[i] && here_cost < cost[i])
                     }
-                });
-                if ok && better {
-                    here = Some(Choice {
-                        cost,
-                        arrival,
-                        gate: gi,
-                        leaves,
-                    });
-                }
+                };
+            if ok && better {
+                cost[i] = here_cost;
+                arrival[i] = here_arrival;
+                gate_of[i] = gi;
+                arena.truncate(start);
+                arena.extend_from_slice(&matcher.leaves);
             }
         }
-        best[i] = here;
     }
+    leaf_at.push(arena.len());
+    let leaves_of = |i: u32| &arena[leaf_at[i as usize]..leaf_at[i as usize + 1]];
 
     // Select the cover from the outputs.
-    let mut selected: HashSet<u32> = HashSet::new();
+    let mut selected = vec![false; nodes.len()];
     let mut stack: Vec<u32> = subject
         .outputs()
         .iter()
@@ -164,49 +191,48 @@ pub fn map_subject_with(
         .collect();
     let mut area = 0.0;
     let mut gate_count = 0usize;
-    let mut histogram: BTreeMap<String, usize> = BTreeMap::new();
-    let mut chosen: HashMap<u32, (usize, Vec<u32>)> = HashMap::new();
+    let mut uses = vec![0usize; gates.len()];
     while let Some(node) = stack.pop() {
-        if !selected.insert(node) {
+        if std::mem::replace(&mut selected[node as usize], true) {
             continue;
         }
-        let choice = best[node as usize]
-            .as_ref()
-            .ok_or_else(|| NetworkError::Inconsistent {
+        let gi = gate_of[node as usize];
+        if gi == NO_GATE {
+            return Err(NetworkError::Inconsistent {
                 detail: format!("no library gate covers subject node #{node}"),
-            })?;
-        let gate: &Gate = &lib.gates()[choice.gate];
-        area += gate.area;
+            });
+        }
+        area += gates[gi].area;
         gate_count += 1;
-        *histogram.entry(gate.name.clone()).or_insert(0) += 1;
-        chosen.insert(node, (choice.gate, choice.leaves.clone()));
-        for &l in &choice.leaves {
-            if !is_leaf_kind(l) {
-                stack.push(l);
-            }
+        uses[gi] += 1;
+        stack.extend(leaves_of(node).iter().filter(|&&l| !is_leaf_kind(l)));
+    }
+    let mut histogram: BTreeMap<String, usize> = BTreeMap::new();
+    for (gate, &n) in gates.iter().zip(&uses) {
+        if n > 0 {
+            *histogram.entry(gate.name.clone()).or_insert(0) += n;
         }
     }
 
-    // Arrival times over the chosen cover.
-    let mut arrival: HashMap<u32, f64> = HashMap::new();
-    let mut delay = 0.0f64;
-    // Repeated relaxation in index order works because leaves precede
-    // roots in the subject ordering.
-    #[expect(clippy::disallowed_methods, reason = "collected, then sorted below")]
-    let mut order: Vec<u32> = chosen.keys().copied().collect();
-    order.sort_unstable();
-    for &node in &order {
-        let (gi, leaves) = &chosen[&node];
-        let gate = &lib.gates()[*gi];
-        let worst = leaves
+    // Arrival times over the chosen cover, in index order: leaves
+    // precede roots in the subject ordering, and unselected nodes (the
+    // primary inputs and constants among them) arrive at 0.
+    let mut at = vec![0.0f64; nodes.len()];
+    for node in 0..nodes.len() as u32 {
+        if !selected[node as usize] {
+            continue;
+        }
+        let worst = leaves_of(node)
             .iter()
-            .map(|l| arrival.get(l).copied().unwrap_or(0.0))
+            .map(|&l| at[l as usize])
             .fold(0.0f64, f64::max);
-        arrival.insert(node, worst + gate.delay);
+        at[node as usize] = worst + gates[gate_of[node as usize]].delay;
     }
-    for &(o, _) in subject.outputs() {
-        delay = delay.max(arrival.get(&o).copied().unwrap_or(0.0));
-    }
+    let delay = subject
+        .outputs()
+        .iter()
+        .map(|&(o, _)| at[o as usize])
+        .fold(0.0f64, f64::max);
 
     Ok(MappedNetlist {
         area,
@@ -216,92 +242,100 @@ pub fn map_subject_with(
     })
 }
 
-/// Matches `pattern` rooted at subject node `node`. Internal pattern
-/// nodes require fanout-1 subject nodes (except the match root); pattern
-/// inputs match anything but must bind **consistently** (the same input
-/// position always binds the same subject node — essential for XOR/MUX
-/// patterns whose inputs occur several times). Returns the subject nodes
-/// bound to pattern leaves in occurrence order.
-fn match_at(
-    nodes: &[SNode],
-    fanout: &[usize],
-    pattern: &Pattern,
-    node: u32,
-    root: bool,
-) -> Option<Vec<u32>> {
-    let mut binding: Vec<Option<u32>> = vec![None; 8];
-    let mut leaves = Vec::new();
-    if match_rec(
-        nodes,
-        fanout,
-        pattern,
-        node,
-        root,
-        &mut binding,
-        &mut leaves,
-    ) {
-        Some(leaves)
-    } else {
-        None
+/// `gate_of` entry of a node no gate covers (yet).
+const NO_GATE: usize = usize::MAX;
+/// Binding slot of a pattern input not bound in the current match.
+const UNBOUND: u32 = u32::MAX;
+
+/// Binding slots a pattern needs: its largest input index + 1.
+fn input_slots(pattern: &Pattern) -> usize {
+    match pattern {
+        Pattern::Input(i) => usize::from(*i) + 1,
+        Pattern::Inv(p) => input_slots(p),
+        Pattern::Nand(a, b) => input_slots(a).max(input_slots(b)),
     }
 }
 
-fn match_rec(
-    nodes: &[SNode],
-    fanout: &[usize],
-    pattern: &Pattern,
-    node: u32,
-    root: bool,
-    binding: &mut Vec<Option<u32>>,
-    leaves: &mut Vec<u32>,
-) -> bool {
-    match pattern {
-        Pattern::Input(i) => {
-            let slot = &mut binding[*i as usize];
-            match slot {
-                Some(bound) if *bound != node => false,
-                _ => {
-                    *slot = Some(node);
-                    leaves.push(node);
-                    true
+/// Pattern matching state reused across every match of one covering
+/// run, so a match allocates nothing once the buffers have grown.
+struct Matcher<'a> {
+    nodes: &'a [SNode],
+    fanout: &'a [u32],
+    /// Subject node bound to each pattern input, or `UNBOUND`.
+    binding: Vec<u32>,
+    /// Inputs bound in the current match, in binding order, so a failed
+    /// branch unbinds exactly what it bound.
+    trail: Vec<u8>,
+    /// Subject nodes bound to pattern leaves, in occurrence order.
+    leaves: Vec<u32>,
+}
+
+impl Matcher<'_> {
+    /// Matches `pattern` rooted at subject node `node`, leaving its
+    /// leaves in `self.leaves`. Internal pattern nodes require fanout-1
+    /// subject nodes (except the match root); pattern inputs match
+    /// anything but must bind **consistently** (the same input position
+    /// always binds the same subject node — essential for XOR/MUX
+    /// patterns whose inputs occur several times).
+    fn matches(&mut self, pattern: &Pattern, node: u32) -> bool {
+        self.unbind(0);
+        self.leaves.clear();
+        self.match_rec(pattern, node, true)
+    }
+
+    /// Unbinds every input bound after the first `mark` trail entries.
+    fn unbind(&mut self, mark: usize) {
+        for slot in self.trail.drain(mark..) {
+            self.binding[usize::from(slot)] = UNBOUND;
+        }
+    }
+
+    fn match_rec(&mut self, pattern: &Pattern, node: u32, root: bool) -> bool {
+        match pattern {
+            Pattern::Input(i) => {
+                let slot = &mut self.binding[usize::from(*i)];
+                if *slot == UNBOUND {
+                    *slot = node;
+                    self.trail.push(*i);
+                } else if *slot != node {
+                    return false;
+                }
+                self.leaves.push(node);
+                true
+            }
+            Pattern::Inv(p) => {
+                // Leaf inverters (INV directly over a pattern input) may be
+                // shared between cells: real mappers duplicate input
+                // inverters freely, and without this XOR/XNOR trees that
+                // share an input inverter would break each other.
+                let leaf_inverter = matches!(**p, Pattern::Input(_));
+                if !root && !leaf_inverter && self.fanout[node as usize] != 1 {
+                    return false;
+                }
+                match self.nodes[node as usize] {
+                    SNode::Inv(c) => self.match_rec(p, c, false),
+                    _ => false,
                 }
             }
-        }
-        Pattern::Inv(p) => {
-            // Leaf inverters (INV directly over a pattern input) may be
-            // shared between cells: real mappers duplicate input
-            // inverters freely, and without this XOR/XNOR trees that
-            // share an input inverter would break each other.
-            let leaf_inverter = matches!(**p, Pattern::Input(_));
-            if !root && !leaf_inverter && fanout[node as usize] != 1 {
-                return false;
-            }
-            match nodes[node as usize] {
-                SNode::Inv(c) => match_rec(nodes, fanout, p, c, false, binding, leaves),
-                _ => false,
-            }
-        }
-        Pattern::Nand(p1, p2) => {
-            if !root && fanout[node as usize] != 1 {
-                return false;
-            }
-            let SNode::Nand(a, b) = nodes[node as usize] else {
-                return false;
-            };
-            // Try both child orders (NAND commutes), backtracking the
-            // binding and leaf state between attempts.
-            for (x, y) in [(a, b), (b, a)] {
-                let saved_binding = binding.clone();
-                let saved_len = leaves.len();
-                if match_rec(nodes, fanout, p1, x, false, binding, leaves)
-                    && match_rec(nodes, fanout, p2, y, false, binding, leaves)
-                {
-                    return true;
+            Pattern::Nand(p1, p2) => {
+                if !root && self.fanout[node as usize] != 1 {
+                    return false;
                 }
-                *binding = saved_binding;
-                leaves.truncate(saved_len);
+                let SNode::Nand(a, b) = self.nodes[node as usize] else {
+                    return false;
+                };
+                // Try both child orders (NAND commutes), backtracking the
+                // binding and leaf state between attempts.
+                for (x, y) in [(a, b), (b, a)] {
+                    let (mark, len) = (self.trail.len(), self.leaves.len());
+                    if self.match_rec(p1, x, false) && self.match_rec(p2, y, false) {
+                        return true;
+                    }
+                    self.unbind(mark);
+                    self.leaves.truncate(len);
+                }
+                false
             }
-            false
         }
     }
 }
@@ -388,6 +422,32 @@ mod tests {
         assert!(m.delay >= 1.0);
         assert!(m.delay <= 10.0);
         assert!(m.area > 0.0);
+    }
+
+    /// A cell with more than eight distinct inputs binds as many slots
+    /// as it has inputs: a left-deep chain of eight AND2 nodes over nine
+    /// inputs is one `and9` cell.
+    #[test]
+    fn nine_input_cell_maps_a_chain() {
+        let lib = crate::genlib::parse_genlib(
+            "GATE inv 16 O=!a;\nGATE nand2 16 O=!(a*b);\nGATE and9 80 O=a*b*c*d*e*f*g*h*i;\n",
+        )
+        .unwrap();
+        let mut net = Network::new("chain9");
+        let ins: Vec<_> = (0..9)
+            .map(|i| net.add_input(format!("i{i}")).unwrap())
+            .collect();
+        let and = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]);
+        let mut prev = ins[0];
+        for (k, &i) in ins.iter().enumerate().skip(1) {
+            prev = net
+                .add_node(format!("n{k}"), vec![prev, i], and.clone())
+                .unwrap();
+        }
+        net.mark_output(prev).unwrap();
+        let m = map_network(&net, &lib).unwrap();
+        assert_eq!(m.area, 80.0, "histogram: {:?}", m.gate_histogram);
+        assert_eq!(m.count_of("and9"), 1);
     }
 
     #[test]

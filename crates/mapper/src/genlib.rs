@@ -297,7 +297,10 @@ impl<'a> ExprParser<'a> {
                         self.vars.len() - 1
                     }
                 };
-                GExpr::Var(idx as u8)
+                // Pattern inputs are numbered by `u8`.
+                let idx = u8::try_from(idx)
+                    .map_err(|_| format!("more than {} distinct pins", usize::from(u8::MAX) + 1))?;
+                GExpr::Var(idx)
             }
             other => return Err(format!("unexpected token {other:?}")),
         };
@@ -385,6 +388,24 @@ GATE zero    0 O=0;
         assert_eq!(err.line, 1);
         let latch = "LATCH dff 16 O=D; PIN D NONINV 1 999 1 1 1 1";
         assert!(parse_genlib(latch).is_err());
+    }
+
+    /// Pattern inputs are numbered by `u8`: a 257th distinct pin is an
+    /// error, not an alias of the first.
+    #[test]
+    fn too_many_pins_is_an_error() {
+        let pins = |n: usize| {
+            (0..n)
+                .map(|i| format!("p{i}"))
+                .collect::<Vec<_>>()
+                .join("*")
+        };
+        let text = |n: usize| format!("GATE inv 16 O=!a;\nGATE wide 999 O={};\n", pins(n));
+        let lib = parse_genlib(&text(256)).expect("256 pins fit");
+        assert_eq!(lib.gates()[1].inputs, 256);
+        let err = parse_genlib(&text(257)).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.detail.contains("256 distinct pins"), "{err}");
     }
 
     /// A library parsed from genlib must be usable for real mapping.

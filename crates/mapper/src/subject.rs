@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use bds_network::{Network, NetworkError, SignalId};
+use bds_network::{Network, NetworkError};
 use bds_sop::factor::factor;
 use bds_sop::{Cover, Expr};
 
@@ -43,24 +43,44 @@ impl Subject {
     /// internal inconsistencies surfaced as [`NetworkError`].
     pub fn from_network(net: &Network) -> Result<Subject, NetworkError> {
         let mut s = Subject::default();
-        let mut of_signal: HashMap<SignalId, u32> = HashMap::new();
+        let order = net.topo_order();
+        // Subject node of each signal, indexed by `SignalId::index`.
+        let mut of_signal = vec![u32::MAX; order.len()];
         for &i in net.inputs() {
-            let id = s.push(SNode::Pi(net.signal_name(i).to_string()));
-            of_signal.insert(i, id);
+            of_signal[i.index()] = s.push(SNode::Pi(net.signal_name(i).to_string()));
         }
-        for sig in net.topo_order() {
+        // A partitioned network repeats a handful of small covers many
+        // times over, so each distinct `(fanin count, cover)` is planned
+        // once per call: `plan_of[n]` maps a cover over `n` fanins to its
+        // index in `plans`.
+        let mut plan_of: Vec<HashMap<Cover, usize>> = Vec::new();
+        let mut plans: Vec<Plan> = Vec::new();
+        let mut fanin_nodes: Vec<u32> = Vec::new();
+        for sig in order {
             if net.is_input(sig) {
                 continue;
             }
             #[expect(clippy::expect_used, reason = "guarded: inputs are skipped above")]
             let (fanins, cover) = net.node(sig).expect("non-input");
-            let fanin_nodes: Vec<u32> = fanins.iter().map(|f| of_signal[f]).collect();
-            let id = s.emit_cover(cover, &fanin_nodes);
-            of_signal.insert(sig, id);
+            fanin_nodes.clear();
+            fanin_nodes.extend(fanins.iter().map(|f| of_signal[f.index()]));
+            let n = fanins.len();
+            if plan_of.len() <= n {
+                plan_of.resize_with(n + 1, HashMap::new);
+            }
+            let at = match plan_of[n].get(cover) {
+                Some(&at) => at,
+                None => {
+                    plans.push(Plan::of(cover, n));
+                    plan_of[n].insert(cover.clone(), plans.len() - 1);
+                    plans.len() - 1
+                }
+            };
+            of_signal[sig.index()] = s.emit_plan(&plans[at], &fanin_nodes);
         }
         for &o in net.outputs() {
             s.outputs
-                .push((of_signal[&o], net.signal_name(o).to_string()));
+                .push((of_signal[o.index()], net.signal_name(o).to_string()));
         }
         Ok(s)
     }
@@ -171,71 +191,36 @@ impl Subject {
         self.nand(top, bot)
     }
 
-    /// Emits a node cover over already-built fanin nodes, recognizing
-    /// XOR/XNOR/MUX truth tables and falling back to algebraic factoring.
-    fn emit_cover(&mut self, cover: &Cover, fanins: &[u32]) -> u32 {
-        if cover.is_empty() {
-            return self.constant(false);
-        }
-        if cover.has_unit_cube() {
-            return self.constant(true);
-        }
-        if fanins.len() <= 3 {
-            if let Some(id) = self.try_special(cover, fanins) {
-                return id;
-            }
-        }
-        let expr = factor(cover);
-        self.emit_expr(&expr, fanins)
-    }
-
-    fn try_special(&mut self, cover: &Cover, fanins: &[u32]) -> Option<u32> {
-        let n = fanins.len();
-        let tt = truth_table(cover, n);
-        if n == 2 {
-            if tt == 0b0110 {
-                return Some(self.xor(fanins[0], fanins[1]));
-            }
-            if tt == 0b1001 {
-                return Some(self.xnor(fanins[0], fanins[1]));
-            }
-        }
-        if n == 3 {
-            // MUX shapes: ite(x_s ⊕ cs, x_h ⊕ ch, x_l ⊕ cl).
-            for s in 0..3usize {
-                let rest: Vec<usize> = (0..3).filter(|&i| i != s).collect();
-                for &(h, l) in &[(rest[0], rest[1]), (rest[1], rest[0])] {
-                    for mask in 0..8u8 {
-                        let (cs, ch, cl) = (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
-                        let mut want = 0u8;
-                        for bits in 0..8u32 {
-                            let vs = (bits >> s & 1 == 1) ^ cs;
-                            let vh = (bits >> h & 1 == 1) ^ ch;
-                            let vl = (bits >> l & 1 == 1) ^ cl;
-                            if if vs { vh } else { vl } {
-                                want |= 1 << bits;
-                            }
-                        }
-                        if u64::from(want) == tt {
-                            let mut sel = fanins[s];
-                            if cs {
-                                sel = self.inv(sel);
-                            }
-                            let mut hi = fanins[h];
-                            if ch {
-                                hi = self.inv(hi);
-                            }
-                            let mut lo = fanins[l];
-                            if cl {
-                                lo = self.inv(lo);
-                            }
-                            return Some(self.mux(sel, hi, lo));
-                        }
-                    }
+    /// Emits a planned node over already-built fanin nodes.
+    fn emit_plan(&mut self, plan: &Plan, fanins: &[u32]) -> u32 {
+        match plan {
+            Plan::Const(v) => self.constant(*v),
+            Plan::Xor => self.xor(fanins[0], fanins[1]),
+            Plan::Xnor => self.xnor(fanins[0], fanins[1]),
+            &Plan::Mux {
+                s,
+                h,
+                l,
+                cs,
+                ch,
+                cl,
+            } => {
+                let mut sel = fanins[s];
+                if cs {
+                    sel = self.inv(sel);
                 }
+                let mut hi = fanins[h];
+                if ch {
+                    hi = self.inv(hi);
+                }
+                let mut lo = fanins[l];
+                if cl {
+                    lo = self.inv(lo);
+                }
+                self.mux(sel, hi, lo)
             }
+            Plan::Factored(expr) => self.emit_expr(expr, fanins),
         }
-        None
     }
 
     fn emit_expr(&mut self, expr: &Expr, fanins: &[u32]) -> u32 {
@@ -293,22 +278,112 @@ impl Subject {
     }
 }
 
-/// Truth table of a cover over `n ≤ 6` positional variables.
+/// How technology decomposition expands one node, decided from its
+/// fanin count and cover alone.
+#[derive(Clone, Debug, PartialEq)]
+enum Plan {
+    /// An empty cover (false) or one with a unit cube (true).
+    Const(bool),
+    /// Two inputs, `x0 ⊕ x1`: the canonical XOR tree.
+    Xor,
+    /// Two inputs, `x0 ⊙ x1`: the canonical XNOR tree.
+    Xnor,
+    /// Three inputs, `ite(x_s ⊕ cs, x_h ⊕ ch, x_l ⊕ cl)`: the canonical
+    /// MUX tree.
+    Mux {
+        s: usize,
+        h: usize,
+        l: usize,
+        cs: bool,
+        ch: bool,
+        cl: bool,
+    },
+    /// Anything else: the algebraically factored cover.
+    Factored(Expr),
+}
+
+impl Plan {
+    /// Recognizes XOR/XNOR/MUX truth tables on up to three fanins and
+    /// falls back to algebraic factoring. The first matching MUX shape
+    /// in `(s, (h, l), complement mask)` order wins.
+    fn of(cover: &Cover, n: usize) -> Plan {
+        if cover.is_empty() {
+            return Plan::Const(false);
+        }
+        if cover.has_unit_cube() {
+            return Plan::Const(true);
+        }
+        if n == 2 {
+            match truth_table(cover, n) {
+                0b0110 => return Plan::Xor,
+                0b1001 => return Plan::Xnor,
+                _ => {}
+            }
+        }
+        if n == 3 {
+            let tt = truth_table(cover, n);
+            for s in 0..3usize {
+                let (r0, r1) = match s {
+                    0 => (1, 2),
+                    1 => (0, 2),
+                    _ => (0, 1),
+                };
+                for (h, l) in [(r0, r1), (r1, r0)] {
+                    for mask in 0..8u8 {
+                        let (cs, ch, cl) = (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
+                        let mut want = 0u64;
+                        for bits in 0..8u32 {
+                            let vs = (bits >> s & 1 == 1) ^ cs;
+                            let vh = (bits >> h & 1 == 1) ^ ch;
+                            let vl = (bits >> l & 1 == 1) ^ cl;
+                            if if vs { vh } else { vl } {
+                                want |= 1 << bits;
+                            }
+                        }
+                        if want == tt {
+                            return Plan::Mux {
+                                s,
+                                h,
+                                l,
+                                cs,
+                                ch,
+                                cl,
+                            };
+                        }
+                    }
+                }
+            }
+        }
+        Plan::Factored(factor(cover))
+    }
+}
+
+/// Truth table of a cover over `n ≤ 6` positional variables: bit `m`
+/// is the value at the minterm whose variable `i` is bit `i` of `m`.
 fn truth_table(cover: &Cover, n: usize) -> u64 {
     debug_assert!(n <= 6);
-    let mut tt = 0u64;
-    for bits in 0..1u32 << n {
-        let assign: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-        if cover.eval(&assign) {
-            tt |= 1 << bits;
-        }
-    }
-    tt
+    /// Minterms where variable `i` is true.
+    const VAR: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    let all = u64::MAX >> (64 - (1u32 << n));
+    cover.cubes().iter().fold(0, |tt, cube| {
+        tt | cube.literals().iter().fold(all, |m, &(v, p)| {
+            let var = VAR[v as usize];
+            m & if p { var } else { !var }
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bds_network::SignalId;
     use bds_sop::Cube;
 
     fn net_with(cover: Cover, n: usize) -> Network {

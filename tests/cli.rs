@@ -1,4 +1,5 @@
-//! End-to-end tests of the `bds_opt` command-line tool.
+//! End-to-end tests of the `bds_opt` command-line tool, and of the bench
+//! binaries' flag parsing.
 
 use std::io::Write as _;
 use std::process::Command;
@@ -119,4 +120,25 @@ fn output_file_flag_writes_file() {
     assert!(written.contains(".model"));
     let _ = std::fs::remove_file(input);
     let _ = std::fs::remove_file(outpath);
+}
+
+/// `ablation` and `fpga` print no span-tree views, so the two view
+/// flags are usage errors there rather than silently ignored.
+#[test]
+fn view_flags_rejected_where_no_views_are_printed() {
+    for bin in [env!("CARGO_BIN_EXE_ablation"), env!("CARGO_BIN_EXE_fpga")] {
+        for args in [&["--trace-tree"][..], &["--folded", "out.folded"][..]] {
+            let out = Command::new(bin).args(args).output().expect("runs");
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unknown flag {}", args[0])),
+                "{stderr}"
+            );
+            assert!(
+                stderr.contains("usage:") && !stderr.contains("--trace-tree]"),
+                "{stderr}"
+            );
+        }
+    }
 }
