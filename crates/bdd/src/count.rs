@@ -3,6 +3,7 @@
 use std::collections::HashSet;
 
 use crate::edge::{Edge, Var};
+use crate::hash::FastBuild;
 use crate::manager::Manager;
 
 impl Manager {
@@ -11,7 +12,7 @@ impl Manager {
     /// flow ("the number of BDD nodes … instead of the literal count",
     /// paper §IV-B).
     pub fn count_nodes(&self, roots: &[Edge]) -> usize {
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::<u32, FastBuild>::default();
         let mut stack: Vec<u32> = roots.iter().map(|e| e.node()).collect();
         while let Some(idx) = stack.pop() {
             if !seen.insert(idx) {
@@ -35,8 +36,8 @@ impl Manager {
     /// The support of `e`: every variable the function depends on,
     /// ordered by current level (topmost first).
     pub fn support(&self, e: Edge) -> Vec<Var> {
-        let mut levels = HashSet::new();
-        let mut seen = HashSet::new();
+        let mut levels = HashSet::<u32, FastBuild>::default();
+        let mut seen = HashSet::<u32, FastBuild>::default();
         let mut stack = vec![e.node()];
         while let Some(idx) = stack.pop() {
             if idx == 0 || !seen.insert(idx) {
@@ -55,7 +56,7 @@ impl Manager {
 
     /// Combined support of several functions, ordered by level.
     pub fn support_of(&self, roots: &[Edge]) -> Vec<Var> {
-        let mut set: HashSet<Var> = HashSet::new();
+        let mut set = HashSet::<Var, FastBuild>::default();
         for &r in roots {
             set.extend(self.support(r));
         }
@@ -128,7 +129,7 @@ impl Manager {
     /// True iff the function depends on `var`.
     pub fn depends_on(&self, e: Edge, var: Var) -> bool {
         let lvl = self.level_of(var);
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::<u32, FastBuild>::default();
         let mut stack = vec![e.node()];
         while let Some(idx) = stack.pop() {
             if idx == 0 || !seen.insert(idx) {

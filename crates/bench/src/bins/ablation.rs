@@ -3,8 +3,9 @@
 //! detection, dominator balancing and the flat two-level comparison.
 //!
 //! For each variant the full BDS flow runs on a mixed suite and the
-//! mapped area / gate count / CPU are reported. The runtime side of the
-//! same ablation lives in `benches/ablations.rs`.
+//! mapped area / gate count / CPU are reported. The CPU column is one
+//! run; repeated, alternated timing is the stand-alone `flowbench/`
+//! package's job.
 //!
 //! Usage: `cargo run --release --bin ablation [-- --json <path>]`
 
@@ -29,7 +30,7 @@ use bds_map::{map_network, Library};
 use bds_network::Network;
 use bds_trace::json::Json;
 
-use crate::report::{envelope, parse_args_without_views, write_json};
+use crate::report::{envelope, parse_args, write_json, Extras};
 
 fn variants() -> Vec<(&'static str, DecomposeParams)> {
     let base = DecomposeParams::default();
@@ -89,7 +90,7 @@ fn suite() -> Vec<(&'static str, Network)> {
 /// Entry point (called by the root `ablation` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args_without_views("ablation") {
+    let args = match parse_args("ablation", Extras::NONE) {
         Ok(args) => args,
         Err(code) => return code,
     };

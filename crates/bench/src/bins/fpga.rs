@@ -29,12 +29,12 @@ use bds_network::Network;
 use bds_trace::json::Json;
 
 use crate::harness::geomean;
-use crate::report::{envelope, parse_args_without_views, write_json};
+use crate::report::{envelope, parse_args, write_json, Extras};
 
 /// Entry point (called by the root `fpga` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args_without_views("fpga") {
+    let args = match parse_args("fpga", Extras::NONE) {
         Ok(args) => args,
         Err(code) => return code,
     };

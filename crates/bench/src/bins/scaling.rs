@@ -28,7 +28,9 @@ use bds_network::Network;
 use bds_trace::json::Json;
 use bds_trace::Stopwatch;
 
-use crate::report::{envelope, finish_observability, parse_args, write_json, ObservedCircuit};
+use crate::report::{
+    envelope, finish_observability, parse_args, write_json, Extras, ObservedCircuit,
+};
 
 /// One size point of the sweep: timings for the CSV plus the trace data
 /// drained across the BDS flow, so the shared observability exports see
@@ -63,7 +65,7 @@ type Family = (&'static str, Box<dyn Fn(usize) -> Network>, Vec<usize>);
 /// Entry point (called by the root `scaling` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("scaling") {
+    let args = match parse_args("scaling", Extras::VIEWS) {
         Ok(args) => args,
         Err(code) => return code,
     };

@@ -33,7 +33,7 @@ use bds_circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_network::Network;
 
 use crate::harness::{geomean, live_line, print_rows, run_both, Row};
-use crate::report::{finish_rows, parse_args};
+use crate::report::{finish_rows, parse_args, Extras};
 
 fn class_summary(title: &str, rows: &[Row], paper_claim: &str) {
     print_rows(title, rows);
@@ -56,7 +56,7 @@ fn class_summary(title: &str, rows: &[Row], paper_claim: &str) {
 /// Entry point (called by the root `summary` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("summary") {
+    let args = match parse_args("summary", Extras::ALL) {
         Ok(args) => args,
         Err(code) => return code,
     };

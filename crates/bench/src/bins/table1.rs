@@ -26,7 +26,7 @@ use bds_circuits::shifter::barrel_shifter;
 use bds_network::Network;
 
 use crate::harness::{live_line, print_rows, run_both, Row};
-use crate::report::{finish_rows, parse_args};
+use crate::report::{finish_rows, parse_args, Extras};
 
 fn workloads(fast: bool) -> Vec<(String, &'static str, Network)> {
     let k = if fast { 1 } else { 2 };
@@ -64,7 +64,7 @@ fn workloads(fast: bool) -> Vec<(String, &'static str, Network)> {
 /// Entry point (called by the root `table1` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("table1") {
+    let args = match parse_args("table1", Extras::ALL) {
         Ok(args) => args,
         Err(code) => return code,
     };

@@ -25,7 +25,7 @@ use bds_circuits::multiplier::multiplier;
 use bds_circuits::shifter::barrel_shifter;
 
 use crate::harness::{print_rows, run_both, Row};
-use crate::report::{finish_rows, parse_args};
+use crate::report::{finish_rows, parse_args, Extras};
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -37,7 +37,7 @@ fn env_usize(key: &str, default: usize) -> usize {
 /// Entry point (called by the root `table2` bin shim).
 #[must_use]
 pub fn main() -> ExitCode {
-    let args = match parse_args("table2") {
+    let args = match parse_args("table2", Extras::VIEWS) {
         Ok(args) => args,
         Err(code) => return code,
     };

@@ -3,7 +3,8 @@
 //! Every bench binary accepts `--json <path>` (write a report); those
 //! that print the two attribution views of the span tree also accept
 //! `--trace-tree` (print it per circuit) and `--folded <path>` (write it
-//! as flamegraph stacks).
+//! as flamegraph stacks). A flag a binary does not act on is a usage
+//! error there ([`Extras`]).
 //! Reports share one envelope, schema `bds-trace-report/v1`:
 //!
 //! ```json
@@ -23,7 +24,8 @@
 //! feature is on. `cargo xtask perfgate` reads these files back through
 //! [`bds_trace::json::parse`]; no serde anywhere.
 //!
-//! `--live` streams a one-line summary per circuit to stderr.
+//! `--live` (`table1` and `summary`) streams a one-line summary per
+//! circuit to stderr.
 
 #![expect(
     clippy::print_stdout,
@@ -80,57 +82,74 @@ impl BenchArgs {
     }
 }
 
-/// Parses `std::env::args` for a bench binary.
+/// The flags a bench binary acts on besides `--json` and `--jobs`. The
+/// others are unknown flags there, so none is accepted and ignored.
+#[derive(Copy, Clone, Debug)]
+pub struct Extras {
+    /// `--trace-tree` and `--folded`: the binary prints the span-tree
+    /// views.
+    pub views: bool,
+    /// `--live`: the binary prints a line per finished row.
+    pub live: bool,
+}
+
+impl Extras {
+    /// Neither (`ablation`, `fpga`).
+    pub const NONE: Extras = Extras {
+        views: false,
+        live: false,
+    };
+    /// The span-tree views only (`scaling`, `table2`).
+    pub const VIEWS: Extras = Extras {
+        views: true,
+        live: false,
+    };
+    /// The views and `--live` (`table1`, `summary`).
+    pub const ALL: Extras = Extras {
+        views: true,
+        live: true,
+    };
+}
+
+/// Parses `std::env::args` for a bench binary that acts on `extras`.
 ///
 /// # Errors
 /// Returns a nonzero [`ExitCode`] (after printing usage to stderr) on an
 /// unknown flag or a missing flag argument.
-pub fn parse_args(bench: &str) -> Result<BenchArgs, ExitCode> {
-    parse(bench, true)
-}
-
-/// Like [`parse_args`], for a bench binary that prints no span-tree
-/// views: `--trace-tree` and `--folded` are unknown flags there.
-///
-/// # Errors
-/// As [`parse_args`].
-pub fn parse_args_without_views(bench: &str) -> Result<BenchArgs, ExitCode> {
-    parse(bench, false)
-}
-
-fn parse(bench: &str, views: bool) -> Result<BenchArgs, ExitCode> {
+pub fn parse_args(bench: &str, extras: Extras) -> Result<BenchArgs, ExitCode> {
     let mut out = BenchArgs::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => match args.next() {
                 Some(path) => out.json = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, views, "--json needs a path")),
+                None => return Err(usage(bench, extras, "--json needs a path")),
             },
-            "--trace-tree" if views => out.trace_tree = true,
-            "--folded" if views => match args.next() {
+            "--trace-tree" if extras.views => out.trace_tree = true,
+            "--folded" if extras.views => match args.next() {
                 Some(path) => out.folded = Some(PathBuf::from(path)),
-                None => return Err(usage(bench, views, "--folded needs a path")),
+                None => return Err(usage(bench, extras, "--folded needs a path")),
             },
             "--jobs" => match args.next().and_then(|v| v.trim().parse().ok()) {
                 Some(jobs) => out.jobs = Some(jobs),
-                None => return Err(usage(bench, views, "--jobs needs a count")),
+                None => return Err(usage(bench, extras, "--jobs needs a count")),
             },
-            "--live" => out.live = true,
-            other => return Err(usage(bench, views, &format!("unknown flag {other}"))),
+            "--live" if extras.live => out.live = true,
+            other => return Err(usage(bench, extras, &format!("unknown flag {other}"))),
         }
     }
     Ok(out)
 }
 
-fn usage(bench: &str, views: bool, problem: &str) -> ExitCode {
+fn usage(bench: &str, extras: Extras, problem: &str) -> ExitCode {
     eprintln!("{bench}: {problem}");
-    let view_flags = if views {
+    let view_flags = if extras.views {
         " [--trace-tree] [--folded <path>]"
     } else {
         ""
     };
-    eprintln!("usage: {bench} [--json <path>] [--jobs <n>]{view_flags} [--live]");
+    let live_flag = if extras.live { " [--live]" } else { "" };
+    eprintln!("usage: {bench} [--json <path>] [--jobs <n>]{view_flags}{live_flag}");
     ExitCode::from(2)
 }
 

@@ -10,7 +10,11 @@
 //! Only a size is needed to decide, so under [`EliminateCost::BddNodes`]
 //! a candidate's fanouts are composed and measured, and ISOP covers are
 //! built only for the fanouts of an accepted collapse. Every BDD of one
-//! call is built in one scratch manager, cleared before each use.
+//! call is built in one scratch manager, cleared before each use, and
+//! each distinct size probe and composition is built once per call: the
+//! results are memoized by the covers and fanin positions they read.
+
+use std::collections::HashMap;
 
 use bds_bdd::{Edge, Manager, Var};
 use bds_sop::{Cover, Cube};
@@ -67,18 +71,56 @@ impl Default for EliminateParams {
     }
 }
 
-/// Marks a signal that is not in [`Scratch::merged`].
+/// Marks a signal that is not in [`Scratch::merged`], and a signal whose
+/// cover has no id yet.
 const ABSENT: u32 = u32::MAX;
+
+/// A composition that fits its bounds: its BDD size and, once one was
+/// needed, its ISOP cover.
+#[derive(Copy, Clone)]
+struct Composition {
+    size: usize,
+    cover: Isop,
+}
+
+/// The ISOP cover of a [`Composition`], over merged-fanin positions.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Isop {
+    /// Not extracted yet.
+    Unknown,
+    /// The extraction hit the node limit.
+    Failed,
+    /// The interned cover with this id.
+    Cover(u32),
+}
 
 /// What one [`Network::eliminate`] call carries from candidate to
 /// candidate.
+///
+/// Every BDD is built from covers in a manager cleared first, so a
+/// result depends only on the covers and positions it was built from and
+/// on the call's parameters. The memos are keyed by exactly that content,
+/// and a hit returns what a rebuild would, node-limit failures included.
 struct Scratch {
-    /// Per-signal `collapse_cost` results; `None` means not yet computed.
-    /// An entry is dropped when its node is rewritten.
-    costs: Vec<Option<Option<usize>>>,
     /// Signals whose last collapse attempt was rejected and whose
     /// neighbourhood has not changed since.
     settled: Vec<bool>,
+    /// `cover_id[s]` is the id of the cover of the node driving `s`, or
+    /// [`ABSENT`] before it is first read. Refreshed when a collapse
+    /// rewrites the node.
+    cover_id: Vec<u32>,
+    /// Interned covers, by id.
+    covers: Vec<Cover>,
+    /// The id of each interned cover.
+    ids: HashMap<Cover, u32>,
+    /// Size-probe results by cover id: `None` until probed, then the
+    /// collapse cost, or `None` when the local BDD exceeds the cap.
+    probes: Vec<Option<Option<usize>>>,
+    /// Compositions by key (see [`Network::composition`]); `None` when
+    /// the composition blew up.
+    compositions: HashMap<Box<[u32]>, Option<Composition>>,
+    /// The key of the last composition looked up.
+    key: Vec<u32>,
     /// The manager every BDD of the call is built in, cleared before each
     /// use. Variable `i` stands for position `i` of the fanin list the
     /// function is built over.
@@ -98,8 +140,13 @@ struct Scratch {
 impl Scratch {
     fn new(signals: usize) -> Self {
         Scratch {
-            costs: vec![None; signals],
             settled: vec![false; signals],
+            cover_id: vec![ABSENT; signals],
+            covers: Vec::new(),
+            ids: HashMap::new(),
+            probes: Vec::new(),
+            compositions: HashMap::new(),
+            key: Vec::new(),
             mgr: Manager::new(),
             vars: Vec::new(),
             merged: Vec::new(),
@@ -107,6 +154,29 @@ impl Scratch {
             own_vars: Vec::new(),
             fanin_edges: Vec::new(),
         }
+    }
+
+    /// The id of `cover`, interning it on first sight.
+    fn intern(&mut self, cover: &Cover) -> u32 {
+        if let Some(&id) = self.ids.get(cover) {
+            return id;
+        }
+        let id = self.covers.len() as u32;
+        self.covers.push(cover.clone());
+        self.ids.insert(cover.clone(), id);
+        self.probes.push(None);
+        id
+    }
+
+    /// The id of `cover`, the current cover of the node driving `sig`.
+    fn cover_id(&mut self, sig: SignalId, cover: &Cover) -> u32 {
+        let id = self.cover_id[sig.index()];
+        if id != ABSENT {
+            return id;
+        }
+        let id = self.intern(cover);
+        self.cover_id[sig.index()] = id;
+        id
     }
 
     /// Empties the manager for a function over `vars` positional
@@ -119,6 +189,15 @@ impl Scratch {
             let i = self.vars.len();
             self.vars.push(self.mgr.new_var(format!("x{i}")));
         }
+    }
+
+    /// Size (in BDD nodes) of `cover`, a function over `vars` positions,
+    /// or `None` when it exceeds `limit`.
+    fn local_bdd_size(&mut self, cover: &Cover, vars: usize, limit: usize) -> Option<usize> {
+        self.reset_manager(vars, limit.saturating_mul(4).max(64));
+        let edge = cover_to_bdd(&mut self.mgr, cover, &self.vars).ok()?;
+        let size = self.mgr.size(edge);
+        (size <= limit).then_some(size)
     }
 
     /// Sets `merged` to `fanins` without repeats, in first-seen order.
@@ -174,7 +253,8 @@ impl Network {
     ///
     /// A rejected candidate is not tried again until a rewrite touches
     /// its neighbourhood: it would be rejected again, so this skips work
-    /// without changing the result.
+    /// without changing the result. Each distinct size probe and
+    /// composition is built once per call.
     ///
     /// # Errors
     /// Propagates [`NetworkError`](crate::NetworkError)s from the collapse
@@ -238,7 +318,7 @@ impl Network {
         // Cost before: sizes of sig and each fanout under the cost model.
         let mut old_cost = 0isize;
         for &n in std::iter::once(&sig).chain(&fanouts) {
-            let Some(size) = self.memo_cost(n, params, s) else {
+            let Some(size) = self.collapse_cost(n, params, s) else {
                 return Ok(false);
             };
             old_cost += size as isize;
@@ -246,115 +326,124 @@ impl Network {
         // Costs are non-negative, so once the running total passes the
         // bound the collapse is rejected whatever the other fanouts cost.
         let bound = old_cost.saturating_add(params.growth_allowance);
-        let mut new_nodes: Vec<(SignalId, Vec<SignalId>, Cover)> = Vec::new();
+        let literals = params.cost == EliminateCost::Literals;
         let mut new_cost = 0isize;
-        let mut last = Edge::ZERO;
         for &fo in &fanouts {
-            let Some((composed, bdd_size)) = self.compose(fo, sig, params, s) else {
+            let Some(c) = self.composition(fo, sig, params, s, literals) else {
                 return Ok(false);
             };
-            new_cost += match params.cost {
-                EliminateCost::BddNodes => bdd_size as isize,
-                EliminateCost::Literals => {
-                    let Some(cover) = s.cover_of(composed) else {
-                        return Ok(false);
-                    };
-                    let literals = cover.literal_count() as isize;
-                    new_nodes.push((fo, s.merged.clone(), cover));
-                    literals
-                }
+            new_cost += match c.cover {
+                Isop::Cover(id) if literals => s.covers[id as usize].literal_count() as isize,
+                _ => c.size as isize,
             };
             if new_cost > bound {
                 return Ok(false);
             }
-            last = composed;
         }
-        if params.cost == EliminateCost::BddNodes {
-            // Accepted on size: build the covers. The manager still holds
-            // the last fanout's composition; the others are recomposed.
-            let Some((&last_fo, rest)) = fanouts.split_last() else {
+        // Accepted: every fanout's cover, then the rewrites.
+        let mut new_nodes = Vec::with_capacity(fanouts.len());
+        for &fo in &fanouts {
+            let Some(Composition {
+                cover: Isop::Cover(id),
+                ..
+            }) = self.composition(fo, sig, params, s, true)
+            else {
                 return Ok(false);
             };
-            let Some(cover) = s.cover_of(last) else {
-                return Ok(false);
-            };
-            let last_node = (last_fo, s.merged.clone(), cover);
-            for &fo in rest {
-                let Some((composed, _)) = self.compose(fo, sig, params, s) else {
-                    return Ok(false);
-                };
-                let Some(cover) = s.cover_of(composed) else {
-                    return Ok(false);
-                };
-                new_nodes.push((fo, s.merged.clone(), cover));
-            }
-            new_nodes.push(last_node);
+            new_nodes.push((fo, s.merged.clone(), id));
         }
-        for (fo, fanins, cover) in new_nodes {
+        for (fo, fanins, id) in new_nodes {
             if let Some((old, _)) = self.node(fo) {
                 s.unsettle(fo, old, &fanins);
             }
             // Collapse only rewires to upstream signals, so this cannot
             // close a cycle; a failure here is structural corruption and
             // must surface, not unwind.
-            self.replace_node(fo, fanins, cover)?;
-            s.costs[fo.index()] = None;
+            self.replace_node(fo, fanins, s.covers[id as usize].clone())?;
+            s.cover_id[fo.index()] = id;
         }
         Ok(true)
     }
 
-    /// [`Network::collapse_cost`] through the per-call memo.
-    fn memo_cost(&self, sig: SignalId, params: &EliminateParams, s: &mut Scratch) -> Option<usize> {
-        if let Some(cost) = s.costs[sig.index()] {
-            return cost;
-        }
-        let cost = self.collapse_cost(sig, params, s);
-        s.costs[sig.index()] = Some(cost);
-        cost
-    }
-
     /// Cost of the node driving `sig` under the configured model, still
-    /// requiring the local BDD to fit within the structural cap.
+    /// requiring the local BDD to fit within the structural cap. A probe
+    /// reads only the node's cover, so it is memoized by cover id.
     fn collapse_cost(
         &self,
         sig: SignalId,
         params: &EliminateParams,
         s: &mut Scratch,
     ) -> Option<usize> {
-        bds_trace::counter!("net.eliminate.cost_evals");
-        let size = self.local_bdd_size(sig, params.max_local_bdd, s)?;
-        match params.cost {
-            EliminateCost::BddNodes => Some(size),
-            EliminateCost::Literals => Some(self.node(sig)?.1.literal_count()),
-        }
-    }
-
-    /// Size (in BDD nodes) of the local function of `sig`, or `None` when
-    /// it exceeds `limit`.
-    fn local_bdd_size(&self, sig: SignalId, limit: usize, s: &mut Scratch) -> Option<usize> {
         let (fanins, cover) = self.node(sig)?;
-        s.reset_manager(fanins.len(), limit.saturating_mul(4).max(64));
-        let edge = cover_to_bdd(&mut s.mgr, cover, &s.vars).ok()?;
-        let size = s.mgr.size(edge);
-        (size <= limit).then_some(size)
+        let id = s.cover_id(sig, cover) as usize;
+        if let Some(cost) = s.probes[id] {
+            return cost;
+        }
+        bds_trace::counter!("net.eliminate.cost_evals");
+        let cost = s
+            .local_bdd_size(cover, fanins.len(), params.max_local_bdd)
+            .map(|size| match params.cost {
+                EliminateCost::BddNodes => size,
+                EliminateCost::Literals => cover.literal_count(),
+            });
+        s.probes[id] = Some(cost);
+        cost
     }
 
-    /// Composes the node driving `sig` into `fanout` in the scratch
-    /// manager, over the merged fanin list it leaves in `s.merged`:
-    /// `fanout`'s fanins minus `sig`, then `sig`'s fanins, without
-    /// repeats. Returns the composed function and its BDD size, or `None`
-    /// when the merged support exceeds `params.max_support` or the BDD
-    /// blows up.
+    /// The composition of the node driving `sig` into `fanout`, over the
+    /// merged fanin list it leaves in `s.merged`: `fanout`'s fanins minus
+    /// `sig`, then `sig`'s fanins, without repeats. With `with_cover` the
+    /// result holds the ISOP cover too. `None` when the merged support
+    /// exceeds `params.max_support`, the BDD blows up, or a wanted cover
+    /// cannot be extracted.
+    ///
+    /// The memo key is both cover ids and the merged position of every
+    /// fanin of both nodes ([`ABSENT`] for `sig` itself): all a build
+    /// reads besides `params`.
+    fn composition(
+        &self,
+        fanout: SignalId,
+        sig: SignalId,
+        params: &EliminateParams,
+        s: &mut Scratch,
+        with_cover: bool,
+    ) -> Option<Composition> {
+        let (fo_fanins, fo_cover) = self.node(fanout)?;
+        let (own_fanins, own_cover) = self.node(sig)?;
+        s.merge(fo_fanins.iter().filter(|&&f| f != sig).chain(own_fanins));
+        let fo_id = s.cover_id(fanout, fo_cover);
+        let own_id = s.cover_id(sig, own_cover);
+        s.key.clear();
+        s.key.extend([fo_id, own_id, fo_fanins.len() as u32]);
+        let pos = &s.pos;
+        s.key
+            .extend(fo_fanins.iter().chain(own_fanins).map(|f| pos[f.index()]));
+        let memo = s.compositions.get(&s.key[..]).copied();
+        let c = match memo {
+            Some(None) => return None,
+            Some(Some(c)) if !with_cover || c.cover != Isop::Unknown => c,
+            _ => {
+                let c = self.compose(fanout, sig, params, s, with_cover);
+                s.compositions.insert(s.key.as_slice().into(), c);
+                c?
+            }
+        };
+        (!with_cover || c.cover != Isop::Failed).then_some(c)
+    }
+
+    /// Builds the composition [`Network::composition`] describes, over
+    /// the merged list it left in `s.merged`, in the scratch manager, and
+    /// with `with_cover` extracts its ISOP cover.
     fn compose(
         &self,
         fanout: SignalId,
         sig: SignalId,
         params: &EliminateParams,
         s: &mut Scratch,
-    ) -> Option<(Edge, usize)> {
+        with_cover: bool,
+    ) -> Option<Composition> {
         let (fo_fanins, fo_cover) = self.node(fanout)?;
         let (own_fanins, own_cover) = self.node(sig)?;
-        s.merge(fo_fanins.iter().filter(|&&f| f != sig).chain(own_fanins));
         if s.merged.len() > params.max_support {
             return None;
         }
@@ -379,7 +468,17 @@ impl Network {
         }
         let composed = cover_to_bdd_edges(&mut s.mgr, fo_cover, &s.fanin_edges).ok()?;
         let size = s.mgr.size(composed);
-        (size <= limit).then_some((composed, size))
+        if size > limit {
+            return None;
+        }
+        let cover = if !with_cover {
+            Isop::Unknown
+        } else if let Some(cover) = s.cover_of(composed) {
+            Isop::Cover(s.intern(&cover))
+        } else {
+            Isop::Failed
+        };
+        Some(Composition { size, cover })
     }
 }
 
@@ -444,7 +543,10 @@ mod tests {
         let c = n.compacted().unwrap();
         let mut scratch = Scratch::new(c.signals().count());
         for sig in c.node_ids() {
-            let size = c.local_bdd_size(sig, usize::MAX, &mut scratch).unwrap_or(0);
+            let (fanins, cover) = c.node(sig).unwrap();
+            let size = scratch
+                .local_bdd_size(cover, fanins.len(), usize::MAX)
+                .unwrap_or(0);
             assert!(size <= 12, "supernode exceeded the local-BDD cap: {size}");
         }
         // Function preserved.
@@ -452,6 +554,49 @@ mod tests {
             let a: Vec<bool> = (0..8).map(|i| bits >> i & 1 == 1).collect();
             let want = a.iter().fold(false, |acc, &b| acc ^ b);
             assert_eq!(n.eval(&a).unwrap()[0], want);
+        }
+    }
+
+    /// Fanouts with equal covers but different fanin positions must not
+    /// share a composition: `f1` and `f2` differ only in where `g`'s
+    /// fanins land in the merged list, `f1` and `f3` only in which
+    /// position of the fanout reads `g`.
+    #[test]
+    fn composition_key_holds_both_position_maps() {
+        let or2 = Cover::from_cubes(vec![Cube::lit(0, true), Cube::lit(1, true)]);
+        let and_not = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, false)])]);
+        let mut n = Network::new("t");
+        let a = n.add_input("a").unwrap();
+        let b = n.add_input("b").unwrap();
+        let c = n.add_input("c").unwrap();
+        let g = n.add_node("g", vec![a, c], or2).unwrap();
+        let f1 = n.add_node("f1", vec![g, a], and_not.clone()).unwrap();
+        let f2 = n.add_node("f2", vec![g, b], and_not.clone()).unwrap();
+        let f3 = n.add_node("f3", vec![a, g], and_not).unwrap();
+        for f in [f1, f2, f3] {
+            n.mark_output(f).unwrap();
+        }
+        assert_eq!(n.eliminate(&EliminateParams::default()).unwrap(), 1);
+        let node = |s: SignalId| {
+            let (fanins, cover) = n.node(s).unwrap();
+            (fanins.to_vec(), cover.clone())
+        };
+        // f1 = (a + c)·!a = !a·c over [a, c].
+        let want1 = Cover::from_cubes(vec![Cube::parse(&[(0, false), (1, true)])]);
+        assert_eq!(node(f1), (vec![a, c], want1));
+        // f2 = (a + c)·!b over [b, a, c].
+        let want2 = Cover::from_cubes(vec![
+            Cube::parse(&[(0, false), (1, true)]),
+            Cube::parse(&[(0, false), (2, true)]),
+        ]);
+        assert_eq!(node(f2), (vec![b, a, c], want2));
+        // f3 = a·!(a + c) = 0 over [a, c].
+        assert_eq!(node(f3), (vec![a, c], Cover::zero()));
+        for bits in 0..8u32 {
+            let [a, b, c] = [0, 1, 2].map(|i| bits >> i & 1 == 1);
+            let g = a || c;
+            let want = vec![g && !a, g && !b, a && !g];
+            assert_eq!(n.eval(&[a, b, c]).unwrap(), want, "a={a} b={b} c={c}");
         }
     }
 

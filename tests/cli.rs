@@ -142,3 +142,24 @@ fn view_flags_rejected_where_no_views_are_printed() {
         }
     }
 }
+
+/// Only `table1` and `summary` print a line per finished row, so
+/// `--live` is a usage error in the other bench binaries.
+#[test]
+fn live_rejected_where_no_rows_stream() {
+    for bin in [
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_fpga"),
+        env!("CARGO_BIN_EXE_scaling"),
+        env!("CARGO_BIN_EXE_table2"),
+    ] {
+        let out = Command::new(bin).arg("--live").output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{bin} --live");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag --live"), "{stderr}");
+        assert!(
+            stderr.contains("usage:") && !stderr.contains("[--live]"),
+            "{stderr}"
+        );
+    }
+}
