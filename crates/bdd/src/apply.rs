@@ -4,7 +4,6 @@ use crate::canon::IteNorm;
 use crate::edge::Edge;
 use crate::manager::Manager;
 use crate::nid::IteKey;
-use crate::stats::miss_depth_bucket;
 use crate::Result;
 
 impl Manager {
@@ -18,14 +17,6 @@ impl Manager {
     /// # Errors
     /// [`crate::BddError::NodeLimit`] if the manager's node limit is hit.
     pub fn ite(&mut self, f: Edge, g: Edge, h: Edge) -> Result<Edge> {
-        self.ite_rec(f, g, h, 0)
-    }
-
-    /// The memoized ITE recursion, threading the recursion `depth` so
-    /// computed-table misses can be bucketed by how deep they happened
-    /// (shallow = cold first touch, deep = the cache thrashing inside a
-    /// recursion).
-    fn ite_rec(&mut self, f: Edge, g: Edge, h: Edge, depth: u32) -> Result<Edge> {
         self.charge(crate::OpClass::Ite)?;
         self.ops.ite_calls += 1;
         // Canonical standard triple (terminal rules, argument
@@ -46,7 +37,6 @@ impl Manager {
             return Ok(cached.complement_if(negate));
         }
         self.ops.cache_misses += 1;
-        self.ops.miss_depth[miss_depth_bucket(depth)] += 1;
 
         // --- recursion -------------------------------------------------------
         let level = self
@@ -56,8 +46,8 @@ impl Manager {
         let (f1, f0) = self.cofactors_at(f, level);
         let (g1, g0) = self.cofactors_at(g, level);
         let (h1, h0) = self.cofactors_at(h, level);
-        let t = self.ite_rec(f1, g1, h1, depth + 1)?;
-        let e = self.ite_rec(f0, g0, h0, depth + 1)?;
+        let t = self.ite(f1, g1, h1)?;
+        let e = self.ite(f0, g0, h0)?;
         let r = self.mk(level, t, e)?;
         self.ite_cache.insert(key, r);
         Ok(r.complement_if(negate))

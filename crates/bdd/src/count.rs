@@ -1,4 +1,4 @@
-//! Structural queries: node counts, support, satisfy/path counts.
+//! Structural queries: node counts, support, satisfy counts.
 
 use std::collections::HashSet;
 
@@ -91,61 +91,6 @@ impl Manager {
         let scale = (nvars as f64).exp2();
         rec(self, e, &mut memo) * scale
     }
-
-    /// Returns `(one_paths, zero_paths)`: the number of paths from `e` to
-    /// the 1- and 0-terminal in the complement-edge-resolved view of the
-    /// graph. Saturates at `u64::MAX`.
-    ///
-    /// Path counts drive the dominator searches of the decomposition
-    /// engine (paper §III-A, Theorem 1 context).
-    pub fn count_paths(&self, e: Edge) -> (u64, u64) {
-        let mut memo = std::collections::HashMap::new();
-        self.count_paths_rec(e, &mut memo)
-    }
-
-    fn count_paths_rec(
-        &self,
-        e: Edge,
-        memo: &mut std::collections::HashMap<Edge, (u64, u64)>,
-    ) -> (u64, u64) {
-        if e.is_one() {
-            return (1, 0);
-        }
-        if e.is_zero() {
-            return (0, 1);
-        }
-        if let Some(&r) = memo.get(&e) {
-            return r;
-        }
-        #[expect(clippy::expect_used, reason = "guarded: e is non-constant here")]
-        let (_, t, el) = self.node(e).expect("non-const");
-        let (t1, t0) = self.count_paths_rec(t, memo);
-        let (e1, e0) = self.count_paths_rec(el, memo);
-        let r = (t1.saturating_add(e1), t0.saturating_add(e0));
-        memo.insert(e, r);
-        r
-    }
-
-    /// True iff the function depends on `var`.
-    pub fn depends_on(&self, e: Edge, var: Var) -> bool {
-        let lvl = self.level_of(var);
-        let mut seen = HashSet::<u32, FastBuild>::default();
-        let mut stack = vec![e.node()];
-        while let Some(idx) = stack.pop() {
-            if idx == 0 || !seen.insert(idx) {
-                continue;
-            }
-            let n = &self.nodes[idx as usize];
-            if n.level == lvl {
-                return true;
-            }
-            if n.level < lvl {
-                stack.push(n.high.node());
-                stack.push(n.low.node());
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -162,9 +107,6 @@ mod tests {
         assert_eq!(m.support(f), vars);
         assert_eq!(m.size(f), 4); // 3 decision nodes + terminal
         assert_eq!(m.size(Edge::ONE), 1);
-        assert!(m.depends_on(f, vars[0]));
-        let g = lits[2];
-        assert!(!m.depends_on(g, vars[0]));
     }
 
     #[test]
@@ -189,18 +131,5 @@ mod tests {
         assert_eq!(m.sat_count(f, 3), 5.0);
         assert_eq!(m.sat_count(Edge::ONE, 3), 8.0);
         assert_eq!(m.sat_count(Edge::ZERO, 3), 0.0);
-    }
-
-    #[test]
-    fn path_counts() {
-        let mut m = Manager::new();
-        let vars = m.new_vars(2);
-        let la = m.literal(vars[0], true);
-        let lb = m.literal(vars[1], true);
-        let f = m.and(la, lb).unwrap();
-        // Paths: a=1,b=1 → 1 ; a=0 → 0 ; a=1,b=0 → 0.
-        assert_eq!(m.count_paths(f), (1, 2));
-        let g = m.xor(la, lb).unwrap();
-        assert_eq!(m.count_paths(g), (2, 2));
     }
 }

@@ -103,20 +103,16 @@ pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
 /// manager's tables and memo maps.
 pub(crate) type FastMap<K, V> = HashMap<K, V, FastBuild>;
 
-/// The exact 64-bit hash the tables apply to a packed `u128` key —
-/// exposed so the chain-length model in `stats.rs` buckets keys with
-/// the *real* table hash rather than a simulation of a different one.
-#[inline]
-#[must_use]
-pub(crate) fn hash_packed(key: u128) -> u64 {
-    let mut h = FastHasher::default();
-    h.write_u128(key);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exact 64-bit hash the tables apply to a packed `u128` key.
+    fn hash_packed(key: u128) -> u64 {
+        let mut h = FastHasher::default();
+        h.write_u128(key);
+        h.finish()
+    }
 
     #[test]
     fn deterministic_across_hasher_instances() {

@@ -15,7 +15,7 @@
 //!   don't-care minimization during Boolean division (paper §III-B),
 //! * Minato–Morreale **ISOP** extraction (irredundant sum-of-products) used
 //!   when factoring-tree leaves are emitted as network nodes,
-//! * structural queries (node counts, support, path counts, satisfy counts)
+//! * structural queries (node counts, support, satisfy counts)
 //!   that the dominator/cut analyses of the decomposition engine build on,
 //! * **cross-manager transfer** — the paper's "BDD mapping" / `bddPool`
 //!   mechanism (§IV-B) that re-homes BDDs into a fresh manager with a
@@ -100,7 +100,6 @@ mod nid;
 /// Variable reordering: sifting, explicit reorder and exact search.
 pub mod reorder;
 mod restrict;
-mod satisfy;
 mod stats;
 mod swap;
 /// Cross-manager BDD transfer (rebuild under a new variable order).

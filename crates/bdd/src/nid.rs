@@ -41,8 +41,8 @@ impl UniqueKey {
         )
     }
 
-    /// Recovers `(level, high, low)` — used by the invariant auditor
-    /// and the chain-length model, never on the hot path.
+    /// Recovers `(level, high, low)` — used by the invariant auditor,
+    /// never on the hot path.
     #[inline]
     pub fn unpack(self) -> (u32, Edge, Edge) {
         (
@@ -50,12 +50,6 @@ impl UniqueKey {
             Edge((self.0 >> 32) as u32),
             Edge(self.0 as u32),
         )
-    }
-
-    /// The raw packed word (for hashing models).
-    #[inline]
-    pub fn raw(self) -> u128 {
-        self.0
     }
 }
 
@@ -126,6 +120,6 @@ mod tests {
     #[test]
     fn upper_bits_stay_clear() {
         let k = UniqueKey::pack(u32::MAX, Edge(u32::MAX), Edge(u32::MAX));
-        assert_eq!(k.raw() >> 96, 0);
+        assert_eq!(k.0 >> 96, 0);
     }
 }

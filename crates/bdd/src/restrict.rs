@@ -53,10 +53,8 @@ impl Manager {
         // Packed (f, c) pair: one word, two fast-hash rounds.
         let key = u64::from(f.raw()) | (u64::from(c.raw()) << 32);
         if let Some(&r) = memo.get(&key) {
-            self.ops.restrict_hits += 1;
             return Ok(r);
         }
-        self.ops.restrict_misses += 1;
         let fl = self.node_level(f);
         let cl = self.node_level(c);
         let r = if cl < fl {

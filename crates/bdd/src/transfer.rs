@@ -184,10 +184,8 @@ fn transfer_rec(
     }
     let node = e.node();
     let mapped = if let Some(&m) = memo.get(&node) {
-        dst.ops.transfer_hits += 1;
         m
     } else {
-        dst.ops.transfer_misses += 1;
         #[expect(clippy::expect_used, reason = "constants take the other branch")]
         let (var, high, low) = src
             .node_raw(e.regular())

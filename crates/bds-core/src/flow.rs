@@ -56,10 +56,6 @@ pub struct FlowParams {
     pub global_limit: usize,
     /// Never attempt global BDDs above this many primary inputs.
     pub global_max_inputs: usize,
-    /// Run satisfiability-don't-care simplification on the result (the
-    /// paper's future-work item 1; see [`crate::sdc`]). Off by default to
-    /// match the published system.
-    pub sdc: Option<crate::sdc::SdcParams>,
     /// Reject global mode when the global BDDs are more than this many
     /// times larger than the network's literal count — a sign (e.g. for
     /// multipliers) that the BDD form loses the circuit's structure and
@@ -88,7 +84,6 @@ impl Default for FlowParams {
             sift: SiftLimits::default(),
             global_limit: 20_000,
             global_max_inputs: 64,
-            sdc: None,
             global_blowup_factor: 1,
             jobs: default_jobs(),
             govern: GovernParams::default(),
@@ -238,12 +233,6 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
                     // matched) both the network and its mapping — accept
                     // it without trying alternatives (keeps the paper's
                     // CPU profile on small circuits).
-                    let mut out = out;
-                    if let Some(sdc_params) = &params.sdc {
-                        crate::sdc::sdc_simplify(&mut out, sdc_params)?;
-                        out.sweep()?;
-                        out = out.compacted()?;
-                    }
                     out.audit()?;
                     report.seconds = start.seconds();
                     return Ok((out, report));
@@ -289,17 +278,12 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     // Select by the real objective: mapped cell area under the shared
     // mcnc-style library (literal counts undervalue XOR/MUX cells).
     // `min_by` keeps the first of equal minima.
-    let (_, mut out, mut report) = candidates
+    let (_, out, mut report) = candidates
         .into_iter()
         .min_by(|(a, _, _), (b, _, _)| a.total_cmp(b))
         .ok_or_else(|| NetworkError::Inconsistent {
             detail: "flow portfolio is empty".to_string(),
         })?;
-    if let Some(sdc_params) = &params.sdc {
-        crate::sdc::sdc_simplify(&mut out, sdc_params)?;
-        out.sweep()?;
-        out = out.compacted()?;
-    }
     // Phase boundary: final selected network must be structurally sound.
     out.audit()?;
     report.seconds = start.seconds();
@@ -410,15 +394,11 @@ pub fn optimize_global(
     let out = out.compacted()?;
     let table = mgr.table_stats();
     let decompose_bytes = table.estimated_bytes();
-    bds_trace::gauge!("bdd.global.unique_entries", table.unique_entries as u64);
     bds_trace::gauge!("bdd.global.computed_entries", table.computed_entries as u64);
     bds_trace::gauge!(
         "bdd.global.peak_arena_nodes",
         peak0.max(mgr.arena_size()) as u64
     );
-    if bds_trace::is_enabled() {
-        record_table_analytics(&mgr, &edges);
-    }
     bds_trace::gauge!("bdd.phase.build.peak_arena_bytes", build_bytes as u64);
     bds_trace::gauge!(
         "bdd.phase.decompose.peak_arena_bytes",
@@ -438,20 +418,6 @@ pub fn optimize_global(
             degraded: 0,
         },
     ))
-}
-
-/// Records a decompose manager's O(arena) table analytics: the census
-/// of nodes unreachable from `live`, the unique-table chain lengths and
-/// the node count of each level. Callers pay for it only when a trace is
-/// live to receive it.
-fn record_table_analytics(mgr: &Manager, live: &[bds_bdd::Edge]) {
-    bds_trace::counter_add!("bdd.decompose.dead_nodes", mgr.dead_node_count(live) as u64);
-    for len in mgr.unique_chain_lengths() {
-        bds_trace::histogram!("bdd.unique.chain_len", len);
-    }
-    for width in mgr.level_node_counts() {
-        bds_trace::histogram!("bdd.level.width", width);
-    }
 }
 
 /// The logic a supernode's (possibly degraded) decomposition produced,
@@ -489,11 +455,10 @@ struct NodeArtifact {
     stats: DecomposeStats,
     /// BDD operation counters from this node's managers.
     ops: OpStats,
-    /// Arena size of the node's manager after sifting.
+    /// Larger of the build manager's arena before sifting and the
+    /// decompose manager's arena after decomposition.
     peak: usize,
-    /// Peak unique-table entries (tracked only when tracing is live).
-    peak_unique: usize,
-    /// Peak computed-table entries (tracked only when tracing is live).
+    /// Computed-table entries of the decompose manager at the end.
     peak_computed: usize,
     /// Modeled manager bytes right after the local BDD build.
     build_bytes: usize,
@@ -511,7 +476,6 @@ impl NodeArtifact {
             stats: DecomposeStats::default(),
             ops: OpStats::default(),
             peak: 0,
-            peak_unique: 0,
             peak_computed: 0,
             build_bytes: 0,
             decompose_bytes: 0,
@@ -555,6 +519,7 @@ fn decompose_supernode_bdd(
     };
     ops.merge(&mgr.op_stats());
     let build_bytes = mgr.table_stats().estimated_bytes();
+    let build_peak = mgr.arena_size();
     let spent = mgr.effort_spent();
     // Phase boundary: the freshly built local manager must be canonical.
     mgr.audit().map_err(NetworkError::Bdd)?;
@@ -579,7 +544,6 @@ fn decompose_supernode_bdd(
         }
     }
     let edge = edges[0];
-    let peak = mgr.arena_size();
 
     let mut forest = FactorForest::new();
     let mut dec = Decomposer::new();
@@ -590,23 +554,15 @@ fn decompose_supernode_bdd(
     };
     ops.merge(&mgr.op_stats());
     let table = mgr.table_stats();
-    let decompose_bytes = table.estimated_bytes();
-    let (mut peak_unique, mut peak_computed) = (0, 0);
-    if bds_trace::is_enabled() {
-        peak_unique = table.unique_entries;
-        peak_computed = table.computed_entries;
-        record_table_analytics(&mgr, &[edge]);
-    }
     Ok(NodeArtifact {
         body: ArtifactBody::Forest { forest, root },
         degrade: None,
         stats: dec.stats,
         ops,
-        peak,
-        peak_unique,
-        peak_computed,
+        peak: build_peak.max(mgr.arena_size()),
+        peak_computed: table.computed_entries,
         build_bytes,
-        decompose_bytes,
+        decompose_bytes: table.estimated_bytes(),
     })
 }
 
@@ -844,9 +800,7 @@ pub fn optimize_partitioned(
     let mut stats = DecomposeStats::default();
     let mut ops = OpStats::default();
     let mut peak = 0usize;
-    // Peak unique/computed-table load across the per-node managers, for
-    // the phase gauges below (only tracked when tracing is compiled in).
-    let mut peak_unique = 0usize;
+    // Peak computed-table load across the per-node managers.
     let mut peak_computed = 0usize;
     // Always-on memory accounting: modeled bytes per phase, maxed
     // across per-node managers (order-independent, so identical at any
@@ -907,7 +861,6 @@ pub fn optimize_partitioned(
         stats.merge(artifact.stats);
         ops.merge(&artifact.ops);
         peak = peak.max(artifact.peak);
-        peak_unique = peak_unique.max(artifact.peak_unique);
         peak_computed = peak_computed.max(artifact.peak_computed);
         build_bytes = build_bytes.max(artifact.build_bytes);
         decompose_bytes = decompose_bytes.max(artifact.decompose_bytes);
@@ -952,7 +905,6 @@ pub fn optimize_partitioned(
     out.sweep()?;
     let out = out.compacted()?;
     bds_trace::gauge!("bdd.partitioned.peak_arena_nodes", peak as u64);
-    bds_trace::gauge!("bdd.partitioned.peak_unique_entries", peak_unique as u64);
     bds_trace::gauge!(
         "bdd.partitioned.peak_computed_entries",
         peak_computed as u64
@@ -998,20 +950,6 @@ fn publish_trace(stats: &DecomposeStats, ops: &OpStats) {
     bds_trace::counter_add!("bdd.unique_hits", ops.unique_hits);
     bds_trace::counter_add!("bdd.nodes_created", ops.nodes_created);
     bds_trace::counter_add!("bdd.cache.terminal_hits", ops.terminal_hits);
-    bds_trace::counter_add!("bdd.restrict.memo_hits", ops.restrict_hits);
-    bds_trace::counter_add!("bdd.restrict.memo_misses", ops.restrict_misses);
-    bds_trace::counter_add!("bdd.transfer.memo_hits", ops.transfer_hits);
-    bds_trace::counter_add!("bdd.transfer.memo_misses", ops.transfer_misses);
-    // Miss-depth buckets as literal names (the `metric-name` lint
-    // requires compile-time metric names, which keeps them greppable).
-    bds_trace::counter_add!("bdd.cache.miss_depth0", ops.miss_depth[0]);
-    bds_trace::counter_add!("bdd.cache.miss_depth1", ops.miss_depth[1]);
-    bds_trace::counter_add!("bdd.cache.miss_depth2", ops.miss_depth[2]);
-    bds_trace::counter_add!("bdd.cache.miss_depth3", ops.miss_depth[3]);
-    bds_trace::counter_add!("bdd.cache.miss_depth4", ops.miss_depth[4]);
-    bds_trace::counter_add!("bdd.cache.miss_depth5", ops.miss_depth[5]);
-    bds_trace::counter_add!("bdd.cache.miss_depth6", ops.miss_depth[6]);
-    bds_trace::counter_add!("bdd.cache.miss_depth7", ops.miss_depth[7]);
 }
 
 #[cfg(test)]
@@ -1162,6 +1100,39 @@ mod tests {
         let (opt, report) = optimize(&net, &params).unwrap();
         assert!(report.degraded > 0, "the faulted supernode must degrade");
         assert_eq!(verify(&net, &opt, 1_000_000).unwrap(), Verdict::Equivalent);
+    }
+
+    #[test]
+    fn partitioned_peak_counts_the_build_manager() {
+        let xor3 = Cover::from_cubes(vec![
+            Cube::parse(&[(0, true), (1, false), (2, false)]),
+            Cube::parse(&[(0, false), (1, true), (2, false)]),
+            Cube::parse(&[(0, false), (1, false), (2, true)]),
+            Cube::parse(&[(0, true), (1, true), (2, true)]),
+        ]);
+        let mut net = Network::new("xor3");
+        let ins: Vec<SignalId> = (0..3)
+            .map(|i| net.add_input(format!("x{i}")).unwrap())
+            .collect();
+        let f = net.add_node("f", ins, xor3.clone()).unwrap();
+        net.mark_output(f).unwrap();
+        let params = FlowParams {
+            global_limit: 0,
+            ..FlowParams::default()
+        };
+        let (_, report) = optimize(&net, &params).unwrap();
+        assert_eq!(report.mode, FlowMode::Partitioned);
+        // The build manager holds the literals and the cubes' partial
+        // products besides the XOR itself; sifting's rebuild sheds them.
+        let mut mgr = Manager::new();
+        let vars = mgr.new_vars(3);
+        cover_to_bdd(&mut mgr, &xor3, &vars).unwrap();
+        assert!(
+            report.peak_bdd_nodes >= mgr.arena_size(),
+            "peak {} below the build arena {}",
+            report.peak_bdd_nodes,
+            mgr.arena_size()
+        );
     }
 
     #[test]

@@ -120,7 +120,10 @@ pub fn main() -> ExitCode {
                 .or_else(|_| optimize(net, &params))
                 .expect("flow");
             if name == "paper+sdc" {
-                let _ = sdc_simplify(&mut out, &SdcParams::default());
+                if let Err(err) = sdc_simplify(&mut out, &SdcParams::default()) {
+                    eprintln!("ablation: sdc_simplify failed on {cname}: {err}");
+                    return ExitCode::FAILURE;
+                }
                 out.sweep().expect("sweep");
                 out = out.compacted().expect("compact");
             }

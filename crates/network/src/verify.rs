@@ -6,8 +6,9 @@
 //! [`verify`] does the same: both networks' outputs are built in one
 //! manager over shared input variables and compared edge-for-edge. For
 //! circuits whose global BDDs blow up (the paper could not verify the
-//! C6288 multiplier either), [`verify_by_simulation`] provides a
-//! randomized smoke check.
+//! C6288 multiplier either),
+//! [`verify_by_simulation`](crate::verify::verify_by_simulation)
+//! provides a randomized smoke check.
 
 use std::collections::HashMap;
 

@@ -5,8 +5,9 @@
 //! netlist or return a structured error — it must never panic outward,
 //! and the outcome must be identical at every worker count. This module
 //! generates the *plans* for that suite as plain data, so `bds-prop`
-//! stays dependency-free: the flow crate maps a [`FaultKind`] onto its
-//! own fault enum when arming a manager.
+//! stays dependency-free: the flow crate maps a
+//! [`FaultKind`](crate::chaos::FaultKind) onto its own fault enum when
+//! arming a manager.
 //!
 //! Plans are derived from a seed via the in-tree SplitMix64 [`Rng`], so
 //! a failing plan is fully described by its seed and can be replayed

@@ -14,8 +14,8 @@
 //! * a field present in the baseline but missing from the fresh row is a
 //!   mismatch, so a renamed or dropped field cannot silently pass.
 //!
-//! Integers compare exactly; floats get [`FLOAT_EPSILON`] of slack for
-//! report-file round-tripping. The gate never fails on *missing*
+//! Integers compare exactly; floats get `FLOAT_EPSILON` (1e-6) of slack
+//! for report-file round-tripping. The gate never fails on *missing*
 //! circuits — a baseline from a different bench simply matches nothing
 //! — but front ends that require overlap (perfgate) treat `matched == 0`
 //! as an error themselves.

@@ -1,14 +1,13 @@
-//! In-tree observability for the BDS workspace: counters, gauges, log2
-//! histograms, hierarchical wall-clock spans, and report sinks.
+//! In-tree observability for the BDS workspace: counters, gauges,
+//! hierarchical wall-clock spans, and report sinks.
 //!
 //! The paper's evaluation (§V) is a table of per-phase costs — literals,
 //! BDD sizes, CPU seconds — and every performance PR in this repo reports
 //! against the same signals. `bds-trace` collects them without dragging in
 //! external dependencies:
 //!
-//! * a **registry** (one per thread) holding monotonic `u64` counters,
-//!   peak gauges (the higher value wins), and latency histograms with
-//!   fixed log2 buckets;
+//! * a **registry** (one per thread) holding monotonic `u64` counters
+//!   and peak gauges (the higher value wins);
 //! * **hierarchical spans** — `span!("flow.eliminate")` returns a guard
 //!   that records wall-clock time into a call tree aggregated by
 //!   `(parent, name)`;
@@ -24,8 +23,8 @@
 //!
 //! The registry, snapshot and JSON machinery are always compiled (tests
 //! and the bench harness drive them directly), but the instrumentation
-//! macros — [`counter!`], [`counter_add!`], [`gauge!`], [`histogram!`],
-//! [`span!`] — expand to no-ops unless the `enabled` feature is on.
+//! macros — [`counter!`], [`counter_add!`], [`gauge!`], [`span!`] —
+//! expand to no-ops unless the `enabled` feature is on.
 //! Instrumented crates forward a `trace` feature to `bds-trace/enabled`,
 //! so a default build pays nothing on its hot paths.
 //!
@@ -52,7 +51,7 @@
 //!   panic.
 //!
 //! Counters sum, gauges keep the maximum (every gauge here is a peak),
-//! histograms add bucket-wise, and span trees merge by `(parent, name)`.
+//! and span trees merge by `(parent, name)`.
 //!
 //! # Example
 //!
@@ -93,9 +92,7 @@ mod span;
 mod store;
 
 pub use macros::is_metric_name;
-pub use registry::{
-    add_counter, record_histogram, set_gauge, span_depth, Histogram, Snapshot, SpanSnap,
-};
+pub use registry::{add_counter, set_gauge, span_depth, Snapshot, SpanSnap};
 pub use span::{fmt_duration_ns, span_enter, NoopSpan, SpanGuard, Stopwatch};
 pub use store::{absorb, rejoin, reset, set_aside, take, Aside};
 

@@ -106,7 +106,7 @@ macro_rules! counter_add {
 /// Raises a peak gauge (the higher value wins).
 ///
 /// ```
-/// bds_trace::gauge!("bdd.unique_entries", 1024u64);
+/// bds_trace::gauge!("bdd.peak_nodes", 1024u64);
 /// ```
 #[cfg(feature = "enabled")]
 #[macro_export]
@@ -124,36 +124,6 @@ macro_rules! gauge {
 #[cfg(not(feature = "enabled"))]
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr, $value:expr) => {{
-        const _: () = assert!(
-            $crate::is_metric_name($name),
-            "metric names are dotted lowercase"
-        );
-        let _ = &$value;
-    }};
-}
-
-/// Records one observation into a log2-bucketed histogram.
-///
-/// ```
-/// bds_trace::histogram!("bdd.node_count", 4096u64);
-/// ```
-#[cfg(feature = "enabled")]
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr, $value:expr) => {{
-        const _: () = assert!(
-            $crate::is_metric_name($name),
-            "metric names are dotted lowercase"
-        );
-        $crate::record_histogram($name, $value)
-    }};
-}
-
-/// Records one observation into a histogram. (No-op: `enabled` is off.)
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! histogram {
     ($name:expr, $value:expr) => {{
         const _: () = assert!(
             $crate::is_metric_name($name),

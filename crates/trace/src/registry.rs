@@ -1,130 +1,14 @@
-//! A thread's trace: counters, gauges, log2 histograms and the span
-//! call tree, plus the detached [`Snapshot`] they drain into. The live
-//! registry is thread-local (`store.rs`); counters sum, gauges keep the
-//! maximum (every gauge in this workspace is a peak), histograms add
-//! bucket-wise, and span trees merge by `(parent, name)` when a
-//! snapshot is absorbed.
+//! A thread's trace: counters, gauges and the span call tree, plus the
+//! detached [`Snapshot`] they drain into. The live registry is
+//! thread-local (`store.rs`); counters sum, gauges keep the maximum
+//! (every gauge in this workspace is a peak), and span trees merge by
+//! `(parent, name)` when a snapshot is absorbed.
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
 use crate::span::fmt_duration_ns;
 use crate::store::with;
-
-/// Number of log2 buckets in a [`Histogram`]: one per possible leading
-/// bit of a `u64` value.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A latency/size histogram with fixed log2 buckets.
-///
-/// Bucket `i` counts recorded values `v` with `bucket_index(v) == i`,
-/// where bucket 0 holds `v == 0` and bucket `i > 0` holds values whose
-/// highest set bit is `i - 1` (i.e. `2^(i-1) <= v < 2^i`). The exact sum
-/// and count are kept alongside so means stay precise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    /// Per-bucket observation counts, indexed by [`Histogram::bucket_index`].
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Total number of recorded observations.
-    pub count: u64,
-    /// Exact sum of all recorded values (saturating).
-    pub sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Log2 bucket for a value: 0 for 0, else `64 - leading_zeros`.
-    #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Mean of all observations, or 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            #[expect(clippy::cast_precision_loss, reason = "a summary stat; loss is fine")]
-            {
-                self.sum as f64 / self.count as f64
-            }
-        }
-    }
-
-    /// Inclusive lower bound of the highest non-empty bucket (a cheap
-    /// "max is at least" statistic), or 0 when empty.
-    #[must_use]
-    pub fn max_bucket_floor(&self) -> u64 {
-        for i in (0..HISTOGRAM_BUCKETS).rev() {
-            if self.buckets[i] > 0 {
-                return if i == 0 { 0 } else { 1u64 << (i - 1) };
-            }
-        }
-        0
-    }
-
-    /// Adds `other`'s observations into `self`: buckets add element-wise,
-    /// `count` adds, `sum` saturates. Merging is commutative and
-    /// associative, so folding worker histograms in any order yields the
-    /// same result (determinism is still achieved by merging in a fixed
-    /// worker order, which also fixes name ordering elsewhere).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// Estimated `q`-quantile (`q` in `[0, 1]`), or 0.0 when empty.
-    ///
-    /// The target rank `q * count` is located by walking the cumulative
-    /// bucket counts; within the hit bucket the value is linearly
-    /// interpolated across the bucket's `[2^(i-1), 2^i)` range. The
-    /// estimate is exact only up to bucket resolution — good enough for
-    /// the p50/p95 summary lines in [`Snapshot::render_tree`].
-    #[must_use]
-    #[expect(clippy::cast_precision_loss, reason = "summary stat; f64 loss is fine")]
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut below = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if (below + c) as f64 >= rank {
-                if i == 0 {
-                    return 0.0;
-                }
-                let lo = (1u64 << (i - 1)) as f64;
-                let frac = ((rank - below as f64) / c as f64).clamp(0.0, 1.0);
-                return lo + lo * frac;
-            }
-            below += c;
-        }
-        self.max_bucket_floor() as f64
-    }
-}
 
 /// One aggregated node of the span call tree in a [`Snapshot`].
 ///
@@ -151,8 +35,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Peak gauges (the higher value wins), sorted by name.
     pub gauges: Vec<(String, u64)>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<(String, Histogram)>,
     /// Root spans in first-entered order.
     pub spans: Vec<SpanSnap>,
 }
@@ -176,10 +58,7 @@ impl Snapshot {
     /// `true` when nothing was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.spans.is_empty()
     }
 
     /// Renders the snapshot as an indented human-readable tree.
@@ -204,19 +83,6 @@ impl Snapshot {
                 out.push_str(&format!("  {name} = {v}\n"));
             }
         }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &self.histograms {
-                out.push_str(&format!(
-                    "  {name}: count={} mean={:.1} p50={:.1} p95={:.1} max>={}\n",
-                    h.count,
-                    h.mean(),
-                    h.percentile(0.50),
-                    h.percentile(0.95),
-                    h.max_bucket_floor()
-                ));
-            }
-        }
         out
     }
 
@@ -234,31 +100,9 @@ impl Snapshot {
             .iter()
             .map(|(n, v)| (n.clone(), Json::Int(*v)))
             .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(i, &c)| Json::Arr(vec![Json::Int(i as u64), Json::Int(c)]))
-                    .collect();
-                (
-                    n.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Int(h.count)),
-                        ("sum".into(), Json::Int(h.sum)),
-                        ("buckets".into(), Json::Arr(buckets)),
-                    ]),
-                )
-            })
-            .collect();
         Json::Obj(vec![
             ("counters".into(), Json::Obj(counters)),
             ("gauges".into(), Json::Obj(gauges)),
-            ("histograms".into(), Json::Obj(histograms)),
             (
                 "spans".into(),
                 Json::Arr(self.spans.iter().map(span_to_json).collect()),
@@ -314,7 +158,6 @@ struct SpanNode {
 pub(crate) struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     arena: Vec<SpanNode>,
     roots: Vec<usize>,
     stack: Vec<usize>,
@@ -371,8 +214,8 @@ impl Registry {
     }
 
     /// Folds a detached snapshot into this registry: counters add,
-    /// gauges keep the maximum, histograms merge, and the snapshot's
-    /// span roots merge under `parent` (or at root level).
+    /// gauges keep the maximum, and the snapshot's span roots merge
+    /// under `parent` (or at root level).
     pub(crate) fn absorb(&mut self, snap: &Snapshot, parent: Option<usize>) {
         for (name, v) in &snap.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
@@ -380,9 +223,6 @@ impl Registry {
         for (name, v) in &snap.gauges {
             let slot = self.gauges.entry(name.clone()).or_insert(0);
             *slot = (*slot).max(*v);
-        }
-        for (name, h) in &snap.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
         }
         for s in &snap.spans {
             self.absorb_span(parent, s);
@@ -441,11 +281,6 @@ impl Registry {
         Snapshot {
             counters: self.counters.iter().map(|(n, &v)| (n.clone(), v)).collect(),
             gauges: self.gauges.iter().map(|(n, &v)| (n.clone(), v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(n, &h)| (n.clone(), h))
-                .collect(),
             spans: self.roots.iter().map(|&i| self.snapshot_span(i)).collect(),
         }
     }
@@ -479,19 +314,6 @@ pub fn set_gauge(name: &'static str, value: u64) {
     });
 }
 
-/// Records one observation into the named histogram.
-pub fn record_histogram(name: &'static str, value: u64) {
-    with(|r| {
-        if let Some(h) = r.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = Histogram::default();
-            h.record(value);
-            r.histograms.insert(name.to_string(), h);
-        }
-    });
-}
-
 /// Number of currently open spans on this thread. Mainly for tests: a
 /// balanced workload must come back to the depth it started at.
 #[must_use]
@@ -503,48 +325,6 @@ pub fn span_depth() -> usize {
 mod tests {
     use super::*;
     use crate::reset;
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        assert_eq!(Histogram::bucket_index(0), 0);
-        assert_eq!(Histogram::bucket_index(1), 1);
-        assert_eq!(Histogram::bucket_index(2), 2);
-        assert_eq!(Histogram::bucket_index(3), 2);
-        assert_eq!(Histogram::bucket_index(4), 3);
-        assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-        let mut h = Histogram::default();
-        h.record(0);
-        h.record(5);
-        h.record(5);
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 10);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[3], 2);
-        assert!((h.mean() - 10.0 / 3.0).abs() < 1e-9);
-        assert_eq!(h.max_bucket_floor(), 4);
-    }
-
-    #[test]
-    fn percentiles_interpolate_within_buckets() {
-        let mut h = Histogram::default();
-        assert_eq!(h.percentile(0.5), 0.0);
-        for v in 1..=8u64 {
-            h.record(v);
-        }
-        // Buckets: [1]=1, [2]=2 (values 2-3), [3]=4 (values 4-7), [4]=1
-        // (value 8). p50 rank = 4.0 lands in bucket 3 (cumulative 3..7):
-        // lo=4, frac=(4-3)/4 -> 4 + 4*0.25 = 5.0.
-        assert!((h.percentile(0.50) - 5.0).abs() < 1e-9);
-        // p95 rank = 7.6 lands in bucket 4 (cumulative 7..8): lo=8,
-        // frac=(7.6-7)/1 -> 8 + 8*0.6 = 12.8.
-        assert!((h.percentile(0.95) - 12.8).abs() < 1e-9);
-        // Extremes clamp instead of running off the bucket array.
-        assert!((h.percentile(0.0) - 1.0).abs() < 1e-9);
-        assert!((h.percentile(1.0) - 16.0).abs() < 1e-9);
-        let mut zeros = Histogram::default();
-        zeros.record(0);
-        assert_eq!(zeros.percentile(0.99), 0.0);
-    }
 
     #[test]
     fn spans_aggregate_by_parent_and_name() {
@@ -595,11 +375,9 @@ mod tests {
         add_counter("a", 3);
         set_gauge("g", 7);
         set_gauge("g", 9);
-        record_histogram("h", 100);
         let snap = crate::take();
         assert_eq!(snap.counter("a"), Some(5));
         assert_eq!(snap.gauge("g"), Some(9));
-        assert_eq!(snap.histograms[0].1.count, 1);
         assert!(crate::take().is_empty());
     }
 
@@ -633,22 +411,6 @@ mod tests {
         // Names stay sorted so merged reports render deterministically.
         let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["x", "y", "z"]);
-    }
-
-    #[test]
-    fn histogram_merge_adds_buckets_counts_and_sums() {
-        let mut a = Histogram::default();
-        a.record(0);
-        a.record(5);
-        let mut b = Histogram::default();
-        b.record(5);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.sum, 1010);
-        assert_eq!(a.buckets[0], 1);
-        assert_eq!(a.buckets[Histogram::bucket_index(5)], 2);
-        assert_eq!(a.buckets[Histogram::bucket_index(1000)], 1);
     }
 
     #[test]
@@ -719,19 +481,11 @@ mod tests {
         reset();
         add_counter("c", 1);
         set_gauge("g", 2);
-        record_histogram("h", 3);
         {
             let _s = crate::span_enter("root");
         }
         let text = crate::take().render_tree();
-        for needle in [
-            "spans:",
-            "counters:",
-            "gauges:",
-            "histograms:",
-            "root",
-            "c = 1",
-        ] {
+        for needle in ["spans:", "counters:", "gauges:", "root", "c = 1"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
     }

@@ -94,9 +94,8 @@ pub fn rejoin(saved: Aside, keep: bool) {
     });
 }
 
-/// Clears every metric on this thread: counters, gauges, histograms and
-/// open spans. Guards that outlive a reset re-register themselves on
-/// drop.
+/// Clears every metric on this thread: counters, gauges and open
+/// spans. Guards that outlive a reset re-register themselves on drop.
 pub fn reset() {
     with(|r| *r = Registry::default());
 }

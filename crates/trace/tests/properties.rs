@@ -14,7 +14,7 @@
 use bds_bdd::{Edge, Manager};
 use bds_prop::{check_cases, Rng};
 use bds_trace::json::{parse, Json};
-use bds_trace::{add_counter, record_histogram, set_gauge, Snapshot};
+use bds_trace::{add_counter, set_gauge, Snapshot};
 
 /// Reads a counter without disturbing the store: with no span open,
 /// `take` followed by `absorb` of the same trace leaves it as it was.
@@ -111,19 +111,11 @@ fn snapshot_json_round_trips_randomly() {
     check_cases("json-round-trip", 24, |rng: &mut Rng| {
         bds_trace::reset();
         for _ in 0..rng.range_usize(0..12) {
-            match rng.range_u32(0..3) {
-                0 => add_counter(
-                    NAMES[rng.range_usize(0..NAMES.len())],
-                    rng.range_u64(0..1 << 40),
-                ),
-                1 => set_gauge(
-                    NAMES[rng.range_usize(0..NAMES.len())],
-                    rng.range_u64(0..1 << 40),
-                ),
-                _ => record_histogram(
-                    NAMES[rng.range_usize(0..NAMES.len())],
-                    rng.range_u64(0..1 << 40),
-                ),
+            let name = NAMES[rng.range_usize(0..NAMES.len())];
+            if rng.bool() {
+                add_counter(name, rng.range_u64(0..1 << 40));
+            } else {
+                set_gauge(name, rng.range_u64(0..1 << 40));
             }
         }
         let mut guards = Vec::new();
@@ -146,17 +138,17 @@ fn snapshot_json_round_trips_randomly() {
 }
 
 /// Builds a random snapshot through the real registry pipeline:
-/// counters, gauges, histograms under a small name pool, plus a random
+/// counters and gauges under a small name pool, plus a random
 /// tree of nested spans.
 fn random_snapshot(rng: &mut Rng) -> Snapshot {
     const NAMES: [&str; 5] = ["flow", "flow.build", "bdd.sift", "net.sweep", "x"];
     bds_trace::reset();
     for _ in 0..rng.range_usize(0..16) {
         let name = NAMES[rng.range_usize(0..NAMES.len())];
-        match rng.range_u32(0..3) {
-            0 => add_counter(name, rng.range_u64(0..1 << 32)),
-            1 => set_gauge(name, rng.range_u64(0..1 << 32)),
-            _ => record_histogram(name, rng.range_u64(0..1 << 32)),
+        if rng.bool() {
+            add_counter(name, rng.range_u64(0..1 << 32));
+        } else {
+            set_gauge(name, rng.range_u64(0..1 << 32));
         }
     }
     let mut guards = Vec::new();
@@ -200,10 +192,10 @@ fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {
 }
 
 /// Absorbing snapshots is commutative and associative up to sibling-span
-/// order: counters sum, gauges keep the max, histograms add bucket-wise
-/// and span trees merge keyed by `(parent, name)`. This is what makes
-/// the sharded flow's fixed-worker-order fold deterministic — any
-/// grouping of the same worker snapshots yields the same metrics.
+/// order: counters sum, gauges keep the max and span trees merge keyed
+/// by `(parent, name)`. This is what makes the sharded flow's
+/// fixed-worker-order fold deterministic — any grouping of the same
+/// worker snapshots yields the same metrics.
 #[test]
 fn snapshot_merge_is_commutative_and_associative() {
     check_cases("merge-algebra", 24, |rng: &mut Rng| {
@@ -216,10 +208,6 @@ fn snapshot_merge_is_commutative_and_associative() {
         assert_eq!(ab.counters, ba.counters, "counter sums depend on order");
         assert_eq!(ab.gauges, ba.gauges, "gauge maxima depend on order");
         assert_eq!(
-            ab.histograms, ba.histograms,
-            "histogram adds depend on order"
-        );
-        assert_eq!(
             canonical(ab.clone()).spans,
             canonical(ba).spans,
             "span values depend on merge order"
@@ -229,7 +217,6 @@ fn snapshot_merge_is_commutative_and_associative() {
         let a_bc = merged(&a, &merged(&b, &c));
         assert_eq!(ab_c.counters, a_bc.counters);
         assert_eq!(ab_c.gauges, a_bc.gauges);
-        assert_eq!(ab_c.histograms, a_bc.histograms);
         assert_eq!(canonical(ab_c).spans, canonical(a_bc).spans);
 
         // Merging an empty snapshot is the identity.
@@ -255,7 +242,6 @@ fn golden_report_parses_to_expected_values() {
       "trace": {
         "counters": {"decompose.xnor_dom": 14},
         "gauges": {},
-        "histograms": {},
         "spans": [
           {"name": "flow", "calls": 1, "ns": 12500000, "children": [
             {"name": "flow.decompose", "calls": 1, "ns": 9000000}

@@ -7,7 +7,9 @@
 //!   enforces the workspace lint policy, DESIGN.md §10), then
 //!   `cargo test --workspace`, then a build and test pass with the
 //!   `trace` feature on (`--features bds-bench/trace`) so the
-//!   instrumented configuration cannot rot.
+//!   instrumented configuration cannot rot, then
+//!   `cargo doc --workspace --no-deps` with `RUSTDOCFLAGS=-D warnings`,
+//!   which fails on a doc link to an item that no longer exists.
 //!
 //! * `cargo xtask perfgate` — the structural gate: runs the
 //!   trace-enabled `table1` bench (or takes a pre-generated report via
@@ -34,7 +36,9 @@ fn main() -> ExitCode {
         Some("perfgate") => run_perfgate(&args[1..]),
         _ => {
             eprintln!("usage: cargo xtask <ci|perfgate>");
-            eprintln!("  ci        fmt --check, clippy -D warnings, tests, trace build and tests");
+            eprintln!(
+                "  ci        fmt --check, clippy -D warnings, tests, trace build and tests, rustdoc"
+            );
             eprintln!("  perfgate  gate a fresh table1 run against the checked-in baseline");
             eprintln!(
                 "            [--baseline <report.json>] [--fresh <report.json>] [--jobs <n>]"
@@ -56,10 +60,17 @@ fn workspace_root() -> PathBuf {
 // `cargo xtask ci`
 // ---------------------------------------------------------------------------
 
+/// One CI gate: its label, the cargo arguments and extra environment.
+type Step = (
+    &'static str,
+    &'static [&'static str],
+    &'static [(&'static str, &'static str)],
+);
+
 fn run_ci() -> ExitCode {
     let root = workspace_root();
-    let steps: [(&str, &[&str]); 5] = [
-        ("cargo fmt --check", &["fmt", "--all", "--", "--check"]),
+    let steps: [Step; 6] = [
+        ("cargo fmt --check", &["fmt", "--all", "--", "--check"], &[]),
         (
             "cargo clippy -D warnings",
             &[
@@ -70,11 +81,13 @@ fn run_ci() -> ExitCode {
                 "-D",
                 "warnings",
             ],
+            &[],
         ),
-        ("cargo test", &["test", "--workspace", "--quiet"]),
+        ("cargo test", &["test", "--workspace", "--quiet"], &[]),
         (
             "cargo build (trace)",
             &["build", "--workspace", "--features", "bds-bench/trace"],
+            &[],
         ),
         (
             "cargo test (trace)",
@@ -85,12 +98,18 @@ fn run_ci() -> ExitCode {
                 "bds-bench/trace",
                 "--quiet",
             ],
+            &[],
+        ),
+        (
+            "cargo doc -D warnings",
+            &["doc", "--workspace", "--no-deps", "--quiet"],
+            &[("RUSTDOCFLAGS", "-D warnings")],
         ),
     ];
     let mut failed = Vec::new();
-    for (label, cmd_args) in &steps {
+    for (label, cmd_args, envs) in &steps {
         println!("==> {label}");
-        if !run_cargo(&root, cmd_args) {
+        if !run_cargo(&root, cmd_args, envs) {
             failed.push(*label);
         }
     }
@@ -103,8 +122,13 @@ fn run_ci() -> ExitCode {
     }
 }
 
-fn run_cargo(root: &Path, args: &[&str]) -> bool {
-    match Command::new("cargo").args(args).current_dir(root).status() {
+fn run_cargo(root: &Path, args: &[&str], envs: &[(&str, &str)]) -> bool {
+    let status = Command::new("cargo")
+        .args(args)
+        .envs(envs.iter().copied())
+        .current_dir(root)
+        .status();
+    match status {
         Ok(status) => status.success(),
         Err(err) => {
             eprintln!("failed to spawn cargo {}: {err}", args.join(" "));
@@ -184,7 +208,7 @@ fn run_perfgate(args: &[String]) -> ExitCode {
                 cargo_args.push("--jobs");
                 cargo_args.push(n);
             }
-            if !run_cargo(&root, &cargo_args) {
+            if !run_cargo(&root, &cargo_args, &[]) {
                 eprintln!("perfgate: table1 run failed");
                 return ExitCode::FAILURE;
             }

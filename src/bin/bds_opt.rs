@@ -19,6 +19,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use bds_repro::core::flow::{optimize, FlowParams};
+use bds_repro::core::sdc::{sdc_simplify, SdcParams};
 use bds_repro::core::sis_flow::{script_rugged, SisParams};
 use bds_repro::map::{map_network, map_network_luts, parse_genlib, Library};
 use bds_repro::network::blif;
@@ -120,11 +121,12 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         );
         (out, "sis")
     } else {
-        let mut params = FlowParams::default();
+        let (mut out, report) = optimize(&net, &FlowParams::default())?;
         if opts.sdc {
-            params.sdc = Some(bds_repro::core::sdc::SdcParams::default());
+            sdc_simplify(&mut out, &SdcParams::default())?;
+            out.sweep()?;
+            out = out.compacted()?;
         }
-        let (out, report) = optimize(&net, &params)?;
         eprintln!(
             "bds:       {} ({:?} mode, {:.3}s, peak {} bdd nodes)",
             out.stats(),

@@ -66,6 +66,37 @@ fn optimizes_verifies_and_emits_blif() {
 }
 
 #[test]
+fn sdc_flag_applies_the_post_pass() {
+    let input = write_input("sdc_flag_applies_the_post_pass");
+    let out = bds_opt()
+        .arg("--sdc")
+        .arg("--verify")
+        .arg(&input)
+        .output()
+        .expect("bds_opt runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("equivalent"), "must verify: {stderr}");
+    // `--sdc` is `optimize`, then `sdc_simplify`, `sweep` and `compacted`.
+    let net = bds_repro::network::blif::parse(BLIF).expect("test input parses");
+    let (mut expected, _) =
+        bds_repro::core::flow::optimize(&net, &bds_repro::core::flow::FlowParams::default())
+            .expect("flow runs");
+    bds_repro::core::sdc::sdc_simplify(&mut expected, &Default::default()).expect("sdc runs");
+    expected.sweep().expect("sweep");
+    let expected = expected.compacted().expect("compacted");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        bds_repro::network::blif::write(&expected)
+    );
+    let _ = std::fs::remove_file(input);
+}
+
+#[test]
 fn sis_mode_and_luts() {
     let input = write_input("sis_mode_and_luts");
     let out = bds_opt()

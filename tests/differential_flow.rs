@@ -146,8 +146,8 @@ fn span_calls(prefix: &str, spans: &[SpanSnap], out: &mut Vec<(String, u64)>) {
     }
 }
 
-/// The deterministic projection of a snapshot: counters, gauges,
-/// histogram totals, and span call counts — everything except wall time.
+/// The deterministic projection of a snapshot: counters, gauges and
+/// span call counts — everything except wall time.
 fn structural_view(snap: &Snapshot) -> Vec<(String, u64)> {
     let mut view: Vec<(String, u64)> = Vec::new();
     for (name, v) in &snap.counters {
@@ -155,9 +155,6 @@ fn structural_view(snap: &Snapshot) -> Vec<(String, u64)> {
     }
     for (name, v) in &snap.gauges {
         view.push((format!("gauge:{name}"), *v));
-    }
-    for (name, h) in &snap.histograms {
-        view.push((format!("histogram:{name}"), h.count));
     }
     let mut spans = Vec::new();
     span_calls("span", &snap.spans, &mut spans);
@@ -204,10 +201,10 @@ fn three_jobs4_runs_are_byte_identical() {
 
 #[test]
 fn jobs4_trace_counters_match_sequential() {
-    // Counters, gauges, histogram counts and span call counts — not just
-    // the final network — must be independent of the thread count:
-    // workers drain their thread-local registries and the coordinator
-    // merges them in fixed order. (Without `--features trace` both
+    // Counters, gauges and span call counts — not just the final
+    // network — must be independent of the thread count: workers drain
+    // their thread-local registries and the coordinator merges them in
+    // fixed order. (Without `--features trace` both
     // snapshots are empty and this checks the no-op path stays a no-op
     // across threads.) bshift64 adds a circuit whose many supernodes
     // share a few decomposed leaders, so its per-item and per-leader

@@ -328,7 +328,7 @@ fn random_net(prog: &[(u8, u8, bool)], seed: u64) -> Network {
 // ---------------------------------------------------------------------------
 
 /// One step of a random trace workload: open a span, close the
-/// innermost one, or record a counter/gauge/histogram value.
+/// innermost one, or record a counter or gauge value.
 type TraceOp = (u8, u32, u64);
 
 fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
@@ -336,7 +336,7 @@ fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
     (0..len)
         .map(|_| {
             (
-                rng.range_u32(0..5) as u8,
+                rng.range_u32(0..4) as u8,
                 rng.next_u64() as u32,
                 rng.range_u64(0..100),
             )
@@ -344,8 +344,8 @@ fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
         .collect()
 }
 
-/// Wall-clock-free projection of a drained trace: counters, gauges,
-/// histogram totals and span call counts by path (in tree order). Two
+/// Wall-clock-free projection of a drained trace: counters, gauges and
+/// span call counts by path (in tree order). Two
 /// runs of the same program agree on this even though their span
 /// timings differ.
 type TraceView = Vec<(String, u64)>;
@@ -364,9 +364,6 @@ fn trace_view(snap: &Snapshot) -> TraceView {
     }
     for (name, v) in &snap.gauges {
         view.push((format!("gauge:{name}"), *v));
-    }
-    for (name, h) in &snap.histograms {
-        view.push((format!("histogram:{name}"), h.count));
     }
     spans("span", &snap.spans, &mut view);
     view
@@ -418,8 +415,7 @@ fn run_trace_program(prog: &[TraceOp], (lo, hi): (usize, usize), window: Window)
                 0 => guards.push(bds_trace::span_enter(SPANS[sel % SPANS.len()])),
                 1 => drop(guards.pop()),
                 2 => bds_trace::add_counter(COUNTERS[sel % COUNTERS.len()], val),
-                3 => bds_trace::set_gauge(GAUGES[sel % GAUGES.len()], val),
-                _ => bds_trace::record_histogram("prop.latency", val),
+                _ => bds_trace::set_gauge(GAUGES[sel % GAUGES.len()], val),
             }
         }
         if i + 1 == hi {

@@ -106,6 +106,10 @@ fn decompose_supernode_bdd(
     let edge = cover_to_bdd(&mut mgr, cover, &vars)?;
     ops.merge(&mgr.op_stats());
     let build_bytes = mgr.table_stats().estimated_bytes();
+    // The old code read the peak after sifting; it now takes the build
+    // manager before sifting and the decompose manager at the end, as
+    // `optimize_partitioned` does.
+    let build_peak = mgr.arena_size();
     let spent = mgr.effort_spent();
     let (mut mgr, edges) = sift(&mgr, &[edge], sift_limits).map_err(NetworkError::Bdd)?;
     if budget > 0 {
@@ -118,7 +122,6 @@ fn decompose_supernode_bdd(
         }
     }
     let edge = edges[0];
-    let peak = mgr.arena_size();
 
     let mut forest = FactorForest::new();
     let mut dec = Decomposer::new();
@@ -132,7 +135,7 @@ fn decompose_supernode_bdd(
         rung: 0,
         stats: dec.stats,
         ops,
-        peak,
+        peak: build_peak.max(mgr.arena_size()),
         build_bytes,
         decompose_bytes,
     })
