@@ -1,6 +1,6 @@
 //! Cofactors, composition and quantification.
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 
 use crate::edge::{Edge, Var};
 use crate::manager::Manager;
@@ -15,7 +15,7 @@ impl Manager {
     pub fn cofactor(&mut self, f: Edge, var: Var, value: bool) -> Result<Edge> {
         self.check_var(var)?;
         let level = self.level_of(var);
-        let mut memo = HashMap::new();
+        let mut memo = FastMap::default();
         self.cofactor_rec(f, level, value, &mut memo)
     }
 
@@ -24,7 +24,7 @@ impl Manager {
         f: Edge,
         level: u32,
         value: bool,
-        memo: &mut HashMap<Edge, Edge>,
+        memo: &mut FastMap<Edge, Edge>,
     ) -> Result<Edge> {
         let fl = self.node_level(f);
         if fl > level {
@@ -69,7 +69,7 @@ impl Manager {
             levels.push(self.level_of(v));
         }
         levels.sort_unstable();
-        let mut memo = HashMap::new();
+        let mut memo = FastMap::default();
         self.exists_rec(f, &levels, &mut memo)
     }
 
@@ -77,7 +77,7 @@ impl Manager {
         &mut self,
         f: Edge,
         levels: &[u32],
-        memo: &mut HashMap<Edge, Edge>,
+        memo: &mut FastMap<Edge, Edge>,
     ) -> Result<Edge> {
         let fl = self.node_level(f);
         // Quantified levels entirely above f are irrelevant.

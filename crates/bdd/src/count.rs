@@ -1,31 +1,69 @@
 //! Structural queries: node counts, support, satisfy counts.
+//!
+//! The walks mark what they reach in a thread-local [`VisitMarks`]: no
+//! hash per node, and no arena-sized allocation per call, so a walk costs
+//! the nodes it reaches. The marks hold no result between calls, so the
+//! answers cannot depend on which thread or in which order they run.
 
-use std::collections::HashSet;
+use std::cell::RefCell;
 
 use crate::edge::{Edge, Var};
-use crate::hash::FastBuild;
+use crate::hash::FastMap;
 use crate::manager::Manager;
+use crate::marks::VisitMarks;
+
+/// Scratch for one walk: the visited marks (by arena index) and the
+/// DFS stack, both kept to reuse their capacity.
+#[derive(Default)]
+struct Walk {
+    marks: VisitMarks,
+    stack: Vec<u32>,
+}
+
+thread_local! {
+    static WALK: RefCell<Walk> = RefCell::new(Walk::default());
+}
 
 impl Manager {
+    /// Runs `visit` once on each distinct arena index reachable from
+    /// `roots` (the terminal, index 0, included when reached).
+    fn walk_nodes(&self, roots: &[Edge], mut visit: impl FnMut(u32)) {
+        let mut run = |w: &mut Walk| {
+            w.marks.begin(self.nodes.len());
+            w.stack.clear();
+            for &r in roots {
+                if w.marks.insert(r.node() as usize) {
+                    w.stack.push(r.node());
+                }
+            }
+            while let Some(idx) = w.stack.pop() {
+                visit(idx);
+                if idx == 0 {
+                    continue;
+                }
+                let n = &self.nodes[idx as usize];
+                for child in [n.high.node(), n.low.node()] {
+                    if w.marks.insert(child as usize) {
+                        w.stack.push(child);
+                    }
+                }
+            }
+        };
+        WALK.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut w) => run(&mut w),
+            // Only a walk started from inside `visit` gets here; none does.
+            Err(_) => run(&mut Walk::default()),
+        });
+    }
+
     /// Number of distinct nodes (including the terminal) in the shared
     /// graph of `roots`. This is the cost function used throughout the BDS
     /// flow ("the number of BDD nodes … instead of the literal count",
     /// paper §IV-B).
     pub fn count_nodes(&self, roots: &[Edge]) -> usize {
-        let mut seen = HashSet::<u32, FastBuild>::default();
-        let mut stack: Vec<u32> = roots.iter().map(|e| e.node()).collect();
-        while let Some(idx) = stack.pop() {
-            if !seen.insert(idx) {
-                continue;
-            }
-            if idx == 0 {
-                continue;
-            }
-            let n = &self.nodes[idx as usize];
-            stack.push(n.high.node());
-            stack.push(n.low.node());
-        }
-        seen.len()
+        let mut count = 0;
+        self.walk_nodes(roots, |_| count += 1);
+        count
     }
 
     /// Convenience for a single root: `count_nodes(&[e])`.
@@ -36,40 +74,26 @@ impl Manager {
     /// The support of `e`: every variable the function depends on,
     /// ordered by current level (topmost first).
     pub fn support(&self, e: Edge) -> Vec<Var> {
-        let mut levels = HashSet::<u32, FastBuild>::default();
-        let mut seen = HashSet::<u32, FastBuild>::default();
-        let mut stack = vec![e.node()];
-        while let Some(idx) = stack.pop() {
-            if idx == 0 || !seen.insert(idx) {
-                continue;
-            }
-            let n = &self.nodes[idx as usize];
-            levels.insert(n.level);
-            stack.push(n.high.node());
-            stack.push(n.low.node());
-        }
-        // Hash order cannot leak: the levels are sorted just below.
-        let mut lv: Vec<u32> = levels.into_iter().collect();
-        lv.sort_unstable();
-        lv.into_iter().map(|l| self.var_at(l)).collect()
+        self.support_of(&[e])
     }
 
     /// Combined support of several functions, ordered by level.
     pub fn support_of(&self, roots: &[Edge]) -> Vec<Var> {
-        let mut set = HashSet::<Var, FastBuild>::default();
-        for &r in roots {
-            set.extend(self.support(r));
-        }
-        // Hash order cannot leak: sorted by level (unique per var) below.
-        let mut v: Vec<Var> = set.into_iter().collect();
-        v.sort_by_key(|&var| self.level_of(var));
-        v
+        let mut levels: Vec<u32> = Vec::new();
+        self.walk_nodes(roots, |idx| {
+            if idx != 0 {
+                levels.push(self.nodes[idx as usize].level);
+            }
+        });
+        levels.sort_unstable();
+        levels.dedup();
+        levels.into_iter().map(|l| self.var_at(l)).collect()
     }
 
     /// Number of satisfying assignments over `nvars` variables, as `f64`
     /// (exact for < 2⁵³).
     pub fn sat_count(&self, e: Edge, nvars: usize) -> f64 {
-        fn rec(m: &Manager, e: Edge, memo: &mut std::collections::HashMap<Edge, f64>) -> f64 {
+        fn rec(m: &Manager, e: Edge, memo: &mut FastMap<Edge, f64>) -> f64 {
             // Fraction of the full space that satisfies e.
             if e.is_one() {
                 return 1.0;
@@ -86,7 +110,7 @@ impl Manager {
             memo.insert(e, r);
             r
         }
-        let mut memo = std::collections::HashMap::new();
+        let mut memo = FastMap::default();
         #[expect(clippy::cast_precision_loss, reason = "nvars is far below 2^52")]
         let scale = (nvars as f64).exp2();
         rec(self, e, &mut memo) * scale

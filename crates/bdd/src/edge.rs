@@ -72,6 +72,13 @@ impl Edge {
         self.0 >> 1
     }
 
+    /// Index of the referenced node within the manager arena, for dense
+    /// per-node tables. An edge and its complement share it.
+    #[inline]
+    pub fn node_index(self) -> usize {
+        self.node() as usize
+    }
+
     /// Returns `true` if this edge carries the complement attribute.
     #[inline]
     pub fn is_complemented(self) -> bool {

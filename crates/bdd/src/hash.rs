@@ -21,7 +21,7 @@
 //! node indices produced by the manager itself, never attacker-chosen
 //! input.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier for the word-folding rounds (the fractional part of
@@ -41,10 +41,10 @@ pub(crate) fn mix64(x: u64) -> u64 {
 }
 
 /// The word hasher used by the unique and computed tables (and the
-/// smaller per-call memo tables). Fixed seed, deterministic across
-/// runs, processes and thread counts.
+/// smaller per-call memo tables, here and in the decomposition engine).
+/// Fixed seed, deterministic across runs, processes and thread counts.
 #[derive(Default)]
-pub(crate) struct FastHasher {
+pub struct FastHasher {
     state: u64,
 }
 
@@ -97,11 +97,15 @@ impl Hasher for FastHasher {
 
 /// `BuildHasher` for [`FastHasher`]: stateless, so every map built from
 /// it hashes identically.
-pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
+pub type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` on the fast deterministic hasher. Drop-in for the
-/// manager's tables and memo maps.
-pub(crate) type FastMap<K, V> = HashMap<K, V, FastBuild>;
+/// manager's tables and memo maps. Iterating one is still denied by the
+/// lint policy: its order depends on insertion history.
+pub type FastMap<K, V> = HashMap<K, V, FastBuild>;
+
+/// A `HashSet` on the fast deterministic hasher (seen-sets).
+pub type FastSet<K> = HashSet<K, FastBuild>;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Minato–Morreale irredundant sum-of-products extraction.
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 
 use crate::cube::Cube;
 use crate::edge::Edge;
@@ -27,7 +27,7 @@ impl Manager {
             self.leq(lower, upper).unwrap_or(true),
             "isop requires lower ⊆ upper"
         );
-        let mut memo = HashMap::new();
+        let mut memo = FastMap::default();
         self.isop_rec(lower, upper, &mut memo)
     }
 
@@ -35,7 +35,7 @@ impl Manager {
         &mut self,
         l: Edge,
         u: Edge,
-        memo: &mut HashMap<(Edge, Edge), (Vec<Cube>, Edge)>,
+        memo: &mut FastMap<(Edge, Edge), (Vec<Cube>, Edge)>,
     ) -> Result<(Vec<Cube>, Edge)> {
         if l.is_zero() {
             return Ok((Vec::new(), Edge::ZERO));

@@ -96,6 +96,7 @@ mod isop;
 #[cfg(clippy)]
 pub mod lint_canary;
 mod manager;
+mod marks;
 mod nid;
 /// Variable reordering: sifting, explicit reorder and exact search.
 pub mod reorder;
@@ -110,8 +111,10 @@ pub use canon::IteNorm;
 pub use cube::Cube;
 pub use edge::{Edge, Var};
 pub use error::{BddError, OpClass};
+pub use hash::{FastMap, FastSet};
 pub use invariants::STRICT_CHECKS;
 pub use manager::Manager;
+pub use marks::VisitMarks;
 pub use stats::{OpStats, TableStats};
 
 /// Crate-wide result alias.

@@ -15,9 +15,7 @@
 //! is precisely the paper's sharing extraction: two sub-functions that
 //! are equal — or complementary — share one factoring subtree.
 
-use std::collections::HashMap;
-
-use bds_bdd::{Edge, Manager};
+use bds_bdd::{Edge, FastMap, Manager, VisitMarks};
 
 use crate::dominators::{
     decompose_at_one_dominator, decompose_at_x_dominator, decompose_at_zero_dominator,
@@ -25,7 +23,7 @@ use crate::dominators::{
 };
 use crate::factor_tree::{FactorForest, FactorNode, FactorRef};
 use crate::gendom::{best_boolean_decomposition, BooleanDecomp};
-use crate::lifted::PathInfo;
+use crate::lifted::{PathInfo, SizeMemo};
 use crate::mux::{best_mux_decomposition, shannon};
 use crate::xor_decomp::best_xnor_decomposition;
 
@@ -135,13 +133,24 @@ impl DecomposeStats {
 /// Decomposition context reusable across several roots in one manager —
 /// sharing the cache across roots is what extracts common logic between
 /// outputs (paper Fig. 14).
+///
+/// A `Decomposer` is bound to the manager of its first
+/// [`decompose`](Decomposer::decompose) call: its caches are keyed by
+/// that manager's edges, and its node-size memo is valid only while the
+/// manager neither reorders nor collects garbage, which the flows'
+/// decomposition managers never do. Use a fresh `Decomposer` for
+/// another manager.
 #[derive(Debug, Default)]
 pub struct Decomposer {
-    cache: HashMap<Edge, FactorRef>,
+    cache: FastMap<Edge, FactorRef>,
     /// Leaves for complemented references (`Leaf` nodes cannot carry a
     /// free complement into a consumer-visible SOP, so the complement of
     /// a leaf gets its own ISOP leaf).
-    neg_leaf: HashMap<Edge, FactorRef>,
+    neg_leaf: FastMap<Edge, FactorRef>,
+    /// Node sizes of the bound manager, computed once each.
+    sizes: SizeMemo,
+    /// Scratch for [`PathInfo::compute`].
+    marks: VisitMarks,
     /// Statistics accumulated over all decompose calls.
     pub stats: DecomposeStats,
 }
@@ -215,11 +224,11 @@ impl Decomposer {
             return Ok(forest.push(FactorNode::Leaf(cubes)));
         }
 
-        let size = mgr.size(f);
+        let size = self.sizes.size(mgr, f);
         let mut result: Option<FactorRef> = None;
         if size <= params.max_search_size {
-            let info = PathInfo::compute(mgr, f);
-            for &method in &params.priority.clone() {
+            let info = PathInfo::compute(mgr, f, &mut self.marks);
+            for &method in &params.priority {
                 if let Some(r) = self.try_method(mgr, f, forest, params, method, &info, size)? {
                     result = Some(r);
                     break;
@@ -279,7 +288,7 @@ impl Decomposer {
                         Some(doms[0])
                     }
                 };
-                let doms = one_dominators(mgr, f, info);
+                let doms = one_dominators(info);
                 if let Some(d) = pick(&doms) {
                     let dec = decompose_at_one_dominator(mgr, f, d)?;
                     if self.parts_shrink(mgr, &dec, size) {
@@ -287,7 +296,7 @@ impl Decomposer {
                         return self.emit_simple(mgr, forest, params, dec).map(Some);
                     }
                 }
-                let doms = zero_dominators(mgr, f, info);
+                let doms = zero_dominators(info);
                 if let Some(d) = pick(&doms) {
                     let dec = decompose_at_zero_dominator(mgr, f, d)?;
                     if self.parts_shrink(mgr, &dec, size) {
@@ -295,7 +304,7 @@ impl Decomposer {
                         return self.emit_simple(mgr, forest, params, dec).map(Some);
                     }
                 }
-                let doms = x_dominators(mgr, f, info);
+                let doms = x_dominators(info);
                 if let Some(d) = pick(&doms) {
                     let dec = decompose_at_x_dominator(mgr, f, d)?;
                     if self.parts_shrink(mgr, &dec, size) {
@@ -305,46 +314,55 @@ impl Decomposer {
                 }
                 Ok(None)
             }
-            Method::FunctionalMux => match best_mux_decomposition(mgr, f, info, size)? {
-                Some(d) => {
-                    self.stats.func_mux += 1;
-                    let sel = self.decompose(mgr, d.control, forest, params)?;
-                    let hi = self.decompose(mgr, d.hi, forest, params)?;
-                    let lo = self.decompose(mgr, d.lo, forest, params)?;
-                    Ok(Some(self.push_mux(forest, sel, hi, lo)))
+            Method::FunctionalMux => {
+                match best_mux_decomposition(mgr, f, info, &mut self.sizes, size)? {
+                    Some(d) => {
+                        self.stats.func_mux += 1;
+                        let sel = self.decompose(mgr, d.control, forest, params)?;
+                        let hi = self.decompose(mgr, d.hi, forest, params)?;
+                        let lo = self.decompose(mgr, d.lo, forest, params)?;
+                        Ok(Some(self.push_mux(forest, sel, hi, lo)))
+                    }
+                    None => Ok(None),
                 }
-                None => Ok(None),
-            },
-            Method::GeneralizedDominator => match best_boolean_decomposition(mgr, f, size)? {
-                Some(BooleanDecomp::Conjunctive { divisor, quotient }) => {
-                    self.stats.gen_dom += 1;
-                    let a = self.decompose(mgr, divisor, forest, params)?;
-                    let b = self.decompose(mgr, quotient, forest, params)?;
-                    Ok(Some(forest.push(FactorNode::And(a, b))))
+            }
+            Method::GeneralizedDominator => {
+                match best_boolean_decomposition(mgr, f, &mut self.sizes, size)? {
+                    Some(BooleanDecomp::Conjunctive { divisor, quotient }) => {
+                        self.stats.gen_dom += 1;
+                        let a = self.decompose(mgr, divisor, forest, params)?;
+                        let b = self.decompose(mgr, quotient, forest, params)?;
+                        Ok(Some(forest.push(FactorNode::And(a, b))))
+                    }
+                    Some(BooleanDecomp::Disjunctive { term, rest }) => {
+                        self.stats.gen_dom += 1;
+                        let a = self.decompose(mgr, term, forest, params)?;
+                        let b = self.decompose(mgr, rest, forest, params)?;
+                        Ok(Some(forest.push(FactorNode::Or(a, b))))
+                    }
+                    None => Ok(None),
                 }
-                Some(BooleanDecomp::Disjunctive { term, rest }) => {
-                    self.stats.gen_dom += 1;
-                    let a = self.decompose(mgr, term, forest, params)?;
-                    let b = self.decompose(mgr, rest, forest, params)?;
-                    Ok(Some(forest.push(FactorNode::Or(a, b))))
+            }
+            Method::GeneralizedXDominator => {
+                match best_xnor_decomposition(mgr, f, &mut self.sizes, size)? {
+                    Some(d) => {
+                        self.stats.gen_xdom += 1;
+                        let a = self.decompose(mgr, d.g, forest, params)?;
+                        let b = self.decompose(mgr, d.h, forest, params)?;
+                        Ok(Some(forest.push(FactorNode::Xnor(a, b))))
+                    }
+                    None => Ok(None),
                 }
-                None => Ok(None),
-            },
-            Method::GeneralizedXDominator => match best_xnor_decomposition(mgr, f, size)? {
-                Some(d) => {
-                    self.stats.gen_xdom += 1;
-                    let a = self.decompose(mgr, d.g, forest, params)?;
-                    let b = self.decompose(mgr, d.h, forest, params)?;
-                    Ok(Some(forest.push(FactorNode::Xnor(a, b))))
-                }
-                None => Ok(None),
-            },
+            }
         }
     }
 
-    fn parts_shrink(&self, mgr: &Manager, dec: &SimpleDecomp, size: usize) -> bool {
+    fn parts_shrink(&mut self, mgr: &Manager, dec: &SimpleDecomp, size: usize) -> bool {
         let (g, h) = dec.parts();
-        !g.is_const() && !h.is_const() && mgr.size(g) < size && mgr.size(h) < size
+        !g.is_const()
+            && !h.is_const()
+            && self.sizes.size(mgr, g) < size
+            && self.sizes.size(mgr, h) < size
     }
 }
 

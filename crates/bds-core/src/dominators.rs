@@ -7,11 +7,11 @@
 //! * An **x-dominator** (Definition 9) is a *node* contained in every
 //!   path ⇒ algebraic XNOR decomposition `F = G ⊙ H` (Theorem 5).
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
 
 use bds_bdd::{Edge, Manager};
 
-use crate::lifted::{substitute_vertices, PathInfo};
+use crate::lifted::{substitute_vertices, PathInfo, TERMINAL};
 
 /// An algebraic decomposition produced by a simple-dominator search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,65 +33,64 @@ impl SimpleDecomp {
     }
 }
 
-/// Lifted vertices that lie on **every 1-path** of `f` (excluding the
-/// root), deepest first.
-pub fn one_dominators(mgr: &Manager, f: Edge, info: &PathInfo) -> Vec<Edge> {
+/// The non-root vertices whose through-count `count` equals `total`,
+/// deepest first; vertices on one level keep their topological order.
+fn dominating(info: &PathInfo, total: u64, count: impl Fn((u64, u64)) -> u64) -> Vec<Edge> {
+    // Index 0 is the root, a trivial dominator.
+    let mut out: Vec<usize> = (1..info.order.len())
+        .filter(|&i| count(info.through[i]) == total)
+        .collect();
+    out.sort_by_key(|&i| Reverse(info.level[i]));
+    out.into_iter().map(|i| info.order[i]).collect()
+}
+
+/// Lifted vertices that lie on **every 1-path** of the function `info`
+/// describes (excluding the root), deepest first.
+pub fn one_dominators(info: &PathInfo) -> Vec<Edge> {
     if info.saturated() || info.totals.0 == 0 {
         return Vec::new();
     }
-    let mut out: Vec<Edge> = info
-        .order
-        .iter()
-        .skip(1) // the root is a trivial dominator
-        .copied()
-        .filter(|&v| info.paths_through(v).0 == info.totals.0)
-        .collect();
-    let _ = f;
-    out.sort_by_key(|&v| std::cmp::Reverse(mgr.top_level(v)));
-    out
+    dominating(info, info.totals.0, |(p1, _)| p1)
 }
 
-/// Lifted vertices on **every 0-path** of `f` (excluding the root),
-/// deepest first.
-pub fn zero_dominators(mgr: &Manager, f: Edge, info: &PathInfo) -> Vec<Edge> {
+/// Lifted vertices on **every 0-path** (excluding the root), deepest
+/// first.
+pub fn zero_dominators(info: &PathInfo) -> Vec<Edge> {
     if info.saturated() || info.totals.1 == 0 {
         return Vec::new();
     }
-    let mut out: Vec<Edge> = info
-        .order
-        .iter()
-        .skip(1)
-        .copied()
-        .filter(|&v| info.paths_through(v).1 == info.totals.1)
-        .collect();
-    let _ = f;
-    out.sort_by_key(|&v| std::cmp::Reverse(mgr.top_level(v)));
-    out
+    dominating(info, info.totals.1, |(_, p0)| p0)
 }
 
-/// Nodes (both parities combined) contained in **every path** of `f`
-/// (Definition 9), excluding the root node, deepest first. Returned as
-/// the node's regular edge.
-pub fn x_dominators(mgr: &Manager, f: Edge, info: &PathInfo) -> Vec<Edge> {
-    if info.saturated() || f.is_const() {
+/// Nodes (both parities combined) contained in **every path**
+/// (Definition 9), excluding the root node, deepest first; nodes on one
+/// level in edge order. Returned as the node's regular edge.
+pub fn x_dominators(info: &PathInfo) -> Vec<Edge> {
+    if info.saturated() || info.order.is_empty() {
         return Vec::new();
     }
     let total = info.totals.0.saturating_add(info.totals.1);
-    // BTreeMap: level ties below must break by Edge, not by hash order.
-    let mut per_node: BTreeMap<Edge, u64> = BTreeMap::new();
-    for &v in &info.order {
-        let (p1, p0) = info.paths_through(v);
-        let slot = per_node.entry(v.regular()).or_insert(0);
-        *slot = slot.saturating_add(p1).saturating_add(p0);
+    let root_node = info.order[0].regular();
+    let paths = |i: usize| {
+        let (p1, p0) = info.through[i];
+        p1.saturating_add(p0)
+    };
+    let mut out: Vec<(u32, Edge)> = Vec::new();
+    for (i, &v) in info.order.iter().enumerate() {
+        let j = info.partner[i];
+        let count = if j == TERMINAL {
+            paths(i)
+        } else if (j as usize) < i {
+            continue; // counted with its partner
+        } else {
+            paths(i).saturating_add(paths(j as usize))
+        };
+        if count == total && v.regular() != root_node {
+            out.push((info.level[i], v.regular()));
+        }
     }
-    let root_node = f.regular();
-    let mut out: Vec<Edge> = per_node
-        .into_iter()
-        .filter(|&(n, count)| n != root_node && count == total)
-        .map(|(n, _)| n)
-        .collect();
-    out.sort_by_key(|&v| std::cmp::Reverse(mgr.top_level(v)));
-    out
+    out.sort_unstable_by_key(|&(level, n)| (Reverse(level), n));
+    out.into_iter().map(|(_, n)| n).collect()
 }
 
 /// Decomposes `f` at a 1-dominator `d`: `F = G · H` with `H = func(d)`
@@ -104,9 +103,7 @@ pub fn decompose_at_one_dominator(
     f: Edge,
     d: Edge,
 ) -> bds_bdd::Result<SimpleDecomp> {
-    let mut subst = HashMap::new();
-    subst.insert(d, Edge::ONE);
-    let g = substitute_vertices(mgr, f, &subst)?;
+    let g = substitute_vertices(mgr, f, &[(d, Edge::ONE)])?;
     debug_assert_identity!(mgr.and(g, d), f, "1-dominator identity F = G·H");
     Ok(SimpleDecomp::And(g, d))
 }
@@ -121,9 +118,7 @@ pub fn decompose_at_zero_dominator(
     f: Edge,
     d: Edge,
 ) -> bds_bdd::Result<SimpleDecomp> {
-    let mut subst = HashMap::new();
-    subst.insert(d, Edge::ZERO);
-    let g = substitute_vertices(mgr, f, &subst)?;
+    let g = substitute_vertices(mgr, f, &[(d, Edge::ZERO)])?;
     debug_assert_identity!(mgr.or(g, d), f, "0-dominator identity F = G+H");
     Ok(SimpleDecomp::Or(g, d))
 }
@@ -143,16 +138,15 @@ pub fn decompose_at_x_dominator(
         !d.is_complemented(),
         "x-dominator is identified by its regular edge"
     );
-    let mut subst = HashMap::new();
-    subst.insert(d, Edge::ONE);
-    subst.insert(d.complement(), Edge::ZERO);
-    let h = substitute_vertices(mgr, f, &subst)?;
+    let h = substitute_vertices(mgr, f, &[(d, Edge::ONE), (d.complement(), Edge::ZERO)])?;
     debug_assert_identity!(mgr.xnor(d, h), f, "x-dominator identity F = G ⊙ H");
     Ok(SimpleDecomp::Xnor(d, h))
 }
 
 #[cfg(test)]
 mod tests {
+    use bds_bdd::VisitMarks;
+
     use super::*;
 
     /// Fig. 2(a)-style: F = (a+b)(c+d) has a 1-dominator at the (c+d)
@@ -168,8 +162,8 @@ mod tests {
         let ab = m.or(la, lb).unwrap();
         let cd = m.or(lc, ld).unwrap();
         let f = m.and(ab, cd).unwrap();
-        let info = PathInfo::compute(&m, f);
-        let doms = one_dominators(&m, f, &info);
+        let info = PathInfo::compute(&m, f, &mut VisitMarks::new());
+        let doms = one_dominators(&info);
         assert!(doms.contains(&cd), "the (c+d) vertex dominates all 1-paths");
         let d = decompose_at_one_dominator(&mut m, f, cd).unwrap();
         assert_eq!(d, SimpleDecomp::And(ab, cd));
@@ -185,8 +179,8 @@ mod tests {
         let cd = m.and(lits[2], lits[3]).unwrap();
         let cde = m.and(cd, lits[4]).unwrap();
         let f = m.or(ab, cde).unwrap();
-        let info = PathInfo::compute(&m, f);
-        let doms = zero_dominators(&m, f, &info);
+        let info = PathInfo::compute(&m, f, &mut VisitMarks::new());
+        let doms = zero_dominators(&info);
         assert!(doms.contains(&cde), "the cde vertex dominates all 0-paths");
         let d = decompose_at_zero_dominator(&mut m, f, cde).unwrap();
         let (g, h) = d.parts();
@@ -214,8 +208,8 @@ mod tests {
         let urq1 = m.or(lu, lr).unwrap();
         let urq = m.or(urq1, lq).unwrap();
         let f = m.xnor(xy, urq).unwrap();
-        let info = PathInfo::compute(&m, f);
-        let doms = x_dominators(&m, f, &info);
+        let info = PathInfo::compute(&m, f, &mut VisitMarks::new());
+        let doms = x_dominators(&info);
         assert!(
             doms.contains(&xy.regular()),
             "the (x+y) node must be an x-dominator; got {doms:?}"
@@ -235,11 +229,11 @@ mod tests {
         let la = m.literal(v[0], true);
         let lb = m.literal(v[1], true);
         let f = m.xor(la, lb).unwrap();
-        let info = PathInfo::compute(&m, f);
+        let info = PathInfo::compute(&m, f, &mut VisitMarks::new());
         // The b-node IS on every path (it is an x-dominator: a⊕b = b ⊙ ā).
-        assert!(!x_dominators(&m, f, &info).is_empty());
+        assert!(!x_dominators(&info).is_empty());
         // But no 1-dominator exists below the root (two disjoint 1-paths).
-        assert!(one_dominators(&m, f, &info).is_empty());
-        assert!(zero_dominators(&m, f, &info).is_empty());
+        assert!(one_dominators(&info).is_empty());
+        assert!(zero_dominators(&info).is_empty());
     }
 }

@@ -11,6 +11,7 @@
 //! complement edges: `!t` costs nothing and inverters materialize only at
 //! network-emission time.
 
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use bds_bdd::{Cube, Var};
@@ -79,7 +80,7 @@ pub enum FactorNode {
 
 /// Arena of factoring-tree nodes shared across the outputs of one
 /// decomposition run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FactorForest {
     nodes: Vec<FactorNode>,
 }
@@ -118,31 +119,37 @@ impl FactorForest {
     /// Counts literal leaves reachable from `root` (shared sub-trees are
     /// counted once — the factored-form cost of the forest slice).
     pub fn literal_count(&self, root: FactorRef) -> usize {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root.id()];
         let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id], true) {
+        self.walk(&[root], |node| match node {
+            FactorNode::Literal(_) => count += 1,
+            FactorNode::Leaf(cubes) => count += cubes.iter().map(Cube::len).sum::<usize>(),
+            _ => {}
+        });
+        count
+    }
+
+    /// Runs `visit` once on each node reachable from `roots`, touching
+    /// only those nodes. Operands are always pushed before the nodes that
+    /// use them, so a node's id exceeds its operands': taking pending ids
+    /// largest first meets every pending copy of an id in a row, once
+    /// all the nodes that reach it have been visited.
+    fn walk(&self, roots: &[FactorRef], mut visit: impl FnMut(&FactorNode)) {
+        let mut pending: BinaryHeap<u32> = roots.iter().map(|r| r.id).collect();
+        let mut last = None;
+        while let Some(id) = pending.pop() {
+            if last.replace(id) == Some(id) {
                 continue;
             }
-            match &self.nodes[id] {
-                FactorNode::One => {}
-                FactorNode::Literal(_) => count += 1,
-                FactorNode::Leaf(cubes) => {
-                    count += cubes.iter().map(Cube::len).sum::<usize>();
-                }
+            let node = &self.nodes[id as usize];
+            visit(node);
+            match node {
+                FactorNode::One | FactorNode::Literal(_) | FactorNode::Leaf(_) => {}
                 FactorNode::And(a, b) | FactorNode::Or(a, b) | FactorNode::Xnor(a, b) => {
-                    stack.push(a.id());
-                    stack.push(b.id());
+                    pending.extend([a.id, b.id]);
                 }
-                FactorNode::Mux { sel, hi, lo } => {
-                    stack.push(sel.id());
-                    stack.push(hi.id());
-                    stack.push(lo.id());
-                }
+                FactorNode::Mux { sel, hi, lo } => pending.extend([sel.id, hi.id, lo.id]),
             }
         }
-        count
     }
 
     /// Evaluates `root` under a total assignment indexed by variable.
@@ -229,29 +236,12 @@ impl FactorForest {
     /// Count of structural gate nodes (And/Or/Xnor/Mux) reachable from
     /// the given roots, shared nodes counted once.
     pub fn gate_count(&self, roots: &[FactorRef]) -> usize {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<usize> = roots.iter().map(|r| r.id()).collect();
         let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id], true) {
-                continue;
+        self.walk(roots, |node| {
+            if !matches!(node, FactorNode::One | FactorNode::Literal(_)) {
+                count += 1;
             }
-            match &self.nodes[id] {
-                FactorNode::One | FactorNode::Literal(_) => {}
-                FactorNode::Leaf(_) => count += 1,
-                FactorNode::And(a, b) | FactorNode::Or(a, b) | FactorNode::Xnor(a, b) => {
-                    count += 1;
-                    stack.push(a.id());
-                    stack.push(b.id());
-                }
-                FactorNode::Mux { sel, hi, lo } => {
-                    count += 1;
-                    stack.push(sel.id());
-                    stack.push(hi.id());
-                    stack.push(lo.id());
-                }
-            }
-        }
+        });
         count
     }
 }

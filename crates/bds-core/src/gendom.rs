@@ -18,11 +18,9 @@
 //! exploits by deduplicating the resulting divisor BDDs (canonicity makes
 //! the deduplication exact).
 
-use std::collections::HashSet;
+use bds_bdd::{Edge, FastSet, Manager};
 
-use bds_bdd::{Edge, Manager};
-
-use crate::lifted::rebuild_above_cut;
+use crate::lifted::{rebuild_above_cut, SizeMemo};
 
 /// A conjunctive or disjunctive Boolean decomposition candidate.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,17 +133,19 @@ pub fn disjunctive_rest(mgr: &mut Manager, f: Edge, term: Edge) -> bds_bdd::Resu
 /// disjunctive Boolean decomposition of `f`, measured by the shared node
 /// count of the two components. Returns `None` when nothing beats
 /// `require_below` (callers pass `mgr.size(f)` to demand a strict win).
+/// Component sizes are read through `sizes`.
 ///
 /// # Errors
 /// Node-limit errors from the manager.
 pub fn best_boolean_decomposition(
     mgr: &mut Manager,
     f: Edge,
+    sizes: &mut SizeMemo,
     require_below: usize,
 ) -> bds_bdd::Result<Option<BooleanDecomp>> {
     let mut best: Option<(BooleanDecomp, usize)> = None;
-    let mut seen_divisors: HashSet<Edge> = HashSet::new();
-    let mut seen_terms: HashSet<Edge> = HashSet::new();
+    let mut seen_divisors: FastSet<Edge> = FastSet::default();
+    let mut seen_terms: FastSet<Edge> = FastSet::default();
     for level in candidate_cut_levels(mgr, f) {
         if let Some(d) = conjunctive_divisor(mgr, f, level)? {
             // Theorem 4: 0-equivalent cuts give identical divisors —
@@ -154,7 +154,8 @@ pub fn best_boolean_decomposition(
                 let q = conjunctive_quotient(mgr, f, d)?;
                 if !q.is_const() {
                     let cost = mgr.count_nodes(&[d, q]);
-                    let parts_ok = mgr.size(d) < require_below && mgr.size(q) < require_below;
+                    let parts_ok =
+                        sizes.size(mgr, d) < require_below && sizes.size(mgr, q) < require_below;
                     if parts_ok && best.as_ref().is_none_or(|&(_, c)| cost < c) {
                         best = Some((
                             BooleanDecomp::Conjunctive {
@@ -172,7 +173,8 @@ pub fn best_boolean_decomposition(
                 let h = disjunctive_rest(mgr, f, g)?;
                 if !h.is_const() {
                     let cost = mgr.count_nodes(&[g, h]);
-                    let parts_ok = mgr.size(g) < require_below && mgr.size(h) < require_below;
+                    let parts_ok =
+                        sizes.size(mgr, g) < require_below && sizes.size(mgr, h) < require_below;
                     if parts_ok && best.as_ref().is_none_or(|&(_, c)| cost < c) {
                         best = Some((BooleanDecomp::Disjunctive { term: g, rest: h }, cost));
                     }
@@ -264,7 +266,7 @@ mod tests {
         let d2 = m.or(t2, le).unwrap();
         let f = m.and(d1, d2).unwrap();
         let fsize = m.size(f);
-        let best = best_boolean_decomposition(&mut m, f, fsize).unwrap();
+        let best = best_boolean_decomposition(&mut m, f, &mut SizeMemo::default(), fsize).unwrap();
         let Some(BooleanDecomp::Conjunctive { divisor, quotient }) = best else {
             panic!("expected a conjunctive decomposition, got {best:?}");
         };
@@ -305,7 +307,7 @@ mod tests {
         let cd = m.and(lits[2], lits[3]).unwrap();
         let bcd = m.or(lits[1], cd).unwrap();
         let f = m.and(lits[0], bcd).unwrap();
-        let mut divisors = HashSet::new();
+        let mut divisors = std::collections::BTreeSet::new();
         for level in candidate_cut_levels(&m, f) {
             if let Some(d) = conjunctive_divisor(&mut m, f, level).unwrap() {
                 divisors.insert(d);

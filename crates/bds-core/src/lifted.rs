@@ -13,81 +13,148 @@
 //! This module provides the path-counting machinery on that view which
 //! every dominator search builds on.
 
-use std::collections::HashMap;
+use bds_bdd::{Edge, FastMap, Manager, VisitMarks};
 
-use bds_bdd::{Edge, Manager};
+/// Marks a child that is a terminal in [`PathInfo::children`].
+pub const TERMINAL: u32 = u32::MAX;
 
 /// Per-vertex path statistics for the lifted graph rooted at some edge.
+///
+/// Every per-vertex vector is aligned with `order`: entry `i` describes
+/// the vertex `order[i]`, and the root (when not constant) is entry 0.
 #[derive(Clone, Debug)]
 pub struct PathInfo {
-    /// Number of paths from the root to each reachable lifted vertex
-    /// (root has 1). Saturating arithmetic.
-    pub down: HashMap<Edge, u64>,
-    /// `(paths to 1, paths to 0)` from each reachable vertex.
-    pub up: HashMap<Edge, (u64, u64)>,
-    /// Total `(1-paths, 0-paths)` of the root.
-    pub totals: (u64, u64),
     /// Reachable lifted vertices in topological (root-first) order,
     /// excluding terminals.
     pub order: Vec<Edge>,
+    /// Level of each vertex's top variable.
+    pub level: Vec<u32>,
+    /// The `(then, else)` children of each vertex as indices into
+    /// `order`, or [`TERMINAL`] for a constant child.
+    pub children: Vec<[u32; 2]>,
+    /// The vertices in the order the depth-first search first reached
+    /// them (indices into `order`), which is the order a plain DFS from
+    /// the root that takes the else-child first discovers them.
+    pub discovery: Vec<u32>,
+    /// Number of paths from the root to each vertex (root has 1).
+    /// Saturating arithmetic.
+    pub down: Vec<u64>,
+    /// `(paths to 1, paths to 0)` from each vertex.
+    pub up: Vec<(u64, u64)>,
+    /// `(1-paths, 0-paths)` through each vertex: `down · up`, saturating.
+    pub through: Vec<(u64, u64)>,
+    /// The index of each vertex's complement (the other parity of the
+    /// same node) when it is reachable too, else [`TERMINAL`].
+    pub partner: Vec<u32>,
+    /// Total `(1-paths, 0-paths)` of the root.
+    pub totals: (u64, u64),
+}
+
+/// A DFS stack entry: a vertex to enter, or one whose children are done.
+enum Step {
+    Enter(Edge),
+    Leave(Edge, Edge, Edge),
 }
 
 impl PathInfo {
-    /// Computes path statistics for the lifted graph of `root`.
-    pub fn compute(mgr: &Manager, root: Edge) -> PathInfo {
-        // Topological order by DFS.
-        let mut order: Vec<Edge> = Vec::new();
-        let mut seen: HashMap<Edge, bool> = HashMap::new();
-        let mut stack: Vec<(Edge, bool)> = vec![(root, false)];
-        while let Some((e, expanded)) = stack.pop() {
-            if e.is_const() {
-                continue;
-            }
-            if expanded {
-                order.push(e);
-                continue;
-            }
-            if seen.contains_key(&e) {
-                continue;
-            }
-            seen.insert(e, true);
-            stack.push((e, true));
-            #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
-            let (_, t, el) = mgr.node(e).expect("non-const");
-            stack.push((t, false));
-            stack.push((el, false));
-        }
-        order.reverse(); // root-first
-
-        // Down counts (root-first sweep).
-        let mut down: HashMap<Edge, u64> = HashMap::new();
-        down.insert(root, 1);
-        for &e in &order {
-            let d = *down.get(&e).unwrap_or(&0);
-            if d == 0 {
-                continue;
-            }
-            #[expect(clippy::expect_used, reason = "only internal nodes have down-counts")]
-            let (_, t, el) = mgr.node(e).expect("non-const");
-            for child in [t, el] {
-                if !child.is_const() {
-                    let slot = down.entry(child).or_insert(0);
-                    *slot = slot.saturating_add(d);
+    /// Computes path statistics for the lifted graph of `root` in one
+    /// depth-first search that reads each vertex's node once. `marks`
+    /// is scratch (keyed by [`Edge::raw`]) reused between calls.
+    pub fn compute(mgr: &Manager, root: Edge, marks: &mut VisitMarks) -> PathInfo {
+        marks.begin(2 * mgr.arena_size());
+        // Post-order records; `marks` maps a vertex to its discovery rank
+        // while it is open and to its post-order index once it is done.
+        let mut post: Vec<Edge> = Vec::new();
+        let mut post_level: Vec<u32> = Vec::new();
+        let mut post_kids: Vec<[u32; 2]> = Vec::new();
+        let mut post_up: Vec<(u64, u64)> = Vec::new();
+        let mut post_rank: Vec<u32> = Vec::new();
+        let mut rank = 0u32;
+        let mut stack = vec![Step::Enter(root)];
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Enter(e) => {
+                    if e.is_const() || marks.get(e.raw() as usize).is_some() {
+                        continue;
+                    }
+                    marks.set(e.raw() as usize, rank);
+                    rank += 1;
+                    #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
+                    let (_, t, el) = mgr.node(e).expect("non-const");
+                    stack.push(Step::Leave(e, t, el));
+                    stack.push(Step::Enter(t));
+                    stack.push(Step::Enter(el));
+                }
+                Step::Leave(e, t, el) => {
+                    // Both children are done: the graph is acyclic, so a
+                    // child cannot still be open above its parent.
+                    let kid = |c: Edge| -> (u32, (u64, u64)) {
+                        if c.is_const() {
+                            (TERMINAL, if c.is_one() { (1, 0) } else { (0, 1) })
+                        } else {
+                            let p = marks.get(c.raw() as usize).unwrap_or(TERMINAL);
+                            (p, post_up[p as usize])
+                        }
+                    };
+                    let ((pt, a), (pe, b)) = (kid(t), kid(el));
+                    post_rank.push(marks.get(e.raw() as usize).unwrap_or(0));
+                    marks.set(e.raw() as usize, post.len() as u32);
+                    post.push(e);
+                    post_level.push(mgr.top_level(e));
+                    post_kids.push([pt, pe]);
+                    post_up.push((a.0.saturating_add(b.0), a.1.saturating_add(b.1)));
                 }
             }
         }
 
-        // Up counts (leaf-first sweep).
-        let mut up: HashMap<Edge, (u64, u64)> = HashMap::new();
-        up.insert(Edge::ONE, (1, 0));
-        up.insert(Edge::ZERO, (0, 1));
-        for &e in order.iter().rev() {
-            #[expect(clippy::expect_used, reason = "order contains internal nodes only")]
-            let (_, t, el) = mgr.node(e).expect("non-const");
-            let a = up[&t];
-            let b = up[&el];
-            up.insert(e, (a.0.saturating_add(b.0), a.1.saturating_add(b.1)));
+        // Root-first order: post-order index `p` becomes `n - 1 - p`.
+        let n = post.len();
+        let flip = |p: u32| {
+            if p == TERMINAL {
+                TERMINAL
+            } else {
+                (n - 1) as u32 - p
+            }
+        };
+        let order: Vec<Edge> = post.iter().rev().copied().collect();
+        let level: Vec<u32> = post_level.into_iter().rev().collect();
+        let up: Vec<(u64, u64)> = post_up.into_iter().rev().collect();
+        let children: Vec<[u32; 2]> = post_kids
+            .iter()
+            .rev()
+            .map(|&[t, e]| [flip(t), flip(e)])
+            .collect();
+        let mut discovery = vec![0u32; n];
+        for (p, &r) in post_rank.iter().enumerate() {
+            discovery[r as usize] = flip(p as u32);
         }
+        let partner: Vec<u32> = order
+            .iter()
+            .map(|&v| flip(marks.get(v.complement().raw() as usize).unwrap_or(TERMINAL)))
+            .collect();
+
+        // Down counts (root-first sweep); children always follow parents.
+        let mut down = vec![0u64; n];
+        if n > 0 {
+            down[0] = 1;
+        }
+        for i in 0..n {
+            let d = down[i];
+            if d == 0 {
+                continue;
+            }
+            for c in children[i] {
+                if c != TERMINAL {
+                    let slot = &mut down[c as usize];
+                    *slot = slot.saturating_add(d);
+                }
+            }
+        }
+        let through = down
+            .iter()
+            .zip(&up)
+            .map(|(&d, &(t1, t0))| (d.saturating_mul(t1), d.saturating_mul(t0)))
+            .collect();
         let totals = if root.is_const() {
             if root.is_one() {
                 (1, 0)
@@ -95,22 +162,19 @@ impl PathInfo {
                 (0, 1)
             }
         } else {
-            up[&root]
+            up[0]
         };
         PathInfo {
+            order,
+            level,
+            children,
+            discovery,
             down,
             up,
+            through,
+            partner,
             totals,
-            order,
         }
-    }
-
-    /// Number of 1-paths (0-paths) passing through lifted vertex `e` —
-    /// `down(e) · to1(e)` (`down(e) · to0(e)`), saturating.
-    pub fn paths_through(&self, e: Edge) -> (u64, u64) {
-        let d = *self.down.get(&e).unwrap_or(&0);
-        let (t1, t0) = *self.up.get(&e).unwrap_or(&(0, 0));
-        (d.saturating_mul(t1), d.saturating_mul(t0))
     }
 
     /// True when saturation occurred somewhere, making dominator
@@ -121,9 +185,40 @@ impl PathInfo {
     }
 }
 
+/// Memoized [`Manager::size`] per node, for one manager.
+///
+/// A node's size is a function of the subgraph below it, which never
+/// changes while the manager neither reorders nor collects garbage (a
+/// decomposition manager does neither); an edge and its complement have
+/// the same size. Valid only with the manager it was first used with.
+#[derive(Clone, Debug, Default)]
+pub struct SizeMemo {
+    /// `sizes[node] = size`, or 0 when not yet computed (a size is ≥ 1).
+    sizes: Vec<u32>,
+}
+
+impl SizeMemo {
+    /// `mgr.size(e)`, computed once per node.
+    pub fn size(&mut self, mgr: &Manager, e: Edge) -> usize {
+        let i = e.node_index();
+        if i >= self.sizes.len() {
+            self.sizes.resize(mgr.arena_size().max(i + 1), 0);
+        }
+        match self.sizes[i] {
+            0 => {
+                let s = mgr.size(e);
+                self.sizes[i] = s as u32;
+                s
+            }
+            s => s as usize,
+        }
+    }
+}
+
 /// Rebuilds `root` with selected lifted vertices replaced by constant or
-/// arbitrary functions. `subst` maps a lifted vertex (an edge value) to
-/// the function that should take its place.
+/// arbitrary functions. `subst` lists `(lifted vertex, replacement)`
+/// pairs; the decompositions replace at most two vertices, so a linear
+/// scan beats a lookup table.
 ///
 /// This is the workhorse behind every structural decomposition: redirect
 /// the edges pointing at a dominator to 1/0/don't-care stand-ins.
@@ -133,19 +228,19 @@ impl PathInfo {
 pub fn substitute_vertices(
     mgr: &mut Manager,
     root: Edge,
-    subst: &HashMap<Edge, Edge>,
+    subst: &[(Edge, Edge)],
 ) -> bds_bdd::Result<Edge> {
-    let mut memo: HashMap<Edge, Edge> = HashMap::new();
+    let mut memo: FastMap<Edge, Edge> = FastMap::default();
     substitute_rec(mgr, root, subst, &mut memo)
 }
 
 fn substitute_rec(
     mgr: &mut Manager,
     e: Edge,
-    subst: &HashMap<Edge, Edge>,
-    memo: &mut HashMap<Edge, Edge>,
+    subst: &[(Edge, Edge)],
+    memo: &mut FastMap<Edge, Edge>,
 ) -> bds_bdd::Result<Edge> {
-    if let Some(&r) = subst.get(&e) {
+    if let Some(&(_, r)) = subst.iter().find(|&&(v, _)| v == e) {
         return Ok(r);
     }
     if e.is_const() {
@@ -178,7 +273,7 @@ pub fn rebuild_above_cut(
     cut_level: u32,
     free_replacement: &mut dyn FnMut(Edge) -> Edge,
 ) -> bds_bdd::Result<Edge> {
-    let mut memo: HashMap<Edge, Edge> = HashMap::new();
+    let mut memo: FastMap<Edge, Edge> = FastMap::default();
     rebuild_rec(mgr, root, cut_level, free_replacement, &mut memo)
 }
 
@@ -187,7 +282,7 @@ fn rebuild_rec(
     e: Edge,
     cut_level: u32,
     free_replacement: &mut dyn FnMut(Edge) -> Edge,
-    memo: &mut HashMap<Edge, Edge>,
+    memo: &mut FastMap<Edge, Edge>,
 ) -> bds_bdd::Result<Edge> {
     if e.is_const() {
         return Ok(e);
@@ -219,13 +314,16 @@ mod tests {
         let la = m.literal(vars[0], true);
         let lb = m.literal(vars[1], true);
         let f = m.and(la, lb).unwrap();
-        let info = PathInfo::compute(&m, f);
+        let info = PathInfo::compute(&m, f, &mut VisitMarks::new());
         assert_eq!(info.totals, (1, 2));
-        // The b-vertex lies on the only 1-path.
-        assert_eq!(info.paths_through(lb).0, 1);
         assert!(!info.saturated());
-        assert_eq!(info.order.len(), 2);
-        assert_eq!(info.order[0], f, "order starts at the root");
+        assert_eq!(info.order, vec![f, lb], "order starts at the root");
+        // The b-vertex lies on the only 1-path and on one of two 0-paths.
+        assert_eq!(info.through[1], (1, 1));
+        assert_eq!(info.children[0], [1, TERMINAL]);
+        assert_eq!(info.children[1], [TERMINAL, TERMINAL]);
+        assert_eq!(info.partner, vec![TERMINAL, TERMINAL]);
+        assert_eq!(info.discovery, vec![0, 1]);
     }
 
     #[test]
@@ -236,9 +334,7 @@ mod tests {
         let la = m.literal(vars[0], true);
         let lb = m.literal(vars[1], true);
         let f = m.and(la, lb).unwrap();
-        let mut subst = HashMap::new();
-        subst.insert(lb, Edge::ONE);
-        let g = substitute_vertices(&mut m, f, &subst).unwrap();
+        let g = substitute_vertices(&mut m, f, &[(lb, Edge::ONE)]).unwrap();
         assert_eq!(g, la);
     }
 

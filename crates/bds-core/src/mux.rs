@@ -7,11 +7,11 @@
 //! single control function this coincides with a simple disjoint
 //! Ashenhurst decomposition of column multiplicity two (§III-E末).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 use bds_bdd::{Edge, Manager};
 
-use crate::lifted::{substitute_vertices, PathInfo};
+use crate::lifted::{substitute_vertices, PathInfo, SizeMemo, TERMINAL};
 
 /// A functional MUX decomposition `F = ite(control, hi, lo)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,59 +29,43 @@ pub struct MuxDecomp {
 /// root). A crossing set of size two {u, v} satisfies Theorem 7: the two
 /// vertices cover all paths. Returns `(level, u, v)` candidates, deepest
 /// level first — matching the Ashenhurst view, the crossing-set size is
-/// the column multiplicity of the cut.
-pub fn mux_candidates(mgr: &Manager, f: Edge) -> Vec<(u32, Edge, Edge)> {
-    if f.is_const() {
-        return Vec::new();
-    }
-    // Collect every internal edge (from, to) plus the root entry, and the
-    // topmost level that owns a leaf (terminal) edge: a cut is only valid
-    // for Theorem 7 if **no** leaf edge leaves the region above it —
-    // otherwise some paths bypass both crossing vertices.
-    let mut vertices: Vec<Edge> = Vec::new();
-    let mut edges: Vec<(Edge, Edge)> = Vec::new();
+/// the column multiplicity of the cut. `u` is the target of the first
+/// crossing edge in DFS discovery order, `v` of the next distinct one.
+pub fn mux_candidates(info: &PathInfo) -> Vec<(u32, Edge, Edge)> {
+    // Every internal edge as (source level, target level, target), in
+    // discovery order of the source and then-before-else, plus the
+    // topmost level that owns a leaf (terminal) edge: a cut is only
+    // valid for Theorem 7 if **no** leaf edge leaves the region above
+    // it — otherwise some paths bypass both crossing vertices.
+    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
     let mut first_leaf_level = u32::MAX;
-    {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        while let Some(e) = stack.pop() {
-            if e.is_const() || !seen.insert(e) {
-                continue;
-            }
-            vertices.push(e);
-            #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
-            let (_, t, el) = mgr.node(e).expect("non-const");
-            for child in [t, el] {
-                if child.is_const() {
-                    first_leaf_level = first_leaf_level.min(mgr.top_level(e));
-                } else {
-                    edges.push((e, child));
-                    stack.push(child);
-                }
+    for &i in &info.discovery {
+        let from = info.level[i as usize];
+        for c in info.children[i as usize] {
+            if c == TERMINAL {
+                first_leaf_level = first_leaf_level.min(from);
+            } else {
+                edges.push((from, info.level[c as usize], c));
             }
         }
     }
-    let levels: Vec<u32> = {
-        let mut ls: Vec<u32> = vertices.iter().map(|&v| mgr.top_level(v)).collect();
-        ls.sort_unstable();
-        ls.dedup();
-        ls
-    };
+    let mut levels = info.level.clone();
+    levels.sort_unstable();
+    levels.dedup();
     let mut out = Vec::new();
+    // The root is the only vertex on the topmost level, so it never
+    // crosses a cut below that level.
     for &level in levels.iter().skip(1) {
         // Theorem-7 validity: every node above the cut keeps its paths
         // inside the region (no leaf edges above the cut).
         if first_leaf_level < level {
             break;
         }
-        // Crossing vertices: root if at/below the level, plus every edge
-        // target at/below the level whose source is above it.
-        let mut crossing: Vec<Edge> = Vec::new();
-        if mgr.top_level(f) >= level {
-            crossing.push(f);
-        }
-        for &(from, to) in &edges {
-            if mgr.top_level(from) < level && mgr.top_level(to) >= level {
+        // Crossing vertices: every edge target at/below the level whose
+        // source is above it.
+        let mut crossing: Vec<u32> = Vec::new();
+        for &(from, to_level, to) in &edges {
+            if from < level && to_level >= level {
                 if !crossing.contains(&to) {
                     crossing.push(to);
                 }
@@ -90,11 +74,11 @@ pub fn mux_candidates(mgr: &Manager, f: Edge) -> Vec<(u32, Edge, Edge)> {
                 }
             }
         }
-        if crossing.len() == 2 {
-            out.push((level, crossing[0], crossing[1]));
+        if let [u, v] = crossing[..] {
+            out.push((level, info.order[u as usize], info.order[v as usize]));
         }
     }
-    out.sort_by_key(|&(level, _, _)| std::cmp::Reverse(level));
+    out.sort_by_key(|&(level, _, _)| Reverse(level));
     out
 }
 
@@ -105,10 +89,7 @@ pub fn mux_candidates(mgr: &Manager, f: Edge) -> Vec<(u32, Edge, Edge)> {
 /// # Errors
 /// Node-limit errors from the manager.
 pub fn decompose_mux(mgr: &mut Manager, f: Edge, u: Edge, v: Edge) -> bds_bdd::Result<MuxDecomp> {
-    let mut subst = HashMap::new();
-    subst.insert(u, Edge::ONE);
-    subst.insert(v, Edge::ZERO);
-    let control = substitute_vertices(mgr, f, &subst)?;
+    let control = substitute_vertices(mgr, f, &[(u, Edge::ONE), (v, Edge::ZERO)])?;
     debug_assert_identity!(
         mgr.ite(control, u, v),
         f,
@@ -121,8 +102,9 @@ pub fn decompose_mux(mgr: &mut Manager, f: Edge, u: Edge, v: Edge) -> bds_bdd::R
     })
 }
 
-/// Searches cut levels for the best functional MUX decomposition with all
-/// three components strictly smaller than `require_below`.
+/// Searches the cuts of the function `info` describes (rooted at `f`)
+/// for the best functional MUX decomposition with all three components
+/// strictly smaller than `require_below`.
 ///
 /// # Errors
 /// Node-limit errors from the manager.
@@ -130,17 +112,19 @@ pub fn best_mux_decomposition(
     mgr: &mut Manager,
     f: Edge,
     info: &PathInfo,
+    sizes: &mut SizeMemo,
     require_below: usize,
 ) -> bds_bdd::Result<Option<MuxDecomp>> {
-    let _ = info;
     let mut best: Option<(MuxDecomp, usize)> = None;
-    for (_, u, v) in mux_candidates(mgr, f) {
+    for (_, u, v) in mux_candidates(info) {
         let d = decompose_mux(mgr, f, u, v)?;
         if d.control.is_const() {
             continue;
         }
-        let sizes = [mgr.size(d.control), mgr.size(d.hi), mgr.size(d.lo)];
-        if sizes.iter().any(|&s| s >= require_below) {
+        if [d.control, d.hi, d.lo]
+            .into_iter()
+            .any(|e| sizes.size(mgr, e) >= require_below)
+        {
             continue;
         }
         // Each component being strictly smaller guarantees termination;
@@ -180,6 +164,8 @@ pub fn shannon(mgr: &mut Manager, f: Edge) -> bds_bdd::Result<Option<MuxDecomp>>
 
 #[cfg(test)]
 mod tests {
+    use bds_bdd::VisitMarks;
+
     use super::*;
 
     /// Fig. 11: F = ḡ·z + g·ȳ with g = x̄w + xw̄ (so F = ite(g, ȳ, z)).
@@ -199,14 +185,14 @@ mod tests {
         let g = m.xor(lx, lw).unwrap();
         let f = m.ite(g, ly, lz).unwrap();
 
-        let candidates = mux_candidates(&m, f);
+        let info = PathInfo::compute(&m, f, &mut VisitMarks::new());
+        let candidates = mux_candidates(&info);
         assert!(
             !candidates.is_empty(),
             "the z/ȳ articulation pair must be found"
         );
         let fsize = m.size(f);
-        let info = PathInfo::compute(&m, f);
-        let best = best_mux_decomposition(&mut m, f, &info, fsize)
+        let best = best_mux_decomposition(&mut m, f, &info, &mut SizeMemo::default(), fsize)
             .unwrap()
             .expect("a beneficial MUX decomposition exists");
         let rebuilt = m.ite(best.control, best.hi, best.lo).unwrap();
@@ -242,7 +228,8 @@ mod tests {
         let ab = m.and(lits[0], lits[1]).unwrap();
         let cd = m.xor(lits[2], lits[3]).unwrap();
         let acd = m.ite(ab, cd, lits[4]).unwrap();
-        for (_, u, w) in mux_candidates(&m, acd) {
+        let info = PathInfo::compute(&m, acd, &mut VisitMarks::new());
+        for (_, u, w) in mux_candidates(&info) {
             let d = decompose_mux(&mut m, acd, u, w).unwrap();
             let rebuilt = m.ite(d.control, d.hi, d.lo).unwrap();
             assert_eq!(rebuilt, acd);

@@ -8,55 +8,63 @@
 //! complement *and* one regular edge, which is where the BDD's
 //! complement-edge structure concentrates its XOR behaviour.
 
-use std::collections::{BTreeMap, HashSet};
+use std::cmp::Reverse;
 
-use bds_bdd::{Edge, Manager};
+use bds_bdd::{Edge, FastMap, Manager};
+
+use crate::lifted::SizeMemo;
 
 /// Nodes of `f`'s graph pointed to by at least one complement edge and at
 /// least one regular (positive) reference — Definition 10. Returned as
-/// regular edges, deepest first; the root is included when `f` itself is
-/// referenced both ways (it is excluded here because decomposing at the
-/// root is trivial).
+/// regular edges, deepest first (nodes on one level in edge order); the
+/// root is included when `f` itself is referenced both ways (it is
+/// excluded here because decomposing at the root is trivial).
 pub fn generalized_x_dominators(mgr: &Manager, f: Edge) -> Vec<Edge> {
     if f.is_const() {
         return Vec::new();
     }
-    // refs[node] = (has_regular_ref, has_complement_ref)
-    // BTreeMap: level ties in the final sort must break by Edge, not by
-    // hash order.
-    let mut refs: BTreeMap<Edge, (bool, bool)> = BTreeMap::new();
-    let mut mark = |e: Edge| {
-        if !e.is_const() {
-            let slot = refs.entry(e.regular()).or_insert((false, false));
-            if e.is_complemented() {
-                slot.1 = true;
-            } else {
-                slot.0 = true;
-            }
-        }
-    };
-    mark(f);
-    let mut seen: HashSet<Edge> = HashSet::new();
-    let mut stack = vec![f.regular()];
-    while let Some(e) = stack.pop() {
-        if e.is_const() || !seen.insert(e) {
+    // Every node met, in first-reference order, with
+    // `[has_regular_ref, has_complement_ref, expanded]`; `index` finds a
+    // node's entry.
+    let mut nodes: Vec<(Edge, [bool; 3])> = Vec::new();
+    let mut index: FastMap<Edge, u32> = FastMap::default();
+    let mut stack: Vec<usize> = mark(&mut nodes, &mut index, f).into_iter().collect();
+    while let Some(i) = stack.pop() {
+        if std::mem::replace(&mut nodes[i].1[2], true) {
             continue;
         }
-        #[expect(clippy::expect_used, reason = "guarded: constants are skipped above")]
-        let (_, high, low) = mgr.node_raw(e).expect("non-const");
-        mark(high);
-        mark(low);
-        stack.push(high.regular());
-        stack.push(low.regular());
+        #[expect(clippy::expect_used, reason = "only decision nodes are marked")]
+        let (_, high, low) = mgr.node_raw(nodes[i].0).expect("non-const");
+        stack.extend(mark(&mut nodes, &mut index, high));
+        stack.extend(mark(&mut nodes, &mut index, low));
     }
     let root = f.regular();
-    let mut out: Vec<Edge> = refs
+    let mut out: Vec<(u32, Edge)> = nodes
         .into_iter()
-        .filter(|&(n, (reg, compl))| reg && compl && n != root)
-        .map(|(n, _)| n)
+        .filter(|&(n, [reg, compl, _])| reg && compl && n != root)
+        .map(|(n, _)| (mgr.top_level(n), n))
         .collect();
-    out.sort_by_key(|&n| std::cmp::Reverse(mgr.top_level(n)));
-    out
+    out.sort_unstable_by_key(|&(level, n)| (Reverse(level), n));
+    out.into_iter().map(|(_, n)| n).collect()
+}
+
+/// Records a reference `e` for [`generalized_x_dominators`]: sets the
+/// regular- or complement-reference flag of `e`'s node, adding the node
+/// on first sight. `None` for the terminal.
+fn mark(
+    nodes: &mut Vec<(Edge, [bool; 3])>,
+    index: &mut FastMap<Edge, u32>,
+    e: Edge,
+) -> Option<usize> {
+    if e.is_const() {
+        return None;
+    }
+    let i = *index.entry(e.regular()).or_insert_with(|| {
+        nodes.push((e.regular(), [false; 3]));
+        (nodes.len() - 1) as u32
+    }) as usize;
+    nodes[i].1[usize::from(e.is_complemented())] = true;
+    Some(i)
 }
 
 /// A Boolean XNOR decomposition `F = G ⊙ H`.
@@ -70,13 +78,15 @@ pub struct XnorDecomp {
 
 /// Searches the generalized x-dominators of `f` for the best Boolean XNOR
 /// decomposition, requiring both components to be strictly smaller than
-/// `require_below` and their shared size to beat it.
+/// `require_below` and their shared size to beat it. Component sizes are
+/// read through `sizes`.
 ///
 /// # Errors
 /// Node-limit errors from the manager.
 pub fn best_xnor_decomposition(
     mgr: &mut Manager,
     f: Edge,
+    sizes: &mut SizeMemo,
     require_below: usize,
 ) -> bds_bdd::Result<Option<XnorDecomp>> {
     let mut best: Option<(XnorDecomp, usize)> = None;
@@ -85,7 +95,7 @@ pub fn best_xnor_decomposition(
         if h.is_const() || g == f || h == f {
             continue;
         }
-        let (sg, sh) = (mgr.size(g), mgr.size(h));
+        let (sg, sh) = (sizes.size(mgr, g), sizes.size(mgr, h));
         if sg >= require_below || sh >= require_below {
             continue;
         }
@@ -131,7 +141,7 @@ mod tests {
             "rnd4-1 must expose generalized x-dominators"
         );
         let fsize = m.size(f);
-        let best = best_xnor_decomposition(&mut m, f, fsize).unwrap();
+        let best = best_xnor_decomposition(&mut m, f, &mut SizeMemo::default(), fsize).unwrap();
         let d = best.expect("a beneficial XNOR decomposition exists");
         let rebuilt = m.xnor(d.g, d.h).unwrap();
         assert_eq!(rebuilt, f, "F = G ⊙ H identity");
