@@ -99,14 +99,6 @@ impl Manager {
         self.ite(f, g, g.complement())
     }
 
-    /// Implication `f → g`.
-    ///
-    /// # Errors
-    /// [`crate::BddError::NodeLimit`] if the manager's node limit is hit.
-    pub fn implies(&mut self, f: Edge, g: Edge) -> Result<Edge> {
-        self.ite(f, g, Edge::ONE)
-    }
-
     /// Difference `f · ḡ`.
     ///
     /// # Errors
@@ -147,12 +139,10 @@ mod tests {
             let or = m.or(a, b).unwrap();
             let xor = m.xor(a, b).unwrap();
             let xnor = m.xnor(a, b).unwrap();
-            let imp = m.implies(a, b).unwrap();
             assert_eq!(m.eval(and, &assign), va && vb);
             assert_eq!(m.eval(or, &assign), va || vb);
             assert_eq!(m.eval(xor, &assign), va ^ vb);
             assert_eq!(m.eval(xnor, &assign), va == vb);
-            assert_eq!(m.eval(imp, &assign), !va || vb);
         }
     }
 

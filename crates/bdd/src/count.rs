@@ -1,4 +1,4 @@
-//! Structural queries: node counts, support, satisfy counts.
+//! Structural queries: node counts and support.
 //!
 //! The walks mark what they reach in a thread-local [`VisitMarks`]: no
 //! hash per node, and no arena-sized allocation per call, so a walk costs
@@ -8,7 +8,6 @@
 use std::cell::RefCell;
 
 use crate::edge::{Edge, Var};
-use crate::hash::FastMap;
 use crate::manager::Manager;
 use crate::marks::VisitMarks;
 
@@ -89,32 +88,6 @@ impl Manager {
         levels.dedup();
         levels.into_iter().map(|l| self.var_at(l)).collect()
     }
-
-    /// Number of satisfying assignments over `nvars` variables, as `f64`
-    /// (exact for < 2⁵³).
-    pub fn sat_count(&self, e: Edge, nvars: usize) -> f64 {
-        fn rec(m: &Manager, e: Edge, memo: &mut FastMap<Edge, f64>) -> f64 {
-            // Fraction of the full space that satisfies e.
-            if e.is_one() {
-                return 1.0;
-            }
-            if e.is_zero() {
-                return 0.0;
-            }
-            if let Some(&r) = memo.get(&e) {
-                return r;
-            }
-            #[expect(clippy::expect_used, reason = "guarded: e is non-constant here")]
-            let (_, t, el) = m.node(e).expect("non-const");
-            let r = 0.5 * rec(m, t, memo) + 0.5 * rec(m, el, memo);
-            memo.insert(e, r);
-            r
-        }
-        let mut memo = FastMap::default();
-        #[expect(clippy::cast_precision_loss, reason = "nvars is far below 2^52")]
-        let scale = (nvars as f64).exp2();
-        rec(self, e, &mut memo) * scale
-    }
 }
 
 #[cfg(test)]
@@ -143,17 +116,5 @@ mod tests {
         let g = m.or(la, lb).unwrap();
         let both = m.count_nodes(&[f, g]);
         assert!(both < m.size(f) + m.size(g));
-    }
-
-    #[test]
-    fn sat_count_matches_truth_table() {
-        let mut m = Manager::new();
-        let vars = m.new_vars(3);
-        let lits: Vec<Edge> = vars.iter().map(|&v| m.literal(v, true)).collect();
-        let ab = m.and(lits[0], lits[1]).unwrap();
-        let f = m.or(ab, lits[2]).unwrap(); // a·b + c : 5 minterms of 8
-        assert_eq!(m.sat_count(f, 3), 5.0);
-        assert_eq!(m.sat_count(Edge::ONE, 3), 8.0);
-        assert_eq!(m.sat_count(Edge::ZERO, 3), 0.0);
     }
 }

@@ -9,22 +9,19 @@
 //!   complemented, matching the convention in the BDS paper §II-A),
 //! * the `ITE` operator with a computed table, plus the derived Boolean
 //!   connectives ([`Manager::and`], [`Manager::or`], [`Manager::xor`], …),
-//! * cofactors, variable composition and existential/universal
-//!   quantification,
+//! * cofactors, variable composition and existential quantification,
 //! * the **Coudert–Madre `restrict`** operator used by BDS for
 //!   don't-care minimization during Boolean division (paper §III-B),
 //! * Minato–Morreale **ISOP** extraction (irredundant sum-of-products) used
 //!   when factoring-tree leaves are emitted as network nodes,
-//! * structural queries (node counts, support, satisfy counts)
-//!   that the dominator/cut analyses of the decomposition engine build on,
+//! * structural queries (node counts, support) that the dominator/cut analyses of the decomposition engine build on,
 //! * **cross-manager transfer** — the paper's "BDD mapping" / `bddPool`
 //!   mechanism (§IV-B) that re-homes BDDs into a fresh manager with a
 //!   compacted variable range,
 //! * **variable reordering** by sifting (§IV-C subjects every BDD to
 //!   reordering before decomposition): candidate orders are sized by
 //!   Rudell's adjacent level swaps on a private table, and the chosen
-//!   order is rebuilt into a fresh manager,
-//! * DOT export for debugging.
+//!   order is rebuilt into a fresh manager.
 //!
 //! # Example
 //!
@@ -86,7 +83,6 @@ mod canon;
 mod cofactor;
 mod count;
 mod cube;
-mod dot;
 mod edge;
 mod error;
 mod hash;

@@ -268,16 +268,7 @@ impl Manager {
         self.node_level(e)
     }
 
-    /// The top variable of `e`, or `None` for constants.
-    pub fn top_var(&self, e: Edge) -> Option<Var> {
-        if e.is_const() {
-            None
-        } else {
-            Some(self.var_at(self.node_level(e)))
-        }
-    }
-
-    /// Destructures a non-constant edge into `(top_var, then, else)`,
+    /// Destructures a non-constant edge into `(top variable, then, else)`,
     /// where complementation on `e` has been pushed into the children
     /// (so the returned cofactors are the cofactors *of the function* `e`).
     ///
@@ -328,12 +319,6 @@ impl Manager {
         }
     }
 
-    /// Drops the operation cache. Mostly useful to bound memory in
-    /// long-running synthesis loops.
-    pub fn clear_cache(&mut self) {
-        self.ite_cache.clear();
-    }
-
     /// Drops every decision node, the unique table, the ITE cache and
     /// the effort count, keeping the variables, their order, the limits,
     /// the lifetime operation counters and the tables' capacity. Every
@@ -367,7 +352,7 @@ mod tests {
         let m = Manager::new();
         assert_eq!(m.arena_size(), 1);
         assert!(Edge::ONE.is_const());
-        assert_eq!(m.top_var(Edge::ONE), None);
+        assert_eq!(m.node(Edge::ONE), None);
     }
 
     #[test]

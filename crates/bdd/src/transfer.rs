@@ -9,8 +9,6 @@
 //! in the destination (the rebuild goes through ITE, so level inversions
 //! are resolved on the fly).
 
-use std::collections::HashMap;
-
 use crate::edge::{Edge, Var};
 use crate::error::BddError;
 use crate::hash::FastMap;
@@ -201,96 +199,6 @@ fn transfer_rec(
     Ok(mapped.complement_if(e.is_complemented()))
 }
 
-/// Re-homes `roots` from `src` into `dst` matching variables **by
-/// name**: every source variable whose name already exists in `dst`
-/// maps onto it, and the rest are appended to `dst`'s order (in source
-/// order). This is the ergonomic front door for worker seeding — a
-/// thread that owns a private manager can adopt a function without
-/// hand-building a [`Var`] map — and for stitching per-supernode
-/// results whose managers were created independently.
-///
-/// Duplicate names in `src` resolve to the first `dst` match (manager
-/// variable names are not required to be unique; callers that rely on
-/// name matching should keep them so).
-///
-/// # Errors
-/// [`BddError::NodeLimit`] if `dst`'s node limit is hit.
-///
-/// # Example
-///
-/// ```
-/// use bds_bdd::{Manager, transfer::import};
-/// # fn main() -> Result<(), bds_bdd::BddError> {
-/// let mut src = Manager::new();
-/// let a = src.new_var("a");
-/// let b = src.new_var("b");
-/// let (la, lb) = (src.literal(a, true), src.literal(b, true));
-/// let f = src.and(la, lb)?;
-///
-/// let mut dst = Manager::new();
-/// let db = dst.new_var("b"); // pre-existing, different position
-/// let g = import(&src, &mut dst, &[f])?;
-/// assert_eq!(dst.var_count(), 2);
-/// let (la2, lb2) = (dst.literal(dst.order()[1], true), dst.literal(db, true));
-/// let expect = dst.and(la2, lb2)?;
-/// assert_eq!(g[0], expect);
-/// # Ok(())
-/// # }
-/// ```
-pub fn import(src: &Manager, dst: &mut Manager, roots: &[Edge]) -> Result<Vec<Edge>> {
-    let mut by_name: HashMap<&str, Var> = HashMap::with_capacity(dst.var_count());
-    for &v in &dst.order() {
-        by_name.entry(dst.var_name(v)).or_insert(v);
-    }
-    // Resolve before mutating `dst`: names borrow from it.
-    let resolved: Vec<Option<Var>> = (0..src.var_count())
-        .map(|i| by_name.get(src.var_name(Var::from_index(i))).copied())
-        .collect();
-    let var_map: Vec<Var> = resolved
-        .into_iter()
-        .enumerate()
-        .map(|(i, found)| match found {
-            Some(v) => v,
-            None => dst.new_var(src.var_name(Var::from_index(i))),
-        })
-        .collect();
-    transfer_all(src, dst, roots, &var_map)
-}
-
-/// Rebuilds `roots` into a fresh manager containing **only** the support
-/// variables, in their current relative order — the paper's BDD-mapping
-/// compaction. Returns the new manager, the re-homed roots, and the map
-/// from old [`Var`]s to new ones (entries for non-support variables map to
-/// the same-index placeholder and must not be used).
-pub fn compact(src: &Manager, roots: &[Edge]) -> Result<(Manager, Vec<Edge>, Vec<Var>)> {
-    let support = src.support_of(roots);
-    let mut dst = Manager::with_node_limit(src.node_limit());
-    let var_map: Vec<Var> = (0..src.var_count()).map(Var::from_index).collect();
-    if support.is_empty() {
-        // Every root is constant; constants carry across managers
-        // unchanged, and no variable in `var_map` is meaningful.
-        return Ok((dst, roots.to_vec(), var_map));
-    }
-    let mut var_map = var_map;
-    for &v in &support {
-        let nv = dst.new_var(src.var_name(v));
-        var_map[v.index()] = nv;
-    }
-    // Non-support variables would map out of range; point them at var 0 if
-    // any exists (they cannot occur in the transferred graphs).
-    if dst.var_count() > 0 {
-        let fallback = Var::from_index(0);
-        for (i, slot) in var_map.iter_mut().enumerate() {
-            if !support.iter().any(|s| s.index() == i) {
-                *slot = fallback;
-            }
-        }
-    }
-    let new_roots = transfer_all(src, &mut dst, roots, &var_map)?;
-    dst.audit()?;
-    Ok((dst, new_roots, var_map))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,20 +245,6 @@ mod tests {
             let dst_assign = [assign[0], assign[2], assign[1], assign[3]];
             assert_eq!(src.eval(f, &assign), dst.eval(g, &dst_assign));
         }
-    }
-
-    #[test]
-    fn compact_drops_unused_vars() {
-        let mut src = Manager::new();
-        let vars = src.new_vars(10);
-        let l3 = src.literal(vars[3], true);
-        let l7 = src.literal(vars[7], true);
-        let f = src.and(l3, l7).unwrap();
-        let (dst, roots, map) = compact(&src, &[f]).unwrap();
-        assert_eq!(dst.var_count(), 2);
-        assert_eq!(dst.var_name(map[3]), "x3");
-        assert_eq!(dst.var_name(map[7]), "x7");
-        assert_eq!(dst.size(roots[0]), 3);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Property tests for the cross-manager transfer round trip the sharded
-//! flow's worker seeding relies on: a function pushed through
-//! `transfer` (under an arbitrary variable permutation) → `compact` →
-//! `transfer` back must land on **the same canonical edge** in the
+//! Property test for the cross-manager transfer round trip: a function
+//! pushed through `transfer` under an arbitrary variable permutation and
+//! `transfer`red back must land on **the same canonical edge** in the
 //! original manager, with full structural invariants holding at every
 //! hop. Hash consing makes edge equality a complete functional check,
 //! and `eval` over the whole truth table cross-checks it independently.
 
-use bds_bdd::transfer::{compact, import, transfer};
+use bds_bdd::transfer::transfer;
 use bds_bdd::{Edge, Manager, Var};
 use bds_prop::{check_cases, Rng};
 
@@ -73,8 +72,8 @@ fn assert_same_function(src: &Manager, f: Edge, dst: &Manager, g: Edge, var_map:
 }
 
 #[test]
-fn permuted_transfer_compact_round_trip_is_identity() {
-    check_cases("transfer-compact-roundtrip", 64, |rng| {
+fn permuted_transfer_round_trip_is_identity() {
+    check_cases("transfer-roundtrip", 64, |rng| {
         let nvars = rng.range_usize(3..9);
         let mut src = Manager::new();
         let vars = src.new_vars(nvars);
@@ -82,8 +81,7 @@ fn permuted_transfer_compact_round_trip_is_identity() {
         src.check_invariants().unwrap();
 
         // Hop 1: into a fresh manager under a random variable-order
-        // permutation — the map worker threads use when they adopt a
-        // supernode function into their private manager.
+        // permutation.
         let perm = random_permutation(rng, nvars);
         let mut mid = Manager::new();
         let mut mid_vars = vec![Var::from_index(0); nvars];
@@ -94,90 +92,20 @@ fn permuted_transfer_compact_round_trip_is_identity() {
         mid.check_invariants().unwrap();
         assert_same_function(&src, f, &mid, g, &mid_vars);
 
-        // Hop 2: compact away everything outside the support, as the
-        // flow does between eliminate and reorder.
-        let (compacted, roots, compact_map) = compact(&mid, &[g]).unwrap();
-        compacted.check_invariants().unwrap();
-        let support = mid.support_of(&[g]);
-        assert_eq!(compacted.var_count(), support.len());
-        // Compose src→mid→compacted by hand: only support variables own
-        // a slot in the compacted manager, and `f` provably ignores the
-        // rest (they are outside its support by construction).
-        for bits in 0..(1u32 << nvars) {
-            let assign: Vec<bool> = (0..nvars).map(|i| bits >> i & 1 == 1).collect();
-            let mut c_assign = vec![false; compacted.var_count()];
-            for (i, mv) in mid_vars.iter().enumerate() {
-                if support.contains(mv) {
-                    c_assign[compact_map[mv.index()].index()] = assign[i];
-                }
-            }
-            assert_eq!(
-                src.eval(f, &assign),
-                compacted.eval(roots[0], &c_assign),
-                "compacted image diverges at assignment {assign:?}"
-            );
+        // Hop 2: back into the original manager under the inverse map.
+        // Hash consing makes this the strongest possible check — the
+        // round-tripped edge must be bit-identical to the one we started
+        // from.
+        let mut back_vars = vec![Var::from_index(0); nvars];
+        for (i, mv) in mid_vars.iter().enumerate() {
+            back_vars[mv.index()] = vars[i];
         }
-
-        // Hop 3: back into the original manager by name. Hash consing
-        // makes this the strongest possible check — the round-tripped
-        // edge must be bit-identical to the one we started from.
-        let back = import(&compacted, &mut src, &roots).unwrap();
+        let back = transfer(&mid, &mut src, g, &back_vars).unwrap();
         src.check_invariants().unwrap();
         assert_eq!(
-            back[0], f,
-            "round trip src→permuted→compact→src changed the canonical edge"
+            back, f,
+            "round trip src→permuted→src changed the canonical edge"
         );
-        // `import` matched every compacted variable by name, so no new
-        // variables may have appeared.
         assert_eq!(src.var_count(), nvars);
     });
-}
-
-#[test]
-fn import_appends_unknown_variables_in_source_order() {
-    let mut src = Manager::new();
-    let a = src.new_var("a");
-    let b = src.new_var("b");
-    let c = src.new_var("c");
-    let (la, lb, lc) = (
-        src.literal(a, true),
-        src.literal(b, true),
-        src.literal(c, false),
-    );
-    let ab = src.and(la, lb).unwrap();
-    let f = src.xor(ab, lc).unwrap();
-
-    let mut dst = Manager::new();
-    let _q = dst.new_var("q");
-    let db = dst.new_var("b");
-    let g = import(&src, &mut dst, &[f]).unwrap();
-    dst.check_invariants().unwrap();
-
-    // "b" reused; "a" and "c" appended after the existing order.
-    assert_eq!(dst.var_count(), 4);
-    let order = dst.order();
-    assert_eq!(dst.var_name(order[2]), "a");
-    assert_eq!(dst.var_name(order[3]), "c");
-    assert_eq!(order[1], db);
-    let var_map = [order[2], db, order[3]];
-    assert_same_function(&src, f, &dst, g[0], &var_map);
-}
-
-#[test]
-fn import_into_empty_manager_recreates_order() {
-    let mut src = Manager::new();
-    let vars = src.new_vars(4);
-    let lits: Vec<Edge> = vars.iter().map(|&v| src.literal(v, true)).collect();
-    let ab = src.and(lits[0], lits[1]).unwrap();
-    let cd = src.and(lits[2], lits[3]).unwrap();
-    let f = src.or(ab, cd).unwrap();
-
-    let mut dst = Manager::new();
-    let g = import(&src, &mut dst, &[f]).unwrap();
-    dst.check_invariants().unwrap();
-    assert_eq!(dst.var_count(), 4);
-    // Same names in the same order → same canonical structure.
-    assert_eq!(dst.size(g[0]), src.size(f));
-    let identity: Vec<Var> = dst.order();
-    assert_same_function(&src, f, &dst, g[0], &identity);
 }

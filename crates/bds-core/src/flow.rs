@@ -62,9 +62,8 @@ pub struct FlowParams {
     /// partitioned local BDDs will synthesize better, exactly the
     /// situation the paper's partitioned environment exists for.
     pub global_blowup_factor: usize,
-    /// Worker threads for the sharded partitioned flow (and the
-    /// portfolio candidates inside [`optimize`]). `1` keeps everything
-    /// on the calling thread; `0` means "use the machine"
+    /// Worker threads for the sharded partitioned flow. `1` keeps
+    /// everything on the calling thread; `0` means "use the machine"
     /// (`std::thread::available_parallelism`). Any value is a **pure
     /// scheduling choice**: every structural result — networks, literal
     /// counts, decompose statistics, BDD operation counters, peak
@@ -248,31 +247,16 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     // structure-preserving decomposition of the swept network without
     // any collapse. For array-like circuits (multipliers, adders) the
     // input structure is already near-optimal and both the global form
-    // and the eliminate-collapse destroy it. The partial collapse runs
-    // on this thread (its audit ordering matches the sequential flow);
-    // with `jobs > 1` the two independent candidate pipelines then run
-    // concurrently, each draining its trace state for a deterministic
-    // fixed-order merge back into this thread.
+    // and the eliminate-collapse destroy it. The candidates run in
+    // order; with `jobs > 1` each shards its own supernodes.
     let mut collapsed = work.clone();
     // Phase boundary: eliminate audits the partial collapse on exit.
     let eliminated = collapsed.eliminate(&params.eliminate)?;
     collapsed.sweep()?;
-    let (first, second) = if effective_jobs(params.jobs) > 1 {
-        let (first, second) = run_candidate_pair(
-            || optimize_partitioned(&collapsed, params),
-            || optimize_partitioned(&work, params),
-        );
-        (first?, second?)
-    } else {
-        (
-            optimize_partitioned(&collapsed, params)?,
-            optimize_partitioned(&work, params)?,
-        )
-    };
-    let (out, mut report) = first;
+    let (out, mut report) = optimize_partitioned(&collapsed, params)?;
     report.eliminated = eliminated;
     candidates.push((area_of(&out), out, report));
-    let (out, report) = second;
+    let (out, report) = optimize_partitioned(&work, params)?;
     candidates.push((area_of(&out), out, report));
 
     // Select by the real objective: mapped cell area under the shared
@@ -288,33 +272,6 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     out.audit()?;
     report.seconds = start.seconds();
     Ok((out, report))
-}
-
-/// Runs two independent flow candidates on scoped worker threads and
-/// returns their results in argument order. Each worker drains its
-/// thread-local trace on exit; the coordinator absorbs the two traces
-/// in the same fixed order, so the merged trace does not depend on
-/// which candidate finished first.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "flow.rs is the scheduler: scoped workers, re-raising a worker's panic on join"
-)]
-fn run_candidate_pair<T: Send>(
-    a: impl FnOnce() -> T + Send,
-    b: impl FnOnce() -> T + Send,
-) -> (T, T) {
-    let ((ra, trace_a), (rb, trace_b)) = std::thread::scope(|s| {
-        let ha = s.spawn(move || (a(), bds_trace::take()));
-        let hb = s.spawn(move || (b(), bds_trace::take()));
-        let join = |h: std::thread::ScopedJoinHandle<'_, _>| match h.join() {
-            Ok(out) => out,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (join(ha), join(hb))
-    });
-    bds_trace::absorb(trace_a);
-    bds_trace::absorb(trace_b);
-    (ra, rb)
 }
 
 /// Global-mode flow: one BDD per output in a shared manager, sifted
@@ -354,6 +311,10 @@ pub fn optimize_global(
         let built = mgr;
         sift(&built, &edges, params.sift).map_err(NetworkError::Bdd)?
     };
+    // `global_limit` budgets the build; sifting copied it into the new
+    // manager. Decomposition runs without a node limit, as it does in
+    // every partitioned manager.
+    mgr.set_node_limit(usize::MAX);
     let mut forest = FactorForest::new();
     let mut dec = Decomposer::new();
     let mut roots = Vec::with_capacity(edges.len());

@@ -33,16 +33,6 @@ impl MappedNetlist {
     }
 }
 
-/// The optimization objective of the tree covering.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum MapGoal {
-    /// Minimize total cell area (the paper's primary metric).
-    #[default]
-    Area,
-    /// Minimize worst arrival time, ties broken by area.
-    Delay,
-}
-
 /// Maps `net` onto `lib`: technology decomposition followed by
 /// minimum-area tree covering.
 ///
@@ -50,16 +40,7 @@ pub enum MapGoal {
 /// Propagates [`NetworkError`] from technology decomposition.
 pub fn map_network(net: &Network, lib: &Library) -> Result<MappedNetlist, NetworkError> {
     let subject = Subject::from_network(net)?;
-    map_subject_with(&subject, lib, MapGoal::Area)
-}
-
-/// Like [`map_network`] but minimizing delay (area as tie-break).
-///
-/// # Errors
-/// Propagates [`NetworkError`] from technology decomposition.
-pub fn map_network_delay(net: &Network, lib: &Library) -> Result<MappedNetlist, NetworkError> {
-    let subject = Subject::from_network(net)?;
-    map_subject_with(&subject, lib, MapGoal::Delay)
+    map_subject(&subject, lib)
 }
 
 /// Maps an already-built subject graph for minimum area.
@@ -68,19 +49,6 @@ pub fn map_network_delay(net: &Network, lib: &Library) -> Result<MappedNetlist, 
 /// [`NetworkError::Inconsistent`] if some subject node is covered by no
 /// library gate (a library without the INV/NAND2 primitives).
 pub fn map_subject(subject: &Subject, lib: &Library) -> Result<MappedNetlist, NetworkError> {
-    map_subject_with(subject, lib, MapGoal::Area)
-}
-
-/// Maps an already-built subject graph under the given goal.
-///
-/// # Errors
-/// [`NetworkError::Inconsistent`] if some subject node is covered by no
-/// library gate (a library without the INV/NAND2 primitives).
-pub fn map_subject_with(
-    subject: &Subject,
-    lib: &Library,
-    goal: MapGoal,
-) -> Result<MappedNetlist, NetworkError> {
     let nodes = subject.nodes();
     let gates = lib.gates();
     // Fanout counts (outputs add one reference each).
@@ -129,7 +97,6 @@ pub fn map_subject_with(
     // leaf_at[i + 1]]`.
     let is_leaf_kind = |i: u32| matches!(nodes[i as usize], SNode::Pi(_) | SNode::Const(_));
     let mut cost = vec![0.0f64; nodes.len()];
-    let mut arrival = vec![0.0f64; nodes.len()];
     let mut gate_of = vec![NO_GATE; nodes.len()];
     let mut leaf_at = Vec::with_capacity(nodes.len() + 1);
     let mut arena: Vec<u32> = Vec::new();
@@ -147,7 +114,6 @@ pub fn map_subject_with(
                 continue;
             }
             let mut here_cost = gate.area;
-            let mut here_arrival = 0.0f64;
             let mut ok = true;
             for &l in &matcher.leaves {
                 if is_leaf_kind(l) {
@@ -158,20 +124,10 @@ pub fn map_subject_with(
                     break;
                 }
                 here_cost += cost[l as usize];
-                here_arrival = here_arrival.max(arrival[l as usize]);
             }
-            let here_arrival = here_arrival + gate.delay;
-            let better = gate_of[i] == NO_GATE
-                || match goal {
-                    MapGoal::Area => here_cost < cost[i],
-                    MapGoal::Delay => {
-                        here_arrival < arrival[i]
-                            || (here_arrival == arrival[i] && here_cost < cost[i])
-                    }
-                };
+            let better = gate_of[i] == NO_GATE || here_cost < cost[i];
             if ok && better {
                 cost[i] = here_cost;
-                arrival[i] = here_arrival;
                 gate_of[i] = gi;
                 arena.truncate(start);
                 arena.extend_from_slice(&matcher.leaves);
@@ -462,67 +418,5 @@ mod tests {
         let net = single_node_net(cover, 4);
         let m = map_network(&net, &Library::mcnc()).unwrap();
         assert_eq!(m.count_of("nand4"), 1, "histogram: {:?}", m.gate_histogram);
-    }
-}
-
-#[cfg(test)]
-mod goal_tests {
-    use super::*;
-    use bds_network::Network;
-    use bds_sop::{Cover, Cube};
-
-    /// Delay-mode mapping must never be slower than area mode, and area
-    /// mode never larger than delay mode.
-    #[test]
-    fn delay_goal_trades_area_for_speed() {
-        // A 6-input AND chain: area mode prefers big NAND4 cells, delay
-        // mode prefers balanced 2-input coverage.
-        let mut net = Network::new("chain");
-        let ins: Vec<_> = (0..6)
-            .map(|i| net.add_input(format!("i{i}")).unwrap())
-            .collect();
-        let and = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]);
-        let mut prev = ins[0];
-        for (k, &i) in ins.iter().enumerate().skip(1) {
-            prev = net
-                .add_node(format!("n{k}"), vec![prev, i], and.clone())
-                .unwrap();
-        }
-        net.mark_output(prev).unwrap();
-        let lib = Library::mcnc();
-        let a = map_network(&net, &lib).unwrap();
-        let d = map_network_delay(&net, &lib).unwrap();
-        assert!(
-            d.delay <= a.delay + 1e-9,
-            "delay goal: {} vs {}",
-            d.delay,
-            a.delay
-        );
-        assert!(
-            a.area <= d.area + 1e-9,
-            "area goal: {} vs {}",
-            a.area,
-            d.area
-        );
-    }
-
-    #[test]
-    fn goals_agree_on_single_gate() {
-        let mut net = Network::new("one");
-        let a = net.add_input("a").unwrap();
-        let b = net.add_input("b").unwrap();
-        let f = net
-            .add_node(
-                "f",
-                vec![a, b],
-                Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]),
-            )
-            .unwrap();
-        net.mark_output(f).unwrap();
-        let lib = Library::mcnc();
-        let x = map_network(&net, &lib).unwrap();
-        let y = map_network_delay(&net, &lib).unwrap();
-        assert_eq!(x.gate_count, 1);
-        assert_eq!(y.gate_count, 1);
     }
 }

@@ -44,7 +44,7 @@ pub mod library;
 pub mod lut;
 pub mod subject;
 
-pub use cover::{map_network, map_network_delay, MapGoal, MappedNetlist};
+pub use cover::{map_network, MappedNetlist};
 pub use genlib::parse_genlib;
 pub use library::Library;
 pub use lut::{map_network_luts, LutNetlist};

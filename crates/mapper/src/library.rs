@@ -18,16 +18,6 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Leaf count (number of distinct input positions is the gate's
-    /// input count; this counts leaf *occurrences*).
-    pub fn leaf_occurrences(&self) -> usize {
-        match self {
-            Pattern::Input(_) => 1,
-            Pattern::Inv(p) => p.leaf_occurrences(),
-            Pattern::Nand(a, b) => a.leaf_occurrences() + b.leaf_occurrences(),
-        }
-    }
-
     /// Evaluates the pattern for checking against a gate's intended
     /// function (`inputs[i]` is the value of `Input(i)`).
     pub fn eval(&self, inputs: &[bool]) -> bool {

@@ -53,7 +53,6 @@
 
 /// BLIF reading and writing.
 pub mod blif;
-mod dot;
 mod eliminate;
 mod error;
 mod global;

@@ -112,20 +112,6 @@ fn kernels_rec(
     }
 }
 
-/// Kernels of level 0 only (kernels that have no kernels other than
-/// themselves) — cheaper, often sufficient for quick factoring.
-pub fn level0_kernels(f: &Cover) -> Vec<Kernel> {
-    kernels(f)
-        .into_iter()
-        .filter(|k| {
-            // A kernel is level-0 if it has no proper kernels.
-            kernels(&k.kernel)
-                .iter()
-                .all(|inner| inner.kernel == k.kernel)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,19 +169,5 @@ mod tests {
     fn single_cube_has_no_kernels() {
         let f = Cover::from_cubes(vec![c(&[(0, true), (1, true)])]);
         assert!(kernels(&f).is_empty());
-    }
-
-    #[test]
-    fn level0_subset_of_kernels() {
-        let f = Cover::from_cubes(vec![
-            c(&[(0, true), (2, true)]),
-            c(&[(0, true), (3, true)]),
-            c(&[(1, true), (2, true)]),
-            c(&[(1, true), (3, true)]),
-        ]);
-        let all = kernels(&f);
-        let l0 = level0_kernels(&f);
-        assert!(!l0.is_empty());
-        assert!(l0.len() <= all.len());
     }
 }

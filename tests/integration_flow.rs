@@ -13,7 +13,7 @@ use bds_repro::circuits::multiplier::multiplier;
 use bds_repro::circuits::parity::parity_tree;
 use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_repro::circuits::shifter::{barrel_shifter, logical_shifter};
-use bds_repro::core::flow::{optimize, FlowParams};
+use bds_repro::core::flow::{optimize, optimize_global, FlowMode, FlowParams};
 use bds_repro::core::sis_flow::{script_rugged, SisParams};
 use bds_repro::network::verify::{verify, Verdict};
 use bds_repro::network::Network;
@@ -124,5 +124,31 @@ fn bds_beats_baseline_on_parity_area() {
     assert!(
         b <= s * 1.02,
         "BDS (area {b}) must not lose to the algebraic baseline ({s}) on parity"
+    );
+}
+
+/// `global_limit` budgets the global build only. Under the reversed
+/// method priority, decomposing swept cmp32's sifted global BDDs grows
+/// the manager past that limit, and the global flow must still succeed
+/// rather than report the node limit as "global form infeasible".
+#[test]
+fn global_decomposition_is_not_bound_by_the_build_limit() {
+    let net = comparator(32);
+    let mut work = net.compacted().unwrap();
+    work.sweep().unwrap();
+    let mut params = FlowParams::default();
+    params.decompose.priority.reverse();
+    let (out, report) = optimize_global(&work, &params)
+        .unwrap_or_else(|e| panic!("cmp32: global flow failed under the reversed priority: {e}"));
+    assert_eq!(report.mode, FlowMode::Global);
+    assert!(
+        report.peak_bdd_nodes > params.global_limit,
+        "cmp32 no longer outgrows the build limit ({} nodes); the test needs a larger case",
+        report.peak_bdd_nodes
+    );
+    assert_eq!(
+        verify(&net, &out, 4_000_000).unwrap(),
+        Verdict::Equivalent,
+        "cmp32: reversed-priority global result must be equivalent"
     );
 }

@@ -17,5 +17,5 @@
 mod cover;
 mod subject;
 
-pub use cover::map_subject_with;
+pub use cover::{map_subject_with, MapGoal};
 pub use subject::Subject;
