@@ -111,7 +111,7 @@ pub use hash::{FastMap, FastSet};
 pub use invariants::STRICT_CHECKS;
 pub use manager::Manager;
 pub use marks::VisitMarks;
-pub use stats::{OpStats, TableStats};
+pub use stats::OpStats;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, BddError>;

@@ -58,7 +58,7 @@ pub struct Manager {
     pub(crate) effort_limit: u64,
     /// Armed fault injection: `(fault, absolute trip tick)`. Fires once.
     pub(crate) armed_fault: Option<(crate::budget::Fault, u64)>,
-    /// Lifetime operation counters (see [`crate::TableStats`]).
+    /// Lifetime operation counters (see [`crate::OpStats`]).
     pub(crate) ops: OpStats,
 }
 

@@ -1,4 +1,4 @@
-//! Operation counters and table statistics for the [`Manager`].
+//! Operation counters for the [`Manager`].
 //!
 //! The counters answer the questions the paper's evaluation and the
 //! ROADMAP's performance work keep asking: how hard is the computed
@@ -8,12 +8,10 @@
 //! manager, so they stay on unconditionally; the registry-level `trace`
 //! feature only affects the `bds-trace` macros layered on top.
 
-use crate::edge::Edge;
 use crate::manager::Manager;
 
 /// Monotonic operation counters accumulated over a [`Manager`]'s
-/// lifetime. Obtain a copy via [`Manager::op_stats`] or as part of
-/// [`Manager::table_stats`].
+/// lifetime. Obtain a copy via [`Manager::op_stats`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpStats {
     /// Total `ite` invocations, including internal recursive calls.
@@ -64,68 +62,7 @@ impl OpStats {
     }
 }
 
-/// A point-in-time snapshot of a [`Manager`]'s tables, returned by
-/// [`Manager::table_stats`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Live nodes in the arena, including the terminal.
-    pub arena_nodes: usize,
-    /// Entries in the unique (hash-cons) table.
-    pub unique_entries: usize,
-    /// Allocated capacity of the unique table.
-    pub unique_capacity: usize,
-    /// Entries in the ITE computed table.
-    pub computed_entries: usize,
-    /// Allocated capacity of the computed table.
-    pub computed_capacity: usize,
-    /// Operation counters accumulated since the manager was created.
-    pub ops: OpStats,
-}
-
-impl TableStats {
-    /// Computed-table hit rate in `[0, 1]` (see [`OpStats::cache_hit_rate`]).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.ops.cache_hit_rate()
-    }
-
-    /// Estimated bytes held by the manager: arena nodes at their struct
-    /// size plus both hash tables at capacity × (key + value + one
-    /// control byte). An accounting model, not an allocator measurement
-    /// — but it is **deterministic** (capacities depend only on the
-    /// insertion history), so peaks can be gated exactly across runs
-    /// and thread counts.
-    #[must_use]
-    pub fn estimated_bytes(&self) -> usize {
-        // Node is (u32 level, Edge high, Edge low); Edge is a u32 wrapper.
-        let node = std::mem::size_of::<crate::manager::Node>();
-        // The tables key on packed u128 words (see `nid.rs`), so a slot
-        // is key + value + one control byte.
-        let unique_slot =
-            std::mem::size_of::<crate::nid::UniqueKey>() + std::mem::size_of::<u32>() + 1;
-        let computed_slot =
-            std::mem::size_of::<crate::nid::IteKey>() + std::mem::size_of::<Edge>() + 1;
-        self.arena_nodes * node
-            + self.unique_capacity * unique_slot
-            + self.computed_capacity * computed_slot
-    }
-}
-
 impl Manager {
-    /// Snapshots the sizes and load of the unique and computed tables
-    /// together with the lifetime operation counters.
-    #[must_use]
-    pub fn table_stats(&self) -> TableStats {
-        TableStats {
-            arena_nodes: self.nodes.len(),
-            unique_entries: self.unique.len(),
-            unique_capacity: self.unique.capacity(),
-            computed_entries: self.ite_cache.len(),
-            computed_capacity: self.ite_cache.capacity(),
-            ops: self.ops,
-        }
-    }
-
     /// Copies the lifetime operation counters.
     #[must_use]
     pub fn op_stats(&self) -> OpStats {
@@ -151,20 +88,18 @@ mod tests {
         // computed-table miss.
         let ab = m.and(la, lb).unwrap();
         let and1 = m.and(ab, lc).unwrap();
-        let before = m.table_stats();
-        assert!(before.ops.ite_calls >= 1);
-        assert!(before.ops.terminal_hits >= 1);
-        assert!(before.ops.cache_misses >= 1);
-        assert!(before.ops.nodes_created >= 4); // three literals + the AND chain
-        assert_eq!(before.arena_nodes, m.arena_size());
-        assert_eq!(before.unique_entries, before.arena_nodes - 1);
-        assert!(before.unique_capacity >= before.unique_entries);
+        let before = m.op_stats();
+        assert!(before.ite_calls >= 1);
+        assert!(before.terminal_hits >= 1);
+        assert!(before.cache_misses >= 1);
+        assert!(before.nodes_created >= 4); // three literals + the AND chain
+        assert_eq!(m.unique.len(), m.arena_size() - 1);
 
         // The symmetric call normalizes to the same computed-table key.
         let and2 = m.and(lc, ab).unwrap();
         assert_eq!(and1, and2);
-        let after = m.table_stats();
-        assert!(after.ops.cache_hits > before.ops.cache_hits);
+        let after = m.op_stats();
+        assert!(after.cache_hits > before.cache_hits);
         assert!(after.cache_hit_rate() > 0.0);
     }
 
@@ -219,22 +154,6 @@ mod tests {
             ops.ite_calls,
             ops.terminal_hits + ops.cache_hits + ops.cache_misses
         );
-    }
-
-    #[test]
-    fn estimated_bytes_counts_arena_and_tables() {
-        let mut m = Manager::new();
-        let a = m.new_var("a");
-        let b = m.new_var("b");
-        let la = m.literal(a, true);
-        let lb = m.literal(b, true);
-        let _ = m.and(la, lb).unwrap();
-        let stats = m.table_stats();
-        let bytes = stats.estimated_bytes();
-        // At minimum the arena nodes at their struct size.
-        assert!(bytes >= stats.arena_nodes * std::mem::size_of::<crate::manager::Node>());
-        // Monotone in capacity: a fresh empty manager models fewer bytes.
-        assert!(bytes > Manager::new().table_stats().estimated_bytes());
     }
 
     #[test]

@@ -185,11 +185,6 @@ pub struct FlowReport {
     /// variant built and decomposed (scratch managers inside sifting and
     /// cost probes are not included).
     pub bdd_ops: OpStats,
-    /// Peak modeled manager bytes (arena + both tables, see
-    /// [`bds_bdd::TableStats::estimated_bytes`]) across the flow's
-    /// managers, sampled at phase boundaries. Deterministic — gated
-    /// exactly by perfgate at any thread count.
-    pub peak_arena_bytes: usize,
     /// Supernodes that retreated down the degradation ladder (any rung
     /// below the full pipeline). `0` unless a budget, node limit, or
     /// injected fault forced a retreat. Deterministic.
@@ -302,7 +297,6 @@ pub fn optimize_global(
     }
     let peak0 = mgr.arena_size();
     let mut ops = mgr.op_stats();
-    let build_bytes = mgr.table_stats().estimated_bytes();
     // Reorder (paper §IV-C: reordering precedes decomposition). Sifting
     // rebuilds into a fresh manager, so the build manager and its dead
     // intermediates are dropped as soon as it returns.
@@ -353,17 +347,9 @@ pub fn optimize_global(
     }
     out.sweep()?;
     let out = out.compacted()?;
-    let table = mgr.table_stats();
-    let decompose_bytes = table.estimated_bytes();
-    bds_trace::gauge!("bdd.global.computed_entries", table.computed_entries as u64);
     bds_trace::gauge!(
         "bdd.global.peak_arena_nodes",
         peak0.max(mgr.arena_size()) as u64
-    );
-    bds_trace::gauge!("bdd.phase.build.peak_arena_bytes", build_bytes as u64);
-    bds_trace::gauge!(
-        "bdd.phase.decompose.peak_arena_bytes",
-        decompose_bytes as u64
     );
     publish_trace(&dec.stats, &ops);
     Ok((
@@ -375,7 +361,6 @@ pub fn optimize_global(
             peak_bdd_nodes: peak0.max(mgr.arena_size()),
             eliminated: 0,
             bdd_ops: ops,
-            peak_arena_bytes: build_bytes.max(decompose_bytes),
             degraded: 0,
         },
     ))
@@ -419,12 +404,6 @@ struct NodeArtifact {
     /// Larger of the build manager's arena before sifting and the
     /// decompose manager's arena after decomposition.
     peak: usize,
-    /// Computed-table entries of the decompose manager at the end.
-    peak_computed: usize,
-    /// Modeled manager bytes right after the local BDD build.
-    build_bytes: usize,
-    /// Modeled manager bytes after decomposition finished.
-    decompose_bytes: usize,
 }
 
 impl NodeArtifact {
@@ -437,9 +416,6 @@ impl NodeArtifact {
             stats: DecomposeStats::default(),
             ops: OpStats::default(),
             peak: 0,
-            peak_computed: 0,
-            build_bytes: 0,
-            decompose_bytes: 0,
         }
     }
 }
@@ -479,7 +455,6 @@ fn decompose_supernode_bdd(
         cover_to_bdd(&mut mgr, cover, &vars)?
     };
     ops.merge(&mgr.op_stats());
-    let build_bytes = mgr.table_stats().estimated_bytes();
     let build_peak = mgr.arena_size();
     let spent = mgr.effort_spent();
     // Phase boundary: the freshly built local manager must be canonical.
@@ -514,16 +489,12 @@ fn decompose_supernode_bdd(
             .map_err(NetworkError::Bdd)?
     };
     ops.merge(&mgr.op_stats());
-    let table = mgr.table_stats();
     Ok(NodeArtifact {
         body: ArtifactBody::Forest { forest, root },
         degrade: None,
         stats: dec.stats,
         ops,
         peak: build_peak.max(mgr.arena_size()),
-        peak_computed: table.computed_entries,
-        build_bytes,
-        decompose_bytes: table.estimated_bytes(),
     })
 }
 
@@ -536,28 +507,23 @@ fn record_degrade(rung: u8) {
     }
 }
 
-/// Runs one rung attempt under panic quarantine. The calling thread's
-/// trace store is set aside first and rejoined afterwards, keeping the
-/// attempt's own recordings only if it did not panic; a panicked
-/// supernode therefore leaves the merged trace exactly as if it had
-/// never run — deterministically, because the discarded delta is
-/// precisely the attempt's recordings and nothing else runs on this
-/// thread meanwhile. Both steps cost what the attempt recorded, not
-/// the size of the accumulated trace. The panic payload is converted
-/// into [`NetworkError::WorkerPanic`]; the ladder never degrades past a
-/// panic (a panic is a bug or an injected fault, not back-pressure).
+/// Runs one rung attempt under panic quarantine: a panic inside it is
+/// caught and its payload converted into [`NetworkError::WorkerPanic`].
+/// The ladder never degrades past a panic (a panic is a bug or an
+/// injected fault, not back-pressure), so the whole `optimize` call
+/// fails. Spans the attempt opened close through their guards while the
+/// panic unwinds; what it recorded stays in the trace of that failed
+/// call, which no caller reads.
 fn run_quarantined<T>(
     work: &Network,
     sig: SignalId,
     attempt: impl FnOnce() -> T,
 ) -> Result<T, NetworkError> {
-    let saved = bds_trace::set_aside();
     #[expect(
         clippy::disallowed_methods,
         reason = "the per-supernode panic quarantine is the flow's one unwind boundary"
     )]
     let outcome = catch_unwind(AssertUnwindSafe(attempt));
-    bds_trace::rejoin(saved, outcome.is_ok());
     outcome.map_err(|payload| {
         let detail = if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
@@ -761,13 +727,6 @@ pub fn optimize_partitioned(
     let mut stats = DecomposeStats::default();
     let mut ops = OpStats::default();
     let mut peak = 0usize;
-    // Peak computed-table load across the per-node managers.
-    let mut peak_computed = 0usize;
-    // Always-on memory accounting: modeled bytes per phase, maxed
-    // across per-node managers (order-independent, so identical at any
-    // thread count).
-    let mut build_bytes = 0usize;
-    let mut decompose_bytes = 0usize;
     // work signal → out signal.
     let mut map: Vec<Option<SignalId>> = vec![None; work.signals().count()];
     for &i in work.inputs() {
@@ -822,9 +781,6 @@ pub fn optimize_partitioned(
         stats.merge(artifact.stats);
         ops.merge(&artifact.ops);
         peak = peak.max(artifact.peak);
-        peak_computed = peak_computed.max(artifact.peak_computed);
-        build_bytes = build_bytes.max(artifact.build_bytes);
-        decompose_bytes = decompose_bytes.max(artifact.decompose_bytes);
         if let Some(rung) = artifact.degrade {
             degraded += 1;
             record_degrade(rung);
@@ -866,15 +822,6 @@ pub fn optimize_partitioned(
     out.sweep()?;
     let out = out.compacted()?;
     bds_trace::gauge!("bdd.partitioned.peak_arena_nodes", peak as u64);
-    bds_trace::gauge!(
-        "bdd.partitioned.peak_computed_entries",
-        peak_computed as u64
-    );
-    bds_trace::gauge!("bdd.phase.build.peak_arena_bytes", build_bytes as u64);
-    bds_trace::gauge!(
-        "bdd.phase.decompose.peak_arena_bytes",
-        decompose_bytes as u64
-    );
     publish_trace(&stats, &ops);
     Ok((
         out,
@@ -885,7 +832,6 @@ pub fn optimize_partitioned(
             peak_bdd_nodes: peak,
             eliminated: 0,
             bdd_ops: ops,
-            peak_arena_bytes: build_bytes.max(decompose_bytes),
             degraded,
         },
     ))
@@ -1039,10 +985,14 @@ mod tests {
             matches!(err, NetworkError::WorkerPanic { .. }),
             "got {err:?}"
         );
+        // Spans opened inside the panicked attempt closed while it
+        // unwound, so the failed call leaves no span open.
+        assert_eq!(bds_trace::span_depth(), 0, "jobs 1 left a span open");
         // The same plan produces the same structured error when sharded
         // (smallest-index-error-wins merge).
         let err4 = optimize(&net, &FlowParams { jobs: 4, ..params }).unwrap_err();
         assert_eq!(format!("{err}"), format!("{err4}"));
+        assert_eq!(bds_trace::span_depth(), 0, "jobs 4 left a span open");
     }
 
     #[test]

@@ -15,8 +15,10 @@
 use std::collections::HashMap;
 
 use bds_bdd::{Edge, Manager, Var};
-use bds_network::{cover_to_bdd, cover_to_bdd_edges, Network, NetworkError, SignalId};
-use bds_sop::{Cover, Cube};
+use bds_network::{
+    bdd_to_cover, cover_to_bdd, cover_to_bdd_edges, Network, NetworkError, SignalId,
+};
+use bds_sop::Cover;
 
 /// Tuning knobs for [`sdc_simplify`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -129,11 +131,12 @@ fn minimize_node(
         value.insert(w, mgr.literal_checked(var_of[&w], true).ok()?);
     }
     for s in net.topo_order() {
-        if value.contains_key(&s) || net.node(s).is_none() {
+        if value.contains_key(&s) {
             continue;
         }
-        #[expect(clippy::expect_used, reason = "node(s).is_none() continues above")]
-        let (fs, c) = net.node(s).expect("node");
+        let Some((fs, c)) = net.node(s) else {
+            continue;
+        };
         if !fs.iter().all(|f| value.contains_key(f)) {
             continue; // outside the cone
         }
@@ -157,44 +160,18 @@ fn minimize_node(
     }
 
     // Minimize f(y) against the care set and re-extract a cover.
-    let mut prod_vars = Vec::with_capacity(fanins.len());
-    for &y in &y_vars {
-        prod_vars.push(y);
-    }
-    let f_edge = cover_to_bdd(&mut mgr, cover, &prod_vars).ok()?;
+    let f_edge = cover_to_bdd(&mut mgr, cover, &y_vars).ok()?;
     let minimized = mgr.restrict(f_edge, care).ok()?;
     let lower = mgr.and(f_edge, care).ok()?;
     debug_assert_eq!(mgr.and(minimized, care).ok()?, lower, "restrict contract");
-    let (cubes, _) = mgr.isop(minimized, minimized).ok()?;
-    let pos_of: HashMap<usize, u32> = y_vars
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.index(), i as u32))
-        .collect();
-    #[expect(
-        clippy::expect_used,
-        reason = "pos_of indexes every y variable by construction, \
-                  and ISOP cubes never contain both phases"
-    )]
-    let new_cover: Cover = cubes
-        .iter()
-        .map(|c| {
-            Cube::new(
-                c.literals()
-                    .iter()
-                    .map(|&(v, p)| (*pos_of.get(&v.index()).expect("y var"), p))
-                    .collect(),
-            )
-            .expect("isop cubes consistent")
-        })
-        .collect();
-    Some(new_cover)
+    bdd_to_cover(&mut mgr, minimized, |v| y_vars.iter().position(|&y| y == v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bds_network::verify::{verify, Verdict};
+    use bds_sop::Cube;
 
     fn xor2() -> Cover {
         Cover::from_cubes(vec![

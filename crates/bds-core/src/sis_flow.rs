@@ -12,7 +12,9 @@
 use std::collections::BTreeMap;
 
 use bds_bdd::Manager;
-use bds_network::{cover_to_bdd, EliminateCost, EliminateParams, Network, NetworkError, SignalId};
+use bds_network::{
+    bdd_to_cover, cover_to_bdd, EliminateCost, EliminateParams, Network, NetworkError, SignalId,
+};
 use bds_sop::division::{divide, Division};
 use bds_sop::kernel::kernels;
 use bds_sop::{Cover, Cube};
@@ -120,24 +122,9 @@ fn isop_simplify(net: &mut Network, limit: usize) -> Result<usize, NetworkError>
         let Ok(edge) = cover_to_bdd(&mut mgr, &cover, &vars) else {
             continue;
         };
-        let Ok((cubes, _)) = mgr.isop(edge, edge) else {
+        let Some(new_cover) = bdd_to_cover(&mut mgr, edge, |v| Some(v.index())) else {
             continue;
         };
-        // ISOP cubes are consistent by construction; skip the node if one
-        // somehow is not, rather than unwinding.
-        let mapped: Option<Vec<Cube>> = cubes
-            .iter()
-            .map(|c| {
-                Cube::new(
-                    c.literals()
-                        .iter()
-                        .map(|&(v, p)| (v.index() as u32, p))
-                        .collect(),
-                )
-            })
-            .collect();
-        let Some(mapped) = mapped else { continue };
-        let new_cover = Cover::from_cubes(mapped);
         if new_cover.literal_count() < cover.literal_count() {
             net.replace_node(sig, fanins, new_cover)?;
             rewritten += 1;

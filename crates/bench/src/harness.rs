@@ -147,13 +147,13 @@ pub fn run_both(
 #[must_use]
 pub fn live_line(row: &Row) -> String {
     format!(
-        "{:<14} gates {:>5} area {:>9.1} cpu {:>7.3}s hit-rate {:>5.1}% peak {:>9}B [{}]",
+        "{:<14} gates {:>5} area {:>9.1} cpu {:>7.3}s hit-rate {:>5.1}% peak {:>7} nodes [{}]",
         row.name,
         row.bds.gates,
         row.bds.area,
         row.bds.seconds,
         row.report.bdd_ops.cache_hit_rate() * 100.0,
-        row.report.peak_arena_bytes,
+        row.report.peak_bdd_nodes,
         row.verified
     )
 }

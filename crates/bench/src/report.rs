@@ -230,11 +230,6 @@ pub fn row_json(row: &Row) -> Json {
         ("unique_hits".into(), Json::Int(ops.unique_hits)),
         ("nodes_created".into(), Json::Int(ops.nodes_created)),
     ]);
-    let mut bds = flow_result_fields(&row.bds);
-    bds.push((
-        "peak_arena_bytes".into(),
-        Json::Int(row.report.peak_arena_bytes as u64),
-    ));
     Json::Obj(vec![
         ("name".into(), Json::Str(row.name.clone())),
         ("stands_for".into(), Json::Str(row.stands_for.into())),
@@ -242,7 +237,7 @@ pub fn row_json(row: &Row) -> Json {
         ("speedup".into(), Json::Num(row.speedup)),
         ("mode".into(), Json::Str(format!("{:?}", row.report.mode))),
         ("sis".into(), Json::Obj(flow_result_fields(&row.sis))),
-        ("bds".into(), Json::Obj(bds)),
+        ("bds".into(), Json::Obj(flow_result_fields(&row.bds))),
         ("decompose".into(), decompose),
         ("bdd_ops".into(), bdd_ops),
         ("trace".into(), row.trace.to_json()),
@@ -250,17 +245,23 @@ pub fn row_json(row: &Row) -> Json {
     ])
 }
 
-/// Renders `doc` to `path` (pretty, trailing newline).
-///
-/// # Errors
-/// Propagates the underlying filesystem error.
-pub fn write_json(path: &Path, doc: &Json) -> std::io::Result<()> {
+/// Writes `contents` to `path`, creating its parent directories first.
+fn write_output(path: &Path, contents: &str) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    std::fs::write(path, doc.render())
+    std::fs::write(path, contents)
+}
+
+/// Renders `doc` to `path` (pretty, trailing newline), creating its
+/// parent directories first.
+///
+/// # Errors
+/// Propagates the underlying filesystem error.
+pub fn write_json(path: &Path, doc: &Json) -> std::io::Result<()> {
+    write_output(path, &doc.render())
 }
 
 /// Standard tail for the row-based binaries: the attribution views
@@ -288,7 +289,7 @@ pub fn finish_rows(args: &BenchArgs, bench: &str, rows: &[Row]) -> Result<(), Ex
 
 /// The attribution views of the per-circuit span trees: prints each
 /// tree under `--trace-tree` and writes them as folded stacks under
-/// `--folded`.
+/// `--folded`, creating the file's parent directories first.
 ///
 /// # Errors
 /// Returns a nonzero [`ExitCode`] when the folded file cannot be written.
@@ -307,7 +308,7 @@ pub fn finish_observability(
             eprintln!("{bench}: note: --folded without --features trace records no spans");
         }
         let folded: String = circuits.iter().map(|c| c.trace.folded(c.name)).collect();
-        if let Err(err) = std::fs::write(path, &folded) {
+        if let Err(err) = write_output(path, &folded) {
             eprintln!("{bench}: cannot write {}: {err}", path.display());
             return Err(ExitCode::FAILURE);
         }
@@ -371,9 +372,9 @@ mod tests {
         assert_eq!(
             circuit
                 .get("bds")
-                .and_then(|b| b.get("peak_arena_bytes"))
+                .and_then(|b| b.get("mem_proxy"))
                 .and_then(Json::as_u64),
-            Some(row.report.peak_arena_bytes as u64)
+            Some(row.report.peak_bdd_nodes as u64)
         );
         let outcome = bds_trace::gate::compare_reports(&back, &back).expect("gates");
         assert!(outcome.passed());
@@ -388,6 +389,25 @@ mod tests {
         write_json(&path, &envelope("t", 1, Vec::new())).expect("writes");
         let text = std::fs::read_to_string(&path).expect("readable");
         assert!(parse(&text).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn folded_output_creates_parent_dirs() {
+        let dir = std::env::temp_dir().join("bds-folded-test");
+        let path = dir.join("nested/deeper/folded.txt");
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = BenchArgs {
+            folded: Some(path.clone()),
+            ..BenchArgs::default()
+        };
+        let trace = Snapshot::default();
+        let circuits = [ObservedCircuit {
+            name: "c",
+            trace: &trace,
+        }];
+        assert!(finish_observability(&args, "t", &circuits).is_ok());
+        assert!(path.is_file(), "folded stacks not written");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,9 +17,9 @@
 use std::collections::HashMap;
 
 use bds_bdd::{Edge, Manager, Var};
-use bds_sop::{Cover, Cube};
+use bds_sop::Cover;
 
-use crate::global::{cover_to_bdd, cover_to_bdd_edges};
+use crate::global::{bdd_to_cover, cover_to_bdd, cover_to_bdd_edges};
 use crate::network::{Network, SignalId};
 use crate::Result;
 
@@ -216,19 +216,6 @@ impl Scratch {
     /// The variable standing for `f`, which must be in `merged`.
     fn var_of(&self, f: SignalId) -> Var {
         self.vars[self.pos[f.index()] as usize]
-    }
-
-    /// ISOP cover of `f`, a function in `mgr`; cover position `i` is
-    /// variable `i`. `None` if the extraction hits the node limit.
-    fn cover_of(&mut self, f: Edge) -> Option<Cover> {
-        let (cubes, _) = self.mgr.isop(f, f).ok()?;
-        let cubes = cubes
-            .iter()
-            // ISOP cubes are consistent by construction; treat a
-            // contradictory one as blow-up rather than unwinding.
-            .map(|c| Cube::new(c.literals().iter().map(|&(v, p)| (v.index() as u32, p)).collect()))
-            .collect::<Option<Vec<_>>>()?;
-        Some(Cover::from_cubes(cubes))
     }
 
     /// Forgets the rejections that a rewrite of `fo` from fanins `old` to
@@ -473,7 +460,7 @@ impl Network {
         }
         let cover = if !with_cover {
             Isop::Unknown
-        } else if let Some(cover) = s.cover_of(composed) {
+        } else if let Some(cover) = bdd_to_cover(&mut s.mgr, composed, |v| Some(v.index())) {
             Isop::Cover(s.intern(&cover))
         } else {
             Isop::Failed
@@ -485,6 +472,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bds_sop::Cube;
 
     fn and2() -> Cover {
         Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])])

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use bds_bdd::{Edge, Manager, Var};
-use bds_sop::Cover;
+use bds_sop::{Cover, Cube};
 
 use crate::network::{Network, SignalId};
 use crate::Result;
@@ -28,6 +28,32 @@ pub fn cover_to_bdd(mgr: &mut Manager, cover: &Cover, vars: &[Var]) -> Result<Ed
         acc = mgr.or(acc, prod)?;
     }
     Ok(acc)
+}
+
+/// The irredundant SOP of `f` ([`Manager::isop`] with `lower == upper`)
+/// as a positional [`Cover`], the inverse of [`cover_to_bdd`]:
+/// `position(v)` is the cover position of variable `v`. `None` if the
+/// ISOP hits the node limit or a variable has no position. ISOP cubes
+/// are consistent by construction; a contradictory one also gives
+/// `None` rather than unwinding.
+pub fn bdd_to_cover(
+    mgr: &mut Manager,
+    f: Edge,
+    position: impl Fn(Var) -> Option<usize>,
+) -> Option<Cover> {
+    let (cubes, _) = mgr.isop(f, f).ok()?;
+    let cubes = cubes
+        .iter()
+        .map(|c| {
+            let lits = c
+                .literals()
+                .iter()
+                .map(|&(v, p)| Some((u32::try_from(position(v)?).ok()?, p)))
+                .collect::<Option<Vec<_>>>()?;
+            Cube::new(lits)
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(Cover::from_cubes(cubes))
 }
 
 impl Network {

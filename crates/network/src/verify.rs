@@ -98,7 +98,8 @@ pub fn verify(a: &Network, b: &Network, node_limit: usize) -> Result<Verdict> {
 /// for C6288 ("we verify each step of the elimination process").
 ///
 /// # Errors
-/// [`NetworkError::Inconsistent`] when the interfaces differ.
+/// [`NetworkError::Inconsistent`] when the interfaces differ: the input
+/// counts or names, or the output names.
 pub fn verify_by_simulation(a: &Network, b: &Network, rounds: usize, seed: u64) -> Result<Verdict> {
     let _span = bds_trace::span!("net.verify");
     if a.inputs().len() != b.inputs().len() {
@@ -124,6 +125,19 @@ pub fn verify_by_simulation(a: &Network, b: &Network, rounds: usize, seed: u64) 
         .enumerate()
         .map(|(i, &s)| (b.signal_name(s), i))
         .collect();
+    // Position in `b` of each of `a`'s outputs. Output names are unique
+    // within a network, so equal counts and every name found mean equal
+    // output sets.
+    let out_pos: Vec<usize> = a
+        .outputs()
+        .iter()
+        .filter_map(|&o| b_out_pos.get(a.signal_name(o)).copied())
+        .collect();
+    if out_pos.len() != a.outputs().len() || out_pos.len() != b.outputs().len() {
+        return Err(NetworkError::Inconsistent {
+            detail: "primary output names differ".into(),
+        });
+    }
     for _ in 0..rounds {
         let mut a_assign = vec![false; a.inputs().len()];
         let mut b_assign = vec![false; b.inputs().len()];
@@ -140,16 +154,10 @@ pub fn verify_by_simulation(a: &Network, b: &Network, rounds: usize, seed: u64) 
         }
         let ra = a.eval(&a_assign)?;
         let rb = b.eval(&b_assign)?;
-        for (i, &oa) in a.outputs().iter().enumerate() {
-            let name = a.signal_name(oa);
-            let Some(&bp) = b_out_pos.get(name) else {
-                return Err(NetworkError::Inconsistent {
-                    detail: format!("output `{name}` missing in second network"),
-                });
-            };
-            if ra[i] != rb[bp] {
+        for ((&oa, &va), &bp) in a.outputs().iter().zip(&ra).zip(&out_pos) {
+            if va != rb[bp] {
                 return Ok(Verdict::Inequivalent {
-                    output: name.to_string(),
+                    output: a.signal_name(oa).to_string(),
                 });
             }
         }
@@ -228,5 +236,23 @@ mod tests {
         let mut c = Network::new("c");
         c.add_input("a").unwrap();
         assert!(verify(&a, &c, 1000).is_err());
+    }
+
+    #[test]
+    fn extra_output_in_second_network_is_an_error() {
+        let a = xor_via_muxes();
+        let mut b = xor_via_gates();
+        let g1 = b.signal_id("g1").unwrap();
+        b.mark_output(g1).unwrap();
+        assert!(matches!(
+            verify(&a, &b, 10_000),
+            Err(NetworkError::Inconsistent { .. })
+        ));
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            assert!(matches!(
+                verify_by_simulation(x, y, 64, 42),
+                Err(NetworkError::Inconsistent { .. })
+            ));
+        }
     }
 }

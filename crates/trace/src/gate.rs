@@ -189,7 +189,7 @@ mod tests {
                     ("area".into(), Json::Num(12.5)),
                     ("seconds".into(), Json::Num(seconds)),
                     ("literals".into(), Json::Int(literals)),
-                    ("peak_arena_bytes".into(), Json::Int(4096)),
+                    ("mem_proxy".into(), Json::Int(4096)),
                 ]),
             ),
             (
@@ -319,9 +319,9 @@ mod tests {
         let mut moved = base.clone();
         edit(&mut moved, "bds", "area", |v| *v = Json::Num(12.6));
         assert!(!compare_reports(&base, &moved).unwrap().passed());
-        // Bytes are integers: one extra byte fails.
+        // Node counts are integers: one extra node fails.
         let mut bloat = base.clone();
-        edit(&mut bloat, "bds", "peak_arena_bytes", bump);
+        edit(&mut bloat, "bds", "mem_proxy", bump);
         assert!(!compare_reports(&base, &bloat).unwrap().passed());
     }
 

@@ -33,7 +33,7 @@
 //! Each thread records into its own **thread-local** registry, so the
 //! hot path takes no locks and parallel tests cannot contaminate each
 //! other. What another thread records is absent here until it is moved
-//! over. Four calls move a registry's contents, each in one piece:
+//! over. Two calls move a registry's contents, each in one piece:
 //!
 //! * [`take`] drains the calling thread into a [`Snapshot`]. Workers
 //!   call it before exiting; the bench harness calls it once per
@@ -42,13 +42,6 @@
 //!   innermost open span: worker span roots graft there. The
 //!   coordinator absorbs worker snapshots in a **fixed worker order**,
 //!   so the merged trace does not depend on thread scheduling.
-//! * [`set_aside`] moves the live registry out and reopens the chain of
-//!   open spans in a fresh one, in O(open depth).
-//! * [`rejoin`] swaps the saved registry back and, only when told to
-//!   keep it, merges what was recorded in between at root level — in
-//!   O(recorded). The flow's panic quarantine brackets each supernode
-//!   attempt with this pair and keeps the attempt only if it did not
-//!   panic.
 //!
 //! Counters sum, gauges keep the maximum (every gauge here is a peak),
 //! and span trees merge by `(parent, name)`.
@@ -94,7 +87,7 @@ mod store;
 pub use macros::is_metric_name;
 pub use registry::{add_counter, set_gauge, span_depth, Snapshot, SpanSnap};
 pub use span::{fmt_duration_ns, span_enter, NoopSpan, SpanGuard, Stopwatch};
-pub use store::{absorb, rejoin, reset, set_aside, take, Aside};
+pub use store::{absorb, reset, take};
 
 /// `true` when the crate was built with the `enabled` feature, i.e. the
 /// instrumentation macros are live rather than no-ops.

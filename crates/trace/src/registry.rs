@@ -255,14 +255,6 @@ impl Registry {
         self.stack.last().copied()
     }
 
-    /// Names of the open spans, outermost first.
-    pub(crate) fn open_names(&self) -> Vec<String> {
-        self.stack
-            .iter()
-            .map(|&i| self.arena[i].name.clone())
-            .collect()
-    }
-
     fn snapshot_span(&self, idx: usize) -> SpanSnap {
         let node = &self.arena[idx];
         SpanSnap {
@@ -344,27 +336,6 @@ mod tests {
         assert_eq!(snap.spans[0].children[0].name, "inner");
         assert_eq!(snap.spans[0].children[0].calls, 3);
         assert_eq!(snap.spans[1].name, "other");
-        assert_eq!(span_depth(), 0);
-    }
-
-    #[test]
-    fn snapshot_preserves_open_span_chain() {
-        reset();
-        let outer = crate::span_enter("outer");
-        // Setting the state aside keeps the open chain live…
-        let first = crate::set_aside();
-        assert_eq!(span_depth(), 1);
-        {
-            let _inner = crate::span_enter("inner");
-        }
-        crate::rejoin(first, true);
-        // …so the work in between nests under the guard opened before it.
-        drop(outer);
-        let second = crate::take();
-        assert_eq!(second.spans.len(), 1);
-        assert_eq!(second.spans[0].name, "outer");
-        assert_eq!(second.spans[0].calls, 1);
-        assert_eq!(second.spans[0].children[0].name, "inner");
         assert_eq!(span_depth(), 0);
     }
 

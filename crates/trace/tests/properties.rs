@@ -89,13 +89,7 @@ fn span_nesting_always_balances() {
             }
             assert_eq!(bds_trace::span_depth(), guards.len());
         }
-        // Setting the store aside with spans still open must keep the
-        // open chain live, and rejoining must not disturb it.
         let depth_before = bds_trace::span_depth();
-        let saved = bds_trace::set_aside();
-        assert_eq!(bds_trace::span_depth(), depth_before);
-        bds_trace::rejoin(saved, true);
-        assert_eq!(bds_trace::span_depth(), depth_before);
         guards.clear();
         assert_eq!(bds_trace::span_depth(), 0);
         if depth_before > 0 {

@@ -77,13 +77,12 @@ fn outcome(
 ) -> Result<String, String> {
     match result {
         Ok((out, r)) => Ok(format!(
-            "{:?} {:?} peak={} eliminated={} {:?} bytes={} degraded={}\n{}",
+            "{:?} {:?} peak={} eliminated={} {:?} degraded={}\n{}",
             r.mode,
             r.decompose,
             r.peak_bdd_nodes,
             r.eliminated,
             r.bdd_ops,
-            r.peak_arena_bytes,
             r.degraded,
             blif::write(&out)
         )),

@@ -16,7 +16,6 @@ use bds_repro::core::factor_tree::FactorForest;
 use bds_repro::network::verify::{verify, Verdict};
 use bds_repro::network::{blif, EliminateParams, Network};
 use bds_repro::sop::{factor::factor, Cover, Cube};
-use bds_trace::{Snapshot, SpanGuard, SpanSnap};
 
 const NVARS: usize = 5;
 const CASES: u32 = 64;
@@ -321,142 +320,4 @@ fn random_net(prog: &[(u8, u8, bool)], seed: u64) -> Network {
     }
     net.mark_output(acc).expect("valid");
     net
-}
-
-// ---------------------------------------------------------------------------
-// Trace store: the quarantine protocol
-// ---------------------------------------------------------------------------
-
-/// One step of a random trace workload: open a span, close the
-/// innermost one, or record a counter or gauge value.
-type TraceOp = (u8, u32, u64);
-
-fn random_trace_program(rng: &mut Rng) -> Vec<TraceOp> {
-    let len = rng.range_usize(1..24);
-    (0..len)
-        .map(|_| {
-            (
-                rng.range_u32(0..4) as u8,
-                rng.next_u64() as u32,
-                rng.range_u64(0..100),
-            )
-        })
-        .collect()
-}
-
-/// Wall-clock-free projection of a drained trace: counters, gauges and
-/// span call counts by path (in tree order). Two
-/// runs of the same program agree on this even though their span
-/// timings differ.
-type TraceView = Vec<(String, u64)>;
-
-fn trace_view(snap: &Snapshot) -> TraceView {
-    fn spans(prefix: &str, nodes: &[SpanSnap], out: &mut Vec<(String, u64)>) {
-        for s in nodes {
-            let path = format!("{prefix};{}", s.name);
-            out.push((path.clone(), s.calls));
-            spans(&path, &s.children, out);
-        }
-    }
-    let mut view: Vec<(String, u64)> = Vec::new();
-    for (name, v) in &snap.counters {
-        view.push((format!("counter:{name}"), *v));
-    }
-    for (name, v) in &snap.gauges {
-        view.push((format!("gauge:{name}"), *v));
-    }
-    spans("span", &snap.spans, &mut view);
-    view
-}
-
-/// How a run treats the window `[lo, hi)` of a trace program.
-#[derive(Clone, Copy, PartialEq)]
-enum Window {
-    /// Run the window's ops with no quarantine around them.
-    Inline,
-    /// Bracket them with `set_aside` and `rejoin(_, true)`.
-    Keep,
-    /// Bracket them with `set_aside` and `rejoin(_, false)`.
-    Discard,
-    /// Leave them out.
-    Skip,
-}
-
-/// Runs `prog` against a fresh store and returns the drained view.
-/// The window is balanced like a quarantined attempt: its ops close
-/// only spans they opened, and what is still open at its end closes
-/// there, innermost first.
-fn run_trace_program(prog: &[TraceOp], (lo, hi): (usize, usize), window: Window) -> TraceView {
-    const SPANS: [&str; 4] = ["flow", "flow.build", "flow.decompose", "flow.sharing"];
-    const COUNTERS: [&str; 2] = ["prop.steps", "prop.nodes"];
-    const GAUGES: [&str; 2] = ["prop.peak", "prop.load"];
-    fn close(guards: &mut Vec<SpanGuard>) {
-        while guards.pop().is_some() {}
-    }
-    bds_trace::reset();
-    let mut outer = Vec::new();
-    let mut inner = Vec::new();
-    let mut saved = None;
-    for (i, &(op, sel, val)) in prog.iter().enumerate() {
-        let in_window = (lo..hi).contains(&i);
-        if i == lo && matches!(window, Window::Keep | Window::Discard) {
-            let depth = bds_trace::span_depth();
-            saved = Some((bds_trace::set_aside(), depth));
-            assert_eq!(
-                bds_trace::span_depth(),
-                depth,
-                "set_aside must re-open the span chain"
-            );
-        }
-        if !(in_window && window == Window::Skip) {
-            let guards = if in_window { &mut inner } else { &mut outer };
-            let sel = sel as usize;
-            match op {
-                0 => guards.push(bds_trace::span_enter(SPANS[sel % SPANS.len()])),
-                1 => drop(guards.pop()),
-                2 => bds_trace::add_counter(COUNTERS[sel % COUNTERS.len()], val),
-                _ => bds_trace::set_gauge(GAUGES[sel % GAUGES.len()], val),
-            }
-        }
-        if i + 1 == hi {
-            close(&mut inner);
-            if let Some((aside, depth)) = saved.take() {
-                bds_trace::rejoin(aside, window == Window::Keep);
-                assert_eq!(
-                    bds_trace::span_depth(),
-                    depth,
-                    "rejoin must restore the open span depth"
-                );
-            }
-        }
-    }
-    close(&mut outer);
-    trace_view(&bds_trace::take())
-}
-
-/// The quarantine protocol over the whole trace. For a random window inside a random span-nesting
-/// workload, `set_aside` … `rejoin(_, true)` around the window gives
-/// exactly the trace of running it unguarded, and `rejoin(_, false)`
-/// gives exactly the trace of a program without the window's ops, with
-/// the open-span depth restored either way. This is what the flow's
-/// per-supernode panic quarantine relies on: a kept attempt is
-/// invisible, a panicked one leaves no trace.
-#[test]
-fn in_flight_capture_then_restore_is_identity() {
-    check_cases("quarantine keep/discard", CASES, |rng| {
-        let prog = random_trace_program(rng);
-        let lo = rng.range_usize(0..prog.len());
-        let hi = rng.range_usize(lo + 1..prog.len() + 1);
-        let window = (lo, hi);
-        assert_eq!(
-            run_trace_program(&prog, window, Window::Keep),
-            run_trace_program(&prog, window, Window::Inline),
-            "keeping the window {window:?} changed the trace"
-        );
-        assert_eq!(
-            run_trace_program(&prog, window, Window::Discard),
-            run_trace_program(&prog, window, Window::Skip),
-            "discarding the window {window:?} left a trace"
-        );
-    });
 }

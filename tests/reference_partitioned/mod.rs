@@ -56,8 +56,6 @@ struct NodeArtifact {
     stats: DecomposeStats,
     ops: OpStats,
     peak: usize,
-    build_bytes: usize,
-    decompose_bytes: usize,
 }
 
 impl NodeArtifact {
@@ -68,8 +66,6 @@ impl NodeArtifact {
             stats: DecomposeStats::default(),
             ops: OpStats::default(),
             peak: 0,
-            build_bytes: 0,
-            decompose_bytes: 0,
         }
     }
 }
@@ -105,7 +101,6 @@ fn decompose_supernode_bdd(
     };
     let edge = cover_to_bdd(&mut mgr, cover, &vars)?;
     ops.merge(&mgr.op_stats());
-    let build_bytes = mgr.table_stats().estimated_bytes();
     // The old code read the peak after sifting; it now takes the build
     // manager before sifting and the decompose manager at the end, as
     // `optimize_partitioned` does.
@@ -129,19 +124,16 @@ fn decompose_supernode_bdd(
         .decompose(&mut mgr, edge, &mut forest, &params.decompose)
         .map_err(NetworkError::Bdd)?;
     ops.merge(&mgr.op_stats());
-    let decompose_bytes = mgr.table_stats().estimated_bytes();
     Ok(NodeArtifact {
         body: ArtifactBody::Forest { forest, root },
         rung: 0,
         stats: dec.stats,
         ops,
         peak: build_peak.max(mgr.arena_size()),
-        build_bytes,
-        decompose_bytes,
     })
 }
 
-/// The old `run_quarantined`, without the trace set-aside.
+/// The old `run_quarantined`.
 fn run_quarantined<T>(
     work: &Network,
     sig: SignalId,
@@ -227,8 +219,6 @@ pub fn optimize_partitioned(
     let mut stats = DecomposeStats::default();
     let mut ops = OpStats::default();
     let mut peak = 0usize;
-    let mut build_bytes = 0usize;
-    let mut decompose_bytes = 0usize;
     let mut map: Vec<Option<SignalId>> = vec![None; work.signals().count()];
     for &i in work.inputs() {
         map[i.index()] = Some(out.add_input(work.signal_name(i))?);
@@ -253,8 +243,6 @@ pub fn optimize_partitioned(
         stats.merge(artifact.stats);
         ops.merge(&artifact.ops);
         peak = peak.max(artifact.peak);
-        build_bytes = build_bytes.max(artifact.build_bytes);
-        decompose_bytes = decompose_bytes.max(artifact.decompose_bytes);
         degraded += usize::from(artifact.rung > 0);
 
         let mut var_signals: Vec<SignalId> = Vec::with_capacity(fanins.len());
@@ -300,7 +288,6 @@ pub fn optimize_partitioned(
             peak_bdd_nodes: peak,
             eliminated: 0,
             bdd_ops: ops,
-            peak_arena_bytes: build_bytes.max(decompose_bytes),
             degraded,
         },
     ))
