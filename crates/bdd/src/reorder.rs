@@ -119,6 +119,11 @@ pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manage
     if start_size > limits.max_nodes || src.var_count() <= 2 {
         return reorder(src, roots, &base_order);
     }
+    // Every support variable needs a node of its own, plus the terminal:
+    // at that size no order is strictly smaller, so no move is accepted.
+    if start_size == src.support_of(roots).len() + 1 {
+        return reorder(src, roots, &base_order);
+    }
 
     // Current best.
     let (mut best_mgr, mut best_roots) = reorder(src, roots, &base_order)?;

@@ -23,7 +23,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use bds_bdd::reorder::{sift, SiftLimits};
 use bds_bdd::{BddError, Fault, Manager, OpStats};
-use bds_network::{cover_to_bdd, EliminateParams, Network, NetworkError, SignalId};
+use bds_network::{
+    blif, cover_to_bdd, EliminateParams, Network, NetworkError, SignalId, STRICT_CHECKS,
+};
 use bds_sop::{Cover, Expr};
 use bds_trace::Stopwatch;
 
@@ -31,7 +33,7 @@ use bds_map::{map_network, Library};
 
 use crate::decompose::{DecomposeParams, DecomposeStats, Decomposer};
 use crate::factor_tree::{FactorForest, FactorRef};
-use crate::sharing::{alias, emit_expr, emit_forest};
+use crate::sharing::{Sig, Stitch};
 
 /// Which flow variant produced a result.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -323,30 +325,32 @@ pub fn optimize_global(
     }
     ops.merge(&mgr.op_stats());
 
-    let _sharing_span = bds_trace::span!("flow.sharing");
-    let mut out = Network::new(net.name());
-    // var index → output-network input signal.
-    let mut var_slots: Vec<Option<SignalId>> = vec![None; mgr.var_count()];
-    for &i in net.inputs() {
-        let sig = out.add_input(net.signal_name(i))?;
-        if let Some(&v) = var_of.get(&i) {
-            var_slots[v.index()] = Some(sig);
+    let out = {
+        let _span = bds_trace::span!("flow.sharing");
+        let mut stitch = Stitch::new(net.name(), "bds");
+        // var index → output-network input signal.
+        let mut var_slots: Vec<Option<Sig>> = vec![None; mgr.var_count()];
+        for &i in net.inputs() {
+            let sig = stitch.add_input(net.signal_name(i))?;
+            if let Some(&v) = var_of.get(&i) {
+                var_slots[v.index()] = Some(sig);
+            }
         }
-    }
-    let mut var_signals: Vec<SignalId> = Vec::with_capacity(var_slots.len());
-    for (v, slot) in var_slots.into_iter().enumerate() {
-        let sig = slot.ok_or_else(|| NetworkError::Inconsistent {
-            detail: format!("global-BDD variable #{v} matches no primary input"),
-        })?;
-        var_signals.push(sig);
-    }
-    let emitted = emit_forest(&mut out, &forest, &roots, &var_signals, "bds")?;
-    for (idx, &o) in net.outputs().iter().enumerate() {
-        let sig = alias(&mut out, emitted[idx], net.signal_name(o))?;
-        out.mark_output(sig)?;
-    }
-    out.sweep()?;
-    let out = out.compacted()?;
+        let mut var_signals: Vec<Sig> = Vec::with_capacity(var_slots.len());
+        for (v, slot) in var_slots.into_iter().enumerate() {
+            let sig = slot.ok_or_else(|| NetworkError::Inconsistent {
+                detail: format!("global-BDD variable #{v} matches no primary input"),
+            })?;
+            var_signals.push(sig);
+        }
+        let emitted = stitch.emit_forest(&forest, &roots, &var_signals)?;
+        for (idx, &o) in net.outputs().iter().enumerate() {
+            let sig = stitch.alias(emitted[idx], net.signal_name(o), true)?;
+            stitch.mark_output(sig)?;
+        }
+        stitch.finish()?
+    };
+    check_stitched(&out)?;
     bds_trace::gauge!(
         "bdd.global.peak_arena_nodes",
         peak0.max(mgr.arena_size()) as u64
@@ -722,16 +726,18 @@ pub fn optimize_partitioned(
     net: &Network,
     params: &FlowParams,
 ) -> Result<(Network, FlowReport), NetworkError> {
-    let work = net.compacted()?;
-    let mut out = Network::new(work.name());
+    // A compact input is decomposed as it is; `compacted` would rebuild
+    // it unchanged.
+    let compacted;
+    let work = if net.is_compact() {
+        net
+    } else {
+        compacted = net.compacted()?;
+        &compacted
+    };
     let mut stats = DecomposeStats::default();
     let mut ops = OpStats::default();
     let mut peak = 0usize;
-    // work signal → out signal.
-    let mut map: Vec<Option<SignalId>> = vec![None; work.signals().count()];
-    for &i in work.inputs() {
-        map[i.index()] = Some(out.add_input(work.signal_name(i))?);
-    }
     // Every non-input node with a cover, in topological order.
     let items: Vec<Supernode<'_>> = work
         .topo_order()
@@ -762,7 +768,7 @@ pub fn optimize_partitioned(
     let decompose_leader = |k: usize| {
         let i = leaders[k];
         let fault = fault_for(&params.govern, i, items.len());
-        decompose_supernode(&work, items[i], params, fault)
+        decompose_supernode(work, items[i], params, fault)
     };
     let jobs = effective_jobs(params.jobs).min(leaders.len().max(1));
     let artifacts: Vec<NodeArtifact> = if jobs > 1 {
@@ -774,53 +780,66 @@ pub fn optimize_partitioned(
     };
     // Stitch every item from its leader's artifact. The counters are
     // merged once per item, so the report describes every supernode.
-    let _sharing_span = bds_trace::span!("flow.sharing");
     let mut degraded = 0usize;
-    for (&(sig, fanins, _), &slot) in items.iter().zip(&slot_of) {
-        let artifact = &artifacts[slot];
-        stats.merge(artifact.stats);
-        ops.merge(&artifact.ops);
-        peak = peak.max(artifact.peak);
-        if let Some(rung) = artifact.degrade {
-            degraded += 1;
-            record_degrade(rung);
+    let out = {
+        let _span = bds_trace::span!("flow.sharing");
+        let mut stitch = Stitch::new(work.name(), "bds");
+        // work signal → stitched signal; a named output keeps its driver.
+        let mut map: Vec<Option<Sig>> = vec![None; work.signals().count()];
+        let mut is_output = vec![false; map.len()];
+        for &o in work.outputs() {
+            is_output[o.index()] = true;
         }
-        let mut var_signals: Vec<SignalId> = Vec::with_capacity(fanins.len());
-        for f in fanins {
-            let mapped = map[f.index()].ok_or_else(|| NetworkError::Inconsistent {
-                detail: format!(
-                    "fanin `{}` not emitted before `{}`",
-                    work.signal_name(*f),
-                    work.signal_name(sig)
-                ),
+        for &i in work.inputs() {
+            map[i.index()] = Some(stitch.add_input(work.signal_name(i))?);
+        }
+        for (&(sig, fanins, _), &slot) in items.iter().zip(&slot_of) {
+            let artifact = &artifacts[slot];
+            stats.merge(artifact.stats);
+            ops.merge(&artifact.ops);
+            peak = peak.max(artifact.peak);
+            if let Some(rung) = artifact.degrade {
+                degraded += 1;
+                record_degrade(rung);
+            }
+            let mut var_signals: Vec<Sig> = Vec::with_capacity(fanins.len());
+            for f in fanins {
+                let mapped = map[f.index()].ok_or_else(|| NetworkError::Inconsistent {
+                    detail: format!(
+                        "fanin `{}` not emitted before `{}`",
+                        work.signal_name(*f),
+                        work.signal_name(sig)
+                    ),
+                })?;
+                var_signals.push(mapped);
+            }
+            let (name, keep) = (work.signal_name(sig), is_output[sig.index()]);
+            let named = match &artifact.body {
+                ArtifactBody::Forest { forest, root } => {
+                    let emitted = stitch.emit_forest(forest, &[*root], &var_signals)?;
+                    stitch.alias(emitted[0], name, keep)?
+                }
+                ArtifactBody::Factored(expr) => {
+                    let resolved = stitch.emit_expr(expr, &var_signals)?;
+                    stitch.alias(resolved, name, keep)?
+                }
+                // The verbatim rung re-adds the original cover (cover
+                // literals index fanin positions, exactly as stored).
+                ArtifactBody::Verbatim(cover) => {
+                    stitch.node(name, &var_signals, cover.clone(), keep)?
+                }
+            };
+            map[sig.index()] = Some(named);
+        }
+        for &o in work.outputs() {
+            let mapped = map[o.index()].ok_or_else(|| NetworkError::Inconsistent {
+                detail: format!("output `{}` was never emitted", work.signal_name(o)),
             })?;
-            var_signals.push(mapped);
+            stitch.mark_output(mapped)?;
         }
-        let named = match &artifact.body {
-            ArtifactBody::Forest { forest, root } => {
-                let emitted = emit_forest(&mut out, forest, &[*root], &var_signals, "bds")?;
-                alias(&mut out, emitted[0], work.signal_name(sig))?
-            }
-            ArtifactBody::Factored(expr) => {
-                let resolved = emit_expr(&mut out, expr, &var_signals, "bds")?;
-                alias(&mut out, resolved, work.signal_name(sig))?
-            }
-            // The verbatim rung re-adds the original cover unchanged
-            // (cover literals index fanin positions, exactly as stored).
-            ArtifactBody::Verbatim(cover) => {
-                out.add_node(work.signal_name(sig), var_signals, cover.clone())?
-            }
-        };
-        map[sig.index()] = Some(named);
-    }
-    for &o in work.outputs() {
-        let mapped = map[o.index()].ok_or_else(|| NetworkError::Inconsistent {
-            detail: format!("output `{}` was never emitted", work.signal_name(o)),
-        })?;
-        out.mark_output(mapped)?;
-    }
-    out.sweep()?;
-    let out = out.compacted()?;
+        stitch.finish()?
+    };
+    check_stitched(&out)?;
     bds_trace::gauge!("bdd.partitioned.peak_arena_nodes", peak as u64);
     publish_trace(&stats, &ops);
     Ok((
@@ -835,6 +854,30 @@ pub fn optimize_partitioned(
             degraded,
         },
     ))
+}
+
+/// Strict builds: a stitched network must already be what `sweep` and
+/// `compacted` would make of it, so neither may change it.
+fn check_stitched(out: &Network) -> Result<(), NetworkError> {
+    if !STRICT_CHECKS {
+        return Ok(());
+    }
+    let rewrites = out.clone().sweep()?;
+    let compact = out.compacted()?;
+    // Equal names and equal counters hand out the same next fresh name.
+    let next_fresh = |n: &Network| n.clone().fresh_name("bds");
+    if rewrites != 0
+        || blif::write(&compact) != blif::write(out)
+        || next_fresh(&compact) != next_fresh(out)
+    {
+        return Err(NetworkError::Inconsistent {
+            detail: format!(
+                "the stitch of `{}` is not swept and compact: sweep made {rewrites} rewrites",
+                out.name()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Publishes per-decomposition-kind counts and aggregated BDD operation

@@ -61,7 +61,7 @@ pub fn sdc_simplify(net: &mut Network, params: &SdcParams) -> Result<usize, Netw
         }
         let fanins = fanins.to_vec();
         let cover = cover.clone();
-        let Some(new_cover) = minimize_node(net, sig, &fanins, &cover, params) else {
+        let Some(new_cover) = minimize_node(net, &fanins, &cover, params) else {
             continue;
         };
         if new_cover.literal_count() < cover.literal_count() {
@@ -76,7 +76,6 @@ pub fn sdc_simplify(net: &mut Network, params: &SdcParams) -> Result<usize, Netw
 /// is too large / the care set is total / BDDs blow up.
 fn minimize_node(
     net: &Network,
-    sig: SignalId,
     fanins: &[SignalId],
     cover: &Cover,
     params: &SdcParams,
@@ -110,7 +109,6 @@ fn minimize_node(
             return None; // cone too big to be worth it
         }
     }
-    let _ = sig;
 
     // Scratch manager: window variables (x) on top, then one variable per
     // fanin (y).

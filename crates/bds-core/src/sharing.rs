@@ -5,155 +5,501 @@
 //! module turns the trees into network nodes while preserving that
 //! sharing: every forest node materializes at most once, complement
 //! references are folded into consumer cover phases (no inverter cost,
-//! like SIS phase assignment), and named aliases are created for roots so
-//! that supernode/output names survive.
+//! like SIS phase assignment), and roots get named drivers so that
+//! supernode/output names survive.
+//!
+//! A [`Stitch`] also canonicalizes every node as it is emitted with
+//! `sweep`'s own rules ([`prune_fanins`], [`single_literal`] and
+//! [`FunctionKeys`]), so the network it writes is already a fixpoint of
+//! `sweep` and compact (DESIGN.md, "Sharing extraction"):
+//!
+//! - fanins are forwarded through buffers and duplicates to their
+//!   representative, constants are cofactored in, repeated fanins merge
+//!   and covers are simplified and pruned;
+//! - a node equal to a positive literal is a buffer: readers use its
+//!   source, and only a named output keeps it as its driver; an inverter
+//!   of an inverter is a buffer of the grandparent;
+//! - every other node is hash-consed on its function of its signals, and
+//!   the first node emitted with a function stays its representative;
+//! - [`Stitch::finish`] writes only the nodes an output reaches, in
+//!   emission order, with the names the plain emission gave them.
+//!
+//! The result is what `sweep` and `compacted` make of the plain emission
+//! (every node written as it comes) whenever each node's fanin rewrites
+//! land in one `sweep` iteration, which holds on every circuit the flow's
+//! differential tests run. The stitch applies a node's rewrites in one
+//! step; `sweep` resolves an inverter of an inverter, or a node that
+//! becomes a buffer or a duplicate only once its own fanins merge, an
+//! iteration later, and simplifies the reader's cover in between. As
+//! `simplify` depends on the order of merges, such a reader can end with
+//! another fanin order or cover; both are `sweep` fixpoints computing the
+//! same function (the test `staged_rewrites_can_diverge_from_sweep`).
 
-use std::collections::HashMap;
-
-use bds_network::{Network, NetworkError, SignalId};
+use bds_bdd::{FastMap, FastSet};
+use bds_network::{prune_fanins, single_literal, FunctionKeys, Network, NetworkError, SignalId};
 use bds_sop::{Cover, Cube, Expr};
 
 use crate::factor_tree::{FactorForest, FactorNode, FactorRef};
 
-/// A resolved factoring-tree reference: a network signal plus the phase
+/// A value of the network being stitched: one of its signals (an input
+/// or a node), or a constant that readers fold into their covers.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum Sig {
+    /// A signal of the stitch, by index.
+    Signal(u32),
+    /// A constant.
+    Const(bool),
+}
+
+/// A resolved factoring-tree reference: a stitched value plus the phase
 /// it must be consumed in (`true` = as-is, `false` = complemented).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ResolvedRef {
-    /// The driving signal.
-    pub signal: SignalId,
+    /// The driving value.
+    pub signal: Sig,
     /// Phase: `false` means the consumer must complement it.
     pub phase: bool,
 }
 
-/// Emits the forest slice reachable from `roots` into `net`.
-///
-/// `var_signals[i]` is the network signal standing for manager variable
-/// `i` (the decomposition ran over those variables). Gates get fresh
-/// names prefixed with `prefix`.
-///
-/// Returns one [`ResolvedRef`] per root, in order.
-///
-/// # Errors
-/// Propagates network construction errors (they indicate programming
-/// errors — e.g. stale signal ids — rather than user-facing conditions).
-pub fn emit_forest(
-    net: &mut Network,
-    forest: &FactorForest,
-    roots: &[FactorRef],
-    var_signals: &[SignalId],
-    prefix: &str,
-) -> Result<Vec<ResolvedRef>, NetworkError> {
-    let mut emitter = Emitter {
-        net,
-        forest,
-        var_signals,
-        prefix,
-        memo: HashMap::new(),
-    };
-    roots.iter().map(|&r| emitter.resolve_root(r)).collect()
+/// The name a node gets when it is written: `{prefix}_{n}` for a fresh
+/// name, or a name the caller gave.
+#[derive(Copy, Clone, Debug)]
+enum Name<'n> {
+    Fresh(u32),
+    Given(&'n str),
 }
 
-/// Creates (or reuses) a node named `name` computing exactly `resolved`
-/// (a buffer, or an inverter when the phase is negative).
-///
-/// # Errors
-/// [`NetworkError::DuplicateName`] if `name` is taken.
-pub fn alias(
-    net: &mut Network,
-    resolved: ResolvedRef,
-    name: &str,
-) -> Result<SignalId, NetworkError> {
-    let cover = Cover::from_cubes(vec![Cube::lit(0, resolved.phase)]);
-    net.add_node(name, vec![resolved.signal], cover)
+/// One signal of the stitch: an input (`driver == None`) or a node kept
+/// because it is the first of its function or a named output.
+struct Slot<'n> {
+    name: Name<'n>,
+    /// `(fanins, cover)`, final: fanins are distinct representatives with
+    /// lower indices, and the cover is simplified and uses them all.
+    driver: Option<(Vec<u32>, Cover)>,
+    /// What readers of this signal read instead: itself, the source of a
+    /// buffer, the representative of its function, or a constant.
+    canon: Sig,
 }
 
-/// Emits a factored [`Expr`] (the flow's SOP degradation rung) into
-/// `net` as a chain of ≤2-input gates, the same granularity
-/// [`emit_forest`] produces. `var_signals[i]` is the network signal for
-/// expression variable `i`; literal phases fold into consumer covers,
-/// so negative literals cost no inverters.
-///
-/// # Errors
-/// Propagates network construction errors.
-pub fn emit_expr(
-    net: &mut Network,
-    expr: &Expr,
-    var_signals: &[SignalId],
-    prefix: &str,
-) -> Result<ResolvedRef, NetworkError> {
-    match expr {
-        Expr::Const(b) => {
-            let name = net.fresh_name(prefix);
-            let sig = net.add_constant(name, *b)?;
-            Ok(ResolvedRef {
-                signal: sig,
-                phase: true,
-            })
+/// A network under construction whose every node is canonical on
+/// arrival (see the module docs). Inputs are added first, then nodes
+/// through [`Stitch::emit_forest`], [`Stitch::emit_expr`],
+/// [`Stitch::node`] and [`Stitch::alias`]; [`Stitch::finish`] writes the
+/// network.
+pub struct Stitch<'n> {
+    model: String,
+    prefix: &'n str,
+    slots: Vec<Slot<'n>>,
+    outputs: Vec<u32>,
+    /// Function key → what readers of its first node read.
+    table: FastMap<u32, Sig>,
+    keys: FunctionKeys,
+    /// Fresh-name state: the next number, and the numbers `n` whose
+    /// `{prefix}_{n}` is a given name and so is skipped.
+    counter: u32,
+    fresh_taken: FastSet<u32>,
+    given: FastSet<&'n str>,
+}
+
+impl<'n> Stitch<'n> {
+    /// An empty stitch for a network called `model`, whose fresh names
+    /// are `{prefix}_{n}`.
+    pub fn new(model: &str, prefix: &'n str) -> Self {
+        Stitch {
+            model: model.to_string(),
+            prefix,
+            slots: Vec::new(),
+            outputs: Vec::new(),
+            table: FastMap::default(),
+            keys: FunctionKeys::default(),
+            counter: 0,
+            fresh_taken: FastSet::default(),
+            given: FastSet::default(),
         }
-        Expr::Lit(v, p) => Ok(ResolvedRef {
-            signal: var_signals[*v as usize],
-            phase: *p,
-        }),
-        Expr::And(xs) => emit_expr_assoc(net, xs, var_signals, prefix, true),
-        Expr::Or(xs) => emit_expr_assoc(net, xs, var_signals, prefix, false),
     }
-}
 
-/// Left-folds an associative `And`/`Or` operand list into 2-input gates.
-fn emit_expr_assoc(
-    net: &mut Network,
-    operands: &[Expr],
-    var_signals: &[SignalId],
-    prefix: &str,
-    is_and: bool,
-) -> Result<ResolvedRef, NetworkError> {
-    let mut acc: Option<ResolvedRef> = None;
-    for x in operands {
-        let rx = emit_expr(net, x, var_signals, prefix)?;
-        acc = Some(match acc {
-            None => rx,
-            Some(ra) => {
-                let cover = if is_and {
-                    Cover::from_cubes(
-                        Cube::new(vec![(0, ra.phase), (1, rx.phase)])
-                            .into_iter()
-                            .collect(),
-                    )
-                } else {
-                    Cover::from_cubes(vec![Cube::lit(0, ra.phase), Cube::lit(1, rx.phase)])
-                };
-                let name = net.fresh_name(prefix);
-                let sig = net.add_node(name, vec![ra.signal, rx.signal], cover)?;
-                ResolvedRef {
-                    signal: sig,
-                    phase: true,
+    /// Declares a primary input.
+    ///
+    /// # Errors
+    /// [`NetworkError::DuplicateName`] if the name is taken.
+    pub fn add_input(&mut self, name: &'n str) -> Result<Sig, NetworkError> {
+        self.claim(name)?;
+        let me = self.slots.len() as u32;
+        self.slots.push(Slot {
+            name: Name::Given(name),
+            driver: None,
+            canon: Sig::Signal(me),
+        });
+        Ok(Sig::Signal(me))
+    }
+
+    /// Marks a named node or an input as a primary output (idempotent).
+    ///
+    /// # Errors
+    /// [`NetworkError::Inconsistent`] for a constant, which has no
+    /// driver to name.
+    pub fn mark_output(&mut self, sig: Sig) -> Result<(), NetworkError> {
+        let Sig::Signal(s) = sig else {
+            return Err(NetworkError::Inconsistent {
+                detail: "a constant cannot drive an output".to_string(),
+            });
+        };
+        if !self.outputs.contains(&s) {
+            self.outputs.push(s);
+        }
+        Ok(())
+    }
+
+    /// Emits the forest slice reachable from `roots`.
+    ///
+    /// `var_signals[i]` stands for manager variable `i` (the decomposition
+    /// ran over those variables). Gates get fresh names.
+    ///
+    /// Returns one [`ResolvedRef`] per root, in order.
+    ///
+    /// # Errors
+    /// Propagates construction errors (they indicate programming errors
+    /// rather than user-facing conditions).
+    pub fn emit_forest(
+        &mut self,
+        forest: &FactorForest,
+        roots: &[FactorRef],
+        var_signals: &[Sig],
+    ) -> Result<Vec<ResolvedRef>, NetworkError> {
+        let mut emitter = Emitter {
+            stitch: self,
+            forest,
+            var_signals,
+            memo: FastMap::default(),
+        };
+        roots.iter().map(|&r| emitter.resolve_root(r)).collect()
+    }
+
+    /// Emits a factored [`Expr`] (the flow's SOP degradation rung) as a
+    /// chain of ≤2-input gates, the same granularity
+    /// [`Stitch::emit_forest`] produces. `var_signals[i]` stands for
+    /// expression variable `i`; literal phases fold into consumer covers,
+    /// so negative literals cost no inverters.
+    ///
+    /// # Errors
+    /// Propagates construction errors.
+    pub fn emit_expr(
+        &mut self,
+        expr: &Expr,
+        var_signals: &[Sig],
+    ) -> Result<ResolvedRef, NetworkError> {
+        match expr {
+            Expr::Const(b) => Ok(self.constant(*b)),
+            Expr::Lit(v, p) => Ok(ResolvedRef {
+                signal: var_signals[*v as usize],
+                phase: *p,
+            }),
+            Expr::And(xs) => self.emit_expr_assoc(xs, var_signals, true),
+            Expr::Or(xs) => self.emit_expr_assoc(xs, var_signals, false),
+        }
+    }
+
+    /// Left-folds an associative `And`/`Or` operand list into 2-input gates.
+    fn emit_expr_assoc(
+        &mut self,
+        operands: &[Expr],
+        var_signals: &[Sig],
+        is_and: bool,
+    ) -> Result<ResolvedRef, NetworkError> {
+        let mut acc: Option<ResolvedRef> = None;
+        for x in operands {
+            let rx = self.emit_expr(x, var_signals)?;
+            acc = Some(match acc {
+                None => rx,
+                Some(ra) => {
+                    let cover = if is_and {
+                        Cover::from_cubes(
+                            Cube::new(vec![(0, ra.phase), (1, rx.phase)])
+                                .into_iter()
+                                .collect(),
+                        )
+                    } else {
+                        Cover::from_cubes(vec![Cube::lit(0, ra.phase), Cube::lit(1, rx.phase)])
+                    };
+                    self.gate(&[ra.signal, rx.signal], cover)?
+                }
+            });
+        }
+        // An empty operand list is the operation's identity element.
+        Ok(acc.unwrap_or_else(|| self.constant(is_and)))
+    }
+
+    /// Adds a node named `name` computing `cover` over `fanins` (cover
+    /// variable `i` is `fanins[i]`). With `keep` it is the driver of a
+    /// named output and always written; its return value names it.
+    /// Otherwise the return value is what readers read.
+    ///
+    /// # Errors
+    /// [`NetworkError::DuplicateName`] for a taken name,
+    /// [`NetworkError::Inconsistent`] if the cover mentions a variable
+    /// outside the fanin list.
+    pub fn node(
+        &mut self,
+        name: &'n str,
+        fanins: &[Sig],
+        cover: Cover,
+        keep: bool,
+    ) -> Result<Sig, NetworkError> {
+        self.claim(name)?;
+        self.add(Name::Given(name), fanins, cover, keep)
+    }
+
+    /// Names `resolved` as `name`: a buffer, or an inverter when the phase
+    /// is negative. A buffer is written only with `keep` (the driver of a
+    /// named output); otherwise its readers read its source.
+    ///
+    /// # Errors
+    /// [`NetworkError::DuplicateName`] if `name` is taken.
+    pub fn alias(
+        &mut self,
+        resolved: ResolvedRef,
+        name: &'n str,
+        keep: bool,
+    ) -> Result<Sig, NetworkError> {
+        let cover = Cover::from_cubes(vec![Cube::lit(0, resolved.phase)]);
+        self.node(name, &[resolved.signal], cover, keep)
+    }
+
+    /// Writes the network: the inputs, then every node an output reaches,
+    /// in emission order.
+    ///
+    /// # Errors
+    /// Propagates network construction errors, which a stitch built
+    /// through this API never produces.
+    pub fn finish(self) -> Result<Network, NetworkError> {
+        let mut live = vec![false; self.slots.len()];
+        for &o in &self.outputs {
+            live[o as usize] = true;
+        }
+        // Fanins have lower indices, so one backward pass marks the cone.
+        for i in (0..self.slots.len()).rev() {
+            if let (true, Some((fanins, _))) = (live[i], &self.slots[i].driver) {
+                for &f in fanins {
+                    live[f as usize] = true;
                 }
             }
-        });
+        }
+        let mut net = Network::new(self.model);
+        let mut id: Vec<Option<SignalId>> = vec![None; self.slots.len()];
+        for (i, slot) in self.slots.into_iter().enumerate() {
+            let name = match slot.name {
+                Name::Fresh(n) => format!("{}_{n}", self.prefix),
+                Name::Given(s) => s.to_string(),
+            };
+            id[i] = match slot.driver {
+                None => Some(net.add_input(name)?),
+                Some((fanins, cover)) if live[i] => {
+                    let mut mapped = Vec::with_capacity(fanins.len());
+                    for f in fanins {
+                        mapped.push(id[f as usize].ok_or_else(|| unwritten(&net))?);
+                    }
+                    Some(net.add_node(name, mapped, cover)?)
+                }
+                Some(_) => None,
+            };
+        }
+        for o in self.outputs {
+            net.mark_output(id[o as usize].ok_or_else(|| unwritten(&net))?)?;
+        }
+        Ok(net)
     }
-    match acc {
-        Some(r) => Ok(r),
-        // An empty operand list is the operation's identity element.
-        None => {
-            let name = net.fresh_name(prefix);
-            let sig = net.add_constant(name, is_and)?;
-            Ok(ResolvedRef {
-                signal: sig,
-                phase: true,
+
+    /// A fresh name, skipping those a given name took.
+    fn fresh(&mut self) -> Name<'n> {
+        loop {
+            let n = self.counter;
+            self.counter += 1;
+            if !self.fresh_taken.contains(&n) {
+                return Name::Fresh(n);
+            }
+        }
+    }
+
+    /// The `n` of a name spelled exactly as fresh name `{prefix}_{n}`.
+    fn fresh_number(&self, name: &str) -> Option<u32> {
+        let digits = name.strip_prefix(self.prefix)?.strip_prefix('_')?;
+        let canonical = !digits.is_empty()
+            && digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'));
+        canonical.then(|| digits.parse().ok()).flatten()
+    }
+
+    /// Takes a given name, failing if an input, an earlier given name or
+    /// a fresh name handed out so far has it.
+    fn claim(&mut self, name: &'n str) -> Result<(), NetworkError> {
+        let number = self.fresh_number(name);
+        let handed_out = number.is_some_and(|n| n < self.counter && !self.fresh_taken.contains(&n));
+        if handed_out || !self.given.insert(name) {
+            return Err(NetworkError::DuplicateName {
+                name: name.to_string(),
+            });
+        }
+        if let Some(n) = number {
+            self.fresh_taken.insert(n);
+        }
+        Ok(())
+    }
+
+    /// What readers of `sig` read.
+    fn canon(&self, sig: Sig) -> Sig {
+        match sig {
+            Sig::Signal(s) => self.slots[s as usize].canon,
+            c @ Sig::Const(_) => c,
+        }
+    }
+
+    /// A constant, which takes a fresh name like the node it replaces.
+    fn constant(&mut self, value: bool) -> ResolvedRef {
+        self.fresh();
+        ResolvedRef {
+            signal: Sig::Const(value),
+            phase: true,
+        }
+    }
+
+    /// A gate with a fresh name.
+    fn gate(&mut self, fanins: &[Sig], cover: Cover) -> Result<ResolvedRef, NetworkError> {
+        let name = self.fresh();
+        let signal = self.add(name, fanins, cover, false)?;
+        Ok(ResolvedRef {
+            signal,
+            phase: true,
+        })
+    }
+
+    /// Canonicalizes a node and keeps it if it is new or `keep` is set.
+    fn add(
+        &mut self,
+        name: Name<'n>,
+        fanins: &[Sig],
+        cover: Cover,
+        keep: bool,
+    ) -> Result<Sig, NetworkError> {
+        let last = cover
+            .cubes()
+            .iter()
+            .filter_map(|c| c.literals().last())
+            .max();
+        if let Some(&(v, _)) = last {
+            if v as usize >= fanins.len() {
+                return Err(NetworkError::Inconsistent {
+                    detail: format!(
+                        "cover references position {v} but node has {} fanins",
+                        fanins.len()
+                    ),
+                });
+            }
+        }
+        // `sweep` simplifies each cover once before it touches fanins.
+        let cover = if cover.is_simplified() {
+            cover
+        } else {
+            cover.simplify()
+        };
+        let (mut fanins, mut cover) = self.substitute(fanins, cover);
+        let me = self.slots.len() as u32;
+        let literal = single_literal(&fanins, &cover);
+        let grand = match literal {
+            Some((x, false)) => self.inverter_source(x),
+            _ => None,
+        };
+        let canon = if fanins.is_empty() {
+            Sig::Const(!cover.is_empty())
+        } else if let Some((x, true)) = literal {
+            // A buffer enters the dedup table, but its readers read `x`.
+            self.first_of(&fanins, &cover, Sig::Signal(x));
+            Sig::Signal(x)
+        } else if let Some(grand) = grand {
+            // `sweep` turns an inverter of an inverter into a buffer of
+            // the grandparent, then dedups it before it collapses it.
+            fanins = vec![grand];
+            cover = Cover::from_cubes(vec![Cube::lit(0, true)]);
+            self.first_of(&fanins, &cover, Sig::Signal(grand))
+        } else {
+            self.first_of(&fanins, &cover, Sig::Signal(me))
+        };
+        if !keep && canon != Sig::Signal(me) {
+            return Ok(canon);
+        }
+        self.slots.push(Slot {
+            name,
+            driver: Some((fanins, cover)),
+            canon,
+        });
+        Ok(Sig::Signal(me))
+    }
+
+    /// Forwards the fanins to what they stand for, folds constants,
+    /// merges repeated signals, drops unused positions and simplifies,
+    /// as `sweep`'s `propagate_constants`, `prune_unused_fanins` and
+    /// `simplify_covers` would.
+    fn substitute(&self, fanins: &[Sig], mut cover: Cover) -> (Vec<u32>, Cover) {
+        let mut signals: Vec<Sig> = Vec::with_capacity(fanins.len());
+        for (pos, &f) in fanins.iter().enumerate() {
+            let f = self.canon(f);
+            if let Sig::Const(value) = f {
+                // The position is unused afterwards, so pruning drops it.
+                cover = cover.cofactor_lit(pos as u32, value);
+            }
+            signals.push(f);
+        }
+        let (signals, cover) = prune_fanins(&signals, &cover).unwrap_or((signals, cover));
+        let (signals, cover) = if cover.is_simplified() {
+            (signals, cover)
+        } else {
+            let cover = cover.simplify();
+            prune_fanins(&signals, &cover).unwrap_or((signals, cover))
+        };
+        let fanins = signals
+            .iter()
+            .filter_map(|&s| match s {
+                Sig::Signal(s) => Some(s),
+                Sig::Const(_) => None,
             })
+            .collect();
+        (fanins, cover)
+    }
+
+    /// The source of `x` when `x` is an inverter node.
+    fn inverter_source(&self, x: u32) -> Option<u32> {
+        let (fanins, cover) = self.slots[x as usize].driver.as_ref()?;
+        match single_literal(fanins, cover) {
+            Some((y, false)) => Some(y),
+            _ => None,
+        }
+    }
+
+    /// What readers of a node read: the first node with its function, or
+    /// `first` when it is the first. A node whose key the scratch manager
+    /// cannot build is left out of the table, as `sweep` leaves it out.
+    fn first_of(&mut self, fanins: &[u32], cover: &Cover, first: Sig) -> Sig {
+        match self.keys.key(fanins.iter().map(|&s| s as usize), cover) {
+            Some(key) => *self.table.entry(key).or_insert(first),
+            None => first,
         }
     }
 }
 
-struct Emitter<'a> {
-    net: &'a mut Network,
-    forest: &'a FactorForest,
-    var_signals: &'a [SignalId],
-    prefix: &'a str,
-    memo: HashMap<(u32, bool), ResolvedRef>,
+/// The error for a fanin or output that [`Stitch::finish`] did not write.
+fn unwritten(net: &Network) -> NetworkError {
+    NetworkError::Inconsistent {
+        detail: format!("stitch of `{}` reads a signal it did not write", net.name()),
+    }
 }
 
-impl Emitter<'_> {
+struct Emitter<'s, 'n, 'a> {
+    stitch: &'s mut Stitch<'n>,
+    forest: &'a FactorForest,
+    var_signals: &'a [Sig],
+    memo: FastMap<(u32, bool), ResolvedRef>,
+}
+
+impl Emitter<'_, '_, '_> {
     /// Resolves a *root* (output) reference. Internal consumers fold
     /// complement phases into their covers for free, but a complemented
     /// root would cost an inverter — for XNOR roots we instead emit the
@@ -188,22 +534,10 @@ impl Emitter<'_> {
         })
     }
 
-    fn fresh(&mut self) -> String {
-        let p = self.prefix.to_string();
-        self.net.fresh_name(&p)
-    }
-
     /// Emits the positive function of forest node `r.id()`.
     fn emit_node(&mut self, r: FactorRef) -> Result<ResolvedRef, NetworkError> {
         match self.forest.node(r) {
-            FactorNode::One => {
-                let name = self.fresh();
-                let sig = self.net.add_constant(name, true)?;
-                Ok(ResolvedRef {
-                    signal: sig,
-                    phase: true,
-                })
-            }
+            FactorNode::One => Ok(self.stitch.constant(true)),
             FactorNode::Literal(v) => Ok(ResolvedRef {
                 signal: self.var_signals[v.index()],
                 phase: true,
@@ -215,12 +549,12 @@ impl Emitter<'_> {
                         .into_iter()
                         .collect(),
                 );
-                self.gate(vec![ra.signal, rb.signal], cover)
+                self.stitch.gate(&[ra.signal, rb.signal], cover)
             }
             &FactorNode::Or(a, b) => {
                 let (ra, rb) = (self.resolve(a)?, self.resolve(b)?);
                 let cover = Cover::from_cubes(vec![Cube::lit(0, ra.phase), Cube::lit(1, rb.phase)]);
-                self.gate(vec![ra.signal, rb.signal], cover)
+                self.stitch.gate(&[ra.signal, rb.signal], cover)
             }
             &FactorNode::Xnor(a, b) => {
                 let (ra, rb) = (self.resolve(a)?, self.resolve(b)?);
@@ -238,7 +572,8 @@ impl Emitter<'_> {
                         Cube::parse(&[(0, false), (1, false)]),
                     ]
                 };
-                self.gate(vec![ra.signal, rb.signal], Cover::from_cubes(cubes))
+                self.stitch
+                    .gate(&[ra.signal, rb.signal], Cover::from_cubes(cubes))
             }
             &FactorNode::Mux { sel, hi, lo } => {
                 let rs = self.resolve(sel)?;
@@ -248,15 +583,13 @@ impl Emitter<'_> {
                     Cube::parse(&[(0, rs.phase), (1, rh.phase)]),
                     Cube::parse(&[(0, !rs.phase), (2, rl.phase)]),
                 ];
-                self.gate(
-                    vec![rs.signal, rh.signal, rl.signal],
-                    Cover::from_cubes(cubes),
-                )
+                self.stitch
+                    .gate(&[rs.signal, rh.signal, rl.signal], Cover::from_cubes(cubes))
             }
             FactorNode::Leaf(cubes) => {
                 // Map manager variables to fanin positions.
-                let mut fanins: Vec<SignalId> = Vec::new();
-                let mut pos_of: HashMap<usize, u32> = HashMap::new();
+                let mut fanins: Vec<Sig> = Vec::new();
+                let mut pos_of: FastMap<usize, u32> = FastMap::default();
                 for cube in cubes {
                     for &(v, _) in cube.literals() {
                         pos_of.entry(v.index()).or_insert_with(|| {
@@ -279,25 +612,11 @@ impl Emitter<'_> {
                     })
                     .collect();
                 if cover.is_empty() {
-                    let name = self.fresh();
-                    let sig = self.net.add_constant(name, false)?;
-                    return Ok(ResolvedRef {
-                        signal: sig,
-                        phase: true,
-                    });
+                    return Ok(self.stitch.constant(false));
                 }
-                self.gate(fanins, cover)
+                self.stitch.gate(&fanins, cover)
             }
         }
-    }
-
-    fn gate(&mut self, fanins: Vec<SignalId>, cover: Cover) -> Result<ResolvedRef, NetworkError> {
-        let name = self.fresh();
-        let sig = self.net.add_node(name, fanins, cover)?;
-        Ok(ResolvedRef {
-            signal: sig,
-            phase: true,
-        })
     }
 }
 
@@ -306,6 +625,10 @@ mod tests {
     use super::*;
     use crate::decompose::{DecomposeParams, Decomposer};
     use bds_bdd::Manager;
+
+    fn inputs<'n>(stitch: &mut Stitch<'n>, names: &[&'n str]) -> Vec<Sig> {
+        names.iter().map(|n| stitch.add_input(n).unwrap()).collect()
+    }
 
     /// Decompose → emit → simulate must equal direct BDD evaluation.
     #[test]
@@ -326,15 +649,14 @@ mod tests {
             .decompose(&mut mgr, g.complement(), &mut forest, &p)
             .unwrap();
 
-        let mut net = Network::new("emit");
-        let sigs: Vec<SignalId> = (0..4)
-            .map(|i| net.add_input(format!("x{i}")).unwrap())
-            .collect();
-        let emitted = emit_forest(&mut net, &forest, &[rf, rg], &sigs, "g").unwrap();
-        let of = alias(&mut net, emitted[0], "F").unwrap();
-        let og = alias(&mut net, emitted[1], "G").unwrap();
-        net.mark_output(of).unwrap();
-        net.mark_output(og).unwrap();
+        let mut stitch = Stitch::new("emit", "g");
+        let sigs = inputs(&mut stitch, &["x0", "x1", "x2", "x3"]);
+        let emitted = stitch.emit_forest(&forest, &[rf, rg], &sigs).unwrap();
+        let of = stitch.alias(emitted[0], "F", true).unwrap();
+        let og = stitch.alias(emitted[1], "G", true).unwrap();
+        stitch.mark_output(of).unwrap();
+        stitch.mark_output(og).unwrap();
+        let net = stitch.finish().unwrap();
 
         for bits in 0..16u32 {
             let assign: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
@@ -354,13 +676,12 @@ mod tests {
             Cube::parse(&[(1, false), (2, false)]),
         ]);
         let expr = bds_sop::factor::factor(&cover);
-        let mut net = Network::new("expr");
-        let sigs: Vec<SignalId> = (0..3)
-            .map(|i| net.add_input(format!("x{i}")).unwrap())
-            .collect();
-        let r = emit_expr(&mut net, &expr, &sigs, "e").unwrap();
-        let o = alias(&mut net, r, "F").unwrap();
-        net.mark_output(o).unwrap();
+        let mut stitch = Stitch::new("expr", "e");
+        let sigs = inputs(&mut stitch, &["x0", "x1", "x2"]);
+        let r = stitch.emit_expr(&expr, &sigs).unwrap();
+        let o = stitch.alias(r, "F", true).unwrap();
+        stitch.mark_output(o).unwrap();
+        let net = stitch.finish().unwrap();
         for sig in net.node_ids() {
             let (fanins, _) = net.node(sig).unwrap();
             assert!(fanins.len() <= 2, "expr gates must stay at ≤2 inputs");
@@ -374,16 +695,18 @@ mod tests {
     /// Constants and bare literals emit without gates.
     #[test]
     fn emit_expr_handles_degenerate_forms() {
-        let mut net = Network::new("deg");
-        let sigs: Vec<SignalId> = (0..2)
-            .map(|i| net.add_input(format!("x{i}")).unwrap())
-            .collect();
-        let lit = emit_expr(&mut net, &Expr::Lit(1, false), &sigs, "e").unwrap();
+        let mut stitch = Stitch::new("deg", "e");
+        let sigs = inputs(&mut stitch, &["x0", "x1"]);
+        let lit = stitch.emit_expr(&Expr::Lit(1, false), &sigs).unwrap();
         assert_eq!(lit.signal, sigs[1]);
         assert!(!lit.phase, "negative literal folds into the phase");
-        let c = emit_expr(&mut net, &Expr::Const(true), &sigs, "e").unwrap();
-        assert!(c.phase);
-        assert_eq!(net.node_count(), 1, "only the constant adds a node");
+        let c = stitch.emit_expr(&Expr::Const(true), &sigs).unwrap();
+        assert_eq!(c.signal, Sig::Const(true));
+        let o = stitch.alias(c, "F", true).unwrap();
+        stitch.mark_output(o).unwrap();
+        let net = stitch.finish().unwrap();
+        assert_eq!(net.node_count(), 1, "only the named constant is written");
+        assert_eq!(net.eval(&[false, false]).unwrap(), vec![true]);
     }
 
     /// Shared sub-functions must produce shared network nodes.
@@ -402,21 +725,238 @@ mod tests {
         let rf = dec.decompose(&mut mgr, f, &mut forest, &p).unwrap();
         let rg = dec.decompose(&mut mgr, g, &mut forest, &p).unwrap();
 
-        let mut net = Network::new("share");
-        let sigs: Vec<SignalId> = (0..4)
-            .map(|i| net.add_input(format!("x{i}")).unwrap())
-            .collect();
-        let emitted = emit_forest(&mut net, &forest, &[rf, rg], &sigs, "n").unwrap();
-        for (i, e) in emitted.iter().enumerate() {
-            let name = format!("o{i}");
-            let s = alias(&mut net, *e, &name).unwrap();
-            net.mark_output(s).unwrap();
+        let mut stitch = Stitch::new("share", "n");
+        let sigs = inputs(&mut stitch, &["x0", "x1", "x2", "x3"]);
+        let emitted = stitch.emit_forest(&forest, &[rf, rg], &sigs).unwrap();
+        for (e, name) in emitted.iter().zip(["o0", "o1"]) {
+            let s = stitch.alias(*e, name, true).unwrap();
+            stitch.mark_output(s).unwrap();
         }
-        // Nodes: shared XOR + two ANDs + two aliases = 5.
+        // Nodes: shared XOR + two ANDs + two output buffers = 5.
         assert_eq!(
-            net.compacted().unwrap().node_count(),
+            stitch.finish().unwrap().node_count(),
             5,
             "the XOR must be emitted once"
         );
+    }
+
+    /// A second emission of the same function over the same signals is
+    /// the first one's node, whatever its cover's form; a positive alias
+    /// that is not an output is no node at all.
+    #[test]
+    fn duplicates_and_buffers_write_no_node() {
+        let mut stitch = Stitch::new("dup", "n");
+        let sigs = inputs(&mut stitch, &["a", "b"]);
+        let and = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]);
+        let first = stitch.node("f", &sigs, and.clone(), false).unwrap();
+        let swapped = stitch.node("g", &[sigs[1], sigs[0]], and, false).unwrap();
+        assert_eq!(first, swapped);
+        let named = stitch
+            .alias(
+                ResolvedRef {
+                    signal: first,
+                    phase: true,
+                },
+                "h",
+                false,
+            )
+            .unwrap();
+        assert_eq!(named, first);
+        // A = f' twice, and an inverter of that inverter: the output reads
+        // f through a buffer.
+        let inv = ResolvedRef {
+            signal: first,
+            phase: false,
+        };
+        let i1 = stitch.alias(inv, "i1", false).unwrap();
+        assert_eq!(stitch.alias(inv, "i2", false).unwrap(), i1);
+        let o = stitch
+            .alias(
+                ResolvedRef {
+                    signal: i1,
+                    phase: false,
+                },
+                "o",
+                true,
+            )
+            .unwrap();
+        stitch.mark_output(o).unwrap();
+        let net = stitch.finish().unwrap();
+        assert_eq!(bds_network::blif::write(&net).matches(".names").count(), 2);
+        let o = net.signal_id("o").unwrap();
+        assert_eq!(net.node(o).unwrap().0, &[net.signal_id("f").unwrap()]);
+    }
+
+    /// A given name may not reuse an input's name or a fresh name already
+    /// handed out; a given name of the fresh form is skipped later.
+    #[test]
+    fn names_clash_as_in_a_network() {
+        let mut stitch = Stitch::new("names", "n");
+        let sigs = inputs(&mut stitch, &["a", "b", "n_1"]);
+        let or = Cover::from_cubes(vec![Cube::lit(0, true), Cube::lit(1, true)]);
+        let g = stitch.gate(&sigs[..2], or.clone()).unwrap();
+        assert!(matches!(
+            stitch.alias(g, "n_0", true),
+            Err(NetworkError::DuplicateName { .. })
+        ));
+        assert!(matches!(
+            stitch.alias(g, "a", true),
+            Err(NetworkError::DuplicateName { .. })
+        ));
+        stitch.alias(g, "n_3", true).unwrap();
+        assert!(matches!(stitch.fresh(), Name::Fresh(2)));
+        assert!(matches!(stitch.fresh(), Name::Fresh(4)));
+    }
+
+    /// `sweep`'s dedup table holds dead buffers, so a node whose cover is
+    /// not a literal but whose function is one is merged into an earlier
+    /// buffer of that signal, and then read as the signal itself; with no
+    /// such buffer it is kept. The stitch must agree with `sweep` and
+    /// `compacted` on both.
+    #[test]
+    fn functional_literals_follow_earlier_buffers() {
+        // x·y + x·z + x·y'·z' is simplified, and equal to x.
+        let cover = Cover::from_cubes(vec![
+            Cube::parse(&[(0, true), (1, true)]),
+            Cube::parse(&[(0, true), (2, true)]),
+            Cube::parse(&[(0, true), (1, false), (2, false)]),
+        ]);
+        assert!(cover.is_simplified());
+        let and = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]);
+        for buffered in [true, false] {
+            let mut net = Network::new("lit");
+            let ins: Vec<SignalId> = ["x", "y", "z"]
+                .iter()
+                .map(|n| net.add_input(*n).unwrap())
+                .collect();
+            if buffered {
+                let buf = Cover::from_cubes(vec![Cube::lit(0, true)]);
+                net.add_node("b", vec![ins[0]], buf).unwrap();
+            }
+            let n = net.add_node("n", ins.clone(), cover.clone()).unwrap();
+            let o = net.add_node("o", vec![n, ins[1]], and.clone()).unwrap();
+            net.mark_output(o).unwrap();
+            net.sweep().unwrap();
+            let expected = bds_network::blif::write(&net.compacted().unwrap());
+
+            let mut stitch = Stitch::new("lit", "bds");
+            let ins = inputs(&mut stitch, &["x", "y", "z"]);
+            if buffered {
+                let x = ResolvedRef {
+                    signal: ins[0],
+                    phase: true,
+                };
+                stitch.alias(x, "b", false).unwrap();
+            }
+            let n = stitch.node("n", &ins, cover.clone(), false).unwrap();
+            assert_eq!(n == ins[0], buffered);
+            let o = stitch.node("o", &[n, ins[1]], and.clone(), true).unwrap();
+            stitch.mark_output(o).unwrap();
+            let got = bds_network::blif::write(&stitch.finish().unwrap());
+            assert_eq!(got, expected, "buffered: {buffered}");
+        }
+    }
+
+    /// `sweep` simplifies a cover before its fanins merge, and the order
+    /// shows: x₁x₃ + x̄₂x̄₃ + x̄₂x₃ + x₃x₄ simplifies to x₁x₃ + x̄₂ + x₃x₄
+    /// first, so with x₁, x₃ → a and x₂ → b it ends as a + b̄, where merging
+    /// first would leave a + āb̄.
+    #[test]
+    fn covers_are_simplified_before_fanins_merge() {
+        let cover = Cover::from_cubes(vec![
+            Cube::parse(&[(1, true), (3, true)]),
+            Cube::parse(&[(2, false), (3, false)]),
+            Cube::parse(&[(2, false), (3, true)]),
+            Cube::parse(&[(3, true), (4, true)]),
+        ]);
+        let of_position = [1, 1, 2, 1, 0];
+        let mut net = Network::new("order");
+        let ins: Vec<SignalId> = ["c", "a", "b"]
+            .iter()
+            .map(|n| net.add_input(*n).unwrap())
+            .collect();
+        let fanins = of_position.iter().map(|&i| ins[i]).collect();
+        let f = net.add_node("F", fanins, cover.clone()).unwrap();
+        net.mark_output(f).unwrap();
+        net.sweep().unwrap();
+        let expected = bds_network::blif::write(&net.compacted().unwrap());
+        assert!(
+            expected.contains(".names a b F\n1- 1\n-0 1\n"),
+            "{expected}"
+        );
+
+        let mut stitch = Stitch::new("order", "bds");
+        let ins = inputs(&mut stitch, &["c", "a", "b"]);
+        let fanins: Vec<Sig> = of_position.iter().map(|&i| ins[i]).collect();
+        let f = stitch.node("F", &fanins, cover, true).unwrap();
+        stitch.mark_output(f).unwrap();
+        let got = bds_network::blif::write(&stitch.finish().unwrap());
+        assert_eq!(got, expected);
+    }
+
+    /// `sweep` resolves an inverter of an inverter an iteration after a
+    /// buffer and simplifies the reader in between; the stitch applies
+    /// both rewrites at once. For F = p̄₀ + p̄₁p̄₃ + p₁p̄₂ over (NOT NOT x, x,
+    /// BUF y, y), `sweep` merges the buffer first, so x̄ȳ + xȳ simplifies
+    /// to ȳ, and ends at x̄ + ȳ; the stitch merges x and y together, x̄ȳ
+    /// falls under x̄ instead, and it ends at x̄ + xȳ. Both compute the
+    /// same function and are `sweep` fixpoints: the divergence the module
+    /// docs name.
+    #[test]
+    fn staged_rewrites_can_diverge_from_sweep() {
+        let cover = Cover::from_cubes(vec![
+            Cube::parse(&[(0, false)]),
+            Cube::parse(&[(1, false), (3, false)]),
+            Cube::parse(&[(1, true), (2, false)]),
+        ]);
+        let lit = |phase| Cover::from_cubes(vec![Cube::lit(0, phase)]);
+        let mut net = Network::new("staged");
+        let x = net.add_input("x").unwrap();
+        let y = net.add_input("y").unwrap();
+        let i1 = net.add_node("i1", vec![x], lit(false)).unwrap();
+        let i2 = net.add_node("i2", vec![i1], lit(false)).unwrap();
+        let b = net.add_node("b", vec![y], lit(true)).unwrap();
+        let f = net.add_node("F", vec![i2, x, b, y], cover.clone()).unwrap();
+        net.mark_output(f).unwrap();
+        net.sweep().unwrap();
+        let swept = net.compacted().unwrap();
+        let expected = bds_network::blif::write(&swept);
+        assert!(
+            expected.contains(".names x y F\n0- 1\n-0 1\n"),
+            "{expected}"
+        );
+
+        let mut stitch = Stitch::new("staged", "bds");
+        let ins = inputs(&mut stitch, &["x", "y"]);
+        let not = |signal| ResolvedRef {
+            signal,
+            phase: false,
+        };
+        let i1 = stitch.alias(not(ins[0]), "i1", false).unwrap();
+        let i2 = stitch.alias(not(i1), "i2", false).unwrap();
+        let b = stitch
+            .alias(
+                ResolvedRef {
+                    signal: ins[1],
+                    phase: true,
+                },
+                "b",
+                false,
+            )
+            .unwrap();
+        let f = stitch
+            .node("F", &[i2, ins[0], b, ins[1]], cover, true)
+            .unwrap();
+        stitch.mark_output(f).unwrap();
+        let got = stitch.finish().unwrap();
+        let written = bds_network::blif::write(&got);
+        assert!(written.contains(".names x y F\n0- 1\n10 1\n"), "{written}");
+
+        assert_eq!(got.clone().sweep().unwrap(), 0);
+        assert_eq!(bds_network::blif::write(&got.compacted().unwrap()), written);
+        for bits in 0..4u32 {
+            let assign = [bits & 1 == 1, bits & 2 == 2];
+            assert_eq!(got.eval(&assign).unwrap(), swept.eval(&assign).unwrap());
+        }
     }
 }

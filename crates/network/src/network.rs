@@ -424,6 +424,33 @@ impl Network {
         }
     }
 
+    /// True when [`Network::compacted`] would rebuild this network as it
+    /// is (its fresh-name state aside): the inputs come first and in
+    /// order, every fanin has a lower id than its reader, and an output
+    /// reaches every node. O(signals + fanins), allocating one flag per
+    /// signal.
+    pub fn is_compact(&self) -> bool {
+        if self.back_edges != 0 || self.inputs.iter().enumerate().any(|(i, s)| s.index() != i) {
+            return false;
+        }
+        let mut live = vec![false; self.signals.len()];
+        for &o in &self.outputs {
+            live[o.index()] = true;
+        }
+        // Fanins have lower ids, so one backward pass marks the cone.
+        for (i, entry) in self.signals.iter().enumerate().rev() {
+            if let Driver::Node(nd) = &entry.driver {
+                if !live[i] {
+                    return false;
+                }
+                for &f in &nd.fanins {
+                    live[f.index()] = true;
+                }
+            }
+        }
+        true
+    }
+
     /// Rebuilds the network keeping only signals reachable from the
     /// outputs (plus all primary inputs). Returns the compacted network;
     /// signal ids are renumbered.
@@ -584,10 +611,31 @@ mod tests {
         let f = n.add_node("f", vec![a, b], and_cover()).unwrap();
         let _dead = n.add_node("dead", vec![a, b], and_cover()).unwrap();
         n.mark_output(f).unwrap();
+        assert!(!n.is_compact(), "a dead node is left to compact");
         let c = n.compacted().unwrap();
+        assert!(c.is_compact());
         assert_eq!(c.node_count(), 1);
         assert_eq!(c.inputs().len(), 2);
         assert_eq!(c.eval(&[true, true]).unwrap(), vec![true]);
+    }
+
+    #[test]
+    fn is_compact_needs_inputs_first_and_forward_edges() {
+        let buf = || Cover::from_cubes(vec![Cube::lit(0, true)]);
+        let mut n = Network::new("t");
+        let a = n.add_input("a").unwrap();
+        let f = n.add_node("f", vec![a], buf()).unwrap();
+        let g = n.add_node("g", vec![a], buf()).unwrap();
+        n.mark_output(f).unwrap();
+        n.mark_output(g).unwrap();
+        assert!(n.is_compact());
+        // f reading g is a back edge: `compacted` would reorder them.
+        let mut back = n.clone();
+        back.replace_node(f, vec![g], buf()).unwrap();
+        assert!(!back.is_compact());
+        // An input declared after a node is placed first by `compacted`.
+        n.add_input("b").unwrap();
+        assert!(!n.is_compact());
     }
 
     #[test]

@@ -9,8 +9,13 @@
 //! is "nothing changed": [`Cover::is_simplified`] and `prune_is_noop`
 //! decide that without allocating, and all dedup passes of one call share
 //! one scratch manager (DESIGN.md, "`sweep` no-change paths").
+//!
+//! The per-node rules are free items, [`prune_fanins`],
+//! [`single_literal`] and [`FunctionKeys`], so that a writer that emits
+//! nodes already swept (the BDS stitch) applies the same policy.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use bds_bdd::{Manager, Var};
 use bds_sop::{Cover, Cube};
@@ -36,17 +41,15 @@ impl Network {
     /// produces either.
     pub fn sweep(&mut self) -> Result<usize> {
         let _span = bds_trace::span!("net.sweep");
-        // Dedup scratch shared by every pass of this call. Sweep never
-        // adds signals, so the variable map's length is fixed.
-        let mut scratch = Manager::new();
-        let mut var_of: Vec<Option<Var>> = vec![None; self.signals.len()];
+        // Dedup scratch shared by every pass of this call.
+        let mut keys = FunctionKeys::default();
         let mut total = 0;
         loop {
             let mut changed = 0;
             changed += self.simplify_covers()?;
             changed += self.propagate_constants()?;
             changed += self.collapse_buffers()?;
-            changed += self.dedup_equivalent_nodes(&mut scratch, &mut var_of)?;
+            changed += self.dedup_equivalent_nodes(&mut keys)?;
             if changed == 0 {
                 break;
             }
@@ -87,91 +90,16 @@ impl Network {
         Ok(changed)
     }
 
-    /// Removes fanins whose position never occurs in the cover, and
-    /// merges duplicate fanin signals into a single position.
+    /// Applies [`prune_fanins`] to node `sig`; returns 1 if it changed.
     fn prune_unused_fanins(&mut self, sig: SignalId) -> Result<usize> {
         let Some((fanins, cover)) = self.node(sig) else {
             return Ok(0);
         };
-        if Self::prune_is_noop(fanins, cover) {
+        let Some((fanins, cover)) = prune_fanins(fanins, cover) else {
             return Ok(0);
-        }
-        let fanins = fanins.to_vec();
-        let cover = cover.clone();
-        // Merge duplicate fanin signals: all positions of a signal map to
-        // its first position.
-        let mut first_pos: HashMap<SignalId, u32> = HashMap::new();
-        let mut pos_map: Vec<u32> = Vec::with_capacity(fanins.len());
-        for (i, &f) in fanins.iter().enumerate() {
-            let p = *first_pos.entry(f).or_insert(i as u32);
-            pos_map.push(p);
-        }
-        let merged: Cover = cover
-            .cubes()
-            .iter()
-            .filter_map(|c| {
-                Cube::new(
-                    c.literals()
-                        .iter()
-                        .map(|&(v, p)| (pos_map[v as usize], p))
-                        .collect(),
-                )
-            })
-            .collect();
-        // Now drop unused positions and renumber.
-        let used = merged.support();
-        let keep: Vec<usize> = used.iter().map(|&v| v as usize).collect();
-        if keep.len() == fanins.len() && merged == cover {
-            return Ok(0);
-        }
-        let renumber: HashMap<u32, u32> = used
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new as u32))
-            .collect();
-        let mut new_cubes = Vec::with_capacity(merged.len());
-        for c in merged.cubes() {
-            let lits: Vec<(u32, bool)> = c
-                .literals()
-                .iter()
-                .map(|&(v, p)| (renumber[&v], p))
-                .collect();
-            let cube = Cube::new(lits).ok_or_else(|| NetworkError::Inconsistent {
-                detail: format!(
-                    "fanin renumbering produced a contradictory cube on `{}`",
-                    self.signal_name(sig)
-                ),
-            })?;
-            new_cubes.push(cube);
-        }
-        let new_cover = Cover::from_cubes(new_cubes);
-        let new_fanins: Vec<SignalId> = keep.iter().map(|&i| fanins[i]).collect();
-        self.replace_node(sig, new_fanins, new_cover)?;
+        };
+        self.replace_node(sig, fanins, cover)?;
         Ok(1)
-    }
-
-    /// True when [`Network::prune_unused_fanins`] would leave the node
-    /// as it is: at most 64 fanins, pairwise distinct, every position
-    /// below the fanin count and used by the cover, and the cubes
-    /// strictly sorted. Then its position map is the identity, the merged
-    /// cover equals the cover and every position is kept. Allocates
-    /// nothing; a `false` only means the full check runs.
-    fn prune_is_noop(fanins: &[SignalId], cover: &Cover) -> bool {
-        let n = fanins.len();
-        if n > 64 || (0..n).any(|i| fanins[i + 1..].contains(&fanins[i])) {
-            return false;
-        }
-        let mut used = 0u64;
-        for cube in cover.cubes() {
-            for &(v, _) in cube.literals() {
-                if v as usize >= n {
-                    return false;
-                }
-                used |= 1 << v;
-            }
-        }
-        let all = if n == 64 { u64::MAX } else { (1 << n) - 1 };
-        used == all && cover.cubes().windows(2).all(|w| w[0] < w[1])
     }
 
     /// Folds constant nodes into their fanouts.
@@ -216,27 +144,19 @@ impl Network {
             let Some((fanins, cover)) = self.node(sig) else {
                 continue;
             };
-            if fanins.len() != 1 || cover.len() != 1 || cover.cubes()[0].len() != 1 {
+            let Some((source, positive)) = single_literal(fanins, cover) else {
                 continue;
-            }
-            let source = fanins[0];
-            let positive = cover.cubes()[0].literals()[0].1;
+            };
             if !positive {
                 // Inverter: collapse only chains of two.
-                if let Some((src_fanins, src_cover)) = self.node(source) {
-                    let src_is_inv = src_fanins.len() == 1
-                        && src_cover.len() == 1
-                        && src_cover.cubes()[0].len() == 1
-                        && !src_cover.cubes()[0].literals()[0].1;
-                    if src_is_inv {
-                        let grand = src_fanins[0];
-                        self.replace_node(
-                            sig,
-                            vec![grand],
-                            Cover::from_cubes(vec![Cube::lit(0, true)]),
-                        )?;
-                        changed += 1;
-                    }
+                let grand = self.node(source).and_then(|(f, c)| single_literal(f, c));
+                if let Some((grand, false)) = grand {
+                    self.replace_node(
+                        sig,
+                        vec![grand],
+                        Cover::from_cubes(vec![Cube::lit(0, true)]),
+                    )?;
+                    changed += 1;
                 }
                 continue;
             }
@@ -274,20 +194,13 @@ impl Network {
     }
 
     /// Identifies nodes computing the same function of the same signals
-    /// (via canonical local BDDs in a scratch manager) and re-points all
-    /// uses to one representative.
+    /// (equal [`FunctionKeys`]) and re-points all uses to the first of
+    /// them in topological order.
     ///
-    /// `scratch` and `var_of` (one variable per signal, created on first
-    /// use) live for the whole `sweep` call: two nodes merge exactly when
-    /// their canonical BDDs are equal, which depends neither on the
-    /// variable order nor on what the manager built before.
-    fn dedup_equivalent_nodes(
-        &mut self,
-        scratch: &mut Manager,
-        var_of: &mut [Option<Var>],
-    ) -> Result<usize> {
+    /// `keys` lives for the whole `sweep` call: a key depends neither on
+    /// the variable order nor on what the scratch manager built before.
+    fn dedup_equivalent_nodes(&mut self, keys: &mut FunctionKeys) -> Result<usize> {
         let mut repr: HashMap<u32, SignalId> = HashMap::new();
-        let mut vars: Vec<Var> = Vec::new();
         let mut changed = 0;
         for sig in self.topo_order() {
             let Some((fanins, cover)) = self.node(sig) else {
@@ -296,23 +209,136 @@ impl Network {
             if fanins.is_empty() {
                 continue; // constants handled elsewhere
             }
-            vars.clear();
-            for &f in fanins {
-                vars.push(*var_of[f.index()].get_or_insert_with(|| scratch.new_var(String::new())));
-            }
-            let Ok(edge) = crate::global::cover_to_bdd(scratch, cover, &vars) else {
+            let Some(key) = keys.key(fanins.iter().map(|f| f.index()), cover) else {
                 continue;
             };
-            match repr.get(&edge.raw()) {
+            match repr.get(&key) {
                 Some(&r) if r != sig => {
                     changed += self.replace_uses(sig, r)?;
                 }
                 _ => {
-                    repr.insert(edge.raw(), sig);
+                    repr.insert(key, sig);
                 }
             }
         }
         Ok(changed)
+    }
+}
+
+/// `sweep`'s fanin clean-up of one node whose cover variable `i` is
+/// `fanins[i]`: every position of a repeated fanin becomes its first
+/// position (cubes that turn contradictory drop out), then the positions
+/// the cover does not use are removed and the rest renumbered in order.
+/// `None` when that leaves the node as it is.
+pub fn prune_fanins<T: Copy + Eq + Hash>(fanins: &[T], cover: &Cover) -> Option<(Vec<T>, Cover)> {
+    if prune_is_noop(fanins, cover) {
+        return None;
+    }
+    // Merge duplicate fanin signals: all positions of a signal map to
+    // its first position.
+    let mut first_pos: HashMap<T, u32> = HashMap::new();
+    let pos_map: Vec<u32> = (0..fanins.len())
+        .map(|i| *first_pos.entry(fanins[i]).or_insert(i as u32))
+        .collect();
+    let merged: Cover = cover
+        .cubes()
+        .iter()
+        .filter_map(|c| {
+            Cube::new(
+                c.literals()
+                    .iter()
+                    .map(|&(v, p)| (pos_map[v as usize], p))
+                    .collect(),
+            )
+        })
+        .collect();
+    // Now drop unused positions and renumber.
+    let used = merged.support();
+    if used.len() == fanins.len() && merged == *cover {
+        return None;
+    }
+    let mut renumber = vec![0u32; fanins.len()];
+    for (new, &old) in used.iter().enumerate() {
+        renumber[old as usize] = new as u32;
+    }
+    // Renumbering keeps the order of positions, so no cube changes form.
+    let cover = merged
+        .cubes()
+        .iter()
+        .filter_map(|c| {
+            Cube::new(
+                c.literals()
+                    .iter()
+                    .map(|&(v, p)| (renumber[v as usize], p))
+                    .collect(),
+            )
+        })
+        .collect();
+    let fanins = used.iter().map(|&v| fanins[v as usize]).collect();
+    Some((fanins, cover))
+}
+
+/// True when [`prune_fanins`] would leave the node as it is: at most 64
+/// fanins, pairwise distinct, every position below the fanin count and
+/// used by the cover, and the cubes strictly sorted. Then its position
+/// map is the identity, the merged cover equals the cover and every
+/// position is kept. Allocates nothing; a `false` only means the full
+/// check runs.
+fn prune_is_noop<T: Eq>(fanins: &[T], cover: &Cover) -> bool {
+    let n = fanins.len();
+    if n > 64 || (0..n).any(|i| fanins[i + 1..].contains(&fanins[i])) {
+        return false;
+    }
+    let mut used = 0u64;
+    for cube in cover.cubes() {
+        for &(v, _) in cube.literals() {
+            if v as usize >= n {
+                return false;
+            }
+            used |= 1 << v;
+        }
+    }
+    let all = if n == 64 { u64::MAX } else { (1 << n) - 1 };
+    used == all && cover.cubes().windows(2).all(|w| w[0] < w[1])
+}
+
+/// `Some((source, phase))` when the node is a single literal of its one
+/// fanin: a buffer (`phase`) or an inverter (`!phase`), the two forms
+/// `sweep` collapses.
+pub fn single_literal<T: Copy>(fanins: &[T], cover: &Cover) -> Option<(T, bool)> {
+    match (fanins, cover.cubes()) {
+        ([source], [cube]) if cube.len() == 1 => Some((*source, cube.literals()[0].1)),
+        _ => None,
+    }
+}
+
+/// Keys for `sweep`'s duplicate search: two nodes compute the same
+/// function of the same signals exactly when their keys are equal. Each
+/// signal, numbered by the caller, gets a variable of a scratch manager
+/// on first use, and a key is the node's canonical BDD there.
+#[derive(Default)]
+pub struct FunctionKeys {
+    scratch: Manager,
+    var_of: Vec<Option<Var>>,
+    vars: Vec<Var>,
+}
+
+impl FunctionKeys {
+    /// The key of `cover` over the signals `fanins` (cover variable `i`
+    /// is the `i`-th). `None` when the scratch manager cannot build it;
+    /// `sweep` then leaves the node out of the search.
+    pub fn key(&mut self, fanins: impl IntoIterator<Item = usize>, cover: &Cover) -> Option<u32> {
+        self.vars.clear();
+        for s in fanins {
+            if self.var_of.len() <= s {
+                self.var_of.resize(s + 1, None);
+            }
+            let scratch = &mut self.scratch;
+            self.vars
+                .push(*self.var_of[s].get_or_insert_with(|| scratch.new_var(String::new())));
+        }
+        let edge = crate::global::cover_to_bdd(&mut self.scratch, cover, &self.vars).ok()?;
+        Some(edge.raw())
     }
 }
 

@@ -16,6 +16,7 @@
 //! `cargo test --release --features strict-checks --test partitioned_differential -- --nocapture`.
 
 mod reference_partitioned;
+mod reference_stitch;
 
 use std::sync::Once;
 
@@ -297,6 +298,39 @@ fn random_logic_matches_the_reference() {
     assert!(
         shared > CASES / 4,
         "too few cases repeat a function: {shared}"
+    );
+}
+
+/// Networks the flow already optimized, whose node names have the
+/// stitch's fresh-name form `bds_<n>`: the name clashes (between given
+/// and fresh names, and the errors they raise) must come out as in the
+/// reference.
+#[test]
+fn reoptimized_networks_match_the_reference() {
+    let mut failed = 0;
+    check_cases(
+        "re-optimized networks match the reference",
+        CASES / 4,
+        |rng| {
+            let logic = RandomLogicParams {
+                inputs: rng.range_usize(3..25),
+                outputs: rng.range_usize(1..9),
+                nodes: rng.range_usize(2..81),
+                max_fanin: rng.range_usize(2..6),
+                max_cubes: rng.range_usize(1..6),
+            };
+            let seed = rng.next_u64();
+            let raw = random_logic(&logic, seed);
+            let (once, _) = bds_repro::core::flow::optimize(&raw, &base()).expect("optimizes");
+            for (form, net) in partitioned_inputs(&once) {
+                let name = format!("re-optimized {logic:?} seed {seed:#x} ({form})");
+                failed += usize::from(check(&name, &net, &base()).is_err());
+            }
+        },
+    );
+    eprintln!(
+        "{} re-optimized networks identical: {failed} runs failed alike",
+        CASES / 4
     );
 }
 

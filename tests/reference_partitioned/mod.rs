@@ -11,6 +11,9 @@
 //! fresh manager, a build, a sift and a decomposition, whether or not an
 //! earlier supernode had the same function.
 //!
+//! It stitches with the old emission in `tests/reference_stitch`, then
+//! sweeps and compacts, as the old path did.
+//!
 //! It lives in the test tree and is compiled only into the tests that
 //! declare `mod reference_partitioned;`, so library code cannot reach it.
 
@@ -21,9 +24,10 @@ use bds_repro::bdd::{Fault, Manager, OpStats};
 use bds_repro::core::decompose::{DecomposeStats, Decomposer};
 use bds_repro::core::factor_tree::{FactorForest, FactorRef};
 use bds_repro::core::flow::{FlowMode, FlowParams, FlowReport, GovernParams};
-use bds_repro::core::sharing::{alias, emit_expr, emit_forest};
 use bds_repro::network::{cover_to_bdd, Network, NetworkError, SignalId};
 use bds_repro::sop::{Cover, Expr};
+
+use crate::reference_stitch::{alias, emit_expr, emit_forest};
 
 /// The supernodes `optimize_partitioned` decomposes, in its order: every
 /// non-input node of the compacted network with a cover, in topological
