@@ -17,12 +17,11 @@
 //! [`optimize`] picks automatically: it attempts the global build under a
 //! node budget and falls back to partitioned mode.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use bds_bdd::reorder::{sift, SiftLimits};
-use bds_bdd::{BddError, Fault, Manager, OpStats};
+use bds_bdd::{BddError, FastMap, Fault, Manager, OpStats};
 use bds_network::{
     blif, cover_to_bdd, EliminateParams, Network, NetworkError, SignalId, STRICT_CHECKS,
 };
@@ -342,6 +341,9 @@ pub fn optimize_global(
                 detail: format!("global-BDD variable #{v} matches no primary input"),
             })?;
             var_signals.push(sig);
+        }
+        for &o in net.outputs() {
+            stitch.reserve(net.signal_name(o));
         }
         let emitted = stitch.emit_forest(&forest, &roots, &var_signals)?;
         for (idx, &o) in net.outputs().iter().enumerate() {
@@ -749,7 +751,7 @@ pub fn optimize_partitioned(
     // (fanin count, cover) get equal artifacts, so only the first item of
     // each group (its leader) is decomposed. The fault plan's target
     // always leads a group of its own, so it is never shared.
-    let mut leader_slot: HashMap<(usize, &Cover), usize> = HashMap::new();
+    let mut leader_slot: FastMap<(usize, &Cover), usize> = FastMap::default();
     let mut leaders: Vec<usize> = Vec::new();
     let mut slot_of: Vec<usize> = Vec::with_capacity(items.len());
     for (i, &(_, fanins, cover)) in items.iter().enumerate() {
@@ -792,6 +794,9 @@ pub fn optimize_partitioned(
         }
         for &i in work.inputs() {
             map[i.index()] = Some(stitch.add_input(work.signal_name(i))?);
+        }
+        for &(sig, _, _) in &items {
+            stitch.reserve(work.signal_name(sig));
         }
         for (&(sig, fanins, _), &slot) in items.iter().zip(&slot_of) {
             let artifact = &artifacts[slot];

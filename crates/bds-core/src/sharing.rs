@@ -36,7 +36,9 @@
 //! same function (the test `staged_rewrites_can_diverge_from_sweep`).
 
 use bds_bdd::{FastMap, FastSet};
-use bds_network::{prune_fanins, single_literal, FunctionKeys, Network, NetworkError, SignalId};
+use bds_network::{
+    prune_fanins, single_literal, FunctionKey, FunctionKeys, Network, NetworkError, SignalId,
+};
 use bds_sop::{Cover, Cube, Expr};
 
 use crate::factor_tree::{FactorForest, FactorNode, FactorRef};
@@ -92,7 +94,7 @@ pub struct Stitch<'n> {
     slots: Vec<Slot<'n>>,
     outputs: Vec<u32>,
     /// Function key → what readers of its first node read.
-    table: FastMap<u32, Sig>,
+    table: FastMap<FunctionKey, Sig>,
     keys: FunctionKeys,
     /// Fresh-name state: the next number, and the numbers `n` whose
     /// `{prefix}_{n}` is a given name and so is skipped.
@@ -131,6 +133,16 @@ impl<'n> Stitch<'n> {
             canon: Sig::Signal(me),
         });
         Ok(Sig::Signal(me))
+    }
+
+    /// Sets aside the number of `name` if it has the fresh form
+    /// `{prefix}_{n}`, so that no fresh name takes it before `name` is
+    /// given. A caller reserves every name it will give before it emits,
+    /// else a given name can clash with a gate's fresh name.
+    pub fn reserve(&mut self, name: &str) {
+        if let Some(n) = self.fresh_number(name) {
+            self.fresh_taken.insert(n);
+        }
     }
 
     /// Marks a named node or an input as a primary output (idempotent).
@@ -380,21 +392,7 @@ impl<'n> Stitch<'n> {
         cover: Cover,
         keep: bool,
     ) -> Result<Sig, NetworkError> {
-        let last = cover
-            .cubes()
-            .iter()
-            .filter_map(|c| c.literals().last())
-            .max();
-        if let Some(&(v, _)) = last {
-            if v as usize >= fanins.len() {
-                return Err(NetworkError::Inconsistent {
-                    detail: format!(
-                        "cover references position {v} but node has {} fanins",
-                        fanins.len()
-                    ),
-                });
-            }
-        }
+        Network::check_cover(fanins.len(), &cover)?;
         // `sweep` simplifies each cover once before it touches fanins.
         let cover = if cover.is_simplified() {
             cover
@@ -788,7 +786,7 @@ mod tests {
     }
 
     /// A given name may not reuse an input's name or a fresh name already
-    /// handed out; a given name of the fresh form is skipped later.
+    /// handed out; a given or reserved name of the fresh form is skipped.
     #[test]
     fn names_clash_as_in_a_network() {
         let mut stitch = Stitch::new("names", "n");
@@ -806,6 +804,11 @@ mod tests {
         stitch.alias(g, "n_3", true).unwrap();
         assert!(matches!(stitch.fresh(), Name::Fresh(2)));
         assert!(matches!(stitch.fresh(), Name::Fresh(4)));
+        // A reserved name is skipped too, and can be given afterwards.
+        stitch.reserve("n_6");
+        assert!(matches!(stitch.fresh(), Name::Fresh(5)));
+        assert!(matches!(stitch.fresh(), Name::Fresh(7)));
+        stitch.alias(g, "n_6", true).unwrap();
     }
 
     /// `sweep`'s dedup table holds dead buffers, so a node whose cover is

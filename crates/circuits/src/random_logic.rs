@@ -46,7 +46,9 @@ pub fn random_logic(params: &RandomLogicParams, seed: u64) -> Network {
         .map(|i| net.add_input(format!("i{i}")).expect("unique"))
         .collect();
     for k in 0..params.nodes {
-        let fanin_count = rng.range_usize(2..params.max_fanin.min(pool.len()) + 1);
+        // At least two fanins, unless fewer are available.
+        let available = params.max_fanin.min(pool.len());
+        let fanin_count = rng.range_usize(available.min(2)..available + 1);
         // Bias toward recent signals to get depth.
         let mut fanins: Vec<SignalId> = Vec::new();
         while fanins.len() < fanin_count {
@@ -108,6 +110,28 @@ mod tests {
         let c = random_logic(&p, 8);
         assert_eq!(bds_network::blif::write(&a), bds_network::blif::write(&b));
         assert_ne!(bds_network::blif::write(&a), bds_network::blif::write(&c));
+    }
+
+    /// With fewer than two fanins available (one input, or `max_fanin`
+    /// 1) a node takes what there is.
+    #[test]
+    fn narrow_fanin_pools_generate() {
+        let one_input = RandomLogicParams {
+            inputs: 1,
+            ..Default::default()
+        };
+        let one_fanin = RandomLogicParams {
+            max_fanin: 1,
+            ..Default::default()
+        };
+        for p in [one_input, one_fanin] {
+            let net = random_logic(&p, 5);
+            for sig in net.node_ids() {
+                let fanins = net.node(sig).unwrap().0.len();
+                assert!((1..=p.max_fanin).contains(&fanins), "{fanins} fanins");
+            }
+            assert_eq!(net.eval(&vec![true; p.inputs]).unwrap().len(), p.outputs);
+        }
     }
 
     #[test]

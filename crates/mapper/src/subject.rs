@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use bds_bdd::FastMap;
 use bds_network::{Network, NetworkError};
 use bds_sop::factor::factor;
 use bds_sop::{Cover, Expr};
@@ -31,7 +32,7 @@ pub enum SNode {
 #[derive(Clone, Debug, Default)]
 pub struct Subject {
     nodes: Vec<SNode>,
-    hash: HashMap<(u8, u32, u32), u32>,
+    hash: FastMap<(u8, u32, u32), u32>,
     outputs: Vec<(u32, String)>,
 }
 
@@ -53,7 +54,7 @@ impl Subject {
         // times over, so each distinct `(fanin count, cover)` is planned
         // once per call: `plan_of[n]` maps a cover over `n` fanins to its
         // index in `plans`.
-        let mut plan_of: Vec<HashMap<Cover, usize>> = Vec::new();
+        let mut plan_of: Vec<FastMap<Cover, usize>> = Vec::new();
         let mut plans: Vec<Plan> = Vec::new();
         let mut fanin_nodes: Vec<u32> = Vec::new();
         for sig in order {
@@ -66,7 +67,7 @@ impl Subject {
             fanin_nodes.extend(fanins.iter().map(|f| of_signal[f.index()]));
             let n = fanins.len();
             if plan_of.len() <= n {
-                plan_of.resize_with(n + 1, HashMap::new);
+                plan_of.resize_with(n + 1, FastMap::default);
             }
             let at = match plan_of[n].get(cover) {
                 Some(&at) => at,

@@ -14,9 +14,7 @@
 //! each distinct size probe and composition is built once per call: the
 //! results are memoized by the covers and fanin positions they read.
 
-use std::collections::HashMap;
-
-use bds_bdd::{Edge, Manager, Var};
+use bds_bdd::{Edge, FastMap, Manager, Var};
 use bds_sop::Cover;
 
 use crate::global::{bdd_to_cover, cover_to_bdd, cover_to_bdd_edges};
@@ -112,13 +110,13 @@ struct Scratch {
     /// Interned covers, by id.
     covers: Vec<Cover>,
     /// The id of each interned cover.
-    ids: HashMap<Cover, u32>,
+    ids: FastMap<Cover, u32>,
     /// Size-probe results by cover id: `None` until probed, then the
     /// collapse cost, or `None` when the local BDD exceeds the cap.
     probes: Vec<Option<Option<usize>>>,
     /// Compositions by key (see [`Network::composition`]); `None` when
     /// the composition blew up.
-    compositions: HashMap<Box<[u32]>, Option<Composition>>,
+    compositions: FastMap<Box<[u32]>, Option<Composition>>,
     /// The key of the last composition looked up.
     key: Vec<u32>,
     /// The manager every BDD of the call is built in, cleared before each
@@ -143,9 +141,9 @@ impl Scratch {
             settled: vec![false; signals],
             cover_id: vec![ABSENT; signals],
             covers: Vec::new(),
-            ids: HashMap::new(),
+            ids: FastMap::default(),
             probes: Vec::new(),
-            compositions: HashMap::new(),
+            compositions: FastMap::default(),
             key: Vec::new(),
             mgr: Manager::new(),
             vars: Vec::new(),

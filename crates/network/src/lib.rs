@@ -69,7 +69,7 @@ pub use global::{bdd_to_cover, cover_to_bdd, cover_to_bdd_edges};
 pub use invariants::STRICT_CHECKS;
 pub use network::{Network, SignalId};
 pub use stats::NetworkStats;
-pub use sweep::{prune_fanins, single_literal, FunctionKeys};
+pub use sweep::{prune_fanins, single_literal, FunctionKey, FunctionKeys};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NetworkError>;

@@ -114,7 +114,7 @@ impl Network {
         for &f in &fanins {
             self.check_signal(f)?;
         }
-        Self::check_cover(&fanins, &cover)?;
+        Self::check_cover(fanins.len(), &cover)?;
         self.add_signal(name.into(), Driver::Node(NodeData { fanins, cover }))
     }
 
@@ -145,19 +145,23 @@ impl Network {
         Ok(id)
     }
 
-    fn check_cover(fanins: &[SignalId], cover: &Cover) -> Result<()> {
-        let max = cover.support().into_iter().max();
-        if let Some(v) = max {
-            if v as usize >= fanins.len() {
-                return Err(NetworkError::Inconsistent {
-                    detail: format!(
-                        "cover references position {v} but node has {} fanins",
-                        fanins.len()
-                    ),
-                });
-            }
+    /// Checks that `cover` uses only positions below `fanins`.
+    ///
+    /// # Errors
+    /// [`NetworkError::Inconsistent`] otherwise.
+    pub fn check_cover(fanins: usize, cover: &Cover) -> Result<()> {
+        // Literals are sorted by position, so a cube's last is its largest.
+        let max = cover
+            .cubes()
+            .iter()
+            .filter_map(|c| c.literals().last())
+            .max();
+        match max {
+            Some(&(v, _)) if v as usize >= fanins => Err(NetworkError::Inconsistent {
+                detail: format!("cover references position {v} but node has {fanins} fanins"),
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Replaces the local function of the node driving `sig`.
@@ -182,7 +186,7 @@ impl Network {
         for &f in &fanins {
             self.check_signal(f)?;
         }
-        Self::check_cover(&fanins, &cover)?;
+        Self::check_cover(fanins.len(), &cover)?;
         let Driver::Node(old) = &self.signals[sig.index()].driver else {
             return Err(NetworkError::Inconsistent {
                 detail: format!("`{}` is a primary input", self.signal_name(sig)),
@@ -344,8 +348,12 @@ impl Network {
         }
     }
 
-    /// All signals topologically sorted (fanins before fanouts).
+    /// All signals topologically sorted (fanins before fanouts): id order
+    /// when there is no back edge, which is what the search would give.
     pub fn topo_order(&self) -> Vec<SignalId> {
+        if self.back_edges == 0 {
+            return self.signals().collect();
+        }
         let mut order = Vec::with_capacity(self.signals.len());
         // Iterative DFS over every signal. `state`: 0 new, 1 open, 2 done.
         // The stack is empty again at the end of every start's search.

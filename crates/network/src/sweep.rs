@@ -7,17 +7,17 @@
 //!
 //! Most nodes are already clean, so the common outcome of each sub-pass
 //! is "nothing changed": [`Cover::is_simplified`] and `prune_is_noop`
-//! decide that without allocating, and all dedup passes of one call share
-//! one scratch manager (DESIGN.md, "`sweep` no-change paths").
+//! decide that without allocating, a node of at most six distinct fanins
+//! is keyed by a truth table, and all dedup passes of one call share one
+//! scratch manager for wider nodes (DESIGN.md, "`sweep` no-change paths").
 //!
 //! The per-node rules are free items, [`prune_fanins`],
 //! [`single_literal`] and [`FunctionKeys`], so that a writer that emits
 //! nodes already swept (the BDS stitch) applies the same policy.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
-use bds_bdd::{Manager, Var};
+use bds_bdd::{FastMap, Manager, Var};
 use bds_sop::{Cover, Cube};
 
 use crate::error::NetworkError;
@@ -200,7 +200,7 @@ impl Network {
     /// `keys` lives for the whole `sweep` call: a key depends neither on
     /// the variable order nor on what the scratch manager built before.
     fn dedup_equivalent_nodes(&mut self, keys: &mut FunctionKeys) -> Result<usize> {
-        let mut repr: HashMap<u32, SignalId> = HashMap::new();
+        let mut repr: FastMap<FunctionKey, SignalId> = FastMap::default();
         let mut changed = 0;
         for sig in self.topo_order() {
             let Some((fanins, cover)) = self.node(sig) else {
@@ -236,7 +236,7 @@ pub fn prune_fanins<T: Copy + Eq + Hash>(fanins: &[T], cover: &Cover) -> Option<
     }
     // Merge duplicate fanin signals: all positions of a signal map to
     // its first position.
-    let mut first_pos: HashMap<T, u32> = HashMap::new();
+    let mut first_pos: FastMap<T, u32> = FastMap::default();
     let pos_map: Vec<u32> = (0..fanins.len())
         .map(|i| *first_pos.entry(fanins[i]).or_insert(i as u32))
         .collect();
@@ -312,24 +312,101 @@ pub fn single_literal<T: Copy>(fanins: &[T], cover: &Cover) -> Option<(T, bool)>
     }
 }
 
+/// Functions of at most this many signals are keyed by a truth table.
+const TABLE_VARS: usize = 6;
+
+/// `MASKS[i]`: the rows of a six-variable table where variable `i` is 1.
+const MASKS: [u64; TABLE_VARS] = [
+    0xaaaa_aaaa_aaaa_aaaa,
+    0xcccc_cccc_cccc_cccc,
+    0xf0f0_f0f0_f0f0_f0f0,
+    0xff00_ff00_ff00_ff00,
+    0xffff_0000_ffff_0000,
+    0xffff_ffff_0000_0000,
+];
+
+/// A [`FunctionKeys`] key: equal exactly when two nodes compute the same
+/// function of the same signals.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct FunctionKey(Key);
+
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+enum Key {
+    /// A function of at most [`TABLE_VARS`] signals: the signals it
+    /// depends on in ascending order (`u32::MAX` past the last), and its
+    /// truth table with signal `i` as variable `i`; the variables past
+    /// the last signal do not change it.
+    Table([u32; TABLE_VARS], u64),
+    /// A wider function: its edge in the scratch manager.
+    Edge(u32),
+}
+
 /// Keys for `sweep`'s duplicate search: two nodes compute the same
-/// function of the same signals exactly when their keys are equal. Each
-/// signal, numbered by the caller, gets a variable of a scratch manager
-/// on first use, and a key is the node's canonical BDD there.
+/// function of the same signals exactly when their keys are equal.
+///
+/// A node with at most six distinct fanins is keyed by the `u64` truth
+/// table of its function over the signals it depends on. A wider node is
+/// built as a BDD in a scratch manager (a variable per signal, numbered by
+/// the caller); if that depends on at most six signals it gets the same
+/// table, so a function of given signals has one key on either path.
 #[derive(Default)]
 pub struct FunctionKeys {
     scratch: Manager,
     var_of: Vec<Option<Var>>,
+    /// The fanin signals of the node being keyed, and their variables.
+    signals: Vec<u32>,
     vars: Vec<Var>,
 }
 
 impl FunctionKeys {
     /// The key of `cover` over the signals `fanins` (cover variable `i`
-    /// is the `i`-th). `None` when the scratch manager cannot build it;
-    /// `sweep` then leaves the node out of the search.
-    pub fn key(&mut self, fanins: impl IntoIterator<Item = usize>, cover: &Cover) -> Option<u32> {
-        self.vars.clear();
+    /// is the `i`-th). `None` when a signal number exceeds `u32::MAX` or
+    /// the scratch manager cannot build the node; `sweep` then leaves the
+    /// node out of the search.
+    pub fn key(
+        &mut self,
+        fanins: impl IntoIterator<Item = usize>,
+        cover: &Cover,
+    ) -> Option<FunctionKey> {
+        self.signals.clear();
         for s in fanins {
+            self.signals.push(u32::try_from(s).ok()?);
+        }
+        let mut support = [u32::MAX; TABLE_VARS];
+        let mut k = 0;
+        for &s in &self.signals {
+            if let Err(at) = support[..k].binary_search(&s) {
+                if k == TABLE_VARS {
+                    return self.edge_key(cover).map(FunctionKey);
+                }
+                support.copy_within(at..k, at + 1);
+                support[at] = s;
+                k += 1;
+            }
+        }
+        let table = self.table(cover, &support[..k])?;
+        // Drop the signals whose two cofactors are equal.
+        let mut used = [u32::MAX; TABLE_VARS];
+        let mut n = 0;
+        for (i, &s) in support[..k].iter().enumerate() {
+            if ((table >> (1 << i)) ^ table) & !MASKS[i] != 0 {
+                used[n] = s;
+                n += 1;
+            }
+        }
+        let table = if n == k {
+            table
+        } else {
+            self.table(cover, &used[..n])?
+        };
+        Some(FunctionKey(Key::Table(used, table)))
+    }
+
+    /// The key of a node with more than six distinct fanins.
+    fn edge_key(&mut self, cover: &Cover) -> Option<Key> {
+        self.vars.clear();
+        for &s in &self.signals {
+            let s = s as usize;
             if self.var_of.len() <= s {
                 self.var_of.resize(s + 1, None);
             }
@@ -338,7 +415,36 @@ impl FunctionKeys {
                 .push(*self.var_of[s].get_or_insert_with(|| scratch.new_var(String::new())));
         }
         let edge = crate::global::cover_to_bdd(&mut self.scratch, cover, &self.vars).ok()?;
-        Some(edge.raw())
+        let vars = self.scratch.support(edge);
+        if vars.len() > TABLE_VARS {
+            return Some(Key::Edge(edge.raw()));
+        }
+        let mut support = [u32::MAX; TABLE_VARS];
+        for (slot, v) in support.iter_mut().zip(&vars) {
+            *slot = self.signals[self.vars.iter().position(|w| w == v)?];
+        }
+        support.sort_unstable();
+        Some(Key::Table(
+            support,
+            self.table(cover, &support[..vars.len()])?,
+        ))
+    }
+
+    /// The truth table of `cover` with signal `support[i]` as variable
+    /// `i` and every other fanin at 0: the node's function when it does
+    /// not depend on those.
+    fn table(&self, cover: &Cover, support: &[u32]) -> Option<u64> {
+        let mut table = 0;
+        for cube in cover.cubes() {
+            let mut product = u64::MAX;
+            for &(v, phase) in cube.literals() {
+                let s = *self.signals.get(v as usize)?;
+                let mask = support.binary_search(&s).map_or(0, |r| MASKS[r]);
+                product &= if phase { mask } else { !mask };
+            }
+            table |= product;
+        }
+        Some(table)
     }
 }
 

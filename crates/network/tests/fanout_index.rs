@@ -1,7 +1,8 @@
 //! Property test of the network's incremental fanout index: after every
 //! step of a random edit sequence, `fanouts(sig)` must equal a recompute
-//! from the fanin lists, and `check_invariants` (which also audits the
-//! back-edge count) must pass.
+//! from the fanin lists, `check_invariants` (which also audits the
+//! back-edge count) must pass, and `topo_order` must equal the
+//! depth-first search it skips while the network has no back edge.
 //!
 //! Edits: `add_node`, `replace_node` (including attempts that must be
 //! rejected as cyclic or self-looping), `sweep`, `eliminate`, and BLIF
@@ -25,7 +26,38 @@ fn recomputed_fanouts(net: &Network) -> Vec<Vec<SignalId>> {
     out
 }
 
+/// The depth-first topological order: every signal in id order starts a
+/// search that emits each fanin cone before its root.
+fn reference_topo_order(net: &Network) -> Vec<SignalId> {
+    let mut order = Vec::new();
+    let mut state = vec![0u8; net.signals().count()];
+    let mut stack = Vec::new();
+    for start in net.signals() {
+        stack.push((start, false));
+        while let Some((sig, expanded)) = stack.pop() {
+            if expanded {
+                state[sig.index()] = 2;
+                order.push(sig);
+            } else if state[sig.index()] == 0 {
+                state[sig.index()] = 1;
+                stack.push((sig, true));
+                for &f in net.node(sig).map_or(&[][..], |(fanins, _)| fanins) {
+                    if state[f.index()] == 0 {
+                        stack.push((f, false));
+                    }
+                }
+            }
+        }
+    }
+    order
+}
+
 fn assert_index_exact(net: &Network, step: &str) {
+    assert_eq!(
+        net.topo_order(),
+        reference_topo_order(net),
+        "after {step}: topological order"
+    );
     for (sig, want) in net.signals().zip(recomputed_fanouts(net)) {
         assert_eq!(
             net.fanouts(sig),
@@ -109,7 +141,9 @@ fn shuffled_blif(rng: &mut Rng, net: &Network) -> String {
     out
 }
 
-fn run_edits(rng: &mut Rng) {
+/// Runs a random edit sequence and counts the steps it ends without and
+/// with back edges.
+fn run_edits(rng: &mut Rng, back_edge_steps: &mut [u32; 2]) {
     let mut net = Network::new("prop");
     for i in 0..rng.range_usize(2..6) {
         net.add_input(format!("i{i}")).unwrap();
@@ -169,12 +203,21 @@ fn run_edits(rng: &mut Rng) {
             }
         };
         assert_index_exact(&net, &format!("step {step} ({label})"));
+        back_edge_steps[usize::from(has_back_edges(&net))] += 1;
     }
 }
 
 #[test]
 fn fanout_index_matches_recompute_under_random_edits() {
-    check_cases("fanout index under random edits", 96, run_edits);
+    let mut back_edge_steps = [0; 2];
+    check_cases("fanout index under random edits", 96, |rng| {
+        run_edits(rng, &mut back_edge_steps);
+    });
+    let [forward, back] = back_edge_steps;
+    assert!(
+        forward > 0 && back > 0,
+        "steps without / with back edges: {forward} / {back}"
+    );
 }
 
 /// True if some signal of `fanins` is `sig` or is reachable from `sig`
