@@ -107,13 +107,6 @@ pub struct GovernParams {
     /// run unbudgeted (sifting already bounds itself via
     /// [`SiftLimits::max_nodes`]).
     pub supernode_budget: u64,
-    /// Walk down the degradation ladder on BDD back-pressure
-    /// ([`BddError::NodeLimit`] / [`BddError::BudgetExceeded`]) instead
-    /// of failing the whole flow: full pipeline → no-reorder retry under
-    /// a fresh budget → algebraic SOP refactor → verbatim original
-    /// cover. Panics never degrade; they surface as
-    /// [`NetworkError::WorkerPanic`].
-    pub degrade: bool,
     /// The SOP rung refactors the original cover only when it has at
     /// most this many cubes; larger covers fall through to the verbatim
     /// rung (algebraic factoring is quadratic-ish in cube count).
@@ -127,7 +120,6 @@ impl Default for GovernParams {
     fn default() -> Self {
         GovernParams {
             supernode_budget: 0,
-            degrade: true,
             sop_cube_limit: 64,
             inject: None,
         }
@@ -566,10 +558,10 @@ type Supernode<'a> = (SignalId, &'a [SignalId], &'a Cover);
 /// 2. algebraic SOP refactor of the original cover (no BDDs at all),
 /// 3. the original cover verbatim.
 ///
-/// Only [`NetworkError::Bdd`] back-pressure descends the ladder (and
-/// only when [`GovernParams::degrade`] is on); panics are quarantined
-/// into [`NetworkError::WorkerPanic`] and fail the supernode outright,
-/// and every other error propagates unchanged.
+/// Only [`NetworkError::Bdd`] back-pressure ([`BddError::NodeLimit`] /
+/// [`BddError::BudgetExceeded`]) descends the ladder; panics are
+/// quarantined into [`NetworkError::WorkerPanic`] and fail the supernode
+/// outright, and every other error propagates unchanged.
 fn decompose_supernode(
     work: &Network,
     (sig, fanins, cover): Supernode<'_>,
@@ -583,7 +575,7 @@ fn decompose_supernode(
     })?;
     match first {
         Ok(artifact) => return Ok(artifact),
-        Err(NetworkError::Bdd(_)) if params.govern.degrade => {}
+        Err(NetworkError::Bdd(_)) => {}
         Err(other) => return Err(other),
     }
 

@@ -11,6 +11,9 @@
 //! * [`check`] / [`check_cases`] — a property runner: a closure receives a
 //!   fresh seeded [`Rng`] per case; on panic the runner reports the failing
 //!   case index and seed so the failure can be replayed deterministically.
+//! * [`digest`] — output digests (64-bit FNV-1a) checked against a
+//!   checked-in baseline per test suite, which pin a flow's output bytes
+//!   across commits.
 //!
 //! # Example
 //!
@@ -33,6 +36,8 @@
 
 /// Seeded fault-injection plans for the chaos differential suite.
 pub mod chaos;
+/// Output digests checked against checked-in baseline files.
+pub mod digest;
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
