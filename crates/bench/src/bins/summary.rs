@@ -10,9 +10,9 @@
 //! the tree mapper ("only 33% of XORs were preserved").
 //!
 //! Usage: `cargo run --release --bin summary [-- --json <path>]
-//! [--trace-tree]`. To gate a run against an earlier report, write it
-//! with `--json` and run `cargo xtask perfgate --baseline <old> --fresh
-//! <new>`.
+//! [--trace-tree]`. To compare two runs field by field, write each with
+//! `--json` and diff the files; only `seconds` and span times move
+//! between runs of the same code.
 
 #![expect(
     clippy::print_stdout,

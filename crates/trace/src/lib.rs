@@ -13,11 +13,8 @@
 //!   `(parent, name)`;
 //! * **sinks** — [`Snapshot::render_tree`] for humans,
 //!   [`Snapshot::folded`] for flamegraph tools and [`Snapshot::to_json`]
-//!   for `BENCH_*.json` reports, with a serde-free parser
-//!   ([`json::parse`]) so reports can be read back and compared;
-//! * a **structural gate** ([`gate`]) — exact comparison of two report
-//!   files' structural fields, behind `cargo xtask perfgate` (wall time
-//!   is `flowbench/`'s job).
+//!   for `BENCH_*.json` reports, written by a serde-free renderer
+//!   ([`json::Json::render`]).
 //!
 //! # Feature gating
 //!
@@ -75,9 +72,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod export;
-/// Structural gate: exact comparison of two report files.
-pub mod gate;
-/// Serde-free JSON value, renderer and parser for report files.
+/// Serde-free JSON value and renderer for report files.
 pub mod json;
 mod macros;
 mod registry;

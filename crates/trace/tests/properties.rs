@@ -6,15 +6,14 @@
 //! * Span nesting balance — arbitrarily nested span guards always return
 //!   the registry to depth zero, and setting the store aside mid-flight
 //!   keeps the open chain intact.
-//! * JSON round-trip — every snapshot's JSON survives `render` → `parse`
-//!   (the same hand-rolled parser `cargo xtask perfgate` reads reports
-//!   with), including a fixed golden report.
+//! * JSON golden — a snapshot built through the registry renders to
+//!   fixed text: counters sorted by name, gauges at their peak, spans
+//!   with their children.
 //! * Absorb algebra — absorbing snapshots is commutative and associative.
 
 use bds_bdd::{Edge, Manager};
 use bds_prop::{check_cases, Rng};
-use bds_trace::json::{parse, Json};
-use bds_trace::{add_counter, set_gauge, Snapshot};
+use bds_trace::{add_counter, set_gauge, Snapshot, SpanSnap};
 
 /// Reads a counter without disturbing the store: with no span open,
 /// `take` followed by `absorb` of the same trace leaves it as it was.
@@ -98,39 +97,6 @@ fn span_nesting_always_balances() {
     });
 }
 
-/// Random snapshots' JSON survives render → parse bit-for-bit.
-#[test]
-fn snapshot_json_round_trips_randomly() {
-    const NAMES: [&str; 6] = ["flow", "flow.build", "bdd.sift", "net.sweep", "x", "y"];
-    check_cases("json-round-trip", 24, |rng: &mut Rng| {
-        bds_trace::reset();
-        for _ in 0..rng.range_usize(0..12) {
-            let name = NAMES[rng.range_usize(0..NAMES.len())];
-            if rng.bool() {
-                add_counter(name, rng.range_u64(0..1 << 40));
-            } else {
-                set_gauge(name, rng.range_u64(0..1 << 40));
-            }
-        }
-        let mut guards = Vec::new();
-        for _ in 0..rng.range_usize(0..10) {
-            if guards.is_empty() || rng.bool() {
-                guards.push(bds_trace::span_enter(
-                    NAMES[rng.range_usize(0..NAMES.len())],
-                ));
-            } else {
-                guards.pop();
-            }
-        }
-        guards.clear();
-        let json = bds_trace::take().to_json();
-        let text = json.render();
-        let parsed = parse(&text).expect("rendered snapshot JSON parses");
-        assert_eq!(parsed.render(), text);
-        assert_eq!(parsed, json);
-    });
-}
-
 /// Builds a random snapshot through the real registry pipeline:
 /// counters and gauges under a small name pool, plus a random
 /// tree of nested spans.
@@ -164,7 +130,7 @@ fn random_snapshot(rng: &mut Rng) -> Snapshot {
 /// absorbed trace's order, then later traces' new names), so comparing
 /// merges from different operand orders needs an order-insensitive
 /// view.
-fn canonicalize_spans(spans: &mut [bds_trace::SpanSnap]) {
+fn canonicalize_spans(spans: &mut [SpanSnap]) {
     for s in spans.iter_mut() {
         canonicalize_spans(&mut s.children);
     }
@@ -218,79 +184,54 @@ fn snapshot_merge_is_commutative_and_associative() {
     });
 }
 
-/// Golden check: a fixed report, in the exact envelope the bench
-/// binaries write, parses with the hand parser and yields the expected
-/// values — guarding the on-disk schema against accidental drift.
+/// Golden check: a snapshot built through the registry renders to the
+/// exact `trace` section the bench reports carry. Span times come from
+/// an absorbed snapshot so the text is fixed.
 #[test]
-fn golden_report_parses_to_expected_values() {
+fn registry_snapshot_renders_golden_json() {
+    bds_trace::reset();
+    add_counter("flow.z", 2);
+    add_counter("decompose.xnor_dom", 14);
+    add_counter("flow.z", 1);
+    set_gauge("bdd.peak_nodes", 7);
+    set_gauge("bdd.peak_nodes", 5);
+    let span = |name: &str, ns, children| SpanSnap {
+        name: name.into(),
+        calls: 1,
+        total_ns: ns,
+        children,
+    };
+    bds_trace::absorb(Snapshot {
+        spans: vec![span(
+            "flow",
+            12_500_000,
+            vec![span("flow.decompose", 9_000_000, Vec::new())],
+        )],
+        ..Snapshot::default()
+    });
     let golden = r#"{
-  "schema": "bds-trace-report/v1",
-  "bench": "table1",
-  "trace_enabled": true,
-  "circuits": [
+  "counters": {
+    "decompose.xnor_dom": 14,
+    "flow.z": 3
+  },
+  "gauges": {
+    "bdd.peak_nodes": 7
+  },
+  "spans": [
     {
-      "name": "parity16",
-      "bds": {"gates": 15, "area": 64.0, "seconds": 0.0125},
-      "bdd_ops": {"ite_calls": 1853, "cache_hit_rate": 0.375},
-      "decompose": {"xnor_dom": 14, "shannon": 0},
-      "trace": {
-        "counters": {"decompose.xnor_dom": 14},
-        "gauges": {},
-        "spans": [
-          {"name": "flow", "calls": 1, "ns": 12500000, "children": [
-            {"name": "flow.decompose", "calls": 1, "ns": 9000000}
-          ]}
-        ]
-      }
+      "name": "flow",
+      "calls": 1,
+      "ns": 12500000,
+      "children": [
+        {
+          "name": "flow.decompose",
+          "calls": 1,
+          "ns": 9000000
+        }
+      ]
     }
   ]
 }
 "#;
-    let doc = parse(golden).expect("golden parses");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("bds-trace-report/v1")
-    );
-    assert_eq!(doc.get("trace_enabled").and_then(Json::as_bool), Some(true));
-    let circuits = doc.get("circuits").and_then(Json::as_arr).expect("array");
-    let c = &circuits[0];
-    assert_eq!(c.get("name").and_then(Json::as_str), Some("parity16"));
-    let bds = c.get("bds").expect("bds section");
-    assert_eq!(bds.get("gates").and_then(Json::as_u64), Some(15));
-    assert_eq!(bds.get("seconds").and_then(Json::as_f64), Some(0.0125));
-    let ops = c.get("bdd_ops").expect("bdd_ops section");
-    assert_eq!(
-        ops.get("cache_hit_rate").and_then(Json::as_f64),
-        Some(0.375)
-    );
-    assert_eq!(
-        c.get("decompose")
-            .and_then(|d| d.get("xnor_dom"))
-            .and_then(Json::as_u64),
-        Some(14)
-    );
-    // The trace section is a snapshot's JSON: walk the span tree.
-    let trace = c.get("trace").expect("trace section");
-    assert_eq!(
-        trace
-            .get("counters")
-            .and_then(|t| t.get("decompose.xnor_dom"))
-            .and_then(Json::as_u64),
-        Some(14)
-    );
-    let spans = trace.get("spans").and_then(Json::as_arr).expect("spans");
-    assert_eq!(spans.len(), 1);
-    assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("flow"));
-    assert_eq!(spans[0].get("ns").and_then(Json::as_u64), Some(12_500_000));
-    let children = spans[0]
-        .get("children")
-        .and_then(Json::as_arr)
-        .expect("children");
-    assert_eq!(
-        children[0].get("name").and_then(Json::as_str),
-        Some("flow.decompose")
-    );
-    // Re-render → re-parse: the round trip is stable.
-    let again = parse(&doc.render()).expect("re-parses");
-    assert_eq!(again, doc);
+    assert_eq!(bds_trace::take().to_json().render(), golden);
 }
