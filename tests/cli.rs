@@ -194,3 +194,38 @@ fn live_rejected_where_no_rows_stream() {
         );
     }
 }
+
+/// `table1` runs end to end and writes its two files: a report in the
+/// `bds-trace-report/v1` envelope naming all twelve circuits, and the
+/// folded span stacks. Debug builds run the fast circuit set.
+#[test]
+fn table1_writes_its_report_and_folded_stacks() {
+    let dir = std::env::temp_dir().join(format!("bds_cli_table1_{}", std::process::id()));
+    let (json, folded) = (dir.join("r.json"), dir.join("f.txt"));
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .arg("--json")
+        .arg(&json)
+        .arg("--folded")
+        .arg(&folded)
+        .output()
+        .expect("table1 runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&json).expect("report written");
+    assert!(
+        text.starts_with("{\n  \"schema\": \"bds-trace-report/v1\",\n  \"bench\": \"table1\",\n"),
+        "{}",
+        &text[..text.len().min(200)]
+    );
+    for name in [
+        "ctrl36", "ecc32", "ecc26", "alu8", "alu16", "csel16", "cmp16", "mult8", "ctrl20",
+        "ctrl24", "shift32", "parity16",
+    ] {
+        assert!(text.contains(&format!("\"name\": \"{name}\",")), "{name}");
+    }
+    assert!(folded.is_file(), "folded stacks not written");
+    let _ = std::fs::remove_dir_all(&dir);
+}

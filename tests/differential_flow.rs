@@ -133,13 +133,18 @@ fn jobs1_and_jobs4_agree_on_every_benchmark() {
 }
 
 /// Digests `optimize` at jobs 1 and 4 and `script_rugged` on each
-/// circuit of `suite` under `group`.
+/// circuit of `suite` under `group`, with the bench binaries' flow
+/// parameters, so the digests pin what `table1` and `table2` publish.
 fn digest_flows<S: AsRef<str>>(group: &str, suite: &[(S, Network)]) {
     let mut d = bds_prop::digests!(group);
     for (name, net) in suite {
         let name = name.as_ref();
         for jobs in [1, 4] {
-            let (out, report) = optimize(net, &params(jobs))
+            let params = FlowParams {
+                jobs,
+                ..FlowParams::default()
+            };
+            let (out, report) = optimize(net, &params)
                 .unwrap_or_else(|e| panic!("{name}: flow failed at jobs={jobs}: {e}"));
             flow_digest::optimize(
                 &mut d,
