@@ -2,6 +2,7 @@
 
 use crate::canon::IteNorm;
 use crate::edge::Edge;
+use crate::hash::FastSet;
 use crate::manager::Manager;
 use crate::nid::IteKey;
 use crate::Result;
@@ -114,6 +115,34 @@ impl Manager {
     pub fn leq(&mut self, f: Edge, g: Edge) -> Result<bool> {
         Ok(self.and_not(f, g)?.is_zero())
     }
+
+    /// Whether `ite(f, g, h) == want`, decided by walking the four
+    /// functions' cofactors together: it creates no node, counts no
+    /// operation and spends no effort, so a check made with it leaves
+    /// the manager as it was.
+    pub fn ite_is(&self, f: Edge, g: Edge, h: Edge, want: Edge) -> bool {
+        self.ite_is_rec([f, g, h, want], &mut FastSet::default())
+    }
+
+    fn ite_is_rec(&self, e: [Edge; 4], seen: &mut FastSet<[u32; 4]>) -> bool {
+        let [f, g, h, want] = e;
+        if f.is_one() || g == h {
+            return g == want;
+        }
+        if f.is_zero() {
+            return h == want;
+        }
+        // A walk already entered holds, or the first failure ended it.
+        if !seen.insert(e.map(Edge::raw)) {
+            return true;
+        }
+        let level = e
+            .map(|x| self.node_level(x))
+            .into_iter()
+            .fold(u32::MAX, u32::min);
+        let c = e.map(|x| self.cofactors_at(x, level));
+        self.ite_is_rec(c.map(|(hi, _)| hi), seen) && self.ite_is_rec(c.map(|(_, lo)| lo), seen)
+    }
 }
 
 #[cfg(test)]
@@ -128,6 +157,31 @@ mod tests {
         let c = m.new_var("c");
         let (la, lb, lc) = (m.literal(a, true), m.literal(b, true), m.literal(c, true));
         (m, la, lb, lc)
+    }
+
+    /// `ite_is` agrees with `ite` on every triple of a few functions and
+    /// leaves the manager's arena, counters and effort as they were.
+    #[test]
+    fn ite_is_agrees_with_ite_and_touches_nothing() {
+        let (mut m, a, b, c) = setup();
+        let ab = m.and(a, b).unwrap();
+        let bc = m.xor(b, c).unwrap();
+        let fs = [Edge::ZERO, Edge::ONE, a, b.complement(), ab, bc];
+        let mut cases = Vec::new();
+        for f in fs {
+            for g in fs {
+                for h in fs {
+                    cases.push(([f, g, h], m.ite(f, g, h).unwrap()));
+                }
+            }
+        }
+        let before = (m.arena_size(), m.op_stats(), m.effort_spent());
+        for ([f, g, h], r) in cases {
+            for want in fs {
+                assert_eq!(m.ite_is(f, g, h, want), r == want);
+            }
+        }
+        assert_eq!((m.arena_size(), m.op_stats(), m.effort_spent()), before);
     }
 
     #[test]

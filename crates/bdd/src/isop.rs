@@ -24,7 +24,7 @@ impl Manager {
     /// yields an unspecified (but well-formed) cover.
     pub fn isop(&mut self, lower: Edge, upper: Edge) -> Result<(Vec<Cube>, Edge)> {
         debug_assert!(
-            self.leq(lower, upper).unwrap_or(true),
+            self.ite_is(lower, upper, Edge::ONE, Edge::ONE),
             "isop requires lower ⊆ upper"
         );
         let mut memo = FastMap::default();

@@ -94,6 +94,16 @@ impl Manager {
         }
     }
 
+    /// Makes room for `nodes` more nodes in the arena and for as many
+    /// entries in the unique and computed tables, so that a build of
+    /// about that size does not rehash them on the way. Changes no
+    /// result, counter or node number.
+    pub fn reserve(&mut self, nodes: usize) {
+        self.nodes.reserve(nodes);
+        self.unique.reserve(nodes);
+        self.ite_cache.reserve(nodes);
+    }
+
     /// Returns the configured node limit (`usize::MAX` when unlimited).
     pub fn node_limit(&self) -> usize {
         self.node_limit

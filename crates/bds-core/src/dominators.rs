@@ -104,7 +104,10 @@ pub fn decompose_at_one_dominator(
     d: Edge,
 ) -> bds_bdd::Result<SimpleDecomp> {
     let g = substitute_vertices(mgr, f, &[(d, Edge::ONE)])?;
-    debug_assert_identity!(mgr.and(g, d), f, "1-dominator identity F = G·H");
+    debug_assert!(
+        mgr.ite_is(g, d, Edge::ZERO, f),
+        "1-dominator identity F = G·H"
+    );
     Ok(SimpleDecomp::And(g, d))
 }
 
@@ -119,7 +122,10 @@ pub fn decompose_at_zero_dominator(
     d: Edge,
 ) -> bds_bdd::Result<SimpleDecomp> {
     let g = substitute_vertices(mgr, f, &[(d, Edge::ZERO)])?;
-    debug_assert_identity!(mgr.or(g, d), f, "0-dominator identity F = G+H");
+    debug_assert!(
+        mgr.ite_is(g, Edge::ONE, d, f),
+        "0-dominator identity F = G+H"
+    );
     Ok(SimpleDecomp::Or(g, d))
 }
 
@@ -139,7 +145,10 @@ pub fn decompose_at_x_dominator(
         "x-dominator is identified by its regular edge"
     );
     let h = substitute_vertices(mgr, f, &[(d, Edge::ONE), (d.complement(), Edge::ZERO)])?;
-    debug_assert_identity!(mgr.xnor(d, h), f, "x-dominator identity F = G ⊙ H");
+    debug_assert!(
+        mgr.ite_is(d, h, h.complement(), f),
+        "x-dominator identity F = G ⊙ H"
+    );
     Ok(SimpleDecomp::Xnor(d, h))
 }
 

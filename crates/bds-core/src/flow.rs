@@ -212,10 +212,10 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     if params.global_limit > 0 && work.inputs().len() <= params.global_max_inputs {
         match optimize_global(&work, params) {
             Ok((out, mut report)) => {
-                // Only this fast-path test reads the input's mapped area.
-                let base_area = area_of(&work);
                 let area = area_of(&out);
-                if out.stats().literals <= base_literals && area <= base_area {
+                // Only this fast-path test reads the input's mapped area,
+                // and only once the literal test passes.
+                if out.stats().literals <= base_literals && area <= area_of(&work) {
                     // Fast path: the global decomposition improved (or
                     // matched) both the network and its mapping — accept
                     // it without trying alternatives (keeps the paper's
@@ -790,6 +790,7 @@ pub fn optimize_partitioned(
         for &(sig, _, _) in &items {
             stitch.reserve(work.signal_name(sig));
         }
+        let mut var_signals: Vec<Sig> = Vec::new();
         for (&(sig, fanins, _), &slot) in items.iter().zip(&slot_of) {
             let artifact = &artifacts[slot];
             stats.merge(artifact.stats);
@@ -799,7 +800,7 @@ pub fn optimize_partitioned(
                 degraded += 1;
                 record_degrade(rung);
             }
-            let mut var_signals: Vec<Sig> = Vec::with_capacity(fanins.len());
+            var_signals.clear();
             for f in fanins {
                 let mapped = map[f.index()].ok_or_else(|| NetworkError::Inconsistent {
                     detail: format!(

@@ -85,7 +85,10 @@ pub fn conjunctive_divisor(
     if free_edges == 0 || d.is_const() || d == f {
         return Ok(None);
     }
-    debug_assert_identity!(mgr.leq(f, d), true, "divisor must cover F");
+    debug_assert!(
+        mgr.ite_is(f, d, Edge::ONE, Edge::ONE),
+        "divisor must cover F"
+    );
     Ok(Some(d))
 }
 
@@ -103,7 +106,10 @@ pub fn disjunctive_term(mgr: &mut Manager, f: Edge, level: u32) -> bds_bdd::Resu
     if free_edges == 0 || g.is_const() || g == f {
         return Ok(None);
     }
-    debug_assert_identity!(mgr.leq(g, f), true, "term must be covered by F");
+    debug_assert!(
+        mgr.ite_is(g, f, Edge::ONE, Edge::ONE),
+        "term must be covered by F"
+    );
     Ok(Some(g))
 }
 
@@ -114,7 +120,7 @@ pub fn disjunctive_term(mgr: &mut Manager, f: Edge, level: u32) -> bds_bdd::Resu
 /// Node-limit errors from the manager.
 pub fn conjunctive_quotient(mgr: &mut Manager, f: Edge, divisor: Edge) -> bds_bdd::Result<Edge> {
     let q = mgr.restrict(f, divisor)?;
-    debug_assert_identity!(mgr.and(divisor, q), f, "F = D·Q identity");
+    debug_assert!(mgr.ite_is(divisor, q, Edge::ZERO, f), "F = D·Q identity");
     Ok(q)
 }
 
@@ -125,7 +131,7 @@ pub fn conjunctive_quotient(mgr: &mut Manager, f: Edge, divisor: Edge) -> bds_bd
 /// Node-limit errors from the manager.
 pub fn disjunctive_rest(mgr: &mut Manager, f: Edge, term: Edge) -> bds_bdd::Result<Edge> {
     let h = mgr.restrict(f, term.complement())?;
-    debug_assert_identity!(mgr.or(term, h), f, "F = G+H identity");
+    debug_assert!(mgr.ite_is(term, Edge::ONE, h, f), "F = G+H identity");
     Ok(h)
 }
 

@@ -7,22 +7,6 @@
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 #![cfg_attr(not(test), deny(clippy::cast_precision_loss))]
 
-/// Checks a decomposition identity in debug builds: runs the BDD
-/// operation `$check` and asserts that it yields `$want`. The operation
-/// spends the manager's effort budget like any other, so when it fails
-/// (budget exhausted, an armed fault fired, node limit) its error is
-/// returned from the enclosing function, as the decomposition's own next
-/// operation would return it, and the flow degrades instead of
-/// panicking. Release builds never run `$check`.
-macro_rules! debug_assert_identity {
-    ($check:expr, $want:expr, $msg:literal) => {
-        if cfg!(debug_assertions) {
-            let got = $check?;
-            debug_assert_eq!(got, $want, $msg);
-        }
-    };
-}
-
 pub mod decompose;
 pub mod dominators;
 pub mod factor_tree;

@@ -90,9 +90,8 @@ pub fn mux_candidates(info: &PathInfo) -> Vec<(u32, Edge, Edge)> {
 /// Node-limit errors from the manager.
 pub fn decompose_mux(mgr: &mut Manager, f: Edge, u: Edge, v: Edge) -> bds_bdd::Result<MuxDecomp> {
     let control = substitute_vertices(mgr, f, &[(u, Edge::ONE), (v, Edge::ZERO)])?;
-    debug_assert_identity!(
-        mgr.ite(control, u, v),
-        f,
+    debug_assert!(
+        mgr.ite_is(control, u, v, f),
         "Theorem 7 identity F = h·f + h̄·g"
     );
     Ok(MuxDecomp {

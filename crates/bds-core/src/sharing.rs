@@ -24,6 +24,9 @@
 //! - [`Stitch::finish`] writes only the nodes an output reaches, in
 //!   emission order, with the names the plain emission gave them.
 //!
+//! An emitted gate arrives as bit cubes, keyed without a [`Cover`]; it
+//! builds its cover only when it is kept or its fanins need a rewrite.
+//!
 //! The result is what `sweep` and `compacted` make of the plain emission
 //! (every node written as it comes) whenever each node's fanin rewrites
 //! land in one `sweep` iteration, which holds on every circuit the flow's
@@ -35,11 +38,13 @@
 //! another fanin order or cover; both are `sweep` fixpoints computing the
 //! same function (the test `staged_rewrites_can_diverge_from_sweep`).
 
+use std::ops::Range;
+
 use bds_bdd::{FastMap, FastSet};
 use bds_network::{
     prune_fanins, single_literal, FunctionKey, FunctionKeys, Network, NetworkError, SignalId,
 };
-use bds_sop::{Cover, Cube, Expr};
+use bds_sop::{BitCube, Cover, Expr};
 
 use crate::factor_tree::{FactorForest, FactorNode, FactorRef};
 
@@ -71,13 +76,41 @@ enum Name<'n> {
     Given(&'n str),
 }
 
+/// A node's function over its fanin positions as it reaches
+/// [`Stitch::add`]: a cover, or the bit cubes of an emitted gate of at
+/// most six positions, which become a [`Cover`] only when the node is
+/// kept or its fanins need a rewrite.
+enum Body<'c> {
+    Bits(&'c [BitCube]),
+    Cover(Cover),
+}
+
+impl Body<'_> {
+    fn into_cover(self) -> Cover {
+        match self {
+            Body::Bits(cubes) => cubes.iter().map(|c| c.to_cube()).collect(),
+            Body::Cover(cover) => cover,
+        }
+    }
+}
+
+/// The bit cube of literals on distinct positions.
+fn cube(lits: &[(u32, bool)]) -> BitCube {
+    lits.iter()
+        .fold(BitCube { care: 0, phase: 0 }, |c, &(v, p)| BitCube {
+            care: c.care | 1 << v,
+            phase: c.phase | u8::from(p) << v,
+        })
+}
+
 /// One signal of the stitch: an input (`driver == None`) or a node kept
 /// because it is the first of its function or a named output.
 struct Slot<'n> {
     name: Name<'n>,
-    /// `(fanins, cover)`, final: fanins are distinct representatives with
-    /// lower indices, and the cover is simplified and uses them all.
-    driver: Option<(Vec<u32>, Cover)>,
+    /// `(fanins, cover)`, final: fanins (a range of [`Stitch::fanins`])
+    /// are distinct representatives with lower indices, and the cover is
+    /// simplified and uses them all.
+    driver: Option<(Range<usize>, Cover)>,
     /// What readers of this signal read instead: itself, the source of a
     /// buffer, the representative of its function, or a constant.
     canon: Sig,
@@ -92,6 +125,8 @@ pub struct Stitch<'n> {
     model: String,
     prefix: &'n str,
     slots: Vec<Slot<'n>>,
+    /// The fanin lists of the kept nodes, one after another.
+    fanins: Vec<u32>,
     outputs: Vec<u32>,
     /// Function key → what readers of its first node read.
     table: FastMap<FunctionKey, Sig>,
@@ -100,7 +135,15 @@ pub struct Stitch<'n> {
     /// `{prefix}_{n}` is a given name and so is skipped.
     counter: u32,
     fresh_taken: FastSet<u32>,
-    given: FastSet<&'n str>,
+    /// The emitter's memo, two entries per forest node (its positive
+    /// function, and the XOR form of a complemented XNOR root), each
+    /// stamped with the [`Stitch::emit_forest`] call that wrote it.
+    memo: Vec<(u64, ResolvedRef)>,
+    epoch: u64,
+    /// Scratch: the canonical fanins of the node being added, and the
+    /// cubes of the leaf being emitted.
+    ids: Vec<u32>,
+    bits: Vec<BitCube>,
 }
 
 impl<'n> Stitch<'n> {
@@ -111,19 +154,25 @@ impl<'n> Stitch<'n> {
             model: model.to_string(),
             prefix,
             slots: Vec::new(),
+            fanins: Vec::new(),
             outputs: Vec::new(),
             table: FastMap::default(),
             keys: FunctionKeys::default(),
             counter: 0,
             fresh_taken: FastSet::default(),
-            given: FastSet::default(),
+            memo: Vec::new(),
+            epoch: 0,
+            ids: Vec::new(),
+            bits: Vec::new(),
         }
     }
 
     /// Declares a primary input.
     ///
     /// # Errors
-    /// [`NetworkError::DuplicateName`] if the name is taken.
+    /// [`NetworkError::DuplicateName`] if a fresh name handed out so far
+    /// has the name; [`Stitch::finish`] fails on one an input or another
+    /// written node has.
     pub fn add_input(&mut self, name: &'n str) -> Result<Sig, NetworkError> {
         self.claim(name)?;
         let me = self.slots.len() as u32;
@@ -178,11 +227,18 @@ impl<'n> Stitch<'n> {
         roots: &[FactorRef],
         var_signals: &[Sig],
     ) -> Result<Vec<ResolvedRef>, NetworkError> {
+        self.epoch += 1;
+        let unset = ResolvedRef {
+            signal: Sig::Const(false),
+            phase: true,
+        };
+        if self.memo.len() < 2 * forest.len() {
+            self.memo.resize(2 * forest.len(), (0, unset));
+        }
         let mut emitter = Emitter {
             stitch: self,
             forest,
             var_signals,
-            memo: FastMap::default(),
         };
         roots.iter().map(|&r| emitter.resolve_root(r)).collect()
     }
@@ -223,18 +279,7 @@ impl<'n> Stitch<'n> {
             let rx = self.emit_expr(x, var_signals)?;
             acc = Some(match acc {
                 None => rx,
-                Some(ra) => {
-                    let cover = if is_and {
-                        Cover::from_cubes(
-                            Cube::new(vec![(0, ra.phase), (1, rx.phase)])
-                                .into_iter()
-                                .collect(),
-                        )
-                    } else {
-                        Cover::from_cubes(vec![Cube::lit(0, ra.phase), Cube::lit(1, rx.phase)])
-                    };
-                    self.gate(&[ra.signal, rx.signal], cover)?
-                }
+                Some(ra) => self.and_or(is_and, ra, rx)?,
             });
         }
         // An empty operand list is the operation's identity element.
@@ -247,9 +292,9 @@ impl<'n> Stitch<'n> {
     /// Otherwise the return value is what readers read.
     ///
     /// # Errors
-    /// [`NetworkError::DuplicateName`] for a taken name,
-    /// [`NetworkError::Inconsistent`] if the cover mentions a variable
-    /// outside the fanin list.
+    /// [`NetworkError::DuplicateName`] if a fresh name handed out so far
+    /// has the name, [`NetworkError::Inconsistent`] if the cover mentions
+    /// a variable outside the fanin list.
     pub fn node(
         &mut self,
         name: &'n str,
@@ -258,7 +303,7 @@ impl<'n> Stitch<'n> {
         keep: bool,
     ) -> Result<Sig, NetworkError> {
         self.claim(name)?;
-        self.add(Name::Given(name), fanins, cover, keep)
+        self.add(Name::Given(name), fanins, Body::Cover(cover), keep)
     }
 
     /// Names `resolved` as `name`: a buffer, or an inverter when the phase
@@ -266,22 +311,29 @@ impl<'n> Stitch<'n> {
     /// named output); otherwise its readers read its source.
     ///
     /// # Errors
-    /// [`NetworkError::DuplicateName`] if `name` is taken.
+    /// [`NetworkError::DuplicateName`] as for [`Stitch::node`].
     pub fn alias(
         &mut self,
         resolved: ResolvedRef,
         name: &'n str,
         keep: bool,
     ) -> Result<Sig, NetworkError> {
-        let cover = Cover::from_cubes(vec![Cube::lit(0, resolved.phase)]);
-        self.node(name, &[resolved.signal], cover, keep)
+        self.claim(name)?;
+        let literal = [cube(&[(0, resolved.phase)])];
+        self.add(
+            Name::Given(name),
+            &[resolved.signal],
+            Body::Bits(&literal),
+            keep,
+        )
     }
 
     /// Writes the network: the inputs, then every node an output reaches,
     /// in emission order.
     ///
     /// # Errors
-    /// Propagates network construction errors, which a stitch built
+    /// [`NetworkError::DuplicateName`] when two written signals have one
+    /// name; otherwise network construction errors, which a stitch built
     /// through this API never produces.
     pub fn finish(self) -> Result<Network, NetworkError> {
         let mut live = vec![false; self.slots.len()];
@@ -291,26 +343,39 @@ impl<'n> Stitch<'n> {
         // Fanins have lower indices, so one backward pass marks the cone.
         for i in (0..self.slots.len()).rev() {
             if let (true, Some((fanins, _))) = (live[i], &self.slots[i].driver) {
-                for &f in fanins {
+                for &f in &self.fanins[fanins.clone()] {
                     live[f as usize] = true;
                 }
             }
         }
-        let mut net = Network::new(self.model);
+        let written = (self.slots.iter().zip(&live))
+            .filter(|&(slot, &l)| l || slot.driver.is_none())
+            .count();
+        let mut net = Network::with_capacity(self.model, written);
         let mut id: Vec<Option<SignalId>> = vec![None; self.slots.len()];
+        let prefix = self.prefix;
         for (i, slot) in self.slots.into_iter().enumerate() {
-            let name = match slot.name {
-                Name::Fresh(n) => format!("{}_{n}", self.prefix),
+            let name = || match slot.name {
+                // `{prefix}_{n}`, sized exactly and spelled digit by digit.
+                Name::Fresh(n) => {
+                    let digits = n.checked_ilog10().unwrap_or(0) + 1;
+                    let mut name = String::with_capacity(prefix.len() + 1 + digits as usize);
+                    name.push_str(prefix);
+                    name.push('_');
+                    for d in (0..digits).rev() {
+                        name.push(char::from(b'0' + (n / 10u32.pow(d) % 10) as u8));
+                    }
+                    name
+                }
                 Name::Given(s) => s.to_string(),
             };
             id[i] = match slot.driver {
-                None => Some(net.add_input(name)?),
+                None => Some(net.add_input(name())?),
                 Some((fanins, cover)) if live[i] => {
-                    let mut mapped = Vec::with_capacity(fanins.len());
-                    for f in fanins {
-                        mapped.push(id[f as usize].ok_or_else(|| unwritten(&net))?);
-                    }
-                    Some(net.add_node(name, mapped, cover)?)
+                    let mapped = (self.fanins[fanins].iter())
+                        .map(|&f| id[f as usize].ok_or_else(|| unwritten(&net)))
+                        .collect::<Result<_, _>>()?;
+                    Some(net.add_node(name(), mapped, cover)?)
                 }
                 Some(_) => None,
             };
@@ -341,12 +406,12 @@ impl<'n> Stitch<'n> {
         canonical.then(|| digits.parse().ok()).flatten()
     }
 
-    /// Takes a given name, failing if an input, an earlier given name or
-    /// a fresh name handed out so far has it.
-    fn claim(&mut self, name: &'n str) -> Result<(), NetworkError> {
+    /// Takes a given name, failing if a fresh name handed out so far has
+    /// it. A name that an input or another given name has is caught by
+    /// [`Stitch::finish`], when both are written.
+    fn claim(&mut self, name: &str) -> Result<(), NetworkError> {
         let number = self.fresh_number(name);
-        let handed_out = number.is_some_and(|n| n < self.counter && !self.fresh_taken.contains(&n));
-        if handed_out || !self.given.insert(name) {
+        if number.is_some_and(|n| n < self.counter && !self.fresh_taken.contains(&n)) {
             return Err(NetworkError::DuplicateName {
                 name: name.to_string(),
             });
@@ -375,13 +440,26 @@ impl<'n> Stitch<'n> {
     }
 
     /// A gate with a fresh name.
-    fn gate(&mut self, fanins: &[Sig], cover: Cover) -> Result<ResolvedRef, NetworkError> {
+    fn gate(&mut self, fanins: &[Sig], body: Body<'_>) -> Result<ResolvedRef, NetworkError> {
         let name = self.fresh();
-        let signal = self.add(name, fanins, cover, false)?;
+        let signal = self.add(name, fanins, body, false)?;
         Ok(ResolvedRef {
             signal,
             phase: true,
         })
+    }
+
+    /// A two-input AND (`is_and`) or OR gate of `a` and `b`.
+    fn and_or(
+        &mut self,
+        is_and: bool,
+        a: ResolvedRef,
+        b: ResolvedRef,
+    ) -> Result<ResolvedRef, NetworkError> {
+        let and = [cube(&[(0, a.phase), (1, b.phase)])];
+        let or = [cube(&[(0, a.phase)]), cube(&[(1, b.phase)])];
+        let cubes: &[BitCube] = if is_and { &and } else { &or };
+        self.gate(&[a.signal, b.signal], Body::Bits(cubes))
     }
 
     /// Canonicalizes a node and keeps it if it is new or `keep` is set.
@@ -389,54 +467,98 @@ impl<'n> Stitch<'n> {
         &mut self,
         name: Name<'n>,
         fanins: &[Sig],
-        cover: Cover,
+        body: Body<'_>,
         keep: bool,
     ) -> Result<Sig, NetworkError> {
-        Network::check_cover(fanins.len(), &cover)?;
-        // `sweep` simplifies each cover once before it touches fanins.
-        let cover = if cover.is_simplified() {
-            cover
-        } else {
-            cover.simplify()
+        let mut ids = std::mem::take(&mut self.ids);
+        let mut body = match body {
+            Body::Bits(cubes) if self.needs_no_rewrite(fanins, cubes, &mut ids) => body,
+            body => Body::Cover(self.substitute(fanins, body.into_cover(), &mut ids)?),
         };
-        let (mut fanins, mut cover) = self.substitute(fanins, cover);
         let me = self.slots.len() as u32;
-        let literal = single_literal(&fanins, &cover);
+        let literal = match &body {
+            Body::Bits([c]) if ids.len() == 1 && c.care == 1 => Some((ids[0], c.phase == 1)),
+            Body::Bits(_) => None,
+            Body::Cover(cover) => single_literal(&ids, cover),
+        };
         let grand = match literal {
             Some((x, false)) => self.inverter_source(x),
             _ => None,
         };
-        let canon = if fanins.is_empty() {
-            Sig::Const(!cover.is_empty())
+        let canon = if ids.is_empty() {
+            Sig::Const(match &body {
+                Body::Bits(cubes) => !cubes.is_empty(),
+                Body::Cover(cover) => !cover.is_empty(),
+            })
         } else if let Some((x, true)) = literal {
             // A buffer enters the dedup table, but its readers read `x`.
-            self.first_of(&fanins, &cover, Sig::Signal(x));
+            self.first_of(&ids, &body, Sig::Signal(x));
             Sig::Signal(x)
         } else if let Some(grand) = grand {
             // `sweep` turns an inverter of an inverter into a buffer of
             // the grandparent, then dedups it before it collapses it.
-            fanins = vec![grand];
-            cover = Cover::from_cubes(vec![Cube::lit(0, true)]);
-            self.first_of(&fanins, &cover, Sig::Signal(grand))
+            ids.clear();
+            ids.push(grand);
+            body = Body::Bits(&BUFFER);
+            self.first_of(&ids, &body, Sig::Signal(grand))
         } else {
-            self.first_of(&fanins, &cover, Sig::Signal(me))
+            self.first_of(&ids, &body, Sig::Signal(me))
         };
-        if !keep && canon != Sig::Signal(me) {
-            return Ok(canon);
+        if keep || canon == Sig::Signal(me) {
+            let start = self.fanins.len();
+            self.fanins.extend_from_slice(&ids);
+            self.slots.push(Slot {
+                name,
+                driver: Some((start..self.fanins.len(), body.into_cover())),
+                canon,
+            });
         }
-        self.slots.push(Slot {
-            name,
-            driver: Some((fanins, cover)),
-            canon,
-        });
-        Ok(Sig::Signal(me))
+        self.ids = ids;
+        Ok(if keep { Sig::Signal(me) } else { canon })
     }
 
-    /// Forwards the fanins to what they stand for, folds constants,
-    /// merges repeated signals, drops unused positions and simplifies,
-    /// as `sweep`'s `propagate_constants`, `prune_unused_fanins` and
-    /// `simplify_covers` would.
-    fn substitute(&self, fanins: &[Sig], mut cover: Cover) -> (Vec<u32>, Cover) {
+    /// Whether `substitute` would leave an emitted gate as it is: its
+    /// fanins stand for distinct signals, which it writes to `ids`, and
+    /// its cubes use every position and are distinct and simplified (no
+    /// cube's literals are within another's, and no two over the same
+    /// positions differ in one phase alone, as [`Cover::is_simplified`]
+    /// asks).
+    fn needs_no_rewrite(&self, fanins: &[Sig], cubes: &[BitCube], ids: &mut Vec<u32>) -> bool {
+        ids.clear();
+        for &f in fanins {
+            match self.canon(f) {
+                Sig::Signal(s) if !ids.contains(&s) => ids.push(s),
+                _ => return false,
+            }
+        }
+        let used = cubes.iter().fold(0u32, |u, c| u | u32::from(c.care));
+        let within =
+            |c: BitCube, d: BitCube| c.care & !d.care == 0 && (c.phase ^ d.phase) & c.care == 0;
+        let apart = |c: BitCube, d: BitCube| {
+            let distance_one = c.care == d.care && (c.phase ^ d.phase).count_ones() == 1;
+            !(within(c, d) || within(d, c) || distance_one)
+        };
+        used + 1 == 1 << fanins.len()
+            && (0..cubes.len()).all(|i| cubes[i + 1..].iter().all(|&d| apart(cubes[i], d)))
+    }
+
+    /// Simplifies `cover` as `sweep` does before it touches fanins, then
+    /// forwards the fanins to what they stand for, folds constants,
+    /// merges repeated signals, drops unused positions and simplifies, as
+    /// `sweep`'s `propagate_constants`, `prune_unused_fanins` and
+    /// `simplify_covers` would. The fanins left go to `ids`.
+    fn substitute(
+        &self,
+        fanins: &[Sig],
+        cover: Cover,
+        ids: &mut Vec<u32>,
+    ) -> Result<Cover, NetworkError> {
+        Network::check_cover(fanins.len(), &cover)?;
+        let mut cover = if cover.is_simplified() {
+            cover
+        } else {
+            cover.simplify()
+        };
         let mut signals: Vec<Sig> = Vec::with_capacity(fanins.len());
         for (pos, &f) in fanins.iter().enumerate() {
             let f = self.canon(f);
@@ -453,20 +575,18 @@ impl<'n> Stitch<'n> {
             let cover = cover.simplify();
             prune_fanins(&signals, &cover).unwrap_or((signals, cover))
         };
-        let fanins = signals
-            .iter()
-            .filter_map(|&s| match s {
-                Sig::Signal(s) => Some(s),
-                Sig::Const(_) => None,
-            })
-            .collect();
-        (fanins, cover)
+        ids.clear();
+        ids.extend(signals.iter().filter_map(|&s| match s {
+            Sig::Signal(s) => Some(s),
+            Sig::Const(_) => None,
+        }));
+        Ok(cover)
     }
 
     /// The source of `x` when `x` is an inverter node.
     fn inverter_source(&self, x: u32) -> Option<u32> {
         let (fanins, cover) = self.slots[x as usize].driver.as_ref()?;
-        match single_literal(fanins, cover) {
+        match single_literal(&self.fanins[fanins.clone()], cover) {
             Some((y, false)) => Some(y),
             _ => None,
         }
@@ -475,13 +595,20 @@ impl<'n> Stitch<'n> {
     /// What readers of a node read: the first node with its function, or
     /// `first` when it is the first. A node whose key the scratch manager
     /// cannot build is left out of the table, as `sweep` leaves it out.
-    fn first_of(&mut self, fanins: &[u32], cover: &Cover, first: Sig) -> Sig {
-        match self.keys.key(fanins.iter().map(|&s| s as usize), cover) {
+    fn first_of(&mut self, fanins: &[u32], body: &Body<'_>, first: Sig) -> Sig {
+        let key = match body {
+            Body::Bits(cubes) => self.keys.key_of_bits(fanins, cubes),
+            Body::Cover(cover) => self.keys.key(fanins.iter().map(|&s| s as usize), cover),
+        };
+        match key {
             Some(key) => *self.table.entry(key).or_insert(first),
             None => first,
         }
     }
 }
+
+/// The cube of a buffer of position 0.
+const BUFFER: [BitCube; 1] = [BitCube { care: 1, phase: 1 }];
 
 /// The error for a fanin or output that [`Stitch::finish`] did not write.
 fn unwritten(net: &Network) -> NetworkError {
@@ -494,7 +621,6 @@ struct Emitter<'s, 'n, 'a> {
     stitch: &'s mut Stitch<'n>,
     forest: &'a FactorForest,
     var_signals: &'a [Sig],
-    memo: FastMap<(u32, bool), ResolvedRef>,
 }
 
 impl Emitter<'_, '_, '_> {
@@ -506,30 +632,29 @@ impl Emitter<'_, '_, '_> {
     /// only through its signal.
     fn resolve_root(&mut self, r: FactorRef) -> Result<ResolvedRef, NetworkError> {
         if r.is_complemented() && matches!(self.forest.node(r), FactorNode::Xnor(..)) {
-            let key = (r.id() as u32, true);
-            if let Some(&m) = self.memo.get(&key) {
-                return Ok(m);
-            }
-            let m = self.emit_node(r)?;
-            self.memo.insert(key, m);
-            return Ok(m);
+            return self.memoized(2 * r.id() + 1, r);
         }
         self.resolve(r)
     }
 
     fn resolve(&mut self, r: FactorRef) -> Result<ResolvedRef, NetworkError> {
-        let key = (r.id() as u32, false);
-        let base = if let Some(&m) = self.memo.get(&key) {
-            m
-        } else {
-            let m = self.emit_node(r.complement_if(r.is_complemented()))?;
-            self.memo.insert(key, m);
-            m
-        };
+        let base = self.memoized(2 * r.id(), r.complement_if(r.is_complemented()))?;
         Ok(ResolvedRef {
             signal: base.signal,
             phase: base.phase ^ r.is_complemented(),
         })
+    }
+
+    /// The memo entry at `slot`, emitting `r` into it when this
+    /// [`Stitch::emit_forest`] call has not yet.
+    fn memoized(&mut self, slot: usize, r: FactorRef) -> Result<ResolvedRef, NetworkError> {
+        let (epoch, m) = self.stitch.memo[slot];
+        if epoch == self.stitch.epoch {
+            return Ok(m);
+        }
+        let m = self.emit_node(r)?;
+        self.stitch.memo[slot] = (self.stitch.epoch, m);
+        Ok(m)
     }
 
     /// Emits the positive function of forest node `r.id()`.
@@ -542,79 +667,85 @@ impl Emitter<'_, '_, '_> {
             }),
             &FactorNode::And(a, b) => {
                 let (ra, rb) = (self.resolve(a)?, self.resolve(b)?);
-                let cover = Cover::from_cubes(
-                    Cube::new(vec![(0, ra.phase), (1, rb.phase)])
-                        .into_iter()
-                        .collect(),
-                );
-                self.stitch.gate(&[ra.signal, rb.signal], cover)
+                self.stitch.and_or(true, ra, rb)
             }
             &FactorNode::Or(a, b) => {
                 let (ra, rb) = (self.resolve(a)?, self.resolve(b)?);
-                let cover = Cover::from_cubes(vec![Cube::lit(0, ra.phase), Cube::lit(1, rb.phase)]);
-                self.stitch.gate(&[ra.signal, rb.signal], cover)
+                self.stitch.and_or(false, ra, rb)
             }
             &FactorNode::Xnor(a, b) => {
                 let (ra, rb) = (self.resolve(a)?, self.resolve(b)?);
                 // XNOR(x ⊕ c₁, y ⊕ c₂) = XNOR(x, y) ⊕ c₁ ⊕ c₂; a
                 // complemented reference to this node flips it to XOR.
                 let flip = !ra.phase ^ !rb.phase ^ r.is_complemented();
-                let cubes = if flip {
-                    vec![
-                        Cube::parse(&[(0, true), (1, false)]),
-                        Cube::parse(&[(0, false), (1, true)]),
-                    ]
-                } else {
-                    vec![
-                        Cube::parse(&[(0, true), (1, true)]),
-                        Cube::parse(&[(0, false), (1, false)]),
-                    ]
-                };
+                let cubes = [
+                    cube(&[(0, true), (1, !flip)]),
+                    cube(&[(0, false), (1, flip)]),
+                ];
                 self.stitch
-                    .gate(&[ra.signal, rb.signal], Cover::from_cubes(cubes))
+                    .gate(&[ra.signal, rb.signal], Body::Bits(&cubes))
             }
             &FactorNode::Mux { sel, hi, lo } => {
                 let rs = self.resolve(sel)?;
                 let rh = self.resolve(hi)?;
                 let rl = self.resolve(lo)?;
-                let cubes = vec![
-                    Cube::parse(&[(0, rs.phase), (1, rh.phase)]),
-                    Cube::parse(&[(0, !rs.phase), (2, rl.phase)]),
+                let cubes = [
+                    cube(&[(0, rs.phase), (1, rh.phase)]),
+                    cube(&[(0, !rs.phase), (2, rl.phase)]),
                 ];
                 self.stitch
-                    .gate(&[rs.signal, rh.signal, rl.signal], Cover::from_cubes(cubes))
+                    .gate(&[rs.signal, rh.signal, rl.signal], Body::Bits(&cubes))
             }
-            FactorNode::Leaf(cubes) => {
-                // Map manager variables to fanin positions.
-                let mut fanins: Vec<Sig> = Vec::new();
-                let mut pos_of: FastMap<usize, u32> = FastMap::default();
-                for cube in cubes {
-                    for &(v, _) in cube.literals() {
-                        pos_of.entry(v.index()).or_insert_with(|| {
-                            fanins.push(self.var_signals[v.index()]);
-                            (fanins.len() - 1) as u32
-                        });
-                    }
+            FactorNode::Leaf(cubes) => self.emit_leaf(cubes),
+        }
+    }
+
+    /// Emits a two-level leaf, its fanin positions in the order its
+    /// variables first appear: as bit cubes when it has at most six.
+    fn emit_leaf(&mut self, cubes: &[bds_bdd::Cube]) -> Result<ResolvedRef, NetworkError> {
+        if cubes.is_empty() {
+            return Ok(self.stitch.constant(false));
+        }
+        let (mut vars, mut fanins, mut n) = ([usize::MAX; 6], [Sig::Const(false); 6], 0);
+        let mut bits = std::mem::take(&mut self.stitch.bits);
+        bits.clear();
+        for c in cubes {
+            let mut bit = BitCube { care: 0, phase: 0 };
+            for &(v, p) in c.literals() {
+                let pos = vars[..n].iter().position(|&w| w == v.index()).unwrap_or(n);
+                if pos == vars.len() {
+                    return self.emit_wide_leaf(cubes);
+                } else if pos == n {
+                    vars[n] = v.index();
+                    fanins[n] = self.var_signals[v.index()];
+                    n += 1;
                 }
-                #[expect(clippy::expect_used, reason = "ISOP cubes never contain both phases")]
-                let cover: Cover = cubes
-                    .iter()
-                    .map(|c| {
-                        Cube::new(
-                            c.literals()
-                                .iter()
-                                .map(|&(v, p)| (pos_of[&v.index()], p))
-                                .collect(),
-                        )
-                        .expect("bdd cubes are consistent")
-                    })
-                    .collect();
-                if cover.is_empty() {
-                    return Ok(self.stitch.constant(false));
-                }
-                self.stitch.gate(&fanins, cover)
+                bit.care |= 1 << pos;
+                bit.phase |= u8::from(p) << pos;
+            }
+            bits.push(bit);
+        }
+        let emitted = self.stitch.gate(&fanins[..n], Body::Bits(&bits));
+        self.stitch.bits = bits;
+        emitted
+    }
+
+    /// [`Emitter::emit_leaf`] for a leaf of more than six variables.
+    fn emit_wide_leaf(&mut self, cubes: &[bds_bdd::Cube]) -> Result<ResolvedRef, NetworkError> {
+        let mut vars: Vec<usize> = Vec::new();
+        for &(v, _) in cubes.iter().flat_map(bds_bdd::Cube::literals) {
+            if !vars.contains(&v.index()) {
+                vars.push(v.index());
             }
         }
+        let pos = |v: bds_bdd::Var| vars.iter().position(|&w| w == v.index()).unwrap_or(0) as u32;
+        #[expect(clippy::expect_used, reason = "ISOP cubes never contain both phases")]
+        let cover: Cover = (cubes.iter())
+            .map(|c| c.literals().iter().map(|&(v, p)| (pos(v), p)).collect())
+            .map(|lits| bds_sop::Cube::new(lits).expect("bdd cubes are consistent"))
+            .collect();
+        let fanins: Vec<Sig> = vars.iter().map(|&v| self.var_signals[v]).collect();
+        self.stitch.gate(&fanins, Body::Cover(cover))
     }
 }
 
@@ -623,6 +754,7 @@ mod tests {
     use super::*;
     use crate::decompose::{DecomposeParams, Decomposer};
     use bds_bdd::Manager;
+    use bds_sop::Cube;
 
     fn inputs<'n>(stitch: &mut Stitch<'n>, names: &[&'n str]) -> Vec<Sig> {
         names.iter().map(|n| stitch.add_input(n).unwrap()).collect()
@@ -785,20 +917,17 @@ mod tests {
         assert_eq!(net.node(o).unwrap().0, &[net.signal_id("f").unwrap()]);
     }
 
-    /// A given name may not reuse an input's name or a fresh name already
-    /// handed out; a given or reserved name of the fresh form is skipped.
+    /// A given name may not reuse a fresh name already handed out, and
+    /// `finish` rejects an input's name on a written node; a given or
+    /// reserved name of the fresh form is skipped.
     #[test]
     fn names_clash_as_in_a_network() {
         let mut stitch = Stitch::new("names", "n");
         let sigs = inputs(&mut stitch, &["a", "b", "n_1"]);
         let or = Cover::from_cubes(vec![Cube::lit(0, true), Cube::lit(1, true)]);
-        let g = stitch.gate(&sigs[..2], or.clone()).unwrap();
+        let g = stitch.gate(&sigs[..2], Body::Cover(or.clone())).unwrap();
         assert!(matches!(
             stitch.alias(g, "n_0", true),
-            Err(NetworkError::DuplicateName { .. })
-        ));
-        assert!(matches!(
-            stitch.alias(g, "a", true),
             Err(NetworkError::DuplicateName { .. })
         ));
         stitch.alias(g, "n_3", true).unwrap();
@@ -808,7 +937,14 @@ mod tests {
         stitch.reserve("n_6");
         assert!(matches!(stitch.fresh(), Name::Fresh(5)));
         assert!(matches!(stitch.fresh(), Name::Fresh(7)));
-        stitch.alias(g, "n_6", true).unwrap();
+        let named = stitch.alias(g, "n_6", true).unwrap();
+        stitch.mark_output(named).unwrap();
+        let clash = stitch.alias(g, "a", true).unwrap();
+        stitch.mark_output(clash).unwrap();
+        assert!(matches!(
+            stitch.finish(),
+            Err(NetworkError::DuplicateName { name }) if name == "a"
+        ));
     }
 
     /// `sweep`'s dedup table holds dead buffers, so a node whose cover is
@@ -961,5 +1097,82 @@ mod tests {
             let assign = [bits & 1 == 1, bits & 2 == 2];
             assert_eq!(got.eval(&assign).unwrap(), swept.eval(&assign).unwrap());
         }
+    }
+
+    /// Random 2- and 3-input gates in the emitter's bit-cube form, over
+    /// fanins drawn from inputs, constants, a buffer, an inverter and
+    /// repeated signals: the key of the cubes equals the key of the
+    /// cover they make, and the stitch writes what `sweep` and
+    /// `compacted` make of the plain emission, with the gate read by a
+    /// named AND.
+    #[test]
+    fn bit_gates_key_and_stitch_as_covers() {
+        let mut rng = bds_prop::Rng::new(0x0057_17c4);
+        let mut keys = FunctionKeys::default();
+        let and = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]);
+        let lit = |phase| Cover::from_cubes(vec![Cube::lit(0, phase)]);
+        let refer = |signal, phase| ResolvedRef { signal, phase };
+        let (mut compared, mut swept, mut rewritten) = (0, 0, 0);
+        for case in 0..2_000 {
+            let n = rng.range_usize(2..4);
+            let cubes: Vec<BitCube> = (0..rng.range_usize(1..4))
+                .map(|_| {
+                    let care = rng.range_u32(1..1 << n) as u8;
+                    let phase = rng.range_u32(0..1 << n) as u8 & care;
+                    BitCube { care, phase }
+                })
+                .collect();
+            let cover = Body::Bits(&cubes).into_cover();
+            let signals: Vec<u32> = (0..n).map(|_| rng.range_u32(0..4)).collect();
+            assert_eq!(
+                keys.key_of_bits(&signals, &cubes),
+                keys.key(signals.iter().map(|&s| s as usize), &cover),
+                "{cover} over {signals:?}"
+            );
+            // Pool: x0, x1, x2, BUF x2, NOT x1, constant 0, constant 1.
+            let pool: Vec<usize> = (0..n).map(|_| rng.range_usize(0..7)).collect();
+            // `sweep` drops a position unused once simplified before it
+            // collapses the buffer there; the stitch forwards it first,
+            // so the fanin order can differ (DESIGN.md §5). The emitter's
+            // gates use every position.
+            if pool.contains(&3) && cover.simplify().support().len() < n {
+                continue;
+            }
+            compared += 1;
+            let mut net = Network::new("bits");
+            let mut ids: Vec<SignalId> = ["x0", "x1", "x2"]
+                .iter()
+                .map(|n| net.add_input(*n).unwrap())
+                .collect();
+            ids.push(net.add_node("b", vec![ids[2]], lit(true)).unwrap());
+            ids.push(net.add_node("i", vec![ids[1]], lit(false)).unwrap());
+            ids.push(net.add_constant("k0", false).unwrap());
+            ids.push(net.add_constant("k1", true).unwrap());
+            let fanins = pool.iter().map(|&p| ids[p]).collect();
+            let gate = net.add_node("bds_0", fanins, cover.clone()).unwrap();
+            let g = net.add_node("G", vec![gate, ids[0]], and.clone()).unwrap();
+            net.mark_output(g).unwrap();
+            swept += usize::from(net.sweep().unwrap() > 0);
+            let expected = bds_network::blif::write(&net.compacted().unwrap());
+
+            let mut stitch = Stitch::new("bits", "bds");
+            let mut sigs = inputs(&mut stitch, &["x0", "x1", "x2"]);
+            let buf = stitch.alias(refer(sigs[2], true), "b", false).unwrap();
+            let inv = stitch.alias(refer(sigs[1], false), "i", false).unwrap();
+            sigs.extend([buf, inv, Sig::Const(false), Sig::Const(true)]);
+            let fanins: Vec<Sig> = pool.iter().map(|&p| sigs[p]).collect();
+            let mut ids = Vec::new();
+            rewritten += usize::from(!stitch.needs_no_rewrite(&fanins, &cubes, &mut ids));
+            let gate = stitch.gate(&fanins, Body::Bits(&cubes)).unwrap();
+            let g = stitch.node("G", &[gate.signal, sigs[0]], and.clone(), true);
+            stitch.mark_output(g.unwrap()).unwrap();
+            let got = bds_network::blif::write(&stitch.finish().unwrap());
+            assert_eq!(got, expected, "case {case}: {cover} over {pool:?}");
+        }
+        let counts = (compared, swept, rewritten);
+        assert!(
+            compared > 500 && swept > 100 && rewritten > 100,
+            "{counts:?}"
+        );
     }
 }

@@ -107,6 +107,11 @@ impl Network {
         node_limit: usize,
     ) -> Result<(Manager, Vec<Edge>, HashMap<SignalId, Var>)> {
         let mut mgr = Manager::with_node_limit(node_limit);
+        // Tables sized for four nodes per literal, at most the limit: a
+        // build that runs into the limit (mult16: 3,776 literals against
+        // 20,000 nodes) no longer rehashes them on its way there, and a
+        // small one reserves little more than it would grow to.
+        mgr.reserve((4 * self.stats().literals).min(node_limit));
         let mut var_of: HashMap<SignalId, Var> = HashMap::new();
         for sig in self.static_input_order() {
             let v = mgr.new_var(self.signal_name(sig));

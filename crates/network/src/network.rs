@@ -1,5 +1,6 @@
 //! The Boolean-network data structure.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use bds_sop::Cover;
@@ -69,13 +70,19 @@ pub struct Network {
 impl Network {
     /// Creates an empty network called `name`.
     pub fn new(name: impl Into<String>) -> Self {
+        Network::with_capacity(name, 0)
+    }
+
+    /// Creates an empty network called `name` with room for `signals`
+    /// inputs and nodes.
+    pub fn with_capacity(name: impl Into<String>, signals: usize) -> Self {
         Network {
             name: name.into(),
-            signals: Vec::new(),
-            by_name: HashMap::new(),
+            signals: Vec::with_capacity(signals),
+            by_name: HashMap::with_capacity(signals),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            fanout_index: Vec::new(),
+            fanout_index: Vec::with_capacity(signals),
             back_edges: 0,
             fresh_counter: 0,
         }
@@ -128,10 +135,16 @@ impl Network {
     }
 
     fn add_signal(&mut self, name: String, driver: Driver) -> Result<SignalId> {
-        if self.by_name.contains_key(&name) {
-            return Err(NetworkError::DuplicateName { name });
-        }
         let id = SignalId(self.signals.len() as u32);
+        // One hash of the name, and one copy of it for the signal entry.
+        let name = match self.by_name.entry(name) {
+            Entry::Occupied(taken) => {
+                return Err(NetworkError::DuplicateName {
+                    name: taken.key().clone(),
+                })
+            }
+            Entry::Vacant(slot) => slot.insert_entry(id).key().clone(),
+        };
         if let Driver::Node(nd) = &driver {
             // Every fanin already exists, so it has a lower id: appending
             // keeps each list sorted and adds no back edge.
@@ -139,7 +152,6 @@ impl Network {
                 self.fanout_index[f.index()].push(id);
             }
         }
-        self.by_name.insert(name.clone(), id);
         self.signals.push(SignalEntry { name, driver });
         self.fanout_index.push(Vec::new());
         Ok(id)
@@ -473,15 +485,17 @@ impl Network {
         let _span = bds_trace::span!("net.compacted");
         let mut live = vec![false; self.signals.len()];
         let mut stack: Vec<SignalId> = self.outputs.clone();
+        let mut kept = self.inputs.len();
         while let Some(s) = stack.pop() {
             if std::mem::replace(&mut live[s.index()], true) {
                 continue;
             }
             if let Some(nd) = self.node_data(s) {
+                kept += 1;
                 stack.extend(nd.fanins.iter().copied());
             }
         }
-        let mut out = Network::new(self.name.clone());
+        let mut out = Network::with_capacity(self.name.clone(), kept);
         // `map[s]`: the id of `s` in `out`, once it has been rebuilt.
         let mut map: Vec<Option<SignalId>> = vec![None; self.signals.len()];
         for &i in &self.inputs {

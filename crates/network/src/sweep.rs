@@ -15,10 +15,10 @@
 //! [`single_literal`] and [`FunctionKeys`], so that a writer that emits
 //! nodes already swept (the BDS stitch) applies the same policy.
 
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use bds_bdd::{FastMap, Manager, Var};
-use bds_sop::{Cover, Cube};
+use bds_sop::{BitCube, Cover, Cube};
 
 use crate::error::NetworkError;
 use crate::invariants::STRICT_CHECKS;
@@ -327,10 +327,10 @@ const MASKS: [u64; TABLE_VARS] = [
 
 /// A [`FunctionKeys`] key: equal exactly when two nodes compute the same
 /// function of the same signals.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct FunctionKey(Key);
 
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum Key {
     /// A function of at most [`TABLE_VARS`] signals: the signals it
     /// depends on in ascending order (`u32::MAX` past the last), and its
@@ -339,6 +339,21 @@ enum Key {
     Table([u32; TABLE_VARS], u64),
     /// A wider function: its edge in the scratch manager.
     Edge(u32),
+}
+
+impl Hash for FunctionKey {
+    /// Three words for either kind: the table (or edge) and the signals
+    /// folded pairwise. Equal keys hash equally; `Eq` tells the rest apart.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let (s, word) = match self.0 {
+            Key::Table(s, table) => (s, table),
+            Key::Edge(e) => ([u32::MAX; TABLE_VARS], u64::from(e)),
+        };
+        let pair = |i: usize| u64::from(s[i]) | u64::from(s[i + 1]) << 32;
+        h.write_u64(word);
+        h.write_u64(pair(0));
+        h.write_u64(pair(2) ^ pair(4).rotate_left(16));
+    }
 }
 
 /// Keys for `sweep`'s duplicate search: two nodes compute the same
@@ -372,23 +387,57 @@ impl FunctionKeys {
         for s in fanins {
             self.signals.push(u32::try_from(s).ok()?);
         }
+        let cubes = || cover.cubes().iter().map(|c| c.literals().iter().copied());
+        match self.support() {
+            Some((support, k)) => self.table_key(&support[..k], cubes),
+            None => self.edge_key(cover),
+        }
+        .map(FunctionKey)
+    }
+
+    /// [`FunctionKeys::key`] of the cover made of `cubes` (variable `i` is
+    /// `fanins[i]`), computed without building it. `None` when the
+    /// fanins hold more than six distinct signals.
+    pub fn key_of_bits(&mut self, fanins: &[u32], cubes: &[BitCube]) -> Option<FunctionKey> {
+        self.signals.clear();
+        self.signals.extend_from_slice(fanins);
+        let (support, k) = self.support()?;
+        self.table_key(&support[..k], || cubes.iter().map(|c| c.literals()))
+            .map(FunctionKey)
+    }
+
+    /// The distinct fanin signals in ascending order and their number,
+    /// or `None` when there are more than six.
+    fn support(&self) -> Option<([u32; TABLE_VARS], usize)> {
         let mut support = [u32::MAX; TABLE_VARS];
         let mut k = 0;
         for &s in &self.signals {
             if let Err(at) = support[..k].binary_search(&s) {
                 if k == TABLE_VARS {
-                    return self.edge_key(cover).map(FunctionKey);
+                    return None;
                 }
                 support.copy_within(at..k, at + 1);
                 support[at] = s;
                 k += 1;
             }
         }
-        let table = self.table(cover, &support[..k])?;
+        Some((support, k))
+    }
+
+    /// The table key of the cover whose cubes' literals `cubes` lists,
+    /// over its distinct fanin signals `support`: the signals whose two
+    /// cofactors differ, and the table over them.
+    fn table_key<C, L>(&self, support: &[u32], cubes: impl Fn() -> C) -> Option<Key>
+    where
+        C: Iterator<Item = L>,
+        L: Iterator<Item = (u32, bool)>,
+    {
+        let k = support.len();
+        let table = self.table(cubes(), support)?;
         // Drop the signals whose two cofactors are equal.
         let mut used = [u32::MAX; TABLE_VARS];
         let mut n = 0;
-        for (i, &s) in support[..k].iter().enumerate() {
+        for (i, &s) in support.iter().enumerate() {
             if ((table >> (1 << i)) ^ table) & !MASKS[i] != 0 {
                 used[n] = s;
                 n += 1;
@@ -397,9 +446,9 @@ impl FunctionKeys {
         let table = if n == k {
             table
         } else {
-            self.table(cover, &used[..n])?
+            self.table(cubes(), &used[..n])?
         };
-        Some(FunctionKey(Key::Table(used, table)))
+        Some(Key::Table(used, table))
     }
 
     /// The key of a node with more than six distinct fanins.
@@ -424,20 +473,25 @@ impl FunctionKeys {
             *slot = self.signals[self.vars.iter().position(|w| w == v)?];
         }
         support.sort_unstable();
+        let cubes = cover.cubes().iter().map(|c| c.literals().iter().copied());
         Some(Key::Table(
             support,
-            self.table(cover, &support[..vars.len()])?,
+            self.table(cubes, &support[..vars.len()])?,
         ))
     }
 
-    /// The truth table of `cover` with signal `support[i]` as variable
-    /// `i` and every other fanin at 0: the node's function when it does
-    /// not depend on those.
-    fn table(&self, cover: &Cover, support: &[u32]) -> Option<u64> {
+    /// The truth table of the cover whose cubes' literals `cubes` lists,
+    /// with signal `support[i]` as variable `i` and every other fanin at
+    /// 0: the node's function when it does not depend on those.
+    fn table(
+        &self,
+        cubes: impl Iterator<Item = impl Iterator<Item = (u32, bool)>>,
+        support: &[u32],
+    ) -> Option<u64> {
         let mut table = 0;
-        for cube in cover.cubes() {
+        for cube in cubes {
             let mut product = u64::MAX;
-            for &(v, phase) in cube.literals() {
+            for (v, phase) in cube {
                 let s = *self.signals.get(v as usize)?;
                 let mask = support.binary_search(&s).map_or(0, |r| MASKS[r]);
                 product &= if phase { mask } else { !mask };

@@ -128,10 +128,10 @@ impl Digests {
         *hash = fold(fold(*hash, bytes.as_ref()), &[0xff]);
     }
 
-    /// [`add`](Self::add) in release builds only, for outputs that debug
-    /// builds change: the decomposer's debug-only identity checks issue
-    /// BDD operations, which count in `OpStats` and spend effort ticks,
-    /// so counters and budget- or fault-bound outcomes differ there.
+    /// [`add`](Self::add) in release builds only, for a label whose
+    /// debug run digests less: a suite that tries fewer variants in
+    /// debug builds under one label. Debug and release builds count the
+    /// same BDD operations and effort, so counters need no such label.
     pub fn add_release(&mut self, label: impl AsRef<str>, bytes: impl AsRef<[u8]>) {
         if !cfg!(debug_assertions) {
             self.add(label, bytes);

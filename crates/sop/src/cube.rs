@@ -194,6 +194,36 @@ impl Cube {
     }
 }
 
+/// A cube over variables `0..8` in two bit masks, cheaper than a [`Cube`]
+/// for small gates: bit `v` of `care` when the cube mentions variable
+/// `v`, and of `phase` when that literal is positive (`phase ⊆ care`).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct BitCube {
+    /// The variables the cube mentions.
+    pub care: u8,
+    /// The positive ones among them.
+    pub phase: u8,
+}
+
+impl BitCube {
+    /// The literals, sorted by variable.
+    pub fn literals(self) -> impl Iterator<Item = Lit> {
+        let mut rest = self.care;
+        std::iter::from_fn(move || {
+            let v = (rest != 0).then(|| rest.trailing_zeros())?;
+            rest &= rest - 1;
+            Some((v, self.phase >> v & 1 == 1))
+        })
+    }
+
+    /// As a [`Cube`].
+    pub fn to_cube(self) -> Cube {
+        Cube {
+            lits: self.literals().collect(),
+        }
+    }
+}
+
 impl fmt::Display for Cube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.lits.is_empty() {

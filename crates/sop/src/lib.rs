@@ -49,5 +49,5 @@ pub mod factor;
 pub mod kernel;
 
 pub use cover::Cover;
-pub use cube::{Cube, Lit};
+pub use cube::{BitCube, Cube, Lit};
 pub use expr::Expr;

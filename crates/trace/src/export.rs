@@ -2,17 +2,18 @@
 //!
 //! [`Snapshot::folded`] renders the aggregated span tree in the
 //! `semicolon;separated;stack value` format consumed by Brendan Gregg's
-//! `flamegraph.pl` and by speedscope. One line is emitted per span-tree
-//! **leaf**, carrying the leaf's total nanoseconds, so the output's line
-//! count equals the tree's leaf count.
+//! `flamegraph.pl` and by speedscope. One line is emitted per span with
+//! positive **self time** (its total less its children's), so that each
+//! frame's width, the sum of the lines under it, is its total.
 
 use crate::registry::{Snapshot, SpanSnap};
 
 impl Snapshot {
     /// Renders the span tree as folded flamegraph stacks, the format of
-    /// `flamegraph.pl` and speedscope: one line per span-tree leaf,
-    /// `root;child;leaf total_ns`. A non-empty `prefix` (e.g. a circuit
-    /// name) becomes the outermost frame of every stack.
+    /// `flamegraph.pl` and speedscope: one line `root;child;span self_ns`
+    /// per span whose self time is positive, a parent before its
+    /// children. A non-empty `prefix` (e.g. a circuit name) becomes the
+    /// outermost frame of every stack.
     #[must_use]
     pub fn folded(&self, prefix: &str) -> String {
         let mut out = String::new();
@@ -29,12 +30,13 @@ fn fold_span(span: &SpanSnap, path: &str, out: &mut String) {
     } else {
         format!("{path};{}", span.name)
     };
-    if span.children.is_empty() {
-        out.push_str(&format!("{here} {}\n", span.total_ns));
-    } else {
-        for child in &span.children {
-            fold_span(child, &here, out);
-        }
+    let children: u64 = span.children.iter().map(|c| c.total_ns).sum();
+    let own = span.total_ns.saturating_sub(children);
+    if own > 0 {
+        out.push_str(&format!("{here} {own}\n"));
+    }
+    for child in &span.children {
+        fold_span(child, &here, out);
     }
 }
 
@@ -43,7 +45,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn folded_lines_equal_leaf_count() {
+    fn folded_lines_carry_self_time() {
         let snap = Snapshot {
             spans: vec![SpanSnap {
                 name: "flow".into(),
@@ -71,12 +73,12 @@ mod tests {
             }],
             ..Snapshot::default()
         };
+        // `flow` has no self time and is left out; `decompose` keeps 35.
         let folded = snap.folded("c432");
         assert_eq!(
             folded,
-            "c432;flow;build 40\nc432;flow;decompose;shannon 25\n"
+            "c432;flow;build 40\nc432;flow;decompose 35\nc432;flow;decompose;shannon 25\n"
         );
-        assert_eq!(folded.lines().count(), 2);
         let unprefixed = snap.folded("");
         assert!(unprefixed.starts_with("flow;build 40\n"));
     }

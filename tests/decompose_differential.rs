@@ -162,9 +162,10 @@ fn run(build: &dyn Fn() -> (Manager, Vec<Edge>), p: &DecomposeParams, g: Govern)
 
 /// Runs the decomposer on `build`, digests the outcome under `label`
 /// and returns it. An ungoverned run's factoring forest, roots, stats
-/// and arena size are digested in every build, its counters and effort
-/// (`label ops`) and every governed run (`label governed`) in release
-/// builds only (see `Digests::add_release`).
+/// and arena size, and its counters and effort (`label ops`), are
+/// digested in every build; the governed runs (`label governed`) in
+/// release builds only, as debug builds try fewer of them (see
+/// `Digests::add_release`).
 fn check(
     d: &mut Digests,
     label: &str,
@@ -182,7 +183,7 @@ fn check(
                     run.roots, run.forest, run.stats, run.arena
                 ),
             );
-            d.add_release(
+            d.add(
                 format!("{label} ops"),
                 format!("{:?} effort={}", run.ops, run.effort),
             );

@@ -8,8 +8,7 @@ use bds_repro::core::sis_flow::SisReport;
 use bds_repro::network::{blif, Network};
 
 /// Digests the BLIF and every `FlowReport` field but `seconds` under
-/// `label`, and the BDD operation counters under `label ops` in release
-/// builds only (see `Digests::add_release`).
+/// `label`, and the BDD operation counters under `label ops`.
 pub fn optimize(d: &mut Digests, label: &str, out: &Network, r: &FlowReport) {
     d.add(
         label,
@@ -23,7 +22,7 @@ pub fn optimize(d: &mut Digests, label: &str, out: &Network, r: &FlowReport) {
             blif::write(out)
         ),
     );
-    d.add_release(format!("{label} ops"), format!("{:?}", r.bdd_ops));
+    d.add(format!("{label} ops"), format!("{:?}", r.bdd_ops));
 }
 
 /// Digests the BLIF and the `SisReport` counts (`seconds` aside) under

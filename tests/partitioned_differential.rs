@@ -95,10 +95,9 @@ fn outcome(
 }
 
 /// Runs the flow at jobs 1 and 4 on `net`, asserts both give the same
-/// outcome, digests it under `name` and returns it. An ungoverned run is
-/// digested in every build and its counters (`name ops`) in release
-/// builds only; a run under a budget or a fault plan is digested in
-/// release builds only (see `Digests::add_release`).
+/// outcome, digests it under `name` and returns it: an ungoverned run
+/// with its counters under `name ops`, a run under a budget or a fault
+/// plan with its counters under `name`.
 fn check(
     d: &mut Digests,
     name: &str,
@@ -121,9 +120,9 @@ fn check(
     let (text, ops) = one;
     if params.govern.supernode_budget == 0 && params.govern.inject.is_none() {
         d.add(name, format!("{text:?}"));
-        d.add_release(format!("{name} ops"), ops);
+        d.add(format!("{name} ops"), ops);
     } else {
-        d.add_release(name, format!("{text:?} {ops}"));
+        d.add(name, format!("{text:?} {ops}"));
     }
     text
 }
@@ -359,7 +358,7 @@ fn reoptimized_networks_match_the_reference() {
                 assert!(one == four, "{name}: jobs=1 and jobs=4 differ");
                 let (text, ops) = one;
                 d.add(&name, format!("{text:?}"));
-                d.add_release(format!("{name} ops"), ops);
+                d.add(format!("{name} ops"), ops);
                 if let Err(e) = text {
                     panic!("{name}: {e}");
                 }
