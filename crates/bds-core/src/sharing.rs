@@ -542,7 +542,8 @@ impl<'n> Stitch<'n> {
             && (0..cubes.len()).all(|i| cubes[i + 1..].iter().all(|&d| apart(cubes[i], d)))
     }
 
-    /// Simplifies `cover` as `sweep` does before it touches fanins, then
+    /// Simplifies `cover` and drops the positions it does not use, as
+    /// `sweep`'s `simplify_covers` does before it touches fanins, then
     /// forwards the fanins to what they stand for, folds constants,
     /// merges repeated signals, drops unused positions and simplifies, as
     /// `sweep`'s `propagate_constants`, `prune_unused_fanins` and
@@ -554,19 +555,19 @@ impl<'n> Stitch<'n> {
         ids: &mut Vec<u32>,
     ) -> Result<Cover, NetworkError> {
         Network::check_cover(fanins.len(), &cover)?;
-        let mut cover = if cover.is_simplified() {
+        let cover = if cover.is_simplified() {
             cover
         } else {
             cover.simplify()
         };
-        let mut signals: Vec<Sig> = Vec::with_capacity(fanins.len());
-        for (pos, &f) in fanins.iter().enumerate() {
-            let f = self.canon(f);
-            if let Sig::Const(value) = f {
+        let (mut signals, mut cover) =
+            prune_fanins(fanins, &cover).unwrap_or_else(|| (fanins.to_vec(), cover));
+        for (pos, f) in signals.iter_mut().enumerate() {
+            *f = self.canon(*f);
+            if let Sig::Const(value) = *f {
                 // The position is unused afterwards, so pruning drops it.
                 cover = cover.cofactor_lit(pos as u32, value);
             }
-            signals.push(f);
         }
         let (signals, cover) = prune_fanins(&signals, &cover).unwrap_or((signals, cover));
         let (signals, cover) = if cover.is_simplified() {
@@ -1100,8 +1101,10 @@ mod tests {
     }
 
     /// Random 2- and 3-input gates in the emitter's bit-cube form, over
-    /// fanins drawn from inputs, constants, a buffer, an inverter and
-    /// repeated signals: the key of the cubes equals the key of the
+    /// fanins drawn from inputs, constants, a kept buffer (a signal of
+    /// the stitch's own, as a named output's driver is), an inverter and
+    /// repeated signals, whether or not the cover uses every position:
+    /// the key of the cubes equals the key of the
     /// cover they make, and the stitch writes what `sweep` and
     /// `compacted` make of the plain emission, with the gate read by a
     /// named AND.
@@ -1112,7 +1115,7 @@ mod tests {
         let and = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]);
         let lit = |phase| Cover::from_cubes(vec![Cube::lit(0, phase)]);
         let refer = |signal, phase| ResolvedRef { signal, phase };
-        let (mut compared, mut swept, mut rewritten) = (0, 0, 0);
+        let (mut swept, mut rewritten) = (0, 0);
         for case in 0..2_000 {
             let n = rng.range_usize(2..4);
             let cubes: Vec<BitCube> = (0..rng.range_usize(1..4))
@@ -1131,14 +1134,6 @@ mod tests {
             );
             // Pool: x0, x1, x2, BUF x2, NOT x1, constant 0, constant 1.
             let pool: Vec<usize> = (0..n).map(|_| rng.range_usize(0..7)).collect();
-            // `sweep` drops a position unused once simplified before it
-            // collapses the buffer there; the stitch forwards it first,
-            // so the fanin order can differ (DESIGN.md §5). The emitter's
-            // gates use every position.
-            if pool.contains(&3) && cover.simplify().support().len() < n {
-                continue;
-            }
-            compared += 1;
             let mut net = Network::new("bits");
             let mut ids: Vec<SignalId> = ["x0", "x1", "x2"]
                 .iter()
@@ -1157,7 +1152,7 @@ mod tests {
 
             let mut stitch = Stitch::new("bits", "bds");
             let mut sigs = inputs(&mut stitch, &["x0", "x1", "x2"]);
-            let buf = stitch.alias(refer(sigs[2], true), "b", false).unwrap();
+            let buf = stitch.alias(refer(sigs[2], true), "b", true).unwrap();
             let inv = stitch.alias(refer(sigs[1], false), "i", false).unwrap();
             sigs.extend([buf, inv, Sig::Const(false), Sig::Const(true)]);
             let fanins: Vec<Sig> = pool.iter().map(|&p| sigs[p]).collect();
@@ -1169,10 +1164,6 @@ mod tests {
             let got = bds_network::blif::write(&stitch.finish().unwrap());
             assert_eq!(got, expected, "case {case}: {cover} over {pool:?}");
         }
-        let counts = (compared, swept, rewritten);
-        assert!(
-            compared > 500 && swept > 100 && rewritten > 100,
-            "{counts:?}"
-        );
+        assert!(swept > 100 && rewritten > 100, "{swept} {rewritten}");
     }
 }

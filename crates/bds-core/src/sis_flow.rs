@@ -31,11 +31,6 @@ pub struct SisParams {
     pub kernel_cube_limit: usize,
     /// Maximum resubstitution passes.
     pub resub_passes: usize,
-    /// Per-node ISOP re-minimization (a light `simplify`): node covers are
-    /// replaced by the irredundant SOP extracted from their local BDD
-    /// when that is smaller. Bounded by this local-BDD node cap
-    /// (0 disables).
-    pub isop_simplify_limit: usize,
 }
 
 impl Default for SisParams {
@@ -48,7 +43,6 @@ impl Default for SisParams {
             max_extractions: 400,
             kernel_cube_limit: 24,
             resub_passes: 2,
-            isop_simplify_limit: 2_000,
         }
     }
 }
@@ -84,7 +78,7 @@ pub fn script_rugged(
         work
     };
     let mut report = SisReport::default();
-    isop_simplify(&mut work, params.isop_simplify_limit)?;
+    isop_simplify(&mut work)?;
     report.extracted += extract_divisors(&mut work, params)?;
     work.sweep()?;
     report.resubstituted += resubstitute(&mut work, params)?;
@@ -99,14 +93,15 @@ pub fn script_rugged(
     Ok((out, report))
 }
 
+/// The local-BDD node cap of [`isop_simplify`]: a node whose cover
+/// builds a larger BDD keeps its cover.
+const ISOP_SIMPLIFY_LIMIT: usize = 2_000;
+
 /// Replaces node covers by the irredundant SOP of their local BDD when
 /// that is smaller — SIS's `simplify` in spirit (two-level minimization
 /// per node, no external don't-cares). Returns the rewrite count.
-fn isop_simplify(net: &mut Network, limit: usize) -> Result<usize, NetworkError> {
+fn isop_simplify(net: &mut Network) -> Result<usize, NetworkError> {
     let _span = bds_trace::span!("sis_flow.simplify");
-    if limit == 0 {
-        return Ok(0);
-    }
     let mut rewritten = 0;
     for sig in net.node_ids() {
         let Some((fanins, cover)) = net.node(sig) else {
@@ -117,7 +112,7 @@ fn isop_simplify(net: &mut Network, limit: usize) -> Result<usize, NetworkError>
         if cover.len() < 2 {
             continue;
         }
-        let mut mgr = Manager::with_node_limit(limit);
+        let mut mgr = Manager::with_node_limit(ISOP_SIMPLIFY_LIMIT);
         let vars = mgr.new_vars(fanins.len());
         let Ok(edge) = cover_to_bdd(&mut mgr, &cover, &vars) else {
             continue;

@@ -25,7 +25,7 @@ use bds_circuits::adder::ripple_adder;
 use bds_circuits::alu::alu;
 use bds_circuits::comparator::comparator;
 use bds_circuits::parity::parity_tree;
-use bds_circuits::random_logic::{random_logic, RandomLogicParams};
+use bds_circuits::suites::random_control;
 use bds_map::{map_network, Library};
 use bds_network::Network;
 use bds_trace::json::Json;
@@ -72,18 +72,7 @@ fn suite() -> Vec<(&'static str, Network)> {
         ("add8", ripple_adder(8)),
         ("alu4", alu(4)),
         ("cmp8", comparator(8)),
-        (
-            "rand12",
-            random_logic(
-                &RandomLogicParams {
-                    inputs: 12,
-                    outputs: 6,
-                    nodes: 40,
-                    ..Default::default()
-                },
-                5,
-            ),
-        ),
+        ("rand12", random_control(12, 6, 40, 5)),
     ]
 }
 

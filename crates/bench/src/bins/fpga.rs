@@ -22,8 +22,8 @@ use bds_circuits::comparator::comparator;
 use bds_circuits::ecc::hamming_encoder;
 use bds_circuits::multiplier::multiplier;
 use bds_circuits::parity::parity_tree;
-use bds_circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_circuits::shifter::barrel_shifter;
+use bds_circuits::suites::random_control;
 use bds_map::map_network_luts;
 use bds_network::Network;
 use bds_trace::json::Json;
@@ -47,18 +47,7 @@ pub fn main() -> ExitCode {
         ("cmp12", comparator(12)),
         ("m4x4", multiplier(4, 4)),
         ("bshift16", barrel_shifter(16)),
-        (
-            "rand14",
-            random_logic(
-                &RandomLogicParams {
-                    inputs: 14,
-                    outputs: 8,
-                    nodes: 45,
-                    ..Default::default()
-                },
-                77,
-            ),
-        ),
+        ("rand14", random_control(14, 8, 45, 77)),
     ];
     let mut entries: Vec<Json> = Vec::new();
     for k in [4usize, 5] {

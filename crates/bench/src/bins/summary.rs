@@ -29,7 +29,7 @@ use bds_circuits::ecc::hamming_encoder;
 use bds_circuits::misc::{carry_lookahead_adder, gray_to_bin, popcount};
 use bds_circuits::multiplier::multiplier;
 use bds_circuits::parity::{parity_chain, parity_tree};
-use bds_circuits::random_logic::{random_logic, RandomLogicParams};
+use bds_circuits::suites::random_control;
 use bds_network::Network;
 
 use crate::harness::{geomean, live_line, print_rows, run_both, Row};
@@ -73,15 +73,7 @@ pub fn main() -> ExitCode {
     // S1: AND/OR-intensive random logic (10 seeded instances).
     let mut ctrl_rows = Vec::new();
     for seed in 0..10u64 {
-        let net = random_logic(
-            &RandomLogicParams {
-                inputs: 14,
-                outputs: 8,
-                nodes: 45,
-                ..Default::default()
-            },
-            1000 + seed,
-        );
+        let net = random_control(14, 8, 45, 1000 + seed);
         ctrl_rows.push(run(format!("rand{seed}"), &net));
     }
     class_summary(

@@ -15,51 +15,10 @@
 use std::process::ExitCode;
 
 use bds::sis_flow::SisParams;
-use bds_circuits::adder::carry_select_adder;
-use bds_circuits::alu::alu;
-use bds_circuits::comparator::comparator;
-use bds_circuits::ecc::hamming_encoder;
-use bds_circuits::multiplier::multiplier;
-use bds_circuits::parity::parity_tree;
-use bds_circuits::random_logic::{random_logic, RandomLogicParams};
-use bds_circuits::shifter::barrel_shifter;
-use bds_network::Network;
+use bds_circuits::suites::{self, Sizes};
 
 use crate::harness::{live_line, print_rows, run_both, Row};
 use crate::report::{finish_rows, parse_args, Extras};
-
-fn workloads(fast: bool) -> Vec<(String, &'static str, Network)> {
-    let k = if fast { 1 } else { 2 };
-    let rl = |inputs, outputs, nodes, seed| {
-        random_logic(
-            &RandomLogicParams {
-                inputs,
-                outputs,
-                nodes,
-                ..Default::default()
-            },
-            seed,
-        )
-    };
-    vec![
-        ("ctrl36".into(), "C432", rl(36, 7, 60 * k, 42)),
-        ("ecc32".into(), "C499", hamming_encoder(32)),
-        ("ecc26".into(), "C1355", hamming_encoder(26)),
-        ("alu8".into(), "C880", alu(8)),
-        ("alu16".into(), "C3540", alu(16)),
-        ("csel16".into(), "pair", carry_select_adder(16, 4)),
-        ("cmp16".into(), "rot", comparator(16)),
-        ("mult8".into(), "C6288", multiplier(4 * k, 4 * k)),
-        ("ctrl20".into(), "vda", rl(20, 12, 50 * k, 7)),
-        ("ctrl24".into(), "dalu", rl(24, 16, 60 * k, 13)),
-        (
-            "shift32".into(),
-            "-",
-            barrel_shifter(if fast { 16 } else { 32 }),
-        ),
-        ("parity16".into(), "-", parity_tree(16)),
-    ]
-}
 
 /// Entry point (called by the root `table1` bin shim).
 #[must_use]
@@ -72,13 +31,14 @@ pub fn main() -> ExitCode {
     // an optimized table run is `cargo run --release --bin table1`.
     let fast = std::env::var("BDS_TABLE1_FAST").is_ok()
         || (cfg!(debug_assertions) && std::env::var("BDS_TABLE1_FULL").is_err());
+    let sizes = if fast { Sizes::Fast } else { Sizes::Full };
     let flow = args.flow_params();
     let sis = SisParams::default();
-    let rows: Vec<Row> = workloads(fast)
+    let rows: Vec<Row> = suites::table1(sizes)
         .into_iter()
-        .map(|(name, stands_for, net)| {
-            eprintln!("running {name} ({} nodes)…", net.stats().nodes);
-            let row = run_both(name, stands_for, &net, &flow, &sis);
+        .map(|c| {
+            eprintln!("running {} ({} nodes)…", c.name, c.net.stats().nodes);
+            let row = run_both(c.name, c.stands_for, &c.net, &flow, &sis);
             if args.live {
                 eprintln!("{}", live_line(&row));
             }

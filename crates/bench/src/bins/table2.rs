@@ -21,8 +21,7 @@
 use std::process::ExitCode;
 
 use bds::sis_flow::SisParams;
-use bds_circuits::multiplier::multiplier;
-use bds_circuits::shifter::barrel_shifter;
+use bds_circuits::suites;
 
 use crate::harness::{print_rows, run_both, Row};
 use crate::report::{finish_rows, parse_args, Extras};
@@ -52,21 +51,13 @@ pub fn main() -> ExitCode {
     let flow = args.flow_params();
     let sis = SisParams::default();
 
-    let mut rows: Vec<Row> = Vec::new();
-    let mut w = 16;
-    while w <= shift_max {
-        let net = barrel_shifter(w);
-        eprintln!("bshift{w} ({} nodes)…", net.stats().nodes);
-        rows.push(run_both(format!("bshift{w}"), "-", &net, &flow, &sis));
-        w *= 2;
-    }
-    let mut n = 2;
-    while n <= mult_max {
-        let net = multiplier(n, n);
-        eprintln!("m{n}x{n} ({} nodes)…", net.stats().nodes);
-        rows.push(run_both(format!("m{n}x{n}"), "-", &net, &flow, &sis));
-        n *= 2;
-    }
+    let rows: Vec<Row> = suites::table2(shift_max, mult_max)
+        .into_iter()
+        .map(|c| {
+            eprintln!("{} ({} nodes)…", c.name, c.net.stats().nodes);
+            run_both(c.name, c.stands_for, &c.net, &flow, &sis)
+        })
+        .collect();
     print_rows("Table II reproduction — large arithmetic circuits", &rows);
     println!();
     println!("speedup trend (paper: grows with size, avg >100x at full scale):");

@@ -8,7 +8,7 @@
 use bds::flow::{optimize, FlowParams, FlowReport};
 use bds::sis_flow::{script_rugged, SisParams};
 use bds_map::{map_network, Library, MappedNetlist};
-use bds_network::verify::{verify, verify_by_simulation, Verdict};
+use bds_network::verify::{equivalence, Verdict};
 use bds_network::Network;
 use bds_trace::Snapshot;
 
@@ -64,13 +64,9 @@ fn mapped(net: &Network, lib: &Library) -> MappedNetlist {
 }
 
 fn check(original: &Network, result: &Network) -> &'static str {
-    match verify(original, result, 2_000_000) {
-        Ok(Verdict::Equivalent) => "bdd",
-        Ok(Verdict::Inequivalent { .. }) => "FAIL",
-        Err(_) => match verify_by_simulation(original, result, 512, 0xB5D5) {
-            Ok(Verdict::Equivalent) => "sim",
-            _ => "FAIL",
-        },
+    match equivalence(original, result) {
+        Ok((Verdict::Equivalent, how)) => how.label(),
+        _ => "FAIL",
     }
 }
 

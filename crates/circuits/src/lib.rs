@@ -21,7 +21,9 @@
 //! * [`figures`] — the exact worked functions of the paper's Figures
 //!   1–11 as reusable constructions,
 //! * [`misc`] — carry-lookahead adders, decoders, priority encoders,
-//!   population counters and Gray-code converters for wider suites.
+//!   population counters and Gray-code converters for wider suites,
+//! * [`suites`] — the circuit sets each experiment and digest suite
+//!   runs (Tables I and II, the global-BDD and scaling sets).
 //!
 //! Everything is produced as a [`bds_network::Network`], so real MCNC
 //! BLIF files can be swapped in via [`bds_network::blif::parse`]
@@ -45,5 +47,6 @@ pub mod multiplier;
 pub mod parity;
 pub mod random_logic;
 pub mod shifter;
+pub mod suites;
 
 pub use builder::Builder;

@@ -9,6 +9,8 @@
 //! C6288 multiplier either),
 //! [`verify_by_simulation`](crate::verify::verify_by_simulation)
 //! provides a randomized smoke check.
+//! [`equivalence`](crate::verify::equivalence) is the experiments' rule
+//! that combines the two.
 
 use std::collections::HashMap;
 
@@ -163,6 +165,40 @@ pub fn verify_by_simulation(a: &Network, b: &Network, rounds: usize, seed: u64) 
         }
     }
     Ok(Verdict::Equivalent)
+}
+
+/// Which check decided an [`equivalence`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Check {
+    /// [`verify`] compared the global BDDs.
+    Bdd,
+    /// The global BDDs did not fit, so [`verify_by_simulation`] decided.
+    Simulation,
+}
+
+impl Check {
+    /// `bdd` or `sim`, as the tables print it.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Check::Bdd => "bdd",
+            Check::Simulation => "sim",
+        }
+    }
+}
+
+/// The experiments' equivalence rule: [`verify`] within 2,000,000 BDD
+/// nodes, and when that cannot decide, 512 rounds of
+/// [`verify_by_simulation`] with seed `0xB5D5`. Returns the verdict and
+/// the check that gave it.
+///
+/// # Errors
+/// [`NetworkError::Inconsistent`] when the interfaces differ.
+pub fn equivalence(a: &Network, b: &Network) -> Result<(Verdict, Check)> {
+    match verify(a, b, 2_000_000) {
+        Ok(verdict) => Ok((verdict, Check::Bdd)),
+        Err(_) => Ok((verify_by_simulation(a, b, 512, 0xB5D5)?, Check::Simulation)),
+    }
 }
 
 #[cfg(test)]

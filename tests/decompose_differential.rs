@@ -22,15 +22,7 @@ use bds_prop::digest::Digests;
 use bds_prop::{check_cases, Rng};
 use bds_repro::bdd::reorder::sift;
 use bds_repro::bdd::{Edge, Fault, Manager, OpStats};
-use bds_repro::circuits::adder::carry_select_adder;
-use bds_repro::circuits::alu::alu;
-use bds_repro::circuits::comparator::comparator;
-use bds_repro::circuits::ecc::hamming_encoder;
-use bds_repro::circuits::misc::{gray_to_bin, popcount};
-use bds_repro::circuits::multiplier::multiplier;
-use bds_repro::circuits::parity::parity_tree;
-use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
-use bds_repro::circuits::shifter::{barrel_shifter, logical_shifter};
+use bds_repro::circuits::suites;
 use bds_repro::core::decompose::{DecomposeParams, DecomposeStats, Decomposer, Method};
 use bds_repro::core::factor_tree::{FactorForest, FactorRef};
 use bds_repro::core::flow::FlowParams;
@@ -240,45 +232,17 @@ fn param_sets() -> Vec<(&'static str, DecomposeParams)> {
     ]
 }
 
-/// flowbench's `global_bdd` circuits and table1's circuits, as
-/// `optimize` hands them to the global flow (compacted and swept).
-fn circuits() -> Vec<(&'static str, Network)> {
-    let rl = |inputs, outputs, nodes, seed| {
-        let params = RandomLogicParams {
-            inputs,
-            outputs,
-            nodes,
-            ..RandomLogicParams::default()
-        };
-        random_logic(&params, seed)
-    };
-    let nets = vec![
-        ("bshift16", barrel_shifter(16)),
-        ("bshift32", barrel_shifter(32)),
-        ("alu8", alu(8)),
-        ("alu12", alu(12)),
-        ("parity32", parity_tree(32)),
-        ("cmp24", comparator(24)),
-        ("cmp32", comparator(32)),
-        ("lshift32", logical_shifter(32)),
-        ("popcount16", popcount(16)),
-        ("gray2bin32", gray_to_bin(32)),
-        ("ctrl36", rl(36, 7, 120, 42)),
-        ("ecc32", hamming_encoder(32)),
-        ("ecc26", hamming_encoder(26)),
-        ("alu16", alu(16)),
-        ("csel16", carry_select_adder(16, 4)),
-        ("cmp16", comparator(16)),
-        ("mult8", multiplier(8, 8)),
-        ("ctrl20", rl(20, 12, 100, 7)),
-        ("ctrl24", rl(24, 16, 120, 13)),
-        ("parity16", parity_tree(16)),
-    ];
-    nets.into_iter()
-        .map(|(name, net)| {
-            let mut work = net.compacted().expect("compacts");
+/// flowbench's `global_bdd` circuits and table1's circuits but shift32
+/// (bshift32 under another name), as `optimize` hands them to the global
+/// flow (compacted and swept).
+fn circuits() -> Vec<(String, Network)> {
+    suites::global_bdd_and_table1()
+        .into_iter()
+        .filter(|c| c.name != "shift32")
+        .map(|c| {
+            let mut work = c.net.compacted().expect("compacts");
             work.sweep().expect("sweeps");
-            (name, work)
+            (c.name, work)
         })
         .collect()
 }
@@ -330,7 +294,7 @@ fn matches_reference_on_circuit_global_bdds() {
         built += 1;
         let build = || global_roots(&net).expect("built once already");
         let default = DecomposeParams::default();
-        let failed = check_governed(&mut d, name, name, &build, &default);
+        let failed = check_governed(&mut d, &name, &name, &build, &default);
         let free = run(&build, &default, Govern::Free);
         assert!(
             free.is_ok(),

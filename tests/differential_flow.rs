@@ -21,8 +21,8 @@ use bds_repro::circuits::ecc::hamming_encoder;
 use bds_repro::circuits::misc::{gray_to_bin, popcount};
 use bds_repro::circuits::multiplier::multiplier;
 use bds_repro::circuits::parity::{parity_chain, parity_tree};
-use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::circuits::suites::{self, random_control, Circuit, Sizes};
 use bds_repro::core::flow::{optimize, FlowParams, FlowReport};
 use bds_repro::core::sis_flow::{script_rugged, SisParams};
 use bds_repro::network::verify::{verify, Verdict};
@@ -61,18 +61,7 @@ fn benchmark_suite() -> Vec<(String, Network)> {
         ("g2b10".into(), gray_to_bin(10)),
     ];
     for seed in [7u64, 1003] {
-        suite.push((
-            format!("rand{seed}"),
-            random_logic(
-                &RandomLogicParams {
-                    inputs: 12,
-                    outputs: 6,
-                    nodes: 40,
-                    ..Default::default()
-                },
-                seed,
-            ),
-        ));
+        suite.push((format!("rand{seed}"), random_control(12, 6, 40, seed)));
     }
     suite
 }
@@ -135,10 +124,9 @@ fn jobs1_and_jobs4_agree_on_every_benchmark() {
 /// Digests `optimize` at jobs 1 and 4 and `script_rugged` on each
 /// circuit of `suite` under `group`, with the bench binaries' flow
 /// parameters, so the digests pin what `table1` and `table2` publish.
-fn digest_flows<S: AsRef<str>>(group: &str, suite: &[(S, Network)]) {
+fn digest_flows(group: &str, suite: &[Circuit]) {
     let mut d = bds_prop::digests!(group);
-    for (name, net) in suite {
-        let name = name.as_ref();
+    for Circuit { name, net, .. } in suite {
         for jobs in [1, 4] {
             let params = FlowParams {
                 jobs,
@@ -163,32 +151,7 @@ fn digest_flows<S: AsRef<str>>(group: &str, suite: &[(S, Network)]) {
 /// Table I's circuits at the `table1` binary's full sizes.
 #[test]
 fn table1_circuits_keep_their_output() {
-    let rl = |inputs, outputs, nodes, seed| {
-        let params = RandomLogicParams {
-            inputs,
-            outputs,
-            nodes,
-            ..RandomLogicParams::default()
-        };
-        random_logic(&params, seed)
-    };
-    digest_flows(
-        "table1",
-        &[
-            ("ctrl36", rl(36, 7, 120, 42)),
-            ("ecc32", hamming_encoder(32)),
-            ("ecc26", hamming_encoder(26)),
-            ("alu8", alu(8)),
-            ("alu16", alu(16)),
-            ("csel16", carry_select_adder(16, 4)),
-            ("cmp16", comparator(16)),
-            ("mult8", multiplier(8, 8)),
-            ("ctrl20", rl(20, 12, 100, 7)),
-            ("ctrl24", rl(24, 16, 120, 13)),
-            ("shift32", barrel_shifter(32)),
-            ("parity16", parity_tree(16)),
-        ],
-    );
+    digest_flows("table1", &suites::table1(Sizes::Full));
 }
 
 /// Table II's circuits at the `table2` binary's default sizes: barrel
@@ -201,18 +164,7 @@ fn table2_circuits_keep_their_output() {
     } else {
         (128, 16)
     };
-    let mut suite = Vec::new();
-    let mut w = 16;
-    while w <= shift_max {
-        suite.push((format!("bshift{w}"), barrel_shifter(w)));
-        w *= 2;
-    }
-    let mut n = 2;
-    while n <= mult_max {
-        suite.push((format!("m{n}x{n}"), multiplier(n, n)));
-        n *= 2;
-    }
-    digest_flows("table2", &suite);
+    digest_flows("table2", &suites::table2(shift_max, mult_max));
 }
 
 #[test]

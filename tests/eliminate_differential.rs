@@ -11,14 +11,8 @@
 
 use bds_prop::digest::Digests;
 use bds_prop::{check_cases, Rng};
-use bds_repro::circuits::adder::{carry_select_adder, ripple_adder};
-use bds_repro::circuits::alu::alu;
-use bds_repro::circuits::comparator::comparator;
-use bds_repro::circuits::ecc::hamming_encoder;
-use bds_repro::circuits::multiplier::multiplier;
-use bds_repro::circuits::parity::parity_tree;
 use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
-use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::circuits::suites::{self, Sizes};
 use bds_repro::core::sis_flow::SisParams;
 use bds_repro::network::{blif, EliminateCost, EliminateParams, Network};
 
@@ -44,26 +38,12 @@ fn prologue(net: &Network) -> Network {
     work
 }
 
-fn rl(inputs: usize, outputs: usize, nodes: usize, seed: u64) -> Network {
-    let params = RandomLogicParams {
-        inputs,
-        outputs,
-        nodes,
-        ..RandomLogicParams::default()
-    };
-    random_logic(&params, seed)
-}
-
 #[test]
 fn scaling_circuits_match_the_reference() {
-    let suite = [
-        ("mult16", multiplier(16, 16)),
-        ("bshift128", barrel_shifter(128)),
-        ("adder128", ripple_adder(128)),
-    ];
     let mut d = bds_prop::digests!("scaling");
-    for (name, net) in &suite {
-        let n = check(&mut d, name, &prologue(net), &EliminateParams::default());
+    for c in suites::scale() {
+        let name = &c.name;
+        let n = check(&mut d, name, &prologue(&c.net), &EliminateParams::default());
         eprintln!("{name}: {n} eliminated");
     }
     d.check();
@@ -71,27 +51,13 @@ fn scaling_circuits_match_the_reference() {
 
 #[test]
 fn sis_rugged_circuits_match_the_reference() {
-    // flowbench's `sis_rugged` set (table1's circuits and seeds), under
-    // the baseline's literal cost and under the BDS node cost.
-    let suite = [
-        ("ctrl36", rl(36, 7, 120, 42)),
-        ("ecc32", hamming_encoder(32)),
-        ("ecc26", hamming_encoder(26)),
-        ("alu8", alu(8)),
-        ("alu16", alu(16)),
-        ("csel16", carry_select_adder(16, 4)),
-        ("cmp16", comparator(16)),
-        ("mult8", multiplier(8, 8)),
-        ("ctrl20", rl(20, 12, 100, 7)),
-        ("ctrl24", rl(24, 16, 120, 13)),
-        ("shift32", barrel_shifter(32)),
-        ("parity16", parity_tree(16)),
-    ];
+    // flowbench's `sis_rugged` set (Table I at full size), under the
+    // baseline's literal cost and under the BDS node cost.
     let literals = SisParams::default().eliminate;
     assert_eq!(literals.cost, EliminateCost::Literals);
     let mut d = bds_prop::digests!("sis_rugged");
-    for (name, net) in &suite {
-        let work = prologue(net);
+    for c in suites::table1(Sizes::Full) {
+        let (name, work) = (&c.name, prologue(&c.net));
         let lits = check(&mut d, &format!("{name} (literals)"), &work, &literals);
         let nodes = check(
             &mut d,

@@ -20,15 +20,8 @@ mod reference_stitch;
 use bds_prop::{check_cases, Rng};
 use bds_repro::bdd::reorder::sift;
 use bds_repro::bdd::BddError;
-use bds_repro::circuits::adder::carry_select_adder;
-use bds_repro::circuits::alu::alu;
-use bds_repro::circuits::comparator::comparator;
-use bds_repro::circuits::ecc::hamming_encoder;
-use bds_repro::circuits::misc::{gray_to_bin, popcount};
-use bds_repro::circuits::multiplier::multiplier;
-use bds_repro::circuits::parity::parity_tree;
 use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
-use bds_repro::circuits::shifter::{barrel_shifter, logical_shifter};
+use bds_repro::circuits::suites;
 use bds_repro::core::decompose::Decomposer;
 use bds_repro::core::factor_tree::FactorForest;
 use bds_repro::core::flow::{optimize_global, FlowMode, FlowParams, FlowReport};
@@ -152,42 +145,11 @@ fn check(name: &str, net: &Network) -> usize {
 
 #[test]
 fn flowbench_and_table1_circuits_match_the_reference() {
-    let rl = |inputs, outputs, nodes, seed| {
-        let params = RandomLogicParams {
-            inputs,
-            outputs,
-            nodes,
-            ..RandomLogicParams::default()
-        };
-        random_logic(&params, seed)
-    };
     // flowbench's `global_bdd` set, then the Table I set.
-    let suite = [
-        ("bshift16", barrel_shifter(16)),
-        ("bshift32", barrel_shifter(32)),
-        ("alu8", alu(8)),
-        ("alu12", alu(12)),
-        ("parity32", parity_tree(32)),
-        ("cmp24", comparator(24)),
-        ("cmp32", comparator(32)),
-        ("lshift32", logical_shifter(32)),
-        ("popcount16", popcount(16)),
-        ("gray2bin32", gray_to_bin(32)),
-        ("ctrl36", rl(36, 7, 120, 42)),
-        ("ecc32", hamming_encoder(32)),
-        ("ecc26", hamming_encoder(26)),
-        ("alu16", alu(16)),
-        ("csel16", carry_select_adder(16, 4)),
-        ("cmp16", comparator(16)),
-        ("mult8", multiplier(8, 8)),
-        ("ctrl20", rl(20, 12, 100, 7)),
-        ("ctrl24", rl(24, 16, 120, 13)),
-        ("shift32", barrel_shifter(32)),
-        ("parity16", parity_tree(16)),
-    ];
+    let suite = suites::global_bdd_and_table1();
     let mut stitched = 0;
-    for (name, net) in &suite {
-        stitched += check(name, &swept(net));
+    for c in &suite {
+        stitched += check(&c.name, &swept(&c.net));
     }
     eprintln!(
         "{} circuits identical: {stitched} stitched runs",

@@ -11,8 +11,8 @@ use bds_repro::circuits::misc::{
 };
 use bds_repro::circuits::multiplier::multiplier;
 use bds_repro::circuits::parity::parity_tree;
-use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_repro::circuits::shifter::{barrel_shifter, logical_shifter};
+use bds_repro::circuits::suites::random_control;
 use bds_repro::core::flow::{optimize, optimize_global, FlowMode, FlowParams};
 use bds_repro::core::sis_flow::{script_rugged, SisParams};
 use bds_repro::network::verify::{verify, Verdict};
@@ -77,15 +77,7 @@ fn misc_families_survive_both_flows() {
 #[test]
 fn random_logic_survives_both_flows() {
     for seed in [1u64, 2, 3] {
-        let net = random_logic(
-            &RandomLogicParams {
-                inputs: 10,
-                outputs: 5,
-                nodes: 30,
-                ..Default::default()
-            },
-            seed,
-        );
+        let net = random_control(10, 5, 30, seed);
         assert_both_flows_sound(&format!("rand{seed}"), &net);
     }
 }

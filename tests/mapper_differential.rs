@@ -17,14 +17,7 @@
 
 use bds_prop::digest::Digests;
 use bds_prop::{check_cases, Rng};
-use bds_repro::circuits::adder::{carry_select_adder, ripple_adder};
-use bds_repro::circuits::alu::alu;
-use bds_repro::circuits::comparator::comparator;
-use bds_repro::circuits::ecc::hamming_encoder;
-use bds_repro::circuits::multiplier::multiplier;
-use bds_repro::circuits::parity::parity_tree;
-use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
-use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::circuits::suites::{self, Circuit, Sizes};
 use bds_repro::core::flow::{optimize_global, optimize_partitioned, FlowParams};
 use bds_repro::map::cover::{map_subject, MappedNetlist};
 use bds_repro::map::{parse_genlib, Library, Subject};
@@ -119,10 +112,10 @@ fn mapped_by_optimize(net: &Network) -> Vec<(&'static str, Network)> {
     out
 }
 
-fn check_flow_networks(group: &str, suite: &[(&str, Network)]) {
+fn check_flow_networks(group: &str, suite: &[Circuit]) {
     let libs = libraries();
     let mut d = bds_prop::digests!(group);
-    for (name, net) in suite {
+    for Circuit { name, net, .. } in suite {
         let networks = mapped_by_optimize(net);
         for (form, mapped) in &networks {
             check(&mut d, &format!("{name} ({form})"), mapped, &libs);
@@ -134,44 +127,12 @@ fn check_flow_networks(group: &str, suite: &[(&str, Network)]) {
 
 #[test]
 fn scaling_circuits_match_the_reference() {
-    check_flow_networks(
-        "scaling",
-        &[
-            ("mult16", multiplier(16, 16)),
-            ("bshift128", barrel_shifter(128)),
-            ("adder128", ripple_adder(128)),
-        ],
-    );
+    check_flow_networks("scaling", &suites::scale());
 }
 
 #[test]
 fn table1_circuits_match_the_reference() {
-    let rl = |inputs, outputs, nodes, seed| {
-        let params = RandomLogicParams {
-            inputs,
-            outputs,
-            nodes,
-            ..RandomLogicParams::default()
-        };
-        random_logic(&params, seed)
-    };
-    check_flow_networks(
-        "table1",
-        &[
-            ("ctrl36", rl(36, 7, 120, 42)),
-            ("ecc32", hamming_encoder(32)),
-            ("ecc26", hamming_encoder(26)),
-            ("alu8", alu(8)),
-            ("alu16", alu(16)),
-            ("csel16", carry_select_adder(16, 4)),
-            ("cmp16", comparator(16)),
-            ("mult8", multiplier(8, 8)),
-            ("ctrl20", rl(20, 12, 100, 7)),
-            ("ctrl24", rl(24, 16, 120, 13)),
-            ("shift32", barrel_shifter(32)),
-            ("parity16", parity_tree(16)),
-        ],
-    );
+    check_flow_networks("table1", &suites::table1(Sizes::Full));
 }
 
 /// `ite(x_s ⊕ cs, x_h ⊕ ch, x_l ⊕ cl)` over the positions `s, h, l`.

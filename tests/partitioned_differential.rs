@@ -20,15 +20,9 @@ use std::sync::Once;
 use bds_prop::digest::Digests;
 use bds_prop::{check_cases, Rng};
 use bds_repro::bdd::Fault;
-use bds_repro::circuits::adder::{carry_select_adder, ripple_adder};
-use bds_repro::circuits::alu::alu;
-use bds_repro::circuits::comparator::comparator;
-use bds_repro::circuits::ecc::hamming_encoder;
-use bds_repro::circuits::misc::{gray_to_bin, popcount};
-use bds_repro::circuits::multiplier::multiplier;
-use bds_repro::circuits::parity::parity_tree;
+use bds_repro::circuits::adder::carry_select_adder;
 use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
-use bds_repro::circuits::shifter::{barrel_shifter, logical_shifter};
+use bds_repro::circuits::suites;
 use bds_repro::core::flow::{optimize_partitioned, FaultPlan, FlowParams, FlowReport};
 use bds_repro::network::verify::{verify, Verdict};
 use bds_repro::network::{blif, Network, SignalId};
@@ -226,14 +220,10 @@ fn check_all(d: &mut Digests, name: &str, net: &Network, targets: &[usize]) -> (
 #[test]
 fn scaling_circuits_match_the_reference() {
     quiet_injected_panics();
-    let suite = [
-        ("mult16", multiplier(16, 16)),
-        ("bshift128", barrel_shifter(128)),
-        ("adder128", ripple_adder(128)),
-    ];
     let mut d = bds_prop::digests!("scaling");
-    for (name, net) in &suite {
-        for (form, input) in partitioned_inputs(net) {
+    for c in suites::scale() {
+        let name = &c.name;
+        for (form, input) in partitioned_inputs(&c.net) {
             let name = format!("{name} ({form})");
             let targets = shared_targets(&input).expect("scaling circuits repeat functions");
             let (degraded, failed) = check_all(&mut d, &name, &input, &targets);
@@ -250,42 +240,11 @@ fn scaling_circuits_match_the_reference() {
 #[test]
 fn flowbench_circuits_match_the_reference() {
     quiet_injected_panics();
-    let rl = |inputs, outputs, nodes, seed| {
-        let params = RandomLogicParams {
-            inputs,
-            outputs,
-            nodes,
-            ..RandomLogicParams::default()
-        };
-        random_logic(&params, seed)
-    };
     // flowbench's `global_bdd` set, then its `sis_rugged` set.
-    let suite = [
-        ("bshift16", barrel_shifter(16)),
-        ("bshift32", barrel_shifter(32)),
-        ("alu8", alu(8)),
-        ("alu12", alu(12)),
-        ("parity32", parity_tree(32)),
-        ("cmp24", comparator(24)),
-        ("cmp32", comparator(32)),
-        ("lshift32", logical_shifter(32)),
-        ("popcount16", popcount(16)),
-        ("gray2bin32", gray_to_bin(32)),
-        ("ctrl36", rl(36, 7, 120, 42)),
-        ("ecc32", hamming_encoder(32)),
-        ("ecc26", hamming_encoder(26)),
-        ("alu16", alu(16)),
-        ("csel16", carry_select_adder(16, 4)),
-        ("cmp16", comparator(16)),
-        ("mult8", multiplier(8, 8)),
-        ("ctrl20", rl(20, 12, 100, 7)),
-        ("ctrl24", rl(24, 16, 120, 13)),
-        ("shift32", barrel_shifter(32)),
-        ("parity16", parity_tree(16)),
-    ];
     let mut d = bds_prop::digests!("flowbench");
-    for (name, net) in &suite {
-        for (form, input) in partitioned_inputs(net) {
+    for c in suites::global_bdd_and_table1() {
+        let name = &c.name;
+        for (form, input) in partitioned_inputs(&c.net) {
             let name = format!("{name} ({form})");
             let targets = shared_targets(&input).map_or(vec![0, 3], Vec::from);
             let (degraded, failed) = check_all(&mut d, &name, &input, &targets);

@@ -13,14 +13,9 @@
 
 use bds_prop::digest::Digests;
 use bds_prop::{check_cases, Rng};
-use bds_repro::circuits::adder::carry_select_adder;
-use bds_repro::circuits::alu::alu;
-use bds_repro::circuits::comparator::comparator;
-use bds_repro::circuits::ecc::hamming_encoder;
-use bds_repro::circuits::multiplier::multiplier;
-use bds_repro::circuits::parity::parity_tree;
 use bds_repro::circuits::random_logic::{random_logic, RandomLogicParams};
 use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::circuits::suites::{self, Sizes};
 use bds_repro::core::sis_flow::{script_rugged, SisParams, SisReport};
 use bds_repro::network::{blif, Network};
 
@@ -43,35 +38,12 @@ fn check(d: &mut Digests, name: &str, net: &Network, params: &SisParams) -> SisR
     report
 }
 
-fn rl(inputs: usize, outputs: usize, nodes: usize, seed: u64) -> Network {
-    let params = RandomLogicParams {
-        inputs,
-        outputs,
-        nodes,
-        ..RandomLogicParams::default()
-    };
-    random_logic(&params, seed)
-}
-
 #[test]
 fn sis_rugged_circuits_match_the_reference() {
-    // flowbench's `sis_rugged` set (table1's circuits and seeds).
-    let suite = [
-        ("ctrl36", rl(36, 7, 120, 42)),
-        ("ecc32", hamming_encoder(32)),
-        ("ecc26", hamming_encoder(26)),
-        ("alu8", alu(8)),
-        ("alu16", alu(16)),
-        ("csel16", carry_select_adder(16, 4)),
-        ("cmp16", comparator(16)),
-        ("mult8", multiplier(8, 8)),
-        ("ctrl20", rl(20, 12, 100, 7)),
-        ("ctrl24", rl(24, 16, 120, 13)),
-        ("shift32", barrel_shifter(32)),
-        ("parity16", parity_tree(16)),
-    ];
+    // flowbench's `sis_rugged` set: Table I at full size.
     let mut d = bds_prop::digests!("sis_rugged");
-    for (name, net) in &suite {
+    for c in suites::table1(Sizes::Full) {
+        let (name, net) = (&c.name, &c.net);
         let r = check(&mut d, name, net, &SisParams::default());
         eprintln!(
             "{name}: {} extracted, {} resubstituted",
@@ -103,7 +75,8 @@ fn bshift64_matches_the_reference() {
 #[test]
 fn mult16_matches_the_reference() {
     let mut d = bds_prop::digests!("mult16");
-    let r = check(&mut d, "mult16", &multiplier(16, 16), &SisParams::default());
+    let mult16 = bds_repro::circuits::multiplier::multiplier(16, 16);
+    let r = check(&mut d, "mult16", &mult16, &SisParams::default());
     eprintln!(
         "mult16: {} extracted, {} resubstituted",
         r.extracted, r.resubstituted

@@ -14,9 +14,7 @@
 
 use bds_prop::digest::Digests;
 use bds_prop::{check_cases, Rng};
-use bds_repro::circuits::adder::ripple_adder;
-use bds_repro::circuits::multiplier::multiplier;
-use bds_repro::circuits::shifter::barrel_shifter;
+use bds_repro::circuits::suites;
 use bds_repro::network::{blif, EliminateParams, Network, SignalId};
 use bds_repro::sop::{Cover, Cube};
 
@@ -40,13 +38,9 @@ fn check(d: &mut Digests, name: &str, net: &Network) -> usize {
 
 #[test]
 fn scaling_circuits_match_the_reference() {
-    let suite = [
-        ("mult16", multiplier(16, 16)),
-        ("bshift128", barrel_shifter(128)),
-        ("adder128", ripple_adder(128)),
-    ];
     let mut d = bds_prop::digests!("scaling");
-    for (name, net) in &suite {
+    for c in suites::scale() {
+        let (name, net) = (&c.name, &c.net);
         let input = check(&mut d, name, net);
         // The network the flow sweeps after the partial collapse.
         let mut collapsed = net.compacted().expect("compacts");
