@@ -6,7 +6,8 @@ use crate::edge::{Edge, Var};
 use crate::manager::Manager;
 use crate::Result;
 
-/// A product term over manager variables: a conjunction of literals.
+/// A product term over manager variables: a conjunction of literals
+/// (the default, empty cube is the constant-true product).
 ///
 /// Cubes are what [`Manager::isop`](crate::Manager::isop) returns and what
 /// the network layer uses to exchange two-level logic with the `bds-sop`
@@ -19,11 +20,6 @@ pub struct Cube {
 }
 
 impl Cube {
-    /// The empty cube — the constant-true product.
-    pub fn top() -> Self {
-        Cube { lits: Vec::new() }
-    }
-
     /// Builds a cube from literals; sorts and deduplicates.
     ///
     /// Returns `None` if the literals are contradictory (both phases of a
@@ -54,12 +50,9 @@ impl Cube {
         self.lits.is_empty()
     }
 
-    /// Prepends a literal known to be above all current literals'
-    /// variables (used by ISOP extraction).
-    pub(crate) fn with_lit(&self, var: Var, phase: bool) -> Cube {
-        let mut lits = Vec::with_capacity(self.lits.len() + 1);
-        lits.push((var, phase));
-        lits.extend_from_slice(&self.lits);
+    /// The cube of literals over distinct variables, sorted (used by
+    /// ISOP extraction, whose paths never repeat a variable).
+    pub(crate) fn sorted(mut lits: Vec<(Var, bool)>) -> Cube {
         lits.sort_unstable_by_key(|&(v, _)| v);
         Cube { lits }
     }
@@ -142,6 +135,6 @@ mod tests {
         let v1 = Var::from_index(1);
         let c = Cube::from_lits(vec![(v0, true), (v1, false)]).unwrap();
         assert_eq!(c.to_string(), "v0·!v1");
-        assert_eq!(Cube::top().to_string(), "1");
+        assert_eq!(Cube::default().to_string(), "1");
     }
 }

@@ -1,11 +1,74 @@
-//! Minato–Morreale irredundant sum-of-products extraction.
+//! Minato–Morreale irredundant sum-of-products extraction, recorded as
+//! a DAG with one record per memo entry whose cubes are written only on
+//! demand, so a caller that compares literal counts builds no cube.
 
 use crate::hash::FastMap;
 
 use crate::cube::Cube;
-use crate::edge::Edge;
+use crate::edge::{Edge, Var};
 use crate::manager::Manager;
 use crate::Result;
+
+/// Record id of the empty cover (constant false).
+const EMPTY: u32 = 0;
+/// Record id of the cover holding the one empty cube (constant true).
+const TOP: u32 = 1;
+
+/// One ISOP recursion step: the cubes of `kids[0]` with `var`'s negative
+/// literal, then those of `kids[1]` with its positive literal, then those
+/// of `kids[2]` as they are.
+#[derive(Copy, Clone, Debug)]
+struct Record {
+    var: Var,
+    kids: [u32; 3],
+    cubes: usize,
+    lits: usize,
+}
+
+/// An irredundant sum-of-products cover as recorded by
+/// [`Manager::isop_record`]: its cube and literal counts are known at
+/// once, its cubes are written by [`Isop::cubes`].
+#[derive(Clone, Debug)]
+pub struct Isop {
+    /// Ids [`EMPTY`] and [`TOP`] hold the two leaves.
+    records: Vec<Record>,
+    root: u32,
+}
+
+impl Isop {
+    /// Number of cubes in the cover.
+    pub fn cube_count(&self) -> usize {
+        self.records[self.root as usize].cubes
+    }
+
+    /// Total number of literals over all cubes.
+    pub fn literal_count(&self) -> usize {
+        self.records[self.root as usize].lits
+    }
+
+    /// Writes the cubes, each with its literals sorted by variable.
+    pub fn cubes(&self) -> Vec<Cube> {
+        let mut out = Vec::with_capacity(self.cube_count());
+        self.write(self.root, &mut Vec::new(), &mut out);
+        out
+    }
+
+    fn write(&self, id: u32, path: &mut Vec<(Var, bool)>, out: &mut Vec<Cube>) {
+        match id {
+            EMPTY => {}
+            TOP => out.push(Cube::sorted(path.clone())),
+            _ => {
+                let r = self.records[id as usize];
+                for (kid, phase) in [(r.kids[0], false), (r.kids[1], true)] {
+                    path.push((r.var, phase));
+                    self.write(kid, path, out);
+                    path.pop();
+                }
+                self.write(r.kids[2], path, out);
+            }
+        }
+    }
+}
 
 impl Manager {
     /// Computes an irredundant sum-of-products cover `c` of the incompletely
@@ -23,28 +86,48 @@ impl Manager {
     /// Debug-asserts `lower ⊆ upper`; in release an inconsistent pair
     /// yields an unspecified (but well-formed) cover.
     pub fn isop(&mut self, lower: Edge, upper: Edge) -> Result<(Vec<Cube>, Edge)> {
+        let (isop, cover) = self.isop_record(lower, upper)?;
+        Ok((isop.cubes(), cover))
+    }
+
+    /// [`Manager::isop`] without writing the cubes: the same BDD
+    /// operations in the same order, returning the recorded cover, whose
+    /// counts are free and whose cubes are written on demand.
+    ///
+    /// # Errors
+    /// As [`Manager::isop`].
+    pub fn isop_record(&mut self, lower: Edge, upper: Edge) -> Result<(Isop, Edge)> {
         debug_assert!(
             self.ite_is(lower, upper, Edge::ONE, Edge::ONE),
             "isop requires lower ⊆ upper"
         );
+        let leaf = |cubes| Record {
+            var: Var::from_index(0),
+            kids: [EMPTY; 3],
+            cubes,
+            lits: 0,
+        };
+        let mut records = vec![leaf(0), leaf(1)];
         let mut memo = FastMap::default();
-        self.isop_rec(lower, upper, &mut memo)
+        let (root, cover) = self.isop_rec(lower, upper, &mut records, &mut memo)?;
+        Ok((Isop { records, root }, cover))
     }
 
     fn isop_rec(
         &mut self,
         l: Edge,
         u: Edge,
-        memo: &mut FastMap<(Edge, Edge), (Vec<Cube>, Edge)>,
-    ) -> Result<(Vec<Cube>, Edge)> {
+        records: &mut Vec<Record>,
+        memo: &mut FastMap<(Edge, Edge), (u32, Edge)>,
+    ) -> Result<(u32, Edge)> {
         if l.is_zero() {
-            return Ok((Vec::new(), Edge::ZERO));
+            return Ok((EMPTY, Edge::ZERO));
         }
         if u.is_one() {
-            return Ok((vec![Cube::top()], Edge::ONE));
+            return Ok((TOP, Edge::ONE));
         }
-        if let Some(r) = memo.get(&(l, u)) {
-            return Ok(r.clone());
+        if let Some(&r) = memo.get(&(l, u)) {
+            return Ok(r);
         }
         let level = self.node_level(l).min(self.node_level(u));
         let var = self.var_at(level);
@@ -54,37 +137,34 @@ impl Manager {
         // Cubes that must contain the negative literal of `var`:
         // cover the part of l0 not coverable under u1.
         let l0_only = self.and_not(l0, u1)?;
-        let (c0, b0) = self.isop_rec(l0_only, u0, memo)?;
+        let (c0, b0) = self.isop_rec(l0_only, u0, records, memo)?;
         // Cubes that must contain the positive literal.
         let l1_only = self.and_not(l1, u0)?;
-        let (c1, b1) = self.isop_rec(l1_only, u1, memo)?;
+        let (c1, b1) = self.isop_rec(l1_only, u1, records, memo)?;
         // What remains to be covered, var-independently.
         let l0_rest = self.and_not(l0, b0)?;
         let l1_rest = self.and_not(l1, b1)?;
         let l_rest = self.or(l0_rest, l1_rest)?;
         let u_common = self.and(u0, u1)?;
-        let (cd, bd) = self.isop_rec(l_rest, u_common, memo)?;
+        let (cd, bd) = self.isop_rec(l_rest, u_common, records, memo)?;
 
-        let mut cubes = Vec::with_capacity(c0.len() + c1.len() + cd.len());
-        cubes.extend(c0.iter().map(|c| c.with_lit(var, false)));
-        cubes.extend(c1.iter().map(|c| c.with_lit(var, true)));
-        cubes.extend(cd.iter().cloned());
-        let lit = self.literal_level(level)?;
+        let [r0, r1, rd] = [c0, c1, cd].map(|id| records[id as usize]);
+        let id = records.len() as u32;
+        records.push(Record {
+            var,
+            kids: [c0, c1, cd],
+            cubes: r0.cubes + r1.cubes + rd.cubes,
+            lits: r0.lits + r0.cubes + r1.lits + r1.cubes + rd.lits,
+        });
+        // Fallible, so that a budget or an injected fault tripping here
+        // surfaces as an `Err`.
+        let lit = self.literal_checked(var, true)?;
         let vb0 = self.ite(lit, Edge::ZERO, b0)?;
         let vb1 = self.ite(lit, b1, Edge::ZERO)?;
         let mut cover = self.or(vb0, vb1)?;
         cover = self.or(cover, bd)?;
-        let r = (cubes, cover);
-        memo.insert((l, u), r.clone());
-        Ok(r)
-    }
-
-    /// The positive literal of the variable at `level` (helper that avoids
-    /// borrowing issues in ISOP). Fallible so a budget or injected fault
-    /// tripping mid-extraction surfaces as an `Err`, not a panic.
-    fn literal_level(&mut self, level: u32) -> Result<Edge> {
-        let var = self.var_at(level);
-        self.literal_checked(var, true)
+        memo.insert((l, u), (id, cover));
+        Ok((id, cover))
     }
 }
 
@@ -92,7 +172,6 @@ impl Manager {
 mod tests {
     use crate::{Edge, Manager};
 
-    /// Checks isop(f, f) covers exactly f for a pool of functions.
     #[test]
     fn isop_exactly_covers() {
         let mut m = Manager::new();

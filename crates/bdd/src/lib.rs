@@ -109,6 +109,7 @@ pub use edge::{Edge, Var};
 pub use error::{BddError, OpClass};
 pub use hash::{FastMap, FastSet};
 pub use invariants::STRICT_CHECKS;
+pub use isop::Isop;
 pub use manager::Manager;
 pub use marks::VisitMarks;
 pub use stats::OpStats;

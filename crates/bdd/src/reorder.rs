@@ -14,11 +14,13 @@
 //! [`transfer`](crate::transfer::transfer) (ITE handles any order). A
 //! reduced BDD's size is canonical for its order, so the table's size is
 //! the rebuild's size, and a rebuild runs only where it could be accepted.
-//! This split is recorded in `DESIGN.md` (substitution 3).
+//! A sweep also stops where a lower bound on every further position
+//! reaches the best size so far: those positions could not be accepted
+//! either. This split is recorded in `DESIGN.md` (substitution 3).
 
 use crate::edge::{Edge, Var};
 use crate::manager::Manager;
-use crate::swap::SwapTable;
+use crate::swap::{Probe, SwapTable};
 use crate::{Result, STRICT_CHECKS};
 
 /// Limits that keep sifting affordable.
@@ -93,15 +95,40 @@ pub fn reorder(src: &Manager, roots: &[Edge], order: &[Var]) -> Result<(Manager,
     Ok((dst, new_roots))
 }
 
+/// `order` with the variable at `from` moved to `to`.
+fn moved(order: &[Var], from: usize, to: usize) -> Vec<Var> {
+    let mut order = order.to_vec();
+    let v = order.remove(from);
+    order.insert(to, v);
+    order
+}
+
+/// With strict checks, `sift` rebuilds the first position in each
+/// direction that a sweep skipped: it must have at least `least` nodes.
+fn check_bound(m: &Manager, roots: &[Edge], order: &[Var], least: usize) -> Result<()> {
+    // A rebuild past the node limit has no size to check.
+    match reorder(m, roots, order) {
+        Ok((m, r)) if m.count_nodes(&r) < least => Err(crate::BddError::InvariantViolation {
+            detail: format!(
+                "a sweep bounded an order by {least} nodes, its rebuild has {}",
+                m.count_nodes(&r)
+            ),
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Greedy sifting: for each support variable (largest level population
-/// first), tries every position in the order and keeps the best, measured
-/// by the shared node count of `roots`; a move is kept only on strict
-/// improvement, and the lowest position wins ties.
+/// first), finds the best position in the order, measured by the shared
+/// node count of `roots`; a move is kept only on strict improvement, and
+/// the lowest position wins ties.
 ///
 /// Candidate positions are sized on a private swap table by adjacent
-/// level swaps (see the module docs); a rebuild runs only where the table
-/// promises a strict improvement, or where the table could not go without
-/// passing the node limit.
+/// level swaps (see the module docs). A sweep skips the positions past a
+/// lower bound that reaches the current best size, as none of them could
+/// be kept. A rebuild runs only where the table promises a strict
+/// improvement, or where the table could not go without passing the node
+/// limit.
 ///
 /// Returns `(manager, roots)` — a fresh manager when an improvement was
 /// found, or a rebuild under the original order otherwise.
@@ -111,7 +138,8 @@ pub fn reorder(src: &Manager, roots: &[Edge], order: &[Var]) -> Result<(Manager,
 /// rebuild overflows is simply skipped; only the first rebuild, under the
 /// original order, can fail). With strict checks on,
 /// [`crate::BddError::InvariantViolation`] if the swap table disagrees
-/// with a rebuild.
+/// with a rebuild, or if the first position a sweep skipped in either
+/// direction rebuilds below its lower bound.
 pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manager, Vec<Edge>)> {
     let _span = bds_trace::span!("bdd.sift");
     let base_order = src.order();
@@ -142,19 +170,27 @@ pub fn sift(src: &Manager, roots: &[Edge], limits: SiftLimits) -> Result<(Manage
             let cur_order = best_mgr.order();
             let cur_pos = table.level_of(var);
             let swaps_before = table.swaps();
-            let sizes = table.sweep(var, src.node_limit());
+            let sizes = table.sweep(var, src.node_limit(), best_size);
             let mut best_pos = cur_pos;
-            for (pos, &table_size) in sizes.iter().enumerate() {
+            for (pos, &probe) in sizes.iter().enumerate() {
                 if pos == cur_pos {
                     continue;
                 }
-                if table_size.is_some_and(|size| size >= best_size) {
+                let table_size = match probe {
                     // A rebuild here could not be accepted: skip it.
-                    continue;
-                }
-                let mut order = cur_order.clone();
-                let v = order.remove(cur_pos);
-                order.insert(pos, v);
+                    Probe::Size(size) if size >= best_size => continue,
+                    Probe::Size(size) => Some(size),
+                    Probe::PastCap => None,
+                    Probe::AtLeast(least) => {
+                        let first = if pos > cur_pos { pos - 1 } else { pos + 1 };
+                        if STRICT_CHECKS && !matches!(sizes[first], Probe::AtLeast(_)) {
+                            let order = moved(&cur_order, cur_pos, pos);
+                            check_bound(&best_mgr, &best_roots, &order, least)?;
+                        }
+                        continue;
+                    }
+                };
+                let order = moved(&cur_order, cur_pos, pos);
                 bds_trace::counter!("bdd.reorder.rebuilds");
                 // A blow-up under this candidate order skips it.
                 if let Ok((m, r)) = reorder(&best_mgr, &best_roots, &order) {

@@ -1,7 +1,9 @@
 //! The swap table: a private copy of a live BDD graph that moves
 //! variables by Rudell's in-place adjacent-level swap.
 //!
-//! [`crate::reorder::sift`] uses it only to *size* candidate orders. A
+//! [`crate::reorder::sift`] uses it only to *size* candidate orders, and
+//! a sweep stops where a lower bound shows that no further order can
+//! beat a given size ([`SwapTable::sweep`]). A
 //! reduced ordered BDD with complement edges has one canonical shape per
 //! variable order, so the table's live node count after any sequence of
 //! swaps equals `count_nodes` of a rebuild under the same order. Every
@@ -41,6 +43,18 @@ struct Level {
 
 fn key(high: Edge, low: Edge) -> u64 {
     u64::from(high.raw()) << 32 | u64::from(low.raw())
+}
+
+/// What a [`SwapTable::sweep`] learnt about one level of its variable.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The table's size with the variable at this level.
+    Size(usize),
+    /// Not reached: the sweep stopped at a move past the node cap.
+    PastCap,
+    /// Not reached: every order with the variable here has at least this
+    /// many nodes, which is no fewer than the sweep's bound.
+    AtLeast(usize),
 }
 
 /// A reference-counted copy of the graph of some roots, reordered in
@@ -149,32 +163,54 @@ impl SwapTable {
     }
 
     /// Sweeps `var` to both ends of the order (the nearer end first) and
-    /// returns the table size at every level it reached; levels left
-    /// `None` lie beyond a move that took the size past `cap`. That move
-    /// is undone at once, so the table holds more than `cap` nodes only
-    /// for the span of one swap. The variable is left at one end of its
-    /// reach.
-    pub(crate) fn sweep(&mut self, var: Var, cap: usize) -> Vec<Option<usize>> {
+    /// reports every level: the table size where it reached it, else why
+    /// it stopped short. A move that takes the size past `cap` is undone
+    /// at once, so the table holds more than `cap` nodes only for the
+    /// span of one swap. The variable is left at one end of its reach.
+    ///
+    /// The lower bound: moving `var` down from level `at` never changes
+    /// the levels above `at` again, and every support variable at or
+    /// below `at` keeps a node, so every further level costs at least the
+    /// nodes above `at`, one per such variable, and the terminal (up is
+    /// the mirror image). A direction stops once that reaches `bound`.
+    pub(crate) fn sweep(&mut self, var: Var, cap: usize, bound: usize) -> Vec<Probe> {
         let n = self.var_at_level.len();
         let start = self.level_of(var);
-        let mut sizes = vec![None; n];
-        sizes[start] = Some(self.size());
+        let mut sizes = vec![Probe::PastCap; n];
+        sizes[start] = Probe::Size(self.size());
+        let support = self.levels.iter().filter(|l| !l.nodes.is_empty()).count();
         let down_first = n - 1 - start < start;
         for down in [down_first, !down_first] {
             self.move_to(var, start);
+            // Nodes and support variables on the side `var` leaves behind.
+            let side = if down {
+                &self.levels[..start]
+            } else {
+                &self.levels[start + 1..]
+            };
+            let mut nodes: usize = side.iter().map(|l| l.nodes.len()).sum();
+            let mut vars = side.iter().filter(|l| !l.nodes.is_empty()).count();
             loop {
                 let at = self.level_of(var);
-                let (upper, next) = match down {
-                    true if at + 1 < n => (at, at + 1),
-                    false if at > 0 => (at - 1, at - 1),
+                let (upper, next, rest) = match down {
+                    true if at + 1 < n => (at, at + 1, at + 1..n),
+                    false if at > 0 => (at - 1, at - 1, 0..at),
                     _ => break,
                 };
+                let least = nodes + support - vars + usize::from(self.terminal);
+                if least >= bound {
+                    sizes[rest].fill(Probe::AtLeast(least));
+                    break;
+                }
                 self.swap(upper);
                 if self.size() > cap {
                     self.swap(upper);
                     break;
                 }
-                sizes[next] = Some(self.size());
+                sizes[next] = Probe::Size(self.size());
+                let left = &self.levels[at];
+                nodes += left.nodes.len();
+                vars += usize::from(!left.nodes.is_empty());
             }
         }
         sizes
@@ -401,19 +437,40 @@ mod tests {
         assert_eq!(t.swaps(), 10);
     }
 
+    /// `count_nodes` of a rebuild of `roots` with the variable at `from`
+    /// moved to `to`.
+    fn rebuilt_size(m: &Manager, roots: &[Edge], from: usize, to: usize) -> usize {
+        let mut order = m.order();
+        let v = order.remove(from);
+        order.insert(to, v);
+        let (m2, r2) = reorder(m, roots, &order).unwrap();
+        m2.count_nodes(&r2)
+    }
+
     #[test]
     fn sweep_reports_every_level_and_respects_the_cap() {
         let (m, roots) = victim();
         let f = roots[0];
         let mut t = SwapTable::new(&m, &[f]);
         let var = m.order()[2];
-        let sizes = t.sweep(var, usize::MAX);
+        // With no bound, every level is reached or past the cap.
+        let sweep = |t: &mut SwapTable, cap| -> Vec<Option<usize>> {
+            let sizes = t.sweep(var, cap, usize::MAX).into_iter();
+            sizes
+                .map(|p| match p {
+                    Probe::Size(s) => Some(s),
+                    Probe::PastCap => None,
+                    Probe::AtLeast(_) => panic!("no bound was given"),
+                })
+                .collect()
+        };
+        let sizes = sweep(&mut t, usize::MAX);
         for (level, size) in sizes.iter().enumerate() {
-            let mut order = m.order();
-            let v = order.remove(2);
-            order.insert(level, v);
-            let (m2, r2) = reorder(&m, &[f], &order).unwrap();
-            assert_eq!(*size, Some(m2.count_nodes(&r2)), "level {level}");
+            assert_eq!(
+                *size,
+                Some(rebuilt_size(&m, &[f], 2, level)),
+                "level {level}"
+            );
         }
         t.move_to(var, 2);
         t.check_against(&m, &[f]).unwrap();
@@ -421,7 +478,7 @@ mod tests {
         // Cap just below the largest size: that level and everything
         // beyond it in its direction go unvisited.
         let cap = sizes.iter().flatten().max().unwrap() - 1;
-        let capped = t.sweep(var, cap);
+        let capped = sweep(&mut t, cap);
         assert!(capped.contains(&None));
         for (level, size) in capped.iter().enumerate() {
             match size {
@@ -436,5 +493,35 @@ mod tests {
         }
         t.move_to(var, 2);
         t.check_against(&m, &[f]).unwrap();
+    }
+
+    #[test]
+    fn bounded_sweep_skips_only_levels_that_cannot_win() {
+        let (m, roots) = victim();
+        let mut t = SwapTable::new(&m, &roots);
+        let mut pruned = 0;
+        for start in 0..m.var_count() {
+            let var = m.order()[start];
+            let rebuilt: Vec<usize> = (0..m.var_count())
+                .map(|level| rebuilt_size(&m, &roots, start, level))
+                .collect();
+            for bound in 1..=rebuilt.iter().max().unwrap() + 1 {
+                let sizes = t.sweep(var, usize::MAX, bound);
+                for (level, probe) in sizes.iter().enumerate() {
+                    match *probe {
+                        Probe::Size(s) => assert_eq!(s, rebuilt[level], "level {level}"),
+                        Probe::AtLeast(least) => {
+                            pruned += 1;
+                            assert!(least >= bound, "level {level}: {least} < {bound}");
+                            assert!(rebuilt[level] >= least, "level {level}: bound {least}");
+                        }
+                        Probe::PastCap => panic!("level {level}: the cap is unlimited"),
+                    }
+                }
+                t.move_to(var, start);
+                t.check_against(&m, &roots).unwrap();
+            }
+        }
+        assert!(pruned > 0, "some bound must cut a sweep short");
     }
 }

@@ -8,7 +8,8 @@
 //! size. The baseline was recorded while a frozen copy of the
 //! rebuild-every-candidate loop `sift` replaced still agreed with it.
 //! Under `strict-checks` (always on in debug builds) `sift` also audits
-//! its swap table against every rebuild it runs.
+//! its swap table against every rebuild it runs, and rebuilds the first
+//! position each sweep skipped at its lower bound in either direction.
 
 use bds_bdd::reorder::{sift, SiftLimits};
 use bds_bdd::{Edge, Manager, Var};

@@ -250,14 +250,14 @@ impl Decomposer {
         };
         // Two-level comparison: a small function whose factoring tree
         // ended up with more literals than its flat irredundant SOP is
-        // emitted flat instead.
+        // emitted flat instead. The ISOP's literal count comes with its
+        // record; its cubes are written only when the flat form wins.
         if support.len() <= params.flat_compare_support {
-            let (cubes, cover) = mgr.isop(f, f)?;
+            let (isop, cover) = mgr.isop_record(f, f)?;
             debug_assert_eq!(cover, f);
-            let flat: usize = cubes.iter().map(bds_bdd::Cube::len).sum();
-            if flat < forest.literal_count(r) {
+            if isop.literal_count() < forest.literal_count(r) {
                 self.stats.leaves += 1;
-                return Ok(forest.push(FactorNode::Leaf(cubes)));
+                return Ok(forest.push(FactorNode::Leaf(isop.cubes())));
             }
         }
         Ok(r)
