@@ -1,10 +1,9 @@
 //! Minato–Morreale irredundant sum-of-products extraction, recorded as
-//! a DAG with one record per memo entry whose cubes are written only on
-//! demand, so a caller that compares literal counts builds no cube.
+//! a DAG with one record per memo entry whose cubes are handed out only
+//! on demand, so a caller that compares literal counts visits no cube.
 
 use crate::hash::FastMap;
 
-use crate::cube::Cube;
 use crate::edge::{Edge, Var};
 use crate::manager::Manager;
 use crate::Result;
@@ -27,7 +26,7 @@ struct Record {
 
 /// An irredundant sum-of-products cover as recorded by
 /// [`Manager::isop_record`]: its cube and literal counts are known at
-/// once, its cubes are written by [`Isop::cubes`].
+/// once, its cubes are handed out by [`Isop::for_each_cube`].
 #[derive(Clone, Debug)]
 pub struct Isop {
     /// Ids [`EMPTY`] and [`TOP`] hold the two leaves.
@@ -46,25 +45,36 @@ impl Isop {
         self.records[self.root as usize].lits
     }
 
-    /// Writes the cubes, each with its literals sorted by variable.
-    pub fn cubes(&self) -> Vec<Cube> {
-        let mut out = Vec::with_capacity(self.cube_count());
-        self.write(self.root, &mut Vec::new(), &mut out);
-        out
+    /// Hands each cube's literals, as `(variable, phase)` pairs sorted by
+    /// variable, to `f`: at each step the cubes with the variable's
+    /// negative literal, then those with its positive literal, then the
+    /// cubes without it.
+    pub fn for_each_cube(&self, mut f: impl FnMut(&[(Var, bool)])) {
+        self.write(self.root, &mut Vec::new(), &mut Vec::new(), &mut f);
     }
 
-    fn write(&self, id: u32, path: &mut Vec<(Var, bool)>, out: &mut Vec<Cube>) {
+    fn write<F: FnMut(&[(Var, bool)])>(
+        &self,
+        id: u32,
+        path: &mut Vec<(Var, bool)>,
+        sorted: &mut Vec<(Var, bool)>,
+        f: &mut F,
+    ) {
         match id {
             EMPTY => {}
-            TOP => out.push(Cube::sorted(path.clone())),
+            TOP => {
+                sorted.clone_from(path);
+                sorted.sort_unstable_by_key(|&(v, _)| v);
+                f(sorted);
+            }
             _ => {
                 let r = self.records[id as usize];
                 for (kid, phase) in [(r.kids[0], false), (r.kids[1], true)] {
                     path.push((r.var, phase));
-                    self.write(kid, path, out);
+                    self.write(kid, path, sorted, f);
                     path.pop();
                 }
-                self.write(r.kids[2], path, out);
+                self.write(r.kids[2], path, sorted, f);
             }
         }
     }
@@ -73,7 +83,8 @@ impl Isop {
 impl Manager {
     /// Computes an irredundant sum-of-products cover `c` of the incompletely
     /// specified function bounded by `lower ⊆ c ⊆ upper` (Minato–Morreale
-    /// ISOP). Returns the cover's cubes together with the BDD of the cover.
+    /// ISOP). Returns the recorded cover, whose counts are free and whose
+    /// cubes are handed out on demand, together with the BDD of the cover.
     ///
     /// With `lower == upper` this is an ISOP of a completely specified
     /// function — how factoring-tree leaves and BLIF node functions are
@@ -85,17 +96,6 @@ impl Manager {
     /// # Panics
     /// Debug-asserts `lower ⊆ upper`; in release an inconsistent pair
     /// yields an unspecified (but well-formed) cover.
-    pub fn isop(&mut self, lower: Edge, upper: Edge) -> Result<(Vec<Cube>, Edge)> {
-        let (isop, cover) = self.isop_record(lower, upper)?;
-        Ok((isop.cubes(), cover))
-    }
-
-    /// [`Manager::isop`] without writing the cubes: the same BDD
-    /// operations in the same order, returning the recorded cover, whose
-    /// counts are free and whose cubes are written on demand.
-    ///
-    /// # Errors
-    /// As [`Manager::isop`].
     pub fn isop_record(&mut self, lower: Edge, upper: Edge) -> Result<(Isop, Edge)> {
         debug_assert!(
             self.ite_is(lower, upper, Edge::ONE, Edge::ONE),
@@ -170,7 +170,23 @@ impl Manager {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Edge, Manager};
+    use crate::{Edge, Isop, Manager};
+
+    /// The sum of the cubes `isop` hands out, rebuilt in `m`.
+    fn rebuild(m: &mut Manager, isop: &Isop) -> Edge {
+        let mut cubes = Vec::new();
+        isop.for_each_cube(|lits| cubes.push(lits.to_vec()));
+        let mut sum = Edge::ZERO;
+        for lits in cubes {
+            let mut cube = Edge::ONE;
+            for (v, p) in lits {
+                let lit = m.literal(v, p);
+                cube = m.and(cube, lit).unwrap();
+            }
+            sum = m.or(sum, cube).unwrap();
+        }
+        sum
+    }
 
     #[test]
     fn isop_exactly_covers() {
@@ -183,10 +199,9 @@ mod tests {
         let f2 = m.xor(lits[0], lits[1]).unwrap();
         let x = m.xor(f2, lits[2]).unwrap();
         for f in [f1, f2, x, f1.complement(), Edge::ONE, Edge::ZERO] {
-            let (cubes, cover) = m.isop(f, f).unwrap();
+            let (isop, cover) = m.isop_record(f, f).unwrap();
             assert_eq!(cover, f, "cover must equal the function exactly");
-            let rebuilt = m.sum_of_cubes(&cubes).unwrap();
-            assert_eq!(rebuilt, f, "cube list must rebuild the function");
+            assert_eq!(rebuild(&mut m, &isop), f, "cubes must rebuild the function");
         }
     }
 
@@ -199,11 +214,10 @@ mod tests {
         let ab = m.and(la, lb).unwrap();
         let aorb = m.or(la, lb).unwrap();
         // Interval [a·b, a+b]: a single-literal cover exists.
-        let (cubes, cover) = m.isop(ab, aorb).unwrap();
+        let (isop, cover) = m.isop_record(ab, aorb).unwrap();
         assert!(m.leq(ab, cover).unwrap());
         assert!(m.leq(cover, aorb).unwrap());
-        assert_eq!(cubes.len(), 1);
-        assert_eq!(cubes[0].len(), 1);
+        assert_eq!((isop.cube_count(), isop.literal_count()), (1, 1));
     }
 
     #[test]
@@ -213,7 +227,7 @@ mod tests {
         let la = m.literal(vars[0], true);
         let lb = m.literal(vars[1], true);
         let x = m.xor(la, lb).unwrap();
-        let (cubes, _) = m.isop(x, x).unwrap();
-        assert_eq!(cubes.len(), 2); // a·b̄ + ā·b
+        let (isop, _) = m.isop_record(x, x).unwrap();
+        assert_eq!(isop.cube_count(), 2); // a·b̄ + ā·b
     }
 }

@@ -82,7 +82,6 @@ pub mod budget;
 mod canon;
 mod cofactor;
 mod count;
-mod cube;
 mod edge;
 mod error;
 mod hash;
@@ -104,7 +103,6 @@ pub mod transfer;
 
 pub use budget::Fault;
 pub use canon::IteNorm;
-pub use cube::Cube;
 pub use edge::{Edge, Var};
 pub use error::{BddError, OpClass};
 pub use hash::{FastMap, FastSet};

@@ -16,6 +16,7 @@
 //! are equal — or complementary — share one factoring subtree.
 
 use bds_bdd::{Edge, FastMap, Manager, VisitMarks};
+use bds_network::isop_cubes;
 
 use crate::dominators::{
     decompose_at_one_dominator, decompose_at_x_dominator, decompose_at_zero_dominator,
@@ -191,9 +192,9 @@ impl Decomposer {
             if let Some(&n) = self.neg_leaf.get(&reg) {
                 return Ok(n);
             }
-            let (cubes, cover) = mgr.isop(f, f)?;
+            let (isop, cover) = mgr.isop_record(f, f)?;
             debug_assert_eq!(cover, f);
-            let n = forest.push(FactorNode::Leaf(cubes));
+            let n = forest.push(FactorNode::Leaf(isop_cubes(&isop)));
             self.neg_leaf.insert(reg, n);
             return Ok(n);
         }
@@ -218,10 +219,10 @@ impl Decomposer {
         }
         let support = mgr.support(f);
         if support.len() <= params.leaf_support {
-            let (cubes, cover) = mgr.isop(f, f)?;
+            let (isop, cover) = mgr.isop_record(f, f)?;
             debug_assert_eq!(cover, f);
             self.stats.leaves += 1;
-            return Ok(forest.push(FactorNode::Leaf(cubes)));
+            return Ok(forest.push(FactorNode::Leaf(isop_cubes(&isop))));
         }
 
         let size = self.sizes.size(mgr, f);
@@ -257,7 +258,7 @@ impl Decomposer {
             debug_assert_eq!(cover, f);
             if isop.literal_count() < forest.literal_count(r) {
                 self.stats.leaves += 1;
-                return Ok(forest.push(FactorNode::Leaf(isop.cubes())));
+                return Ok(forest.push(FactorNode::Leaf(isop_cubes(&isop))));
             }
         }
         Ok(r)

@@ -14,7 +14,8 @@
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use bds_bdd::{Cube, Var};
+use bds_bdd::Var;
+use bds_sop::Cube;
 
 /// Index of a node within a [`FactorForest`] plus a complement flag.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -73,8 +74,9 @@ pub enum FactorNode {
         /// Selected when the control is 0.
         lo: FactorRef,
     },
-    /// A small two-level leaf: sum of cubes over manager variables
-    /// (emitted for functions below the decomposition threshold).
+    /// A small two-level leaf: sum of cubes whose positions are manager
+    /// variable indices, in ISOP order (emitted for functions below the
+    /// decomposition threshold).
     Leaf(Vec<Cube>),
 }
 
@@ -226,7 +228,13 @@ impl FactorForest {
                     if i > 0 {
                         out.push_str(" + ");
                     }
-                    let _ = write!(out, "{c}");
+                    if c.is_empty() {
+                        out.push('1');
+                    }
+                    for (j, &(v, p)) in c.literals().iter().enumerate() {
+                        let sep = if j > 0 { "·" } else { "" };
+                        let _ = write!(out, "{sep}{}v{v}", if p { "" } else { "!" });
+                    }
                 }
                 out.push(']');
             }
@@ -297,5 +305,10 @@ mod tests {
         let s = f.display(and, &mgr);
         assert!(s.contains("alpha"));
         assert!(s.contains('!'));
+        let leaf = f.push(FactorNode::Leaf(vec![
+            Cube::parse(&[(0, true), (2, false)]),
+            Cube::one(),
+        ]));
+        assert_eq!(f.display(leaf, &mgr), "[v0·!v2 + 1]");
     }
 }

@@ -605,7 +605,7 @@ fn decompose_supernode(
         let expr = bds_sop::factor::factor(cover);
         return Ok(NodeArtifact::degraded(ArtifactBody::Factored(expr), 2));
     }
-    // Rung 3: keep the original factored form verbatim.
+    // Rung 3: keep the original cover verbatim.
     Ok(NodeArtifact::degraded(
         ArtifactBody::Verbatim(cover.clone()),
         3,

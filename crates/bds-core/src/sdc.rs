@@ -20,27 +20,13 @@ use bds_network::{
 };
 use bds_sop::Cover;
 
-/// Tuning knobs for [`sdc_simplify`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SdcParams {
-    /// Skip nodes whose fanin support window exceeds this many signals
-    /// (the window BDD is exponential in it).
-    pub max_window: usize,
-    /// Node limit for the scratch manager (a blown limit skips the node).
-    pub bdd_limit: usize,
-    /// Maximum node fanin count to consider.
-    pub max_fanin: usize,
-}
-
-impl Default for SdcParams {
-    fn default() -> Self {
-        SdcParams {
-            max_window: 16,
-            bdd_limit: 20_000,
-            max_fanin: 10,
-        }
-    }
-}
+/// Nodes whose fanin support window exceeds this many signals are
+/// skipped (the window BDD is exponential in it).
+const MAX_WINDOW: usize = 16;
+/// Node limit for the scratch manager (a blown limit skips the node).
+const BDD_LIMIT: usize = 20_000;
+/// Nodes of more fanins than this are skipped.
+const MAX_FANIN: usize = 10;
 
 /// Minimizes node covers against their satisfiability don't-cares.
 /// Returns the number of nodes rewritten. Function-preserving by
@@ -50,18 +36,18 @@ impl Default for SdcParams {
 /// # Errors
 /// Propagates network errors; per-node BDD blow-ups are skipped, not
 /// reported.
-pub fn sdc_simplify(net: &mut Network, params: &SdcParams) -> Result<usize, NetworkError> {
+pub fn sdc_simplify(net: &mut Network) -> Result<usize, NetworkError> {
     let mut rewritten = 0;
     for sig in net.topo_order() {
         let Some((fanins, cover)) = net.node(sig) else {
             continue;
         };
-        if fanins.len() < 2 || fanins.len() > params.max_fanin {
+        if fanins.len() < 2 || fanins.len() > MAX_FANIN {
             continue;
         }
         let fanins = fanins.to_vec();
         let cover = cover.clone();
-        let Some(new_cover) = minimize_node(net, &fanins, &cover, params) else {
+        let Some(new_cover) = minimize_node(net, &fanins, &cover) else {
             continue;
         };
         if new_cover.literal_count() < cover.literal_count() {
@@ -74,12 +60,7 @@ pub fn sdc_simplify(net: &mut Network, params: &SdcParams) -> Result<usize, Netw
 
 /// Computes the minimized cover of one node, or `None` when the window
 /// is too large / the care set is total / BDDs blow up.
-fn minimize_node(
-    net: &Network,
-    fanins: &[SignalId],
-    cover: &Cover,
-    params: &SdcParams,
-) -> Option<Cover> {
+fn minimize_node(net: &Network, fanins: &[SignalId], cover: &Cover) -> Option<Cover> {
     // Collect the window: the union of the fanins' transitive fanin
     // *frontier* signals, stopping at primary inputs; bail out early if
     // it exceeds the cap.
@@ -91,7 +72,7 @@ fn minimize_node(
             None => {
                 if !window.contains(&s) {
                     window.push(s);
-                    if window.len() > params.max_window {
+                    if window.len() > MAX_WINDOW {
                         return None;
                     }
                 }
@@ -105,14 +86,14 @@ fn minimize_node(
                 }
             }
         }
-        if seen.len() > params.max_window * 8 {
+        if seen.len() > MAX_WINDOW * 8 {
             return None; // cone too big to be worth it
         }
     }
 
     // Scratch manager: window variables (x) on top, then one variable per
     // fanin (y).
-    let mut mgr = Manager::with_node_limit(params.bdd_limit);
+    let mut mgr = Manager::with_node_limit(BDD_LIMIT);
     let mut var_of: HashMap<SignalId, Var> = HashMap::new();
     for &w in &window {
         var_of.insert(w, mgr.new_var(net.signal_name(w)));
@@ -165,7 +146,10 @@ fn minimize_node(
         mgr.ite_is(minimized, care, Edge::ZERO, lower),
         "restrict contract"
     );
-    bdd_to_cover(&mut mgr, minimized, |v| y_vars.iter().position(|&y| y == v))
+    // `restrict` keeps `f`'s support, the y variables, which follow the
+    // window's: fanin `i` is variable `window.len() + i`.
+    let y0 = window.len() as u32;
+    Some(bdd_to_cover(&mut mgr, minimized)?.renumbered(|v| v - y0))
 }
 
 #[cfg(test)]
@@ -203,7 +187,7 @@ mod tests {
         let f = n.add_node("f", vec![g, ng], xor2()).unwrap();
         n.mark_output(f).unwrap();
         let before = n.clone();
-        let rewritten = sdc_simplify(&mut n, &SdcParams::default()).unwrap();
+        let rewritten = sdc_simplify(&mut n).unwrap();
         assert!(
             rewritten >= 1,
             "the xor of complementary signals must simplify"
@@ -230,7 +214,7 @@ mod tests {
         let h = n.add_node("h", vec![g1, g2], and2).unwrap();
         n.mark_output(h).unwrap();
         let before = n.clone();
-        let _ = sdc_simplify(&mut n, &SdcParams::default()).unwrap();
+        let _ = sdc_simplify(&mut n).unwrap();
         assert_eq!(verify(&before, &n, 100_000).unwrap(), Verdict::Equivalent);
     }
 
@@ -242,7 +226,7 @@ mod tests {
         let b = n.add_input("b").unwrap();
         let f = n.add_node("f", vec![a, b], xor2()).unwrap();
         n.mark_output(f).unwrap();
-        let rewritten = sdc_simplify(&mut n, &SdcParams::default()).unwrap();
+        let rewritten = sdc_simplify(&mut n).unwrap();
         assert_eq!(rewritten, 0);
     }
 
@@ -266,11 +250,7 @@ mod tests {
             )
             .unwrap();
         n.mark_output(f).unwrap();
-        let params = SdcParams {
-            max_window: 8,
-            ..Default::default()
-        };
-        let rewritten = sdc_simplify(&mut n, &params).unwrap();
+        let rewritten = sdc_simplify(&mut n).unwrap();
         assert_eq!(rewritten, 0, "cone wider than the window must be skipped");
     }
 }

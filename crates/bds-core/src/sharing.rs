@@ -44,7 +44,7 @@ use bds_bdd::{FastMap, FastSet};
 use bds_network::{
     prune_fanins, single_literal, FunctionKey, FunctionKeys, Network, NetworkError, SignalId,
 };
-use bds_sop::{BitCube, Cover, Expr};
+use bds_sop::{BitCube, Cover, Cube, Expr};
 
 use crate::factor_tree::{FactorForest, FactorNode, FactorRef};
 
@@ -703,22 +703,22 @@ impl Emitter<'_, '_, '_> {
 
     /// Emits a two-level leaf, its fanin positions in the order its
     /// variables first appear: as bit cubes when it has at most six.
-    fn emit_leaf(&mut self, cubes: &[bds_bdd::Cube]) -> Result<ResolvedRef, NetworkError> {
+    fn emit_leaf(&mut self, cubes: &[Cube]) -> Result<ResolvedRef, NetworkError> {
         if cubes.is_empty() {
             return Ok(self.stitch.constant(false));
         }
-        let (mut vars, mut fanins, mut n) = ([usize::MAX; 6], [Sig::Const(false); 6], 0);
+        let (mut vars, mut fanins, mut n) = ([u32::MAX; 6], [Sig::Const(false); 6], 0);
         let mut bits = std::mem::take(&mut self.stitch.bits);
         bits.clear();
         for c in cubes {
             let mut bit = BitCube { care: 0, phase: 0 };
             for &(v, p) in c.literals() {
-                let pos = vars[..n].iter().position(|&w| w == v.index()).unwrap_or(n);
+                let pos = vars[..n].iter().position(|&w| w == v).unwrap_or(n);
                 if pos == vars.len() {
                     return self.emit_wide_leaf(cubes);
                 } else if pos == n {
-                    vars[n] = v.index();
-                    fanins[n] = self.var_signals[v.index()];
+                    vars[n] = v;
+                    fanins[n] = self.var_signals[v as usize];
                     n += 1;
                 }
                 bit.care |= 1 << pos;
@@ -732,20 +732,16 @@ impl Emitter<'_, '_, '_> {
     }
 
     /// [`Emitter::emit_leaf`] for a leaf of more than six variables.
-    fn emit_wide_leaf(&mut self, cubes: &[bds_bdd::Cube]) -> Result<ResolvedRef, NetworkError> {
-        let mut vars: Vec<usize> = Vec::new();
-        for &(v, _) in cubes.iter().flat_map(bds_bdd::Cube::literals) {
-            if !vars.contains(&v.index()) {
-                vars.push(v.index());
+    fn emit_wide_leaf(&mut self, cubes: &[Cube]) -> Result<ResolvedRef, NetworkError> {
+        let mut vars: Vec<u32> = Vec::new();
+        for &(v, _) in cubes.iter().flat_map(Cube::literals) {
+            if !vars.contains(&v) {
+                vars.push(v);
             }
         }
-        let pos = |v: bds_bdd::Var| vars.iter().position(|&w| w == v.index()).unwrap_or(0) as u32;
-        #[expect(clippy::expect_used, reason = "ISOP cubes never contain both phases")]
-        let cover: Cover = (cubes.iter())
-            .map(|c| c.literals().iter().map(|&(v, p)| (pos(v), p)).collect())
-            .map(|lits| bds_sop::Cube::new(lits).expect("bdd cubes are consistent"))
-            .collect();
-        let fanins: Vec<Sig> = vars.iter().map(|&v| self.var_signals[v]).collect();
+        let pos = |v| vars.iter().position(|&w| w == v).unwrap_or(0) as u32;
+        let cover = Cover::from_cubes(cubes.to_vec()).renumbered(pos);
+        let fanins: Vec<Sig> = vars.iter().map(|&v| self.var_signals[v as usize]).collect();
         self.stitch.gate(&fanins, Body::Cover(cover))
     }
 }

@@ -117,7 +117,7 @@ fn isop_simplify(net: &mut Network) -> Result<usize, NetworkError> {
         let Ok(edge) = cover_to_bdd(&mut mgr, &cover, &vars) else {
             continue;
         };
-        let Some(new_cover) = bdd_to_cover(&mut mgr, edge, |v| Some(v.index())) else {
+        let Some(new_cover) = bdd_to_cover(&mut mgr, edge) else {
             continue;
         };
         if new_cover.literal_count() < cover.literal_count() {
@@ -131,15 +131,7 @@ fn isop_simplify(net: &mut Network) -> Result<usize, NetworkError> {
 /// A cover lifted from node-local positions to global signal indices.
 fn signal_cover(net: &Network, sig: SignalId) -> Option<Cover> {
     let (fanins, cover) = net.node(sig)?;
-    Some(translate(cover, &|pos| fanins[pos as usize].index() as u32))
-}
-
-fn translate(cover: &Cover, map: &dyn Fn(u32) -> u32) -> Cover {
-    cover
-        .cubes()
-        .iter()
-        .filter_map(|c| Cube::new(c.literals().iter().map(|&(v, p)| (map(v), p)).collect()))
-        .collect()
+    Some(cover.renumbered(|pos| fanins[pos as usize].index() as u32))
 }
 
 /// Lowers a signal-space cover to a node: its support, in ascending
@@ -156,7 +148,7 @@ fn localize(ids: &[SignalId], cover: &Cover) -> Result<(Vec<SignalId>, Cover), N
                 })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let local = translate(cover, &|s| support.partition_point(|&x| x < s) as u32);
+    let local = cover.renumbered(|s| support.partition_point(|&x| x < s) as u32);
     Ok((fanins, local))
 }
 

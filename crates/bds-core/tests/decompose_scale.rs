@@ -7,7 +7,9 @@ use std::collections::HashMap;
 
 use bds::decompose::{DecomposeParams, Decomposer, Method};
 use bds::factor_tree::{FactorForest, FactorNode, FactorRef};
-use bds_bdd::{Edge, Manager};
+use bds_bdd::{Edge, Manager, Var};
+use bds_network::cover_to_bdd;
+use bds_sop::Cover;
 
 /// Rebuilds a factoring tree into the manager it came from; canonicity
 /// makes equality exact.
@@ -51,8 +53,8 @@ fn forest_to_bdd(
                 mgr.ite(es, eh, el).expect("unlimited")
             }
             FactorNode::Leaf(cubes) => {
-                let cubes = cubes.clone();
-                mgr.sum_of_cubes(&cubes).expect("unlimited")
+                let vars: Vec<Var> = (0..mgr.var_count()).map(Var::from_index).collect();
+                cover_to_bdd(mgr, &Cover::from_cubes(cubes.clone()), &vars).expect("unlimited")
             }
         };
         memo.insert(r.id(), e);

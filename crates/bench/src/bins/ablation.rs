@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 use bds::decompose::{DecomposeParams, Method};
 use bds::flow::{optimize, optimize_global, FlowParams};
-use bds::sdc::{sdc_simplify, SdcParams};
+use bds::sdc::sdc_simplify;
 use bds_circuits::adder::ripple_adder;
 use bds_circuits::alu::alu;
 use bds_circuits::comparator::comparator;
@@ -109,7 +109,7 @@ pub fn main() -> ExitCode {
                 .or_else(|_| optimize(net, &params))
                 .expect("flow");
             if name == "paper+sdc" {
-                if let Err(err) = sdc_simplify(&mut out, &SdcParams::default()) {
+                if let Err(err) = sdc_simplify(&mut out) {
                     eprintln!("ablation: sdc_simplify failed on {cname}: {err}");
                     return ExitCode::FAILURE;
                 }

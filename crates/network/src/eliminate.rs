@@ -458,7 +458,7 @@ impl Network {
         }
         let cover = if !with_cover {
             Isop::Unknown
-        } else if let Some(cover) = bdd_to_cover(&mut s.mgr, composed, |v| Some(v.index())) {
+        } else if let Some(cover) = bdd_to_cover(&mut s.mgr, composed) {
             Isop::Cover(s.intern(&cover))
         } else {
             Isop::Failed

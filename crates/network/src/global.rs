@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use bds_bdd::{Edge, Manager, Var};
+use bds_bdd::{Edge, Isop, Manager, Var};
 use bds_sop::{Cover, Cube};
 
 use crate::network::{Network, SignalId};
@@ -30,30 +30,27 @@ pub fn cover_to_bdd(mgr: &mut Manager, cover: &Cover, vars: &[Var]) -> Result<Ed
     Ok(acc)
 }
 
-/// The irredundant SOP of `f` ([`Manager::isop`] with `lower == upper`)
-/// as a positional [`Cover`], the inverse of [`cover_to_bdd`]:
-/// `position(v)` is the cover position of variable `v`. `None` if the
-/// ISOP hits the node limit or a variable has no position. ISOP cubes
-/// are consistent by construction; a contradictory one also gives
-/// `None` rather than unwinding.
-pub fn bdd_to_cover(
-    mgr: &mut Manager,
-    f: Edge,
-    position: impl Fn(Var) -> Option<usize>,
-) -> Option<Cover> {
-    let (cubes, _) = mgr.isop(f, f).ok()?;
-    let cubes = cubes
-        .iter()
-        .map(|c| {
-            let lits = c
-                .literals()
-                .iter()
-                .map(|&(v, p)| Some((u32::try_from(position(v)?).ok()?, p)))
-                .collect::<Option<Vec<_>>>()?;
-            Cube::new(lits)
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(Cover::from_cubes(cubes))
+/// The cubes of `isop` in its order, as [`Cube`]s whose positions are
+/// the variable indices. A factoring-tree leaf keeps this order; a
+/// [`Cover`] sorts it.
+pub fn isop_cubes(isop: &Isop) -> Vec<Cube> {
+    let mut cubes = Vec::with_capacity(isop.cube_count());
+    // ISOP literals name distinct variables, so `Cube::new` keeps them all.
+    isop.for_each_cube(|lits| {
+        cubes.extend(Cube::new(
+            lits.iter().map(|&(v, p)| (v.index() as u32, p)).collect(),
+        ));
+    });
+    cubes
+}
+
+/// The irredundant SOP of `f` (`isop_record` with `lower == upper`) as a
+/// [`Cover`] whose positions are the variable indices, the inverse of
+/// [`cover_to_bdd`] over `vars[i] == i`. `None` if the ISOP hits the
+/// node limit.
+pub fn bdd_to_cover(mgr: &mut Manager, f: Edge) -> Option<Cover> {
+    let (isop, _) = mgr.isop_record(f, f).ok()?;
+    Some(Cover::from_cubes(isop_cubes(&isop)))
 }
 
 impl Network {

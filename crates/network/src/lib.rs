@@ -65,7 +65,7 @@ pub mod verify;
 
 pub use eliminate::{EliminateCost, EliminateParams};
 pub use error::NetworkError;
-pub use global::{bdd_to_cover, cover_to_bdd, cover_to_bdd_edges};
+pub use global::{bdd_to_cover, cover_to_bdd, cover_to_bdd_edges, isop_cubes};
 pub use invariants::STRICT_CHECKS;
 pub use network::{Network, SignalId};
 pub use stats::NetworkStats;

@@ -240,18 +240,7 @@ pub fn prune_fanins<T: Copy + Eq + Hash>(fanins: &[T], cover: &Cover) -> Option<
     let pos_map: Vec<u32> = (0..fanins.len())
         .map(|i| *first_pos.entry(fanins[i]).or_insert(i as u32))
         .collect();
-    let merged: Cover = cover
-        .cubes()
-        .iter()
-        .filter_map(|c| {
-            Cube::new(
-                c.literals()
-                    .iter()
-                    .map(|&(v, p)| (pos_map[v as usize], p))
-                    .collect(),
-            )
-        })
-        .collect();
+    let merged = cover.renumbered(|v| pos_map[v as usize]);
     // Now drop unused positions and renumber.
     let used = merged.support();
     if used.len() == fanins.len() && merged == *cover {
@@ -262,18 +251,7 @@ pub fn prune_fanins<T: Copy + Eq + Hash>(fanins: &[T], cover: &Cover) -> Option<
         renumber[old as usize] = new as u32;
     }
     // Renumbering keeps the order of positions, so no cube changes form.
-    let cover = merged
-        .cubes()
-        .iter()
-        .filter_map(|c| {
-            Cube::new(
-                c.literals()
-                    .iter()
-                    .map(|&(v, p)| (renumber[v as usize], p))
-                    .collect(),
-            )
-        })
-        .collect();
+    let cover = merged.renumbered(|v| renumber[v as usize]);
     let fanins = used.iter().map(|&v| fanins[v as usize]).collect();
     Some((fanins, cover))
 }

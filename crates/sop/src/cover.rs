@@ -122,6 +122,14 @@ impl Cover {
         Cover::from_cubes(cubes)
     }
 
+    /// This cover with each position `v` renamed `map(v)`: cubes that
+    /// become contradictory drop out, and the rest are sorted and
+    /// deduplicated as by [`Cover::from_cubes`].
+    pub fn renumbered(&self, map: impl Fn(u32) -> u32) -> Cover {
+        let rename = |c: &Cube| Cube::new(c.literals().iter().map(|&(v, p)| (map(v), p)).collect());
+        self.cubes.iter().filter_map(rename).collect()
+    }
+
     /// Single-cube containment minimization only: drops cubes covered by
     /// another cube. Function-preserving and purely algebraic — the
     /// canonical pre-pass for kernel enumeration and factoring.

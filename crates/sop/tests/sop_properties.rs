@@ -178,3 +178,34 @@ fn is_simplified_matches_simplify() {
         "{minimal} / {not_minimal}"
     );
 }
+
+/// `Cover::renumbered` equals renaming each cube through `Cube::new` and
+/// collecting the survivors into a cover, for position maps that permute
+/// positions and for maps that merge them (which may make cubes
+/// contradictory).
+#[test]
+fn renumbered_matches_per_cube_renaming() {
+    check_cases("renumbered_matches_per_cube_renaming", CASES, |rng| {
+        let f = random_cover(rng);
+        let mut map: Vec<u32> = (0..NVARS).collect();
+        if rng.bool() {
+            for i in (1..map.len()).rev() {
+                map.swap(i, rng.range_usize(0..i + 1));
+            }
+        } else {
+            let range = rng.range_u32(1..NVARS);
+            map.iter_mut().for_each(|m| *m = rng.range_u32(0..range));
+        }
+        let reference: Cover = (f.cubes().iter())
+            .filter_map(|c| {
+                Cube::new(
+                    c.literals()
+                        .iter()
+                        .map(|&(v, p)| (map[v as usize], p))
+                        .collect(),
+                )
+            })
+            .collect();
+        assert_eq!(f.renumbered(|v| map[v as usize]), reference);
+    });
+}

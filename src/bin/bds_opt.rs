@@ -19,7 +19,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use bds_repro::core::flow::{optimize, FlowParams};
-use bds_repro::core::sdc::{sdc_simplify, SdcParams};
+use bds_repro::core::sdc::sdc_simplify;
 use bds_repro::core::sis_flow::{script_rugged, SisParams};
 use bds_repro::map::{map_network, map_network_luts, parse_genlib, Library};
 use bds_repro::network::blif;
@@ -63,7 +63,8 @@ fn parse_args() -> Result<Options, String> {
             }
             "--luts" => {
                 let k = args.next().ok_or("--luts requires a number")?;
-                opts.luts = Some(k.parse().map_err(|_| format!("bad LUT size `{k}`"))?);
+                let size = k.parse().ok().filter(|&n: &usize| n >= 2);
+                opts.luts = Some(size.ok_or(format!("bad LUT size `{k}` (at least 2)"))?);
             }
             "-o" => opts.output = Some(args.next().ok_or("-o requires a file")?),
             "-h" | "--help" => return Err("help".into()),
@@ -123,7 +124,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         let (mut out, report) = optimize(&net, &FlowParams::default())?;
         if opts.sdc {
-            sdc_simplify(&mut out, &SdcParams::default())?;
+            sdc_simplify(&mut out)?;
             out.sweep()?;
             out = out.compacted()?;
         }

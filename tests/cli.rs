@@ -86,7 +86,7 @@ fn sdc_flag_applies_the_post_pass() {
     let (mut expected, _) =
         bds_repro::core::flow::optimize(&net, &bds_repro::core::flow::FlowParams::default())
             .expect("flow runs");
-    bds_repro::core::sdc::sdc_simplify(&mut expected, &Default::default()).expect("sdc runs");
+    bds_repro::core::sdc::sdc_simplify(&mut expected).expect("sdc runs");
     expected.sweep().expect("sweep");
     let expected = expected.compacted().expect("compacted");
     assert_eq!(
@@ -124,6 +124,17 @@ fn bad_usage_fails_cleanly() {
 
     let out = bds_opt().output().expect("runs");
     assert!(!out.status.success(), "missing input file must fail");
+
+    // A LUT needs at least two inputs; smaller sizes are usage errors.
+    for k in ["0", "1", "x"] {
+        let out = bds_opt()
+            .args(["--luts", k, "in.blif"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "--luts {k}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("bad LUT size"), "{stderr}");
+    }
 }
 
 #[test]

@@ -142,8 +142,8 @@ fn figure_decompositions_beat_flat_sop_literals() {
         let functions = fig.functions.clone();
         let (mut mgr, forest, roots, _) = decompose_figure(fig);
         for (f, root) in functions.iter().zip(&roots) {
-            let (cubes, _) = mgr.isop(*f, *f).expect("isop");
-            let flat: usize = cubes.iter().map(bds_repro::bdd::Cube::len).sum();
+            let (isop, _) = mgr.isop_record(*f, *f).expect("isop");
+            let flat = isop.literal_count();
             let ours = forest.literal_count(*root);
             assert!(
                 ours <= flat.max(2),

@@ -14,7 +14,7 @@ use bds_repro::bdd::{reorder, transfer, Edge, Manager, Var};
 use bds_repro::core::decompose::{DecomposeParams, Decomposer};
 use bds_repro::core::factor_tree::FactorForest;
 use bds_repro::network::verify::{verify, Verdict};
-use bds_repro::network::{blif, EliminateParams, Network};
+use bds_repro::network::{blif, cover_to_bdd, isop_cubes, EliminateParams, Network};
 use bds_repro::sop::{factor::factor, Cover, Cube};
 
 const NVARS: usize = 5;
@@ -70,7 +70,7 @@ fn restrict_contract() {
     });
 }
 
-/// ISOP exactness: isop(f, f) rebuilds f.
+/// ISOP exactness: the cubes of `isop_record(f, f)` rebuild f.
 #[test]
 fn isop_exact() {
     check_cases("isop exact", CASES, |rng| {
@@ -78,9 +78,10 @@ fn isop_exact() {
         let mut m = Manager::new();
         let vars = m.new_vars(NVARS);
         let f = build_bdd(&mut m, &vars, &fp);
-        let (cubes, cover) = m.isop(f, f).expect("unlimited");
+        let (isop, cover) = m.isop_record(f, f).expect("unlimited");
         assert_eq!(cover, f);
-        let rebuilt = m.sum_of_cubes(&cubes).expect("unlimited");
+        let cubes = Cover::from_cubes(isop_cubes(&isop));
+        let rebuilt = cover_to_bdd(&mut m, &cubes, &vars).expect("unlimited");
         assert_eq!(rebuilt, f);
     });
 }

@@ -258,28 +258,16 @@ impl Emitter<'_> {
             FactorNode::Leaf(cubes) => {
                 // Map manager variables to fanin positions.
                 let mut fanins: Vec<SignalId> = Vec::new();
-                let mut pos_of: HashMap<usize, u32> = HashMap::new();
+                let mut pos_of: HashMap<u32, u32> = HashMap::new();
                 for cube in cubes {
                     for &(v, _) in cube.literals() {
-                        pos_of.entry(v.index()).or_insert_with(|| {
-                            fanins.push(self.var_signals[v.index()]);
+                        pos_of.entry(v).or_insert_with(|| {
+                            fanins.push(self.var_signals[v as usize]);
                             (fanins.len() - 1) as u32
                         });
                     }
                 }
-                #[expect(clippy::expect_used, reason = "ISOP cubes never contain both phases")]
-                let cover: Cover = cubes
-                    .iter()
-                    .map(|c| {
-                        Cube::new(
-                            c.literals()
-                                .iter()
-                                .map(|&(v, p)| (pos_of[&v.index()], p))
-                                .collect(),
-                        )
-                        .expect("bdd cubes are consistent")
-                    })
-                    .collect();
+                let cover = Cover::from_cubes(cubes.clone()).renumbered(|v| pos_of[&v]);
                 if cover.is_empty() {
                     let name = self.fresh();
                     let sig = self.net.add_constant(name, false)?;
