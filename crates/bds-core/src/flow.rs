@@ -235,21 +235,25 @@ pub fn optimize(net: &Network, params: &FlowParams) -> Result<(Network, FlowRepo
     // structure-preserving decomposition of the swept network without
     // any collapse. For array-like circuits (multipliers, adders) the
     // input structure is already near-optimal and both the global form
-    // and the eliminate-collapse destroy it. The candidates run in
-    // order; with `jobs > 1` each shards its own supernodes.
-    let mut collapsed = work.clone();
+    // and the eliminate-collapse destroy it. The structural candidate
+    // runs first, so that `work` is then collapsed in place rather than
+    // copied; with `jobs > 1` each run shards its own supernodes.
+    let structural =
+        optimize_partitioned(&work, params).map(|(out, report)| (area_of(&out), out, report));
+    let mut collapsed = work;
     // Phase boundary: eliminate audits the partial collapse on exit.
     let eliminated = collapsed.eliminate(&params.eliminate)?;
     collapsed.sweep()?;
     let (out, mut report) = optimize_partitioned(&collapsed, params)?;
     report.eliminated = eliminated;
     candidates.push((area_of(&out), out, report));
-    let (out, report) = optimize_partitioned(&work, params)?;
-    candidates.push((area_of(&out), out, report));
+    // The collapsed candidate's error, if any, is still the one reported.
+    candidates.push(structural?);
 
     // Select by the real objective: mapped cell area under the shared
     // mcnc-style library (literal counts undervalue XOR/MUX cells).
-    // `min_by` keeps the first of equal minima.
+    // The candidates are in the order global, collapsed, structural,
+    // and `min_by` keeps the first of equal minima.
     let (_, out, mut report) = candidates
         .into_iter()
         .min_by(|(a, _, _), (b, _, _)| a.total_cmp(b))
@@ -322,7 +326,7 @@ pub fn optimize_global(
         // var index → output-network input signal.
         let mut var_slots: Vec<Option<Sig>> = vec![None; mgr.var_count()];
         for &i in net.inputs() {
-            let sig = stitch.add_input(net.signal_name(i))?;
+            let sig = stitch.add_input(net.shared_name(i))?;
             if let Some(&v) = var_of.get(&i) {
                 var_slots[v.index()] = Some(sig);
             }
@@ -339,7 +343,7 @@ pub fn optimize_global(
         }
         let emitted = stitch.emit_forest(&forest, &roots, &var_signals)?;
         for (idx, &o) in net.outputs().iter().enumerate() {
-            let sig = stitch.alias(emitted[idx], net.signal_name(o), true)?;
+            let sig = stitch.alias(emitted[idx], net.shared_name(o), true)?;
             stitch.mark_output(sig)?;
         }
         stitch.finish()?
@@ -717,26 +721,22 @@ fn decompose_sharded(
 /// # Errors
 /// Propagates network construction errors.
 pub fn optimize_partitioned(
-    net: &Network,
+    work: &Network,
     params: &FlowParams,
 ) -> Result<(Network, FlowReport), NetworkError> {
-    // A compact input is decomposed as it is; `compacted` would rebuild
-    // it unchanged.
-    let compacted;
-    let work = if net.is_compact() {
-        net
-    } else {
-        compacted = net.compacted()?;
-        &compacted
-    };
     let mut stats = DecomposeStats::default();
     let mut ops = OpStats::default();
     let mut peak = 0usize;
-    // Every non-input node with a cover, in topological order.
+    // Every node an output reaches, in topological order. These are the
+    // nodes `compacted` writes, in its order, under the same names,
+    // fanins and covers, and it keeps every input in order, so the input
+    // is decomposed as it is: dead nodes, late inputs and back edges
+    // need no rebuild first.
+    let live = work.live_signals();
     let items: Vec<Supernode<'_>> = work
         .topo_order()
         .into_iter()
-        .filter(|&sig| !work.is_input(sig))
+        .filter(|&sig| live[sig.index()])
         .filter_map(|sig| work.node(sig).map(|(fanins, cover)| (sig, fanins, cover)))
         .collect();
     // The shard unit is a distinct supernode function: items with equal
@@ -785,7 +785,7 @@ pub fn optimize_partitioned(
             is_output[o.index()] = true;
         }
         for &i in work.inputs() {
-            map[i.index()] = Some(stitch.add_input(work.signal_name(i))?);
+            map[i.index()] = Some(stitch.add_input(work.shared_name(i))?);
         }
         for &(sig, _, _) in &items {
             stitch.reserve(work.signal_name(sig));
@@ -811,7 +811,7 @@ pub fn optimize_partitioned(
                 })?;
                 var_signals.push(mapped);
             }
-            let (name, keep) = (work.signal_name(sig), is_output[sig.index()]);
+            let (name, keep) = (work.shared_name(sig), is_output[sig.index()]);
             let named = match &artifact.body {
                 ArtifactBody::Forest { forest, root } => {
                     let emitted = stitch.emit_forest(forest, &[*root], &var_signals)?;

@@ -39,6 +39,7 @@
 //! same function (the test `staged_rewrites_can_diverge_from_sweep`).
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use bds_bdd::{FastMap, FastSet};
 use bds_network::{
@@ -69,11 +70,12 @@ pub struct ResolvedRef {
 }
 
 /// The name a node gets when it is written: `{prefix}_{n}` for a fresh
-/// name, or a name the caller gave.
-#[derive(Copy, Clone, Debug)]
-enum Name<'n> {
+/// name, or a name the caller gave, which the written network keeps
+/// without a copy.
+#[derive(Debug)]
+enum Name {
     Fresh(u32),
-    Given(&'n str),
+    Given(Arc<str>),
 }
 
 /// A node's function over its fanin positions as it reaches
@@ -105,8 +107,8 @@ fn cube(lits: &[(u32, bool)]) -> BitCube {
 
 /// One signal of the stitch: an input (`driver == None`) or a node kept
 /// because it is the first of its function or a named output.
-struct Slot<'n> {
-    name: Name<'n>,
+struct Slot {
+    name: Name,
     /// `(fanins, cover)`, final: fanins (a range of [`Stitch::fanins`])
     /// are distinct representatives with lower indices, and the cover is
     /// simplified and uses them all.
@@ -124,7 +126,7 @@ struct Slot<'n> {
 pub struct Stitch<'n> {
     model: String,
     prefix: &'n str,
-    slots: Vec<Slot<'n>>,
+    slots: Vec<Slot>,
     /// The fanin lists of the kept nodes, one after another.
     fanins: Vec<u32>,
     outputs: Vec<u32>,
@@ -173,8 +175,9 @@ impl<'n> Stitch<'n> {
     /// [`NetworkError::DuplicateName`] if a fresh name handed out so far
     /// has the name; [`Stitch::finish`] fails on one an input or another
     /// written node has.
-    pub fn add_input(&mut self, name: &'n str) -> Result<Sig, NetworkError> {
-        self.claim(name)?;
+    pub fn add_input(&mut self, name: impl Into<Arc<str>>) -> Result<Sig, NetworkError> {
+        let name = name.into();
+        self.claim(&name)?;
         let me = self.slots.len() as u32;
         self.slots.push(Slot {
             name: Name::Given(name),
@@ -297,12 +300,13 @@ impl<'n> Stitch<'n> {
     /// a variable outside the fanin list.
     pub fn node(
         &mut self,
-        name: &'n str,
+        name: impl Into<Arc<str>>,
         fanins: &[Sig],
         cover: Cover,
         keep: bool,
     ) -> Result<Sig, NetworkError> {
-        self.claim(name)?;
+        let name = name.into();
+        self.claim(&name)?;
         self.add(Name::Given(name), fanins, Body::Cover(cover), keep)
     }
 
@@ -315,10 +319,11 @@ impl<'n> Stitch<'n> {
     pub fn alias(
         &mut self,
         resolved: ResolvedRef,
-        name: &'n str,
+        name: impl Into<Arc<str>>,
         keep: bool,
     ) -> Result<Sig, NetworkError> {
-        self.claim(name)?;
+        let name = name.into();
+        self.claim(&name)?;
         let literal = [cube(&[(0, resolved.phase)])];
         self.add(
             Name::Given(name),
@@ -354,20 +359,22 @@ impl<'n> Stitch<'n> {
         let mut net = Network::with_capacity(self.model, written);
         let mut id: Vec<Option<SignalId>> = vec![None; self.slots.len()];
         let prefix = self.prefix;
+        // A fresh name is spelled in this buffer, then allocated once.
+        let mut spelled = String::new();
         for (i, slot) in self.slots.into_iter().enumerate() {
             let name = || match slot.name {
-                // `{prefix}_{n}`, sized exactly and spelled digit by digit.
+                // `{prefix}_{n}`, spelled digit by digit.
                 Name::Fresh(n) => {
+                    spelled.clear();
+                    spelled.push_str(prefix);
+                    spelled.push('_');
                     let digits = n.checked_ilog10().unwrap_or(0) + 1;
-                    let mut name = String::with_capacity(prefix.len() + 1 + digits as usize);
-                    name.push_str(prefix);
-                    name.push('_');
                     for d in (0..digits).rev() {
-                        name.push(char::from(b'0' + (n / 10u32.pow(d) % 10) as u8));
+                        spelled.push(char::from(b'0' + (n / 10u32.pow(d) % 10) as u8));
                     }
-                    name
+                    Arc::from(spelled.as_str())
                 }
-                Name::Given(s) => s.to_string(),
+                Name::Given(s) => s,
             };
             id[i] = match slot.driver {
                 None => Some(net.add_input(name())?),
@@ -387,7 +394,7 @@ impl<'n> Stitch<'n> {
     }
 
     /// A fresh name, skipping those a given name took.
-    fn fresh(&mut self) -> Name<'n> {
+    fn fresh(&mut self) -> Name {
         loop {
             let n = self.counter;
             self.counter += 1;
@@ -465,7 +472,7 @@ impl<'n> Stitch<'n> {
     /// Canonicalizes a node and keeps it if it is new or `keep` is set.
     fn add(
         &mut self,
-        name: Name<'n>,
+        name: Name,
         fanins: &[Sig],
         body: Body<'_>,
         keep: bool,
@@ -754,7 +761,10 @@ mod tests {
     use bds_sop::Cube;
 
     fn inputs<'n>(stitch: &mut Stitch<'n>, names: &[&'n str]) -> Vec<Sig> {
-        names.iter().map(|n| stitch.add_input(n).unwrap()).collect()
+        names
+            .iter()
+            .map(|&n| stitch.add_input(n).unwrap())
+            .collect()
     }
 
     /// Decompose → emit → simulate must equal direct BDD evaluation.

@@ -5,6 +5,8 @@
     reason = "generator builders drive an unlimited manager; node creation cannot fail"
 )]
 
+use std::sync::Arc;
+
 use bds_network::{Network, SignalId};
 use bds_sop::{Cover, Cube};
 
@@ -27,7 +29,7 @@ impl Builder {
     }
 
     /// Declares a primary input.
-    pub fn input(&mut self, name: impl Into<String>) -> SignalId {
+    pub fn input(&mut self, name: impl Into<Arc<str>>) -> SignalId {
         self.net
             .add_input(name)
             .expect("generator names are unique")
@@ -39,7 +41,7 @@ impl Builder {
     }
 
     /// Marks a primary output, giving it `name` via a buffer node.
-    pub fn output(&mut self, name: impl Into<String>, sig: SignalId) {
+    pub fn output(&mut self, name: impl Into<Arc<str>>, sig: SignalId) {
         let buf = self
             .net
             .add_node(name, vec![sig], Cover::from_cubes(vec![Cube::lit(0, true)]))

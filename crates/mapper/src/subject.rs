@@ -9,6 +9,7 @@
 //! mapper behaviour the paper reports (only a fraction of XORs survive).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bds_bdd::FastMap;
 use bds_network::{Network, NetworkError};
@@ -18,8 +19,8 @@ use bds_sop::{Cover, Expr};
 /// A subject-graph node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SNode {
-    /// Primary input (with its network name).
-    Pi(String),
+    /// Primary input (with its network name, shared with the network).
+    Pi(Arc<str>),
     /// Constant true/false.
     Const(bool),
     /// Inverter.
@@ -33,7 +34,7 @@ pub enum SNode {
 pub struct Subject {
     nodes: Vec<SNode>,
     hash: FastMap<(u8, u32, u32), u32>,
-    outputs: Vec<(u32, String)>,
+    outputs: Vec<(u32, Arc<str>)>,
 }
 
 impl Subject {
@@ -48,7 +49,7 @@ impl Subject {
         // Subject node of each signal, indexed by `SignalId::index`.
         let mut of_signal = vec![u32::MAX; order.len()];
         for &i in net.inputs() {
-            of_signal[i.index()] = s.push(SNode::Pi(net.signal_name(i).to_string()));
+            of_signal[i.index()] = s.push(SNode::Pi(net.shared_name(i)));
         }
         // A partitioned network repeats a handful of small covers many
         // times over, so each distinct `(fanin count, cover)` is planned
@@ -80,8 +81,7 @@ impl Subject {
             of_signal[sig.index()] = s.emit_plan(&plans[at], &fanin_nodes);
         }
         for &o in net.outputs() {
-            s.outputs
-                .push((of_signal[o.index()], net.signal_name(o).to_string()));
+            s.outputs.push((of_signal[o.index()], net.shared_name(o)));
         }
         Ok(s)
     }
@@ -92,7 +92,7 @@ impl Subject {
     }
 
     /// Output references `(node, name)`.
-    pub fn outputs(&self) -> &[(u32, String)] {
+    pub fn outputs(&self) -> &[(u32, Arc<str>)] {
         &self.outputs
     }
 
@@ -269,7 +269,7 @@ impl Subject {
         let mut val = vec![false; self.nodes.len()];
         for (i, n) in self.nodes.iter().enumerate() {
             val[i] = match n {
-                SNode::Pi(name) => assignment[name.as_str()],
+                SNode::Pi(name) => assignment[&**name],
                 SNode::Const(v) => *v,
                 SNode::Inv(a) => !val[*a as usize],
                 SNode::Nand(a, b) => !(val[*a as usize] && val[*b as usize]),

@@ -6,13 +6,12 @@
 //! line continuations. Sequential constructs (`.latch`) are rejected —
 //! the BDS evaluation is purely combinational.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use bds_sop::{Cover, Cube};
 
 use crate::error::NetworkError;
-use crate::network::{Network, SignalId};
+use crate::network::Network;
 use crate::Result;
 
 /// Renders a fragment of user input for an error message: control
@@ -80,15 +79,17 @@ pub fn parse(text: &str) -> Result<Network> {
         }
     }
 
-    let mut model_name = String::from("unnamed");
-    let mut input_names: Vec<String> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
-    struct RawNode {
+    // Names and cube patterns borrow from `lines`: each name is copied
+    // once, by the network that stores it.
+    let mut model_name = "unnamed";
+    let mut input_names: Vec<&str> = Vec::new();
+    let mut output_names: Vec<&str> = Vec::new();
+    struct RawNode<'t> {
         line: usize,
-        signals: Vec<String>, // fanins then output name
-        cubes: Vec<(String, char)>,
+        signals: Vec<&'t str>, // fanins then output name
+        cubes: Vec<(&'t str, char)>,
     }
-    let mut raw_nodes: Vec<RawNode> = Vec::new();
+    let mut raw_nodes: Vec<RawNode<'_>> = Vec::new();
 
     let mut idx = 0;
     while idx < lines.len() {
@@ -99,20 +100,20 @@ pub fn parse(text: &str) -> Result<Network> {
         match head {
             ".model" => {
                 if let Some(name) = tokens.next() {
-                    model_name = name.to_string();
+                    model_name = name;
                 }
                 idx += 1;
             }
             ".inputs" => {
-                input_names.extend(tokens.map(str::to_string));
+                input_names.extend(tokens);
                 idx += 1;
             }
             ".outputs" => {
-                output_names.extend(tokens.map(str::to_string));
+                output_names.extend(tokens);
                 idx += 1;
             }
             ".names" => {
-                let signals: Vec<String> = tokens.map(str::to_string).collect();
+                let signals: Vec<&str> = tokens.collect();
                 if signals.is_empty() {
                     return Err(NetworkError::Blif {
                         line: *lineno,
@@ -131,7 +132,7 @@ pub fn parse(text: &str) -> Result<Network> {
                                 reason = "split_whitespace never yields empty tokens"
                             )]
                             let ch = out.chars().next().expect("non-empty token");
-                            cubes.push((String::new(), ch));
+                            cubes.push(("", ch));
                         }
                         [ins, out] => {
                             #[expect(
@@ -139,7 +140,7 @@ pub fn parse(text: &str) -> Result<Network> {
                                 reason = "split_whitespace never yields empty tokens"
                             )]
                             let ch = out.chars().next().expect("non-empty token");
-                            cubes.push(((*ins).to_string(), ch));
+                            cubes.push((ins, ch));
                         }
                         _ => {
                             return Err(NetworkError::Blif {
@@ -181,32 +182,30 @@ pub fn parse(text: &str) -> Result<Network> {
     }
 
     // Build the network: inputs, then placeholder nodes (BLIF allows
-    // forward references), then the real functions.
-    let mut net = Network::new(model_name);
-    let mut ids: HashMap<String, SignalId> = HashMap::new();
-    for name in &input_names {
-        let id = net.add_input(name.clone())?;
-        ids.insert(name.clone(), id);
+    // forward references), then the real functions. The network's own
+    // name index resolves every name.
+    let mut net = Network::with_capacity(model_name, input_names.len() + raw_nodes.len());
+    for &name in &input_names {
+        net.add_input(name)?;
     }
+    let mut node_ids = Vec::with_capacity(raw_nodes.len());
     for rn in &raw_nodes {
         #[expect(clippy::expect_used, reason = "raw nodes were validated non-empty")]
-        let out_name = rn.signals.last().expect("validated non-empty");
-        if ids.contains_key(out_name) {
+        let out_name = *rn.signals.last().expect("validated non-empty");
+        if net.signal_id(out_name).is_some() {
             return Err(NetworkError::Blif {
                 line: rn.line,
                 detail: format!("signal `{}` defined twice", snippet(out_name)),
             });
         }
-        let id = net.add_node(out_name.clone(), Vec::new(), Cover::zero())?;
-        ids.insert(out_name.clone(), id);
+        node_ids.push(net.add_node(out_name, Vec::new(), Cover::zero())?);
     }
-    for rn in &raw_nodes {
+    for (rn, &node) in raw_nodes.iter().zip(&node_ids) {
         #[expect(clippy::expect_used, reason = "raw nodes were validated non-empty")]
-        let out_name = rn.signals.last().expect("non-empty");
-        let fanin_names = &rn.signals[..rn.signals.len() - 1];
+        let (&out_name, fanin_names) = rn.signals.split_last().expect("non-empty");
         let mut fanins = Vec::with_capacity(fanin_names.len());
-        for f in fanin_names {
-            let id = *ids.get(f).ok_or_else(|| NetworkError::Blif {
+        for &f in fanin_names {
+            let id = net.signal_id(f).ok_or_else(|| NetworkError::Blif {
                 line: rn.line,
                 detail: format!(
                     "fanin `{}` of `{}` is undefined",
@@ -217,10 +216,10 @@ pub fn parse(text: &str) -> Result<Network> {
             fanins.push(id);
         }
         let cover = cubes_to_cover(rn.line, &rn.cubes, fanin_names.len())?;
-        net.replace_node(ids[out_name], fanins, cover)?;
+        net.replace_node(node, fanins, cover)?;
     }
-    for name in &output_names {
-        let id = *ids.get(name).ok_or_else(|| NetworkError::Blif {
+    for &name in &output_names {
+        let id = net.signal_id(name).ok_or_else(|| NetworkError::Blif {
             line: 0,
             detail: format!("output `{}` is never defined", snippet(name)),
         })?;
@@ -229,7 +228,7 @@ pub fn parse(text: &str) -> Result<Network> {
     Ok(net)
 }
 
-fn cubes_to_cover(line: usize, cubes: &[(String, char)], fanin_count: usize) -> Result<Cover> {
+fn cubes_to_cover(line: usize, cubes: &[(&str, char)], fanin_count: usize) -> Result<Cover> {
     if cubes.is_empty() {
         // No cube lines: constant 0.
         return Ok(Cover::zero());
@@ -448,7 +447,7 @@ mod tests {
 
     #[test]
     fn complement_cover_is_exact() {
-        let cubes = vec![("11".to_string(), '0'), ("00".to_string(), '0')];
+        let cubes = [("11", '0'), ("00", '0')];
         let cover = cubes_to_cover(1, &cubes, 2).unwrap();
         // OFF = {ab, āb̄} ⇒ ON = a⊕b.
         assert!(!cover.eval(&[true, true]));

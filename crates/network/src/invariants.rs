@@ -130,7 +130,7 @@ impl Network {
                 }
                 if f.index() == idx {
                     return Err(NetworkError::Cycle {
-                        name: entry.name.clone(),
+                        name: entry.name.to_string(),
                     });
                 }
             }
@@ -169,7 +169,7 @@ impl Network {
                             0 => stack.push((f.index(), false)),
                             1 => {
                                 return Err(NetworkError::Cycle {
-                                    name: self.signals[f.index()].name.clone(),
+                                    name: self.signals[f.index()].name.to_string(),
                                 });
                             }
                             _ => {}

@@ -2,6 +2,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bds_sop::Cover;
 
@@ -36,7 +37,9 @@ pub(crate) enum Driver {
 
 #[derive(Clone, Debug)]
 pub(crate) struct SignalEntry {
-    pub(crate) name: String,
+    /// One allocation, shared with the `by_name` key and with every copy
+    /// of the network.
+    pub(crate) name: Arc<str>,
     pub(crate) driver: Driver,
 }
 
@@ -53,7 +56,7 @@ pub(crate) struct SignalEntry {
 pub struct Network {
     name: String,
     pub(crate) signals: Vec<SignalEntry>,
-    pub(crate) by_name: HashMap<String, SignalId>,
+    pub(crate) by_name: HashMap<Arc<str>, SignalId>,
     pub(crate) inputs: Vec<SignalId>,
     pub(crate) outputs: Vec<SignalId>,
     /// `fanout_index[s]`: the nodes reading `s`, in ascending id order,
@@ -97,7 +100,7 @@ impl Network {
     ///
     /// # Errors
     /// [`NetworkError::DuplicateName`] if the name is taken.
-    pub fn add_input(&mut self, name: impl Into<String>) -> Result<SignalId> {
+    pub fn add_input(&mut self, name: impl Into<Arc<str>>) -> Result<SignalId> {
         let id = self.add_signal(name.into(), Driver::Input)?;
         self.inputs.push(id);
         Ok(id)
@@ -114,7 +117,7 @@ impl Network {
     /// outside the fanin list.
     pub fn add_node(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         fanins: Vec<SignalId>,
         cover: Cover,
     ) -> Result<SignalId> {
@@ -129,18 +132,18 @@ impl Network {
     ///
     /// # Errors
     /// [`NetworkError::DuplicateName`] if the name is taken.
-    pub fn add_constant(&mut self, name: impl Into<String>, value: bool) -> Result<SignalId> {
+    pub fn add_constant(&mut self, name: impl Into<Arc<str>>, value: bool) -> Result<SignalId> {
         let cover = if value { Cover::one() } else { Cover::zero() };
         self.add_node(name, Vec::new(), cover)
     }
 
-    fn add_signal(&mut self, name: String, driver: Driver) -> Result<SignalId> {
+    fn add_signal(&mut self, name: Arc<str>, driver: Driver) -> Result<SignalId> {
         let id = SignalId(self.signals.len() as u32);
-        // One hash of the name, and one copy of it for the signal entry.
+        // One hash of the name; the signal entry shares the key's text.
         let name = match self.by_name.entry(name) {
             Entry::Occupied(taken) => {
                 return Err(NetworkError::DuplicateName {
-                    name: taken.key().clone(),
+                    name: taken.key().to_string(),
                 })
             }
             Entry::Vacant(slot) => slot.insert_entry(id).key().clone(),
@@ -306,6 +309,16 @@ impl Network {
         &self.signals[sig.index()].name
     }
 
+    /// The name of `sig` as a handle on the one allocation that every
+    /// copy of this network shares: a network that adds a signal under
+    /// it copies no text.
+    ///
+    /// # Panics
+    /// Panics on a foreign id.
+    pub fn shared_name(&self, sig: SignalId) -> Arc<str> {
+        Arc::clone(&self.signals[sig.index()].name)
+    }
+
     /// Looks a signal up by name.
     pub fn signal_id(&self, name: &str) -> Option<SignalId> {
         self.by_name.get(name).copied()
@@ -438,37 +451,26 @@ impl Network {
         loop {
             let candidate = format!("{prefix}_{}", self.fresh_counter);
             self.fresh_counter += 1;
-            if !self.by_name.contains_key(&candidate) {
+            if !self.by_name.contains_key(candidate.as_str()) {
                 return candidate;
             }
         }
     }
 
-    /// True when [`Network::compacted`] would rebuild this network as it
-    /// is (its fresh-name state aside): the inputs come first and in
-    /// order, every fanin has a lower id than its reader, and an output
-    /// reaches every node. O(signals + fanins), allocating one flag per
-    /// signal.
-    pub fn is_compact(&self) -> bool {
-        if self.back_edges != 0 || self.inputs.iter().enumerate().any(|(i, s)| s.index() != i) {
-            return false;
-        }
+    /// `live[s]`: an output reaches signal `s` through fanins (an output
+    /// reaches itself). [`Network::compacted`] keeps exactly the live
+    /// nodes, plus every input.
+    pub fn live_signals(&self) -> Vec<bool> {
         let mut live = vec![false; self.signals.len()];
-        for &o in &self.outputs {
-            live[o.index()] = true;
-        }
-        // Fanins have lower ids, so one backward pass marks the cone.
-        for (i, entry) in self.signals.iter().enumerate().rev() {
-            if let Driver::Node(nd) = &entry.driver {
-                if !live[i] {
-                    return false;
-                }
-                for &f in &nd.fanins {
-                    live[f.index()] = true;
+        let mut stack: Vec<SignalId> = self.outputs.clone();
+        while let Some(s) = stack.pop() {
+            if !std::mem::replace(&mut live[s.index()], true) {
+                if let Some(nd) = self.node_data(s) {
+                    stack.extend(nd.fanins.iter().copied());
                 }
             }
         }
-        true
+        live
     }
 
     /// Rebuilds the network keeping only signals reachable from the
@@ -483,23 +485,15 @@ impl Network {
     /// fails.
     pub fn compacted(&self) -> Result<Network> {
         let _span = bds_trace::span!("net.compacted");
-        let mut live = vec![false; self.signals.len()];
-        let mut stack: Vec<SignalId> = self.outputs.clone();
-        let mut kept = self.inputs.len();
-        while let Some(s) = stack.pop() {
-            if std::mem::replace(&mut live[s.index()], true) {
-                continue;
-            }
-            if let Some(nd) = self.node_data(s) {
-                kept += 1;
-                stack.extend(nd.fanins.iter().copied());
-            }
-        }
+        let live = self.live_signals();
+        let kept = (self.signals.iter().zip(&live))
+            .filter(|&(entry, &l)| l || matches!(entry.driver, Driver::Input))
+            .count();
         let mut out = Network::with_capacity(self.name.clone(), kept);
         // `map[s]`: the id of `s` in `out`, once it has been rebuilt.
         let mut map: Vec<Option<SignalId>> = vec![None; self.signals.len()];
         for &i in &self.inputs {
-            let ni = out.add_input(self.signal_name(i))?;
+            let ni = out.add_input(self.shared_name(i))?;
             map[i.index()] = Some(ni);
         }
         for sig in self.topo_order() {
@@ -522,7 +516,7 @@ impl Network {
                 })?;
                 fanins.push(mapped);
             }
-            let ns = out.add_node(self.signal_name(sig), fanins, nd.cover.clone())?;
+            let ns = out.add_node(self.shared_name(sig), fanins, nd.cover.clone())?;
             map[sig.index()] = Some(ns);
         }
         for &o in &self.outputs {
@@ -633,31 +627,14 @@ mod tests {
         let f = n.add_node("f", vec![a, b], and_cover()).unwrap();
         let _dead = n.add_node("dead", vec![a, b], and_cover()).unwrap();
         n.mark_output(f).unwrap();
-        assert!(!n.is_compact(), "a dead node is left to compact");
         let c = n.compacted().unwrap();
-        assert!(c.is_compact());
+        assert_eq!(
+            crate::blif::write(&c.compacted().unwrap()),
+            crate::blif::write(&c)
+        );
         assert_eq!(c.node_count(), 1);
         assert_eq!(c.inputs().len(), 2);
         assert_eq!(c.eval(&[true, true]).unwrap(), vec![true]);
-    }
-
-    #[test]
-    fn is_compact_needs_inputs_first_and_forward_edges() {
-        let buf = || Cover::from_cubes(vec![Cube::lit(0, true)]);
-        let mut n = Network::new("t");
-        let a = n.add_input("a").unwrap();
-        let f = n.add_node("f", vec![a], buf()).unwrap();
-        let g = n.add_node("g", vec![a], buf()).unwrap();
-        n.mark_output(f).unwrap();
-        n.mark_output(g).unwrap();
-        assert!(n.is_compact());
-        // f reading g is a back edge: `compacted` would reorder them.
-        let mut back = n.clone();
-        back.replace_node(f, vec![g], buf()).unwrap();
-        assert!(!back.is_compact());
-        // An input declared after a node is placed first by `compacted`.
-        n.add_input("b").unwrap();
-        assert!(!n.is_compact());
     }
 
     #[test]

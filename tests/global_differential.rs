@@ -200,7 +200,10 @@ fn factored_covers_match_the_reference() {
         let names: Vec<String> = (0..signals).map(|i| format!("x{i}")).collect();
 
         let mut old = Network::new("expr");
-        let ins: Vec<SignalId> = names.iter().map(|n| old.add_input(n).unwrap()).collect();
+        let ins: Vec<SignalId> = names
+            .iter()
+            .map(|n| old.add_input(n.as_str()).unwrap())
+            .collect();
         let var_signals: Vec<SignalId> = of_var.iter().map(|&s| ins[s]).collect();
         let r = reference_stitch::emit_expr(&mut old, &expr, &var_signals, "bds").unwrap();
         let r = reference_stitch::ResolvedRef {
@@ -213,7 +216,10 @@ fn factored_covers_match_the_reference() {
         let expected = blif::write(&old.compacted().unwrap());
 
         let mut stitch = Stitch::new("expr", "bds");
-        let ins: Vec<Sig> = names.iter().map(|n| stitch.add_input(n).unwrap()).collect();
+        let ins: Vec<Sig> = names
+            .iter()
+            .map(|n| stitch.add_input(n.as_str()).unwrap())
+            .collect();
         let var_signals: Vec<Sig> = of_var.iter().map(|&s| ins[s]).collect();
         let mut r = stitch.emit_expr(&expr, &var_signals).unwrap();
         r.phase = r.phase == phase;
@@ -263,7 +269,10 @@ fn verbatim_covers_match_the_reference() {
         let and = Cover::from_cubes(vec![Cube::parse(&[(0, true), (1, true)])]);
 
         let mut old = Network::new("node");
-        let mut ins: Vec<SignalId> = names.iter().map(|n| old.add_input(n).unwrap()).collect();
+        let mut ins: Vec<SignalId> = names
+            .iter()
+            .map(|n| old.add_input(n.as_str()).unwrap())
+            .collect();
         ins.push(old.add_constant("k0", false).unwrap());
         ins.push(old.add_constant("k1", true).unwrap());
         let var_signals: Vec<SignalId> = of_var.iter().map(|&s| ins[s]).collect();
@@ -277,7 +286,10 @@ fn verbatim_covers_match_the_reference() {
         let expected = blif::write(&old.compacted().unwrap());
 
         let mut stitch = Stitch::new("node", "bds");
-        let mut ins: Vec<Sig> = names.iter().map(|n| stitch.add_input(n).unwrap()).collect();
+        let mut ins: Vec<Sig> = names
+            .iter()
+            .map(|n| stitch.add_input(n.as_str()).unwrap())
+            .collect();
         ins.extend([Sig::Const(false), Sig::Const(true)]);
         let var_signals: Vec<Sig> = of_var.iter().map(|&s| ins[s]).collect();
         let f = stitch
